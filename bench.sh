@@ -2,10 +2,10 @@
 # Regenerate the committed BENCH_<scenario>.json files at the repo
 # root: release build, full (non-smoke) scenarios, fixed seeds. Run on
 # a quiet machine; absolute numbers are machine-specific, but the
-# mode-vs-mode ratios are what the committed trajectory tracks.
+# cell-vs-cell ratios are what the committed trajectory tracks.
 #
-#   ./bench.sh                # every scenario (incl. shard_scaling, stripe_scaling)
-#   ./bench.sh bulk_throughput  # one scenario
+#   ./bench.sh                # every scenario (chaos, shard_scaling, stripe_scaling)
+#   ./bench.sh stripe_scaling # one scenario
 #   ./bench.sh all --allow-regression  # accept a >20% p99 regression
 #
 # After regenerating, the p99 guard diffs each file against the

@@ -25,29 +25,13 @@ cargo run -q -p xtask -- check
 echo "== cargo test"
 cargo test --workspace -q
 
-echo "== fault-seed recovery sweep"
-cargo test -q --test fault_recovery
-
-echo "== observability replay determinism"
-cargo test -q --test obs_replay
-
-echo "== per-hop decomposition golden tests"
-cargo test -q --test table2_decomposition
-
-echo "== liveness / admission / breaker tests"
-cargo test -q -p nexus-proxy --test liveness
-
-echo "== striped bulk plane (reassembly battery + sim stripes; chaos is in fault_recovery)"
-cargo test -q -p rmf --test stripe_reassembly
-cargo test -q -p nexus-proxy --test stripes
-
 echo "== chaos drill determinism (same seed -> byte-identical snapshots)"
 cargo build -q --release -p wacs-chaos --bin chaos_drill
 ./target/release/chaos_drill --seed 42 --out target/chaos-drill-a.json
 ./target/release/chaos_drill --seed 42 --out target/chaos-drill-b.json
 cmp target/chaos-drill-a.json target/chaos-drill-b.json
 
-echo "== bench smoke (all scenarios incl. shard_scaling, stripe_scaling + committed BENCH files validate)"
+echo "== bench smoke (chaos, shard_scaling, stripe_scaling + committed BENCH files validate)"
 cargo build -q --release -p wacs-bench --bin proxy_bench
 ./target/release/proxy_bench --scenario all --smoke --out target/bench-smoke
 ./target/release/proxy_bench --check BENCH_*.json

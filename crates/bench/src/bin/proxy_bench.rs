@@ -1,23 +1,20 @@
 //! `proxy_bench` — the committed perf-trajectory harness for the relay
-//! data plane (thread-pair pump vs multiplexed reactor).
+//! stack's recovery and scale-out behaviour. (Real-path latency,
+//! throughput and connection churn are measured by the gated benchmark
+//! in `benchmark/`.)
 //!
-//! Four named scenarios, each run under **both** pump modes against a
-//! real-socket outer server on the loopback [`firewall::vnet`], plus a
-//! virtual-time fleet-scaling scenario:
+//! Three named scenarios:
 //!
 //! | scenario | shape |
 //! |---|---|
-//! | `bulk_throughput` | a concurrent transfer storm: 256 relays opened and driven at once through the outer server, relay establishment included in the timed region, median of 5 trials after a warmup |
-//! | `fanin` | many concurrent relays to one sink, small echoes |
-//! | `latency` | one relay, small-message echo round trips |
 //! | `chaos` | schema v2: the `wacs-chaos` suite runs one real-path cell per fault class (RST, stall, throttle, blackhole, delayed FIN, split/merge, rolling outer restarts, inner kill) and reports measured recovery-time p50/p95/p99 per cell |
 //! | `shard_scaling` | virtual-time (netsim) fan-in cells over a sharded outer fleet: the same cell workload at 1/2/4 shards (Table 2's fan-in shape, relay service queues per shard), plus a kill-one-shard chaos cell that must finish with zero lost sequence numbers |
 //! | `stripe_scaling` | virtual-time striped bulk transfer over the fleet: one multi-megabyte staging payload a single relay cannot saturate, moved at 1/2/4/8 parallel stripe lanes (GridFTP-style), plus a 1%-loss WAN cell and a kill-one-stripe chaos cell that must reassemble byte-exactly |
 //!
 //! Seeds are fixed, payloads derive from [`netsim::SimRng`], and each
 //! run emits a schema-versioned `BENCH_<scenario>.json` (integer-only,
-//! via `wacs_obs::json`) with p50/p95/p99 and bytes/sec per mode, plus
-//! the merged relay counters from the server's `wacs-obs` registry.
+//! via `wacs_obs::json`) with p50/p95/p99 per cell of its `modes`
+//! object, plus the cell's counters from its `wacs-obs` registry.
 //! Absolute numbers reflect the machine that ran it; the committed
 //! files give every future change a visible perf trajectory in git.
 //!
@@ -29,22 +26,15 @@
 //!       # each file committed at git HEAD; fail if one regressed by
 //!       # more than 20% (--allow-regression downgrades to a warning)
 
-use firewall::vnet::VNet;
-use firewall::{NXPORT, OUTER_PORT};
 use netsim::prelude::*;
 use nexus_proxy::sim::{
     stripe_cell, NxClient, NxEvent, NxHandled, RelayModel, SimOuterServer, SimProxyEnv, StripeCell,
     StripeSenderActor, StripeSinkActor,
 };
-use nexus_proxy::{
-    nx_proxy_bind, nx_proxy_connect, AdmissionLimits, InnerConfig, InnerServer, OuterConfig,
-    OuterServer, ProxyEnv, ProxySnapshot, PumpMode, ShardStats, StripePlan, StripeStats,
-};
-use std::io::{self, Read, Write};
-use std::net::Shutdown;
+use nexus_proxy::{ShardStats, StripePlan, StripeStats};
+use std::io;
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use wacs_chaos::{CellOutcome, ChaosSuite, FaultClass, SuiteConfig};
 use wacs_obs::json::JsonWriter;
 use wacs_obs::{Histogram, Registry};
@@ -57,14 +47,7 @@ const SCHEMA_VERSION: u64 = 1;
 /// run with per-fault-class recovery-time cells from `wacs-chaos`.
 const CHAOS_SCHEMA_VERSION: u64 = 2;
 
-const SCENARIOS: &[&str] = &[
-    "bulk_throughput",
-    "fanin",
-    "latency",
-    "chaos",
-    "shard_scaling",
-    "stripe_scaling",
-];
+const SCENARIOS: &[&str] = &["chaos", "shard_scaling", "stripe_scaling"];
 
 fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -139,167 +122,15 @@ fn arg_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 }
 
 // ---------------------------------------------------------------------
-// World plumbing.
+// Scenarios.
 // ---------------------------------------------------------------------
 
-struct World {
-    net: VNet,
-    outer: OuterServer,
-    inner: Option<InnerServer>,
-    env: ProxyEnv,
-}
-
-/// `indirect` adds an inner server (same pump mode) and routes passive
-/// relays through it — the paper's two-hop firewall topology.
-fn world(
-    mode: PumpMode,
-    limits: AdmissionLimits,
-    idle_timeout: Option<Duration>,
-    indirect: bool,
-) -> io::Result<World> {
-    let net = VNet::new();
-    let site = net.add_site("bench", None);
-    net.add_host("client", site);
-    net.add_host("outer-host", site);
-    net.add_host("inner-host", site);
-    net.add_host("sink", site);
-    let mut cfg = OuterConfig::new("outer-host")
-        .with_pump_mode(mode)
-        .with_limits(limits);
-    if indirect {
-        cfg = cfg.with_inner("inner-host", NXPORT);
-    }
-    if let Some(t) = idle_timeout {
-        cfg = cfg.with_idle_timeout(t);
-    }
-    let inner = if indirect {
-        Some(InnerServer::start(
-            net.clone(),
-            InnerConfig::new("inner-host").with_pump_mode(mode),
-        )?)
-    } else {
-        None
-    };
-    let outer = OuterServer::start(net.clone(), cfg)?;
-    Ok(World {
-        net,
-        outer,
-        inner,
-        env: ProxyEnv::via("outer-host", OUTER_PORT),
-    })
-}
-
-impl World {
-    /// Combined data-plane counters across both relay daemons.
-    fn obs(&self) -> ProxySnapshot {
-        let mut snap = self.outer.stats();
-        if let Some(inner) = &self.inner {
-            let i = inner.stats();
-            snap.relayed_bytes += i.relayed_bytes;
-            snap.pump_segments += i.pump_segments;
-            snap.pump_coalesced_writes += i.pump_coalesced_writes;
-            snap.pool_hits += i.pool_hits;
-            snap.pool_misses += i.pool_misses;
-            snap.idle_reaped += i.idle_reaped;
-            snap.busy_rejected += i.busy_rejected;
-        }
-        snap
-    }
-}
-
-fn pump_threads_for(mode: PumpMode, relays: u64) -> u64 {
-    match mode {
-        PumpMode::ThreadPair => 2 * relays,
-        // Default reactor config: one multiplexing thread.
-        PumpMode::Reactor => 1,
-    }
-}
-
-fn mode_name(mode: PumpMode) -> &'static str {
-    match mode {
-        PumpMode::ThreadPair => "thread_pair",
-        PumpMode::Reactor => "reactor",
-    }
-}
-
-fn wait_until(what: &str, timeout: Duration, mut cond: impl FnMut() -> bool) -> io::Result<()> {
-    let end = Instant::now() + timeout;
-    while !cond() {
-        if Instant::now() >= end {
-            return Err(io::Error::other(format!("timed out waiting: {what}")));
-        }
-        thread::sleep(Duration::from_millis(2));
-    }
-    Ok(())
-}
-
-/// A deterministic pseudo-random payload derived from the scenario seed.
-fn seeded_payload(seed: u64, len: usize) -> Arc<Vec<u8>> {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let block: Vec<u8> = (0..8192).map(|_| rng.below(256) as u8).collect();
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        let take = block.len().min(len - out.len());
-        out.extend_from_slice(&block[..take]);
-    }
-    Arc::new(out)
-}
-
-fn join_u64(h: thread::JoinHandle<io::Result<u64>>) -> io::Result<u64> {
-    h.join().map_err(|_| io::Error::other("worker panicked"))?
-}
-
-// ---------------------------------------------------------------------
-// Per-mode measurement record.
-// ---------------------------------------------------------------------
-
-struct ModeStats {
-    elapsed_ns: u64,
-    bytes: u64,
-    p50_ns: u64,
-    p95_ns: u64,
-    p99_ns: u64,
-    pump_threads: u64,
-    relays: u64,
-    completed: u64,
-    killed: u64,
-    reaped: u64,
-    obs: ProxySnapshot,
-}
-
-impl ModeStats {
-    fn bytes_per_sec(&self) -> u64 {
-        ((u128::from(self.bytes) * 1_000_000_000) / u128::from(self.elapsed_ns.max(1))) as u64
-    }
-
-    fn relays_per_thread_x1000(&self) -> u64 {
-        self.relays * 1000 / self.pump_threads.max(1)
-    }
-
-    fn to_json(&self) -> String {
-        let mut obs = JsonWriter::object();
-        obs.field_u64("relayed_bytes", self.obs.relayed_bytes)
-            .field_u64("pump_segments", self.obs.pump_segments)
-            .field_u64("pump_coalesced_writes", self.obs.pump_coalesced_writes)
-            .field_u64("pool_hits", self.obs.pool_hits)
-            .field_u64("pool_misses", self.obs.pool_misses)
-            .field_u64("idle_reaped", self.obs.idle_reaped)
-            .field_u64("busy_rejected", self.obs.busy_rejected);
-        let mut w = JsonWriter::object();
-        w.field_u64("elapsed_ns", self.elapsed_ns)
-            .field_u64("bytes", self.bytes)
-            .field_u64("bytes_per_sec", self.bytes_per_sec())
-            .field_u64("p50_ns", self.p50_ns)
-            .field_u64("p95_ns", self.p95_ns)
-            .field_u64("p99_ns", self.p99_ns)
-            .field_u64("pump_threads", self.pump_threads)
-            .field_u64("relays", self.relays)
-            .field_u64("relays_per_thread_x1000", self.relays_per_thread_x1000())
-            .field_u64("completed", self.completed)
-            .field_u64("killed", self.killed)
-            .field_u64("reaped", self.reaped)
-            .field_raw("obs", &obs.finish());
-        w.finish()
+fn run_scenario(name: &str, smoke: bool) -> io::Result<String> {
+    match name {
+        "chaos" => chaos_scenario(smoke),
+        "shard_scaling" => shard_scaling(smoke),
+        "stripe_scaling" => stripe_scaling(smoke),
+        other => Err(io::Error::other(format!("no such scenario: {other}"))),
     }
 }
 
@@ -309,350 +140,6 @@ fn percentiles(h: &Histogram) -> (u64, u64, u64) {
         h.quantile(0.95).unwrap_or(0),
         h.quantile(0.99).unwrap_or(0),
     )
-}
-
-// ---------------------------------------------------------------------
-// Scenarios.
-// ---------------------------------------------------------------------
-
-/// A scenario body: runs one pump mode and reports its measurements.
-type ScenarioRunner = fn(&ScenarioCfg, PumpMode) -> io::Result<ModeStats>;
-
-struct ScenarioCfg {
-    seed: u64,
-    relays: u64,
-    bytes_per_relay: u64,
-    rounds: u64,
-    msg_bytes: u64,
-    /// Timed repetitions; the median trial's elapsed time is reported.
-    trials: u64,
-}
-
-fn run_scenario(name: &str, smoke: bool) -> io::Result<String> {
-    if name == "shard_scaling" {
-        return shard_scaling(smoke);
-    }
-    if name == "stripe_scaling" {
-        return stripe_scaling(smoke);
-    }
-    if name == "chaos" {
-        return chaos_scenario(smoke);
-    }
-    let (cfg, runner): (ScenarioCfg, ScenarioRunner) = match name {
-        "bulk_throughput" => (
-            ScenarioCfg {
-                seed: 0xb011c,
-                relays: if smoke { 8 } else { 256 },
-                bytes_per_relay: if smoke { 256 << 10 } else { 512 << 10 },
-                rounds: 0,
-                msg_bytes: 0,
-                trials: if smoke { 1 } else { 5 },
-            },
-            bulk,
-        ),
-        "fanin" => (
-            ScenarioCfg {
-                seed: 0xfa111,
-                relays: if smoke { 16 } else { 128 },
-                bytes_per_relay: 0,
-                rounds: 2,
-                msg_bytes: 32,
-                trials: 1,
-            },
-            fanin,
-        ),
-        "latency" => (
-            ScenarioCfg {
-                seed: 0x1a7e,
-                relays: 1,
-                bytes_per_relay: 0,
-                rounds: if smoke { 100 } else { 2000 },
-                msg_bytes: 64,
-                trials: 1,
-            },
-            latency,
-        ),
-        other => return Err(io::Error::other(format!("no such scenario: {other}"))),
-    };
-
-    let tp = runner(&cfg, PumpMode::ThreadPair)?;
-    let rx = runner(&cfg, PumpMode::Reactor)?;
-
-    let mut config = JsonWriter::object();
-    config
-        .field_u64("n_relays", cfg.relays)
-        .field_u64("bytes_per_relay", cfg.bytes_per_relay)
-        .field_u64("rounds", cfg.rounds)
-        .field_u64("msg_bytes", cfg.msg_bytes)
-        .field_u64("trials", cfg.trials);
-    let mut modes = JsonWriter::object();
-    modes
-        .field_raw(mode_name(PumpMode::ThreadPair), &tp.to_json())
-        .field_raw(mode_name(PumpMode::Reactor), &rx.to_json());
-
-    // Headline ratio, scenario-appropriate, in integer thousandths.
-    let speedup_x1000 = match name {
-        // Relays one thread can carry, reactor vs thread-pair.
-        "fanin" => rx.relays_per_thread_x1000() * 1000 / tp.relays_per_thread_x1000().max(1),
-        // Round-trip p50, thread-pair over reactor (>1000 = reactor faster).
-        "latency" => tp.p50_ns * 1000 / rx.p50_ns.max(1),
-        // Relayed throughput, reactor over thread-pair.
-        _ => rx.bytes_per_sec() * 1000 / tp.bytes_per_sec().max(1),
-    };
-
-    let mut w = JsonWriter::object();
-    w.field_u64("schema_version", SCHEMA_VERSION)
-        .field_str("scenario", name)
-        .field_u64("seed", cfg.seed)
-        .field_u64("smoke", u64::from(smoke))
-        .field_raw("config", &config.finish())
-        .field_raw("modes", &modes.finish())
-        .field_u64("speedup_x1000", speedup_x1000);
-    Ok(w.finish())
-}
-
-/// Bulk throughput under a concurrent transfer storm: `relays`
-/// transfers of `bytes_per_relay` are opened and driven at once
-/// through the outer server to a bound (passive-open) sink. Relay
-/// establishment is *inside* the timed region — this is the cluster
-/// job-launch shape, where the thread-pair plane pays two thread
-/// spawns per relay that then contend with every pump already moving
-/// data, while the reactor only appends to its relay table. The sink
-/// acks the byte count it saw, so every trial also verifies
-/// end-to-end integrity. One untimed warmup round faults in sockets
-/// and pool segments, then the median of `trials` timed rounds is
-/// reported.
-fn bulk(cfg: &ScenarioCfg, mode: PumpMode) -> io::Result<ModeStats> {
-    let w = world(
-        mode,
-        AdmissionLimits {
-            max_total: 4096,
-            max_per_peer: 4096,
-        },
-        None,
-        false,
-    )?;
-    // The bound sink: read each relay to EOF, ack the total (BE u64).
-    // One nonblocking sweep thread serves every connection, so the
-    // harness adds a fixed thread count regardless of relay count and
-    // the only thread-census difference between modes is the data
-    // plane under test.
-    let listener = nx_proxy_bind(&w.net, &w.env, "sink")?;
-    let adv = listener.advertised.clone();
-    thread::spawn(move || {
-        while let Ok(mut s) = listener.accept() {
-            // lint:allow(deadline-io)
-            thread::spawn(move || {
-                let mut buf = vec![0u8; 1 << 16];
-                let mut total = 0u64;
-                loop {
-                    match s.read(&mut buf) {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => total += n as u64,
-                    }
-                }
-                let _ = s.write_all(&total.to_be_bytes());
-            });
-        }
-    });
-
-    let payload = seeded_payload(cfg.seed, cfg.bytes_per_relay as usize);
-    let hist = Registry::new().histogram("transfer_ns");
-    if cfg.trials > 1 {
-        // Warmup: small, untimed, not recorded.
-        let warm = seeded_payload(cfg.seed, 256 << 10);
-        bulk_round(&w, &adv, 2, &warm, &Registry::new().histogram("warmup"))?;
-    }
-    let mut elapsed = Vec::new();
-    for _ in 0..cfg.trials {
-        elapsed.push(bulk_round(&w, &adv, cfg.relays, &payload, &hist)?);
-    }
-    // Median trial: a storm either completes cleanly (~0.2 s here) or
-    // eats a kernel SYN-retransmit stall when the accept loop falls
-    // behind and the listen backlog drops connections (~1 s more), so
-    // the median reports each mode's *typical* storm outcome instead
-    // of its lucky or unlucky extreme.
-    elapsed.sort_unstable();
-    let elapsed_ns = elapsed[elapsed.len() / 2];
-    let (p50_ns, p95_ns, p99_ns) = percentiles(&hist);
-    Ok(ModeStats {
-        elapsed_ns,
-        bytes: cfg.relays * cfg.bytes_per_relay,
-        p50_ns,
-        p95_ns,
-        p99_ns,
-        // One hop: the thread-pair plane spends 2 threads per relay;
-        // the reactor holds the whole storm on a single thread.
-        pump_threads: match mode {
-            PumpMode::ThreadPair => 2 * cfg.relays,
-            PumpMode::Reactor => 1,
-        },
-        relays: cfg.relays,
-        completed: cfg.relays,
-        killed: 0,
-        reaped: 0,
-        obs: w.obs(),
-    })
-}
-
-/// One timed bulk round: one client thread per relay (independent
-/// peers, as in a wide-area cluster) dials, streams its payload,
-/// half-closes, and waits for the sink's byte-count ack. Relay setup
-/// is deliberately part of the timed region (see [`bulk`]). Waits for
-/// the relay table to drain before returning the elapsed nanoseconds.
-fn bulk_round(
-    w: &World,
-    adv: &(String, u16),
-    relays: u64,
-    payload: &Arc<Vec<u8>>,
-    hist: &Histogram,
-) -> io::Result<u64> {
-    let t0 = Instant::now();
-    let mut workers = Vec::new();
-    for _ in 0..relays {
-        let (net, adv, payload, hist) = (w.net.clone(), adv.clone(), payload.clone(), hist.clone());
-        workers.push(thread::spawn(move || -> io::Result<u64> {
-            let t = Instant::now();
-            let mut s = net.dial("client", &adv.0, adv.1)?;
-            s.write_all(&payload)?;
-            s.shutdown(Shutdown::Write)?;
-            let mut ack = [0u8; 8];
-            s.read_exact(&mut ack)?; // lint:allow(deadline-io)
-            if u64::from_be_bytes(ack) != payload.len() as u64 {
-                return Err(io::Error::other("sink byte-count mismatch"));
-            }
-            hist.record(t.elapsed().as_nanos() as u64);
-            Ok(payload.len() as u64)
-        }));
-    }
-    for h in workers {
-        join_u64(h)?;
-    }
-    let elapsed = t0.elapsed().as_nanos() as u64;
-    wait_until("bulk relay drain", Duration::from_secs(30), || {
-        w.outer.active_relays() == 0
-    })?;
-    // Settle: let the previous round's pump threads finish exiting so
-    // trials are hermetic rather than inheriting teardown churn.
-    thread::sleep(Duration::from_millis(300));
-    eprintln!("  trial: {relays} relays in {} ms", elapsed / 1_000_000);
-    Ok(elapsed)
-}
-
-/// Echo sink: every accepted connection is served by a thread that
-/// echoes whatever arrives until EOF.
-fn spawn_echo_sink(net: &VNet) -> io::Result<u16> {
-    let l = net.bind("sink", 0)?;
-    let port = l.logical_port();
-    thread::spawn(move || {
-        while let Ok((mut s, _)) = l.accept() {
-            // lint:allow(deadline-io)
-            thread::spawn(move || {
-                let mut buf = [0u8; 4096];
-                loop {
-                    match s.read(&mut buf) {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => {
-                            if s.write_all(&buf[..n]).is_err() {
-                                break;
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-    Ok(port)
-}
-
-/// Many-idle-connections fan-in: hold `relays` concurrent relays to one
-/// sink, then run a few small echo rounds over each. The headline
-/// number is relays per pump thread — the reactor holds the whole fan
-/// on one thread where the thread-pair pump spends two per relay.
-fn fanin(cfg: &ScenarioCfg, mode: PumpMode) -> io::Result<ModeStats> {
-    let w = world(
-        mode,
-        AdmissionLimits {
-            max_total: 4096,
-            max_per_peer: 4096,
-        },
-        None,
-        false,
-    )?;
-    let port = spawn_echo_sink(&w.net)?;
-    let t0 = Instant::now();
-    let mut streams = Vec::new();
-    for _ in 0..cfg.relays {
-        streams.push(nx_proxy_connect(&w.net, &w.env, "client", ("sink", port))?);
-    }
-    wait_until("fan-in relays tracked", Duration::from_secs(30), || {
-        w.outer.active_relays() as u64 == cfg.relays
-    })?;
-
-    let hist = Registry::new().histogram("echo_rtt_ns");
-    let msg = vec![0x5Au8; cfg.msg_bytes as usize];
-    let mut back = vec![0u8; cfg.msg_bytes as usize];
-    for _ in 0..cfg.rounds {
-        for s in &mut streams {
-            let t = Instant::now();
-            s.write_all(&msg)?;
-            s.read_exact(&mut back)?; // lint:allow(deadline-io)
-            hist.record(t.elapsed().as_nanos() as u64);
-        }
-    }
-    let elapsed_ns = t0.elapsed().as_nanos() as u64;
-    let bytes = cfg.relays * cfg.rounds * cfg.msg_bytes * 2;
-    let (p50_ns, p95_ns, p99_ns) = percentiles(&hist);
-    drop(streams);
-    wait_until("fan-in relay drain", Duration::from_secs(30), || {
-        w.outer.active_relays() == 0
-    })?;
-    Ok(ModeStats {
-        elapsed_ns,
-        bytes,
-        p50_ns,
-        p95_ns,
-        p99_ns,
-        pump_threads: pump_threads_for(mode, cfg.relays),
-        relays: cfg.relays,
-        completed: cfg.relays,
-        killed: 0,
-        reaped: 0,
-        obs: w.obs(),
-    })
-}
-
-/// Small-message latency: one relay, `rounds` echo round trips.
-fn latency(cfg: &ScenarioCfg, mode: PumpMode) -> io::Result<ModeStats> {
-    let w = world(mode, AdmissionLimits::default(), None, false)?;
-    let port = spawn_echo_sink(&w.net)?;
-    let mut s = nx_proxy_connect(&w.net, &w.env, "client", ("sink", port))?;
-    let msg = vec![0xA5u8; cfg.msg_bytes as usize];
-    let mut back = vec![0u8; cfg.msg_bytes as usize];
-    let hist = Registry::new().histogram("rtt_ns");
-    let t0 = Instant::now();
-    for _ in 0..cfg.rounds {
-        let t = Instant::now();
-        s.write_all(&msg)?;
-        s.read_exact(&mut back)?; // lint:allow(deadline-io)
-        hist.record(t.elapsed().as_nanos() as u64);
-    }
-    let elapsed_ns = t0.elapsed().as_nanos() as u64;
-    let bytes = cfg.rounds * cfg.msg_bytes * 2;
-    let (p50_ns, p95_ns, p99_ns) = percentiles(&hist);
-    Ok(ModeStats {
-        elapsed_ns,
-        bytes,
-        p50_ns,
-        p95_ns,
-        p99_ns,
-        pump_threads: pump_threads_for(mode, cfg.relays),
-        relays: cfg.relays,
-        completed: cfg.relays,
-        killed: 0,
-        reaped: 0,
-        obs: w.obs(),
-    })
 }
 
 /// Chaos scenario, schema v2: the `wacs-chaos` suite runs one cell
@@ -1701,34 +1188,11 @@ fn validate(json: &str, scenario: &str) -> Result<(), String> {
             return Err(format!("missing top-level field {key:?}"));
         }
     }
-    if scenario == "shard_scaling" {
-        return validate_shard_scaling(json);
+    match scenario {
+        "shard_scaling" => validate_shard_scaling(json),
+        "stripe_scaling" => validate_stripe_scaling(json),
+        _ => Err(format!("unknown scenario {scenario:?}")),
     }
-    if scenario == "stripe_scaling" {
-        return validate_stripe_scaling(json);
-    }
-    for key in ["\"thread_pair\":{", "\"reactor\":{"] {
-        if !json.contains(key) {
-            return Err(format!("missing mode object {key}"));
-        }
-    }
-    for key in [
-        "elapsed_ns",
-        "bytes",
-        "bytes_per_sec",
-        "pump_threads",
-        "relays",
-        "relays_per_thread_x1000",
-        "relayed_bytes",
-        "pump_segments",
-        "pool_hits",
-        "pool_misses",
-    ] {
-        if extract_all(json, key).len() != 2 {
-            return Err(format!("field {key:?} must appear once per mode"));
-        }
-    }
-    validate_percentile_order(json, 2)
 }
 
 /// p50 ≤ p95 ≤ p99 in each of the `modes` mode objects.
@@ -1955,21 +1419,9 @@ mod tests {
         assert!(extract_all(json, "z").is_empty());
     }
 
-    #[test]
-    fn validate_accepts_a_wellformed_doc_and_rejects_breakage() {
-        let mode = r#"{"elapsed_ns":10,"bytes":5,"bytes_per_sec":2,"p50_ns":1,"p95_ns":2,"p99_ns":3,"pump_threads":2,"relays":1,"relays_per_thread_x1000":500,"completed":1,"killed":0,"reaped":0,"obs":{"relayed_bytes":5,"pump_segments":1,"pump_coalesced_writes":0,"pool_hits":0,"pool_misses":1,"idle_reaped":0,"busy_rejected":0}}"#;
-        let doc = format!(
-            r#"{{"schema_version":1,"scenario":"latency","seed":7,"smoke":1,"config":{{}},"modes":{{"thread_pair":{mode},"reactor":{mode}}},"speedup_x1000":1000}}"#
-        );
-        assert_eq!(validate(&doc, "latency"), Ok(()));
-        assert!(validate(&doc, "fanin").is_err());
-        let broken = doc.replace("\"p95_ns\":2", "\"p95_ns\":9");
-        assert!(validate(&broken, "latency").is_err());
-    }
-
-    fn two_mode_doc(tp_p99: u64, re_p99: u64) -> String {
+    fn two_mode_doc(first_p99: u64, second_p99: u64) -> String {
         format!(
-            r#"{{"modes":{{"thread_pair":{{"p99_ns":{tp_p99}}},"reactor":{{"p99_ns":{re_p99}}}}}}}"#
+            r#"{{"modes":{{"shards1":{{"p99_ns":{first_p99}}},"killshard":{{"p99_ns":{second_p99}}}}}}}"#
         )
     }
 
@@ -1986,10 +1438,10 @@ mod tests {
         let old = two_mode_doc(1000, 2000);
         let r = p99_regressions(&old, &two_mode_doc(1201, 2000));
         assert_eq!(r.len(), 1, "{r:?}");
-        assert!(r[0].starts_with("thread_pair:"), "{r:?}");
+        assert!(r[0].starts_with("shards1:"), "{r:?}");
         let r = p99_regressions(&old, &two_mode_doc(1300, 5000));
         assert_eq!(r.len(), 2, "{r:?}");
-        assert!(r[1].starts_with("reactor:"), "{r:?}");
+        assert!(r[1].starts_with("killshard:"), "{r:?}");
     }
 
     #[test]
@@ -2007,10 +1459,10 @@ mod tests {
         // The per-mode obs sub-object carries unrelated counters; the
         // parser must take the mode's own p99_ns, not one from inside
         // a nested object, and must survive modes with no p99 at all.
-        let json = r#"{"modes":{"reactor":{"obs":{"p99_ns":77},"p99_ns":42},"bare":{"bytes":1},"thread_pair":{"p99_ns":9}}}"#;
+        let json = r#"{"modes":{"killshard":{"obs":{"p99_ns":77},"p99_ns":42},"bare":{"bytes":1},"shards1":{"p99_ns":9}}}"#;
         assert_eq!(
             mode_p99s(json),
-            vec![("reactor".to_string(), 42), ("thread_pair".to_string(), 9)]
+            vec![("killshard".to_string(), 42), ("shards1".to_string(), 9)]
         );
         assert!(mode_p99s(r#"{"speedup_x1000":3}"#).is_empty());
     }
@@ -2019,14 +1471,14 @@ mod tests {
     fn p99_guard_keys_by_mode_name_not_position() {
         // Regression for the positional-pairing bug: a committed
         // baseline holding only one mode must pair that mode by NAME.
-        // Under index pairing, old reactor(2000) would be compared
-        // against new thread_pair(5000) — a false regression — while a
-        // genuine reactor regression would slip through unpaired.
-        let old = r#"{"modes":{"reactor":{"p99_ns":2000}}}"#;
+        // Under index pairing, old killshard(2000) would be compared
+        // against new shards1(5000) — a false regression — while a
+        // genuine killshard regression would slip through unpaired.
+        let old = r#"{"modes":{"killshard":{"p99_ns":2000}}}"#;
         assert!(p99_regressions(old, &two_mode_doc(5000, 2000)).is_empty());
         let r = p99_regressions(old, &two_mode_doc(5000, 2401));
         assert_eq!(r.len(), 1, "{r:?}");
-        assert!(r[0].starts_with("reactor:"), "{r:?}");
+        assert!(r[0].starts_with("killshard:"), "{r:?}");
     }
 
     fn shard_doc(killed: [u64; 4], failovers_kill: u64, smoke: u64, speedup: u64) -> String {
@@ -2048,6 +1500,11 @@ mod tests {
     fn validate_shard_scaling_enforces_chaos_and_speedup_floors() {
         let ok = shard_doc([0, 0, 0, 1], 2, 1, 900);
         assert_eq!(validate(&ok, "shard_scaling"), Ok(()));
+        // The document must be the scenario its file name claims, and a
+        // scenario without a validator is refused, not waved through.
+        assert!(validate(&ok, "stripe_scaling").is_err());
+        let retired = ok.replace("\"scenario\":\"shard_scaling\"", "\"scenario\":\"latency\"");
+        assert!(validate(&retired, "latency").is_err());
         // Non-smoke runs must clear the 1.5x fan-in speedup floor.
         assert!(validate(&shard_doc([0, 0, 0, 1], 2, 0, 1499), "shard_scaling").is_err());
         assert_eq!(

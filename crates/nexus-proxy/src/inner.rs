@@ -23,11 +23,9 @@
 //! legacy solo slice, preserving the pre-fleet behaviour exactly.
 
 use crate::hook::{interpose, DialHook, DialLeg};
-use crate::outer::PumpMode;
 use crate::pool::{BufferPool, PoolConfig};
 use crate::protocol::Msg;
-use crate::pump::{pump_pooled, RelayActivity, DEFAULT_CHUNK};
-use crate::reactor::{PumpReactor, ReactorConfig};
+use crate::pump::pump_pooled;
 use crate::shard::ShardStats;
 use crate::stats::{ProxySnapshot, ProxyStats};
 use firewall::vnet::VNet;
@@ -48,18 +46,12 @@ pub struct InnerConfig {
     /// The relay port (the firewall hole). Defaults to
     /// [`firewall::NXPORT`].
     pub nxport: u16,
-    pub chunk: usize,
     /// Refuse `RelayReq` for endpoints that were never announced via
     /// `BindSync`. Off by default (pre-liveness behaviour).
     pub require_registration: bool,
     /// A control session silent for longer than this is abandoned (the
     /// outer server pings well inside it while alive).
     pub control_timeout: Duration,
-    /// Relay data plane: thread-pair (default, compatibility) or the
-    /// multiplexed reactor — the same choice the outer server offers.
-    pub pump_mode: PumpMode,
-    /// Reactor tuning; used when `pump_mode` is [`PumpMode::Reactor`].
-    pub reactor: ReactorConfig,
     /// Optional socket-level interposer on the inner→client relay
     /// dials. `None` — the default — leaves every dial untouched
     /// (DESIGN.md §6f).
@@ -71,11 +63,8 @@ impl InnerConfig {
         InnerConfig {
             host: host.into(),
             nxport: firewall::NXPORT,
-            chunk: DEFAULT_CHUNK,
             require_registration: false,
             control_timeout: Duration::from_secs(5),
-            pump_mode: PumpMode::default(),
-            reactor: ReactorConfig::default(),
             dial_hook: None,
         }
     }
@@ -87,16 +76,6 @@ impl InnerConfig {
 
     pub fn with_control_timeout(mut self, t: Duration) -> Self {
         self.control_timeout = t;
-        self
-    }
-
-    pub fn with_pump_mode(mut self, mode: PumpMode) -> Self {
-        self.pump_mode = mode;
-        self
-    }
-
-    pub fn with_reactor_config(mut self, r: ReactorConfig) -> Self {
-        self.reactor = r;
         self
     }
 
@@ -139,7 +118,6 @@ pub struct InnerServer {
     stats: Arc<ProxyStats>,
     shutdown: Arc<AtomicBool>,
     authorized: Arc<OrderedMutex<AuthTable>>,
-    reactor: Option<Arc<PumpReactor>>,
     accept_thread: Option<thread::JoinHandle<()>>,
 }
 
@@ -153,20 +131,12 @@ impl InnerServer {
             "nexus.inner.authorized",
             AuthTable::default(),
         ));
-        // Same staging-pool/data-plane arrangement as the outer server:
-        // one pool for every pump, reactor spun up only when selected.
+        // One staging-buffer pool for every pump, as on the outer server.
         let pool = BufferPool::with_counters(
-            PoolConfig {
-                seg_bytes: cfg.chunk.max(PoolConfig::default().seg_bytes),
-                ..PoolConfig::default()
-            },
+            PoolConfig::default(),
             stats.pool_hits.clone(),
             stats.pool_misses.clone(),
         );
-        let reactor = match cfg.pump_mode {
-            PumpMode::ThreadPair => None,
-            PumpMode::Reactor => Some(PumpReactor::start(cfg.reactor, stats.clone(), pool.clone())),
-        };
         let ctx = InnerCtx {
             net,
             cfg: cfg.clone(),
@@ -175,7 +145,6 @@ impl InnerServer {
             authorized: authorized.clone(),
             shutdown: shutdown.clone(),
             pool,
-            reactor: reactor.clone(),
         };
         let t_shutdown = shutdown.clone();
         let accept_thread = thread::spawn(move || {
@@ -199,7 +168,6 @@ impl InnerServer {
             stats,
             shutdown,
             authorized,
-            reactor,
             accept_thread: Some(accept_thread),
         })
     }
@@ -247,11 +215,6 @@ impl Drop for InnerServer {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // Reactor last so in-flight relays keep moving while the accept
-        // loop winds down; anything still live is aborted now.
-        if let Some(r) = &self.reactor {
-            r.shutdown();
-        }
     }
 }
 
@@ -266,8 +229,6 @@ struct InnerCtx {
     shutdown: Arc<AtomicBool>,
     /// Shared staging-buffer pool for every pump this server runs.
     pool: BufferPool,
-    /// `Some` when `pump_mode` is [`PumpMode::Reactor`].
-    reactor: Option<Arc<PumpReactor>>,
 }
 
 impl InnerCtx {
@@ -314,19 +275,11 @@ impl InnerCtx {
                     self.stats
                         .relay_bridge_ns
                         .record(started.elapsed().as_nanos() as u64);
-                    match &self.reactor {
-                        Some(reactor) => {
-                            reactor.register(from_outer, client, RelayActivity::new(), || {});
-                        }
-                        None => {
-                            let stats = self.stats.clone();
-                            let chunk = self.cfg.chunk;
-                            let pool = self.pool.clone();
-                            thread::spawn(move || {
-                                pump_pooled(from_outer, client, chunk, stats, None, &pool);
-                            });
-                        }
-                    }
+                    let stats = self.stats.clone();
+                    let pool = self.pool.clone();
+                    thread::spawn(move || {
+                        pump_pooled(from_outer, client, stats, None, &pool);
+                    });
                 }
             }
             Err(_) => {

@@ -32,7 +32,6 @@ pub mod outer;
 pub mod pool;
 pub mod protocol;
 pub mod pump;
-pub mod reactor;
 pub mod shard;
 pub mod sim;
 pub mod stats;
@@ -45,11 +44,10 @@ pub use liveness::{
     AdmissionGate, AdmissionLimits, AdmissionReject, BreakerConfig, BreakerState, CircuitBreaker,
     HeartbeatConfig, HeartbeatMonitor, SharedBreaker,
 };
-pub use outer::{FleetSpec, OuterConfig, OuterServer, PumpMode};
+pub use outer::{FleetSpec, OuterConfig, OuterServer};
 pub use pool::{BufferPool, PoolConfig};
 pub use protocol::Msg;
 pub use pump::{copy_loop, CopyEnd, RelayActivity};
-pub use reactor::{PumpReactor, ReactorConfig};
 pub use shard::{
     bind_key, member_tag, GenerationWitness, ShardMap, ShardRoute, ShardRouter, ShardStats,
 };

@@ -31,8 +31,7 @@ use crate::liveness::{
 };
 use crate::pool::{BufferPool, PoolConfig};
 use crate::protocol::Msg;
-use crate::pump::{pump_pooled, RelayActivity, DEFAULT_CHUNK};
-use crate::reactor::{PumpReactor, ReactorConfig};
+use crate::pump::{pump_pooled, RelayActivity};
 use crate::shard::{bind_key, member_tag, ShardMap, ShardRoute, ShardStats};
 use crate::stats::{ProxySnapshot, ProxyStats};
 use firewall::vnet::VNet;
@@ -44,20 +43,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 use wacs_sync::OrderedMutex;
-
-/// Which data plane moves relay bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PumpMode {
-    /// Compatibility mode: two blocking threads per relay
-    /// ([`crate::pump::pump_tracked`]). Simple, but thread count scales
-    /// with concurrent relays.
-    #[default]
-    ThreadPair,
-    /// Multiplexed mode: N relays per reactor thread over nonblocking
-    /// sockets with pooled buffers and vectored write coalescing
-    /// ([`crate::reactor::PumpReactor`]).
-    Reactor,
-}
 
 /// Static membership of a sharded outer-server fleet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,8 +67,6 @@ pub struct OuterConfig {
     /// bound client are dialed back directly (only possible when no
     /// firewall protects the client).
     pub inner: Option<(String, u16)>,
-    /// Relay buffer size.
-    pub chunk: usize,
     /// Admission bounds for concurrent relays.
     pub limits: AdmissionLimits,
     /// A tracked relay with no traffic in either direction for longer
@@ -95,12 +78,6 @@ pub struct OuterConfig {
     pub heartbeat: Option<HeartbeatConfig>,
     /// WAN-leg circuit breaker tuning (inner-server dials).
     pub breaker: BreakerConfig,
-    /// Relay data plane: thread-pair (default, compatibility) or the
-    /// multiplexed reactor.
-    pub pump_mode: PumpMode,
-    /// Reactor tuning (threads, idle backoff); used when `pump_mode`
-    /// is [`PumpMode::Reactor`].
-    pub reactor: ReactorConfig,
     /// Shard-fleet membership. `None` (the default) is the paper's
     /// single-proxy deployment: no ownership checks, no redirects, no
     /// shard-map announcements.
@@ -117,13 +94,10 @@ impl OuterConfig {
             host: host.into(),
             ctrl_port: firewall::OUTER_PORT,
             inner: None,
-            chunk: DEFAULT_CHUNK,
             limits: AdmissionLimits::default(),
             idle_timeout: Duration::from_secs(30),
             heartbeat: None,
             breaker: BreakerConfig::default(),
-            pump_mode: PumpMode::default(),
-            reactor: ReactorConfig::default(),
             fleet: None,
             dial_hook: None,
         }
@@ -151,16 +125,6 @@ impl OuterConfig {
 
     pub fn with_breaker(mut self, b: BreakerConfig) -> Self {
         self.breaker = b;
-        self
-    }
-
-    pub fn with_pump_mode(mut self, mode: PumpMode) -> Self {
-        self.pump_mode = mode;
-        self
-    }
-
-    pub fn with_reactor_config(mut self, r: ReactorConfig) -> Self {
-        self.reactor = r;
         self
     }
 
@@ -232,7 +196,6 @@ pub struct OuterServer {
     relays: RelayTable,
     admission: Arc<OrderedMutex<AdmissionGate>>,
     breaker: SharedBreaker,
-    reactor: Option<Arc<PumpReactor>>,
     fleet: Option<Arc<FleetState>>,
     threads: Vec<thread::JoinHandle<()>>,
 }
@@ -247,21 +210,12 @@ impl OuterServer {
         let rdv = Arc::new(OrderedMutex::new("nexus.outer.rdv", HashMap::new()));
         let relays: RelayTable = Arc::new(OrderedMutex::new("nexus.outer.relays", HashMap::new()));
         let breaker = SharedBreaker::new(cfg.breaker).with_obs(stats.registry(), "proxy");
-        // One staging-buffer pool for every pump this server runs,
-        // thread-pair and reactor alike. Segments are at least the
-        // default so the reactor can coalesce even small-chunk configs.
+        // One staging-buffer pool for every pump this server runs.
         let pool = BufferPool::with_counters(
-            PoolConfig {
-                seg_bytes: cfg.chunk.max(PoolConfig::default().seg_bytes),
-                ..PoolConfig::default()
-            },
+            PoolConfig::default(),
             stats.pool_hits.clone(),
             stats.pool_misses.clone(),
         );
-        let reactor = match cfg.pump_mode {
-            PumpMode::ThreadPair => None,
-            PumpMode::Reactor => Some(PumpReactor::start(cfg.reactor, stats.clone(), pool.clone())),
-        };
         let fleet = cfg.fleet.as_ref().map(|spec| {
             let shard_stats = ShardStats::in_registry(stats.registry());
             shard_stats.map_generation.set(1);
@@ -291,7 +245,6 @@ impl OuterServer {
             relay_seq: Arc::new(AtomicU64::new(0)),
             breaker: breaker.clone(),
             pool,
-            reactor: reactor.clone(),
             fleet: fleet.clone(),
         };
         let mut threads = Vec::new();
@@ -332,7 +285,6 @@ impl OuterServer {
             relays,
             admission: ctx.admission.clone(),
             breaker,
-            reactor,
             fleet,
             threads,
         })
@@ -437,11 +389,6 @@ impl Drop for OuterServer {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        // Reactor last: in-flight relays were given their chance to
-        // finish by `drain`; anything still live is aborted now.
-        if let Some(r) = &self.reactor {
-            r.shutdown();
-        }
     }
 }
 
@@ -462,8 +409,6 @@ struct ServerCtx {
     breaker: SharedBreaker,
     /// Shared staging-buffer pool for every pump this server runs.
     pool: BufferPool,
-    /// `Some` when `pump_mode` is [`PumpMode::Reactor`].
-    reactor: Option<Arc<PumpReactor>>,
     /// `Some` when this server is one shard of a fleet.
     fleet: Option<Arc<FleetState>>,
 }
@@ -547,7 +492,6 @@ impl ServerCtx {
     fn spawn_tracked_pump(&self, peer: String, a: TcpStream, b: TcpStream) {
         let id = self.relay_seq.fetch_add(1, Ordering::Relaxed);
         let activity = RelayActivity::new();
-        activity.touch();
         if let (Ok(ca), Ok(cb)) = (a.try_clone(), b.try_clone()) {
             self.relays.lock().insert(
                 id,
@@ -560,37 +504,14 @@ impl ServerCtx {
             );
             self.stats.active_relays.add(1);
         }
-        match &self.reactor {
-            Some(reactor) => {
-                // Multiplexed path: hand the pair to a reactor thread;
-                // the completion callback GCs the table entry and
-                // releases the admission slot.
-                let ctx = self.clone();
-                reactor.register(a, b, activity, move || {
-                    if ctx.relays.lock().remove(&id).is_some() {
-                        ctx.stats.active_relays.add(-1);
-                    }
-                    ctx.admission.lock().release(&peer);
-                });
+        let ctx = self.clone();
+        thread::spawn(move || {
+            pump_pooled(a, b, ctx.stats.clone(), Some(activity), &ctx.pool);
+            if ctx.relays.lock().remove(&id).is_some() {
+                ctx.stats.active_relays.add(-1);
             }
-            None => {
-                let ctx = self.clone();
-                thread::spawn(move || {
-                    pump_pooled(
-                        a,
-                        b,
-                        ctx.cfg.chunk,
-                        ctx.stats.clone(),
-                        Some(activity),
-                        &ctx.pool,
-                    );
-                    if ctx.relays.lock().remove(&id).is_some() {
-                        ctx.stats.active_relays.add(-1);
-                    }
-                    ctx.admission.lock().release(&peer);
-                });
-            }
-        }
+            ctx.admission.lock().release(&peer);
+        });
     }
 
     /// Sweep the relay table, resetting pairs idle past the timeout.

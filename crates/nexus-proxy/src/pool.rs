@@ -1,12 +1,11 @@
 //! Shared relay buffer pool.
 //!
-//! Every byte the proxy moves crosses a staging buffer; before this
-//! pool each `copy_dir` call allocated its own `vec![0u8; chunk]`, so
-//! a connection-churn workload paid an allocation (and page faults)
-//! per relay direction. The pool keeps a bounded free list of
-//! fixed-size segments shared by all pumps — thread-pair and reactor
-//! alike — and hands out RAII handles that return their segment on
-//! drop. Hits and misses are counted through `wacs-obs` so the bench
+//! Every byte the proxy moves crosses a staging buffer; without a
+//! pool a connection-churn workload pays an allocation (and page
+//! faults) per relay direction. The pool keeps a bounded free list of
+//! fixed-size segments shared by all of a server's pumps and hands out
+//! RAII handles that return their segment on drop. A pump reads into a
+//! whole segment, so `seg_bytes` is the relay's one buffer size. Hits and misses are counted through `wacs-obs` so the bench
 //! harness can report pool effectiveness per scenario.
 
 use std::ops::{Deref, DerefMut};

@@ -1,19 +1,16 @@
-//! The thread-pair relay pump: bidirectional byte copying between two
-//! streams.
+//! The relay pump: bidirectional byte copying between two streams.
 //!
-//! One thread per direction, pooled fixed-size buffer (the relay's
-//! chunk size — the store-and-forward granularity the simulator also
-//! models). Clean EOF propagates as a *half-close* (the reverse
-//! direction may still be carrying a reply); hard errors reset both
-//! sockets so the opposite thread unblocks.
+//! One blocking thread per direction, each reading into one whole
+//! pooled segment ([`crate::pool::PoolConfig::seg_bytes`] is the one
+//! buffer size of the data plane). Clean EOF propagates as a
+//! *half-close* (the reverse direction may still be carrying a reply);
+//! hard errors reset both sockets so the opposite thread unblocks.
 //!
-//! This is the *compatibility* data plane: two threads per relay caps
-//! out at thousands of concurrent users. The readiness-driven
-//! multiplexed pump in [`crate::reactor`] drives many relays per
-//! thread and is selected per-server with
-//! [`crate::outer::PumpMode::Reactor`].
+//! This is the proxy's only data plane (DESIGN.md §6c): a blocking
+//! `read` is the readiness mechanism the kernel gives a workspace that
+//! denies `unsafe`, at the price of two threads per relay.
 
-use crate::pool::{BufferPool, PoolConfig};
+use crate::pool::BufferPool;
 use crate::stats::ProxyStats;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -21,9 +18,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Default relay buffer (matches `netsim::NetConfig::chunk_bytes`).
-pub const DEFAULT_CHUNK: usize = 8192;
 
 /// Last-activity clock of one relay, shared between the pump threads
 /// (writers) and the outer server's idle-reaper (reader). A relay
@@ -78,7 +72,7 @@ pub enum CopyEnd {
     Error,
 }
 
-/// The transport-agnostic copy loop: read a chunk, forward it, repeat.
+/// The transport-agnostic copy loop: read a segment, forward it, repeat.
 /// Bytes count toward `relayed_bytes` only *after* the write lands — a
 /// failed write must not inflate the counter (the far side never saw
 /// those bytes).
@@ -118,20 +112,12 @@ pub fn copy_loop<R: Read, W: Write>(
 fn copy_dir(
     mut from: TcpStream,
     mut to: TcpStream,
-    chunk: usize,
     stats: Arc<ProxyStats>,
     activity: Option<RelayActivity>,
     pool: &BufferPool,
 ) {
-    let mut buf = pool.get(chunk);
-    let chunk = chunk.min(buf.len()).max(1);
-    match copy_loop(
-        &mut from,
-        &mut to,
-        &mut buf[..chunk],
-        &stats,
-        activity.as_ref(),
-    ) {
+    let mut buf = pool.get_seg();
+    match copy_loop(&mut from, &mut to, &mut buf, &stats, activity.as_ref()) {
         CopyEnd::CleanEof => {
             // Clean EOF: propagate as a half-close so the reverse
             // direction (e.g. a reply still in flight) survives.
@@ -145,54 +131,26 @@ fn copy_dir(
     }
 }
 
-/// Bridge `a` and `b` until either side closes. Blocks until both
-/// directions have drained; returns total relayed bytes for this pair.
-pub fn pump(a: TcpStream, b: TcpStream, chunk: usize, stats: Arc<ProxyStats>) -> u64 {
-    pump_tracked(a, b, chunk, stats, None)
-}
-
-/// [`pump`], additionally touching `activity` on every forwarded
-/// segment so an idle-reaper can spot dead pairs.
-pub fn pump_tracked(
-    a: TcpStream,
-    b: TcpStream,
-    chunk: usize,
-    stats: Arc<ProxyStats>,
-    activity: Option<RelayActivity>,
-) -> u64 {
-    // Throwaway two-segment pool: standalone pumps see the pooled code
-    // path; servers share one pool across relays via [`pump_pooled`].
-    let pool = BufferPool::with_counters(
-        PoolConfig {
-            seg_bytes: chunk.max(1),
-            max_retained: 2,
-        },
-        stats.pool_hits.clone(),
-        stats.pool_misses.clone(),
-    );
-    pump_pooled(a, b, chunk, stats, activity, &pool)
-}
-
-/// [`pump_tracked`] drawing chunk buffers from a caller-shared
-/// [`BufferPool`] — the server path, where relays churn and the pool
-/// amortizes staging-buffer allocation across all of them.
+/// Bridge `a` and `b` until both directions have drained, touching
+/// `activity` on every forwarded segment so an idle-reaper can spot
+/// dead pairs. Staging buffers come from the caller-shared
+/// [`BufferPool`]: relays churn, and the pool amortizes allocation
+/// across all of them.
 pub fn pump_pooled(
     a: TcpStream,
     b: TcpStream,
-    chunk: usize,
     stats: Arc<ProxyStats>,
     activity: Option<RelayActivity>,
     pool: &BufferPool,
-) -> u64 {
-    let before = stats.snapshot().relayed_bytes;
+) {
     let (a2, b2) = (a.try_clone(), b.try_clone());
     match (a2, b2) {
         (Ok(a2), Ok(b2)) => {
             let s1 = stats.clone();
             let act = activity.clone();
             let p = pool.clone();
-            let t = thread::spawn(move || copy_dir(a2, b2, chunk, s1, act, &p));
-            copy_dir(b, a, chunk, stats.clone(), activity, pool);
+            let t = thread::spawn(move || copy_dir(a2, b2, s1, act, &p));
+            copy_dir(b, a, stats, activity, pool);
             let _ = t.join();
         }
         _ => {
@@ -204,19 +162,12 @@ pub fn pump_pooled(
             let _ = b.shutdown(Shutdown::Both);
         }
     }
-    stats.snapshot().relayed_bytes - before
-}
-
-/// Spawn the pump on background threads and return immediately.
-pub fn pump_detached(a: TcpStream, b: TcpStream, chunk: usize, stats: Arc<ProxyStats>) {
-    thread::spawn(move || {
-        pump(a, b, chunk, stats);
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::PoolConfig;
     use std::io::{Read, Write};
     use std::net::TcpListener;
 
@@ -229,12 +180,22 @@ mod tests {
         (c, s)
     }
 
+    /// Pump the pair on a background thread through a private pool of
+    /// `seg_bytes` segments.
+    fn spawn_pump(a: TcpStream, b: TcpStream, seg_bytes: usize, stats: Arc<ProxyStats>) {
+        let pool = BufferPool::new(PoolConfig {
+            seg_bytes,
+            max_retained: 2,
+        });
+        thread::spawn(move || pump_pooled(a, b, stats, None, &pool));
+    }
+
     #[test]
     fn pump_bridges_both_directions() {
         let (mut left_app, left_relay) = socket_pair();
         let (mut right_app, right_relay) = socket_pair();
         let stats = Arc::new(ProxyStats::default());
-        pump_detached(left_relay, right_relay, 1024, stats.clone());
+        spawn_pump(left_relay, right_relay, 1024, stats.clone());
 
         left_app.write_all(b"ping").unwrap();
         let mut buf = [0u8; 4];
@@ -254,24 +215,34 @@ mod tests {
         assert!(stats.snapshot().relayed_bytes >= 9);
     }
 
+    /// Segment-size sweep, 512 B – 64 KiB: the relay is byte-identical
+    /// and honours half-close whatever the pool's segment size. The
+    /// left side writes the payload and half-closes, and still receives
+    /// the echo — EOF propagation must not tear down the reply direction.
     #[test]
-    fn pump_moves_bulk_data_intact() {
-        let (mut left_app, left_relay) = socket_pair();
-        let (mut right_app, right_relay) = socket_pair();
-        let stats = Arc::new(ProxyStats::default());
-        pump_detached(left_relay, right_relay, 512, stats.clone());
+    fn pump_moves_bulk_data_intact_at_every_segment_size() {
+        for seg_bytes in [512usize, 2048, 8192, 65536] {
+            let (mut left_app, left_relay) = socket_pair();
+            let (mut right_app, right_relay) = socket_pair();
+            let stats = Arc::new(ProxyStats::default());
+            spawn_pump(left_relay, right_relay, seg_bytes, stats.clone());
 
-        let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        let data2 = data.clone();
-        let w = thread::spawn(move || {
-            left_app.write_all(&data2).unwrap();
-            drop(left_app); // EOF so the reader terminates
-        });
-        let mut got = Vec::new();
-        right_app.read_to_end(&mut got).unwrap();
-        w.join().unwrap();
-        assert_eq!(got, data);
-        assert_eq!(stats.snapshot().relayed_bytes, 100_000);
+            let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+            let want = data.clone();
+            let echo = thread::spawn(move || {
+                let mut got = Vec::new();
+                right_app.read_to_end(&mut got).unwrap();
+                right_app.write_all(&got).unwrap();
+                got
+            });
+            left_app.write_all(&data).unwrap();
+            left_app.shutdown(Shutdown::Write).unwrap();
+            let mut echoed = Vec::new();
+            left_app.read_to_end(&mut echoed).unwrap();
+            assert_eq!(echo.join().unwrap(), want, "seg_bytes={seg_bytes}");
+            assert_eq!(echoed, want, "seg_bytes={seg_bytes}");
+            assert_eq!(stats.snapshot().relayed_bytes, 200_000);
+        }
     }
 
     /// A writer that accepts exactly `limit` bytes, then fails hard —
@@ -330,7 +301,7 @@ mod tests {
         let (mut left_app, left_relay) = socket_pair();
         let (right_app, right_relay) = socket_pair();
         let stats = Arc::new(ProxyStats::default());
-        pump_detached(left_relay, right_relay, 2048, stats.clone());
+        spawn_pump(left_relay, right_relay, 2048, stats.clone());
 
         // Kill the read side immediately: pending relay writes will
         // eventually fail (RST once the receive buffer logic kicks in).
@@ -386,7 +357,7 @@ mod tests {
             let (mut r, rr) = socket_pair();
             let s = stats.clone();
             let p = pool.clone();
-            let t = thread::spawn(move || pump_pooled(lr, rr, 1024, s, None, &p));
+            let t = thread::spawn(move || pump_pooled(lr, rr, s, None, &p));
             l.write_all(b"abc").unwrap();
             drop(l);
             let mut got = Vec::new();

@@ -45,7 +45,7 @@ pub struct ProxyStats {
     /// Relay requests refused because the target endpoint was not in
     /// the synced bind table (inner server, registration required).
     pub relays_unauthorized: Counter,
-    /// `pump_tracked` pairs whose stream clone failed; both sockets are
+    /// `pump_pooled` pairs whose stream clone failed; both sockets are
     /// reset rather than silently degrading to one-directional copy.
     pub pump_clone_failures: Counter,
     /// Buffer-pool segment reuses (free-list pops).
@@ -54,18 +54,16 @@ pub struct ProxyStats {
     pub pool_misses: Counter,
     /// Segments read by a pump (one successful `read` call each).
     pub pump_segments: Counter,
-    /// Reactor flushes that drained more than one read in a single
-    /// write syscall (the coalescing win).
+    /// Writes that drained more than one read in a single syscall.
+    /// Nothing increments it since the reactor data plane was deleted;
+    /// kept because `benchmark/src/layers.rs` reads it for
+    /// `pump.coalesced_share`, and goes with that row when
+    /// `benchmark/BASELINE.json` is next re-recorded.
     pub pump_coalesced_writes: Counter,
-    /// Reactor flushes whose single syscall spanned both staged
-    /// segments via vectored I/O.
-    pub pump_vectored_writes: Counter,
     /// 1 while the inner server's control session is live, else 0.
     pub inner_alive: Gauge,
     /// Currently active relay-table entries.
     pub active_relays: Gauge,
-    /// Relays currently owned by reactor threads (multiplexed mode).
-    pub reactor_relays: Gauge,
     /// First control message read+dispatch time.
     pub control_handshake_ns: Histogram,
     /// ConnectReq service: dial target + reply.
@@ -75,7 +73,7 @@ pub struct ProxyStats {
     /// Passive relay bridge establishment (peer arrival → streams
     /// bridged or refused).
     pub relay_bridge_ns: Histogram,
-    /// One pump segment: read a chunk from one side, write it to the
+    /// One pump segment: read a segment from one side, write it to the
     /// other.
     pub pump_segment_ns: Histogram,
 }
@@ -113,10 +111,8 @@ impl ProxyStats {
             pool_misses: c("pool_misses"),
             pump_segments: c("pump_segments"),
             pump_coalesced_writes: c("pump_coalesced_writes"),
-            pump_vectored_writes: c("pump_vectored_writes"),
             inner_alive: g("inner_alive"),
             active_relays: g("active_relays"),
-            reactor_relays: g("reactor_relays"),
             control_handshake_ns: h("control_handshake_ns"),
             connect_req_ns: h("connect_req_ns"),
             bind_req_ns: h("bind_req_ns"),

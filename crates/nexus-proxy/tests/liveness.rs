@@ -530,7 +530,10 @@ fn real_admission_limit_returns_busy_and_releases() {
 }
 
 /// Hygiene: a relay with no traffic in `idle_timeout` is reaped and
-/// the connection table drains back to zero.
+/// the connection table drains back to zero — but not before the
+/// timeout. Regression: with `RelayActivity::new` starting the clock at
+/// 0 instead of "now", a relay that had not yet moved a byte looked
+/// idle-since-epoch and was reaped at birth.
 #[test]
 fn real_idle_relays_are_reaped() {
     let w = real_world();
@@ -539,7 +542,7 @@ fn real_idle_relays_are_reaped() {
         w.net.clone(),
         OuterConfig::new("rwcp-outer")
             .with_inner("rwcp-inner", NXPORT)
-            .with_idle_timeout(Duration::from_millis(60)),
+            .with_idle_timeout(Duration::from_millis(400)),
     )
     .unwrap();
     let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
@@ -554,9 +557,96 @@ fn real_idle_relays_are_reaped() {
     wait_until("idle relay present", Duration::from_secs(5), || {
         outer.active_relays() == 1
     });
+    // Well inside the idle window the silent relay is still alive: the
+    // reaper ticks every 25 ms, so by 200 ms it has swept the fresh
+    // entry several times.
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(
+        (outer.stats().idle_reaped, outer.active_relays()),
+        (0, 1),
+        "fresh relay reaped before its idle timeout"
+    );
     // Send nothing: the reaper must cut the pair loose.
     wait_until("idle reap", Duration::from_secs(5), || {
         outer.stats().idle_reaped >= 1 && outer.active_relays() == 0
+    });
+}
+
+/// The idle-reaper reads the pump's shared activity clock: traffic
+/// defers reaping, silence triggers it.
+#[test]
+fn real_relays_are_reaped_only_when_idle() {
+    let w = real_world();
+    let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
+    let outer = OuterServer::start(
+        w.net.clone(),
+        OuterConfig::new("rwcp-outer")
+            .with_inner("rwcp-inner", NXPORT)
+            .with_idle_timeout(Duration::from_millis(150)),
+    )
+    .unwrap();
+    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let l = w.net.bind("etl-sun", 7600).unwrap();
+    let srv = std::thread::spawn(move || {
+        let (mut s, _) = l.accept().unwrap();
+        let mut b = [0u8; 1];
+        while s.read_exact(&mut b).is_ok() {
+            if s.write_all(&b).is_err() {
+                break;
+            }
+        }
+    });
+    let mut s = nx_proxy_connect(&w.net, &env, "rwcp-sun", ("etl-sun", 7600)).unwrap();
+    // Keep the relay busy well past the idle timeout: activity renews.
+    for _ in 0..6 {
+        std::thread::sleep(Duration::from_millis(50));
+        s.write_all(b"x").unwrap();
+        let mut b = [0u8; 1];
+        s.read_exact(&mut b).unwrap();
+    }
+    assert_eq!(outer.stats().idle_reaped, 0, "active relay was reaped");
+    assert_eq!(outer.active_relays(), 1);
+    // Now go silent (but keep the sockets open): the reaper cuts it.
+    wait_until("idle reap", Duration::from_secs(5), || {
+        outer.stats().idle_reaped >= 1 && outer.active_relays() == 0
+    });
+    drop(s);
+    srv.join().unwrap();
+}
+
+/// A 150 000 B payload through a real outer server is byte-identical,
+/// and the reply arrives after the client half-closes:
+/// EOF propagation must not tear down the reply direction.
+#[test]
+fn real_relay_is_byte_identical_with_half_close() {
+    let w = real_world();
+    let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
+    let outer = OuterServer::start(
+        w.net.clone(),
+        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
+    )
+    .unwrap();
+    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let l = w.net.bind("etl-sun", 7400).unwrap();
+    let payload = seeded_payload(0x4a1f, 150_000);
+    let want = payload.clone();
+    let srv = std::thread::spawn(move || {
+        let (mut s, _) = l.accept().unwrap();
+        let mut got = Vec::new();
+        s.read_to_end(&mut got).unwrap();
+        assert_eq!(got, want);
+        s.write_all(&got).unwrap();
+    });
+    let mut s = nx_proxy_connect(&w.net, &env, "rwcp-sun", ("etl-sun", 7400)).unwrap();
+    s.write_all(&payload).unwrap();
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut echoed = Vec::new();
+    s.read_to_end(&mut echoed).unwrap();
+    assert_eq!(echoed, payload);
+    srv.join().unwrap();
+    drop(s);
+    wait_until("relay table drain", Duration::from_secs(5), || {
+        outer.active_relays() == 0
     });
 }
 

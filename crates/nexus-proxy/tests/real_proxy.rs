@@ -7,11 +7,13 @@
 
 use firewall::vnet::VNet;
 use firewall::{Policy, NXPORT, OUTER_PORT};
+use netsim::SimRng;
 use nexus_proxy::{
     nx_proxy_bind, nx_proxy_connect, InnerConfig, InnerServer, OuterConfig, OuterServer, ProxyEnv,
 };
 use std::io::{Read, Write};
 use std::thread;
+use std::time::{Duration, Instant};
 
 /// Figure 5 in miniature:
 /// * site `rwcp` — deny-in/allow-out firewall with only the nxport
@@ -209,35 +211,47 @@ fn rendezvous_withdrawn_when_listener_drops() {
     assert!(tb.net.dial("etl-sun", &adv.0, adv.1).is_err());
 }
 
+/// 64 relays at once to one destination host — exactly the default
+/// `max_per_peer` — each echoing its own seeded 64 KiB payload: every
+/// byte compared, nothing refused, and the relay table drains.
 #[test]
 fn many_concurrent_relays() {
+    const RELAYS: u16 = 64;
+    const LEN: usize = 64 * 1024;
     let tb = testbed();
     let mut handles = Vec::new();
-    for i in 0..8u16 {
+    for i in 0..RELAYS {
         let net = tb.net.clone();
         let l = net.bind("etl-sun", 7100 + i).unwrap();
         handles.push(thread::spawn(move || {
             let (mut s, _) = l.accept().unwrap();
-            let mut b = [0u8; 4];
+            let mut b = vec![0u8; LEN];
             s.read_exact(&mut b).unwrap();
             s.write_all(&b).unwrap();
         }));
     }
     let mut clients = Vec::new();
-    for i in 0..8u16 {
+    for i in 0..RELAYS {
         let net = tb.net.clone();
         clients.push(thread::spawn(move || {
-            let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
-            let mut s = nx_proxy_connect(&net, &env, "rwcp-sun", ("etl-sun", 7100 + i)).unwrap();
-            let msg = i.to_be_bytes();
-            s.write_all(&[msg[0], msg[1], 0xAA, 0x55]).unwrap();
-            let mut b = [0u8; 4];
+            let mut rng = SimRng::seed_from_u64(0xc0c0 + u64::from(i));
+            let payload: Vec<u8> = (0..LEN).map(|_| rng.below(256) as u8).collect();
+            let mut s =
+                nx_proxy_connect(&net, &proxy_env(), "rwcp-sun", ("etl-sun", 7100 + i)).unwrap();
+            s.write_all(&payload).unwrap();
+            let mut b = vec![0u8; LEN];
             s.read_exact(&mut b).unwrap();
-            assert_eq!(b, [msg[0], msg[1], 0xAA, 0x55]);
+            assert!(b == payload, "relay {i} echoed different bytes");
         }));
     }
     for h in handles.into_iter().chain(clients) {
         h.join().unwrap();
     }
-    assert_eq!(tb._outer.stats().connects_ok, 8);
+    let snap = tb._outer.stats();
+    assert_eq!((snap.connects_ok, snap.busy_rejected), (64, 0));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while tb._outer.active_relays() != 0 {
+        assert!(Instant::now() < deadline, "relay table did not drain");
+        thread::sleep(Duration::from_millis(2));
+    }
 }

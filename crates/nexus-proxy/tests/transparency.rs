@@ -13,7 +13,7 @@ use netsim::SimRng;
 use nexus_proxy::protocol::{EncodeError, Msg, MAX_FRAME};
 use nexus_proxy::{
     nx_proxy_bind, nx_proxy_connect, InnerConfig, InnerServer, OuterConfig, OuterServer, ProxyEnv,
-    PumpMode, StripeFrame, MAX_CHUNK_BYTES, MAX_STRIPES, MAX_STRIPE_FRAME,
+    StripeFrame, MAX_CHUNK_BYTES, MAX_STRIPES, MAX_STRIPE_FRAME,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -39,7 +39,7 @@ fn assert_relays_drained(w: &World) {
     }
 }
 
-fn world_with(mode: PumpMode) -> World {
+fn world() -> World {
     let net = VNet::new();
     let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
     let dmz = net.add_site("dmz", None);
@@ -49,18 +49,10 @@ fn world_with(mode: PumpMode) -> World {
     net.add_host("rwcp-outer", dmz);
     net.add_host("etl-sun", etl);
     net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-    // Both daemons run the selected data plane, so the reactor sweep
-    // covers the full two-hop indirect chain, not just the outer hop.
-    let inner = InnerServer::start(
-        net.clone(),
-        InnerConfig::new("rwcp-inner").with_pump_mode(mode),
-    )
-    .unwrap();
+    let inner = InnerServer::start(net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
     let outer = OuterServer::start(
         net.clone(),
-        OuterConfig::new("rwcp-outer")
-            .with_inner("rwcp-inner", NXPORT)
-            .with_pump_mode(mode),
+        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
     )
     .unwrap();
     World {
@@ -107,20 +99,10 @@ fn read_all(mut s: TcpStream) -> Vec<u8> {
 /// direction too. Socket-heavy: keep the case count modest.
 #[test]
 fn passive_relay_is_transparent() {
-    passive_relay_is_transparent_with(PumpMode::ThreadPair, 0x9a55);
-}
-
-/// Same sweep through the multiplexed reactor data plane.
-#[test]
-fn passive_relay_is_transparent_reactor() {
-    passive_relay_is_transparent_with(PumpMode::Reactor, 0x9a56);
-}
-
-fn passive_relay_is_transparent_with(mode: PumpMode, seed: u64) {
-    let mut rng = SimRng::seed_from_u64(seed);
+    let mut rng = SimRng::seed_from_u64(0x9a55);
     for _ in 0..8 {
         let (data, chunks) = random_case(&mut rng);
-        let w = world_with(mode);
+        let w = world();
         let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
         let listener = nx_proxy_bind(&w.net, &env, "rwcp-sun").unwrap();
         let adv = listener.advertised.clone();
@@ -520,20 +502,10 @@ fn oversize_stripe_lengths_are_rejected_up_front() {
 /// Active relay (client → outer → target): ditto.
 #[test]
 fn active_relay_is_transparent() {
-    active_relay_is_transparent_with(PumpMode::ThreadPair, 0xac71);
-}
-
-/// Same sweep through the multiplexed reactor data plane.
-#[test]
-fn active_relay_is_transparent_reactor() {
-    active_relay_is_transparent_with(PumpMode::Reactor, 0xac72);
-}
-
-fn active_relay_is_transparent_with(mode: PumpMode, seed: u64) {
-    let mut rng = SimRng::seed_from_u64(seed);
+    let mut rng = SimRng::seed_from_u64(0xac71);
     for _ in 0..8 {
         let (data, chunks) = random_case(&mut rng);
-        let w = world_with(mode);
+        let w = world();
         let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
         let l = w.net.bind("etl-sun", 0).unwrap();
         let port = l.logical_port();

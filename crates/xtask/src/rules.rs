@@ -100,7 +100,7 @@ impl Rule {
                  or an explicit lint:allow(deadline-io)"
             }
             Rule::HotPathAlloc => {
-                "no vec![0u8; ...] in pump/reactor/pool hot loops; take a segment \
+                "no vec![0u8; ...] in pump/pool hot loops; take a segment \
                  from the shared BufferPool"
             }
             Rule::BareSleep => {
@@ -149,7 +149,6 @@ const BARE_SLEEP_EXEMPT: &[&str] = &["crates/bench/"];
 /// from the shared `BufferPool`, not a per-call `vec![0u8; ...]`.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/nexus-proxy/src/pump.rs",
-    "crates/nexus-proxy/src/reactor.rs",
     "crates/nexus-proxy/src/pool.rs",
 ];
 
