@@ -6,6 +6,9 @@
 #   2. zero-warning clippy   (workspace lints, all targets)
 #   3. project lint rules    (xtask: panics, lock standard, ports)
 #   4. the test suite
+#   5. the gated benchmark's own package (outside the workspace, so
+#      nothing above notices when a nexus-proxy API change stops it
+#      from compiling)
 set -eu
 
 cd "$(dirname "$0")"
@@ -24,6 +27,9 @@ cargo run -q -p xtask -- check
 
 echo "== cargo test"
 cargo test --workspace -q
+
+echo "== benchmark package (builds against the workspace crates, runs every workload once)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== chaos drill determinism (same seed -> byte-identical snapshots)"
 cargo build -q --release -p wacs-chaos --bin chaos_drill

@@ -156,6 +156,12 @@ fn figs34() -> Render {
     });
     println!("  (1) PA calls NXProxyConnect() instead of connect()");
     let mut pa = nx_proxy_connect(&net, &env, "pa-host", ("pb-host", 7000))?;
+    // The counter lands just after the reply PA saw (the server counts a
+    // connect once its `ConnectRep` has left): give it a moment.
+    let counted = std::time::Instant::now();
+    while outer.stats().connects_ok == 0 && counted.elapsed().as_secs() < 1 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     println!(
         "  (2) outer server received the request and connected to PB  [connects_ok = {}]",
         outer.stats().connects_ok

@@ -7,10 +7,11 @@
 //! variables `NEXUS_PROXY_OUTER_SERVER` and `NEXUS_PROXY_INNER_SERVER`
 //! are defined; otherwise, the original communication is done."
 
+use crate::core::shard_map;
 use crate::hook::{interpose, DialHook, DialLeg};
-use crate::liveness::{BreakerConfig, SharedBreaker};
+use crate::liveness::BreakerConfig;
 use crate::protocol::Msg;
-use crate::shard::{bind_key, member_tag, ShardMap, ShardRouter, ShardStats};
+use crate::shard::{bind_key, ShardRouter, ShardStats};
 use firewall::vnet::{VListener, VNet};
 use std::fmt;
 use std::io;
@@ -26,14 +27,10 @@ use wacs_sync::OrderedMutex;
 pub struct ProxyEnv {
     /// `NEXUS_PROXY_OUTER_SERVER`: logical `(host, ctrl_port)`.
     pub outer: Option<(String, u16)>,
-    /// Optional WAN-leg circuit breaker guarding dials *to* the outer
-    /// server: when open, proxied calls fail fast locally instead of
-    /// hammering a dead DMZ host.
-    pub breaker: Option<SharedBreaker>,
     /// Sharded outer fleet (DESIGN.md §6d). When set, bind and connect
     /// pick a shard by rendezvous hashing and fail over down the
-    /// preference ladder; `outer`/`breaker` are ignored (each shard
-    /// has its own breaker inside the router).
+    /// preference ladder; `outer` is ignored (each shard has its own
+    /// breaker inside the router).
     pub fleet: Option<Arc<FleetRouter>>,
     /// Optional socket-level interposer (DESIGN.md §6f). `None` — the
     /// default — leaves every dial untouched.
@@ -48,7 +45,6 @@ impl ProxyEnv {
     pub fn via(outer_host: impl Into<String>, ctrl_port: u16) -> Self {
         ProxyEnv {
             outer: Some((outer_host.into(), ctrl_port)),
-            breaker: None,
             fleet: None,
             dial_hook: None,
         }
@@ -60,19 +56,9 @@ impl ProxyEnv {
     pub fn via_fleet(fleet: Arc<FleetRouter>) -> Self {
         ProxyEnv {
             outer: None,
-            breaker: None,
             fleet: Some(fleet),
             dial_hook: None,
         }
-    }
-
-    /// Share a circuit breaker across this client's outer-server dials
-    /// (typically the one handed out by `OuterServer::breaker`, or a
-    /// fresh [`SharedBreaker`] per site).
-    #[must_use]
-    pub fn with_breaker(mut self, b: SharedBreaker) -> Self {
-        self.breaker = Some(b);
-        self
     }
 
     /// Install a socket-level interposer on every dial this env makes
@@ -117,17 +103,6 @@ impl fmt::Debug for FleetRouter {
     }
 }
 
-/// Derive the fleet-wide [`ShardMap`] from a member list: tags are the
-/// stable hashes of each control endpoint, so every party that holds
-/// the same list computes the same ownership.
-fn map_of(generation: u64, members: &[(String, u16)]) -> ShardMap {
-    let tags = members
-        .iter()
-        .map(|(h, p)| member_tag(&bind_key(h, *p)))
-        .collect();
-    ShardMap::new(generation, tags)
-}
-
 impl FleetRouter {
     /// Build a router over `members` (generation 1) with per-shard
     /// breakers configured by `cfg`.
@@ -135,7 +110,7 @@ impl FleetRouter {
         let registry = Registry::new();
         let stats = ShardStats::in_registry(&registry);
         stats.map_generation.set(1);
-        let router = ShardRouter::new(map_of(1, &members), cfg);
+        let router = ShardRouter::new(shard_map(1, &members), cfg);
         Arc::new(FleetRouter {
             state: OrderedMutex::new("nexus.client.fleet", FleetRouterState { members, router }),
             registry,
@@ -152,7 +127,7 @@ impl FleetRouter {
     /// `ShardSync`). Breakers of unchanged shards keep their state.
     pub fn install(&self, generation: u64, members: Vec<(String, u16)>) -> bool {
         let mut st = self.state.lock();
-        let map = map_of(generation, &members);
+        let map = shard_map(generation, &members);
         if !st.router.install(map.generation(), map.tags().to_vec()) {
             return false;
         }
@@ -215,9 +190,7 @@ impl FleetRouter {
     }
 }
 
-/// Dial the outer server, routed through the env's breaker when one is
-/// configured: an open breaker refuses locally; the dial outcome feeds
-/// the failure/success run.
+/// Dial the single outer server's control port.
 fn dial_outer(
     net: &VNet,
     env: &ProxyEnv,
@@ -225,29 +198,14 @@ fn dial_outer(
     outer_host: &str,
     port: u16,
 ) -> io::Result<TcpStream> {
-    if let Some(b) = &env.breaker {
-        if !b.allow() {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                "circuit breaker open: outer server dials suspended",
-            ));
-        }
-    }
-    let dialed = interpose(
+    interpose(
         env.dial_hook.as_ref(),
         DialLeg::ClientCtrl,
         from_host,
         outer_host,
         port,
         net.dial(from_host, outer_host, port),
-    );
-    if let Some(b) = &env.breaker {
-        match &dialed {
-            Ok(_) => b.on_success(),
-            Err(_) => b.on_failure(),
-        }
-    }
-    dialed
+    )
 }
 
 /// `NXProxyConnect`: "sends a connect request to the outer server and

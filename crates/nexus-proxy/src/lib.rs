@@ -15,16 +15,19 @@
 //! are bridged peer → outer → inner → client. That is the property the
 //! paper needed and SOCKS lacks.
 //!
-//! Two interchangeable implementations live here:
+//! The servers' decisions live once, in the sans-IO [`core`]; two
+//! drivers run them:
 //!
 //! * **real sockets** ([`outer`], [`inner`], [`client`]) — daemons as
 //!   threads over the firewall-guarded loopback [`firewall::vnet`];
-//! * **virtual time** ([`sim`]) — the same protocol as `netsim` actors
-//!   with an explicit relay cost model, used for the wide-area
-//!   experiments.
+//! * **virtual time** ([`sim`]) — `netsim` actors with an explicit
+//!   relay cost model, used for the wide-area experiments.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 pub mod client;
+#[cfg(test)]
+mod conformance;
+pub mod core;
 pub mod hook;
 pub mod inner;
 pub mod liveness;
@@ -36,17 +39,18 @@ pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod stripe;
+mod wire;
 
 pub use client::{nx_proxy_bind, nx_proxy_connect, FleetRouter, NxListener, ProxyEnv};
 pub use hook::{DialHook, DialInterposer, DialLeg};
 pub use inner::{InnerConfig, InnerServer};
 pub use liveness::{
     AdmissionGate, AdmissionLimits, AdmissionReject, BreakerConfig, BreakerState, CircuitBreaker,
-    HeartbeatConfig, HeartbeatMonitor, SharedBreaker,
+    HeartbeatConfig, HeartbeatMonitor,
 };
-pub use outer::{FleetSpec, OuterConfig, OuterServer};
+pub use outer::{OuterConfig, OuterServer};
 pub use pool::{BufferPool, PoolConfig};
-pub use protocol::Msg;
+pub use protocol::{CtrlMsg, Msg};
 pub use pump::{copy_loop, CopyEnd, RelayActivity};
 pub use shard::{
     bind_key, member_tag, GenerationWitness, ShardMap, ShardRoute, ShardRouter, ShardStats,

@@ -15,13 +15,12 @@
 //!   accepting work the server cannot finish.
 //!
 //! Every machine is parameterized by a caller-supplied clock (`u64`
-//! nanoseconds), so the real path drives them from `Instant` and the
-//! simulator drives them from virtual time — the *same* transitions
-//! are exercised deterministically by `tests/liveness.rs`.
+//! nanoseconds). The servers' sans-IO core (`crate::core`) owns one of
+//! each, so the real drivers (wall clock) and the simulator (virtual
+//! time) run the *same* transitions `wacs-check` verifies.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
-use wacs_sync::OrderedMutex;
+use std::time::Duration;
 
 /// Heartbeat tuning for the outer↔inner control channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,8 +131,8 @@ impl Default for BreakerConfig {
     }
 }
 
-/// A WAN-leg circuit breaker (pure; see [`SharedBreaker`] for the
-/// thread-shared real-path wrapper).
+/// A WAN-leg circuit breaker (pure: the outer server's core owns one
+/// for its inner-leg dials, `ShardRouter` one per shard).
 ///
 /// Transitions: `Closed --N failures--> Open --cooldown--> HalfOpen`;
 /// a half-open probe success closes the breaker, a failure re-opens
@@ -191,8 +190,8 @@ impl CircuitBreaker {
     /// and its late outcome must not close the breaker without a
     /// half-open probe (found by the `wacs-check` breaker model:
     /// `[Dial, Dial, Fail, Fail → Open, stale Success → Closed]`; the
-    /// shared breaker really does race like this, outer dialer vs
-    /// client).
+    /// outer server's inner-leg dials really do race like this, one
+    /// per rendezvous port in flight).
     pub fn on_success(&mut self) {
         match self.state {
             BreakerState::Closed => self.consecutive_failures = 0,
@@ -363,110 +362,6 @@ impl AdmissionGate {
     }
 }
 
-/// Thread-shared wall-clock wrapper over [`CircuitBreaker`] for the
-/// real-socket path, mirroring transitions into `wacs-obs`:
-/// `<prefix>.breaker_state` gauge (0/1/2), `<prefix>.breaker_opens`
-/// and `<prefix>.breaker_closes` counters.
-#[derive(Clone)]
-pub struct SharedBreaker {
-    inner: std::sync::Arc<OrderedMutex<CircuitBreaker>>,
-    epoch: Instant,
-    obs: Option<BreakerObs>,
-}
-
-impl std::fmt::Debug for SharedBreaker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedBreaker")
-            .field("state", &self.state())
-            .finish()
-    }
-}
-
-#[derive(Clone)]
-struct BreakerObs {
-    state: wacs_obs::Gauge,
-    opens: wacs_obs::Counter,
-    closes: wacs_obs::Counter,
-}
-
-impl SharedBreaker {
-    pub fn new(cfg: BreakerConfig) -> Self {
-        SharedBreaker {
-            inner: std::sync::Arc::new(OrderedMutex::new(
-                "nexus.liveness.breaker",
-                CircuitBreaker::new(cfg),
-            )),
-            epoch: Instant::now(),
-            obs: None,
-        }
-    }
-
-    /// Mirror state transitions under `<prefix>.*` in `registry`.
-    #[must_use]
-    pub fn with_obs(mut self, registry: &wacs_obs::Registry, prefix: &str) -> Self {
-        self.obs = Some(BreakerObs {
-            state: registry.gauge(&format!("{prefix}.breaker_state")),
-            opens: registry.counter(&format!("{prefix}.breaker_opens")),
-            closes: registry.counter(&format!("{prefix}.breaker_closes")),
-        });
-        self
-    }
-
-    fn now(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    fn mirror(&self, state: BreakerState) {
-        if let Some(o) = &self.obs {
-            o.state.set(state.as_gauge());
-        }
-    }
-
-    pub fn state(&self) -> BreakerState {
-        self.inner.lock().state()
-    }
-
-    pub fn allow(&self) -> bool {
-        let now = self.now();
-        let mut b = self.inner.lock();
-        let ok = b.allow(now);
-        let st = b.state();
-        drop(b);
-        self.mirror(st);
-        ok
-    }
-
-    pub fn on_success(&self) {
-        let mut b = self.inner.lock();
-        let before = b.state();
-        b.on_success();
-        let after = b.state();
-        drop(b);
-        self.mirror(after);
-        // Count only genuine transitions to Closed (a stale success
-        // against an Open breaker changes nothing).
-        if before != BreakerState::Closed && after == BreakerState::Closed {
-            if let Some(o) = &self.obs {
-                o.closes.inc();
-            }
-        }
-    }
-
-    pub fn on_failure(&self) {
-        let now = self.now();
-        let mut b = self.inner.lock();
-        let tripped = b.on_failure(now);
-        let st = b.state();
-        drop(b);
-        self.mirror(st);
-        if tripped {
-            if let Some(o) = &self.obs {
-                o.opens.inc();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,27 +528,5 @@ mod tests {
         g.release("a");
         assert_eq!(g.active(), 0);
         assert_eq!(g.try_admit("a"), Err(AdmissionReject::Draining));
-    }
-
-    #[test]
-    fn shared_breaker_mirrors_obs() {
-        let reg = wacs_obs::Registry::new();
-        let b = SharedBreaker::new(BreakerConfig {
-            threshold: 1,
-            cooldown: Duration::from_millis(1),
-        })
-        .with_obs(&reg, "proxy.outer");
-        assert!(b.allow());
-        b.on_failure();
-        assert_eq!(b.state(), BreakerState::Open);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters.get("proxy.outer.breaker_opens"), Some(&1));
-        assert_eq!(snap.gauges.get("proxy.outer.breaker_state"), Some(&1));
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(b.allow()); // half-open probe
-        b.on_success();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters.get("proxy.outer.breaker_closes"), Some(&1));
-        assert_eq!(snap.gauges.get("proxy.outer.breaker_state"), Some(&0));
     }
 }

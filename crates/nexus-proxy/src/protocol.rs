@@ -52,11 +52,14 @@ fn check_frame_len(len: u32) -> io::Result<()> {
     Ok(())
 }
 
-/// A control message.
+/// A control message, generic over how a host is named: `String` on
+/// the wire ([`Msg`]), `netsim::NodeId` in virtual time. One enum, so
+/// the servers' decision core (`crate::core`) is written once against
+/// it and both drivers carry the same frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Msg {
+pub enum CtrlMsg<H> {
     /// Client → outer: connect me to `host:port` and start relaying.
-    ConnectReq { host: String, port: u16 },
+    ConnectReq { host: H, port: u16 },
     /// Outer → client: dial outcome. On `ok`, the stream is now a pipe.
     ConnectRep { ok: bool, detail: String },
     /// Client → outer: I listen privately at `host:port`; allocate a
@@ -65,16 +68,12 @@ pub enum Msg {
     /// but could not reach the owner (breaker open / dials failing) —
     /// the shard must serve instead of redirecting, or a dead owner
     /// would bounce clients forever.
-    BindReq {
-        host: String,
-        port: u16,
-        fallback: bool,
-    },
+    BindReq { host: H, port: u16, fallback: bool },
     /// Outer → client: rendezvous port allocated (0 = failure).
     BindRep { rdv_port: u16 },
     /// Outer → inner: a peer arrived for the client privately listening
     /// at `host:port`; dial it and bridge.
-    RelayReq { host: String, port: u16 },
+    RelayReq { host: H, port: u16 },
     /// Inner → outer: dial outcome. On `ok`, the stream is now a pipe.
     RelayRep { ok: bool },
     /// Keepalive probe on the outer→inner control session.
@@ -89,12 +88,12 @@ pub enum Msg {
     /// that shard's slice of the inner server's authorization table;
     /// re-sent after every reconnect so a restarted inner server
     /// re-learns the live binds.
-    BindSync { binds: Vec<(String, u16)> },
+    BindSync { binds: Vec<(H, u16)> },
     /// Outer → client: this shard does not own the requested bind
     /// key. Retry against the owner shard's control endpoint
     /// `host:port` — a typed "not mine, ask them" instead of a bare
     /// NotFound, so one stale shard choice costs one extra hop.
-    Redirect { host: String, port: u16 },
+    Redirect { host: H, port: u16 },
     /// Fleet membership, generation-counted: the shard-map twin of
     /// `BindSync`. Receivers install it only if `gen` is strictly
     /// newer than what they hold, so a replaced shard re-announcing
@@ -106,9 +105,12 @@ pub enum Msg {
     ShardSync {
         gen: u64,
         sender: u16,
-        members: Vec<(String, u16)>,
+        members: Vec<(H, u16)>,
     },
 }
+
+/// The wire form: hosts are logical host names.
+pub type Msg = CtrlMsg<String>;
 
 const T_CONNECT_REQ: u8 = 1;
 const T_CONNECT_REP: u8 = 2;
@@ -193,6 +195,22 @@ fn put_str(buf: &mut Vec<u8>, field: &'static str, s: &str) -> Result<(), Encode
     Ok(())
 }
 
+/// A `u16` count, then that many `(host, port)` entries.
+fn put_endpoints(
+    buf: &mut Vec<u8>,
+    field: &'static str,
+    eps: &[(String, u16)],
+) -> Result<(), EncodeError> {
+    let len = eps.len();
+    let count = u16::try_from(len).map_err(|_| EncodeError::StringTooLong { field, len })?;
+    put_u16(buf, count);
+    for (host, port) in eps {
+        put_str(buf, "host", host)?;
+        put_u16(buf, *port);
+    }
+    Ok(())
+}
+
 /// Byte-slice cursor for decoding (the `bytes::Buf` subset we need,
 /// with totality: every read is bounds-checked). Shared with the
 /// stripe-frame codec (`crate::stripe`), which follows the same
@@ -236,6 +254,27 @@ impl<'a> Cursor<'a> {
         let n = self.get_u16()? as usize;
         let body = self.take(n)?;
         String::from_utf8(body.to_vec()).map_err(|_| bad("non-utf8 string"))
+    }
+
+    /// The inverse of [`put_endpoints`]; `what` names the entries in
+    /// the error.
+    fn get_endpoints(&mut self, what: &str) -> io::Result<Vec<(String, u16)>> {
+        let count = self.get_u16()? as usize;
+        // Bound the declared count by the bytes actually present (each
+        // entry is ≥ 4 bytes) *before* any count-sized work — the
+        // count is attacker-controlled.
+        if count > self.rest.len() / 4 {
+            return Err(bad(&format!(
+                "{what} count {count} exceeds frame ({} bytes left)",
+                self.rest.len()
+            )));
+        }
+        let mut eps = Vec::with_capacity(count);
+        for _ in 0..count {
+            let host = self.get_str()?;
+            eps.push((host, self.get_u16()?));
+        }
+        Ok(eps)
     }
 
     pub(crate) fn get_i32(&mut self) -> io::Result<i32> {
@@ -302,15 +341,7 @@ impl Msg {
             }
             Msg::BindSync { binds } => {
                 body.push(T_BIND_SYNC);
-                let count = u16::try_from(binds.len()).map_err(|_| EncodeError::StringTooLong {
-                    field: "binds",
-                    len: binds.len(),
-                })?;
-                put_u16(&mut body, count);
-                for (host, port) in binds {
-                    put_str(&mut body, "host", host)?;
-                    put_u16(&mut body, *port);
-                }
+                put_endpoints(&mut body, "binds", binds)?;
             }
             Msg::Redirect { host, port } => {
                 body.push(T_REDIRECT);
@@ -325,16 +356,7 @@ impl Msg {
                 body.push(T_SHARD_SYNC);
                 put_u64(&mut body, *gen);
                 put_u16(&mut body, *sender);
-                let count =
-                    u16::try_from(members.len()).map_err(|_| EncodeError::StringTooLong {
-                        field: "members",
-                        len: members.len(),
-                    })?;
-                put_u16(&mut body, count);
-                for (host, port) in members {
-                    put_str(&mut body, "host", host)?;
-                    put_u16(&mut body, *port);
-                }
+                put_endpoints(&mut body, "members", members)?;
             }
         }
         // Enforce the cap symmetrically with `check_frame_len`: never
@@ -402,25 +424,9 @@ impl Msg {
                 seq: cur.get_u32()?,
             },
             T_BUSY => Msg::Busy,
-            T_BIND_SYNC => {
-                let count = cur.get_u16()? as usize;
-                // Bound the declared count by the bytes actually
-                // present (each entry is ≥ 4 bytes) *before* any
-                // count-sized work — the count is attacker-controlled.
-                if count > cur.rest.len() / 4 {
-                    return Err(bad(&format!(
-                        "bind count {count} exceeds frame ({} bytes left)",
-                        cur.rest.len()
-                    )));
-                }
-                let mut binds = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let host = cur.get_str()?;
-                    let port = cur.get_u16()?;
-                    binds.push((host, port));
-                }
-                Msg::BindSync { binds }
-            }
+            T_BIND_SYNC => Msg::BindSync {
+                binds: cur.get_endpoints("bind")?,
+            },
             T_REDIRECT => {
                 let host = cur.get_str()?;
                 Msg::Redirect {
@@ -431,24 +437,10 @@ impl Msg {
             T_SHARD_SYNC => {
                 let gen = cur.get_u64()?;
                 let sender = cur.get_u16()?;
-                let count = cur.get_u16()? as usize;
-                // Same attacker-controlled-count bound as BindSync.
-                if count > cur.rest.len() / 4 {
-                    return Err(bad(&format!(
-                        "member count {count} exceeds frame ({} bytes left)",
-                        cur.rest.len()
-                    )));
-                }
-                let mut members = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let host = cur.get_str()?;
-                    let port = cur.get_u16()?;
-                    members.push((host, port));
-                }
                 Msg::ShardSync {
                     gen,
                     sender,
-                    members,
+                    members: cur.get_endpoints("member")?,
                 }
             }
             other => return Err(bad(&format!("unknown message type {other}"))),

@@ -271,7 +271,9 @@ impl ShardRouter {
 
 /// Fleet counters, shared by whichever roles participate (outer
 /// shards count redirects sent, clients count redirects followed and
-/// failovers, inner servers count map syncs applied).
+/// failovers, inner servers count map syncs applied). Cloning aliases
+/// the handles.
+#[derive(Clone)]
 pub struct ShardStats {
     /// BindReqs answered with a `Redirect` frame (outer, not owner).
     pub redirects_sent: Counter,

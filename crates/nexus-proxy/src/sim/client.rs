@@ -22,7 +22,8 @@
 //! back. Owners must forward unrecognized timer tokens through
 //! [`NxClient::on_timer`] (gate on [`NxClient::owns_timer`]).
 
-use super::{sim_shard_key, sim_shard_map, ProxyMsg, CTRL_MSG_BYTES};
+use super::{sim_shard_key, SimMsg, CTRL_MSG_BYTES};
+use crate::core::shard_map;
 use crate::liveness::BreakerConfig;
 use crate::shard::{ShardRouter, ShardStats};
 use netsim::prelude::*;
@@ -279,7 +280,7 @@ impl NxClient {
     /// circuit breakers drive failover, and member hosts are still
     /// dialed directly for rendezvous connects.
     pub fn with_fleet(mut self, members: Vec<(NodeId, u16)>) -> Self {
-        let router = ShardRouter::new(sim_shard_map(1, &members), BreakerConfig::default());
+        let router = ShardRouter::new(shard_map(1, &members), BreakerConfig::default());
         self.fleet = Some(SimFleetClient { members, router });
         self
     }
@@ -323,7 +324,7 @@ impl NxClient {
         let Some(f) = &mut self.fleet else {
             return false;
         };
-        let map = sim_shard_map(generation, &members);
+        let map = shard_map(generation, &members);
         if !f.router.install(map.generation(), map.tags().to_vec()) {
             return false;
         }
@@ -698,7 +699,8 @@ impl NxClient {
                         dst,
                         attempt,
                     }) => {
-                        let _ = ctx.send(flow, CTRL_MSG_BYTES, ProxyMsg::ConnectReq { dst });
+                        let (host, port) = dst;
+                        let _ = ctx.send(flow, CTRL_MSG_BYTES, SimMsg::ConnectReq { host, port });
                         let deadline_token = self.itoken();
                         self.timers
                             .insert(deadline_token, RetryAction::ConnectDeadline { flow });
@@ -718,12 +720,12 @@ impl NxClient {
                         client_port,
                         attempt,
                     }) => {
-                        let client = (ctx.host(), client_port);
                         let _ = ctx.send(
                             flow,
                             CTRL_MSG_BYTES,
-                            ProxyMsg::BindReq {
-                                client,
+                            SimMsg::BindReq {
+                                host: ctx.host(),
+                                port: client_port,
                                 fallback: false,
                             },
                         );
@@ -750,9 +752,15 @@ impl NxClient {
                         if let Some(f) = &mut self.fleet {
                             f.router.on_success(idx);
                         }
-                        let client = (ctx.host(), client_port);
-                        let _ =
-                            ctx.send(flow, CTRL_MSG_BYTES, ProxyMsg::BindReq { client, fallback });
+                        let _ = ctx.send(
+                            flow,
+                            CTRL_MSG_BYTES,
+                            SimMsg::BindReq {
+                                host: ctx.host(),
+                                port: client_port,
+                                fallback,
+                            },
+                        );
                         let deadline_token = self.itoken();
                         self.timers
                             .insert(deadline_token, RetryAction::BindDeadline { flow });
@@ -870,8 +878,8 @@ impl NxClient {
         }
         if let Some(ar) = self.await_rep.remove(&flow) {
             self.timers.remove(&ar.deadline_token);
-            return match msg.expect::<ProxyMsg>() {
-                ProxyMsg::ConnectRep { ok: true } => {
+            return match msg.expect::<SimMsg>() {
+                SimMsg::ConnectRep { ok: true, .. } => {
                     self.finish_connect_span(ar.user_token, ctx.now());
                     NxHandled::Event(NxEvent::Connected {
                         flow,
@@ -891,8 +899,8 @@ impl NxClient {
                 return NxHandled::Data(msg);
             };
             self.timers.remove(&b.deadline_token);
-            return match msg.expect::<ProxyMsg>() {
-                ProxyMsg::BindRep { rdv_port } if rdv_port != 0 => {
+            return match msg.expect::<SimMsg>() {
+                SimMsg::BindRep { rdv_port } if rdv_port != 0 => {
                     // The advertised rendezvous host is whoever served
                     // the bind: the fleet shard, or the single outer.
                     let rdv_host = match (b.shard, self.env.outer) {
@@ -928,7 +936,8 @@ impl NxClient {
                 // A non-owner shard named the owner: follow the
                 // redirect with `fallback: false` (the redirecting
                 // shard's map is at least as fresh as ours).
-                ProxyMsg::Redirect { owner } if self.fleet.is_some() => {
+                SimMsg::Redirect { host, port } if self.fleet.is_some() => {
+                    let owner = (host, port);
                     if let Some(s) = &self.shard_obs {
                         s.redirects_followed.inc();
                     }

@@ -1,105 +1,59 @@
-//! The inner server as a simulation actor.
+//! The inner server as a simulation actor: the same driver shape as
+//! [`super::outer`], around [`InnerCore`].
 
-use super::{ProxyMsg, RelayCore, RelayModel, CTRL_MSG_BYTES, RELAY_TIMER};
-use crate::shard::ShardStats;
+use super::{deliver, drive, flow_event, RelayCore, RelayModel, RELAY_TIMER};
+use crate::core::{Event, InnerCore};
 use netsim::prelude::*;
-use std::collections::{HashMap, HashSet};
-use wacs_obs::{Counter, Histogram, Registry};
+use wacs_obs::Registry;
 
-/// Authorization slice name: the announcing shard's control endpoint,
-/// or `None` for sessions that never sent a `ShardSync` (single-outer
-/// deployments — the legacy solo slice).
-type SliceKey = Option<(NodeId, u16)>;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    /// Accepted from the outer server; waiting for `RelayReq`.
-    AwaitRelayReq,
-    /// Dialing the client; the map value in `dials` holds the outer leg.
-    Relayed,
-    /// Outer-server control session (heartbeats + bind syncs).
-    Control,
-}
-
-/// Registry handles for the inner server's control plane.
-struct InnerObs {
-    /// RelayReq arrival → client dial resolved (either way).
-    relay_dial_ns: Histogram,
-    relays_ok: Counter,
-    relays_failed: Counter,
-    hb_pings: Counter,
-    hb_pongs: Counter,
-    bind_syncs: Counter,
-    relays_unauthorized: Counter,
-}
+const PREFIX: &str = "proxy.inner";
 
 /// The inner server actor. Spawn it on a host *inside* the firewall;
 /// it listens on `nxport` — the single inbound hole.
 pub struct SimInnerServer {
     nxport: u16,
-    relay: RelayCore,
-    roles: HashMap<FlowId, Role>,
-    /// connect token → (outer-side flow awaiting completion, RelayReq
-    /// arrival time).
-    dials: HashMap<u64, (FlowId, SimTime)>,
-    next_token: u64,
-    /// Refuse `RelayReq` for endpoints absent from the synced bind
-    /// table. A restarted inner server starts with an *empty* table:
-    /// it relays nothing until the outer server re-syncs.
     require_registration: bool,
-    /// Authorization table, sliced per announcing shard (DESIGN.md
-    /// §6d): each shard's `BindSync` replaces only its own slice, so N
-    /// outer shards cannot clobber each other's registrations.
-    slices: HashMap<SliceKey, HashSet<(NodeId, u16)>>,
-    /// Control flow → the slice its `ShardSync` claimed.
-    session_slice: HashMap<FlowId, (NodeId, u16)>,
-    /// Highest shard-map generation installed so far (0 = none).
-    fleet_gen: u64,
-    fleet: Vec<(NodeId, u16)>,
-    obs: Option<InnerObs>,
-    shard_obs: Option<ShardStats>,
+    registry: Registry,
+    core: InnerCore<NodeId>,
+    relay: RelayCore,
 }
 
 impl SimInnerServer {
     pub fn new(nxport: u16, model: RelayModel) -> Self {
+        let registry = Registry::new();
         SimInnerServer {
             nxport,
-            relay: RelayCore::new(model),
-            roles: HashMap::new(),
-            dials: HashMap::new(),
-            next_token: 0,
             require_registration: false,
-            slices: HashMap::new(),
-            session_slice: HashMap::new(),
-            fleet_gen: 0,
-            fleet: Vec::new(),
-            obs: None,
-            shard_obs: None,
+            core: InnerCore::new(false, &registry, PREFIX),
+            registry,
+            relay: RelayCore::new(model),
         }
+    }
+
+    fn rebuilt(mut self) -> Self {
+        self.core = InnerCore::new(self.require_registration, &self.registry, PREFIX);
+        self
     }
 
     /// Only relay endpoints announced via `BindSync` (the sim twin of
     /// `InnerConfig::with_registration_required`).
     pub fn with_registration_required(mut self) -> Self {
         self.require_registration = true;
-        self
+        self.rebuilt()
     }
 
     /// Record control-plane spans and counters under `proxy.inner.*`
     /// (and the relay data path under the same prefix) in `registry`.
     pub fn with_obs(mut self, registry: &Registry) -> Self {
-        self.relay.set_obs(registry, "proxy.inner");
-        let c = |n: &str| registry.counter(&format!("proxy.inner.{n}"));
-        self.obs = Some(InnerObs {
-            relay_dial_ns: registry.histogram("proxy.inner.relay_dial_ns"),
-            relays_ok: c("relays_ok"),
-            relays_failed: c("relays_failed"),
-            hb_pings: c("hb_pings"),
-            hb_pongs: c("hb_pongs"),
-            bind_syncs: c("bind_syncs"),
-            relays_unauthorized: c("relays_unauthorized"),
-        });
-        self.shard_obs = Some(ShardStats::in_registry(registry));
+        self.relay.set_obs(registry, PREFIX);
+        self.registry = registry.clone();
+        self.rebuilt()
+    }
+
+    /// Observe every core step (apply after the `with_*` builders).
+    #[cfg(test)]
+    pub(crate) fn hooked(mut self, hook: crate::core::StepHook<NodeId>) -> Self {
+        self.core.set_hook(hook);
         self
     }
 
@@ -107,74 +61,11 @@ impl SimInnerServer {
         self.relay.forwarded
     }
 
-    /// Endpoints currently announced via `BindSync`, the union over
-    /// every shard's slice (sorted, deduplicated).
-    pub fn authorized_endpoints(&self) -> Vec<(NodeId, u16)> {
-        let mut v: Vec<(NodeId, u16)> = self.slices.values().flatten().copied().collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
-    /// The installed fleet view: `(generation, members)`.
-    pub fn fleet_view(&self) -> (u64, Vec<(NodeId, u16)>) {
-        (self.fleet_gen, self.fleet.clone())
-    }
-
-    fn is_authorized(&self, ep: &(NodeId, u16)) -> bool {
-        self.slices.values().any(|s| s.contains(ep))
-    }
-
-    /// Handle one frame on an established control session.
-    fn on_control(&mut self, ctx: &mut Ctx<'_>, flow: FlowId, msg: ProxyMsg) {
-        match msg {
-            ProxyMsg::Ping { seq } => {
-                if let Some(o) = &self.obs {
-                    o.hb_pings.inc();
-                }
-                let _ = ctx.send(flow, CTRL_MSG_BYTES, ProxyMsg::Pong { seq });
-                if let Some(o) = &self.obs {
-                    o.hb_pongs.inc();
-                }
-            }
-            ProxyMsg::BindSync { binds } => {
-                ctx.trace(|| format!("inner: BindSync with {} endpoints", binds.len()));
-                let key = self.session_slice.get(&flow).copied();
-                self.slices.insert(key, binds.into_iter().collect());
-                if let Some(o) = &self.obs {
-                    o.bind_syncs.inc();
-                }
-            }
-            ProxyMsg::ShardSync {
-                gen,
-                sender,
-                members,
-            } => {
-                // Session identity first: even a stale map names its
-                // sender (endpoints are stable across shard restarts,
-                // so a replaced shard reclaims its old slice).
-                if let Some(&ep) = members.get(sender as usize) {
-                    self.session_slice.insert(flow, ep);
-                }
-                if gen > self.fleet_gen {
-                    // Authorizations of shards no longer in the map
-                    // die with their membership.
-                    let keep: HashSet<(NodeId, u16)> = members.iter().copied().collect();
-                    self.slices
-                        .retain(|k, _| k.is_none_or(|ep| keep.contains(&ep)));
-                    self.fleet_gen = gen;
-                    self.fleet = members;
-                    if let Some(s) = &self.shard_obs {
-                        s.map_syncs.inc();
-                        s.map_generation.set(gen as i64);
-                    }
-                }
-            }
-            other => {
-                ctx.trace(|| format!("inner: unexpected control frame {other:?}"));
-                ctx.close(flow);
-            }
-        }
+    fn drive(&mut self, ctx: &mut Ctx<'_>, ev: Event<NodeId>) {
+        let core = &mut self.core;
+        drive(ctx, &mut self.relay, "inner", ev, |now, ev| {
+            core.step(now, ev)
+        });
     }
 }
 
@@ -197,88 +88,17 @@ impl Actor for SimInnerServer {
     }
 
     fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        match ev {
-            FlowEvent::Accepted { flow, .. } => {
-                self.roles.insert(flow, Role::AwaitRelayReq);
-            }
-            FlowEvent::Connected { flow, token, .. } => {
-                if let Some((outer_leg, started)) = self.dials.remove(&token) {
-                    // Reached the client: confirm to the outer server
-                    // and bridge.
-                    self.roles.insert(outer_leg, Role::Relayed);
-                    self.roles.insert(flow, Role::Relayed);
-                    if let Some(o) = &self.obs {
-                        o.relays_ok.inc();
-                        o.relay_dial_ns.record(ctx.now().since(started).nanos());
-                    }
-                    let _ = ctx.send(outer_leg, CTRL_MSG_BYTES, ProxyMsg::RelayRep { ok: true });
-                    self.relay.pair(ctx, outer_leg, flow);
-                }
-            }
-            FlowEvent::Refused { token, .. } => {
-                if let Some((outer_leg, started)) = self.dials.remove(&token) {
-                    if let Some(o) = &self.obs {
-                        o.relays_failed.inc();
-                        o.relay_dial_ns.record(ctx.now().since(started).nanos());
-                    }
-                    let _ = ctx.send(outer_leg, CTRL_MSG_BYTES, ProxyMsg::RelayRep { ok: false });
-                    ctx.close(outer_leg);
-                }
-            }
-            FlowEvent::Closed { flow, .. } => {
-                self.roles.remove(&flow);
-                self.session_slice.remove(&flow);
-                if let Some(pair) = self.relay.on_closed(ctx, flow) {
-                    self.roles.remove(&pair);
-                }
-            }
+        if let FlowEvent::Closed { flow, .. } = ev {
+            self.relay.on_closed(ctx, flow);
         }
+        self.drive(ctx, flow_event(ev));
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let flow = msg.flow;
-        match self.roles.get(&flow).copied() {
-            Some(Role::AwaitRelayReq) => match msg.expect::<ProxyMsg>() {
-                ProxyMsg::RelayReq { client } => {
-                    ctx.trace(|| {
-                        format!("inner: RelayReq for client {client:?} on flow {}", flow.0)
-                    });
-                    if self.require_registration && !self.is_authorized(&client) {
-                        if let Some(o) = &self.obs {
-                            o.relays_unauthorized.inc();
-                            o.relays_failed.inc();
-                        }
-                        let _ = ctx.send(flow, CTRL_MSG_BYTES, ProxyMsg::RelayRep { ok: false });
-                        ctx.close(flow);
-                        return;
-                    }
-                    let tok = self.next_token;
-                    self.next_token += 1;
-                    self.dials.insert(tok, (flow, ctx.now()));
-                    ctx.connect(client, tok);
-                }
-                // First frame is Ping/BindSync/ShardSync: an
-                // outer-server control session, not a relay.
-                first @ (ProxyMsg::Ping { .. }
-                | ProxyMsg::BindSync { .. }
-                | ProxyMsg::ShardSync { .. }) => {
-                    self.roles.insert(flow, Role::Control);
-                    self.on_control(ctx, flow, first);
-                }
-                other => {
-                    ctx.trace(|| format!("inner: unexpected {other:?}"));
-                    ctx.close(flow);
-                }
-            },
-            Some(Role::Control) => {
-                let m = msg.expect::<ProxyMsg>();
-                self.on_control(ctx, flow, m);
-            }
-            Some(Role::Relayed) => {
-                self.relay
-                    .on_data(ctx, flow, msg.size, msg.payload, msg.sent_at);
-            }
-            None => {}
-        }
+        let mode = self.core.mode(msg.flow.0);
+        let core = &mut self.core;
+        deliver(ctx, &mut self.relay, "inner", mode, msg, |now, ev| {
+            core.step(now, ev)
+        });
     }
 }

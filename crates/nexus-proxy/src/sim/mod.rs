@@ -19,64 +19,15 @@ pub use inner::SimInnerServer;
 pub use outer::SimOuterServer;
 pub use stripe::{stripe_cell, StripeCell, StripeCellState, StripeSenderActor, StripeSinkActor};
 
-use crate::shard::{member_tag, ShardMap};
+use crate::core::{Action, Event, HostId, Mode, Timer};
+use crate::protocol::CtrlMsg;
 use netsim::prelude::*;
 use std::collections::{HashMap, VecDeque};
 use wacs_obs::{Histogram, Registry};
 
-/// Control messages exchanged with the proxy servers (sim payloads).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProxyMsg {
-    ConnectReq {
-        dst: (NodeId, u16),
-    },
-    ConnectRep {
-        ok: bool,
-    },
-    BindReq {
-        client: (NodeId, u16),
-        /// The client could not reach the HRW owner of this bind key
-        /// (breaker open / dials failing) and is knowingly asking a
-        /// non-owner to serve; do not redirect back.
-        fallback: bool,
-    },
-    BindRep {
-        rdv_port: u16,
-    },
-    RelayReq {
-        client: (NodeId, u16),
-    },
-    RelayRep {
-        ok: bool,
-    },
-    /// Typed admission-control refusal (instead of a silent accept).
-    Busy,
-    /// Outer→inner liveness probe on the control session.
-    Ping {
-        seq: u32,
-    },
-    Pong {
-        seq: u32,
-    },
-    /// Outer→inner: full replacement of the authorized bind table
-    /// (of the sending shard's slice, in a fleet).
-    BindSync {
-        binds: Vec<(NodeId, u16)>,
-    },
-    /// Outer→client: this shard does not own the requested bind key;
-    /// retry against the owner's control endpoint.
-    Redirect {
-        owner: (NodeId, u16),
-    },
-    /// Fleet membership, generation-counted (the shard-map twin of
-    /// `BindSync`). `sender` indexes `members` and names the
-    /// authorization slice of the announcing control session.
-    ShardSync {
-        gen: u64,
-        sender: u16,
-        members: Vec<(NodeId, u16)>,
-    },
-}
+/// Control messages as sim payloads: the one protocol enum
+/// ([`crate::protocol::CtrlMsg`]) with hosts named by [`NodeId`].
+pub type SimMsg = CtrlMsg<NodeId>;
 
 /// Declared wire size of a control message (bytes).
 pub const CTRL_MSG_BYTES: u64 = 32;
@@ -91,14 +42,13 @@ pub fn sim_shard_key(ep: (NodeId, u16)) -> Vec<u8> {
     v
 }
 
-/// Derive the fleet [`ShardMap`] from sim member endpoints; every
-/// party holding the same list computes the same ownership.
-pub fn sim_shard_map(generation: u64, members: &[(NodeId, u16)]) -> ShardMap {
-    let tags = members
-        .iter()
-        .map(|m| member_tag(&sim_shard_key(*m)))
-        .collect();
-    ShardMap::new(generation, tags)
+impl HostId for NodeId {
+    fn shard_key(&self, port: u16) -> Vec<u8> {
+        sim_shard_key((*self, port))
+    }
+    fn peer_key(&self) -> String {
+        format!("{self:?}")
+    }
 }
 
 /// Cost model of one relay server process.
@@ -137,6 +87,97 @@ pub const HB_TICK: u64 = u64::MAX - 2;
 /// Timer token for re-dialing the inner control session after a dead
 /// peer or a refused dial (reserved).
 pub const HB_RETRY: u64 = u64::MAX - 3;
+
+/// Run one server core to quiescence on `first`: execute each action
+/// as `Ctx` calls (bridges go to `relay`), feeding what the network
+/// answers synchronously straight back in. Both sim servers are this
+/// loop around their core.
+fn drive(
+    ctx: &mut Ctx<'_>,
+    relay: &mut RelayCore,
+    who: &str,
+    first: Event<NodeId>,
+    mut step: impl FnMut(u64, Event<NodeId>) -> Vec<Action<NodeId>>,
+) {
+    let mut queue = VecDeque::from([first]);
+    while let Some(ev) = queue.pop_front() {
+        ctx.trace(|| format!("{who}: {ev:?}"));
+        for action in step(ctx.now().nanos(), ev) {
+            match action {
+                // Deliveries arrive unasked.
+                Action::Recv { .. } => {}
+                Action::Send { conn, msg } => {
+                    let _ = ctx.send(FlowId(conn), CTRL_MSG_BYTES, msg);
+                }
+                Action::Reply { conn, msg } => {
+                    let ok = ctx.send(FlowId(conn), CTRL_MSG_BYTES, msg).is_ok();
+                    queue.push_back(Event::Replied { conn, ok });
+                }
+                Action::Listen { conn } => queue.push_back(Event::Listened {
+                    conn,
+                    port: ctx.listen(0).ok(),
+                }),
+                Action::Unlisten { port } => {
+                    ctx.unlisten(port);
+                }
+                Action::Dial { dial, to, .. } => ctx.connect(to, dial),
+                Action::Bridge { a, b } => relay.pair(ctx, FlowId(a), FlowId(b)),
+                Action::Close { conn } => ctx.close(FlowId(conn)),
+                Action::SetTimer { timer, after } => ctx.set_timer(
+                    SimDuration::from_nanos(after.as_nanos() as u64),
+                    match timer {
+                        Timer::HbTick => HB_TICK,
+                        Timer::HbRetry => HB_RETRY,
+                    },
+                ),
+            }
+        }
+    }
+}
+
+/// A delivery on `conn`, which the core says is in `mode`: a control
+/// frame is the core's, pipe data (or early data from an eager peer,
+/// buffered until paired) the relay's.
+fn deliver(
+    ctx: &mut Ctx<'_>,
+    relay: &mut RelayCore,
+    who: &str,
+    mode: Option<Mode>,
+    msg: Delivery,
+    step: impl FnMut(u64, Event<NodeId>) -> Vec<Action<NodeId>>,
+) {
+    match mode {
+        Some(Mode::Framed) => {
+            let conn = msg.flow.0;
+            let msg = msg.expect::<SimMsg>();
+            drive(ctx, relay, who, Event::Frame { conn, msg }, step);
+        }
+        Some(Mode::Pipe) => relay.on_data(ctx, msg.flow, msg.size, msg.payload, msg.sent_at),
+        None => {}
+    }
+}
+
+/// A flow event as the cores see it (a connect token is the core's
+/// [`crate::core::DialId`]).
+fn flow_event(ev: FlowEvent) -> Event<NodeId> {
+    match ev {
+        FlowEvent::Accepted {
+            flow, listen_port, ..
+        } => Event::Accepted {
+            conn: flow.0,
+            port: listen_port,
+        },
+        FlowEvent::Connected { flow, token, .. } => Event::DialOk {
+            dial: token,
+            conn: flow.0,
+        },
+        FlowEvent::Refused { token, reason, .. } => Event::DialFailed {
+            dial: token,
+            detail: format!("{reason:?}"),
+        },
+        FlowEvent::Closed { flow, .. } => Event::Closed { conn: flow.0 },
+    }
+}
 
 /// Observability handles for one relay actor's data path: the inbound
 /// leg (origin send → relay arrival) and the service gap (arrival →

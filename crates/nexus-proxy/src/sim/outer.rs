@@ -1,236 +1,91 @@
-//! The outer server as a simulation actor.
+//! The outer server as a simulation actor: a driver that translates
+//! `netsim` callbacks into [`crate::core`] events and executes the
+//! returned actions as `Ctx` calls. Every decision is
+//! [`OuterCore`]'s; the relay cost model is [`RelayCore`]'s.
 
-use super::{
-    sim_shard_key, sim_shard_map, ProxyMsg, RelayCore, RelayModel, CTRL_MSG_BYTES, HB_RETRY,
-    HB_TICK, RELAY_TIMER,
-};
-use crate::liveness::{
-    AdmissionGate, AdmissionLimits, BreakerConfig, BreakerState, CircuitBreaker, HeartbeatConfig,
-    HeartbeatMonitor,
-};
-use crate::shard::{ShardRoute, ShardStats};
+use super::{deliver, drive, flow_event, RelayCore, RelayModel, HB_RETRY, HB_TICK, RELAY_TIMER};
+use crate::core::{Event, OuterCore, OuterParams, Timer};
+use crate::liveness::{AdmissionLimits, BreakerConfig, HeartbeatConfig};
 use netsim::prelude::*;
-use std::collections::HashMap;
-use std::time::Duration;
-use wacs_obs::{Counter, Gauge, Histogram, Registry};
+use wacs_obs::Registry;
 
-fn sd(d: Duration) -> SimDuration {
-    SimDuration::from_nanos(d.as_nanos() as u64)
-}
-
-/// Per-flow role tracking on the outer server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    /// Accepted on the control port; waiting for the first request.
-    AwaitRequest,
-    /// Control connection that performed a bind; owns a rendezvous port.
-    BindControl { rdv_port: u16 },
-    /// A peer that connected to a rendezvous port; being bridged.
-    PeerPending,
-    /// Outbound leg toward the inner server; waiting for RelayRep.
-    /// `started` = when the peer hit the rendezvous port.
-    AwaitRelayRep { peer: FlowId, started: SimTime },
-    /// Fully relayed (either side).
-    Relayed,
-    /// The outer→inner heartbeat control session.
-    Heartbeat,
-}
-
-/// What an in-flight `connect` of ours is for. `started` timestamps
-/// the request that triggered the dial, for service-time spans.
-enum Dial {
-    /// Active open on behalf of `client` (Fig. 3).
-    Target { client: FlowId, started: SimTime },
-    /// Inner-server leg for a rendezvous `peer` (Fig. 4).
-    Inner {
-        peer: FlowId,
-        client: (NodeId, u16),
-        started: SimTime,
-    },
-    /// Direct dial back to a bound client (no inner server configured).
-    DirectClient { peer: FlowId, started: SimTime },
-    /// The heartbeat control session toward the inner server.
-    Heartbeat,
-}
-
-/// Heartbeat + breaker state for the outer→inner control session
-/// (mirrors the real path's `ServerCtx::heartbeat_loop`).
-struct Liveness {
-    hb: HeartbeatConfig,
-    breaker: CircuitBreaker,
-    /// For open/close edge detection when mirroring into obs.
-    last_state: BreakerState,
-    /// Live control-session flow, if any.
-    flow: Option<FlowId>,
-    monitor: Option<HeartbeatMonitor>,
-    ever_alive: bool,
-    /// The bind table changed since the last BindSync.
-    rdv_dirty: bool,
-}
-
-/// Registry handles for the outer server's control-plane spans.
-struct OuterObs {
-    /// ConnectReq arrival → ConnectRep sent (or refusal).
-    connect_req_ns: Histogram,
-    /// BindReq service (synchronous in the sim: always 0, kept for
-    /// schema parity with the real path).
-    bind_req_ns: Histogram,
-    /// Peer hits the rendezvous port → streams bridged.
-    rendezvous_ns: Histogram,
-    connects_ok: Counter,
-    connects_failed: Counter,
-    binds: Counter,
-    relays_ok: Counter,
-    relays_failed: Counter,
-    busy_rejected: Counter,
-    hb_pings: Counter,
-    hb_pongs: Counter,
-    inner_deaths: Counter,
-    inner_reconnects: Counter,
-    bind_syncs: Counter,
-    breaker_opens: Counter,
-    breaker_closes: Counter,
-    inner_alive: Gauge,
-    breaker_state: Gauge,
-}
-
-/// Fleet membership of one sim outer shard (DESIGN.md §6d): the
-/// generation-counted member list plus a dirty flag driving
-/// `ShardSync` re-announcements on the heartbeat session.
-struct SimFleet {
-    self_index: usize,
-    gen: u64,
-    members: Vec<(NodeId, u16)>,
-    /// The map changed since the last announcement.
-    dirty: bool,
-}
+const PREFIX: &str = "proxy.outer";
 
 /// The outer server actor. Spawn it on a host *outside* the firewall.
 pub struct SimOuterServer {
-    ctrl_port: u16,
-    /// `(inner_host, nxport)`; `None` = dial bound clients directly.
-    inner: Option<(NodeId, u16)>,
+    params: OuterParams<NodeId>,
+    registry: Registry,
+    core: OuterCore<NodeId>,
     relay: RelayCore,
-    roles: HashMap<FlowId, Role>,
-    /// rendezvous port → private endpoint of the registered client.
-    rdv: HashMap<u16, (NodeId, u16)>,
-    dials: HashMap<u64, Dial>,
-    next_token: u64,
-    live: Option<Liveness>,
-    gate: Option<AdmissionGate>,
-    /// Flow → admission key, released exactly once per admitted flow.
-    admitted: HashMap<FlowId, String>,
-    obs: Option<OuterObs>,
-    fleet: Option<SimFleet>,
-    shard_obs: Option<ShardStats>,
 }
 
 impl SimOuterServer {
+    /// Admission is unbounded and the heartbeat session off until
+    /// [`with_admission`](Self::with_admission) /
+    /// [`with_liveness`](Self::with_liveness) say otherwise.
     pub fn new(ctrl_port: u16, inner: Option<(NodeId, u16)>, model: RelayModel) -> Self {
-        SimOuterServer {
+        let params = OuterParams {
             ctrl_port,
             inner,
-            relay: RelayCore::new(model),
-            roles: HashMap::new(),
-            rdv: HashMap::new(),
-            dials: HashMap::new(),
-            next_token: 0,
-            live: None,
-            gate: None,
-            admitted: HashMap::new(),
-            obs: None,
+            limits: AdmissionLimits {
+                max_total: u32::MAX,
+                max_per_peer: u32::MAX,
+            },
+            heartbeat: None,
+            breaker: BreakerConfig::default(),
             fleet: None,
-            shard_obs: None,
+        };
+        let registry = Registry::new();
+        SimOuterServer {
+            core: OuterCore::new(params.clone(), &registry, PREFIX),
+            params,
+            registry,
+            relay: RelayCore::new(model),
         }
+    }
+
+    fn rebuilt(mut self) -> Self {
+        self.core = OuterCore::new(self.params.clone(), &self.registry, PREFIX);
+        self
     }
 
     /// Run as shard `self_index` of the fleet listed in `members`
     /// (control endpoints, the same list in the same order everywhere)
     /// — the sim twin of `OuterConfig::with_fleet`.
     pub fn with_fleet(mut self, members: Vec<(NodeId, u16)>, self_index: usize) -> Self {
-        self.fleet = Some(SimFleet {
-            self_index,
-            gen: 1,
-            members,
-            dirty: false,
-        });
-        self
+        self.params.fleet = Some((members, self_index));
+        self.rebuilt()
     }
 
-    /// Enable the heartbeat control session to the inner server (with
-    /// a WAN-leg circuit breaker guarding the re-dials) — the sim twin
-    /// of `OuterConfig::with_heartbeat`/`with_breaker`.
+    /// Enable the heartbeat control session to the inner server and
+    /// tune the WAN-leg circuit breaker — the sim twin of
+    /// `OuterConfig::with_heartbeat`/`with_breaker`.
     pub fn with_liveness(mut self, hb: HeartbeatConfig, br: BreakerConfig) -> Self {
-        self.live = Some(Liveness {
-            hb,
-            breaker: CircuitBreaker::new(br),
-            last_state: BreakerState::Closed,
-            flow: None,
-            monitor: None,
-            ever_alive: false,
-            rdv_dirty: false,
-        });
-        self
+        self.params.heartbeat = Some(hb);
+        self.params.breaker = br;
+        self.rebuilt()
     }
 
-    /// Bound admission (total + per-peer), refusing with
-    /// [`ProxyMsg::Busy`] on the control port.
+    /// Bound admission (total + per-peer), refusing with `Busy` on the
+    /// control port.
     pub fn with_admission(mut self, limits: AdmissionLimits) -> Self {
-        self.gate = Some(AdmissionGate::new(limits));
-        self
+        self.params.limits = limits;
+        self.rebuilt()
     }
 
     /// Record control-plane spans and counters under `proxy.outer.*`
     /// (and the relay data path under the same prefix) in `registry`.
     pub fn with_obs(mut self, registry: &Registry) -> Self {
-        self.relay.set_obs(registry, "proxy.outer");
-        let c = |n: &str| registry.counter(&format!("proxy.outer.{n}"));
-        let g = |n: &str| registry.gauge(&format!("proxy.outer.{n}"));
-        let h = |n: &str| registry.histogram(&format!("proxy.outer.{n}"));
-        self.obs = Some(OuterObs {
-            connect_req_ns: h("connect_req_ns"),
-            bind_req_ns: h("bind_req_ns"),
-            rendezvous_ns: h("rendezvous_ns"),
-            connects_ok: c("connects_ok"),
-            connects_failed: c("connects_failed"),
-            binds: c("binds"),
-            relays_ok: c("relays_ok"),
-            relays_failed: c("relays_failed"),
-            busy_rejected: c("busy_rejected"),
-            hb_pings: c("hb_pings"),
-            hb_pongs: c("hb_pongs"),
-            inner_deaths: c("inner_deaths"),
-            inner_reconnects: c("inner_reconnects"),
-            bind_syncs: c("bind_syncs"),
-            breaker_opens: c("breaker_opens"),
-            breaker_closes: c("breaker_closes"),
-            inner_alive: g("inner_alive"),
-            breaker_state: g("breaker_state"),
-        });
-        if self.fleet.is_some() {
-            let s = ShardStats::in_registry(registry);
-            s.map_generation.set(1);
-            self.shard_obs = Some(s);
-        }
-        self
+        self.relay.set_obs(registry, PREFIX);
+        self.registry = registry.clone();
+        self.rebuilt()
     }
 
-    /// Install a strictly newer fleet membership; the heartbeat
-    /// session re-announces it on its next tick. `false` = stale.
-    pub fn install_fleet(&mut self, generation: u64, members: Vec<(NodeId, u16)>) -> bool {
-        let Some(f) = &mut self.fleet else {
-            return false;
-        };
-        if generation <= f.gen {
-            return false;
-        }
-        f.gen = generation;
-        f.members = members;
-        f.dirty = true;
-        if let Some(s) = &self.shard_obs {
-            s.map_generation.set(generation as i64);
-        }
-        true
+    /// Observe every core step (apply after the `with_*` builders).
+    #[cfg(test)]
+    pub(crate) fn hooked(mut self, hook: crate::core::StepHook<NodeId>) -> Self {
+        self.core.set_hook(hook);
+        self
     }
 
     /// Messages forwarded so far (diagnostics for tests/benches).
@@ -238,255 +93,11 @@ impl SimOuterServer {
         self.relay.forwarded
     }
 
-    /// Current breaker state (diagnostics; `None` without liveness).
-    pub fn breaker_state(&self) -> Option<BreakerState> {
-        self.live.as_ref().map(|l| l.breaker.state())
-    }
-
-    fn token(&mut self) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        t
-    }
-
-    /// Push breaker transitions into the obs gauge/counters.
-    fn mirror_breaker(&mut self) {
-        let Some(l) = &mut self.live else { return };
-        let st = l.breaker.state();
-        if st == l.last_state {
-            return;
-        }
-        l.last_state = st;
-        if let Some(o) = &self.obs {
-            o.breaker_state.set(st.as_gauge());
-            match st {
-                BreakerState::Open => o.breaker_opens.inc(),
-                BreakerState::Closed => o.breaker_closes.inc(),
-                BreakerState::HalfOpen => {}
-            }
-        }
-    }
-
-    /// Dial (or schedule a re-dial of) the inner control session.
-    fn dial_heartbeat(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(inner_addr) = self.inner else { return };
-        let now = ctx.now().nanos();
-        let (allowed, retry) = match &mut self.live {
-            Some(l) if l.flow.is_none() => (l.breaker.allow(now), l.hb.interval),
-            _ => return,
-        };
-        self.mirror_breaker();
-        if allowed {
-            let tok = self.token();
-            self.dials.insert(tok, Dial::Heartbeat);
-            ctx.connect(inner_addr, tok);
-        } else {
-            ctx.set_timer(sd(retry), HB_RETRY);
-        }
-    }
-
-    /// Push the full bind table (sorted by rendezvous port, so two
-    /// same-seed runs emit identical frames) to the control session.
-    fn send_bind_sync(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let mut entries: Vec<(u16, (NodeId, u16))> =
-            self.rdv.iter().map(|(p, c)| (*p, *c)).collect();
-        entries.sort_by_key(|(p, _)| *p);
-        let binds: Vec<(NodeId, u16)> = entries.into_iter().map(|(_, c)| c).collect();
-        let _ = ctx.send(flow, CTRL_MSG_BYTES, ProxyMsg::BindSync { binds });
-        if let Some(o) = &self.obs {
-            o.bind_syncs.inc();
-        }
-        if let Some(l) = &mut self.live {
-            l.rdv_dirty = false;
-        }
-    }
-
-    /// Announce the shard map on the control session (fleet only): it
-    /// names the slice the following `BindSync` frames belong to, so
-    /// it must precede them on every (re)connect.
-    fn send_shard_sync(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let Some(f) = &mut self.fleet else { return };
-        let _ = ctx.send(
-            flow,
-            CTRL_MSG_BYTES,
-            ProxyMsg::ShardSync {
-                gen: f.gen,
-                sender: f.self_index as u16,
-                members: f.members.clone(),
-            },
-        );
-        f.dirty = false;
-        if let Some(s) = &self.shard_obs {
-            s.map_syncs.inc();
-        }
-    }
-
-    fn send_ping(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let seq = match &mut self.live {
-            Some(l) => match &mut l.monitor {
-                Some(m) => m.next_seq(),
-                None => 0,
-            },
-            None => 0,
-        };
-        let _ = ctx.send(flow, CTRL_MSG_BYTES, ProxyMsg::Ping { seq });
-        if let Some(o) = &self.obs {
-            o.hb_pings.inc();
-        }
-    }
-
-    /// The control session died (silence past the timeout, or the flow
-    /// closed under us): count a death, tear the session down, retry.
-    fn declare_inner_dead(&mut self, ctx: &mut Ctx<'_>, flow: FlowId, retry: Duration) {
-        if let Some(l) = &mut self.live {
-            l.flow = None;
-            l.monitor = None;
-        }
-        if let Some(o) = &self.obs {
-            o.inner_alive.set(0);
-            o.inner_deaths.inc();
-        }
-        self.roles.remove(&flow);
-        ctx.close(flow);
-        ctx.set_timer(sd(retry), HB_RETRY);
-    }
-
-    fn hb_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now().nanos();
-        let (flow, expired, dirty, interval) = match &self.live {
-            Some(l) => match l.flow {
-                Some(f) => (
-                    f,
-                    l.monitor.as_ref().is_some_and(|m| m.expired(now)),
-                    l.rdv_dirty,
-                    l.hb.interval,
-                ),
-                // Session already down: HB_RETRY owns recovery.
-                None => return,
-            },
-            None => return,
-        };
-        if expired {
-            ctx.trace(|| format!("outer: heartbeat timeout on flow={}", flow.0));
-            self.declare_inner_dead(ctx, flow, interval);
-            return;
-        }
-        if self.fleet.as_ref().is_some_and(|f| f.dirty) {
-            self.send_shard_sync(ctx, flow);
-        }
-        if dirty {
-            self.send_bind_sync(ctx, flow);
-        }
-        self.send_ping(ctx, flow);
-        ctx.set_timer(sd(interval), HB_TICK);
-    }
-
-    /// Admit `key` through the gate (when configured), remembering the
-    /// slot against `flow`. `false` = refused.
-    fn admit(&mut self, flow: FlowId, key: String) -> bool {
-        let Some(g) = &mut self.gate else { return true };
-        if g.try_admit(&key).is_err() {
-            if let Some(o) = &self.obs {
-                o.busy_rejected.inc();
-            }
-            return false;
-        }
-        self.admitted.insert(flow, key);
-        true
-    }
-
-    /// Release `flow`'s admission slot, exactly once.
-    fn release_flow(&mut self, flow: FlowId) {
-        if let Some(key) = self.admitted.remove(&flow) {
-            if let Some(g) = &mut self.gate {
-                g.release(&key);
-            }
-        }
-    }
-
-    fn handle_request(&mut self, ctx: &mut Ctx<'_>, flow: FlowId, msg: ProxyMsg) {
-        match msg {
-            ProxyMsg::ConnectReq { dst } => {
-                ctx.trace(|| format!("outer: ConnectReq flow={} -> {:?}", flow.0, dst));
-                if !self.admit(flow, format!("{:?}", dst.0)) {
-                    let _ = ctx.send(flow, CTRL_MSG_BYTES, ProxyMsg::Busy);
-                    ctx.close(flow);
-                    return;
-                }
-                let tok = self.token();
-                self.dials.insert(
-                    tok,
-                    Dial::Target {
-                        client: flow,
-                        started: ctx.now(),
-                    },
-                );
-                ctx.connect(dst, tok);
-            }
-            ProxyMsg::BindReq { client, fallback } => {
-                // Fleet routing: only the HRW owner serves this key;
-                // everyone else names the owner in a typed Redirect —
-                // unless the client flagged the request as a fallback
-                // (owner unreachable), in which case we serve rather
-                // than bounce it back to a dead shard.
-                if let Some(f) = &self.fleet {
-                    let map = sim_shard_map(f.gen, &f.members);
-                    match map.route(f.self_index, &sim_shard_key(client)) {
-                        Some(ShardRoute::Own) => {
-                            if let Some(s) = &self.shard_obs {
-                                s.binds_owned.inc();
-                            }
-                        }
-                        Some(ShardRoute::Redirect(_)) if fallback => { /* fallback serve */ }
-                        Some(ShardRoute::Redirect(owner)) => {
-                            let owner = f.members[owner];
-                            if let Some(s) = &self.shard_obs {
-                                s.redirects_sent.inc();
-                            }
-                            let _ = ctx.send(flow, CTRL_MSG_BYTES, ProxyMsg::Redirect { owner });
-                            ctx.close(flow);
-                            return;
-                        }
-                        // Superseded membership: refuse.
-                        None => {
-                            let _ =
-                                ctx.send(flow, CTRL_MSG_BYTES, ProxyMsg::BindRep { rdv_port: 0 });
-                            return;
-                        }
-                    }
-                }
-                self.handle_bind(ctx, flow, client);
-            }
-            other => {
-                ctx.trace(|| format!("outer: unexpected request {other:?}"));
-                ctx.close(flow);
-            }
-        }
-    }
-
-    /// Fig. 4 steps 1-2 (sim): allocate a rendezvous port and register
-    /// the client against it.
-    fn handle_bind(&mut self, ctx: &mut Ctx<'_>, flow: FlowId, client: (NodeId, u16)) {
-        match ctx.listen(0) {
-            Ok(port) => {
-                ctx.trace(|| format!("outer: BindReq client={client:?} -> rdv port {port}"));
-                self.rdv.insert(port, client);
-                if let Some(l) = &mut self.live {
-                    l.rdv_dirty = true;
-                }
-                self.roles
-                    .insert(flow, Role::BindControl { rdv_port: port });
-                if let Some(o) = &self.obs {
-                    o.binds.inc();
-                    // Served within one event: zero virtual time.
-                    o.bind_req_ns.record(0);
-                }
-                let _ = ctx.send(flow, CTRL_MSG_BYTES, ProxyMsg::BindRep { rdv_port: port });
-            }
-            Err(_) => {
-                let _ = ctx.send(flow, CTRL_MSG_BYTES, ProxyMsg::BindRep { rdv_port: 0 });
-            }
-        }
+    fn drive(&mut self, ctx: &mut Ctx<'_>, ev: Event<NodeId>) {
+        let core = &mut self.core;
+        drive(ctx, &mut self.relay, "outer", ev, |now, ev| {
+            core.step(now, ev)
+        });
     }
 }
 
@@ -499,245 +110,32 @@ impl Actor for SimOuterServer {
     // loudly rather than run a proxy nobody can reach.
     #[allow(clippy::expect_used)]
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.listen(self.ctrl_port)
+        ctx.listen(self.params.ctrl_port)
             .expect("outer server control port in use"); // lint:allow(unwrap-panic)
-        if self.live.is_some() {
-            self.dial_heartbeat(ctx);
-        }
+        self.drive(ctx, Event::Start);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == RELAY_TIMER {
-            self.relay.on_timer(ctx);
-        } else if token == HB_TICK {
-            self.hb_tick(ctx);
-        } else if token == HB_RETRY {
-            self.dial_heartbeat(ctx);
+        match token {
+            RELAY_TIMER => self.relay.on_timer(ctx),
+            HB_TICK => self.drive(ctx, Event::Timer(Timer::HbTick)),
+            HB_RETRY => self.drive(ctx, Event::Timer(Timer::HbRetry)),
+            _ => {}
         }
     }
 
     fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        match ev {
-            FlowEvent::Accepted {
-                flow, listen_port, ..
-            } => {
-                if listen_port == self.ctrl_port {
-                    self.roles.insert(flow, Role::AwaitRequest);
-                } else if let Some(&client) = self.rdv.get(&listen_port) {
-                    // Fig. 4 step 3: a peer hit the rendezvous port.
-                    // Admission is keyed by the registered client: one
-                    // overloaded bound endpoint cannot starve the rest.
-                    if !self.admit(flow, format!("{:?}", client.0)) {
-                        ctx.close(flow);
-                        return;
-                    }
-                    self.roles.insert(flow, Role::PeerPending);
-                    let tok = self.token();
-                    let started = ctx.now();
-                    match self.inner {
-                        Some(inner_addr) => {
-                            ctx.trace(|| {
-                                format!(
-                                    "outer: peer flow={} on rdv:{listen_port}, dialing inner",
-                                    flow.0
-                                )
-                            });
-                            self.dials.insert(
-                                tok,
-                                Dial::Inner {
-                                    peer: flow,
-                                    client,
-                                    started,
-                                },
-                            );
-                            ctx.connect(inner_addr, tok);
-                        }
-                        None => {
-                            self.dials.insert(
-                                tok,
-                                Dial::DirectClient {
-                                    peer: flow,
-                                    started,
-                                },
-                            );
-                            ctx.connect(client, tok);
-                        }
-                    }
-                } else {
-                    // Rendezvous registration vanished between SYN and
-                    // accept: refuse by closing.
-                    ctx.close(flow);
-                }
-            }
-            FlowEvent::Connected { flow, token, .. } => match self.dials.remove(&token) {
-                Some(Dial::Target { client, started }) => {
-                    self.roles.insert(client, Role::Relayed);
-                    self.roles.insert(flow, Role::Relayed);
-                    if let Some(o) = &self.obs {
-                        o.connects_ok.inc();
-                        o.connect_req_ns.record(ctx.now().since(started).nanos());
-                    }
-                    let _ = ctx.send(client, CTRL_MSG_BYTES, ProxyMsg::ConnectRep { ok: true });
-                    self.relay.pair(ctx, client, flow);
-                }
-                Some(Dial::Inner {
-                    peer,
-                    client,
-                    started,
-                }) => {
-                    // Fig. 4 step 4: ask the inner server to complete.
-                    self.roles
-                        .insert(flow, Role::AwaitRelayRep { peer, started });
-                    let _ = ctx.send(flow, CTRL_MSG_BYTES, ProxyMsg::RelayReq { client });
-                }
-                Some(Dial::DirectClient { peer, started }) => {
-                    self.roles.insert(peer, Role::Relayed);
-                    self.roles.insert(flow, Role::Relayed);
-                    if let Some(o) = &self.obs {
-                        o.relays_ok.inc();
-                        o.rendezvous_ns.record(ctx.now().since(started).nanos());
-                    }
-                    self.relay.pair(ctx, peer, flow);
-                }
-                Some(Dial::Heartbeat) => {
-                    ctx.trace(|| format!("outer: heartbeat session up, flow={}", flow.0));
-                    let now = ctx.now().nanos();
-                    let mut reconnect = false;
-                    let mut interval = Duration::ZERO;
-                    if let Some(l) = &mut self.live {
-                        l.breaker.on_success();
-                        reconnect = l.ever_alive;
-                        l.ever_alive = true;
-                        l.flow = Some(flow);
-                        l.monitor = Some(HeartbeatMonitor::new(l.hb, now));
-                        interval = l.hb.interval;
-                    }
-                    self.mirror_breaker();
-                    self.roles.insert(flow, Role::Heartbeat);
-                    if let Some(o) = &self.obs {
-                        o.inner_alive.set(1);
-                        if reconnect {
-                            o.inner_reconnects.inc();
-                        }
-                    }
-                    // Shard map first (it names the authorization
-                    // slice), then re-register all live binds, then
-                    // start pinging — the recovery contract a
-                    // restarted inner server relies on.
-                    if self.fleet.is_some() {
-                        self.send_shard_sync(ctx, flow);
-                    }
-                    self.send_bind_sync(ctx, flow);
-                    self.send_ping(ctx, flow);
-                    ctx.set_timer(sd(interval), HB_TICK);
-                }
-                None => ctx.close(flow),
-            },
-            FlowEvent::Refused { token, .. } => match self.dials.remove(&token) {
-                Some(Dial::Target { client, started }) => {
-                    if let Some(o) = &self.obs {
-                        o.connects_failed.inc();
-                        o.connect_req_ns.record(ctx.now().since(started).nanos());
-                    }
-                    let _ = ctx.send(client, CTRL_MSG_BYTES, ProxyMsg::ConnectRep { ok: false });
-                    ctx.close(client);
-                    self.release_flow(client);
-                }
-                Some(Dial::Inner { peer, .. }) | Some(Dial::DirectClient { peer, .. }) => {
-                    if let Some(o) = &self.obs {
-                        o.relays_failed.inc();
-                    }
-                    ctx.close(peer);
-                    self.release_flow(peer);
-                }
-                Some(Dial::Heartbeat) => {
-                    let now = ctx.now().nanos();
-                    let mut retry = Duration::ZERO;
-                    if let Some(l) = &mut self.live {
-                        l.breaker.on_failure(now);
-                        retry = l.hb.interval;
-                    }
-                    self.mirror_breaker();
-                    ctx.set_timer(sd(retry), HB_RETRY);
-                }
-                None => {}
-            },
-            FlowEvent::Closed { flow, .. } => {
-                if self.live.as_ref().and_then(|l| l.flow) == Some(flow) {
-                    ctx.trace(|| format!("outer: heartbeat session lost, flow={}", flow.0));
-                    let retry = match &self.live {
-                        Some(l) => l.hb.interval,
-                        None => Duration::ZERO,
-                    };
-                    self.declare_inner_dead(ctx, flow, retry);
-                }
-                if let Some(Role::BindControl { rdv_port }) = self.roles.remove(&flow) {
-                    // Registration lifetime = control connection lifetime.
-                    self.rdv.remove(&rdv_port);
-                    if let Some(l) = &mut self.live {
-                        l.rdv_dirty = true;
-                    }
-                    ctx.unlisten(rdv_port);
-                }
-                self.release_flow(flow);
-                if let Some(pair) = self.relay.on_closed(ctx, flow) {
-                    self.roles.remove(&pair);
-                    self.release_flow(pair);
-                }
-            }
+        if let FlowEvent::Closed { flow, .. } = ev {
+            self.relay.on_closed(ctx, flow);
         }
+        self.drive(ctx, flow_event(ev));
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let flow = msg.flow;
-        match self.roles.get(&flow).copied() {
-            Some(Role::AwaitRequest) => {
-                let m = msg.expect::<ProxyMsg>();
-                self.handle_request(ctx, flow, m);
-            }
-            Some(Role::AwaitRelayRep { peer, started }) => match msg.expect::<ProxyMsg>() {
-                ProxyMsg::RelayRep { ok: true } => {
-                    // Fig. 4 step 5 complete: bridge peer ↔ inner leg.
-                    self.roles.insert(peer, Role::Relayed);
-                    self.roles.insert(flow, Role::Relayed);
-                    if let Some(o) = &self.obs {
-                        o.relays_ok.inc();
-                        o.rendezvous_ns.record(ctx.now().since(started).nanos());
-                    }
-                    self.relay.pair(ctx, peer, flow);
-                }
-                _ => {
-                    if let Some(o) = &self.obs {
-                        o.relays_failed.inc();
-                    }
-                    ctx.close(peer);
-                    ctx.close(flow);
-                    self.release_flow(peer);
-                }
-            },
-            Some(Role::Heartbeat) => {
-                if let ProxyMsg::Pong { .. } = msg.expect::<ProxyMsg>() {
-                    if let Some(o) = &self.obs {
-                        o.hb_pongs.inc();
-                    }
-                    let now = ctx.now().nanos();
-                    if let Some(l) = &mut self.live {
-                        if let Some(m) = &mut l.monitor {
-                            m.observe(now);
-                        }
-                    }
-                }
-            }
-            Some(Role::Relayed) | Some(Role::PeerPending) => {
-                // Opaque relay traffic (PeerPending: early data from an
-                // eager peer — buffered by the core until paired).
-                self.relay
-                    .on_data(ctx, flow, msg.size, msg.payload, msg.sent_at);
-            }
-            Some(Role::BindControl { .. }) => {
-                // Clients don't speak on a bind control connection.
-            }
-            None => {}
-        }
+        let mode = self.core.mode(msg.flow.0);
+        let core = &mut self.core;
+        deliver(ctx, &mut self.relay, "outer", mode, msg, |now, ev| {
+            core.step(now, ev)
+        });
     }
 }

@@ -1079,65 +1079,6 @@ fn start_fleet(w: &RealWorld) -> Vec<Option<OuterServer>> {
         .collect()
 }
 
-/// Raw-protocol shard discipline: a non-owner answers a routable
-/// `BindReq` with `Redirect` naming the owner, and the same request
-/// flagged `fallback: true` (the client knowingly aimed at a
-/// non-owner) is served instead of bounced.
-#[test]
-fn real_non_owner_redirects_and_fallback_serves() {
-    let w = real_fleet_world();
-    let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let fleet = start_fleet(&w);
-
-    // Pick a bind key and compute its owner the same way every fleet
-    // party does, so we can aim deliberately at the non-owner.
-    let (host, port) = ("rwcp-sun", 7007u16);
-    let map = fleet_map();
-    let owner = map.owner(&bind_key(host, port)).unwrap();
-    let non_owner = 1 - owner;
-
-    // Leg 1: the non-owner must not serve a first-choice request.
-    let mut s = w
-        .net
-        .dial(host, FLEET_HOSTS[non_owner], OUTER_PORT)
-        .unwrap();
-    Msg::BindReq {
-        host: host.to_string(),
-        port,
-        fallback: false,
-    }
-    .write_to(&mut s)
-    .unwrap();
-    assert_eq!(
-        Msg::read_from(&mut s).unwrap(),
-        Msg::Redirect {
-            host: FLEET_HOSTS[owner].to_string(),
-            port: OUTER_PORT,
-        }
-    );
-
-    // Leg 2: the identical request with the fallback flag is served —
-    // this is what keeps a dead owner from becoming a redirect loop.
-    let mut s = w
-        .net
-        .dial(host, FLEET_HOSTS[non_owner], OUTER_PORT)
-        .unwrap();
-    Msg::BindReq {
-        host: host.to_string(),
-        port,
-        fallback: true,
-    }
-    .write_to(&mut s)
-    .unwrap();
-    match Msg::read_from(&mut s).unwrap() {
-        Msg::BindRep { rdv_port } => assert_ne!(rdv_port, 0, "fallback bind refused"),
-        other => panic!("expected BindRep, got {other:?}"),
-    }
-
-    let json = fleet[non_owner].as_ref().unwrap().obs_snapshot().to_json();
-    assert!(json.contains("wacs.shard.redirects_sent"), "{json}");
-}
-
 /// Breaker-driven failover on real sockets: kill the shard serving a
 /// bind; subsequent binds through the fleet env succeed on the
 /// survivor, the router's failover counter moves, and a relay

@@ -243,8 +243,10 @@ fn sim_trace_records_protocol_steps() {
         "{}",
         sim.trace().render()
     );
-    // Step 3: the remote peer hit the rendezvous port.
-    assert!(!sim.trace().grep("peer flow").is_empty());
+    // Step 3: the remote peer hit the rendezvous port, and the outer
+    // server asked the inner one to complete the relay.
+    assert_eq!(sim.trace().grep("outer: Accepted").len(), 2);
+    assert_eq!(sim.trace().grep("outer: DialOk").len(), 1);
     // Step 4: the inner server completed the relay toward the client.
     assert_eq!(sim.trace().grep("RelayReq").len(), 1);
     // And the run actually finished.
@@ -353,7 +355,7 @@ fn lan_indirect_roundtrip() {
 /// never as a valid rendezvous at port 0.
 #[test]
 fn bind_rep_port_zero_is_rejected() {
-    use nexus_proxy::sim::ProxyMsg;
+    use nexus_proxy::sim::SimMsg;
 
     /// An outer server that answers every BindReq with rdv_port 0.
     struct BrokenOuter;
@@ -363,8 +365,8 @@ fn bind_rep_port_zero_is_rejected() {
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
             let flow = msg.flow;
-            if let ProxyMsg::BindReq { .. } = msg.expect::<ProxyMsg>() {
-                let _ = ctx.send(flow, 32, ProxyMsg::BindRep { rdv_port: 0 });
+            if let SimMsg::BindReq { .. } = msg.expect::<SimMsg>() {
+                let _ = ctx.send(flow, 32, SimMsg::BindRep { rdv_port: 0 });
             }
         }
     }

@@ -13,6 +13,10 @@
 //!   `<= max_per_peer`.
 //! * Drain is sticky, and **no connection is ever admitted after
 //!   drain began** — the headline shutdown invariant.
+//!
+//! Production runs this very machine: the outer server's sans-IO core
+//! (`nexus_proxy::core::OuterCore`) owns one for the relay admission,
+//! and both the real and the sim driver step that core.
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};

@@ -17,6 +17,11 @@
 //!   failure re-opens (restarting the cooldown).
 //! * `allow` must admit exactly when Closed, or Open-with-elapsed-
 //!   cooldown; it must hold dials while a probe is in flight.
+//!
+//! Production runs this very machine: the outer server's sans-IO core
+//! (`nexus_proxy::core::OuterCore`) owns one for the inner-leg (WAN)
+//! dials and the heartbeat dial, and both the real and the sim driver
+//! step that core.
 
 use std::time::Duration;
 

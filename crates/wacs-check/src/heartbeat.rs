@@ -12,6 +12,11 @@
 //! * `expired(now)` agrees with the definitional
 //!   `now - last_seen > timeout` at every reachable state.
 //! * ping sequence numbers are strictly increasing within the bound.
+//!
+//! Production runs this very machine: the outer server's sans-IO core
+//! (`nexus_proxy::core::OuterCore`) owns one for the dead-peer
+//! verdict of the heartbeat session, and both the real and the sim
+//! driver step that core.
 
 use std::time::Duration;
 

@@ -20,9 +20,17 @@
 //! * [`admission`] — `AdmissionGate`: capacity conservation (ghost
 //!   releases are no-ops); bounds respected; no admission after
 //!   drain.
-//! * [`bindsync`] — generation-counted bind-table sync: the
-//!   read-generation-first ordering never claims a current
-//!   generation for a stale table; synced generations are monotone.
+//!
+//!   (Those three machines are owned by `nexus_proxy::core`'s
+//!   `OuterCore`, which both the real and the sim outer server run:
+//!   the monitor, breaker and gate verified here are the ones
+//!   production executes.)
+//! * [`servers`] — `OuterCore` + `InnerCore` themselves, wired by a
+//!   nondeterministic network: admission slots match live peers
+//!   (released exactly once, zero at quiescence), nothing relays to an
+//!   unauthorized endpoint, no redirect to self, a shipped bind
+//!   generation is never ahead of its table, installed map
+//!   generations are monotone.
 //! * [`channel`] — the `wacs_sync` bounded channel's monitor
 //!   discipline: no lost wakeups (wedge-freedom) under the
 //!   notify-one-on-every-operation protocol.
@@ -54,13 +62,13 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod admission;
-pub mod bindsync;
 pub mod breaker;
 pub mod channel;
 pub mod chaos;
 pub mod explore;
 pub mod heartbeat;
 pub mod lockpair;
+pub mod servers;
 pub mod shard;
 pub mod stripe;
 
@@ -74,12 +82,12 @@ pub fn run_all(deep: bool) -> Vec<Report> {
         heartbeat::verify(deep),
         breaker::verify(deep),
         admission::verify(deep),
-        bindsync::verify(deep),
         channel::verify(deep),
         lockpair::verify(deep),
         shard::verify(deep),
         stripe::verify(deep),
         chaos::verify(deep),
+        servers::verify(deep),
     ]
 }
 

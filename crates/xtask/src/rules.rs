@@ -46,6 +46,9 @@ pub enum Rule {
     /// A `protocol::Msg` variant never built by the malformed-frame
     /// fuzz sweep (see `wsrules`).
     FrameCoverage,
+    /// The servers' sans-IO core (`nexus-proxy/src/core`) naming a
+    /// socket, thread, clock or simulator type (see `wsrules`).
+    CorePurity,
 }
 
 pub const ALL: &[Rule] = &[
@@ -61,6 +64,7 @@ pub const ALL: &[Rule] = &[
     Rule::LockOrder,
     Rule::CounterSchema,
     Rule::FrameCoverage,
+    Rule::CorePurity,
 ];
 
 impl Rule {
@@ -78,6 +82,7 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::CounterSchema => "counter-schema",
             Rule::FrameCoverage => "frame-coverage",
+            Rule::CorePurity => "core-purity",
         }
     }
 
@@ -112,6 +117,9 @@ impl Rule {
                 "every registered wacs-obs metric key must appear in EXPERIMENTS.md"
             }
             Rule::FrameCoverage => "every protocol::Msg variant must be hit by the fuzz sweep",
+            Rule::CorePurity => {
+                "nexus-proxy's core module names no socket, thread, clock or simulator type"
+            }
         }
     }
 }
@@ -361,15 +369,23 @@ fn std_sync_use_names_lock(line: &str) -> bool {
 /// Per-line flags: is this line inside a `#[cfg(test)]` / `#[test]`
 /// region? Determined by brace tracking on the masked source: a test
 /// attribute arms the tracker; the next `{` opens a region that ends
-/// when depth returns to its opening level. Shared with the
-/// workspace-level rules in `wsrules`.
+/// when depth returns to its opening level. A file-level
+/// `#![cfg(test)]` (a test module kept in a file of its own) makes
+/// everything after it test code. Shared with the workspace-level
+/// rules in `wsrules`.
 pub(crate) fn test_region_lines(masked: &str) -> Vec<bool> {
     let mut flags = Vec::new();
     let mut depth: i32 = 0;
     let mut armed = false;
+    let mut whole_file = false;
     // Depth at which each active test region opened.
     let mut regions: Vec<i32> = Vec::new();
     for line in masked.lines() {
+        whole_file |= depth == 0 && line.trim_start().starts_with("#![cfg(test)]");
+        if whole_file {
+            flags.push(true);
+            continue;
+        }
         let armed_at_line_start = armed;
         if is_test_attr(line) {
             armed = true;
@@ -455,6 +471,17 @@ mod tests {
 }
 ";
         assert!(rules_hit("crates/demo/src/lib.rs", src).is_empty());
+    }
+
+    /// A test module kept in a file of its own says so with a
+    /// file-level `#![cfg(test)]`; without it the same file is library
+    /// code.
+    #[test]
+    fn whole_file_test_modules_are_exempt() {
+        let body = "const CTRL: u16 = 5678;\nfn helper() { None::<u8>.unwrap(); }\n";
+        let marked = format!("//! Scenario tests.\n#![cfg(test)]\n{body}");
+        assert!(rules_hit("crates/demo/src/scenario.rs", &marked).is_empty());
+        assert_eq!(rules_hit("crates/demo/src/scenario.rs", body).len(), 2);
     }
 
     #[test]

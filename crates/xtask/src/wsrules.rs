@@ -1,7 +1,7 @@
 //! Workspace-level rules: analyses that need the whole file set (or
 //! files outside the library walk) rather than one file at a time.
 //!
-//! Three rules live here, all built on the token stream from
+//! Four rules live here, all built on the token stream from
 //! [`crate::lexer`]:
 //!
 //! * **`lock-order`** — a static lock-order graph over every
@@ -25,6 +25,12 @@
 //!   the malformed-frame fuzz sweep in `tests/transparency.rs`
 //!   (`random_msgs` builds one of each; a new variant that skips the
 //!   sweep is a decode path no fuzzing hits).
+//! * **`core-purity`** — the proxy servers' decision core
+//!   (`nexus-proxy/src/core.rs` or `core/`) is sans-IO by contract:
+//!   both the real and the sim driver, and the model checker, run it.
+//!   It may not name `std::net`, `std::thread`, `Instant`/`SystemTime`,
+//!   `netsim`, `firewall::vnet`, locks or atomics, and gets no
+//!   `lint:allow(bare-sleep)`.
 
 use crate::lexer::{lex, string_content, Token, TokenKind};
 use crate::rules::{test_region_lines, Rule, Violation};
@@ -75,6 +81,7 @@ pub fn analyze_workspace(
     graph.report_cycles(&mut violations);
 
     let frame_variants = check_frame_coverage(files, fuzz_sweep, &mut violations);
+    check_core_purity(files, &mut violations);
 
     WsReport {
         violations,
@@ -565,12 +572,18 @@ fn metric_fragments(source: &str, toks: &[Token], paren: usize) -> Vec<String> {
 // frame-coverage
 // ---------------------------------------------------------------------------
 
-/// On-the-wire frame enums and the files that define them: the relay
-/// control protocol and the stripe bulk-data frames. Every variant of
-/// each must be exercised by the transparency fuzz sweep.
-const FRAME_ENUMS: &[(&str, &str)] = &[
-    ("crates/nexus-proxy/src/protocol.rs", "Msg"),
-    ("crates/nexus-proxy/src/stripe.rs", "StripeFrame"),
+/// On-the-wire frame enums — `(file, declared name, name the sweep
+/// builds them under)`: the relay control protocol (generic over the
+/// host type; the wire alias is `Msg`) and the stripe bulk-data
+/// frames. Every variant of each must be exercised by the transparency
+/// fuzz sweep.
+const FRAME_ENUMS: &[(&str, &str, &str)] = &[
+    ("crates/nexus-proxy/src/protocol.rs", "CtrlMsg", "Msg"),
+    (
+        "crates/nexus-proxy/src/stripe.rs",
+        "StripeFrame",
+        "StripeFrame",
+    ),
 ];
 
 /// Every frame-enum variant must appear as `Enum::Variant` in the
@@ -582,16 +595,18 @@ fn check_frame_coverage(
 ) -> usize {
     FRAME_ENUMS
         .iter()
-        .map(|(path, name)| check_enum_coverage(files, fuzz_sweep, path, name, out))
+        .map(|(path, decl, used)| check_enum_coverage(files, fuzz_sweep, path, decl, used, out))
         .sum()
 }
 
-/// Check one `(file, enum)` pair against the sweep. Returns the
+/// Check one frame enum — declared as `decl` in `path`, built as
+/// `enum_name::Variant` by the sweep — against the sweep. Returns the
 /// variant count (0 when the file is absent from the walk).
 fn check_enum_coverage(
     files: &[(String, String)],
     fuzz_sweep: Option<&str>,
     path: &str,
+    decl: &str,
     enum_name: &str,
     out: &mut Vec<Violation>,
 ) -> usize {
@@ -599,7 +614,7 @@ fn check_enum_coverage(
         return 0;
     };
     let toks = code_tokens(source);
-    let variants = enum_variants(source, &toks, enum_name);
+    let variants = enum_variants(source, &toks, decl);
     let Some(sweep) = fuzz_sweep else {
         if !variants.is_empty() {
             out.push(Violation {
@@ -631,19 +646,39 @@ fn check_enum_coverage(
     variants.len()
 }
 
-/// Variant names (with lines) of `enum <name> { … }`.
+/// Variant names (with lines) of `enum <name> { … }` or
+/// `enum <name><…> { … }`.
 fn enum_variants(source: &str, toks: &[Token], name: &str) -> Vec<(String, usize)> {
     let mut out = Vec::new();
-    let Some(start) = (0..toks.len()).find(|&i| {
-        toks[i].kind == TokenKind::Ident
+    let Some(open) = (0..toks.len()).find_map(|i| {
+        let named = toks[i].kind == TokenKind::Ident
             && toks[i].text(source) == "enum"
-            && toks.get(i + 1).is_some_and(|t| t.text(source) == name)
-            && is_punct(toks.get(i + 2), source, "{")
+            && toks.get(i + 1).is_some_and(|t| t.text(source) == name);
+        if !named {
+            return None;
+        }
+        // Skip a generic parameter list between the name and the body.
+        let mut j = i + 2;
+        if is_punct(toks.get(j), source, "<") {
+            let mut angle = 0usize;
+            while let Some(t) = toks.get(j) {
+                match t.text(source) {
+                    "<" => angle += 1,
+                    ">" => angle -= 1,
+                    _ => {}
+                }
+                j += 1;
+                if angle == 0 {
+                    break;
+                }
+            }
+        }
+        is_punct(toks.get(j), source, "{").then_some(j)
     }) else {
         return out;
     };
     let mut depth = 1usize;
-    let mut j = start + 3;
+    let mut j = open + 1;
     let mut at_variant = true;
     while j < toks.len() && depth > 0 {
         let t = &toks[j];
@@ -709,6 +744,74 @@ fn enum_paths(source: &str, name: &str) -> BTreeSet<String> {
         }
     }
     out
+}
+
+// ---------------------------------------------------------------------------
+// core-purity
+// ---------------------------------------------------------------------------
+
+/// The sans-IO core: `core.rs`, or anything under `core/`.
+fn is_core_file(path: &str) -> bool {
+    path == "crates/nexus-proxy/src/core.rs" || path.starts_with("crates/nexus-proxy/src/core/")
+}
+
+/// Code spellings the core may not contain, with what each would let
+/// in. Matched against each line's code tokens joined without spaces.
+const CORE_FORBIDDEN: &[(&str, &str)] = &[
+    ("std::net", "sockets"),
+    ("TcpStream", "sockets"),
+    ("TcpListener", "sockets"),
+    ("std::thread", "threads"),
+    ("thread::", "threads"),
+    ("Instant", "a wall clock (callers pass `now`)"),
+    ("SystemTime", "a wall clock (callers pass `now`)"),
+    ("netsim", "the simulator"),
+    ("vnet", "the firewall-guarded socket layer"),
+    (
+        "OrderedMutex",
+        "a lock (each driver wraps the core in one of its own)",
+    ),
+    (
+        "Mutex",
+        "a lock (each driver wraps the core in one of its own)",
+    ),
+    ("atomic", "atomics (each driver wraps the core in one lock)"),
+];
+
+/// The core module must stay runnable by every driver and by the
+/// model checker: no I/O, thread, clock or simulator names, and no
+/// sleep allowance.
+fn check_core_purity(files: &[(String, String)], out: &mut Vec<Violation>) {
+    for (path, source) in files.iter().filter(|(p, _)| is_core_file(p)) {
+        let mut lines: BTreeMap<usize, String> = BTreeMap::new();
+        for t in lex(source).into_iter().filter(|t| !t.kind.is_trivia()) {
+            if matches!(t.kind, TokenKind::Ident | TokenKind::Punct) {
+                lines.entry(t.line).or_default().push_str(t.text(source));
+            }
+        }
+        for (line, code) in &lines {
+            // One report per line: the first spelling that matches.
+            if let Some((needle, what)) = CORE_FORBIDDEN.iter().find(|(n, _)| code.contains(n)) {
+                out.push(Violation {
+                    path: path.clone(),
+                    line: *line,
+                    rule: Rule::CorePurity,
+                    message: format!("the sans-IO core names `{needle}`: that is {what}"),
+                });
+            }
+        }
+        for (i, text) in source.lines().enumerate() {
+            if text.contains("lint:allow(bare-sleep)") {
+                out.push(Violation {
+                    path: path.clone(),
+                    line: i + 1,
+                    rule: Rule::CorePurity,
+                    message: "the sans-IO core gets no lint:allow(bare-sleep): it never sleeps"
+                        .to_string(),
+                });
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -919,7 +1022,7 @@ fn wire(reg: &wacs_obs::Registry, prefix: &str) {
     #[test]
     fn frame_coverage_flags_unfuzzed_variants() {
         let proto = r#"
-pub enum Msg {
+pub enum CtrlMsg {
     Ping { seq: u32 },
     Pong { seq: u32 },
     Busy(String),
@@ -936,6 +1039,79 @@ pub enum Msg {
         assert_eq!(r.violations[0].rule, Rule::FrameCoverage);
         assert!(r.violations[0].message.contains("Msg::Busy"));
         assert_eq!(r.frame_variants, 3);
+    }
+
+    /// The control-message enum is generic over the host type and the
+    /// sweep builds it through the `Msg` alias: extraction must see
+    /// through `<H>`, and a variant the sweep skips is still flagged.
+    #[test]
+    fn frame_coverage_sees_through_generics_and_the_alias() {
+        let proto = r#"
+pub enum CtrlMsg<H> {
+    ConnectReq { host: H, port: u16 },
+    BindSync { binds: Vec<(H, u16)> },
+    Busy,
+}
+pub type Msg = CtrlMsg<String>;
+"#;
+        let sweep = "fn random_msgs() { let a = Msg::ConnectReq { host: h, port: 1 }; \
+                     let b = Msg::Busy; }";
+        let r = ws(
+            &[("crates/nexus-proxy/src/protocol.rs", proto)],
+            Some(""),
+            Some(sweep),
+        );
+        assert_eq!(r.frame_variants, 3);
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+        assert_eq!(r.violations[0].rule, Rule::FrameCoverage);
+        assert!(r.violations[0].message.contains("Msg::BindSync"));
+    }
+
+    #[test]
+    fn core_purity_flags_io_clock_and_sleep_allowances() {
+        let dirty = r#"
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
+// Durations are fine; so is the word Instant in a comment.
+fn step(now: u64) {
+    let _ = netsim::SimTime(now);
+    std::thread::sleep(Duration::from_millis(1)); // lint:allow(bare-sleep)
+}
+"#;
+        let clean = "use std::time::Duration;\nfn step(now: u64) -> u64 { now }\n";
+        let r = ws(
+            &[
+                ("crates/nexus-proxy/src/core.rs", dirty),
+                (
+                    "crates/nexus-proxy/src/core/outer.rs",
+                    "use firewall::vnet::VNet;\n",
+                ),
+                ("crates/nexus-proxy/src/core/inner.rs", clean),
+                // The same names outside the core are nobody's business.
+                ("crates/nexus-proxy/src/outer.rs", dirty),
+            ],
+            Some(""),
+            Some(""),
+        );
+        let hits: Vec<(&str, usize)> = r
+            .violations
+            .iter()
+            .filter(|v| v.rule == Rule::CorePurity)
+            .map(|v| (v.path.as_str(), v.line))
+            .collect();
+        assert_eq!(
+            hits,
+            vec![
+                ("crates/nexus-proxy/src/core.rs", 2),
+                ("crates/nexus-proxy/src/core.rs", 3),
+                ("crates/nexus-proxy/src/core.rs", 6),
+                ("crates/nexus-proxy/src/core.rs", 7),
+                ("crates/nexus-proxy/src/core.rs", 7),
+                ("crates/nexus-proxy/src/core/outer.rs", 1),
+            ],
+            "{:?}",
+            r.violations
+        );
     }
 
     #[test]
@@ -959,8 +1135,8 @@ pub enum Msg {
     }
 
     /// The real workspace must be clean: zero cycles, all metric keys
-    /// documented, all frames fuzzed. This is the acceptance gate run
-    /// as a unit test.
+    /// documented, all frames fuzzed, the core pure. This is the
+    /// acceptance gate run as a unit test.
     #[test]
     fn real_workspace_is_clean() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
