@@ -2,7 +2,7 @@
 
 use crate::packet::Packet;
 use nexus::{Endpoint, NexusContext, Startpoint};
-use nexus_proxy::stripe::{Accept, Reassembler, StripeFrame, StripePlan, StripeStats};
+use nexus_proxy::stripe::{Accept, LaneSink, Reassembler, StripeFrame, StripePlan, StripeStats};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::Arc;
@@ -29,6 +29,22 @@ pub const ANY_SOURCE: Option<u32> = None;
 
 /// Receive any tag.
 pub const ANY_TAG: Option<i32> = None;
+
+/// One stripe lane over an attachment: every frame is a
+/// [`STRIPE_TAG`] packet (packet seq 0 — the stripe layer does its own
+/// dedup).
+struct PacketLane {
+    sp: Startpoint,
+    rank: u32,
+}
+
+impl LaneSink for PacketLane {
+    fn send_frame(&mut self, frame: &StripeFrame) -> io::Result<()> {
+        let body = frame.encode_body().map_err(io::Error::from)?;
+        self.sp
+            .send(&Packet::encode(self.rank, STRIPE_TAG, 0, &body))
+    }
+}
 
 /// Per-peer send-side state: the lazily attached startpoint plus the
 /// sequence number of the next frame to that peer.
@@ -263,88 +279,26 @@ impl Comm {
             *t += 1;
             id
         };
-        let result: io::Result<()> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(usize::from(stripes));
-            for stripe in 0..stripes {
-                let plan = &plan;
-                handles.push(scope.spawn(move || -> io::Result<()> {
-                    let mut attempt = 0u32;
-                    loop {
-                        match self.send_one_stripe(dest, tag, payload, plan, transfer, stripe) {
-                            Ok(()) => return Ok(()),
-                            Err(e) if attempt < STRIPE_REDIALS => {
-                                let _ = e;
-                                attempt += 1;
-                                *self.resends.lock() += 1;
-                                if let Some(o) = &self.obs {
-                                    o.resends.inc();
-                                    o.stripe.failovers.inc();
-                                    o.stripe.resent_chunks.add(plan.chunks_on(stripe));
-                                }
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(r) => r?,
-                    Err(_) => return Err(io::Error::other("stripe sender thread panicked")),
+        // Every lane (and every redial) is a fresh attachment.
+        let dial = |_stripe: u16, attempt: u32| {
+            if attempt > 0 {
+                *self.resends.lock() += 1;
+                if let Some(o) = &self.obs {
+                    o.resends.inc();
                 }
             }
-            Ok(())
-        });
-        result?;
+            Ok(PacketLane {
+                sp: self.attach(dest)?,
+                rank: self.rank,
+            })
+        };
+        let stats = self.obs.as_ref().map(|o| &o.stripe);
+        nexus_proxy::send_striped(payload, &plan, transfer, tag, STRIPE_REDIALS, stats, dial)?;
         *self.sent.lock() += 1;
         if let Some(o) = &self.obs {
-            o.stripe.chunks_sent.add(plan.chunk_count());
             o.send_ns.record(start.elapsed().as_nanos() as u64);
         }
         Ok(())
-    }
-
-    /// One attempt at one stripe: fresh attachment, `Open`, the
-    /// stripe's chunks in sequence order, `Fin`. Every frame is a
-    /// [`STRIPE_TAG`] packet (packet seq 0 — the stripe layer does
-    /// its own dedup).
-    fn send_one_stripe(
-        &self,
-        dest: u32,
-        tag: i32,
-        payload: &[u8],
-        plan: &StripePlan,
-        transfer: u64,
-        stripe: u16,
-    ) -> io::Result<()> {
-        let sp = self.attach(dest)?;
-        let send_frame = |f: &StripeFrame| -> io::Result<()> {
-            let body = f.encode_body().map_err(io::Error::from)?;
-            sp.send(&Packet::encode(self.rank, STRIPE_TAG, 0, &body))
-        };
-        send_frame(&StripeFrame::Open {
-            transfer,
-            stripe,
-            stripes: plan.stripes(),
-            chunk: plan.chunk_bytes(),
-            total_len: plan.total_len(),
-            tag,
-        })?;
-        for (seq, offset, len) in plan.iter_stripe(stripe) {
-            let start = offset as usize;
-            send_frame(&StripeFrame::Data {
-                transfer,
-                stripe,
-                seq,
-                offset,
-                bytes: payload[start..start + len as usize].to_vec(),
-            })?;
-        }
-        send_frame(&StripeFrame::Fin {
-            transfer,
-            stripe,
-            chunks: plan.chunks_on(stripe),
-        })
     }
 
     pub(crate) fn send_internal(&self, dest: u32, tag: i32, payload: &[u8]) -> io::Result<()> {

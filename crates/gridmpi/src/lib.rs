@@ -456,16 +456,22 @@ mod tests {
         let results = run_world(specs(&w, 1, 1), move |comm| {
             if comm.rank() == 0 {
                 comm.send_striped(1, 7, &payload, 4).unwrap();
-                // A second, small striped transfer on the same pair
-                // must get a fresh transfer id and arrive intact too.
-                comm.send_striped(1, 8, b"tail", 2).unwrap();
+                // Small striped transfers on the same pair must each get
+                // a fresh transfer id and arrive intact too. 4 B over
+                // two lanes leaves lane 1 without a chunk: it must not
+                // dial a receiver that may already have finished.
+                for _ in 0..200 {
+                    comm.send_striped(1, 8, b"tail", 2).unwrap();
+                }
                 Vec::new()
             } else {
                 let (src, tag, data) = comm.recv(Some(0), Some(7)).unwrap();
                 assert_eq!((src, tag), (0, 7));
-                let (_, _, tail) = comm.recv(Some(0), Some(8)).unwrap();
-                assert_eq!(tail, b"tail");
-                assert_eq!(comm.striped_completed(), 2);
+                for _ in 0..200 {
+                    let (_, _, tail) = comm.recv(Some(0), Some(8)).unwrap();
+                    assert_eq!(tail, b"tail");
+                }
+                assert_eq!(comm.striped_completed(), 201);
                 data
             }
         })

@@ -79,7 +79,7 @@ fn rig(items: usize) -> Rig {
         Box::new(MasterActor::new(
             inst.clone(),
             params,
-            env,
+            env.clone(),
             shared.clone(),
             "RWCP",
             3,

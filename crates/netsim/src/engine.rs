@@ -24,7 +24,7 @@ use crate::actor::{Actor, ActorId, Delivery, FlowEvent, Payload, SendError};
 use crate::event::EventQueue;
 use crate::fault::{ChunkFate, FaultPlan, FaultState, RestartFactory};
 use crate::flow::{
-    CloseReason, Flow, FlowEnd, FlowId, FlowState, PortError, PortTable, RefuseReason,
+    CloseReason, Draining, Flow, FlowEnd, FlowId, FlowState, PortError, PortTable, RefuseReason,
 };
 use crate::rng::SimRng;
 use crate::stats::Stats;
@@ -113,6 +113,7 @@ enum Event {
     Loopback {
         actor: ActorId,
         flow: FlowId,
+        forward: bool,
         msg: MsgDesc,
     },
     /// Fault injection: kill an actor abruptly.
@@ -280,6 +281,26 @@ impl World {
         );
         self.stats.messages_sent += 1;
     }
+
+    /// If an orderly closer sending `forward` on `flow` has nothing left
+    /// in flight, its peer now hears the close.
+    fn drained(&mut self, flow: FlowId, forward: bool) {
+        let Some(f) = self.flows.get_mut(&flow) else {
+            return;
+        };
+        if f.in_flight[usize::from(forward)] > 0 {
+            return;
+        }
+        let Some(d) = f.draining.filter(|d| d.forward == forward) else {
+            return;
+        };
+        f.draining = None;
+        let peer = if forward { f.b.actor } else { f.a.actor };
+        let at = self.now.max(d.not_before);
+        let reason = CloseReason::Peer;
+        self.queue
+            .schedule(at, Event::Flow(peer, FlowEvent::Closed { flow, reason }));
+    }
 }
 
 /// Handle given to actor callbacks.
@@ -445,6 +466,8 @@ impl<'w> Ctx<'w> {
             state: FlowState::Connecting,
             opened_at: now,
             messages: 0,
+            in_flight: [0; 2],
+            draining: None,
         };
         let rtt = SimDuration(self.world.topo.path_latency(&path).nanos() * 2);
         let done = now + rtt + self.world.config.connect_overhead;
@@ -514,6 +537,7 @@ impl<'w> Ctx<'w> {
             peer.actor,
         );
         f.messages += 1;
+        f.in_flight[usize::from(forward)] += 1;
         let path = f.path.clone();
         let msg = MsgDesc {
             size,
@@ -531,6 +555,7 @@ impl<'w> Ctx<'w> {
                 Event::Loopback {
                     actor: peer_actor,
                     flow,
+                    forward,
                     msg,
                 },
             );
@@ -581,7 +606,10 @@ impl<'w> Ctx<'w> {
         Ok(())
     }
 
-    /// Close a flow. The peer is notified after one-way latency.
+    /// Close a flow, orderly for the closer's direction: messages it
+    /// already sent are still delivered, and the peer hears
+    /// `Closed{Peer}` after the last of them (no earlier than one-way
+    /// latency from now). Traffic toward the closer is dropped.
     pub fn close(&mut self, flow: FlowId) {
         let me = self.actor;
         let now = self.world.now;
@@ -592,24 +620,18 @@ impl<'w> Ctx<'w> {
             return;
         }
         f.state = FlowState::Closed;
-        let peer_actor = match f.ends_for(me) {
-            Some((_, peer)) => peer.actor,
-            None => return,
-        };
-        let lat = self.world.topo.path_latency(&f.path);
+        if f.ends_for(me).is_none() {
+            return;
+        }
+        let forward = f.is_initiator(me);
+        f.draining = Some(Draining {
+            forward,
+            not_before: now + self.world.topo.path_latency(&f.path),
+        });
         let fc = f.clone();
         self.world.teardown_conntrack(&fc);
         self.world.stats.flows_closed += 1;
-        self.world.queue.schedule(
-            now + lat,
-            Event::Flow(
-                peer_actor,
-                FlowEvent::Closed {
-                    flow,
-                    reason: CloseReason::Peer,
-                },
-            ),
-        );
+        self.world.drained(flow, forward);
         self.world.queue.schedule(
             now,
             Event::Flow(
@@ -772,7 +794,7 @@ impl Simulator {
         self.actors[id].actor = None;
         self.world.ports.drop_actor(id);
         let now = self.world.now;
-        let broken: Vec<(FlowId, ActorId, Flow)> = self
+        let mut broken: Vec<(FlowId, ActorId, Flow)> = self
             .world
             .flows
             .values()
@@ -786,6 +808,9 @@ impl Simulator {
                 (f.id, peer, f.clone())
             })
             .collect();
+        // `flows` is a HashMap: the peers must hear their resets in an
+        // order that does not depend on its iteration.
+        broken.sort_by_key(|(fid, ..)| *fid);
         for (fid, peer, fc) in broken {
             if let Some(f) = self.world.flows.get_mut(&fid) {
                 f.state = FlowState::Closed;
@@ -883,7 +908,12 @@ impl Simulator {
                 }
                 self.with_actor(id, |a, ctx| a.on_flow(ctx, fe));
             }
-            Event::Loopback { actor, flow, msg } => {
+            Event::Loopback {
+                actor,
+                flow,
+                forward,
+                msg,
+            } => {
                 let now = self.world.now;
                 self.world.stats.record_delivery(msg.size, msg.sent_at, now);
                 if let Some(o) = &self.world.obs {
@@ -900,6 +930,7 @@ impl Simulator {
                         },
                     )
                 });
+                self.landed(flow, forward);
             }
             Event::Chunk(t) => self.handle_chunk(t),
             Event::FaultCrash(id) => {
@@ -946,6 +977,15 @@ impl Simulator {
             return;
         };
         if f.state == FlowState::Closed {
+            // An orderly close was still draining: what is left is
+            // lost, and the peer hears of the end now.
+            if let Some(d) = f.draining.take() {
+                let peer = if d.forward { f.b.actor } else { f.a.actor };
+                self.world.queue.schedule(
+                    now,
+                    Event::Flow(peer, FlowEvent::Closed { flow: fid, reason }),
+                );
+            }
             return;
         }
         f.state = FlowState::Closed;
@@ -1005,13 +1045,25 @@ impl Simulator {
         }
     }
 
+    /// A message travelling `forward` on `flow` was delivered.
+    fn landed(&mut self, flow: FlowId, forward: bool) {
+        if let Some(f) = self.world.flows.get_mut(&flow) {
+            let left = &mut f.in_flight[usize::from(forward)];
+            *left = left.saturating_sub(1);
+        }
+        self.world.drained(flow, forward);
+    }
+
     fn handle_chunk(&mut self, t: Transit) {
         let (path, nodes, recv_actor) = {
             let Some(f) = self.world.flows.get(&t.flow) else {
                 return; // flow evaporated (killed actor)
             };
-            if f.state == FlowState::Closed {
-                return; // drop in-flight traffic of dead flows
+            // Dead flows drop their in-flight traffic, except what an
+            // orderly closer had already sent.
+            let draining = f.draining.is_some_and(|d| d.forward == t.forward);
+            if f.state == FlowState::Closed && !draining {
+                return;
             }
             let recv = if t.forward { f.b.actor } else { f.a.actor };
             (f.path.clone(), f.nodes.clone(), recv)
@@ -1053,6 +1105,7 @@ impl Simulator {
                         },
                     )
                 });
+                self.landed(flow, t.forward);
             }
             return;
         }
@@ -1630,6 +1683,130 @@ mod tests {
         let spiked = rtt_with(Some(SimDuration::from_millis(5)));
         // 6 link traversals gain >= 5ms each.
         assert!(spiked > base + 29_000_000, "base {base} spiked {spiked}");
+    }
+
+    /// Sends one message and closes in the same step (what a server
+    /// does with a typed refusal), or just sends.
+    struct SendThen {
+        peer: (NodeId, u16),
+        close: bool,
+    }
+
+    impl Actor for SendThen {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.connect(self.peer, 0);
+        }
+        fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
+            if let FlowEvent::Connected { flow, .. } = ev {
+                ctx.send(flow, 20_000, ()).unwrap();
+                if self.close {
+                    ctx.close(flow);
+                }
+            }
+        }
+    }
+
+    /// Logs what reaches it, in order.
+    struct Witness {
+        log: Log,
+        port: u16,
+    }
+
+    impl Actor for Witness {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.listen(self.port).unwrap();
+        }
+        fn on_flow(&mut self, _ctx: &mut Ctx<'_>, ev: FlowEvent) {
+            if let FlowEvent::Closed { flow, reason } = ev {
+                self.log
+                    .lock()
+                    .push(format!("closed {} {reason:?}", flow.0));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
+            self.log.lock().push(format!("got {}", msg.size));
+            // Traffic toward the closer is dropped, not an error.
+            let _ = ctx.send(msg.flow, 1, ());
+        }
+    }
+
+    #[test]
+    fn close_is_orderly_for_the_closer_and_crash_still_resets() {
+        let run = |close: bool, crash: bool| {
+            let (t, ha, hb) = two_host_topo(None);
+            let mut sim = Simulator::new(t, NetConfig::default(), 1);
+            let log: Log = Arc::new(Mutex::new(Vec::new()));
+            sim.spawn(
+                hb,
+                Box::new(Witness {
+                    log: log.clone(),
+                    port: 5000,
+                }),
+            );
+            let sender = sim.spawn(
+                ha,
+                Box::new(SendThen {
+                    peer: (hb, 5000),
+                    close,
+                }),
+            );
+            if crash {
+                // 20 kB over the 1 MB/s link is still on the wire.
+                sim.run_until(SimTime(SimDuration::from_millis(10).nanos()));
+                sim.kill_actor(sender);
+            }
+            sim.run();
+            let out = log.lock().clone();
+            (out, sim.stats().messages_delivered)
+        };
+        // [Send x, Close] in one step: x arrives, then the close.
+        let (log, delivered) = run(true, false);
+        assert_eq!(log, vec!["got 20000", "closed 1 Peer"]);
+        assert_eq!(delivered, 1, "the reply toward the closer is dropped");
+        // A crash is abortive: what was in flight is gone.
+        let (log, _) = run(false, true);
+        assert_eq!(log, vec!["closed 1 PeerCrashed"]);
+    }
+
+    #[test]
+    fn kill_actor_resets_flows_in_flow_order() {
+        // One victim holding eight flows to eight peers on one host:
+        // the peers must hear `PeerCrashed` in ascending flow order, in
+        // every fresh simulator (the flow table is a HashMap).
+        struct Dialer {
+            peers: Vec<(NodeId, u16)>,
+        }
+        impl Actor for Dialer {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for (i, p) in self.peers.iter().enumerate() {
+                    ctx.connect(*p, i as u64);
+                }
+            }
+        }
+        let run = || {
+            let (t, ha, hb) = two_host_topo(None);
+            let mut sim = Simulator::new(t, NetConfig::default(), 1);
+            let log: Log = Arc::new(Mutex::new(Vec::new()));
+            let peers: Vec<(NodeId, u16)> = (0..8).map(|i| (hb, 5000 + i)).collect();
+            for (_, port) in &peers {
+                sim.spawn(
+                    hb,
+                    Box::new(Witness {
+                        log: log.clone(),
+                        port: *port,
+                    }),
+                );
+            }
+            let victim = sim.spawn(ha, Box::new(Dialer { peers }));
+            sim.run_until(SimTime(SimDuration::from_millis(50).nanos()));
+            sim.kill_actor(victim);
+            sim.run();
+            let out = log.lock().clone();
+            out
+        };
+        let want: Vec<String> = (1..=8).map(|f| format!("closed {f} PeerCrashed")).collect();
+        assert_eq!(run(), want);
+        assert_eq!(run(), want);
     }
 
     #[test]

@@ -69,6 +69,22 @@ pub struct Flow {
     pub opened_at: SimTime,
     /// Monotonic per-flow message sequence (diagnostics).
     pub messages: u64,
+    /// Messages sent and not yet delivered, per direction
+    /// (`[b→a, a→b]`).
+    pub in_flight: [u32; 2],
+    /// Set by an orderly close while the closer still has messages in
+    /// flight: they drain, then the peer hears `Closed`.
+    pub draining: Option<Draining>,
+}
+
+/// An orderly close waiting for the closer's last messages to land.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Draining {
+    /// The closer's send direction (true = a→b).
+    pub forward: bool,
+    /// Earliest time the peer may hear the close (one-way latency
+    /// after it was issued).
+    pub not_before: SimTime,
 }
 
 impl Flow {

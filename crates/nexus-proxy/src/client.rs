@@ -7,11 +7,10 @@
 //! variables `NEXUS_PROXY_OUTER_SERVER` and `NEXUS_PROXY_INNER_SERVER`
 //! are defined; otherwise, the original communication is done."
 
-use crate::core::shard_map;
+use crate::core::{ClientCore, ClientOp, Outcome, Refusal, Step};
 use crate::hook::{interpose, DialHook, DialLeg};
 use crate::liveness::BreakerConfig;
 use crate::protocol::Msg;
-use crate::shard::{bind_key, ShardRouter, ShardStats};
 use firewall::vnet::{VListener, VNet};
 use std::fmt;
 use std::io;
@@ -25,12 +24,10 @@ use wacs_sync::OrderedMutex;
 /// environment variables.
 #[derive(Debug, Clone, Default)]
 pub struct ProxyEnv {
-    /// `NEXUS_PROXY_OUTER_SERVER`: logical `(host, ctrl_port)`.
-    pub outer: Option<(String, u16)>,
-    /// Sharded outer fleet (DESIGN.md §6d). When set, bind and connect
-    /// pick a shard by rendezvous hashing and fail over down the
-    /// preference ladder; `outer` is ignored (each shard has its own
-    /// breaker inside the router).
+    /// `NEXUS_PROXY_OUTER_SERVER`: the outer servers to go through —
+    /// one, as in the paper, or a sharded fleet (DESIGN.md §6d). Bind
+    /// and connect pick a shard by rendezvous hashing and fail over
+    /// down the preference ladder. `None` means talk directly.
     pub fleet: Option<Arc<FleetRouter>>,
     /// Optional socket-level interposer (DESIGN.md §6f). `None` — the
     /// default — leaves every dial untouched.
@@ -42,20 +39,16 @@ impl ProxyEnv {
         ProxyEnv::default()
     }
 
+    /// Route through a single outer server: a fleet of one.
     pub fn via(outer_host: impl Into<String>, ctrl_port: u16) -> Self {
-        ProxyEnv {
-            outer: Some((outer_host.into(), ctrl_port)),
-            fleet: None,
-            dial_hook: None,
-        }
+        let members = vec![(outer_host.into(), ctrl_port)];
+        ProxyEnv::via_fleet(FleetRouter::new(members, BreakerConfig::default()))
     }
 
-    /// Route through a sharded outer fleet instead of a single outer
-    /// server. Share one [`FleetRouter`] per process so breaker state
-    /// accumulates across calls.
+    /// Route through a sharded outer fleet. Share one [`FleetRouter`]
+    /// per process so breaker state accumulates across calls.
     pub fn via_fleet(fleet: Arc<FleetRouter>) -> Self {
         ProxyEnv {
-            outer: None,
             fleet: Some(fleet),
             dial_hook: None,
         }
@@ -71,34 +64,25 @@ impl ProxyEnv {
     }
 
     pub fn enabled(&self) -> bool {
-        self.outer.is_some() || self.fleet.is_some()
+        self.fleet.is_some()
     }
 }
 
-/// Client-side view of the outer fleet: the shared [`ShardMap`] plus a
-/// circuit breaker per shard ([`ShardRouter`]), usable from many
-/// client threads at once.
+/// Client-side view of the outer fleet, usable from many client
+/// threads at once: the one [`ClientCore`] behind a lock, and the clock
+/// its breakers run on.
 pub struct FleetRouter {
-    /// Members (control endpoints, fleet order) and the router over
-    /// them — kept together under one lock so the address book can
-    /// never drift from the map it indexes.
-    state: OrderedMutex<FleetRouterState>,
+    core: OrderedMutex<ClientCore<String>>,
     registry: Registry,
-    stats: ShardStats,
     t0: Instant,
-}
-
-struct FleetRouterState {
-    members: Vec<(String, u16)>,
-    router: ShardRouter,
 }
 
 impl fmt::Debug for FleetRouter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock();
+        let core = self.core.lock();
         f.debug_struct("FleetRouter")
-            .field("members", &st.members)
-            .field("generation", &st.router.map().generation())
+            .field("members", &core.members())
+            .field("generation", &core.generation())
             .finish()
     }
 }
@@ -108,111 +92,123 @@ impl FleetRouter {
     /// breakers configured by `cfg`.
     pub fn new(members: Vec<(String, u16)>, cfg: BreakerConfig) -> Arc<FleetRouter> {
         let registry = Registry::new();
-        let stats = ShardStats::in_registry(&registry);
-        stats.map_generation.set(1);
-        let router = ShardRouter::new(shard_map(1, &members), cfg);
+        let mut core = ClientCore::new(members, cfg);
+        core.observe(&registry);
         Arc::new(FleetRouter {
-            state: OrderedMutex::new("nexus.client.fleet", FleetRouterState { members, router }),
+            core: OrderedMutex::new("nexus.client.fleet", core),
             registry,
-            stats,
             t0: Instant::now(),
         })
     }
 
-    fn now(&self) -> u64 {
-        self.t0.elapsed().as_nanos() as u64
+    /// One decision: the core, and now on its clock, under the lock.
+    fn step<R>(&self, f: impl FnOnce(&mut ClientCore<String>, u64) -> R) -> R {
+        let mut core = self.core.lock();
+        f(&mut core, self.t0.elapsed().as_nanos() as u64)
     }
 
     /// Install a strictly newer membership (e.g. relayed from a
     /// `ShardSync`). Breakers of unchanged shards keep their state.
     pub fn install(&self, generation: u64, members: Vec<(String, u16)>) -> bool {
-        let mut st = self.state.lock();
-        let map = shard_map(generation, &members);
-        if !st.router.install(map.generation(), map.tags().to_vec()) {
-            return false;
-        }
-        st.members = members;
-        self.stats.map_generation.set(generation as i64);
-        true
+        self.core.lock().install(generation, members)
     }
 
     pub fn generation(&self) -> u64 {
-        self.state.lock().router.map().generation()
+        self.core.lock().generation()
     }
 
     pub fn len(&self) -> usize {
-        self.state.lock().members.len()
+        self.core.lock().members().len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Best available shard for `key`: the highest-preference ladder
-    /// entry whose breaker admits a dial. `None` when every shard's
-    /// breaker is open.
-    fn route(&self, key: &[u8]) -> Option<(usize, (String, u16))> {
-        let now = self.now();
-        let mut st = self.state.lock();
-        let idx = st.router.route(key, now)?;
-        let addr = st.members.get(idx)?.clone();
-        Some((idx, addr))
-    }
-
-    fn index_of(&self, host: &str, port: u16) -> Option<usize> {
-        let st = self.state.lock();
-        st.members.iter().position(|(h, p)| h == host && *p == port)
-    }
-
-    /// HRW owner of `key` under the current map (breakers ignored).
-    fn owner(&self, key: &[u8]) -> Option<usize> {
-        self.state.lock().router.map().owner(key)
-    }
-
-    fn on_success(&self, idx: usize) {
-        self.state.lock().router.on_success(idx);
-    }
-
-    fn on_failure(&self, idx: usize) {
-        let now = self.now();
-        self.state.lock().router.on_failure(idx, now);
-    }
-
-    /// Does `host` name one of the fleet members? (Rendezvous
-    /// addresses live on member hosts and are dialed directly.)
-    fn has_member_host(&self, host: &str) -> bool {
-        self.state.lock().members.iter().any(|(h, _)| h == host)
-    }
-
     /// Snapshot of the `wacs.shard.*` client counters.
     pub fn obs_snapshot(&self) -> wacs_obs::RegistrySnapshot {
         self.registry.snapshot()
     }
+
+    /// Observe every decision of the core (conformance traces).
+    #[cfg(test)]
+    pub(crate) fn hooked(&self, hook: crate::core::ClientHook) {
+        self.core.lock().set_hook(hook);
+    }
 }
 
-/// Dial the single outer server's control port.
-fn dial_outer(
+/// Execute one operation's steps to the end: dial where the core says,
+/// send what it says, tell it what came back. Returns the connection
+/// the operation ended on and, for a bind, the rendezvous address.
+fn run(
     net: &VNet,
     env: &ProxyEnv,
-    from_host: &str,
-    outer_host: &str,
-    port: u16,
-) -> io::Result<TcpStream> {
-    interpose(
-        env.dial_hook.as_ref(),
-        DialLeg::ClientCtrl,
-        from_host,
-        outer_host,
-        port,
-        net.dial(from_host, outer_host, port),
-    )
+    fleet: &FleetRouter,
+    from: &str,
+    (mut op, mut step): (ClientOp<String>, Step<String>),
+) -> io::Result<(TcpStream, Option<(String, u16)>)> {
+    let hook = env.dial_hook.as_ref();
+    let dial = |leg, to: &(String, u16)| {
+        interpose(hook, leg, from, &to.0, to.1, net.dial(from, &to.0, to.1))
+    };
+    // The last rung's own error: what an exhausted ladder reports.
+    let mut last_err = None;
+    loop {
+        step = match step {
+            Step::Direct { to } => return Ok((dial(DialLeg::ClientData, &to)?, None)),
+            Step::Dial { to, leg, send } => match dial(leg, &to) {
+                Err(e) => {
+                    last_err = Some(e);
+                    fleet.step(|core, now| core.dial_failed(&mut op, now))
+                }
+                Ok(mut s) => match send.write_to(&mut s).and_then(|_| Msg::read_from(&mut s)) {
+                    Err(e) => {
+                        last_err = Some(e);
+                        fleet.step(|core, now| core.session_died(&mut op, now))
+                    }
+                    Ok(reply) => match fleet.step(|core, _| core.replied(&mut op, reply)) {
+                        Step::Done(Outcome::Connected) => return Ok((s, None)),
+                        Step::Done(Outcome::Bound { advertised }) => {
+                            return Ok((s, Some(advertised)))
+                        }
+                        next => next,
+                    },
+                },
+            },
+            Step::Done(Outcome::Refused(why)) => return Err(refusal(why, last_err)),
+            Step::Done(_) => return Err(refusal(Refusal::Unexpected, None)),
+        }
+    }
+}
+
+/// A typed refusal as the `io::Error` callers match on.
+fn refusal(why: Refusal, last_err: Option<io::Error>) -> io::Error {
+    use io::ErrorKind::*;
+    let (kind, text) = match why {
+        // `WouldBlock` tells callers a retry later may succeed.
+        Refusal::Busy => (WouldBlock, "outer server busy (admission control)".into()),
+        Refusal::Unreachable { detail } => (
+            ConnectionRefused,
+            format!("outer server could not reach the destination: {detail}"),
+        ),
+        Refusal::NoRendezvous => (
+            AddrNotAvailable,
+            "outer server could not allocate a rendezvous port".into(),
+        ),
+        Refusal::Unexpected => (InvalidData, "unexpected reply from the outer server".into()),
+        Refusal::Exhausted => {
+            return last_err
+                .unwrap_or_else(|| io::Error::new(ConnectionRefused, "no outer server to dial"))
+        }
+    };
+    io::Error::new(kind, text)
 }
 
 /// `NXProxyConnect`: "sends a connect request to the outer server and
 /// returns a file descriptor on which the client can communicate with
 /// the destination process."
 ///
-/// When the destination address already *names the outer server* (a
+/// When the destination address already *names an outer server* (a
 /// rendezvous address produced by [`nx_proxy_bind`] on the remote
 /// side), we connect straight to it — the rendezvous port is reachable
 /// by construction, and wrapping it in another `ConnectReq` would pump
@@ -223,53 +219,19 @@ pub fn nx_proxy_connect(
     from_host: &str,
     dst: (&str, u16),
 ) -> io::Result<TcpStream> {
-    let hook = env.dial_hook.as_ref();
-    if let Some(fleet) = &env.fleet {
-        return connect_via_fleet(net, fleet, from_host, dst, hook);
-    }
-    let Some((outer_host, ctrl_port)) = &env.outer else {
+    let dst = (dst.0.to_string(), dst.1);
+    let Some(fleet) = &env.fleet else {
         return interpose(
-            hook,
+            env.dial_hook.as_ref(),
             DialLeg::ClientData,
             from_host,
-            dst.0,
+            &dst.0,
             dst.1,
-            net.dial(from_host, dst.0, dst.1),
+            net.dial(from_host, &dst.0, dst.1),
         );
     };
-    if dst.0 == outer_host {
-        return interpose(
-            hook,
-            DialLeg::ClientData,
-            from_host,
-            dst.0,
-            dst.1,
-            net.dial(from_host, dst.0, dst.1),
-        );
-    }
-    let mut stream = dial_outer(net, env, from_host, outer_host, *ctrl_port)?;
-    Msg::ConnectReq {
-        host: dst.0.to_string(),
-        port: dst.1,
-    }
-    .write_to(&mut stream)?;
-    match Msg::read_from(&mut stream)? {
-        Msg::ConnectRep { ok: true, .. } => Ok(stream),
-        Msg::ConnectRep { ok: false, detail } => Err(io::Error::new(
-            io::ErrorKind::ConnectionRefused,
-            format!("outer server could not reach {}:{}: {detail}", dst.0, dst.1),
-        )),
-        // Typed admission-control refusal: the server is up but full;
-        // `WouldBlock` tells callers a retry later may succeed.
-        Msg::Busy => Err(io::Error::new(
-            io::ErrorKind::WouldBlock,
-            "outer server busy (admission control)",
-        )),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unexpected reply to ConnectReq",
-        )),
-    }
+    let start = fleet.step(|core, now| core.connect(now, dst));
+    run(net, env, fleet, from_host, start).map(|(stream, _)| stream)
 }
 
 /// The result of `NXProxyBind`: a listening endpoint plus the address
@@ -318,238 +280,17 @@ impl NxListener {
 /// a file descriptor on which the client can listen for requests."
 pub fn nx_proxy_bind(net: &VNet, env: &ProxyEnv, host: &str) -> io::Result<NxListener> {
     let private = net.bind(host, 0)?;
-    if let Some(fleet) = &env.fleet {
-        return bind_via_fleet(net, fleet, host, private, env.dial_hook.as_ref());
-    }
-    let Some((outer_host, ctrl_port)) = &env.outer else {
-        let advertised = private.logical_addr();
-        return Ok(NxListener {
-            advertised,
-            private,
-            _ctrl: None,
-        });
+    let Some(fleet) = &env.fleet else {
+        return Ok(NxListener::direct(private));
     };
-    let mut ctrl = dial_outer(net, env, host, outer_host, *ctrl_port)?;
-    Msg::BindReq {
-        host: host.to_string(),
-        port: private.logical_port(),
-        fallback: false,
-    }
-    .write_to(&mut ctrl)?;
-    match Msg::read_from(&mut ctrl)? {
-        Msg::BindRep { rdv_port } if rdv_port != 0 => Ok(NxListener {
-            advertised: (outer_host.clone(), rdv_port),
+    let me = (host.to_string(), private.logical_port());
+    let start = fleet.step(|core, now| core.bind(now, me, None));
+    match run(net, env, fleet, host, start)? {
+        (ctrl, Some(advertised)) => Ok(NxListener {
+            advertised,
             private,
             _ctrl: Some(ctrl),
         }),
-        Msg::BindRep { .. } => Err(io::Error::new(
-            io::ErrorKind::AddrNotAvailable,
-            "outer server could not allocate a rendezvous port",
-        )),
-        Msg::Busy => Err(io::Error::new(
-            io::ErrorKind::WouldBlock,
-            "outer server busy (admission control)",
-        )),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unexpected reply to BindReq",
-        )),
+        (_, None) => Err(refusal(Refusal::Unexpected, None)),
     }
-}
-
-fn all_shards_down() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::ConnectionRefused,
-        "all fleet shards unavailable (breakers open)",
-    )
-}
-
-/// Fleet `NXProxyBind`: walk the bind key's preference ladder —
-/// breakers skip shards known dead, a dial or session failure feeds
-/// the shard's breaker and descends to the next rung, and a `Redirect`
-/// re-aims at the owner the serving shard named. Attempts are bounded
-/// by twice the fleet size, so a stale map cannot loop forever.
-fn bind_via_fleet(
-    net: &VNet,
-    fleet: &FleetRouter,
-    host: &str,
-    private: VListener,
-    hook: Option<&DialHook>,
-) -> io::Result<NxListener> {
-    let key = bind_key(host, private.logical_port());
-    let mut target = fleet.route(&key).ok_or_else(all_shards_down)?;
-    // A request knowingly aimed at a non-owner (the owner's breaker is
-    // open or its dials fail) carries `fallback: true`, telling the
-    // shard to serve instead of redirecting us back to a dead owner.
-    // Redirect-follows send `false`: the redirecting shard named a
-    // live owner from a map at least as fresh as ours.
-    let mut fallback = fleet.owner(&key) != Some(target.0);
-    for _ in 0..(2 * fleet.len().max(1)) {
-        let (idx, (shard_host, ctrl_port)) = target;
-        let req = Msg::BindReq {
-            host: host.to_string(),
-            port: private.logical_port(),
-            fallback,
-        };
-        let dialed = interpose(
-            hook,
-            DialLeg::ClientCtrl,
-            host,
-            &shard_host,
-            ctrl_port,
-            net.dial(host, &shard_host, ctrl_port),
-        );
-        let mut ctrl = match dialed {
-            Ok(s) => {
-                fleet.on_success(idx);
-                s
-            }
-            Err(_) => {
-                fleet.on_failure(idx);
-                fleet.stats.failovers.inc();
-                target = fleet.route(&key).ok_or_else(all_shards_down)?;
-                fallback = fleet.owner(&key) != Some(target.0);
-                continue;
-            }
-        };
-        let reply = req
-            .write_to(&mut ctrl)
-            .and_then(|_| Msg::read_from(&mut ctrl));
-        match reply {
-            Ok(Msg::BindRep { rdv_port }) if rdv_port != 0 => {
-                return Ok(NxListener {
-                    advertised: (shard_host, rdv_port),
-                    private,
-                    _ctrl: Some(ctrl),
-                });
-            }
-            Ok(Msg::Redirect { host: oh, port: op }) => {
-                fleet.stats.redirects_followed.inc();
-                // The owner the serving shard named may not be in our
-                // (possibly stale) member list; follow the address
-                // regardless, falling back to the serving shard's
-                // index for breaker accounting.
-                let oidx = fleet.index_of(&oh, op).unwrap_or(idx);
-                target = (oidx, (oh, op));
-                fallback = false;
-            }
-            Ok(Msg::BindRep { .. }) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::AddrNotAvailable,
-                    "outer shard could not allocate a rendezvous port",
-                ));
-            }
-            Ok(Msg::Busy) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    "outer shard busy (admission control)",
-                ));
-            }
-            Ok(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "unexpected reply to BindReq",
-                ));
-            }
-            // The session died under us: the shard failed after the
-            // dial succeeded. Charge its breaker and descend.
-            Err(_) => {
-                fleet.on_failure(idx);
-                fleet.stats.failovers.inc();
-                target = fleet.route(&key).ok_or_else(all_shards_down)?;
-                fallback = fleet.owner(&key) != Some(target.0);
-            }
-        }
-    }
-    Err(io::Error::new(
-        io::ErrorKind::TimedOut,
-        "fleet bind gave up: redirect/failover budget exhausted",
-    ))
-}
-
-/// Fleet `NXProxyConnect`: rendezvous addresses (on a member host) are
-/// dialed directly, exactly like the single-outer fast path; anything
-/// else is proxied via the bind key's ladder with the same
-/// breaker-driven failover as [`bind_via_fleet`]. Any shard can serve
-/// a `ConnectReq` (active opens have no owner), so a typed refusal is
-/// final but a dead shard just means the next rung.
-fn connect_via_fleet(
-    net: &VNet,
-    fleet: &FleetRouter,
-    from_host: &str,
-    dst: (&str, u16),
-    hook: Option<&DialHook>,
-) -> io::Result<TcpStream> {
-    if fleet.has_member_host(dst.0) {
-        return interpose(
-            hook,
-            DialLeg::ClientData,
-            from_host,
-            dst.0,
-            dst.1,
-            net.dial(from_host, dst.0, dst.1),
-        );
-    }
-    let key = bind_key(dst.0, dst.1);
-    let req = Msg::ConnectReq {
-        host: dst.0.to_string(),
-        port: dst.1,
-    };
-    let mut target = fleet.route(&key).ok_or_else(all_shards_down)?;
-    for _ in 0..fleet.len().max(1) {
-        let (idx, (shard_host, ctrl_port)) = target;
-        let dialed = interpose(
-            hook,
-            DialLeg::ClientCtrl,
-            from_host,
-            &shard_host,
-            ctrl_port,
-            net.dial(from_host, &shard_host, ctrl_port),
-        );
-        let mut stream = match dialed {
-            Ok(s) => {
-                fleet.on_success(idx);
-                s
-            }
-            Err(_) => {
-                fleet.on_failure(idx);
-                fleet.stats.failovers.inc();
-                target = fleet.route(&key).ok_or_else(all_shards_down)?;
-                continue;
-            }
-        };
-        let reply = req
-            .write_to(&mut stream)
-            .and_then(|_| Msg::read_from(&mut stream));
-        match reply {
-            Ok(Msg::ConnectRep { ok: true, .. }) => return Ok(stream),
-            Ok(Msg::ConnectRep { ok: false, detail }) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionRefused,
-                    format!("outer shard could not reach {}:{}: {detail}", dst.0, dst.1),
-                ));
-            }
-            Ok(Msg::Busy) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    "outer shard busy (admission control)",
-                ));
-            }
-            Ok(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "unexpected reply to ConnectReq",
-                ));
-            }
-            Err(_) => {
-                fleet.on_failure(idx);
-                fleet.stats.failovers.inc();
-                target = fleet.route(&key).ok_or_else(all_shards_down)?;
-            }
-        }
-    }
-    Err(io::Error::new(
-        io::ErrorKind::TimedOut,
-        "fleet connect gave up: failover budget exhausted",
-    ))
 }

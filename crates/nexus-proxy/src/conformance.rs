@@ -11,15 +11,9 @@
 //! blanked (an `io::Error` string vs. a `RefuseReason`), and steps that
 //! produce no action are dropped — the sim hears an echo `Closed` for
 //! every flow it closes itself, a thread that drops a socket does not.
-//!
-//! One difference is the networks', not the drivers', and is folded
-//! away explicitly ([`refusal_as_close`]): `netsim`'s close is
-//! abortive, so a frame sent in the same step as a `Close` is dropped
-//! in flight. Where the real outer server reads the inner server's
-//! `RelayRep{ok:false}`, the sim one hears only the close behind it.
-//! The core fails the peer either way. (Sim *clients* lose `Busy`,
-//! `Redirect`, `ConnectRep{ok:false}` and `BindRep{0}` the same way and
-//! see a bare close; that predates the shared core.)
+//! Nothing else is folded: `netsim`'s close is orderly for the closer,
+//! so a refusal sent in the same step as the `Close` arrives in both
+//! worlds.
 
 #![cfg(test)]
 
@@ -204,7 +198,7 @@ fn check<H: PartialEq + Debug>(got: CtrlMsg<H>, want: &Want<H>, vars: &mut HashM
 
 // ----- traces ----------------------------------------------------------
 
-type Trace = Arc<Mutex<Vec<String>>>;
+pub(crate) type Trace = Arc<Mutex<Vec<String>>>;
 
 /// A hook that appends `event -> actions` (Debug-rendered) to `trace`.
 fn recorder<H: Debug + 'static>(trace: &Trace) -> StepHook<H> {
@@ -218,7 +212,13 @@ fn recorder<H: Debug + 'static>(trace: &Trace) -> StepHook<H> {
 
 /// Rewrite every `<key><digits>` in `line`: ids through `table` (by
 /// first appearance), ports only when ephemeral.
-fn renumber(line: &str, keys: &[&str], tag: &str, table: &mut Vec<u64>, ports: bool) -> String {
+pub(crate) fn renumber(
+    line: &str,
+    keys: &[&str],
+    tag: &str,
+    table: &mut Vec<u64>,
+    ports: bool,
+) -> String {
     let mut out = String::new();
     let mut rest = line;
     'scan: while !rest.is_empty() {
@@ -250,19 +250,6 @@ fn renumber(line: &str, keys: &[&str], tag: &str, table: &mut Vec<u64>, ports: b
     out
 }
 
-/// `Frame { conn: X, msg: RelayRep { ok: false } } -> [Close P, Close X]`
-/// as the sim network delivers it: `Closed { conn: X } -> [Close P]`.
-fn refusal_as_close(line: String) -> String {
-    let Some(rest) = line.strip_prefix("Frame { conn: ") else {
-        return line;
-    };
-    let Some((leg, rest)) = rest.split_once(", msg: RelayRep { ok: false } } -> [") else {
-        return line;
-    };
-    let peer = rest.split(", Close").next().unwrap_or(rest);
-    format!("Closed {{ conn: {leg} }} -> [{peer}]")
-}
-
 /// Normalise one server's trace (see the module doc). `hosts` maps each
 /// host's `Debug` spelling to its role name.
 fn normalise(trace: &Trace, hosts: &[(String, &str)]) -> Vec<String> {
@@ -284,13 +271,7 @@ fn normalise(trace: &Trace, hosts: &[(String, &str)]) -> Vec<String> {
             }
             let line = renumber(&line, &["conn: ", " a: ", " b: "], "c", &mut conns, false);
             let line = renumber(&line, &["dial: "], "d", &mut dials, false);
-            refusal_as_close(renumber(
-                &line,
-                &["port: Some(", "port: "],
-                "rdv",
-                &mut ports,
-                true,
-            ))
+            renumber(&line, &["port: Some(", "port: "], "rdv", &mut ports, true)
         })
         .collect()
 }
@@ -496,15 +477,14 @@ impl Edge {
                     ctx.connect(to, slot as u64);
                 }
                 Op::Send { slot, msg } => ctx.send(self.flow(slot), CTRL_MSG_BYTES, msg).unwrap(),
-                // netsim's close is abortive: a refusal sent in the same
-                // step as the server's `Close` is dropped in flight, and
-                // the client sees only the close. Nothing to check then.
                 Op::Expect { slot, want } => {
                     let flow = self.flow(slot);
                     match self.inbox.entry(flow).or_default().pop_front() {
                         Some(Got::Frame(msg)) => check(msg, &want, &mut self.vars),
                         Some(Got::Byte) => panic!("a byte where a frame was expected"),
-                        None if self.closed.contains(&flow) => {}
+                        None if self.closed.contains(&flow) => {
+                            panic!("slot {slot} closed before its reply arrived")
+                        }
                         None => return,
                     }
                 }

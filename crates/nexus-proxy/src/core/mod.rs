@@ -1,4 +1,7 @@
-//! The proxy servers' control plane as sans-IO state machines.
+//! The proxy's control plane as sans-IO state machines: the two
+//! servers here and in `outer`/`inner`, the client library's
+//! operations in `client` ([`ClientCore`], a pull-style machine — a
+//! linear operation needs no event/action executor).
 //!
 //! The outer and inner daemons make a dozen decisions (Fig. 3/4:
 //! admit, dial, rendezvous, `RelayReq`/`RelayRep`, bridge; §6b/§6d:
@@ -28,11 +31,13 @@
 //! * Each machine is wrapped by its driver in one lock (or owned by
 //!   one actor); there is no interior synchronisation here.
 
+mod client;
 mod inner;
 mod outer;
 #[cfg(test)]
 mod tests;
 
+pub use client::{ClientCore, ClientHook, ClientOp, Outcome, Refusal, Step};
 pub use inner::InnerCore;
 pub use outer::{OuterCore, OuterParams};
 

@@ -612,3 +612,195 @@ fn authorization_is_sliced_per_shard_and_follows_the_map() {
     assert_eq!(first(&mut i, 3, relay_req("sun", 4001)), refused(3));
     assert_eq!(counter(&reg, "wacs.shard.map_syncs"), 2);
 }
+
+// ----- the client ------------------------------------------------------
+
+fn client(hosts: &[&str]) -> (ClientCore<String>, Registry) {
+    let reg = Registry::new();
+    let members = hosts.iter().map(|h| ep(h, CTRL)).collect();
+    let mut c = ClientCore::new(members, BreakerConfig::default());
+    c.observe(&reg);
+    (c, reg)
+}
+
+fn dial(to: &str, send: CtrlMsg<String>) -> Step<String> {
+    Step::Dial {
+        to: ep(to, CTRL),
+        leg: DialLeg::ClientCtrl,
+        send,
+    }
+}
+
+fn refused(why: Refusal) -> Step<String> {
+    Step::Done(Outcome::Refused(why))
+}
+
+/// A private port of host `sun` whose bind key ladder over `c`'s
+/// members is `ladder` (member indexes, owner first).
+fn port_with_ladder(c: &ClientCore<String>, ladder: &[usize]) -> u16 {
+    let map = shard_map(1, c.members());
+    (4000..5000u16)
+        .find(|p| map.ladder(&"sun".to_string().shard_key(*p)) == ladder)
+        .unwrap()
+}
+
+/// A single outer server is a fleet of one: the frames of the paper's
+/// client, a rendezvous address dialed direct, and a breaker that never
+/// refuses the only member there is (L1).
+#[test]
+fn a_fleet_of_one_behaves_as_the_single_outer_server() {
+    let (mut c, _) = client(&["outer"]);
+    let (mut op, step) = c.connect(0, ep("etl", 7000));
+    assert_eq!(step, dial("outer", connect_req("etl", 7000)));
+    let ok = CtrlMsg::ConnectRep {
+        ok: true,
+        detail: String::new(),
+    };
+    assert_eq!(c.replied(&mut op, ok), Step::Done(Outcome::Connected));
+    let (mut op, step) = c.bind(0, ep("sun", 4000), None);
+    assert_eq!(step, dial("outer", bind_req("sun", 4000, false)));
+    let advertised = ep("outer", 40001);
+    assert_eq!(
+        c.replied(&mut op, CtrlMsg::BindRep { rdv_port: 40001 }),
+        Step::Done(Outcome::Bound { advertised })
+    );
+    let to = ep("outer", 40001);
+    assert_eq!(c.connect(0, to.clone()).1, Step::Direct { to });
+    // Three dead dials open the breaker; the fourth call dials anyway,
+    // and an exhausted ladder is typed (the dial's own error stands).
+    for n in 0..4 {
+        let (mut op, step) = c.connect(n, ep("etl", 7000));
+        assert_eq!(step, dial("outer", connect_req("etl", 7000)), "call {n}");
+        assert_eq!(c.dial_failed(&mut op, n), refused(Refusal::Exhausted));
+    }
+    assert_eq!(c.breaker_state(0), Some(BreakerState::Open));
+}
+
+/// L2: one operation dials each member at most once, descending the
+/// ladder with `fallback: true`, so a dead owner costs one failed dial
+/// — not `threshold` calls — before the live shard is reached.
+#[test]
+fn one_operation_walks_the_ladder_once_with_the_fallback_flag() {
+    let (mut c, reg) = client(&["outer0", "outer1", "outer2"]);
+    let port = port_with_ladder(&c, &[1, 2, 0]);
+    let (mut op, step) = c.bind(0, ep("sun", port), None);
+    assert_eq!(step, dial("outer1", bind_req("sun", port, false)));
+    assert_eq!(
+        c.dial_failed(&mut op, 1),
+        dial("outer2", bind_req("sun", port, true))
+    );
+    assert_eq!(
+        c.session_died(&mut op, 2),
+        dial("outer0", bind_req("sun", port, true))
+    );
+    assert_eq!(c.dial_failed(&mut op, 3), refused(Refusal::Exhausted));
+    assert_eq!(counter(&reg, "wacs.shard.failovers"), 3);
+    // L3: connects feed the same breakers. Two more failures open the
+    // owner's; the next bind starts one rung down, knowingly.
+    let key_port = (7000..8000u16)
+        .find(|p| shard_map(1, c.members()).owner(&"etl".to_string().shard_key(*p)) == Some(1))
+        .unwrap();
+    for n in 0..2 {
+        let (mut op, step) = c.connect(10 + n, ep("etl", key_port));
+        assert_eq!(step, dial("outer1", connect_req("etl", key_port)));
+        let ok = CtrlMsg::ConnectRep {
+            ok: true,
+            detail: String::new(),
+        };
+        assert!(matches!(c.dial_failed(&mut op, 10 + n), Step::Dial { .. }));
+        assert_eq!(c.replied(&mut op, ok), Step::Done(Outcome::Connected));
+    }
+    assert_eq!(c.breaker_state(1), Some(BreakerState::Open));
+    let (_, step) = c.bind(20, ep("sun", port), None);
+    assert_eq!(step, dial("outer2", bind_req("sun", port, true)));
+}
+
+/// L5: a `Redirect` is followed once, with `fallback: false`, to an
+/// address that need not be in the local map; the shard that sent it is
+/// alive, not failed; a second one ends the operation.
+#[test]
+fn a_redirect_is_followed_once_even_off_the_map() {
+    let (mut c, reg) = client(&["outer0", "outer1"]);
+    let port = port_with_ladder(&c, &[0, 1]);
+    let redirect = |to: &str| CtrlMsg::Redirect {
+        host: to.into(),
+        port: CTRL,
+    };
+    let (mut op, _) = c.bind(0, ep("sun", port), None);
+    assert_eq!(
+        c.replied(&mut op, redirect("ghost")),
+        dial("ghost", bind_req("sun", port, false))
+    );
+    assert_eq!(counter(&reg, "wacs.shard.redirects_followed"), 1);
+    assert_eq!(counter(&reg, "wacs.shard.failovers"), 0);
+    assert_eq!(c.breaker_state(0), Some(BreakerState::Closed));
+    assert_eq!(
+        c.replied(&mut op, redirect("outer1")),
+        refused(Refusal::Unexpected)
+    );
+    // The named owner is dead: the rest of the ladder, once each.
+    let (mut op, _) = c.bind(0, ep("sun", port), None);
+    c.replied(&mut op, redirect("ghost"));
+    assert_eq!(
+        c.dial_failed(&mut op, 1),
+        dial("outer1", bind_req("sun", port, true))
+    );
+    let advertised = ep("outer1", 40002);
+    assert_eq!(
+        c.replied(&mut op, CtrlMsg::BindRep { rdv_port: 40002 }),
+        Step::Done(Outcome::Bound { advertised })
+    );
+}
+
+/// L4: refusals are typed and final; what to do next is the caller's.
+#[test]
+fn refusals_end_the_operation_with_a_typed_reason() {
+    let (mut c, reg) = client(&["outer0", "outer1"]);
+    let detail = "no route".to_string();
+    let unreachable = CtrlMsg::ConnectRep {
+        ok: false,
+        detail: detail.clone(),
+    };
+    for (reply, why) in [
+        (CtrlMsg::Busy, Refusal::Busy),
+        (unreachable, Refusal::Unreachable { detail }),
+        (CtrlMsg::BindRep { rdv_port: 9 }, Refusal::Unexpected),
+    ] {
+        let (mut op, _) = c.connect(0, ep("etl", 7000));
+        assert_eq!(c.replied(&mut op, reply), refused(why));
+    }
+    for (reply, why) in [
+        (CtrlMsg::Busy, Refusal::Busy),
+        (CtrlMsg::BindRep { rdv_port: 0 }, Refusal::NoRendezvous),
+        (CtrlMsg::Pong { seq: 1 }, Refusal::Unexpected),
+    ] {
+        let (mut op, _) = c.bind(0, ep("sun", 4000), None);
+        assert_eq!(c.replied(&mut op, reply), refused(why));
+    }
+    assert_eq!(counter(&reg, "wacs.shard.failovers"), 0);
+}
+
+/// A striped bind's lane starts at shard `lane % len` and fails over in
+/// ring order; installs keep the address book and the map together.
+#[test]
+fn lane_binds_walk_the_ring_and_installs_are_monotone() {
+    let (mut c, reg) = client(&["outer0", "outer1", "outer2"]);
+    let port = port_with_ladder(&c, &[1, 2, 0]);
+    let (mut op, step) = c.bind(0, ep("sun", port), Some(5));
+    assert_eq!(step, dial("outer2", bind_req("sun", port, true)));
+    assert_eq!(
+        c.dial_failed(&mut op, 0),
+        dial("outer0", bind_req("sun", port, true))
+    );
+    assert_eq!(
+        c.dial_failed(&mut op, 0),
+        dial("outer1", bind_req("sun", port, false))
+    );
+    assert!(!c.install(1, vec![]));
+    assert!(c.install(2, vec![ep("outer2", CTRL)]));
+    assert_eq!((c.generation(), c.members().len()), (2, 1));
+    let snap = reg.snapshot();
+    assert_eq!(snap.gauges.get("wacs.shard.map_generation"), Some(&2));
+    let (_, step) = c.bind(0, ep("sun", port), Some(5));
+    assert_eq!(step, dial("outer2", bind_req("sun", port, false)));
+}

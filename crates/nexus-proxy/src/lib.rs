@@ -26,6 +26,8 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 pub mod client;
 #[cfg(test)]
+mod client_conformance;
+#[cfg(test)]
 mod conformance;
 pub mod core;
 pub mod hook;

@@ -206,12 +206,12 @@ impl ShardRouter {
         &self.map
     }
 
-    /// First rung of `key`'s ladder whose breaker admits a dial at
-    /// `now`. `None` means every shard is breaker-open: fail fast and
-    /// let the caller's retry policy pace the next attempt.
-    pub fn route(&mut self, key: &[u8], now: u64) -> Option<usize> {
+    /// First rung of `key`'s ladder, not among `tried`, whose breaker
+    /// admits a dial at `now`. `None` means every remaining shard is
+    /// breaker-open.
+    pub fn route(&mut self, key: &[u8], now: u64, tried: &[usize]) -> Option<usize> {
         let ladder = self.map.ladder(key);
-        ladder.into_iter().find(|&i| self.breakers[i].allow(now))
+        self.first_admitted(ladder.into_iter(), now, tried)
     }
 
     /// Like [`ShardRouter::route`], but head the ladder at `start %
@@ -219,16 +219,19 @@ impl ShardRouter {
     /// HRW weight. A striped bulk transfer pins lane *i* to shard `i %
     /// len` this way, so K lanes spread over K shards by construction
     /// (GridFTP-style parallel streams) rather than by hash luck,
-    /// while breakers still skip members known dead. `None` when the
-    /// map is empty or every breaker is open.
-    pub fn route_from(&mut self, start: usize, now: u64) -> Option<usize> {
+    /// while breakers still skip members known dead.
+    pub fn route_from(&mut self, start: usize, now: u64, tried: &[usize]) -> Option<usize> {
         let n = self.map.len();
-        if n == 0 {
-            return None;
-        }
-        (0..n)
-            .map(|o| (start + o) % n)
-            .find(|&i| self.breakers[i].allow(now))
+        self.first_admitted((0..n).map(|o| (start + o) % n), now, tried)
+    }
+
+    fn first_admitted(
+        &mut self,
+        mut ladder: impl Iterator<Item = usize>,
+        now: u64,
+        tried: &[usize],
+    ) -> Option<usize> {
+        ladder.find(|i| !tried.contains(i) && self.breakers[*i].allow(now))
     }
 
     pub fn on_success(&mut self, idx: usize) {
@@ -454,18 +457,20 @@ mod tests {
         let mut r = ShardRouter::new(map4(), cfg);
         let key = bind_key("rwcp-sun", 40007);
         let ladder = r.map().ladder(&key);
-        assert_eq!(r.route(&key, 0), Some(ladder[0]));
+        assert_eq!(r.route(&key, 0, &[]), Some(ladder[0]));
         // Trip the owner's breaker: the router moves to rung 1.
         r.on_failure(ladder[0], 0);
         r.on_failure(ladder[0], 1);
-        assert_eq!(r.route(&key, 2), Some(ladder[1]));
+        assert_eq!(r.route(&key, 2, &[]), Some(ladder[1]));
         // Trip rung 1 too: rung 2.
         r.on_failure(ladder[1], 2);
         r.on_failure(ladder[1], 3);
-        assert_eq!(r.route(&key, 4), Some(ladder[2]));
+        assert_eq!(r.route(&key, 4, &[]), Some(ladder[2]));
+        // A rung this operation already dialed is passed over.
+        assert_eq!(r.route(&key, 4, &[ladder[2]]), Some(ladder[3]));
         // After the cooldown the owner is probed again (half-open).
         let later = Duration::from_secs(6).as_nanos() as u64;
-        assert_eq!(r.route(&key, later), Some(ladder[0]));
+        assert_eq!(r.route(&key, later, &[]), Some(ladder[0]));
     }
 
     #[test]
@@ -477,19 +482,19 @@ mod tests {
         let mut r = ShardRouter::new(map4(), cfg);
         // Lane affinity is positional, not hashed: lane i starts at
         // shard i % len and wraps.
-        assert_eq!(r.route_from(2, 0), Some(2));
-        assert_eq!(r.route_from(6, 0), Some(2));
+        assert_eq!(r.route_from(2, 0, &[]), Some(2));
+        assert_eq!(r.route_from(6, 0, &[]), Some(2));
         // A dead start rung falls over in ring order.
         r.on_failure(2, 0);
-        assert_eq!(r.route_from(2, 1), Some(3));
+        assert_eq!(r.route_from(2, 1, &[]), Some(3));
         r.on_failure(3, 1);
-        assert_eq!(r.route_from(2, 2), Some(0));
+        assert_eq!(r.route_from(2, 2, &[]), Some(0));
         // All open → None; after the cooldown the start rung probes.
         r.on_failure(0, 2);
         r.on_failure(1, 2);
-        assert_eq!(r.route_from(2, 3), None);
+        assert_eq!(r.route_from(2, 3, &[]), None);
         let later = Duration::from_secs(6).as_nanos() as u64;
-        assert_eq!(r.route_from(2, later), Some(2));
+        assert_eq!(r.route_from(2, later, &[]), Some(2));
     }
 
     #[test]
@@ -503,7 +508,7 @@ mod tests {
         for i in 0..4 {
             r.on_failure(i, 0);
         }
-        assert_eq!(r.route(&key, 1), None);
+        assert_eq!(r.route(&key, 1, &[]), None);
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //! [`NxClient`], which consumes proxy-internal traffic and hands
 //! everything else back. This mirrors how the paper patched Globus:
 //! the application still sees connect/accept semantics; the proxy
-//! plumbing is hidden below.
+//! plumbing is hidden below. Which relay an operation dials and how it
+//! ends is decided by [`crate::core::ClientCore`], the same code the
+//! real client runs; this file is its event-driven driver.
 //!
 //! ## Recovery
 //!
 //! The relay chain can fail independently of the endpoints (outer
-//! server crash, WAN loss). The client machine therefore retries
-//! failed dials and unanswered control requests with bounded
+//! server crash, WAN loss). One operation walks the fleet ladder once;
+//! when it ends refused the client machine starts another with bounded
 //! exponential backoff + jitter ([`RetryPolicy`], seeded via the
 //! world's [`netsim::rng::SimRng`], so recovery is deterministic), and
 //! re-issues its `BindReq` when the bind control flow drops — the
@@ -22,10 +24,9 @@
 //! back. Owners must forward unrecognized timer tokens through
 //! [`NxClient::on_timer`] (gate on [`NxClient::owns_timer`]).
 
-use super::{sim_shard_key, SimMsg, CTRL_MSG_BYTES};
-use crate::core::shard_map;
-use crate::liveness::BreakerConfig;
-use crate::shard::{ShardRouter, ShardStats};
+use super::{SimMsg, CTRL_MSG_BYTES};
+use crate::core::{ClientCore, ClientOp, Outcome, Step};
+use crate::liveness::{BreakerConfig, BreakerState};
 use netsim::prelude::*;
 use std::collections::HashMap;
 use wacs_obs::{Counter, Histogram, Registry};
@@ -44,19 +45,23 @@ enum SegMsg {
     Last { total: u64, payload: Payload },
 }
 
-/// Sim analogue of the `NEXUS_PROXY_OUTER_SERVER` environment variable.
-#[derive(Debug, Clone, Copy, Default)]
+/// Sim analogue of the `NEXUS_PROXY_OUTER_SERVER` environment variable:
+/// the outer servers to go through (none = talk directly).
+#[derive(Debug, Clone, Default)]
 pub struct SimProxyEnv {
-    pub outer: Option<(NodeId, u16)>,
+    members: Vec<(NodeId, u16)>,
 }
 
 impl SimProxyEnv {
     pub fn direct() -> Self {
-        SimProxyEnv { outer: None }
+        SimProxyEnv::default()
     }
 
+    /// Route through a single outer server: a fleet of one.
     pub fn via(outer: (NodeId, u16)) -> Self {
-        SimProxyEnv { outer: Some(outer) }
+        SimProxyEnv {
+            members: vec![outer],
+        }
     }
 }
 
@@ -130,82 +135,46 @@ pub enum NxHandled {
 /// stay below this).
 pub const NX_TOKEN_BASE: u64 = 1 << 62;
 
+/// What one operation is for.
+#[derive(Clone, Copy)]
+enum Goal {
+    Connect { user_token: u64, dst: (NodeId, u16) },
+    Bind { client_port: u16 },
+}
+
+/// A dial in progress, by connect token.
 enum Pending {
-    /// Dialing the outer server to issue a ConnectReq toward `dst`.
-    OuterForConnect {
-        user_token: u64,
-        dst: (NodeId, u16),
+    /// A plain connect (direct mode, or straight to a rendezvous
+    /// address): the flow itself is the result.
+    Direct { goal: Goal, attempt: u32 },
+    /// One rung of a proxied operation: `send` goes out once connected.
+    Rung {
+        goal: Goal,
         attempt: u32,
-    },
-    /// Plain connect (direct, or straight to a rendezvous address).
-    Direct {
-        user_token: u64,
-        dst: (NodeId, u16),
-        attempt: u32,
-    },
-    /// Dialing the outer server to register a bind of `client_port`.
-    OuterForBind { client_port: u16, attempt: u32 },
-    /// Dialing fleet shard `idx` (at `shard`) to register a bind of
-    /// `client_port`. `fallback` is set when the client knowingly
-    /// addresses a non-owner (the owner's breaker is open), telling
-    /// the shard to serve rather than redirect.
-    FleetForBind {
-        client_port: u16,
-        attempt: u32,
-        idx: usize,
-        shard: (NodeId, u16),
-        fallback: bool,
+        op: ClientOp<NodeId>,
+        send: SimMsg,
     },
 }
 
 /// Deferred work attached to a timer token.
 enum RetryAction {
-    Connect {
-        user_token: u64,
-        dst: (NodeId, u16),
-        attempt: u32,
-    },
-    Bind {
-        client_port: u16,
-        attempt: u32,
-    },
-    ConnectDeadline {
-        flow: FlowId,
-    },
-    BindDeadline {
-        flow: FlowId,
-    },
+    /// Start operation number `attempt` for `goal`.
+    Start { goal: Goal, attempt: u32 },
+    /// No reply on `flow` within the policy's deadline.
+    Deadline { flow: FlowId },
 }
 
-/// A control flow awaiting a `ConnectRep`.
-struct AwaitRep {
-    user_token: u64,
-    dst: (NodeId, u16),
+/// A control flow awaiting its `ConnectRep`/`BindRep`.
+struct Awaiting {
+    goal: Goal,
     attempt: u32,
+    op: ClientOp<NodeId>,
     deadline_token: u64,
-}
-
-/// The control flow awaiting a `BindRep`.
-struct BindAwait {
-    flow: FlowId,
-    client_port: u16,
-    attempt: u32,
-    deadline_token: u64,
-    /// Fleet mode: the shard serving this bind, as `(index, node)` —
-    /// the node becomes the advertised rendezvous host on success and
-    /// the index is charged on failure.
-    shard: Option<(usize, NodeId)>,
-}
-
-/// Client-side fleet state: member endpoints plus the breaker-gated
-/// HRW router (the sim twin of the real path's `FleetRouter`).
-struct SimFleetClient {
-    members: Vec<(NodeId, u16)>,
-    router: ShardRouter,
 }
 
 /// Registry handles for the client machine's spans and counters.
 struct ClientObs {
+    registry: Registry,
     /// `connect()` call → `Connected`/`Refused` (retries included).
     handshake_ns: Histogram,
     /// `bind()` call (or re-bind start) → `Bound`.
@@ -214,18 +183,17 @@ struct ClientObs {
     rebinds: Counter,
 }
 
-/// The embedded client state machine.
+/// The embedded client state machine: the event-driven driver of
+/// [`ClientCore`]. The core decides where every operation dials and how
+/// it ends; this machine owns what only an event-driven owner needs —
+/// pacing between operations ([`RetryPolicy`]), reply deadlines,
+/// re-binding after a lost registration, segmentation, spans.
 pub struct NxClient {
-    env: SimProxyEnv,
-    /// When set, binds route across the outer-shard fleet instead of
-    /// `env.outer` (DESIGN.md §6d).
-    fleet: Option<SimFleetClient>,
+    /// `None` in direct mode.
+    core: Option<ClientCore<NodeId>>,
     policy: RetryPolicy,
     pending: HashMap<u64, Pending>,
-    /// Flows awaiting a `ConnectRep`.
-    await_rep: HashMap<FlowId, AwaitRep>,
-    /// Control flow awaiting a `BindRep`.
-    bind_await: Option<BindAwait>,
+    awaiting: HashMap<FlowId, Awaiting>,
     /// Keeps the registration alive (closing it withdraws the
     /// rendezvous port).
     bind_ctrl: Option<FlowId>,
@@ -236,14 +204,12 @@ pub struct NxClient {
     retries: u64,
     rebinds: u64,
     obs: Option<ClientObs>,
-    shard_obs: Option<ShardStats>,
     /// user token → when its `connect()` was issued (span bookkeeping;
     /// survives retries because retries keep the user token).
     connect_started: HashMap<u64, SimTime>,
     /// When the current bind (or re-bind) was started.
     bind_started: Option<SimTime>,
-    /// Fleet binds pinned to shard `lane % members` (ring-order
-    /// failover) instead of the HRW ladder — see
+    /// Binds pinned to shard `lane % members` — see
     /// [`NxClient::with_bind_lane`].
     bind_lane: Option<u16>,
 }
@@ -254,13 +220,11 @@ impl NxClient {
     }
 
     pub fn with_policy(env: SimProxyEnv, policy: RetryPolicy) -> Self {
-        NxClient {
-            env,
-            fleet: None,
+        let client = NxClient {
+            core: None,
             policy,
             pending: HashMap::new(),
-            await_rep: HashMap::new(),
-            bind_await: None,
+            awaiting: HashMap::new(),
             bind_ctrl: None,
             private_port: None,
             timers: HashMap::new(),
@@ -268,31 +232,36 @@ impl NxClient {
             retries: 0,
             rebinds: 0,
             obs: None,
-            shard_obs: None,
             connect_started: HashMap::new(),
             bind_started: None,
             bind_lane: None,
+        };
+        if env.members.is_empty() {
+            client
+        } else {
+            client.with_fleet(env.members)
         }
     }
 
-    /// Route binds (and proxied connects) across an outer-shard fleet
-    /// instead of `env.outer`: HRW ownership picks the shard, per-shard
-    /// circuit breakers drive failover, and member hosts are still
-    /// dialed directly for rendezvous connects.
+    /// Route binds and proxied connects across an outer-shard fleet:
+    /// HRW ownership picks the shard, per-shard circuit breakers drive
+    /// failover, and member hosts are dialed directly for rendezvous
+    /// connects (DESIGN.md §6d).
     pub fn with_fleet(mut self, members: Vec<(NodeId, u16)>) -> Self {
-        let router = ShardRouter::new(shard_map(1, &members), BreakerConfig::default());
-        self.fleet = Some(SimFleetClient { members, router });
+        let mut core = ClientCore::new(members, BreakerConfig::default());
+        if let Some(o) = &self.obs {
+            core.observe(&o.registry);
+        }
+        self.core = Some(core);
         self
     }
 
-    /// Pin this client's fleet binds to shard `lane % members`,
-    /// falling over in ring order past breaker-open members
-    /// ([`ShardRouter::route_from`]) instead of walking the bind key's
-    /// HRW ladder. A striped transfer gives each stripe lane its own
-    /// index, so K lanes land on K distinct shards by construction —
-    /// parallel relay queues are the whole point of striping, and hash
-    /// placement can collide lanes onto one shard. No effect outside
-    /// fleet mode.
+    /// Pin this client's binds to shard `lane % members`, falling over
+    /// in ring order past breaker-open members instead of walking the
+    /// bind key's HRW ladder. A striped transfer gives each stripe lane
+    /// its own index, so K lanes land on K distinct shards by
+    /// construction — parallel relay queues are the whole point of
+    /// striping, and hash placement can collide lanes onto one shard.
     #[must_use]
     pub fn with_bind_lane(mut self, lane: u16) -> Self {
         self.bind_lane = Some(lane);
@@ -304,16 +273,25 @@ impl NxClient {
     /// `registry`.
     pub fn with_obs(mut self, registry: &Registry) -> Self {
         self.obs = Some(ClientObs {
+            registry: registry.clone(),
             handshake_ns: registry.histogram("proxy.client.handshake_ns"),
             bind_ns: registry.histogram("proxy.client.bind_ns"),
             retries: registry.counter("proxy.client.retries"),
             rebinds: registry.counter("proxy.client.rebinds"),
         });
-        let shard = ShardStats::in_registry(registry);
-        if let Some(f) = &self.fleet {
-            shard.map_generation.set(f.router.map().generation() as i64);
+        if let Some(core) = &mut self.core {
+            core.observe(registry);
         }
-        self.shard_obs = Some(shard);
+        self
+    }
+
+    /// Observe every decision of the core (conformance traces; apply
+    /// after [`NxClient::with_fleet`]).
+    #[cfg(test)]
+    pub(crate) fn hooked(mut self, hook: crate::core::ClientHook) -> Self {
+        if let Some(core) = &mut self.core {
+            core.set_hook(hook);
+        }
         self
     }
 
@@ -321,35 +299,19 @@ impl NxClient {
     /// `ShardSync` or pushed by the harness). Breakers of unchanged
     /// shards keep their state.
     pub fn fleet_install(&mut self, generation: u64, members: Vec<(NodeId, u16)>) -> bool {
-        let Some(f) = &mut self.fleet else {
-            return false;
-        };
-        let map = shard_map(generation, &members);
-        if !f.router.install(map.generation(), map.tags().to_vec()) {
-            return false;
-        }
-        f.members = members;
-        if let Some(s) = &self.shard_obs {
-            s.map_generation.set(generation as i64);
-        }
-        true
+        self.core
+            .as_mut()
+            .is_some_and(|core| core.install(generation, members))
     }
 
-    /// Current fleet-map generation (0 when not in fleet mode).
+    /// Current fleet-map generation (0 in direct mode).
     pub fn fleet_generation(&self) -> u64 {
-        self.fleet
-            .as_ref()
-            .map_or(0, |f| f.router.map().generation())
+        self.core.as_ref().map_or(0, ClientCore::generation)
     }
 
-    /// Charge a failed bind interaction to shard `idx`'s breaker.
-    fn fleet_bind_failure(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        if let Some(f) = &mut self.fleet {
-            f.router.on_failure(idx, ctx.now().nanos());
-            if let Some(s) = &self.shard_obs {
-                s.failovers.inc();
-            }
-        }
+    /// State of fleet member `idx`'s breaker.
+    pub fn breaker_state(&self, idx: usize) -> Option<BreakerState> {
+        self.core.as_ref()?.breaker_state(idx)
     }
 
     /// Close the handshake span for `user_token` at `now` (called at
@@ -360,10 +322,6 @@ impl NxClient {
                 o.handshake_ns.record(now.since(t0).nanos());
             }
         }
-    }
-
-    pub fn env(&self) -> SimProxyEnv {
-        self.env
     }
 
     pub fn set_policy(&mut self, policy: RetryPolicy) {
@@ -408,170 +366,107 @@ impl NxClient {
         ctx.set_timer(delay, tok);
     }
 
-    /// Retry a failed connect or give up with `Refused`.
-    fn retry_connect(
+    /// Operation number `attempt` failed: start another after a
+    /// backoff, or give up with `Refused` / `BindFailed`.
+    fn retry(&mut self, ctx: &mut Ctx<'_>, goal: Goal, attempt: u32) -> NxHandled {
+        if attempt >= self.policy.max_attempts {
+            return NxHandled::Event(match goal {
+                Goal::Connect { user_token, .. } => {
+                    self.finish_connect_span(user_token, ctx.now());
+                    NxEvent::Refused { token: user_token }
+                }
+                Goal::Bind { .. } => {
+                    self.bind_started = None;
+                    NxEvent::BindFailed
+                }
+            });
+        }
+        self.retries += 1;
+        if let Some(o) = &self.obs {
+            o.retries.inc();
+        }
+        let delay = self.backoff_delay(ctx, attempt);
+        let attempt = attempt + 1;
+        self.schedule(ctx, delay, RetryAction::Start { goal, attempt });
+        NxHandled::Consumed
+    }
+
+    /// Start operation number `attempt` for `goal`.
+    fn start(&mut self, ctx: &mut Ctx<'_>, goal: Goal, attempt: u32) -> NxHandled {
+        let now = ctx.now().nanos();
+        let (op, step) = match (&mut self.core, goal) {
+            (Some(core), Goal::Connect { dst, .. }) => core.connect(now, dst),
+            (Some(core), Goal::Bind { client_port }) => {
+                core.bind(now, (ctx.host(), client_port), self.bind_lane)
+            }
+            (None, Goal::Connect { dst, .. }) => return self.dial_direct(ctx, goal, attempt, dst),
+            // A direct bind completes inside `bind()`.
+            (None, Goal::Bind { .. }) => return NxHandled::Consumed,
+        };
+        self.advance(ctx, goal, attempt, op, step)
+    }
+
+    fn dial_direct(
         &mut self,
         ctx: &mut Ctx<'_>,
-        user_token: u64,
-        dst: (NodeId, u16),
+        goal: Goal,
         attempt: u32,
+        to: (NodeId, u16),
     ) -> NxHandled {
-        if attempt >= self.policy.max_attempts {
-            self.finish_connect_span(user_token, ctx.now());
-            return NxHandled::Event(NxEvent::Refused { token: user_token });
-        }
-        self.retries += 1;
-        if let Some(o) = &self.obs {
-            o.retries.inc();
-        }
-        let delay = self.backoff_delay(ctx, attempt);
-        self.schedule(
-            ctx,
-            delay,
-            RetryAction::Connect {
-                user_token,
-                dst,
-                attempt: attempt + 1,
-            },
-        );
+        let tok = self.itoken();
+        self.pending.insert(tok, Pending::Direct { goal, attempt });
+        ctx.connect(to, tok);
         NxHandled::Consumed
     }
 
-    /// Retry a failed bind registration or give up with `BindFailed`.
-    fn retry_bind(&mut self, ctx: &mut Ctx<'_>, client_port: u16, attempt: u32) -> NxHandled {
-        if attempt >= self.policy.max_attempts {
-            self.bind_started = None;
-            return NxHandled::Event(NxEvent::BindFailed);
-        }
-        self.retries += 1;
-        if let Some(o) = &self.obs {
-            o.retries.inc();
-        }
-        let delay = self.backoff_delay(ctx, attempt);
-        self.schedule(
-            ctx,
-            delay,
-            RetryAction::Bind {
-                client_port,
-                attempt: attempt + 1,
-            },
-        );
-        NxHandled::Consumed
-    }
-
-    fn start_connect(
+    /// Execute the core's next step for an operation under way.
+    fn advance(
         &mut self,
         ctx: &mut Ctx<'_>,
-        dst: (NodeId, u16),
-        user_token: u64,
+        goal: Goal,
         attempt: u32,
-    ) {
-        // Where to dial: `None` means a plain connect to `dst` (direct
-        // mode, or `dst` is a rendezvous address on a proxy host);
-        // `Some(ep)` means issue a `ConnectReq` via `ep`.
-        let via: Option<(NodeId, u16)> = if let Some(f) = &mut self.fleet {
-            if f.members.is_empty() || f.members.iter().any(|m| m.0 == dst.0) {
-                None
-            } else {
-                // Any shard can serve a `ConnectReq`; prefer the HRW
-                // owner, let breakers skip shards known dead, and when
-                // everything is open probe the owner anyway (a refusal
-                // lands back in the normal retry path).
-                let key = sim_shard_key(dst);
-                let idx = match f.router.route(&key, ctx.now().nanos()) {
-                    Some(i) => i,
-                    None => f.router.map().owner(&key).unwrap_or(0),
+        op: ClientOp<NodeId>,
+        step: Step<NodeId>,
+    ) -> NxHandled {
+        match step {
+            Step::Direct { to } => self.dial_direct(ctx, goal, attempt, to),
+            Step::Dial { to, send, .. } => {
+                let tok = self.itoken();
+                let rung = Pending::Rung {
+                    goal,
+                    attempt,
+                    op,
+                    send,
                 };
-                Some(f.members[idx])
+                self.pending.insert(tok, rung);
+                ctx.connect(to, tok);
+                NxHandled::Consumed
             }
-        } else {
-            match self.env.outer {
-                Some(outer) if dst.0 != outer.0 => Some(outer),
-                _ => None,
-            }
-        };
-        let tok = self.itoken();
-        match via {
-            None => {
-                self.pending.insert(
-                    tok,
-                    Pending::Direct {
-                        user_token,
-                        dst,
-                        attempt,
-                    },
-                );
-                ctx.connect(dst, tok);
-            }
-            Some(ep) => {
-                self.pending.insert(
-                    tok,
-                    Pending::OuterForConnect {
-                        user_token,
-                        dst,
-                        attempt,
-                    },
-                );
-                ctx.connect(ep, tok);
-            }
+            // A typed refusal (or nobody left to dial): the policy
+            // decides whether another operation starts.
+            Step::Done(_) => self.retry(ctx, goal, attempt),
         }
     }
 
-    fn start_bind_dial(&mut self, ctx: &mut Ctx<'_>, client_port: u16, attempt: u32) {
-        // Fleet mode: the breaker-gated ladder picks the shard, and a
-        // knowing non-owner dial carries the fallback flag so the shard
-        // serves instead of redirecting us back to a dead owner.
-        let lane = self.bind_lane;
-        let fleet_target = match &mut self.fleet {
-            Some(f) if !f.members.is_empty() => {
-                let key = sim_shard_key((ctx.host(), client_port));
-                let idx = match lane {
-                    // Lane affinity: positional start, ring failover.
-                    Some(l) => match f.router.route_from(usize::from(l), ctx.now().nanos()) {
-                        Some(i) => i,
-                        None => usize::from(l) % f.members.len(),
-                    },
-                    None => match f.router.route(&key, ctx.now().nanos()) {
-                        Some(i) => i,
-                        // Every breaker open: probe the owner anyway;
-                        // the refusal feeds the normal retry/backoff
-                        // path.
-                        None => f.router.map().owner(&key).unwrap_or(0),
-                    },
-                };
-                let fallback = f.router.map().owner(&key) != Some(idx);
-                Some((idx, f.members[idx], fallback))
-            }
-            _ => None,
+    /// The rung on a flow (or a dial) failed; `report` tells the core
+    /// how, and the operation goes where the core says next.
+    fn rung_failed(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        goal: Goal,
+        attempt: u32,
+        mut op: ClientOp<NodeId>,
+        report: fn(&mut ClientCore<NodeId>, &mut ClientOp<NodeId>, u64) -> Step<NodeId>,
+    ) -> NxHandled {
+        let Some(core) = &mut self.core else {
+            return self.retry(ctx, goal, attempt);
         };
-        if let Some((idx, shard, fallback)) = fleet_target {
-            let tok = self.itoken();
-            self.pending.insert(
-                tok,
-                Pending::FleetForBind {
-                    client_port,
-                    attempt,
-                    idx,
-                    shard,
-                    fallback,
-                },
-            );
-            ctx.connect(shard, tok);
-        } else if let Some(outer) = self.env.outer {
-            let tok = self.itoken();
-            self.pending.insert(
-                tok,
-                Pending::OuterForBind {
-                    client_port,
-                    attempt,
-                },
-            );
-            ctx.connect(outer, tok);
-        }
+        let step = report(core, &mut op, ctx.now().nanos());
+        self.advance(ctx, goal, attempt, op, step)
     }
 
     /// `NXProxyConnect`: connect to `dst`, directly or via the outer
-    /// server. Completion arrives as [`NxEvent::Connected`] /
+    /// fleet. Completion arrives as [`NxEvent::Connected`] /
     /// [`NxEvent::Refused`] carrying `user_token`.
     pub fn connect(&mut self, ctx: &mut Ctx<'_>, dst: (NodeId, u16), user_token: u64) {
         assert!(
@@ -581,7 +476,7 @@ impl NxClient {
         if self.obs.is_some() {
             self.connect_started.insert(user_token, ctx.now());
         }
-        self.start_connect(ctx, dst, user_token, 1);
+        self.start(ctx, Goal::Connect { user_token, dst }, 1);
     }
 
     /// `NXProxyBind`: start listening. Returns `Some(advertised)`
@@ -593,7 +488,7 @@ impl NxClient {
         #[allow(clippy::expect_used)]
         let port = ctx.listen(0).expect("ephemeral listen failed"); // lint:allow(unwrap-panic)
         self.private_port = Some(port);
-        if self.fleet.is_none() && self.env.outer.is_none() {
+        if self.core.is_none() {
             // Direct binds complete within the call: zero-length span.
             if let Some(o) = &self.obs {
                 o.bind_ns.record(0);
@@ -601,7 +496,7 @@ impl NxClient {
             Some((ctx.host(), port))
         } else {
             self.bind_started = Some(ctx.now());
-            self.start_bind_dial(ctx, port, 1);
+            self.start(ctx, Goal::Bind { client_port: port }, 1);
             None
         }
     }
@@ -638,47 +533,16 @@ impl NxClient {
     /// Feed a timer token through the machine (owners call this for
     /// every token where [`NxClient::owns_timer`] is true).
     pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> NxHandled {
-        let Some(action) = self.timers.remove(&token) else {
-            return NxHandled::Consumed; // cancelled or stale
-        };
-        match action {
-            RetryAction::Connect {
-                user_token,
-                dst,
-                attempt,
-            } => {
-                self.start_connect(ctx, dst, user_token, attempt);
-                NxHandled::Consumed
-            }
-            RetryAction::Bind {
-                client_port,
-                attempt,
-            } => {
-                self.start_bind_dial(ctx, client_port, attempt);
-                NxHandled::Consumed
-            }
-            RetryAction::ConnectDeadline { flow } => {
-                if let Some(ar) = self.await_rep.remove(&flow) {
+        match self.timers.remove(&token) {
+            Some(RetryAction::Start { goal, attempt }) => self.start(ctx, goal, attempt),
+            Some(RetryAction::Deadline { flow }) => match self.awaiting.remove(&flow) {
+                Some(a) => {
                     ctx.close(flow);
-                    self.retry_connect(ctx, ar.user_token, ar.dst, ar.attempt)
-                } else {
-                    NxHandled::Consumed
+                    self.rung_failed(ctx, a.goal, a.attempt, a.op, ClientCore::session_died)
                 }
-            }
-            RetryAction::BindDeadline { flow } => {
-                if self.bind_await.as_ref().is_some_and(|b| b.flow == flow) {
-                    let Some(b) = self.bind_await.take() else {
-                        return NxHandled::Consumed;
-                    };
-                    ctx.close(flow);
-                    if let Some((idx, _)) = b.shard {
-                        self.fleet_bind_failure(ctx, idx);
-                    }
-                    self.retry_bind(ctx, b.client_port, b.attempt)
-                } else {
-                    NxHandled::Consumed
-                }
-            }
+                None => NxHandled::Consumed,
+            },
+            None => NxHandled::Consumed, // cancelled or stale
         }
     }
 
@@ -687,124 +551,45 @@ impl NxClient {
         match ev {
             FlowEvent::Connected { flow, token, .. } if token >= NX_TOKEN_BASE => {
                 match self.pending.remove(&token) {
-                    Some(Pending::Direct { user_token, .. }) => {
+                    Some(Pending::Direct {
+                        goal: Goal::Connect { user_token, .. },
+                        ..
+                    }) => {
                         self.finish_connect_span(user_token, ctx.now());
                         NxHandled::Event(NxEvent::Connected {
                             flow,
                             token: user_token,
                         })
                     }
-                    Some(Pending::OuterForConnect {
-                        user_token,
-                        dst,
+                    Some(Pending::Rung {
+                        goal,
                         attempt,
+                        op,
+                        send,
                     }) => {
-                        let (host, port) = dst;
-                        let _ = ctx.send(flow, CTRL_MSG_BYTES, SimMsg::ConnectReq { host, port });
+                        let _ = ctx.send(flow, CTRL_MSG_BYTES, send);
                         let deadline_token = self.itoken();
                         self.timers
-                            .insert(deadline_token, RetryAction::ConnectDeadline { flow });
+                            .insert(deadline_token, RetryAction::Deadline { flow });
                         ctx.set_timer(self.policy.reply_deadline, deadline_token);
-                        self.await_rep.insert(
-                            flow,
-                            AwaitRep {
-                                user_token,
-                                dst,
-                                attempt,
-                                deadline_token,
-                            },
-                        );
-                        NxHandled::Consumed
-                    }
-                    Some(Pending::OuterForBind {
-                        client_port,
-                        attempt,
-                    }) => {
-                        let _ = ctx.send(
-                            flow,
-                            CTRL_MSG_BYTES,
-                            SimMsg::BindReq {
-                                host: ctx.host(),
-                                port: client_port,
-                                fallback: false,
-                            },
-                        );
-                        let deadline_token = self.itoken();
-                        self.timers
-                            .insert(deadline_token, RetryAction::BindDeadline { flow });
-                        ctx.set_timer(self.policy.reply_deadline, deadline_token);
-                        self.bind_await = Some(BindAwait {
-                            flow,
-                            client_port,
+                        let waiting = Awaiting {
+                            goal,
                             attempt,
+                            op,
                             deadline_token,
-                            shard: None,
-                        });
+                        };
+                        self.awaiting.insert(flow, waiting);
                         NxHandled::Consumed
                     }
-                    Some(Pending::FleetForBind {
-                        client_port,
-                        attempt,
-                        idx,
-                        shard,
-                        fallback,
-                    }) => {
-                        if let Some(f) = &mut self.fleet {
-                            f.router.on_success(idx);
-                        }
-                        let _ = ctx.send(
-                            flow,
-                            CTRL_MSG_BYTES,
-                            SimMsg::BindReq {
-                                host: ctx.host(),
-                                port: client_port,
-                                fallback,
-                            },
-                        );
-                        let deadline_token = self.itoken();
-                        self.timers
-                            .insert(deadline_token, RetryAction::BindDeadline { flow });
-                        ctx.set_timer(self.policy.reply_deadline, deadline_token);
-                        self.bind_await = Some(BindAwait {
-                            flow,
-                            client_port,
-                            attempt,
-                            deadline_token,
-                            shard: Some((idx, shard.0)),
-                        });
-                        NxHandled::Consumed
-                    }
-                    None => NxHandled::Consumed,
+                    _ => NxHandled::Consumed,
                 }
             }
             FlowEvent::Refused { token, .. } if token >= NX_TOKEN_BASE => {
                 match self.pending.remove(&token) {
-                    Some(Pending::Direct {
-                        user_token,
-                        dst,
-                        attempt,
-                    })
-                    | Some(Pending::OuterForConnect {
-                        user_token,
-                        dst,
-                        attempt,
-                    }) => self.retry_connect(ctx, user_token, dst, attempt),
-                    Some(Pending::OuterForBind {
-                        client_port,
-                        attempt,
-                    }) => self.retry_bind(ctx, client_port, attempt),
-                    Some(Pending::FleetForBind {
-                        client_port,
-                        attempt,
-                        idx,
-                        ..
-                    }) => {
-                        // A refused shard dial charges its breaker; the
-                        // retry re-routes and descends the ladder once
-                        // the breaker opens.
-                        self.fleet_bind_failure(ctx, idx);
-                        self.retry_bind(ctx, client_port, attempt)
-                    }
+                    Some(Pending::Direct { goal, attempt }) => self.retry(ctx, goal, attempt),
+                    Some(Pending::Rung {
+                        goal, attempt, op, ..
+                    }) => self.rung_failed(ctx, goal, attempt, op, ClientCore::dial_failed),
                     None => NxHandled::Consumed,
                 }
             }
@@ -813,47 +598,31 @@ impl NxClient {
             } if Some(listen_port) == self.private_port => {
                 NxHandled::Event(NxEvent::Accepted { flow })
             }
-            FlowEvent::Closed { flow, .. } if self.await_rep.contains_key(&flow) => {
-                // Outer died before replying to our ConnectReq: cancel
-                // the reply deadline and retry the whole dial.
-                let Some(ar) = self.await_rep.remove(&flow) else {
+            FlowEvent::Closed { flow, .. } if self.awaiting.contains_key(&flow) => {
+                // The shard died before replying: cancel the reply
+                // deadline and let the core pick the next rung.
+                let Some(a) = self.awaiting.remove(&flow) else {
                     return NxHandled::Consumed;
                 };
-                self.timers.remove(&ar.deadline_token);
-                self.retry_connect(ctx, ar.user_token, ar.dst, ar.attempt)
-            }
-            FlowEvent::Closed { flow, .. }
-                if self.bind_await.as_ref().is_some_and(|b| b.flow == flow) =>
-            {
-                let Some(b) = self.bind_await.take() else {
-                    return NxHandled::Consumed;
-                };
-                self.timers.remove(&b.deadline_token);
-                if let Some((idx, _)) = b.shard {
-                    self.fleet_bind_failure(ctx, idx);
-                }
-                self.retry_bind(ctx, b.client_port, b.attempt)
+                self.timers.remove(&a.deadline_token);
+                self.rung_failed(ctx, a.goal, a.attempt, a.op, ClientCore::session_died)
             }
             FlowEvent::Closed { flow, .. } if self.bind_ctrl == Some(flow) => {
                 // The outer server crashed (or withdrew us): the
                 // rendezvous registration is gone. Re-register the same
                 // private port and tell the owner the old address died.
                 self.bind_ctrl = None;
-                let proxied = self.fleet.is_some() || self.env.outer.is_some();
-                match self.private_port {
-                    Some(port) if proxied => {
-                        self.rebinds += 1;
-                        self.retries += 1;
-                        if let Some(o) = &self.obs {
-                            o.rebinds.inc();
-                            o.retries.inc();
-                        }
-                        self.bind_started = Some(ctx.now());
-                        self.start_bind_dial(ctx, port, 1);
-                        NxHandled::Event(NxEvent::BindLost)
+                if let (Some(client_port), true) = (self.private_port, self.core.is_some()) {
+                    self.rebinds += 1;
+                    self.retries += 1;
+                    if let Some(o) = &self.obs {
+                        o.rebinds.inc();
+                        o.retries.inc();
                     }
-                    _ => NxHandled::Event(NxEvent::BindLost),
+                    self.bind_started = Some(ctx.now());
+                    self.start(ctx, Goal::Bind { client_port }, 1);
                 }
+                NxHandled::Event(NxEvent::BindLost)
             }
             other => NxHandled::Flow(other),
         }
@@ -876,108 +645,30 @@ impl NxClient {
                 }),
             };
         }
-        if let Some(ar) = self.await_rep.remove(&flow) {
-            self.timers.remove(&ar.deadline_token);
-            return match msg.expect::<SimMsg>() {
-                SimMsg::ConnectRep { ok: true, .. } => {
-                    self.finish_connect_span(ar.user_token, ctx.now());
-                    NxHandled::Event(NxEvent::Connected {
-                        flow,
-                        token: ar.user_token,
-                    })
+        let (Some(mut a), Some(core)) = (self.awaiting.remove(&flow), self.core.as_mut()) else {
+            return NxHandled::Data(msg);
+        };
+        self.timers.remove(&a.deadline_token);
+        match (core.replied(&mut a.op, msg.expect::<SimMsg>()), a.goal) {
+            (Step::Done(Outcome::Connected), Goal::Connect { user_token, .. }) => {
+                self.finish_connect_span(user_token, ctx.now());
+                NxHandled::Event(NxEvent::Connected {
+                    flow,
+                    token: user_token,
+                })
+            }
+            (Step::Done(Outcome::Bound { advertised }), Goal::Bind { .. }) => {
+                self.bind_ctrl = Some(flow);
+                if let (Some(t0), Some(o)) = (self.bind_started.take(), &self.obs) {
+                    o.bind_ns.record(ctx.now().since(t0).nanos());
                 }
-                _ => {
-                    // Relay could not reach dst (stale rendezvous port
-                    // during an outer restart, dst not up yet): retry.
-                    ctx.close(flow);
-                    self.retry_connect(ctx, ar.user_token, ar.dst, ar.attempt)
-                }
-            };
+                NxHandled::Event(NxEvent::Bound { advertised })
+            }
+            // A refusal, or a redirect to follow: this flow is done.
+            (next, goal) => {
+                ctx.close(flow);
+                self.advance(ctx, goal, a.attempt, a.op, next)
+            }
         }
-        if self.bind_await.as_ref().is_some_and(|b| b.flow == flow) {
-            let Some(b) = self.bind_await.take() else {
-                return NxHandled::Data(msg);
-            };
-            self.timers.remove(&b.deadline_token);
-            return match msg.expect::<SimMsg>() {
-                SimMsg::BindRep { rdv_port } if rdv_port != 0 => {
-                    // The advertised rendezvous host is whoever served
-                    // the bind: the fleet shard, or the single outer.
-                    let rdv_host = match (b.shard, self.env.outer) {
-                        (Some((idx, node)), _) => {
-                            if let Some(f) = &mut self.fleet {
-                                f.router.on_success(idx);
-                            }
-                            Some(node)
-                        }
-                        (None, Some(outer)) => Some(outer.0),
-                        // bind_await is only set in proxied mode; if the
-                        // env lost its outer address, fail cleanly.
-                        (None, None) => None,
-                    };
-                    match rdv_host {
-                        Some(node) => {
-                            self.bind_ctrl = Some(flow);
-                            if let Some(t0) = self.bind_started.take() {
-                                if let Some(o) = &self.obs {
-                                    o.bind_ns.record(ctx.now().since(t0).nanos());
-                                }
-                            }
-                            NxHandled::Event(NxEvent::Bound {
-                                advertised: (node, rdv_port),
-                            })
-                        }
-                        None => {
-                            ctx.close(flow);
-                            NxHandled::Event(NxEvent::BindFailed)
-                        }
-                    }
-                }
-                // A non-owner shard named the owner: follow the
-                // redirect with `fallback: false` (the redirecting
-                // shard's map is at least as fresh as ours).
-                SimMsg::Redirect { host, port } if self.fleet.is_some() => {
-                    let owner = (host, port);
-                    if let Some(s) = &self.shard_obs {
-                        s.redirects_followed.inc();
-                    }
-                    ctx.close(flow);
-                    let idx = self
-                        .fleet
-                        .as_ref()
-                        .and_then(|f| f.members.iter().position(|m| *m == owner))
-                        .or(b.shard.map(|(i, _)| i))
-                        .unwrap_or(0);
-                    let tok = self.itoken();
-                    self.pending.insert(
-                        tok,
-                        Pending::FleetForBind {
-                            client_port: b.client_port,
-                            attempt: b.attempt + 1,
-                            idx,
-                            shard: owner,
-                            fallback: false,
-                        },
-                    );
-                    ctx.connect(owner, tok);
-                    NxHandled::Consumed
-                }
-                // `rdv_port: 0` is the server's explicit allocation
-                // failure (or a superseded shard's refusal) — never a
-                // valid rendezvous. In fleet mode charge the shard and
-                // retry elsewhere; single-outer fails the bind.
-                _ => {
-                    ctx.close(flow);
-                    match b.shard {
-                        Some((idx, _)) => {
-                            self.fleet_bind_failure(ctx, idx);
-                            self.retry_bind(ctx, b.client_port, b.attempt)
-                        }
-                        None => NxHandled::Event(NxEvent::BindFailed),
-                    }
-                }
-            };
-        }
-        NxHandled::Data(msg)
     }
 }

@@ -286,48 +286,21 @@ impl StripeSenderActor {
         self.cell.lock().done_at_ns.is_some()
     }
 
-    /// Blast the whole stripe on `flow`: Open, chunks in seq order,
-    /// Fin. Declared sizes drive virtual-time cost; large chunks are
+    /// Blast the whole lane on `flow`, in [`StripePlan::lane_frames`]
+    /// order. Declared sizes drive virtual-time cost; large chunks are
     /// segmented by the client machine so they pipeline through the
     /// relay.
     fn blast(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let open = StripeFrame::Open {
-            transfer: self.transfer,
-            stripe: self.stripe,
-            stripes: self.plan.stripes(),
-            chunk: self.plan.chunk_bytes(),
-            total_len: self.plan.total_len(),
-            tag: self.tag,
-        };
-        let _ = self.nx.send_data(ctx, flow, STRIPE_HDR_BYTES, open);
-        let mut chunks = 0u64;
-        for (seq, offset, len) in self
-            .plan
-            .iter_stripe(self.stripe)
-            .collect::<Vec<_>>()
-            .into_iter()
-        {
-            let start = offset as usize;
-            let bytes = self.payload[start..start + len as usize].to_vec();
-            let frame = StripeFrame::Data {
-                transfer: self.transfer,
-                stripe: self.stripe,
-                seq,
-                offset,
-                bytes,
+        let (plan, payload) = (self.plan, self.payload.clone());
+        for frame in plan.lane_frames(&payload, self.transfer, self.tag, self.stripe) {
+            let body = match &frame {
+                StripeFrame::Data { bytes, .. } => bytes.len() as u64,
+                _ => 0,
             };
-            let _ = self
-                .nx
-                .send_data(ctx, flow, STRIPE_HDR_BYTES + u64::from(len), frame);
-            chunks += 1;
+            let _ = self.nx.send_data(ctx, flow, STRIPE_HDR_BYTES + body, frame);
         }
-        let fin = StripeFrame::Fin {
-            transfer: self.transfer,
-            stripe: self.stripe,
-            chunks: self.plan.chunks_on(self.stripe),
-        };
-        let _ = self.nx.send_data(ctx, flow, STRIPE_HDR_BYTES, fin);
         if let Some(s) = &self.stats {
+            let chunks = plan.chunks_on(self.stripe);
             s.chunks_sent.add(chunks);
             if self.attempts > 1 {
                 s.resent_chunks.add(chunks);

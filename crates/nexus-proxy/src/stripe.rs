@@ -238,6 +238,45 @@ impl StripePlan {
             (seq, self.offset_of(idx), self.len_of(idx))
         })
     }
+
+    /// Everything lane `stripe` puts on its flow, in order: `Open`, the
+    /// lane's chunks of `payload` by `seq`, `Fin`. Every sender (real
+    /// sockets, gridmpi packets, sim actors) and the model checker walk
+    /// this one sequence; a failed-over lane walks it again from the
+    /// top.
+    pub fn lane_frames<'a>(
+        &'a self,
+        payload: &'a [u8],
+        transfer: u64,
+        tag: i32,
+        stripe: u16,
+    ) -> impl Iterator<Item = StripeFrame> + 'a {
+        let open = StripeFrame::Open {
+            transfer,
+            stripe,
+            stripes: self.stripes,
+            chunk: self.chunk,
+            total_len: self.total_len,
+            tag,
+        };
+        let data = self
+            .iter_stripe(stripe)
+            .map(move |(seq, offset, len)| StripeFrame::Data {
+                transfer,
+                stripe,
+                seq,
+                offset,
+                bytes: payload[offset as usize..offset as usize + len as usize].to_vec(),
+            });
+        let fin = StripeFrame::Fin {
+            transfer,
+            stripe,
+            chunks: self.chunks_on(stripe),
+        };
+        std::iter::once(open)
+            .chain(data)
+            .chain(std::iter::once(fin))
+    }
 }
 
 /// One frame of the bulk-data plane. Framing mirrors the control
@@ -770,12 +809,26 @@ pub struct SendReport {
     pub redials: u64,
 }
 
-/// Send `payload` as `plan.stripes()` parallel framed streams, one
-/// thread per stripe. `dial(stripe, attempt)` opens (or re-opens) the
-/// flow for a stripe; on a mid-stripe I/O failure the stripe is
-/// re-dialed up to `max_redials` times and re-sent from the start —
-/// the receiver's offset dedup absorbs whatever got through twice.
-pub fn send_striped<W, D>(
+/// Where one lane's frames go: any byte stream (length-prefixed
+/// frames), or a transport that wraps each frame its own way.
+pub trait LaneSink {
+    fn send_frame(&mut self, frame: &StripeFrame) -> io::Result<()>;
+}
+
+impl<W: Write> LaneSink for W {
+    fn send_frame(&mut self, frame: &StripeFrame) -> io::Result<()> {
+        frame.write_to(self)
+    }
+}
+
+/// Send `payload` as `plan.stripes()` parallel lanes, one thread per
+/// lane. `dial(stripe, attempt)` opens (or re-opens) the lane's sink;
+/// on a mid-lane failure the lane is re-dialed up to `max_redials`
+/// times and replayed whole ([`StripePlan::lane_frames`]) — the
+/// receiver's offset dedup absorbs whatever got through twice. A lane
+/// the plan deals no chunk to is never dialed, except lane 0, so an
+/// empty transfer still announces its geometry.
+pub fn send_striped<S, D>(
     payload: &[u8],
     plan: &StripePlan,
     transfer: u64,
@@ -785,8 +838,8 @@ pub fn send_striped<W, D>(
     dial: D,
 ) -> io::Result<SendReport>
 where
-    W: Write,
-    D: Fn(u16, u32) -> io::Result<W> + Sync,
+    S: LaneSink,
+    D: Fn(u16, u32) -> io::Result<S> + Sync,
 {
     if payload.len() as u64 != plan.total_len() {
         return Err(io::Error::new(
@@ -798,45 +851,43 @@ where
             ),
         ));
     }
-    let redials_total = Mutex::new(0u64);
-    let result: io::Result<()> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(usize::from(plan.stripes()));
-        for stripe in 0..plan.stripes() {
-            let dial = &dial;
-            let redials_total = &redials_total;
-            handles.push(scope.spawn(move || -> io::Result<()> {
-                let mut attempt = 0u32;
-                loop {
-                    match send_one_stripe(payload, plan, transfer, tag, stripe, attempt, dial) {
-                        Ok(()) => return Ok(()),
-                        Err(e) if attempt < max_redials => {
-                            let _ = e;
-                            attempt += 1;
-                            *redials_total.lock() += 1;
-                            if let Some(s) = stats {
-                                s.failovers.inc();
-                            }
-                        }
-                        Err(e) => return Err(e),
+    let send_lane = |stripe: u16| -> io::Result<u64> {
+        let mut attempt = 0u32;
+        loop {
+            let sent = dial(stripe, attempt).and_then(|mut sink| {
+                plan.lane_frames(payload, transfer, tag, stripe)
+                    .try_for_each(|frame| sink.send_frame(&frame))
+            });
+            match sent {
+                Ok(()) => return Ok(u64::from(attempt)),
+                Err(_) if attempt < max_redials => {
+                    attempt += 1;
+                    if let Some(s) = stats {
+                        s.failovers.inc();
+                        s.resent_chunks.add(plan.chunks_on(stripe));
                     }
                 }
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(r) => r?,
-                Err(_) => {
-                    return Err(io::Error::other("stripe sender thread panicked"));
-                }
+                Err(e) => return Err(e),
             }
         }
-        Ok(())
-    });
-    result?;
+    };
+    let send_lane = &send_lane;
+    let redials = std::thread::scope(|scope| {
+        let lanes: Vec<_> = (0..plan.stripes())
+            .filter(|&stripe| stripe == 0 || plan.chunks_on(stripe) > 0)
+            .map(|stripe| scope.spawn(move || send_lane(stripe)))
+            .collect();
+        let mut redials = 0u64;
+        for lane in lanes {
+            redials += lane
+                .join()
+                .map_err(|_| io::Error::other("stripe sender thread panicked"))??;
+        }
+        Ok::<u64, io::Error>(redials)
+    })?;
     if let Some(s) = stats {
         s.chunks_sent.add(plan.chunk_count());
     }
-    let redials = *redials_total.lock();
     Ok(SendReport {
         bytes: plan.total_len(),
         chunks: plan.chunk_count(),
@@ -867,51 +918,6 @@ where
             dial(stripe, attempt),
         )
     }
-}
-
-/// One attempt at one stripe: dial, Open, every chunk in seq order,
-/// Fin. A retry re-sends the whole stripe (receiver dedups).
-fn send_one_stripe<W, D>(
-    payload: &[u8],
-    plan: &StripePlan,
-    transfer: u64,
-    tag: i32,
-    stripe: u16,
-    attempt: u32,
-    dial: &D,
-) -> io::Result<()>
-where
-    W: Write,
-    D: Fn(u16, u32) -> io::Result<W> + Sync,
-{
-    let mut w = dial(stripe, attempt)?;
-    StripeFrame::Open {
-        transfer,
-        stripe,
-        stripes: plan.stripes(),
-        chunk: plan.chunk_bytes(),
-        total_len: plan.total_len(),
-        tag,
-    }
-    .write_to(&mut w)?;
-    for (seq, offset, len) in plan.iter_stripe(stripe) {
-        let start = offset as usize;
-        let bytes = payload[start..start + len as usize].to_vec();
-        StripeFrame::Data {
-            transfer,
-            stripe,
-            seq,
-            offset,
-            bytes,
-        }
-        .write_to(&mut w)?;
-    }
-    StripeFrame::Fin {
-        transfer,
-        stripe,
-        chunks: plan.chunks_on(stripe),
-    }
-    .write_to(&mut w)
 }
 
 /// Shared receiver for one striped transfer on the real-socket path:
@@ -1360,6 +1366,43 @@ mod tests {
         let (_, got) = rx.result().unwrap();
         assert_eq!(got, pl);
         assert!(rx.duplicates() >= 1);
+    }
+
+    #[test]
+    fn chunkless_lanes_are_never_dialed() {
+        // 4 B at 64 KiB chunks over two lanes: lane 1 carries nothing,
+        // and a receiver may be gone before it would have dialed.
+        let dialed: Arc<Mutex<Vec<u16>>> = Arc::default();
+        let send = |len: usize, stripes: u16| {
+            dialed.lock().clear();
+            let pl = payload(len);
+            let plan = StripePlan::new(len as u64, stripes, DEFAULT_CHUNK_BYTES).unwrap();
+            let sinks: Arc<Mutex<Vec<Vec<u8>>>> =
+                Arc::new(Mutex::new(vec![Vec::new(); usize::from(stripes)]));
+            let out = sinks.clone();
+            send_striped(&pl, &plan, 1, 0, 0, None, |stripe, _| {
+                dialed.lock().push(stripe);
+                Ok(FlakySink {
+                    out: out.clone(),
+                    slot: usize::from(stripe),
+                    budget: None,
+                    written: 0,
+                })
+            })
+            .unwrap();
+            let rx = StripeReceiver::new();
+            for s in sinks.lock().iter().filter(|s| !s.is_empty()) {
+                rx.feed(std::io::Cursor::new(s.clone()), None).unwrap();
+            }
+            assert_eq!(rx.result().unwrap().1, pl);
+            let mut lanes = dialed.lock().clone();
+            lanes.sort_unstable();
+            lanes
+        };
+        assert_eq!(send(4, 2), vec![0]);
+        assert_eq!(send(DEFAULT_CHUNK_BYTES as usize * 2 + 1, 4), vec![0, 1, 2]);
+        // An empty transfer still announces itself, on lane 0 alone.
+        assert_eq!(send(0, 3), vec![0]);
     }
 
     #[test]

@@ -14,9 +14,9 @@ use nexus_proxy::sim::{
 };
 use nexus_proxy::{
     bind_key, interposed_lane_dial, member_tag, nx_proxy_bind, nx_proxy_connect, send_striped,
-    AdmissionLimits, BreakerConfig, DialLeg, FleetRouter, HeartbeatConfig, InnerConfig,
-    InnerServer, Msg, OuterConfig, OuterServer, ProxyEnv, ShardMap, StripePlan, StripeReceiver,
-    StripeStats,
+    AdmissionLimits, BreakerConfig, BreakerState, DialLeg, FleetRouter, HeartbeatConfig,
+    InnerConfig, InnerServer, Msg, OuterConfig, OuterServer, ProxyEnv, ShardMap, StripePlan,
+    StripeReceiver, StripeStats,
 };
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -738,6 +738,8 @@ struct FleetShared {
     accepted: Vec<u64>,
     done: bool,
     log: Vec<String>,
+    /// The client's breaker for its map's member 0, when it bound.
+    breaker0_at_bound: Option<BreakerState>,
 }
 
 /// Server bound through the fleet: accepts relayed connections and
@@ -753,6 +755,7 @@ impl FleetSeqServer {
             NxHandled::Event(NxEvent::Bound { advertised }) => {
                 let mut sh = self.shared.lock();
                 sh.advertised = Some(advertised);
+                sh.breaker0_at_bound = self.nx.breaker_state(0);
                 sh.log.push("bound".into());
             }
             NxHandled::Event(NxEvent::BindLost) => {
@@ -1014,6 +1017,72 @@ fn sim_fleet_kill_one_shard_is_deterministic() {
     assert_eq!(a, b);
     assert_eq!(acc_a, acc_b);
     assert_eq!(log_a, log_b);
+}
+
+/// L5: the sim reads what the servers send. A client whose (stale) map
+/// names a single shard binds through it; if that shard does not own
+/// the key it answers `Redirect` and hangs up, and the client follows
+/// to an owner its own map never listed — one redirect followed, no
+/// failover, and the shard that redirected is not charged a failure.
+#[test]
+fn sim_stale_map_bind_follows_the_redirect() {
+    // Returns (serving shard, redirects sent, followed, failovers,
+    // breaker of the one shard the client knew).
+    let run = |known: usize| {
+        let net = build_fleet();
+        let registry = Registry::new();
+        let shared: FleetSharedRef = Arc::default();
+        let mut sim = Simulator::new(net.topo.clone(), NetConfig::default(), 5);
+        let model = RelayModel::default();
+        let members = vec![(net.outer0, CTRL_PORT), (net.outer1, CTRL_PORT)];
+        for (idx, host) in [net.outer0, net.outer1].into_iter().enumerate() {
+            sim.spawn(
+                host,
+                Box::new(
+                    SimOuterServer::new(CTRL_PORT, Some((net.inner_host, SIM_NXPORT)), model)
+                        .with_fleet(members.clone(), idx)
+                        .with_obs(&registry),
+                ),
+            );
+        }
+        sim.spawn(
+            net.inner_host,
+            Box::new(SimInnerServer::new(SIM_NXPORT, model)),
+        );
+        sim.spawn(
+            net.rwcp_sun,
+            Box::new(FleetSeqServer {
+                nx: NxClient::new(SimProxyEnv::direct())
+                    .with_fleet(vec![members[known]])
+                    .with_obs(&registry),
+                shared: shared.clone(),
+            }),
+        );
+        sim.run_until(SimTime(SimDuration::from_secs(2).nanos()));
+        let sh = shared.lock();
+        let serving = sh.advertised.expect("the bind never completed").0;
+        let snap = registry.snapshot();
+        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        (
+            serving,
+            counter("wacs.shard.redirects_sent"),
+            counter("wacs.shard.redirects_followed"),
+            counter("wacs.shard.failovers"),
+            sh.breaker0_at_bound,
+        )
+    };
+    let (via0, via1) = (run(0), run(1));
+    // Same key, same owner, whichever shard was asked first.
+    assert_eq!(via0.0, via1.0);
+    let owner = usize::from(via0.0 != build_fleet().outer0);
+    let (asked_owner, asked_other) = if owner == 0 {
+        (via0, via1)
+    } else {
+        (via1, via0)
+    };
+    assert_eq!((asked_owner.1, asked_owner.2, asked_owner.3), (0, 0, 0));
+    assert_eq!((asked_other.1, asked_other.2, asked_other.3), (1, 1, 0));
+    assert_eq!(asked_other.4, Some(BreakerState::Closed));
 }
 
 // ---------------------------------------------------------------------

@@ -329,7 +329,7 @@ fn lan_indirect_roundtrip() {
     sim.spawn(
         net.rwcp_sun,
         Box::new(EchoServer {
-            nx: NxClient::new(env),
+            nx: NxClient::new(env.clone()),
             shared: shared.clone(),
         }),
     );
@@ -500,7 +500,7 @@ fn proxy_latency_gap_matches_paper_shape() {
     sim.spawn(
         net.rwcp_sun,
         Box::new(EchoServer {
-            nx: NxClient::new(env),
+            nx: NxClient::new(env.clone()),
             shared: shared2.clone(),
         }),
     );

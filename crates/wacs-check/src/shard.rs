@@ -21,29 +21,44 @@
 //! * **Install monotonicity** — the client's installed generation
 //!   never runs ahead of the fleet's, never moves backwards, and
 //!   `install` accepts exactly the strictly-newer generations.
+//! * **Client convergence** — one bind run through the production
+//!   `ClientCore` over the client's (possibly stale) map, the shards
+//!   answering by `ShardMap::route` over the fleet's current map and
+//!   dead ones failing the dial, ends within `len + 1` dials and one
+//!   redirect; at a live shard that serves it whenever the client's
+//!   map is current and a live member exists; otherwise at a serving
+//!   shard or a typed refusal — never in a loop.
 
 use crate::explore::{explore_bfs, Model, Report};
-use nexus_proxy::{member_tag, ShardMap, ShardRoute};
+use nexus_proxy::core::{shard_map, ClientCore, HostId, Outcome, Step};
+use nexus_proxy::{BreakerConfig, CtrlMsg, ShardMap, ShardRoute};
 
 /// Candidate shard universe (membership masks fit in a `u8`).
 const UNIVERSE: usize = 3;
 
-/// Probe bind keys routed through the map in every state. Distinct
-/// byte strings so the HRW weights differ per key.
-const KEYS: [&[u8]; 4] = [b"etl-sun:7000", b"rwcp-sun:7001", b"c2:9", b"d:1024"];
+/// Probe private endpoints bound through the map in every state.
+/// Distinct names so the HRW weights differ per key.
+const BINDS: [(&str, u16); 4] = [
+    ("etl-sun", 7000),
+    ("rwcp-sun", 7001),
+    ("c2", 9),
+    ("d", 1024),
+];
 
-/// Stable tag of candidate shard `i` (its control endpoint identity).
-fn tag(i: usize) -> u64 {
-    member_tag(format!("outer{i}:4097").as_bytes())
+/// Control endpoint of candidate shard `i`.
+fn endpoint(i: usize) -> (String, u16) {
+    (format!("outer{i}"), 4097)
 }
 
-/// Build the real [`ShardMap`] for a membership mask.
+/// Control endpoints of a membership mask, in map order.
+fn endpoints(members: u8) -> Vec<(String, u16)> {
+    member_bits(members).into_iter().map(endpoint).collect()
+}
+
+/// Build the real [`ShardMap`] for a membership mask, as every party
+/// that holds the member list does.
 fn map_of(gen: u8, members: u8) -> ShardMap {
-    let tags = (0..UNIVERSE)
-        .filter(|i| members & (1 << i) != 0)
-        .map(tag)
-        .collect();
-    ShardMap::new(u64::from(gen), tags)
+    shard_map(u64::from(gen), &endpoints(members))
 }
 
 /// `live` closure over map indices for a membership + alive mask pair
@@ -157,7 +172,9 @@ impl Model for ShardModel {
         let map = map_of(s.gen, s.members);
         let bits = member_bits(s.members);
         let n = bits.len();
-        for key in KEYS {
+        for (host, port) in BINDS {
+            client_bind_converges(s, &map, (host.to_string(), port))?;
+            let key = &host.to_string().shard_key(port);
             // Total ownership.
             let Some(owner) = map.owner(key) else {
                 return Err(format!("non-empty map owns nobody for {key:?}"));
@@ -209,7 +226,10 @@ impl Model for ShardModel {
             }
         }
         // Non-members must refuse, not guess.
-        if map.route(n, KEYS[0]).is_some() {
+        if map
+            .route(n, &BINDS[0].0.to_string().shard_key(BINDS[0].1))
+            .is_some()
+        {
             return Err("out-of-map shard answered a route".into());
         }
         // Install monotonicity (client side).
@@ -233,6 +253,69 @@ impl Model for ShardModel {
         }
         Ok(())
     }
+}
+
+/// One bind of `me` through the production client core over the
+/// client's map, against shards that route by the fleet's `map`.
+fn client_bind_converges(s: &ShState, map: &ShardMap, me: (String, u16)) -> Result<(), String> {
+    let fleet = endpoints(s.members);
+    let known = endpoints(s.client_members);
+    let alive =
+        |ep: &(String, u16)| (0..UNIVERSE).any(|i| *ep == endpoint(i) && s.alive & (1 << i) != 0);
+    let key = me.0.shard_key(me.1);
+    let who = format!("{}:{}", me.0, me.1);
+    let mut core = ClientCore::new(known.clone(), BreakerConfig::default());
+    let (mut op, mut step) = core.bind(0, me, None);
+    let (mut dials, mut redirects) = (0, 0);
+    let served = loop {
+        step = match step {
+            Step::Dial { to, send, .. } => {
+                dials += 1;
+                if dials > known.len() + 1 {
+                    return Err(format!("bind of {who} still dialing after {dials} dials"));
+                }
+                let CtrlMsg::BindReq { fallback, .. } = send else {
+                    return Err(format!("a bind sent {send:?}"));
+                };
+                if !alive(&to) {
+                    core.dial_failed(&mut op, 0)
+                } else {
+                    let here = fleet.iter().position(|m| *m == to);
+                    let reply = match here.and_then(|idx| map.route(idx, &key)) {
+                        Some(ShardRoute::Redirect(owner)) if !fallback => {
+                            redirects += 1;
+                            let (host, port) = fleet[owner].clone();
+                            CtrlMsg::Redirect { host, port }
+                        }
+                        Some(_) => CtrlMsg::BindRep { rdv_port: 9000 },
+                        // Superseded: no longer in the fleet's map.
+                        None => CtrlMsg::BindRep { rdv_port: 0 },
+                    };
+                    core.replied(&mut op, reply)
+                }
+            }
+            Step::Done(Outcome::Bound { advertised }) => break Some((advertised.0, 4097)),
+            Step::Done(Outcome::Refused(_)) => break None,
+            other => return Err(format!("a bind was told {other:?}")),
+        };
+    };
+    if redirects > 1 {
+        return Err(format!("bind of {who} followed {redirects} redirects"));
+    }
+    if let Some(shard) = &served {
+        if !alive(shard) || !fleet.contains(shard) {
+            return Err(format!(
+                "bind of {who} served by {shard:?}, dead or superseded"
+            ));
+        }
+    }
+    let current = s.client_gen == s.gen;
+    if current && fleet.iter().any(alive) && served.is_none() {
+        return Err(format!(
+            "bind of {who} refused with a current map and a live member"
+        ));
+    }
+    Ok(())
 }
 
 pub fn verify(deep: bool) -> Report {

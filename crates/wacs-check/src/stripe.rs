@@ -275,27 +275,23 @@ impl Model for StripeModel {
         // replay must end with that stripe fully covered, re-deliveries
         // absorbed as duplicates, and completion reported exactly once
         // across the whole history.
+        let source: Vec<u8> = (0..plan.total_len()).map(byte_at).collect();
         for stripe in 0..plan.stripes() {
             let mut rx = self.rebuild(s)?;
             let mut completions = u64::from(complete);
-            let open = StripeFrame::Open {
-                transfer: TRANSFER,
-                stripe,
-                stripes: plan.stripes(),
-                chunk: plan.chunk_bytes(),
-                total_len: plan.total_len(),
-                tag: TAG,
-            };
-            match rx.accept(&open) {
-                Ok(Accept::Fresh) => {}
-                other => return Err(format!("failover Open gave {other:?}")),
-            }
-            for (seq, _, _) in plan.iter_stripe(stripe) {
+            // The production lane sequence: what a sender re-sends.
+            for frame in plan.lane_frames(&source, TRANSFER, TAG, stripe) {
+                let StripeFrame::Data { seq, .. } = &frame else {
+                    match rx.accept(&frame) {
+                        Ok(Accept::Fresh) => continue,
+                        other => return Err(format!("failover {frame:?} gave {other:?}")),
+                    }
+                };
                 let idx = plan
-                    .chunk_index(stripe, seq)
+                    .chunk_index(stripe, *seq)
                     .ok_or_else(|| format!("no chunk for stripe {stripe} seq {seq}"))?;
                 let had = delivered.contains(&(idx as u8));
-                match rx.accept(&data_frame(&plan, idx)) {
+                match rx.accept(&frame) {
                     Ok(Accept::Duplicate) if had => {}
                     Ok(Accept::Fresh) if !had => {}
                     Ok(Accept::Complete) if !had => completions += 1,

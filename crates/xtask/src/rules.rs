@@ -49,6 +49,9 @@ pub enum Rule {
     /// The servers' sans-IO core (`nexus-proxy/src/core`) naming a
     /// socket, thread, clock or simulator type (see `wsrules`).
     CorePurity,
+    /// A client driver re-growing the fleet ladder, or a second spelling
+    /// of the stripe-lane frame sequence (see `wsrules`).
+    ClientPlane,
 }
 
 pub const ALL: &[Rule] = &[
@@ -65,6 +68,7 @@ pub const ALL: &[Rule] = &[
     Rule::CounterSchema,
     Rule::FrameCoverage,
     Rule::CorePurity,
+    Rule::ClientPlane,
 ];
 
 impl Rule {
@@ -83,6 +87,7 @@ impl Rule {
             Rule::CounterSchema => "counter-schema",
             Rule::FrameCoverage => "frame-coverage",
             Rule::CorePurity => "core-purity",
+            Rule::ClientPlane => "client-plane",
         }
     }
 
@@ -119,6 +124,10 @@ impl Rule {
             Rule::FrameCoverage => "every protocol::Msg variant must be hit by the fuzz sweep",
             Rule::CorePurity => {
                 "nexus-proxy's core module names no socket, thread, clock or simulator type"
+            }
+            Rule::ClientPlane => {
+                "client drivers name no ShardRouter/CircuitBreaker/route_from; \
+                 StripeFrame::Open is spelled in stripe.rs only"
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Workspace-level rules: analyses that need the whole file set (or
 //! files outside the library walk) rather than one file at a time.
 //!
-//! Four rules live here, all built on the token stream from
+//! Five rules live here, all built on the token stream from
 //! [`crate::lexer`]:
 //!
 //! * **`lock-order`** — a static lock-order graph over every
@@ -31,6 +31,12 @@
 //!   It may not name `std::net`, `std::thread`, `Instant`/`SystemTime`,
 //!   `netsim`, `firewall::vnet`, locks or atomics, and gets no
 //!   `lint:allow(bare-sleep)`.
+//! * **`client-plane`** — the client control plane and the stripe-lane
+//!   sender each exist once (`core/client.rs`, `stripe.rs`). Their
+//!   drivers (`client.rs`, `sim/client.rs`, `sim/stripe.rs`,
+//!   `gridmpi/src/comm.rs`) may not name `ShardRouter`,
+//!   `CircuitBreaker` or `route_from`, and no non-test code outside
+//!   `stripe.rs` spells `StripeFrame::Open {`.
 
 use crate::lexer::{lex, string_content, Token, TokenKind};
 use crate::rules::{test_region_lines, Rule, Violation};
@@ -82,6 +88,7 @@ pub fn analyze_workspace(
 
     let frame_variants = check_frame_coverage(files, fuzz_sweep, &mut violations);
     check_core_purity(files, &mut violations);
+    check_client_plane(files, &mut violations);
 
     WsReport {
         violations,
@@ -783,13 +790,8 @@ const CORE_FORBIDDEN: &[(&str, &str)] = &[
 /// sleep allowance.
 fn check_core_purity(files: &[(String, String)], out: &mut Vec<Violation>) {
     for (path, source) in files.iter().filter(|(p, _)| is_core_file(p)) {
-        let mut lines: BTreeMap<usize, String> = BTreeMap::new();
-        for t in lex(source).into_iter().filter(|t| !t.kind.is_trivia()) {
-            if matches!(t.kind, TokenKind::Ident | TokenKind::Punct) {
-                lines.entry(t.line).or_default().push_str(t.text(source));
-            }
-        }
-        for (line, code) in &lines {
+        let toks = lex(source).into_iter().filter(|t| !t.kind.is_trivia());
+        for (line, code) in &code_lines(source, toks) {
             // One report per line: the first spelling that matches.
             if let Some((needle, what)) = CORE_FORBIDDEN.iter().find(|(n, _)| code.contains(n)) {
                 out.push(Violation {
@@ -807,6 +809,68 @@ fn check_core_purity(files: &[(String, String)], out: &mut Vec<Violation>) {
                     line: i + 1,
                     rule: Rule::CorePurity,
                     message: "the sans-IO core gets no lint:allow(bare-sleep): it never sleeps"
+                        .to_string(),
+                });
+            }
+        }
+    }
+}
+
+/// Each line's identifier and punctuation tokens joined without
+/// spaces: what the spelling rules match against.
+fn code_lines(source: &str, toks: impl Iterator<Item = Token>) -> BTreeMap<usize, String> {
+    let mut lines: BTreeMap<usize, String> = BTreeMap::new();
+    for t in toks {
+        if matches!(t.kind, TokenKind::Ident | TokenKind::Punct) {
+            lines.entry(t.line).or_default().push_str(t.text(source));
+        }
+    }
+    lines
+}
+
+// ---------------------------------------------------------------------------
+// client-plane
+// ---------------------------------------------------------------------------
+
+/// Drivers of the client core and users of the lane sender.
+const CLIENT_DRIVERS: &[&str] = &[
+    "crates/nexus-proxy/src/client.rs",
+    "crates/nexus-proxy/src/sim/client.rs",
+    "crates/nexus-proxy/src/sim/stripe.rs",
+    "crates/gridmpi/src/comm.rs",
+];
+
+/// What a driver would name to grow a ladder of its own.
+const LADDER_SPELLINGS: &[&str] = &["ShardRouter", "CircuitBreaker", "route_from"];
+
+/// The one file that spells out a lane's frame sequence.
+const LANE_SENDER: &str = "crates/nexus-proxy/src/stripe.rs";
+
+/// The fleet ladder lives in `core/client.rs` and the lane sequence in
+/// `stripe.rs`; a second copy starts with one of these spellings.
+fn check_client_plane(files: &[(String, String)], out: &mut Vec<Violation>) {
+    for (path, source) in files {
+        let driver = CLIENT_DRIVERS.contains(&path.as_str());
+        for (line, code) in &code_lines(source, code_tokens(source).into_iter()) {
+            let ladder = LADDER_SPELLINGS.iter().find(|n| code.contains(*n));
+            if let Some(needle) = ladder.filter(|_| driver) {
+                out.push(Violation {
+                    path: path.clone(),
+                    line: *line,
+                    rule: Rule::ClientPlane,
+                    message: format!(
+                        "a client driver names `{needle}`: shard choice and breakers \
+                         belong to core/client.rs"
+                    ),
+                });
+            }
+            if path != LANE_SENDER && code.contains("StripeFrame::Open{") {
+                out.push(Violation {
+                    path: path.clone(),
+                    line: *line,
+                    rule: Rule::ClientPlane,
+                    message: "`StripeFrame::Open {` outside stripe.rs: walk \
+                              `StripePlan::lane_frames` instead of a second lane loop"
                         .to_string(),
                 });
             }
@@ -1108,6 +1172,53 @@ fn step(now: u64) {
                 ("crates/nexus-proxy/src/core.rs", 7),
                 ("crates/nexus-proxy/src/core.rs", 7),
                 ("crates/nexus-proxy/src/core/outer.rs", 1),
+            ],
+            "{:?}",
+            r.violations
+        );
+    }
+
+    #[test]
+    fn client_plane_flags_a_second_ladder_and_a_second_lane_loop() {
+        let ladder = r#"
+use crate::shard::ShardRouter;
+// CircuitBreaker in a comment is fine.
+fn pick(r: &mut Router) -> Option<usize> {
+    r.route_from(0, 0, &[])
+}
+#[cfg(test)]
+mod tests {
+    fn t() { let _ = StripeFrame::Open { transfer: 1 }; }
+}
+"#;
+        let lane = "fn blast() { send(StripeFrame::Open { transfer: 1 }); }\n";
+        let r = ws(
+            &[
+                ("crates/nexus-proxy/src/sim/client.rs", ladder),
+                ("crates/gridmpi/src/comm.rs", lane),
+                // The owners may say all of it.
+                ("crates/nexus-proxy/src/core/client.rs", ladder),
+                ("crates/nexus-proxy/src/stripe.rs", lane),
+                // Anyone may name the router; nobody else opens a lane.
+                ("crates/wacs-check/src/stripe.rs", ladder),
+                ("crates/wacs-check/src/shard.rs", lane),
+            ],
+            Some(""),
+            Some(""),
+        );
+        let hits: Vec<(&str, usize)> = r
+            .violations
+            .iter()
+            .filter(|v| v.rule == Rule::ClientPlane)
+            .map(|v| (v.path.as_str(), v.line))
+            .collect();
+        assert_eq!(
+            hits,
+            vec![
+                ("crates/nexus-proxy/src/sim/client.rs", 2),
+                ("crates/nexus-proxy/src/sim/client.rs", 5),
+                ("crates/gridmpi/src/comm.rs", 1),
+                ("crates/wacs-check/src/shard.rs", 1),
             ],
             "{:?}",
             r.violations
