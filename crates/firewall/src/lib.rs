@@ -39,7 +39,7 @@ pub use audit::{AuditLog, AuditRecord};
 pub use conntrack::{ConnTracker, FlowKey};
 pub use policy::{Firewall, Policy};
 pub use rule::{Action, Direction, Endpoint, HostRef, HostSet, PortSet, Proto, Rule, Verdict};
-pub use vnet::{VListener, VNet, VSiteId};
+pub use vnet::{StopHandle, VListener, VNet, VSiteId};
 
 /// The well-known relay port (the paper's `nxport`) that the outer
 /// server uses to reach the inner server: the **single** hole that must

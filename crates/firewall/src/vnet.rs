@@ -23,9 +23,18 @@ use crate::rule::{Direction, Endpoint, HostRef, Proto};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU16, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use wacs_sync::Mutex;
+
+/// First logical port for listen-on-any requests; 65535 wraps back here.
+const EPHEMERAL_BASE: u16 = 40000;
+
+/// Bound on a stop handle's wake dial: a listener whose backlog is full
+/// has connections to return, so its `accept` is not blocked and the
+/// dial need not land.
+const STOP_DIAL_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Site index within a `VNet`.
 pub type VSiteId = usize;
@@ -70,7 +79,7 @@ impl VNet {
                 hosts: Mutex::new(HashMap::new()),
                 services: Mutex::new(HashMap::new()),
                 next_host: AtomicU32::new(1),
-                next_ephemeral: AtomicU16::new(40000),
+                next_ephemeral: AtomicU16::new(EPHEMERAL_BASE),
             }),
         }
     }
@@ -140,19 +149,19 @@ impl VNet {
     }
 
     /// Allocate a logical ephemeral port (for listen-on-any requests).
+    /// The range wraps in one atomic step, so concurrent callers never
+    /// share a value.
     pub fn ephemeral_port(&self) -> u16 {
-        let p = self.inner.next_ephemeral.fetch_add(1, Ordering::Relaxed);
-        if p < 40000 {
-            // wrapped; restart the range (fine for tests/benches)
-            self.inner.next_ephemeral.store(40001, Ordering::Relaxed);
-            40000
-        } else {
-            p
-        }
+        let wrapping_next = |p: u16| Some(p.checked_add(1).unwrap_or(EPHEMERAL_BASE));
+        self.inner
+            .next_ephemeral
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, wrapping_next)
+            .unwrap_or(EPHEMERAL_BASE)
     }
 
     /// Bind a service: a real loopback listener advertised as logical
-    /// `(host, port)`. `port == 0` allocates an ephemeral logical port.
+    /// `(host, port)`. `port == 0` allocates an ephemeral logical port,
+    /// passing over those a listener on `host` still holds.
     pub fn bind(&self, host: &str, port: u16) -> io::Result<VListener> {
         if self.host_ref(host).is_none() {
             return Err(io::Error::new(
@@ -160,26 +169,34 @@ impl VNet {
                 format!("unknown host {host}"),
             ));
         }
-        let port = if port == 0 {
-            self.ephemeral_port()
-        } else {
-            port
-        };
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let real = listener.local_addr()?;
         let mut services = self.inner.services.lock();
-        if services.contains_key(&(host.to_string(), port)) {
-            return Err(io::Error::new(
+        let free = |p: &u16| !services.contains_key(&(host.to_string(), *p));
+        let port = match port {
+            0 => (EPHEMERAL_BASE..=u16::MAX)
+                .map(|_| self.ephemeral_port())
+                .find(free),
+            p => Some(p).filter(free),
+        }
+        .ok_or_else(|| {
+            io::Error::new(
                 io::ErrorKind::AddrInUse,
                 format!("{host}:{port} already bound"),
-            ));
-        }
+            )
+        })?;
         services.insert((host.to_string(), port), real);
         Ok(VListener {
             listener,
             host: host.to_string(),
             port,
             net: self.clone(),
+            stop: StopHandle {
+                inner: Arc::new(StopInner {
+                    stopped: AtomicBool::new(false),
+                    real,
+                }),
+            },
         })
     }
 
@@ -246,6 +263,35 @@ impl VNet {
     }
 }
 
+struct StopInner {
+    stopped: AtomicBool,
+    /// The listener's own real loopback address: where the wake dials.
+    real: SocketAddr,
+}
+
+/// Ends a [`VListener::accept_until_stop`] from another thread. The
+/// flag is set first and then one connection is made to the listener's
+/// real address, so the blocked `accept` returns and sees the flag.
+/// That dial is not traffic: it bypasses [`VNet::dial`] (policy,
+/// conntrack, dial hooks), and the listener drops it unserved.
+#[derive(Clone)]
+pub struct StopHandle {
+    inner: Arc<StopInner>,
+}
+
+impl StopHandle {
+    /// Idempotent: only the first call dials.
+    pub fn stop(&self) {
+        if !self.inner.stopped.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.inner.real, STOP_DIAL_TIMEOUT);
+        }
+    }
+
+    pub fn is_stopped(&self) -> bool {
+        self.inner.stopped.load(Ordering::SeqCst)
+    }
+}
+
 /// A bound service: real listener + logical address. Unregisters on
 /// drop.
 pub struct VListener {
@@ -253,11 +299,29 @@ pub struct VListener {
     host: String,
     port: u16,
     net: VNet,
+    stop: StopHandle,
 }
 
 impl VListener {
     pub fn accept(&self) -> io::Result<(TcpStream, SocketAddr)> {
-        self.listener.accept()
+        self.listener.accept() // lint:allow(deadline-io) — blocking by contract; servers use `accept_until_stop`.
+    }
+
+    /// The handle that ends [`accept_until_stop`](Self::accept_until_stop).
+    pub fn stop_handle(&self) -> StopHandle {
+        self.stop.clone()
+    }
+
+    /// Block for the next connection. `None` once the stop handle has
+    /// fired (or the listener failed): whatever was accepted after the
+    /// flag went up, the wake dial or a real peer racing it, is dropped
+    /// unserved.
+    pub fn accept_until_stop(&self) -> Option<TcpStream> {
+        if self.stop.is_stopped() {
+            return None;
+        }
+        let (stream, _) = self.listener.accept().ok()?; // lint:allow(deadline-io) — the stop handle ends it.
+        (!self.stop.is_stopped()).then_some(stream)
     }
 
     /// Logical `(host, port)` this service is advertised as.
@@ -267,21 +331,6 @@ impl VListener {
 
     pub fn logical_port(&self) -> u16 {
         self.port
-    }
-
-    /// Real loopback address (diagnostics).
-    pub fn real_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Clone the underlying OS listener handle (for acceptor threads).
-    pub fn try_clone(&self) -> io::Result<TcpListener> {
-        self.listener.try_clone()
-    }
-
-    /// Set non-blocking accept mode (used by servers that poll).
-    pub fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        self.listener.set_nonblocking(nb)
     }
 }
 
@@ -293,6 +342,8 @@ impl std::fmt::Debug for VListener {
 
 impl Drop for VListener {
     fn drop(&mut self) {
+        // A later stop must not dial: the real port may be another's by then.
+        self.stop.inner.stopped.store(true, Ordering::SeqCst);
         self.net
             .inner
             .services
@@ -403,6 +454,103 @@ mod tests {
         let e2 = n.bind("in-a", 0).unwrap();
         assert_ne!(e1.logical_port(), e2.logical_port());
         assert!(e1.logical_port() >= 40000);
+    }
+
+    /// The range wraps in one step and passes over a port a long-lived
+    /// listener still holds: no duplicate, no `AddrInUse`, from two
+    /// threads allocating through the wrap at once.
+    #[test]
+    fn ephemeral_wrap_is_atomic_and_skips_live_ports() {
+        let n = net();
+        let held = n.bind("in-a", 0).unwrap();
+        assert_eq!(held.logical_port(), EPHEMERAL_BASE);
+        n.inner
+            .next_ephemeral
+            .store(u16::MAX - 7, Ordering::Relaxed);
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let (n, start) = (n.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..16)
+                        .map(|_| n.bind("in-a", 0).unwrap())
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let bound: Vec<VListener> = threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect();
+        let mut ports: Vec<u16> = bound.iter().map(VListener::logical_port).collect();
+        ports.sort_unstable();
+        ports.dedup();
+        assert_eq!(ports.len(), 32, "duplicate logical port across the wrap");
+        assert!(ports.iter().all(|p| *p > EPHEMERAL_BASE), "{ports:?}");
+        assert!(ports.contains(&u16::MAX) && ports.contains(&(EPHEMERAL_BASE + 1)));
+    }
+
+    #[test]
+    fn stop_before_the_first_accept_returns_none() {
+        let n = net();
+        let l = n.bind("in-a", 7000).unwrap();
+        l.stop_handle().stop();
+        assert!(l.stop_handle().is_stopped());
+        assert!(l.accept_until_stop().is_none());
+    }
+
+    /// Whichever of the accept and the stop comes first, the accept
+    /// ends; and once the owning thread has dropped the listener the
+    /// service is gone.
+    #[test]
+    fn stop_from_another_thread_ends_a_blocked_accept() {
+        let n = net();
+        let l = n.bind("in-a", 7000).unwrap();
+        let stop = l.stop_handle();
+        let (entering, entered) = std::sync::mpsc::channel();
+        let acceptor = std::thread::spawn(move || {
+            entering.send(()).unwrap();
+            l.accept_until_stop().is_none()
+        });
+        entered.recv().unwrap();
+        stop.stop();
+        assert!(acceptor.join().unwrap());
+        assert!(n.resolve("in-a", 7000).is_none());
+        // With the listener gone a late stop dials nobody.
+        stop.stop();
+    }
+
+    /// A real peer that lands between the flag and the wake dial is
+    /// accepted by the kernel but never served: it reads EOF.
+    #[test]
+    fn a_peer_that_raced_the_stop_is_dropped_unserved() {
+        let n = net();
+        let l = n.bind("in-a", 7000).unwrap();
+        let flag = l.stop_handle();
+        let (entering, entered) = std::sync::mpsc::channel();
+        let acceptor = std::thread::spawn(move || {
+            entering.send(()).unwrap();
+            l.accept_until_stop().is_none()
+        });
+        entered.recv().unwrap();
+        // The first half of `stop()` only; the peer below is the wake.
+        flag.inner.stopped.store(true, Ordering::SeqCst);
+        let mut peer = n.dial("in-b", "in-a", 7000).unwrap();
+        assert!(acceptor.join().unwrap());
+        assert!(matches!(peer.read(&mut [0u8; 1]), Ok(0) | Err(_)));
+    }
+
+    #[test]
+    fn a_second_stop_makes_no_second_dial() {
+        let n = net();
+        let l = n.bind("in-a", 7000).unwrap();
+        let stop = l.stop_handle();
+        stop.stop();
+        stop.clone().stop();
+        l.listener.set_nonblocking(true).unwrap();
+        assert!(l.accept().is_ok(), "the one wake dial");
+        assert_eq!(l.accept().unwrap_err().kind(), io::ErrorKind::WouldBlock);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::core::{ClientCore, ClientOp, Outcome, Refusal, Step};
 use crate::hook::{interpose, DialHook, DialLeg};
 use crate::liveness::BreakerConfig;
 use crate::protocol::Msg;
-use firewall::vnet::{VListener, VNet};
+use firewall::vnet::{StopHandle, VListener, VNet};
 use std::fmt;
 use std::io;
 use std::net::TcpStream;
@@ -263,11 +263,18 @@ impl NxListener {
     /// endpoint returned by `NXProxyBind`. Relayed peers arrive here
     /// via the inner server.
     pub fn accept(&self) -> io::Result<TcpStream> {
-        self.private.accept().map(|(s, _)| s)
+        self.private.accept().map(|(s, _)| s) // lint:allow(deadline-io) — `NXProxyAccept` blocks by contract.
     }
 
-    pub fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        self.private.set_nonblocking(nb)
+    /// The handle that ends [`accept_until_stop`](Self::accept_until_stop).
+    pub fn stop_handle(&self) -> StopHandle {
+        self.private.stop_handle()
+    }
+
+    /// [`accept`](Self::accept) for an acceptor thread: `None` once
+    /// the stop handle has fired.
+    pub fn accept_until_stop(&self) -> Option<TcpStream> {
+        self.private.accept_until_stop()
     }
 
     /// The private (intra-site) address the inner server dials.

@@ -312,7 +312,6 @@ impl RealRun {
         match op {
             Op::Listen(port) => {
                 let l = self.net.bind("edge", port).unwrap();
-                l.set_nonblocking(true).unwrap();
                 self.listeners.insert(port, l);
             }
             Op::Dial { slot, to } => {
@@ -335,17 +334,20 @@ impl RealRun {
                 other => panic!("slot {slot} is still open: {other:?}"),
             },
             Op::Accept { port, slot } => {
-                let deadline = Instant::now() + WAIT;
-                let s = loop {
-                    match self.listeners[&port].accept() {
-                        Ok((s, _)) => break s,
-                        Err(_) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(e) => panic!("nothing arrived on {port}: {e}"),
+                // The deadline is a stop fired after `WAIT`; an arrival
+                // hangs up on the timer first.
+                let listener = &self.listeners[&port];
+                let (arrived, hung_up) = wacs_sync::bounded::<()>(1);
+                let stop = listener.stop_handle();
+                let timer = std::thread::spawn(move || {
+                    if hung_up.recv_timeout(WAIT) == Err(wacs_sync::RecvTimeoutError::Timeout) {
+                        stop.stop();
                     }
-                };
-                s.set_nonblocking(false).unwrap();
+                });
+                let s = listener.accept_until_stop();
+                drop(arrived);
+                timer.join().unwrap();
+                let s = s.unwrap_or_else(|| panic!("nothing arrived on {port}: timed out"));
                 s.set_read_timeout(Some(WAIT)).unwrap();
                 self.slots.insert(slot, s);
             }

@@ -31,7 +31,6 @@ use crate::stats::ProxySnapshot;
 use crate::wire::{Daemon, Io};
 use firewall::vnet::VNet;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -105,7 +104,6 @@ impl InnerServer {
         hook: Option<crate::core::StepHook<String>>,
     ) -> io::Result<InnerServer> {
         let listener = net.bind(&cfg.host, cfg.nxport)?;
-        listener.set_nonblocking(true)?;
         let registry = wacs_obs::Registry::new();
         let mut core = InnerCore::new(cfg.require_registration, &registry, "proxy");
         if let Some(hook) = hook {
@@ -127,7 +125,7 @@ impl InnerServer {
         // server would believe a dead peer alive forever).
         let (d, nxport, timeout) = (daemon.clone(), cfg.nxport, cfg.control_timeout);
         let accept_thread = thread::spawn(move || {
-            d.accept_loop(&listener, &AtomicBool::new(false), |from_outer| {
+            d.accept_loop(&listener, |from_outer| {
                 let d = d.clone();
                 thread::spawn(move || {
                     let mut io = Io::new(&d).until_shutdown().frame_timeout(timeout);
@@ -169,7 +167,7 @@ impl InnerServer {
     }
 
     pub fn shutdown(&self) {
-        self.daemon.shutdown.store(true, Ordering::Relaxed);
+        self.daemon.shut_down();
     }
 }
 

@@ -42,7 +42,7 @@ use firewall::vnet::VNet;
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -144,7 +144,6 @@ impl OuterServer {
         hook: Option<crate::core::StepHook<String>>,
     ) -> io::Result<OuterServer> {
         let listener = net.bind(&cfg.host, cfg.params.ctrl_port)?;
-        listener.set_nonblocking(true)?;
         let mut core = OuterCore::new(cfg.params.clone(), &wacs_obs::Registry::new(), "proxy");
         if let Some(hook) = hook {
             core.set_hook(hook);
@@ -162,7 +161,7 @@ impl OuterServer {
 
         let (d, ctrl_port) = (daemon.clone(), cfg.params.ctrl_port);
         threads.push(thread::spawn(move || {
-            d.accept_loop(&listener, &AtomicBool::new(false), |stream| {
+            d.accept_loop(&listener, |stream| {
                 let d = d.clone();
                 thread::spawn(move || handle_control(&d, stream, ctrl_port));
             });
@@ -230,7 +229,7 @@ impl OuterServer {
     }
 
     pub fn shutdown(&self) {
-        self.daemon.shutdown.store(true, Ordering::Relaxed);
+        self.daemon.shut_down();
     }
 
     /// Graceful shutdown: stop accepting new work, then wait up to
@@ -272,31 +271,34 @@ impl Drop for OuterServer {
 fn handle_control(d: &OuterDaemon, stream: TcpStream, ctrl_port: u16) {
     let mut io = Io::new(d);
     let conn = io.accept(stream, ctrl_port);
-    let (Some(listener), Some(mut ctrl)) = (io.listener.take(), io.take(conn)) else {
+    let (Some(listener), Some(ctrl)) = (io.listener.take(), io.take(conn)) else {
         return;
     };
     let rdv_port = listener.logical_port();
+    let ctrl = Arc::new(ctrl);
     // Watch the control connection: EOF ends the registration (clients
     // don't speak after bind).
-    let done = Arc::new(AtomicBool::new(false));
     {
-        let done = done.clone();
+        let (ctrl, stop) = (ctrl.clone(), listener.stop_handle());
         thread::spawn(move || {
             let mut scratch = [0u8; 16];
-            while matches!(io::Read::read(&mut ctrl, &mut scratch), Ok(n) if n > 0) {}
-            done.store(true, Ordering::Relaxed);
+            while matches!(io::Read::read(&mut &*ctrl, &mut scratch), Ok(n) if n > 0) {}
+            stop.stop();
         });
     }
     // Accept peers on the rendezvous port, one at a time (Fig. 4 steps
     // 3-5 run on this thread).
     let d = d.clone();
     thread::spawn(move || {
-        d.accept_loop(&listener, &done, |peer| {
+        d.accept_loop(&listener, |peer| {
             Io::new(&d).accept(peer, rdv_port);
         });
         // Unbind before withdrawing the registry entry, so observers
         // who see the port gone can rely on new dials failing.
         drop(listener);
+        // A server shutdown ends the registration as well: the client
+        // reads EOF and the watcher above returns.
+        let _ = ctrl.shutdown(Shutdown::Both);
         Io::new(&d).run(Event::Closed { conn });
     });
 }

@@ -19,7 +19,7 @@ use crate::pool::{BufferPool, PoolConfig};
 use crate::protocol::Msg;
 use crate::pump::{pump_pooled, RelayActivity};
 use crate::stats::ProxyStats;
-use firewall::vnet::{VListener, VNet};
+use firewall::vnet::{StopHandle, VListener, VNet};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::TcpStream;
@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-use wacs_sync::OrderedMutex;
+use wacs_sync::{Mutex, OrderedMutex};
 
 /// While a timer is pending, wake at least this often to notice
 /// shutdown.
@@ -57,6 +57,9 @@ pub(crate) struct Daemon<M> {
     dial_hook: Option<DialHook>,
     pub stats: Arc<ProxyStats>,
     pub shutdown: AtomicBool,
+    /// Stop handles of the listeners being served, by logical port, so
+    /// one [`shut_down`](Self::shut_down) ends every blocked accept.
+    listeners: Mutex<HashMap<u16, StopHandle>>,
     /// Every control decision, behind the server's one lock.
     pub core: OrderedMutex<M>,
     /// `Some` = bridged pairs are tracked here until their pump ends
@@ -86,6 +89,7 @@ impl<M: Send + 'static> Daemon<M> {
             host: host.to_string(),
             dial_hook,
             shutdown: AtomicBool::new(false),
+            listeners: Mutex::new(HashMap::new()),
             core,
             relays,
             step,
@@ -151,25 +155,29 @@ impl<M: Send + 'static> Daemon<M> {
         });
     }
 
-    /// Poll nonblocking `listener` until `done` or shutdown, handing
-    /// each accepted (blocking-mode) stream to `serve`.
-    pub fn accept_loop(
-        &self,
-        listener: &VListener,
-        done: &AtomicBool,
-        mut serve: impl FnMut(TcpStream),
-    ) {
-        while !done.load(Ordering::Relaxed) && !self.shutdown.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false).ok();
-                    serve(stream);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(1)); // lint:allow(bare-sleep) — nonblocking accept poll.
-                }
-                Err(_) => break,
+    /// Hand each connection `listener` accepts to `serve`, until the
+    /// listener's stop handle fires or the server shuts down.
+    pub fn accept_loop(&self, listener: &VListener, mut serve: impl FnMut(TcpStream)) {
+        let port = listener.logical_port();
+        self.listeners.lock().insert(port, listener.stop_handle());
+        // Registered, then checked: a shutdown whose sweep missed the
+        // entry had raised the flag before it took the lock.
+        if !self.shutdown.load(Ordering::SeqCst) {
+            while let Some(stream) = listener.accept_until_stop() {
+                serve(stream);
             }
+        }
+        self.listeners.lock().remove(&port);
+    }
+
+    /// Stop serving: raise the flag every thread checks around its
+    /// waits, and end every blocked accept.
+    pub fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Dialed outside the lock: a woken acceptor takes it to unregister.
+        let stops: Vec<StopHandle> = self.listeners.lock().values().cloned().collect();
+        for stop in stops {
+            stop.stop();
         }
     }
 }
@@ -262,11 +270,7 @@ impl<'a, M: Send + 'static> Io<'a, M> {
             }
             Action::Listen { conn } => {
                 let d = self.daemon;
-                self.listener = d
-                    .net
-                    .bind(&d.host, 0)
-                    .ok()
-                    .filter(|l| l.set_nonblocking(true).is_ok());
+                self.listener = d.net.bind(&d.host, 0).ok();
                 let port = self.listener.as_ref().map(VListener::logical_port);
                 queue.push_back(Event::Listened { conn, port });
             }

@@ -1351,6 +1351,74 @@ fn real_half_written_control_frame_does_not_wedge_accept_loop() {
     drop(stalled);
 }
 
+/// Accepts block (DESIGN.md §6c "accepts block too"): a rendezvous
+/// acceptor no peer ever dials is ended by its control connection's
+/// EOF alone, through the listener's stop handle.
+#[test]
+fn real_control_close_withdraws_the_rendezvous_without_a_peer() {
+    let w = real_world();
+    let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
+    let outer = OuterServer::start(
+        w.net.clone(),
+        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
+    )
+    .unwrap();
+    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let listener = nx_proxy_bind(&w.net, &env, "rwcp-sun").unwrap();
+    let (host, port) = listener.advertised.clone();
+    assert_eq!(outer.rendezvous_ports(), vec![port]);
+    drop(listener);
+    wait_until("registration withdrawn", Duration::from_secs(1), || {
+        outer.rendezvous_ports().is_empty()
+    });
+    assert!(w.net.resolve(&host, port).is_none());
+}
+
+/// A stop handle's wake dial is not traffic: one rendezvous listener
+/// stopped by its watcher, then the control port, the other rendezvous
+/// port and `nxport` stopped by `shutdown()`, and not one counter,
+/// gauge or histogram of either server moves.
+#[test]
+fn real_stop_wakes_are_invisible_in_stats() {
+    let w = real_world();
+    let inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
+    let outer = OuterServer::start(
+        w.net.clone(),
+        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
+    )
+    .unwrap();
+    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let _kept = nx_proxy_bind(&w.net, &env, "rwcp-sun").unwrap();
+    let dropped = nx_proxy_bind(&w.net, &env, "rwcp-sun").unwrap();
+    // A bind's service time is recorded after its reply is on the wire.
+    wait_until("both binds recorded", Duration::from_secs(1), || {
+        outer.obs_snapshot().histograms["proxy.bind_req_ns"].count == 2
+    });
+    let observe = || {
+        (
+            outer.obs_snapshot(),
+            inner.obs_snapshot(),
+            outer.admission_active(),
+        )
+    };
+    let before = observe();
+
+    drop(dropped);
+    wait_until("one registration withdrawn", Duration::from_secs(1), || {
+        outer.rendezvous_ports().len() == 1
+    });
+    outer.shutdown();
+    inner.shutdown();
+    // An acceptor that has returned has consumed its wake and dropped
+    // its listener.
+    wait_until("every acceptor gone", Duration::from_secs(1), || {
+        outer.rendezvous_ports().is_empty()
+            && w.net.resolve("rwcp-outer", OUTER_PORT).is_none()
+            && w.net.resolve("rwcp-inner", NXPORT).is_none()
+    });
+    assert_eq!(observe(), before);
+}
+
 /// A one-hop redirect raced by strictly-newer `ShardSync` installs:
 /// while the fleet generation advances (same member set, rising
 /// generation, pushed to the router and every shard), clients aimed at

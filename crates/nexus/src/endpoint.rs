@@ -8,9 +8,10 @@
 use crate::context::NexusContext;
 use crate::msg::recv_frame;
 use crate::ports::PortPolicy;
+use firewall::StopHandle;
 use nexus_proxy::{nx_proxy_bind, NxListener};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -24,7 +25,9 @@ const QUEUE_DEPTH: usize = 4096;
 pub struct Endpoint {
     advertised: (String, u16),
     rx: Receiver<Vec<u8>>,
-    stop: Arc<AtomicBool>,
+    /// Ends the acceptor's blocked accept; the readers check it between
+    /// frames.
+    stop: StopHandle,
     // Handshake-acceptance tally shared with the accept thread; not
     // registry-backed (nexus has no registry). lint:allow(bare-atomic-counter)
     accepted: Arc<AtomicU64>,
@@ -35,7 +38,6 @@ pub struct Endpoint {
 impl Endpoint {
     pub(crate) fn create(ctx: &NexusContext) -> io::Result<Endpoint> {
         let (tx, rx) = bounded::<Vec<u8>>(QUEUE_DEPTH);
-        let stop = Arc::new(AtomicBool::new(false));
         let accepted = Arc::new(AtomicU64::new(0)); // lint:allow(bare-atomic-counter)
 
         let listener: NxListener = match ctx.port_policy() {
@@ -62,7 +64,7 @@ impl Endpoint {
             }
         };
         let advertised = listener.advertised.clone();
-        listener.set_nonblocking(true)?;
+        let stop = listener.stop_handle();
 
         // Acceptor thread: accepts attachments, spawns a reader each.
         {
@@ -70,20 +72,11 @@ impl Endpoint {
             let tx = tx.clone();
             let accepted = accepted.clone();
             thread::spawn(move || {
-                let listener = listener; // keep registration alive
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok(stream) => {
-                            stream.set_nonblocking(false).ok();
-                            stream.set_nodelay(true).ok();
-                            accepted.fetch_add(1, Ordering::Relaxed);
-                            spawn_reader(stream, tx.clone(), stop.clone());
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(1)); // lint:allow(bare-sleep) — nonblocking accept poll.
-                        }
-                        Err(_) => break,
-                    }
+                // The listener stays registered as long as this loop runs.
+                while let Some(stream) = listener.accept_until_stop() {
+                    stream.set_nodelay(true).ok();
+                    accepted.fetch_add(1, Ordering::Relaxed);
+                    spawn_reader(stream, tx.clone(), stop.clone());
                 }
             });
         }
@@ -152,16 +145,16 @@ impl Endpoint {
 
 impl Drop for Endpoint {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.stop();
         self.exchange.unregister(&self.inproc_key);
     }
 }
 
-fn spawn_reader(stream: std::net::TcpStream, tx: Sender<Vec<u8>>, stop: Arc<AtomicBool>) {
+fn spawn_reader(stream: std::net::TcpStream, tx: Sender<Vec<u8>>, stop: StopHandle) {
     thread::spawn(move || {
         let mut stream = stream;
         loop {
-            if stop.load(Ordering::Relaxed) {
+            if stop.is_stopped() {
                 break;
             }
             match recv_frame(&mut stream) {

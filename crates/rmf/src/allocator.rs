@@ -5,13 +5,10 @@
 
 use crate::error::RmfError;
 use crate::job::FlowTrace;
-use crate::wire::Record;
+use crate::wire::{Record, RecordServer};
 use firewall::vnet::VNet;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 use wacs_sync::OrderedMutex;
 
 /// Well-known allocator port (a fixed inbound hole in the firewall,
@@ -237,8 +234,7 @@ impl AllocatorState {
 /// The allocator daemon: socket front-end over [`AllocatorState`].
 pub struct ResourceAllocator {
     pub state: AllocatorState,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    server: RecordServer,
     host: String,
 }
 
@@ -252,38 +248,11 @@ impl ResourceAllocator {
         let host = host.into();
         let state = AllocatorState::new(policy);
         let listener = net.bind(&host, ALLOCATOR_PORT)?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let t_state = state.clone();
-        let t_shutdown = shutdown.clone();
-        let accept_thread = thread::spawn(move || {
-            let listener = listener;
-            while !t_shutdown.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        stream.set_nonblocking(false).ok();
-                        let state = t_state.clone();
-                        let trace = trace.clone();
-                        thread::spawn(move || {
-                            while let Ok(Some(req)) = Record::read_from(&mut stream) {
-                                let reply = handle(&state, &trace, &req);
-                                if reply.write_to(&mut stream).is_err() {
-                                    break;
-                                }
-                            }
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(1)); // lint:allow(bare-sleep) — nonblocking accept poll.
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
+        let server = RecordServer::start(listener, move |req| handle(&t_state, &trace, req));
         Ok(ResourceAllocator {
             state,
-            shutdown,
-            accept_thread: Some(accept_thread),
+            server,
             host,
         })
     }
@@ -293,16 +262,7 @@ impl ResourceAllocator {
     }
 
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-    }
-}
-
-impl Drop for ResourceAllocator {
-    fn drop(&mut self) {
-        self.shutdown();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.server.shutdown();
     }
 }
 

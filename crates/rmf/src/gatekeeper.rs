@@ -11,12 +11,12 @@ use crate::gass::GassStore;
 use crate::job::{FlowTrace, JobId, JobState};
 use crate::qsys::QClient;
 use crate::rsl::{self, JobRequest};
-use crate::wire::Record;
+use crate::wire::{Record, RecordServer};
 use firewall::vnet::VNet;
 use firewall::GATEKEEPER_PORT;
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -35,8 +35,7 @@ pub struct JobInfo {
 pub struct Gatekeeper {
     host: String,
     jobs: Arc<Mutex<HashMap<JobId, JobInfo>>>,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    server: RecordServer,
 }
 
 struct GkCtx {
@@ -64,9 +63,7 @@ impl Gatekeeper {
     ) -> io::Result<Gatekeeper> {
         let host = host.into();
         let listener = net.bind(&host, GATEKEEPER_PORT)?;
-        listener.set_nonblocking(true)?;
         let jobs = Arc::new(Mutex::new(HashMap::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
         let ctx = Arc::new(GkCtx {
             net,
             host: host.clone(),
@@ -77,36 +74,8 @@ impl Gatekeeper {
             jobs: jobs.clone(),
             next_job: AtomicU64::new(1), // lint:allow(bare-atomic-counter)
         });
-        let t_shutdown = shutdown.clone();
-        let accept_thread = thread::spawn(move || {
-            let listener = listener;
-            while !t_shutdown.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        stream.set_nonblocking(false).ok();
-                        let ctx = ctx.clone();
-                        thread::spawn(move || {
-                            while let Ok(Some(req)) = Record::read_from(&mut stream) {
-                                let reply = handle(&ctx, &req);
-                                if reply.write_to(&mut stream).is_err() {
-                                    break;
-                                }
-                            }
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(1)); // lint:allow(bare-sleep) — nonblocking accept poll.
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(Gatekeeper {
-            host,
-            jobs,
-            shutdown,
-            accept_thread: Some(accept_thread),
-        })
+        let server = RecordServer::start(listener, move |req| handle(&ctx, req));
+        Ok(Gatekeeper { host, jobs, server })
     }
 
     pub fn addr(&self) -> (String, u16) {
@@ -118,16 +87,7 @@ impl Gatekeeper {
     }
 
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-    }
-}
-
-impl Drop for Gatekeeper {
-    fn drop(&mut self) {
-        self.shutdown();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.server.shutdown();
     }
 }
 

@@ -9,11 +9,10 @@ use crate::exec::{run_processes, ExecRegistry};
 use crate::gass::GassStore;
 use crate::job::{FlowTrace, JobId, JobState};
 use crate::rsl::JobRequest;
-use crate::wire::Record;
+use crate::wire::{Record, RecordServer};
 use firewall::vnet::VNet;
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -34,8 +33,7 @@ pub struct QServer {
     host: String,
     resource: String,
     jobs: Arc<OrderedMutex<HashMap<(JobId, u32), SubJob>>>,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    server: RecordServer,
 }
 
 struct QServerCtx {
@@ -62,9 +60,7 @@ impl QServer {
         let host = host.into();
         let resource = resource.into();
         let listener = net.bind(&host, QSERVER_PORT)?;
-        listener.set_nonblocking(true)?;
         let jobs = Arc::new(OrderedMutex::new("rmf.qsys.jobs", HashMap::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
         let ctx = Arc::new(QServerCtx {
             net,
             host: host.clone(),
@@ -75,36 +71,12 @@ impl QServer {
             allocator_host: allocator_host.into(),
             trace,
         });
-        let t_shutdown = shutdown.clone();
-        let accept_thread = thread::spawn(move || {
-            let listener = listener;
-            while !t_shutdown.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        stream.set_nonblocking(false).ok();
-                        let ctx = ctx.clone();
-                        thread::spawn(move || {
-                            while let Ok(Some(req)) = Record::read_from(&mut stream) {
-                                let reply = handle(&ctx, &req);
-                                if reply.write_to(&mut stream).is_err() {
-                                    break;
-                                }
-                            }
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(1)); // lint:allow(bare-sleep) — nonblocking accept poll.
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
+        let server = RecordServer::start(listener, move |req| handle(&ctx, req));
         Ok(QServer {
             host,
             resource,
             jobs,
-            shutdown,
-            accept_thread: Some(accept_thread),
+            server,
         })
     }
 
@@ -122,16 +94,7 @@ impl QServer {
     }
 
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-    }
-}
-
-impl Drop for QServer {
-    fn drop(&mut self) {
-        self.shutdown();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.server.shutdown();
     }
 }
 

@@ -10,8 +10,11 @@
 //! daemons parse bytes that crossed a firewall; a crash on bad input
 //! would be a remote denial of service.
 
+use firewall::vnet::{StopHandle, VListener};
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
+use std::thread;
 
 /// Why a record failed to decode or validate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,6 +181,54 @@ impl Record {
         match nexus::msg::recv_frame(r)? {
             Some(frame) => Ok(Some(Record::decode(&frame).map_err(io::Error::from)?)),
             None => Ok(None),
+        }
+    }
+}
+
+/// A request/reply record service, as the allocator, the Q servers and
+/// the gatekeeper all run it: one acceptor thread on the listener, one
+/// thread per connection answering each request with `handle`.
+/// Dropping it stops the acceptor and joins it.
+pub(crate) struct RecordServer {
+    stop: StopHandle,
+    acceptor: Option<thread::JoinHandle<()>>,
+}
+
+impl RecordServer {
+    pub fn start(
+        listener: VListener,
+        handle: impl Fn(&Record) -> Record + Send + Sync + 'static,
+    ) -> RecordServer {
+        let stop = listener.stop_handle();
+        let handle = Arc::new(handle);
+        let acceptor = thread::spawn(move || {
+            while let Some(mut stream) = listener.accept_until_stop() {
+                let handle = handle.clone();
+                thread::spawn(move || {
+                    while let Ok(Some(req)) = Record::read_from(&mut stream) {
+                        if handle(&req).write_to(&mut stream).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        RecordServer {
+            stop,
+            acceptor: Some(acceptor),
+        }
+    }
+
+    pub fn shutdown(&self) {
+        self.stop.stop();
+    }
+}
+
+impl Drop for RecordServer {
+    fn drop(&mut self) {
+        self.shutdown();
+        if let Some(t) = self.acceptor.take() {
+            let _ = t.join();
         }
     }
 }

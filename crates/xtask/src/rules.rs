@@ -21,9 +21,8 @@ pub enum Rule {
     /// snapshots and replay tests.
     BareAtomicCounter,
     /// A blocking `.read_exact(` / `.accept()` in a file that never
-    /// sets a read timeout or non-blocking mode: a dead peer parks the
-    /// thread forever. Mark deliberate blocking sites with
-    /// `lint:allow(deadline-io)`.
+    /// sets a read timeout: a dead peer parks the thread forever. Mark
+    /// deliberate blocking sites with `lint:allow(deadline-io)`.
     DeadlineIo,
     /// `vec![0u8; ...]` in the relay data-plane hot files: per-chunk
     /// allocation is what the shared [`BufferPool`] exists to remove.
@@ -35,8 +34,14 @@ pub enum Rule {
     /// `set_read_timeout`), not open-loop sleeps, or recovery-time
     /// measurements inherit the sleep quantum as noise. Deliberate
     /// bounded backoffs carry `lint:allow(bare-sleep)`; the bench
-    /// harness is exempt wholesale.
+    /// harness is exempt wholesale. Polling a listener is not a
+    /// sanctioned reason: see [`Rule::AcceptPoll`].
     BareSleep,
+    /// `.set_nonblocking(true)` in non-test library code. Nothing in
+    /// production is nonblocking: a listener is served with
+    /// `VListener::accept_until_stop` and ended through its stop
+    /// handle, so the accept-and-sleep poll loop cannot come back.
+    AcceptPoll,
     /// A cycle in the static lock-order graph over
     /// `Ordered{Mutex,RwLock}` acquisition sites (see `wsrules`).
     LockOrder,
@@ -64,6 +69,7 @@ pub const ALL: &[Rule] = &[
     Rule::DeadlineIo,
     Rule::HotPathAlloc,
     Rule::BareSleep,
+    Rule::AcceptPoll,
     Rule::LockOrder,
     Rule::CounterSchema,
     Rule::FrameCoverage,
@@ -83,6 +89,7 @@ impl Rule {
             Rule::DeadlineIo => "deadline-io",
             Rule::HotPathAlloc => "hot-path-alloc",
             Rule::BareSleep => "bare-sleep",
+            Rule::AcceptPoll => "accept-poll",
             Rule::LockOrder => "lock-order",
             Rule::CounterSchema => "counter-schema",
             Rule::FrameCoverage => "frame-coverage",
@@ -106,7 +113,7 @@ impl Rule {
                 "metric counters belong in the wacs_obs registry, not bare AtomicU64s"
             }
             Rule::DeadlineIo => {
-                "blocking read_exact/accept needs a read timeout, non-blocking mode, \
+                "blocking read_exact/accept needs a read timeout \
                  or an explicit lint:allow(deadline-io)"
             }
             Rule::HotPathAlloc => {
@@ -116,6 +123,10 @@ impl Rule {
             Rule::BareSleep => {
                 "no bare thread::sleep in library code; wait on a deadline \
                  (or mark a bounded backoff with lint:allow(bare-sleep))"
+            }
+            Rule::AcceptPoll => {
+                "no .set_nonblocking(true) outside tests; block in \
+                 accept_until_stop and end it with the listener's stop handle"
             }
             Rule::LockOrder => "the static lock-order graph over Ordered locks must be acyclic",
             Rule::CounterSchema => {
@@ -181,11 +192,10 @@ pub fn analyze(path: &str, source: &str) -> Vec<Violation> {
     let sync_exempt = STD_SYNC_EXEMPT.iter().any(|p| path.starts_with(p));
     let sleep_exempt = BARE_SLEEP_EXEMPT.iter().any(|p| path.starts_with(p));
     let atomic_exempt = ATOMIC_COUNTER_EXEMPT.iter().any(|p| path.starts_with(p));
-    // File-level deadline evidence: a file that configures timeouts or
-    // non-blocking mode anywhere has thought about liveness; one that
-    // never does gets its blocking calls flagged.
-    let has_deadline_evidence =
-        masked.code.contains("set_read_timeout") || masked.code.contains("set_nonblocking");
+    // File-level deadline evidence: a file that configures timeouts
+    // anywhere has thought about liveness; one that never does gets its
+    // blocking calls flagged.
+    let has_deadline_evidence = masked.code.contains("set_read_timeout");
 
     for (idx, line) in masked.code.lines().enumerate() {
         let lineno = idx + 1;
@@ -276,6 +286,14 @@ pub fn analyze(path: &str, source: &str) -> Vec<Violation> {
                     "bare `thread::sleep` in library code; wait on a deadline \
                      (condvar timeout / read timeout) or mark a bounded backoff \
                      deliberate"
+                        .into(),
+                );
+            }
+            if line.contains(".set_nonblocking(true)") {
+                push(
+                    Rule::AcceptPoll,
+                    "nonblocking socket in library code; block in `accept_until_stop` \
+                     (or a read with a timeout) and end the wait from outside"
                         .into(),
                 );
             }
@@ -736,6 +754,36 @@ fn f(s: &mut TcpStream) -> io::Result<()> {
             rules_hit("crates/demo/src/lib.rs", wrong),
             vec![(2, Rule::BareSleep)]
         );
+    }
+
+    /// The loop this rule keeps from coming back: a nonblocking
+    /// listener polled on a sleep. No crate is exempt, the sleep's own
+    /// marker does not excuse it, and nonblocking mode no longer counts
+    /// as the file's deadline story for the `accept` itself.
+    #[test]
+    fn accept_poll_flagged_everywhere_but_tests() {
+        let src = "\
+fn serve(l: &TcpListener) {
+    l.set_nonblocking(true).ok();
+    loop {
+        if l.accept().is_err() {
+            thread::sleep(TICK); // lint:allow(bare-sleep)
+        }
+    }
+}
+";
+        for path in ["crates/demo/src/lib.rs", "crates/bench/src/harness.rs"] {
+            assert_eq!(
+                rules_hit(path, src),
+                vec![(2, Rule::AcceptPoll), (4, Rule::DeadlineIo)],
+                "{path}"
+            );
+        }
+        // Handing a socket back to blocking mode is not a poll.
+        let blocking = "fn f(s: &TcpStream) {\n    s.set_nonblocking(false).ok();\n}\n";
+        assert!(rules_hit("crates/demo/src/lib.rs", blocking).is_empty());
+        let test = "#[cfg(test)]\nmod tests {\n    fn t(l: &TcpListener) { l.set_nonblocking(true).unwrap(); }\n}\n";
+        assert!(rules_hit("crates/demo/src/lib.rs", test).is_empty());
     }
 
     #[test]
