@@ -5,10 +5,12 @@
 #   1. formatting            (cargo fmt --check)
 #   2. zero-warning clippy   (workspace lints, all targets)
 #   3. project lint rules    (xtask: panics, lock standard, ports)
-#   4. the test suite
+#   4. the test suite, including crates/bench/tests/goldens.rs: every
+#      `paper <name>` output must equal its golden under results/
 #   5. the gated benchmark's own package (outside the workspace, so
 #      nothing above notices when a nexus-proxy API change stops it
 #      from compiling)
+#   6. the chaos drill's same-seed determinism
 set -eu
 
 cd "$(dirname "$0")"
@@ -36,10 +38,5 @@ cargo build -q --release -p wacs-chaos --bin chaos_drill
 ./target/release/chaos_drill --seed 42 --out target/chaos-drill-a.json
 ./target/release/chaos_drill --seed 42 --out target/chaos-drill-b.json
 cmp target/chaos-drill-a.json target/chaos-drill-b.json
-
-echo "== bench smoke (chaos, shard_scaling, stripe_scaling + committed BENCH files validate)"
-cargo build -q --release -p wacs-bench --bin proxy_bench
-./target/release/proxy_bench --scenario all --smoke --out target/bench-smoke
-./target/release/proxy_bench --check BENCH_*.json
 
 echo "ci.sh: all gates passed"

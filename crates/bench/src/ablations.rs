@@ -1,0 +1,333 @@
+//! Ablations beyond the paper's tables (`paper ablation_<name>`; the
+//! WAN cross-traffic study lives in [`crate::congestion`]).
+
+use crate::{fmt_bw, fmt_ms};
+use firewall::Policy;
+use knapsack::{seq_solve, Instance, ParParams, SolveMode};
+use netsim::prelude::SimDuration;
+use nexus_proxy::sim::RelayModel;
+use wacs_core::calibration as cal;
+use wacs_core::experiments::{run_knapsack_with_faults, FaultConfig};
+use wacs_core::{
+    decompose_with_model, pingpong_with_model, run_knapsack, run_knapsack_with_mode,
+    sequential_baseline, FirewallMode, KnapsackRun, Mode, Pair, System,
+};
+
+/// The paper's parameter tuning: "We varied a stealunit, interval, and
+/// backunit and took the best combination."
+///
+/// For each (interval, steal_unit) pair, run the wide-area cluster
+/// with and without the proxy; report speedups and the proxy
+/// overhead. The sweep exposes the grain trade-off: finer scheduling
+/// improves direct-mode balance but multiplies relay traffic. The
+/// default size is n = 24 to keep the sweep affordable; the calibrated
+/// winner at the Table-4 size is `wacs_core::calibration::best_params`.
+pub fn ablation_sweep(items: usize) {
+    let seq = sequential_baseline(items).elapsed_secs;
+    println!("Ablation: interval × stealunit sweep (wide-area, n = {items})\n");
+    println!(
+        "{:>8} {:>6} | {:>10} {:>8} | {:>10} {:>8} | {:>9} {:>7}",
+        "interval", "steal", "proxy t(s)", "speedup", "direct(s)", "speedup", "overhead", "steals"
+    );
+    let mut best: Option<(f64, u32, u32)> = None;
+    for interval in [512u32, 1024, 2048, 4096, 8192, 16384] {
+        for steal_unit in [4u32, 8, 32] {
+            let params = ParParams {
+                interval,
+                steal_unit,
+                ..ParParams::default()
+            };
+            let mut cfg = KnapsackRun::paper_default(System::WideArea, items);
+            cfg.params = params;
+            let with = run_knapsack(&cfg);
+            let mut no = cfg.clone();
+            no.use_proxy = false;
+            let without = run_knapsack(&no);
+            let overhead =
+                100.0 * (with.elapsed_secs - without.elapsed_secs) / without.elapsed_secs;
+            println!(
+                "{:>8} {:>6} | {:>10.1} {:>8.2} | {:>10.1} {:>8.2} | {:>8.1}% {:>7}",
+                interval,
+                steal_unit,
+                with.elapsed_secs,
+                seq / with.elapsed_secs,
+                without.elapsed_secs,
+                seq / without.elapsed_secs,
+                overhead,
+                with.master().map_or(0, |m| m.steals)
+            );
+            if best.is_none_or(|(t, _, _)| with.elapsed_secs < t) {
+                best = Some((with.elapsed_secs, interval, steal_unit));
+            }
+        }
+    }
+    if let Some((t, interval, steal)) = best {
+        println!(
+            "\nbest combination (proxied): interval = {interval}, stealunit = {steal} ({t:.1} s)"
+        );
+    }
+}
+
+/// The Nexus Proxy vs the Globus 1.1 port-range workaround.
+///
+/// The paper argues that opening `TCP_MIN_PORT..TCP_MAX_PORT` inbound
+/// "is basically the same as the allow based firewall and loses the
+/// advantages of a deny based firewall". This quantifies both sides of
+/// the trade on the same testbed:
+///
+/// * **security** — the number of inbound ports the firewall must
+///   open (policy exposure);
+/// * **performance** — wide-area knapsack time under each scheme.
+pub fn ablation_portrange(items: usize) {
+    let seq = sequential_baseline(items).elapsed_secs;
+
+    // Security axis: exposure of each policy.
+    let proxy_policy = Policy::typical_with_nxport("RWCP", 0, firewall::NXPORT);
+    // The sim's ephemeral listener range (every rank's endpoint must be
+    // reachable, on every inside host).
+    let (lo, hi) = (32768u16, 65535u16);
+    let range_policy = Policy::typical_with_port_range("RWCP", lo, hi);
+
+    println!("Ablation: Nexus Proxy vs TCP_MIN_PORT/TCP_MAX_PORT (n = {items})\n");
+    println!(
+        "{:<28} {:>16} {:>12} {:>9}",
+        "Scheme", "inbound ports", "time (s)", "speedup"
+    );
+
+    let proxied = run_knapsack(&KnapsackRun::paper_default(System::WideArea, items));
+    println!(
+        "{:<28} {:>16} {:>12.1} {:>9.2}",
+        "Nexus Proxy (deny-in)",
+        proxy_policy.inbound_exposure(),
+        proxied.elapsed_secs,
+        seq / proxied.elapsed_secs
+    );
+
+    let mut cfg = KnapsackRun::paper_default(System::WideArea, items);
+    cfg.use_proxy = false; // ranks bind directly; the opened range admits peers
+    let ranged = run_knapsack_with_mode(&cfg, FirewallMode::PortRangeOpen { lo, hi });
+    println!(
+        "{:<28} {:>16} {:>12.1} {:>9.2}",
+        "Port range (Globus 1.1)",
+        range_policy.inbound_exposure(),
+        ranged.elapsed_secs,
+        seq / ranged.elapsed_secs
+    );
+
+    let mut open_cfg = KnapsackRun::paper_default(System::WideArea, items);
+    open_cfg.use_proxy = false;
+    let open = run_knapsack(&open_cfg);
+    println!(
+        "{:<28} {:>16} {:>12.1} {:>9.2}",
+        "No firewall (baseline)",
+        65535,
+        open.elapsed_secs,
+        seq / open.elapsed_secs
+    );
+
+    println!(
+        "\nThe trade in one line: the proxy costs {:.1}% runtime to shrink the\ninbound attack surface from {} ports to 1.",
+        100.0 * (proxied.elapsed_secs - ranged.elapsed_secs) / ranged.elapsed_secs,
+        range_policy.inbound_exposure()
+    );
+}
+
+/// Sensitivity of the Table 2 reproduction to the relay cost model.
+///
+/// The two calibrated knobs are the per-message service cost (the
+/// select-loop + kernel-crossing overhead that dominates small
+/// messages) and the copy bandwidth (dominant for bulk). This sweeps
+/// both and prints the four indirect cells, showing which paper
+/// observation each knob controls:
+///
+/// * `per_message` drives the ×60 / ×6 latency blowups;
+/// * `bandwidth` drives the LAN bulk drop and the small-message
+///   LAN-below-WAN crossover;
+/// * neither touches the WAN 1 MB parity as long as the relay outruns
+///   the 1.5 Mbps line.
+pub fn ablation_relay() {
+    println!("Ablation: relay cost model sensitivity (indirect cells only)\n");
+    println!(
+        "{:>8} {:>10} | {:>10} {:>10} | {:>12} {:>12} {:>12}",
+        "per-msg", "copy bw", "LAN lat", "WAN lat", "LAN bw(4K)", "WAN bw(4K)", "WAN bw(1M)"
+    );
+    for per_ms in [2u64, 6, 12, 24] {
+        for bw in [130e3f64, 260e3, 520e3, 2e6] {
+            let model = RelayModel {
+                per_message: SimDuration::from_millis(per_ms),
+                bandwidth: bw,
+            };
+            let lan_lat = pingpong_with_model(Pair::RwcpSunCompas, Mode::Indirect, 1, model);
+            let wan_lat = pingpong_with_model(Pair::RwcpSunEtlSun, Mode::Indirect, 1, model);
+            let lan4k = pingpong_with_model(Pair::RwcpSunCompas, Mode::Indirect, 4096, model);
+            let wan4k = pingpong_with_model(Pair::RwcpSunEtlSun, Mode::Indirect, 4096, model);
+            let wan1m = pingpong_with_model(Pair::RwcpSunEtlSun, Mode::Indirect, 1 << 20, model);
+            println!(
+                "{:>6}ms {:>7}K/s | {:>10} {:>10} | {:>12} {:>12} {:>12}",
+                per_ms,
+                (bw / 1e3) as u64,
+                fmt_ms(lan_lat.one_way.as_millis_f64()),
+                fmt_ms(wan_lat.one_way.as_millis_f64()),
+                fmt_bw(lan4k.bandwidth),
+                fmt_bw(wan4k.bandwidth),
+                fmt_bw(wan1m.bandwidth),
+            );
+        }
+    }
+    println!("\ncalibrated model: 12 ms / 260 KB/s (see wacs_core::calibration).");
+    println!("paper anchors: 25.0 / 25.1 ms latency; 70.5 KB/s LAN 4K; WAN 1M ≈ 160 KB/s.");
+
+    // Per-hop decomposition of the calibrated indirect cells, as JSON
+    // (schema in EXPERIMENTS.md): each cell's components sum to its
+    // end-to-end latency, so the sweep's latency columns are auditable
+    // against the hop-level accounting.
+    let model = cal::relay_model();
+    println!("\nper-hop decomposition (calibrated model, 1-byte probe):");
+    for pair in [Pair::RwcpSunCompas, Pair::RwcpSunEtlSun] {
+        println!(
+            "{}",
+            decompose_with_model(pair, Mode::Indirect, 1, model).to_json()
+        );
+    }
+}
+
+/// Why the paper normalized to *no pruning*.
+///
+/// "When solving the knapsack problem using branch-and-bound algorithm,
+/// the execution time is heavily affected by the characteristics of
+/// input data. In order to evaluate the performance characteristics of
+/// the cluster system clear and normalize the problem, we used such
+/// data as no branches were pruned."
+///
+/// This quantifies that variance across the Martello & Toth instance
+/// classes (the paper's reference [10]): traversed-node counts with the
+/// bound test on, over several seeds per class — exactly the
+/// irregularity that would have confounded a scheduling measurement.
+pub fn ablation_pruning() {
+    let n = 30usize;
+    let r = 1000u64;
+    let seeds = 0u64..12;
+    println!("Ablation: instance-class variance under branch-and-bound");
+    println!(
+        "(n = {n}, coefficients up to {r}, {} seeds per class)\n",
+        seeds.clone().count()
+    );
+    println!(
+        "{:<22} {:>12} {:>12} {:>12} {:>9} {:>9}",
+        "class", "min nodes", "max nodes", "avg nodes", "max/min", "pruned"
+    );
+    type ClassGen = Box<dyn Fn(u64) -> Instance>;
+    let classes: Vec<(&str, ClassGen)> = vec![
+        (
+            "uncorrelated",
+            Box::new(move |s| Instance::uncorrelated(n, r, s)),
+        ),
+        (
+            "weakly correlated",
+            Box::new(move |s| Instance::weakly_correlated(n, r, s)),
+        ),
+        (
+            "strongly correlated",
+            Box::new(move |s| Instance::strongly_correlated(n, r, s)),
+        ),
+    ];
+    for (name, make) in classes {
+        let (mn, mx, avg, pf) = pruning_stats(make, seeds.clone());
+        println!(
+            "{:<22} {:>12} {:>12} {:>12.0} {:>9.1} {:>8.1}%",
+            name,
+            mn,
+            mx,
+            avg,
+            mx as f64 / mn.max(1) as f64,
+            pf * 100.0
+        );
+    }
+    let full = Instance::full_tree_nodes(n);
+    println!(
+        "{:<22} {:>12} {:>12} {:>12} {:>9} {:>9}",
+        "no-pruning (paper)", full, full, full, "1.0", "0.0%"
+    );
+    println!(
+        "\nThe normalized instance is the only class with deterministic work —
+the paper's prerequisite for measuring the *cluster*, not the *bound*."
+    );
+}
+
+/// Min/max/avg traversed nodes and the mean pruned fraction of one
+/// instance class over `seeds`.
+fn pruning_stats(
+    make: impl Fn(u64) -> Instance,
+    seeds: std::ops::Range<u64>,
+) -> (u64, u64, f64, f64) {
+    let mut counts = Vec::new();
+    let mut prune_frac = Vec::new();
+    for seed in seeds {
+        let inst = make(seed).sorted_by_ratio();
+        let (_, c) = seq_solve(&inst, SolveMode::Prune { sorted: true });
+        counts.push(c.traversed);
+        prune_frac.push(c.pruned as f64 / c.traversed.max(1) as f64);
+    }
+    let (mn, mx) = (
+        counts.iter().copied().min().unwrap_or_default(),
+        counts.iter().copied().max().unwrap_or_default(),
+    );
+    let avg = counts.iter().sum::<u64>() as f64 / counts.len() as f64;
+    let pf = prune_frac.iter().sum::<f64>() / prune_frac.len() as f64;
+    (mn, mx, avg, pf)
+}
+
+/// Fault rate vs. knapsack completion time.
+///
+/// The paper measured a healthy testbed: no link loss, no proxy
+/// restarts. This re-runs the wide-area knapsack under the
+/// fault-injection layer — a fixed outer-proxy crash/restart halfway
+/// through the clean run plus a sweep of WAN chunk-drop rates — and
+/// reports how completion time degrades as the retry/backoff stack
+/// absorbs the faults. The optimum is asserted on every run: faults
+/// may slow the system down, but they must never corrupt the answer.
+pub fn ablation_faults() {
+    let cfg = KnapsackRun::paper_default(System::WideArea, cal::QUICK_ITEMS);
+    let clean = run_knapsack(&cfg);
+    let optimum = Instance::no_pruning(cfg.items).total_profit();
+    assert_eq!(clean.best, optimum, "clean run must find the optimum");
+    // Crash the outer proxy halfway through the fault-free schedule —
+    // deep enough that every rank has bound and is mid-workload.
+    let crash_at = SimDuration::from_secs_f64(clean.elapsed_secs / 2.0);
+
+    println!("Ablation: WAN fault rate vs wide-area knapsack completion");
+    println!(
+        "({} items, outer proxy crashed at {:.2}s virtual, restarted 250ms later)\n",
+        cfg.items,
+        crash_at.as_secs_f64()
+    );
+    println!(
+        "{:>9} | {:>10} {:>9} | {:>8} {:>11} {:>10}",
+        "WAN drop", "completion", "slowdown", "dropped", "retransmits", "nx retries"
+    );
+    for rate in [0.0, 0.005, 0.01, 0.02, 0.05] {
+        let faults = FaultConfig {
+            wan_drop: rate,
+            outer_crash_at: Some(crash_at),
+            ..FaultConfig::default()
+        };
+        let fr = run_knapsack_with_faults(&cfg, &faults);
+        assert_eq!(fr.result.best, optimum, "faulted run must find the optimum");
+        assert_eq!(
+            (fr.actor_crashes, fr.actor_restarts),
+            (1, 1),
+            "the planned crash/restart must have happened"
+        );
+        println!(
+            "{:>8.1}% | {:>9.2}s {:>8.2}x | {:>8} {:>11} {:>10}",
+            rate * 100.0,
+            fr.result.elapsed_secs,
+            fr.result.elapsed_secs / clean.elapsed_secs,
+            fr.chunks_dropped,
+            fr.retransmits,
+            fr.nx_retries
+        );
+    }
+    println!("\nEvery run recovers the exact optimum: the retry/backoff layer trades");
+    println!("time for faults without ever trading away correctness.");
+}

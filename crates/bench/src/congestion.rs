@@ -1,4 +1,5 @@
-//! Ablation: cross-traffic on the 1.5 Mbps IMnet link.
+//! Ablation: cross-traffic on the 1.5 Mbps IMnet link (`paper
+//! ablation_congestion`).
 //!
 //! The paper measured a quiet research WAN. This study injects
 //! competing bulk flows on the shared gateway↔ETL segment and re-runs
@@ -7,10 +8,10 @@
 //! work. (The proxy's verdict is contention-robust: both paths share
 //! the same bottleneck.)
 
+use crate::{fmt_bw, fmt_ms};
 use netsim::prelude::*;
 use nexus_proxy::sim::{NxClient, NxEvent, NxHandled, SimInnerServer, SimOuterServer, SimProxyEnv};
 use std::sync::Arc;
-use wacs_bench::{fmt_bw, fmt_ms};
 use wacs_core::calibration as cal;
 use wacs_core::testbed::{FirewallMode, PaperTestbed, NXPORT, OUTER_CTRL_PORT};
 use wacs_sync::Mutex;
@@ -245,7 +246,8 @@ impl Actor for PpClient {
     }
 }
 
-fn main() {
+/// The four Table 2 WAN cells at 0/30/60/90 % WAN load.
+pub fn ablation_congestion() {
     println!("Ablation: WAN cross-traffic vs the Table 2 WAN cells\n");
     println!(
         "{:>10} | {:>12} {:>12} | {:>14} {:>14}",

@@ -1,4 +1,5 @@
-//! Regenerate the paper's figures as validated textual renderings.
+//! The paper's figures as validated textual renderings (`paper
+//! figures`).
 //!
 //! * Fig. 1 — the wide-area cluster concept;
 //! * Fig. 2 — the RMF architecture + six-step job flow (executed live
@@ -160,7 +161,7 @@ fn figs34() -> Render {
     // connect once its `ConnectRep` has left): give it a moment.
     let counted = std::time::Instant::now();
     while outer.stats().connects_ok == 0 && counted.elapsed().as_secs() < 1 {
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        std::thread::sleep(std::time::Duration::from_millis(1)); // lint:allow(bare-sleep)
     }
     println!(
         "  (2) outer server received the request and connected to PB  [connects_ok = {}]",
@@ -179,13 +180,15 @@ fn figs34() -> Render {
         adv.1,
         outer.stats().binds
     );
+    // Step (3) is printed before the accepting thread exists, so the
+    // two threads cannot race on the order of lines (3) and (5).
+    println!("  (3) PB connects to the outer server instead of PA");
     let t = std::thread::spawn(move || -> io::Result<()> {
         println!("  (5) PA calls NXProxyAccept() on the returned endpoint");
         let mut s = listener.accept()?; // lint:allow(deadline-io)
         let mut b = [0u8; 1];
         s.read_exact(&mut b) // lint:allow(deadline-io)
     });
-    println!("  (3) PB connects to the outer server instead of PA");
     let mut pb = net.dial("pb-host", &adv.0, adv.1)?;
     pb.write_all(b"!")?;
     join(t)?;
@@ -215,7 +218,8 @@ fn fig5() -> Render {
     Ok(())
 }
 
-fn main() -> Render {
+/// Figs. 1-5, in order.
+pub fn figures() -> Render {
     fig1();
     fig2()?;
     figs34()?;

@@ -1,23 +1,44 @@
-//! `wacs-bench` — shared helpers for the table-regeneration binaries.
+//! `wacs-bench` — the paper's tables, figures and ablations, printed
+//! from the calibrated virtual-time testbed by one bin:
 //!
-//! Each binary regenerates one table or figure of the paper:
+//! ```text
+//! cargo run --release -p wacs-bench --bin paper -- <name> [--items N]
+//! ```
 //!
-//! | binary | regenerates |
-//! |---|---|
-//! | `table2` | latency/bandwidth, direct vs indirect |
-//! | `table3` | the four experimental systems |
-//! | `table4` | knapsack execution time + speedup (and proxy overhead) |
-//! | `table5` | steal counts (master + per-cluster max/min/avg) |
-//! | `table6` | traversed nodes (master + per-cluster max/min/avg) |
-//! | `figures` | Figs. 1-5 as validated textual renderings |
-//! | `ablation_sweep` | the paper's interval/stealunit/backunit tuning |
-//! | `ablation_portrange` | proxy vs `TCP_MIN/MAX_PORT` exposure trade |
-//! | `ablation_relay` | Table 2 sensitivity to the relay cost model |
+//! Every name is the file stem of a golden under `results/`, and
+//! `tests/goldens.rs` requires the bin's stdout to equal that file byte
+//! for byte (wall-clock numbers live in `benchmark/` instead):
+//!
+//! | name | prints | golden |
+//! |---|---|---|
+//! | `table2` | latency/bandwidth, direct vs indirect | `.txt` |
+//! | `table3` | the four experimental systems | `.txt` |
+//! | `table4` | knapsack execution time + speedup (and proxy overhead) | `.txt` |
+//! | `table5` | steal counts (master + per-cluster max/min/avg) | `.txt` |
+//! | `table6` | traversed nodes (master + per-cluster max/min/avg) | `.txt` |
+//! | `figures` | Figs. 1-5 as validated textual renderings | `.txt` |
+//! | `ablation_sweep` | the paper's interval/stealunit tuning | `.txt` |
+//! | `ablation_portrange` | proxy vs `TCP_MIN/MAX_PORT` exposure trade | `.txt` |
+//! | `ablation_relay` | Table 2 sensitivity to the relay cost model | `.txt` |
+//! | `ablation_congestion` | Table 2 WAN cells under cross-traffic | `.txt` |
+//! | `ablation_pruning` | node-count variance with the bound test on | `.txt` |
+//! | `ablation_faults` | WAN fault rate vs knapsack completion | `.txt` |
+//! | `shard_scaling` | fan-in over a 1/2/4-shard relay fleet | `.json` |
+//! | `stripe_scaling` | striped bulk transfer at K = 1/2/4/8 lanes | `.json` |
+//! | `table2_decomposition` | per-hop split of every Table 2 cell | `.json` |
+//!
+//! `--items N` scales the knapsack size of `table4`..`table6`,
+//! `ablation_sweep` and `ablation_portrange`; the goldens are recorded
+//! at the defaults.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 use knapsack::RunResult;
 
-pub mod harness;
+pub mod ablations;
+pub mod congestion;
+pub mod figures;
+pub mod scaling;
+pub mod tables;
 
 /// Pretty-print a bytes/second figure the way the paper does
 /// (KB/sec or MB/sec).
@@ -57,20 +78,6 @@ pub fn group_row(
     row
 }
 
-/// Parse `--items N` style overrides from argv (shared by the
-/// knapsack binaries so CI can run them small).
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                return v;
-            }
-        }
-    }
-    default
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,10 +92,5 @@ mod tests {
     fn ms_formatting() {
         assert_eq!(fmt_ms(0.41), "0.41 msec");
         assert_eq!(fmt_ms(25.0), "25.0 msec");
-    }
-
-    #[test]
-    fn arg_default_when_absent() {
-        assert_eq!(arg_usize("--definitely-not-passed", 22), 22);
     }
 }

@@ -1,6 +1,6 @@
 //! The experiment harness: everything needed to regenerate the paper's
-//! tables, as library functions (the `wacs-bench` binaries only format
-//! the output).
+//! tables, as library functions (`wacs-bench`'s `paper` bin only
+//! formats the output).
 //!
 //! * [`pingpong`] — Table 2: latency/bandwidth, direct vs. indirect;
 //! * [`run_knapsack`] / [`sequential_baseline`] — Tables 4-6.

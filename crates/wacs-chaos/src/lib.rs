@@ -1,7 +1,7 @@
 //! `wacs-chaos` — deterministic real-path chaos layer.
 //!
 //! Everything upstream of this crate exercises the relay stack either
-//! cleanly (liveness tests, benches) or in virtual time (`netsim`).
+//! cleanly (liveness tests, the gated benchmark) or in virtual time (`netsim`).
 //! This crate injects *socket-level* faults into the real-socket path
 //! and measures how long the stack takes to recover:
 //!
@@ -23,8 +23,8 @@
 //! Determinism contract: decision-side counters land in a *drill
 //! registry* that is byte-identical across same-seed runs (ci.sh runs
 //! the `chaos_drill` bin twice and diffs); wall-clock recovery
-//! histograms land in a separate timing registry that feeds
-//! `BENCH_chaos.json` percentiles only.
+//! histograms land in a separate timing registry that feeds the
+//! per-cell recovery percentiles ([`CellOutcome`]) only.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 pub mod interpose;

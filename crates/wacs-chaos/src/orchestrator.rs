@@ -51,7 +51,8 @@ const PROBE_PORT: u16 = 7342;
 const PROBE_LEN: usize = 1024;
 const FLEET_HOSTS: [&str; 2] = ["rwcp-outer-a", "rwcp-outer-b"];
 
-/// Suite knobs; `smoke` scales everything down for CI.
+/// Suite knobs. [`SuiteConfig::smoke`] is the CI-sized suite; a
+/// larger run builds the struct directly.
 #[derive(Debug, Clone, Copy)]
 pub struct SuiteConfig {
     pub seed: u64,
@@ -64,7 +65,6 @@ pub struct SuiteConfig {
     /// Per-lane throttle rate, bytes/s (keeps the transfer straddling
     /// the restarts).
     pub lane_rate: u64,
-    pub smoke: bool,
 }
 
 impl SuiteConfig {
@@ -75,18 +75,6 @@ impl SuiteConfig {
             payload: 8 * 1024,
             stripe_payload: 192 * 1024,
             lane_rate: 256 * 1024,
-            smoke: true,
-        }
-    }
-
-    pub fn full(seed: u64) -> SuiteConfig {
-        SuiteConfig {
-            seed,
-            ops: 8,
-            payload: 16 * 1024,
-            stripe_payload: 768 * 1024,
-            lane_rate: 256 * 1024,
-            smoke: false,
         }
     }
 }

@@ -33,9 +33,9 @@ pub enum Rule {
     /// timing must come from deadline-based waits (condvar timeouts,
     /// `set_read_timeout`), not open-loop sleeps, or recovery-time
     /// measurements inherit the sleep quantum as noise. Deliberate
-    /// bounded backoffs carry `lint:allow(bare-sleep)`; the bench
-    /// harness is exempt wholesale. Polling a listener is not a
-    /// sanctioned reason: see [`Rule::AcceptPoll`].
+    /// bounded backoffs carry `lint:allow(bare-sleep)`; no crate is
+    /// exempt. Polling a listener is not a sanctioned reason: see
+    /// [`Rule::AcceptPoll`].
     BareSleep,
     /// `.set_nonblocking(true)` in non-test library code. Nothing in
     /// production is nonblocking: a listener is served with
@@ -169,10 +169,6 @@ const STD_SYNC_EXEMPT: &[&str] = &["crates/wacs-sync/", "crates/xtask/"];
 /// (its instruments *are* atomics) and this analyzer.
 const ATOMIC_COUNTER_EXEMPT: &[&str] = &["crates/wacs-obs/", "crates/xtask/"];
 
-/// Crates whose open-loop sleeps are load-generation pacing, not
-/// product timing: the bench harness sleeps on purpose.
-const BARE_SLEEP_EXEMPT: &[&str] = &["crates/bench/"];
-
 /// The relay data-plane hot files: every staging buffer there must come
 /// from the shared `BufferPool`, not a per-call `vec![0u8; ...]`.
 const HOT_PATH_FILES: &[&str] = &[
@@ -190,7 +186,6 @@ pub fn analyze(path: &str, source: &str) -> Vec<Violation> {
     let port_site = PORT_DEFINITION_SITES.contains(&path);
     let hot_path = HOT_PATH_FILES.contains(&path);
     let sync_exempt = STD_SYNC_EXEMPT.iter().any(|p| path.starts_with(p));
-    let sleep_exempt = BARE_SLEEP_EXEMPT.iter().any(|p| path.starts_with(p));
     let atomic_exempt = ATOMIC_COUNTER_EXEMPT.iter().any(|p| path.starts_with(p));
     // File-level deadline evidence: a file that configures timeouts
     // anywhere has thought about liveness; one that never does gets its
@@ -280,7 +275,7 @@ pub fn analyze(path: &str, source: &str) -> Vec<Violation> {
                         .into(),
                 );
             }
-            if !sleep_exempt && line.contains("thread::sleep(") {
+            if line.contains("thread::sleep(") {
                 push(
                     Rule::BareSleep,
                     "bare `thread::sleep` in library code; wait on a deadline \
@@ -738,8 +733,11 @@ fn f(s: &mut TcpStream) -> io::Result<()> {
             rules_hit("crates/demo/src/lib.rs", src),
             vec![(2, Rule::BareSleep), (5, Rule::BareSleep)]
         );
-        // The bench harness paces load generators with sleeps on purpose.
-        assert!(rules_hit("crates/bench/src/bin/proxy_bench.rs", src).is_empty());
+        // No crate is exempt, the paper bin's included.
+        assert_eq!(
+            rules_hit("crates/bench/src/figures.rs", src),
+            vec![(2, Rule::BareSleep), (5, Rule::BareSleep)]
+        );
     }
 
     #[test]
@@ -772,7 +770,7 @@ fn serve(l: &TcpListener) {
     }
 }
 ";
-        for path in ["crates/demo/src/lib.rs", "crates/bench/src/harness.rs"] {
+        for path in ["crates/demo/src/lib.rs", "crates/bench/src/figures.rs"] {
             assert_eq!(
                 rules_hit(path, src),
                 vec![(2, Rule::AcceptPoll), (4, Rule::DeadlineIo)],

@@ -45,7 +45,7 @@
 //! ```
 //!
 //! See `examples/` for the proxy, RMF, and wide-area MPI in action,
-//! and `crates/bench` for the table-regeneration harness.
+//! and `crates/bench`'s `paper` bin for every table and figure.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 pub use firewall;

@@ -110,4 +110,16 @@ fn report_json_is_deterministic_and_self_consistent() {
     assert!(a.contains("\"report\":\"table2_decomposition\""));
     // One cell per pair × mode.
     assert_eq!(a.matches("\"total_ns\"").count(), 4);
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/results/table2_decomposition.json"
+    );
+    let want = std::fs::read_to_string(golden).expect("read the golden");
+    assert_eq!(
+        format!("{a}\n"),
+        want,
+        "table2_report(1) no longer matches results/table2_decomposition.json; if intended, \
+         re-record with:\n  cargo run --release -p wacs-bench --bin paper -- \
+         table2_decomposition > results/table2_decomposition.json"
+    );
 }
