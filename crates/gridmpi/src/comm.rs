@@ -32,17 +32,19 @@ pub const ANY_TAG: Option<i32> = None;
 
 /// One stripe lane over an attachment: every frame is a
 /// [`STRIPE_TAG`] packet (packet seq 0 — the stripe layer does its own
-/// dedup).
+/// dedup). The frame body is encoded straight behind the packet
+/// header, so each chunk is copied once.
 struct PacketLane {
     sp: Startpoint,
     rank: u32,
 }
 
 impl LaneSink for PacketLane {
-    fn send_frame(&mut self, frame: &StripeFrame) -> io::Result<()> {
-        let body = frame.encode_body().map_err(io::Error::from)?;
-        self.sp
-            .send(&Packet::encode(self.rank, STRIPE_TAG, 0, &body))
+    fn send_frame(&mut self, frame: StripeFrame<&[u8]>) -> io::Result<()> {
+        // `encode_body_into` reserves the room the body needs.
+        let mut packet = Packet::header(self.rank, STRIPE_TAG, 0, 0);
+        frame.encode_body_into(&mut packet)?;
+        self.sp.send(&packet)
     }
 }
 
@@ -405,7 +407,7 @@ impl Comm {
             // parallel flows) is dropped — its stripe's Open precedes
             // it on the *same* FIFO flow, so only cross-flow strays
             // land here, and their stripe will re-deliver.
-            match Reassembler::open(&frame) {
+            match Reassembler::open(frame) {
                 Ok(rx) => {
                     slot.insert(rx);
                 }
@@ -422,7 +424,7 @@ impl Comm {
         let Some(rx) = map.get_mut(&key) else {
             return Ok(None);
         };
-        let outcome = rx.accept(&frame).map_err(io::Error::from)?;
+        let outcome = rx.accept(frame).map_err(io::Error::from)?;
         match outcome {
             Accept::Complete => {
                 let Some(rx) = map.remove(&key) else {

@@ -289,7 +289,8 @@ impl StripeSenderActor {
     /// Blast the whole lane on `flow`, in [`StripePlan::lane_frames`]
     /// order. Declared sizes drive virtual-time cost; large chunks are
     /// segmented by the client machine so they pipeline through the
-    /// relay.
+    /// relay. Messages outlive the payload borrow, so each frame owns
+    /// its chunk.
     fn blast(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
         let (plan, payload) = (self.plan, self.payload.clone());
         for frame in plan.lane_frames(&payload, self.transfer, self.tag, self.stripe) {
@@ -297,7 +298,9 @@ impl StripeSenderActor {
                 StripeFrame::Data { bytes, .. } => bytes.len() as u64,
                 _ => 0,
             };
-            let _ = self.nx.send_data(ctx, flow, STRIPE_HDR_BYTES + body, frame);
+            let _ = self
+                .nx
+                .send_data(ctx, flow, STRIPE_HDR_BYTES + body, frame.into_owned());
         }
         if let Some(s) = &self.stats {
             let chunks = plan.chunks_on(self.stripe);

@@ -28,9 +28,16 @@
 //! within one stripe, chunks are sent in `seq` order on one FIFO
 //! connection, so `(stripe, seq)` names a chunk globally and the
 //! receiver can dedup at chunk granularity across reconnects.
+//!
+//! On a byte stream each payload byte is copied once in user space,
+//! between `send_striped` and a completed transfer. A sender's frames
+//! borrow their chunks from the payload and a stream sink writes them
+//! from there; the receiver reads each frame into one buffer per flow,
+//! decodes it in place and copies the chunk into the staging buffer.
+//! The payload leaves staging only when [`StripeReceiver::result`] asks.
 
 use crate::hook::{interpose, DialHook, DialLeg};
-use crate::protocol::{bad, put_u16, put_u32, put_u64, Cursor};
+use crate::protocol::{bad, Cursor};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -57,6 +64,10 @@ pub const DEFAULT_CHUNK_BYTES: u32 = 64 * 1024;
 /// Upper bound on one stripe frame (header slack + chunk body).
 pub const MAX_STRIPE_FRAME: u32 = MAX_CHUNK_BYTES + 64;
 
+/// Longest run of frame bytes ahead of a chunk: the `u32` length
+/// prefix, then `Open`'s type byte and fields (1 + 8 + 2 + 2 + 4 + 8 + 4).
+const MAX_HEAD: usize = 4 + 29;
+
 /// Typed stripe-layer failure. Every decode or reassembly problem is
 /// one of these — the bulk path never guesses and never silently
 /// corrupts.
@@ -79,6 +90,13 @@ pub enum StripeError {
     WrongOffset { expected: u64, got: u64 },
     /// The chunk body length disagrees with the plan's arithmetic.
     WrongLength { expected: u32, got: u64 },
+    /// A `Fin` counted a different number of chunks than the plan
+    /// deals to its stripe.
+    WrongChunkCount {
+        stripe: u16,
+        expected: u64,
+        got: u64,
+    },
     /// A duplicate delivery carried different bytes than the copy
     /// already written — corruption, surfaced instead of absorbed.
     Conflict { offset: u64 },
@@ -108,6 +126,16 @@ impl std::fmt::Display for StripeError {
             }
             StripeError::WrongLength { expected, got } => {
                 write!(f, "chunk length {got} where the plan says {expected}")
+            }
+            StripeError::WrongChunkCount {
+                stripe,
+                expected,
+                got,
+            } => {
+                write!(
+                    f,
+                    "stripe {stripe} finished after {got} chunks where the plan says {expected}"
+                )
             }
             StripeError::Conflict { offset } => {
                 write!(f, "conflicting duplicate chunk at offset {offset}")
@@ -243,14 +271,14 @@ impl StripePlan {
     /// lane's chunks of `payload` by `seq`, `Fin`. Every sender (real
     /// sockets, gridmpi packets, sim actors) and the model checker walk
     /// this one sequence; a failed-over lane walks it again from the
-    /// top.
+    /// top. `Data` frames borrow their chunks from `payload`.
     pub fn lane_frames<'a>(
         &'a self,
         payload: &'a [u8],
         transfer: u64,
         tag: i32,
         stripe: u16,
-    ) -> impl Iterator<Item = StripeFrame> + 'a {
+    ) -> impl Iterator<Item = StripeFrame<&'a [u8]>> + 'a {
         let open = StripeFrame::Open {
             transfer,
             stripe,
@@ -266,7 +294,7 @@ impl StripePlan {
                 stripe,
                 seq,
                 offset,
-                bytes: payload[offset as usize..offset as usize + len as usize].to_vec(),
+                bytes: &payload[offset as usize..offset as usize + len as usize],
             });
         let fin = StripeFrame::Fin {
             transfer,
@@ -283,8 +311,12 @@ impl StripePlan {
 /// protocol (`u32` BE length, type byte, body), but these frames ride
 /// *inside* a relayed pipe: relays forward them as opaque bytes and
 /// only the transfer endpoints parse them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StripeFrame {
+///
+/// `B` holds a `Data` frame's chunk: `Vec<u8>` when the frame owns it,
+/// `&[u8]` when it borrows it from a sender's payload or a receiver's
+/// read buffer, which is how both endpoints avoid copying chunks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StripeFrame<B = Vec<u8>> {
     /// First frame on every stripe flow: the full transfer geometry,
     /// so any one surviving flow suffices to build the reassembler.
     /// Re-sent after a stripe failover; repeats must agree.
@@ -306,7 +338,7 @@ pub enum StripeFrame {
         stripe: u16,
         seq: u64,
         offset: u64,
-        bytes: Vec<u8>,
+        bytes: B,
     },
     /// The sender finished this stripe; `chunks` is the count it sent
     /// (cross-checked against the plan).
@@ -318,18 +350,6 @@ pub enum StripeFrame {
     /// Receiver → sender acknowledgement: the whole transfer
     /// reassembled to `total_len` bytes.
     Done { transfer: u64, total_len: u64 },
-}
-
-impl StripeFrame {
-    /// The transfer id every frame variant carries.
-    pub fn transfer_id(&self) -> u64 {
-        match self {
-            StripeFrame::Open { transfer, .. }
-            | StripeFrame::Data { transfer, .. }
-            | StripeFrame::Fin { transfer, .. }
-            | StripeFrame::Done { transfer, .. } => *transfer,
-        }
-    }
 }
 
 const T_OPEN: u8 = 1;
@@ -348,10 +368,51 @@ fn check_stripe_frame_len(len: u32) -> io::Result<()> {
     Ok(())
 }
 
-impl StripeFrame {
-    /// Encode the frame body (type byte + fields, no length prefix).
-    pub fn encode_body(&self) -> Result<Vec<u8>, StripeError> {
-        let mut body = Vec::with_capacity(40);
+/// A frame's bytes ahead of its chunk, on the stack: the length
+/// prefix, the type byte and the fixed fields.
+struct Head {
+    buf: [u8; MAX_HEAD],
+    len: usize,
+}
+
+impl Head {
+    /// Room for the length prefix, then the type byte.
+    fn new(frame_type: u8) -> Head {
+        Head {
+            buf: [0; MAX_HEAD],
+            len: 4,
+        }
+        .put(&[frame_type])
+    }
+
+    fn put(mut self, field: &[u8]) -> Head {
+        self.buf[self.len..self.len + field.len()].copy_from_slice(field);
+        self.len += field.len();
+        self
+    }
+
+    /// Fill in the length prefix for a body of the fixed fields plus
+    /// `chunk` bytes.
+    fn prefixed(mut self, chunk: usize) -> Head {
+        let body = (self.len - 4 + chunk) as u32;
+        self.buf[..4].copy_from_slice(&body.to_be_bytes());
+        self
+    }
+
+    /// Length prefix and fixed part: what a stream carries first.
+    fn framed(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+
+    /// The fixed part alone: the start of the frame body.
+    fn body(&self) -> &[u8] {
+        &self.buf[4..self.len]
+    }
+}
+
+impl<B> StripeFrame<B> {
+    /// The same frame with its chunk storage converted by `f`.
+    fn map_chunk<'s, C>(&'s self, f: impl FnOnce(&'s B) -> C) -> StripeFrame<C> {
         match self {
             StripeFrame::Open {
                 transfer,
@@ -360,15 +421,79 @@ impl StripeFrame {
                 chunk,
                 total_len,
                 tag,
-            } => {
-                body.push(T_OPEN);
-                put_u64(&mut body, *transfer);
-                put_u16(&mut body, *stripe);
-                put_u16(&mut body, *stripes);
-                put_u32(&mut body, *chunk);
-                put_u64(&mut body, *total_len);
-                body.extend_from_slice(&tag.to_be_bytes());
-            }
+            } => StripeFrame::Open {
+                transfer: *transfer,
+                stripe: *stripe,
+                stripes: *stripes,
+                chunk: *chunk,
+                total_len: *total_len,
+                tag: *tag,
+            },
+            StripeFrame::Data {
+                transfer,
+                stripe,
+                seq,
+                offset,
+                bytes,
+            } => StripeFrame::Data {
+                transfer: *transfer,
+                stripe: *stripe,
+                seq: *seq,
+                offset: *offset,
+                bytes: f(bytes),
+            },
+            StripeFrame::Fin {
+                transfer,
+                stripe,
+                chunks,
+            } => StripeFrame::Fin {
+                transfer: *transfer,
+                stripe: *stripe,
+                chunks: *chunks,
+            },
+            StripeFrame::Done {
+                transfer,
+                total_len,
+            } => StripeFrame::Done {
+                transfer: *transfer,
+                total_len: *total_len,
+            },
+        }
+    }
+}
+
+impl<B: AsRef<[u8]>> StripeFrame<B> {
+    /// The transfer id every frame variant carries.
+    pub fn transfer_id(&self) -> u64 {
+        match self {
+            StripeFrame::Open { transfer, .. }
+            | StripeFrame::Data { transfer, .. }
+            | StripeFrame::Fin { transfer, .. }
+            | StripeFrame::Done { transfer, .. } => *transfer,
+        }
+    }
+
+    /// The encoder: the frame as its head and its chunk (empty unless
+    /// `Data`). Every way of sending a frame writes these two slices.
+    fn parts(&self) -> Result<(Head, &[u8]), StripeError> {
+        let (head, chunk) = match self {
+            StripeFrame::Open {
+                transfer,
+                stripe,
+                stripes,
+                chunk,
+                total_len,
+                tag,
+            } => (
+                Head::new(T_OPEN)
+                    .put(&transfer.to_be_bytes())
+                    .put(&stripe.to_be_bytes())
+                    .put(&stripes.to_be_bytes())
+                    .put(&chunk.to_be_bytes())
+                    .put(&total_len.to_be_bytes())
+                    .put(&tag.to_be_bytes()),
+                &[][..],
+            ),
             StripeFrame::Data {
                 transfer,
                 stripe,
@@ -376,54 +501,75 @@ impl StripeFrame {
                 offset,
                 bytes,
             } => {
+                let bytes = bytes.as_ref();
                 if bytes.len() > MAX_CHUNK_BYTES as usize {
                     return Err(StripeError::WrongLength {
                         expected: MAX_CHUNK_BYTES,
                         got: bytes.len() as u64,
                     });
                 }
-                body.reserve(bytes.len());
-                body.push(T_DATA);
-                put_u64(&mut body, *transfer);
-                put_u16(&mut body, *stripe);
-                put_u64(&mut body, *seq);
-                put_u64(&mut body, *offset);
-                body.extend_from_slice(bytes);
+                let head = Head::new(T_DATA)
+                    .put(&transfer.to_be_bytes())
+                    .put(&stripe.to_be_bytes())
+                    .put(&seq.to_be_bytes())
+                    .put(&offset.to_be_bytes());
+                (head, bytes)
             }
             StripeFrame::Fin {
                 transfer,
                 stripe,
                 chunks,
-            } => {
-                body.push(T_FIN);
-                put_u64(&mut body, *transfer);
-                put_u16(&mut body, *stripe);
-                put_u64(&mut body, *chunks);
-            }
+            } => (
+                Head::new(T_FIN)
+                    .put(&transfer.to_be_bytes())
+                    .put(&stripe.to_be_bytes())
+                    .put(&chunks.to_be_bytes()),
+                &[][..],
+            ),
             StripeFrame::Done {
                 transfer,
                 total_len,
-            } => {
-                body.push(T_DONE);
-                put_u64(&mut body, *transfer);
-                put_u64(&mut body, *total_len);
-            }
-        }
-        Ok(body)
+            } => (
+                Head::new(T_DONE)
+                    .put(&transfer.to_be_bytes())
+                    .put(&total_len.to_be_bytes()),
+                &[][..],
+            ),
+        };
+        Ok((head.prefixed(chunk.len()), chunk))
+    }
+
+    /// Append the frame body (type byte + fields + chunk, no length
+    /// prefix) to `out`: for transports that frame it their own way.
+    pub fn encode_body_into(&self, out: &mut Vec<u8>) -> Result<(), StripeError> {
+        let (head, chunk) = self.parts()?;
+        out.reserve(head.body().len() + chunk.len());
+        out.extend_from_slice(head.body());
+        out.extend_from_slice(chunk);
+        Ok(())
     }
 
     /// Encode with the `u32` BE length prefix for stream transports.
     pub fn encode(&self) -> Result<Vec<u8>, StripeError> {
-        let body = self.encode_body()?;
-        let mut framed = Vec::with_capacity(4 + body.len());
-        framed.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        framed.extend_from_slice(&body);
-        Ok(framed)
+        let (head, chunk) = self.parts()?;
+        Ok([head.framed(), chunk].concat())
     }
 
-    /// Decode one frame body (no length prefix). Total: every read is
-    /// bounds-checked and every declared size capped.
-    pub fn decode_body(body: &[u8]) -> io::Result<StripeFrame> {
+    /// Write one framed stripe frame to a stream: the head, then the
+    /// chunk straight from where it lives.
+    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        let (head, chunk) = self.parts()?;
+        w.write_all(head.framed())?;
+        w.write_all(chunk)?;
+        w.flush()
+    }
+}
+
+impl<'a> StripeFrame<&'a [u8]> {
+    /// Decode one frame body (no length prefix); a `Data` frame's
+    /// chunk borrows from `body`. Total: every read is bounds-checked
+    /// and every declared size capped.
+    pub fn decode_body(body: &'a [u8]) -> io::Result<StripeFrame<&'a [u8]>> {
         if body.len() > MAX_STRIPE_FRAME as usize {
             return Err(bad("oversize stripe frame body"));
         }
@@ -456,7 +602,7 @@ impl StripeFrame {
                 let offset = cur.get_u64()?;
                 // The chunk body is the remainder of the frame; the
                 // frame cap already bounds it.
-                let bytes = cur.take(cur.rest.len())?.to_vec();
+                let bytes = cur.take(cur.rest.len())?;
                 StripeFrame::Data {
                     transfer,
                     stripe,
@@ -491,24 +637,42 @@ impl StripeFrame {
         Ok(frame)
     }
 
-    /// Write one framed stripe frame to a stream.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let framed = self.encode().map_err(io::Error::from)?;
-        w.write_all(&framed)?;
-        w.flush()
+    /// Copy the chunk out, for a frame that must outlive what it
+    /// borrows from (the sim's messages are `'static`).
+    pub fn into_owned(self) -> StripeFrame {
+        // lint:allow(hot-path-alloc) the sim's message boundary, off the socket path
+        self.map_chunk(|bytes| bytes.to_vec())
     }
+}
 
-    /// Read one framed stripe frame from a stream.
-    pub fn read_from(r: &mut impl Read) -> io::Result<StripeFrame> {
-        let mut len = [0u8; 4];
-        // Generic `Read`; socket callers own the deadline.
-        r.read_exact(&mut len)?; // lint:allow(deadline-io)
-        let len = u32::from_be_bytes(len);
-        // Cap before the body allocation: the prefix is peer-controlled.
-        check_stripe_frame_len(len)?;
-        let mut body = vec![0u8; len as usize];
-        r.read_exact(&mut body)?; // lint:allow(deadline-io)
-        StripeFrame::decode_body(&body)
+/// Lend an owned frame's chunk. Only the owned form converts, so a
+/// literal such as `&StripeFrame::Fin { .. }`, which names no chunk
+/// type, still infers one where a borrowed frame is expected.
+impl<'a> From<&'a StripeFrame> for StripeFrame<&'a [u8]> {
+    fn from(frame: &'a StripeFrame) -> StripeFrame<&'a [u8]> {
+        frame.map_chunk(Vec::as_slice)
+    }
+}
+
+/// Read the next frame body from a stream into `body`, which the
+/// caller reuses across frames. `Ok(false)` at end of stream, also
+/// when it ends inside a frame.
+fn read_frame(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<bool> {
+    let mut len = [0u8; 4];
+    // Generic `Read`; socket callers own the deadline.
+    let read = r
+        .read_exact(&mut len) // lint:allow(deadline-io)
+        .and_then(|()| {
+            let len = u32::from_be_bytes(len);
+            // Cap before the buffer grows: the prefix is peer-controlled.
+            check_stripe_frame_len(len)?;
+            body.resize(len as usize, 0);
+            r.read_exact(body) // lint:allow(deadline-io)
+        });
+    match read {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
     }
 }
 
@@ -548,7 +712,8 @@ impl Reassembler {
             transfer,
             tag,
             plan,
-            data: vec![0; plan.total_len() as usize],
+            // lint:allow(hot-path-alloc) the one staging buffer per transfer
+            data: vec![0u8; plan.total_len() as usize],
             received: vec![false; plan.chunk_count() as usize],
             received_count: 0,
             duplicates: 0,
@@ -556,8 +721,9 @@ impl Reassembler {
         }
     }
 
-    /// Build from the geometry carried by an [`StripeFrame::Open`].
-    pub fn open(frame: &StripeFrame) -> Result<Reassembler, StripeError> {
+    /// Build from the geometry carried by an [`StripeFrame::Open`]
+    /// (borrowed, or a reference to an owned one).
+    pub fn open<'f>(frame: impl Into<StripeFrame<&'f [u8]>>) -> Result<Reassembler, StripeError> {
         let StripeFrame::Open {
             transfer,
             stripes,
@@ -565,12 +731,12 @@ impl Reassembler {
             total_len,
             tag,
             ..
-        } = frame
+        } = frame.into()
         else {
             return Err(StripeError::NotOpened);
         };
-        let plan = StripePlan::new(*total_len, *stripes, *chunk)?;
-        Ok(Reassembler::new(*transfer, *tag, plan))
+        let plan = StripePlan::new(total_len, stripes, chunk)?;
+        Ok(Reassembler::new(transfer, tag, plan))
     }
 
     pub fn transfer(&self) -> u64 {
@@ -611,13 +777,17 @@ impl Reassembler {
             .collect()
     }
 
-    /// Feed one frame. `Open` repeats must agree with the installed
-    /// geometry; `Data` is offset-deduplicated; `Fin` cross-checks
-    /// the sender's chunk count. [`Accept::Complete`] is returned for
-    /// exactly one call — the one that covers the last offset (or the
-    /// first `Fin` of an empty transfer).
-    pub fn accept(&mut self, frame: &StripeFrame) -> Result<Accept, StripeError> {
-        match frame {
+    /// Feed one frame (borrowed, or a reference to an owned one).
+    /// `Open` repeats must agree with the installed geometry; `Data` is
+    /// offset-deduplicated; `Fin` cross-checks the sender's chunk
+    /// count. [`Accept::Complete`] is returned for exactly one call —
+    /// the one that covers the last offset (or the first `Fin` of an
+    /// empty transfer).
+    pub fn accept<'f>(
+        &mut self,
+        frame: impl Into<StripeFrame<&'f [u8]>>,
+    ) -> Result<Accept, StripeError> {
+        match frame.into() {
             StripeFrame::Open {
                 transfer,
                 stripes,
@@ -626,11 +796,11 @@ impl Reassembler {
                 tag,
                 ..
             } => {
-                self.check_transfer(*transfer)?;
-                if *stripes != self.plan.stripes()
-                    || *chunk != self.plan.chunk_bytes()
-                    || *total_len != self.plan.total_len()
-                    || *tag != self.tag
+                self.check_transfer(transfer)?;
+                if stripes != self.plan.stripes()
+                    || chunk != self.plan.chunk_bytes()
+                    || total_len != self.plan.total_len()
+                    || tag != self.tag
                 {
                     return Err(StripeError::GeometryMismatch);
                 }
@@ -643,31 +813,33 @@ impl Reassembler {
                 offset,
                 bytes,
             } => {
-                self.check_transfer(*transfer)?;
-                self.accept_data(*stripe, *seq, *offset, bytes)
+                self.check_transfer(transfer)?;
+                self.accept_data(stripe, seq, offset, bytes)
             }
             StripeFrame::Fin {
                 transfer,
                 stripe,
                 chunks,
             } => {
-                self.check_transfer(*transfer)?;
-                if *stripe >= self.plan.stripes() {
+                self.check_transfer(transfer)?;
+                if stripe >= self.plan.stripes() {
                     return Err(StripeError::StripeOutOfRange {
-                        stripe: *stripe,
+                        stripe,
                         stripes: self.plan.stripes(),
                     });
                 }
-                if *chunks != self.plan.chunks_on(*stripe) {
-                    return Err(StripeError::WrongLength {
-                        expected: self.plan.chunks_on(*stripe) as u32,
-                        got: *chunks,
+                let expected = self.plan.chunks_on(stripe);
+                if chunks != expected {
+                    return Err(StripeError::WrongChunkCount {
+                        stripe,
+                        expected,
+                        got: chunks,
                     });
                 }
                 self.maybe_complete()
             }
             StripeFrame::Done { transfer, .. } => {
-                self.check_transfer(*transfer)?;
+                self.check_transfer(transfer)?;
                 Ok(Accept::Fresh)
             }
         }
@@ -810,13 +982,14 @@ pub struct SendReport {
 }
 
 /// Where one lane's frames go: any byte stream (length-prefixed
-/// frames), or a transport that wraps each frame its own way.
+/// frames), or a transport that wraps each frame its own way. Frames
+/// borrow their chunks from the payload being sent.
 pub trait LaneSink {
-    fn send_frame(&mut self, frame: &StripeFrame) -> io::Result<()>;
+    fn send_frame(&mut self, frame: StripeFrame<&[u8]>) -> io::Result<()>;
 }
 
 impl<W: Write> LaneSink for W {
-    fn send_frame(&mut self, frame: &StripeFrame) -> io::Result<()> {
+    fn send_frame(&mut self, frame: StripeFrame<&[u8]>) -> io::Result<()> {
         frame.write_to(self)
     }
 }
@@ -856,7 +1029,7 @@ where
         loop {
             let sent = dial(stripe, attempt).and_then(|mut sink| {
                 plan.lane_frames(payload, transfer, tag, stripe)
-                    .try_for_each(|frame| sink.send_frame(&frame))
+                    .try_for_each(|frame| sink.send_frame(frame))
             });
             match sent {
                 Ok(()) => return Ok(u64::from(attempt)),
@@ -925,14 +1098,8 @@ where
 /// one thread per accepted connection), all feeding one reassembler.
 #[derive(Clone, Default)]
 pub struct StripeReceiver {
-    state: Arc<Mutex<RxShared>>,
-}
-
-#[derive(Default)]
-struct RxShared {
-    rx: Option<Reassembler>,
-    done: Option<(i32, Vec<u8>)>,
-    duplicates: u64,
+    /// Built by the first frame to arrive on any flow (its `Open`).
+    rx: Arc<Mutex<Option<Reassembler>>>,
 }
 
 impl StripeReceiver {
@@ -941,17 +1108,15 @@ impl StripeReceiver {
     }
 
     /// Drive one stripe flow until its `Fin` (or EOF). Returns `true`
-    /// if this flow's frames completed the whole transfer.
+    /// if this flow's frames completed the whole transfer. Frames are
+    /// read into one buffer and decoded where they lie, so a chunk is
+    /// copied only into the staging buffer.
     pub fn feed<R: Read>(&self, mut r: R, stats: Option<&StripeStats>) -> io::Result<bool> {
         let mut completed = false;
-        loop {
-            let frame = match StripeFrame::read_from(&mut r) {
-                Ok(f) => f,
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e),
-            };
-            let fin = matches!(frame, StripeFrame::Fin { .. });
-            let outcome = self.ingest(&frame).map_err(io::Error::from)?;
+        let mut body = Vec::new();
+        while read_frame(&mut r, &mut body)? {
+            let frame = StripeFrame::decode_body(&body)?;
+            let outcome = self.ingest(frame).map_err(io::Error::from)?;
             match outcome {
                 Accept::Complete => {
                     completed = true;
@@ -965,56 +1130,53 @@ impl StripeReceiver {
                     }
                 }
                 Accept::Fresh => {
-                    if let (Some(s), StripeFrame::Data { .. }) = (stats, &frame) {
+                    if let (Some(s), StripeFrame::Data { .. }) = (stats, frame) {
                         s.chunks_received.inc();
                     }
                 }
             }
-            if fin {
+            if matches!(frame, StripeFrame::Fin { .. }) {
                 break;
             }
         }
         Ok(completed)
     }
 
-    /// Feed one already-decoded frame (the sim path).
-    pub fn ingest(&self, frame: &StripeFrame) -> Result<Accept, StripeError> {
-        let mut st = self.state.lock();
-        if st.rx.is_none() {
+    /// Feed one decoded frame, borrowed or a reference to an owned one:
+    /// what `feed` does per frame, and the sim's whole receive path.
+    pub fn ingest<'f>(
+        &self,
+        frame: impl Into<StripeFrame<&'f [u8]>>,
+    ) -> Result<Accept, StripeError> {
+        let frame = frame.into();
+        let mut slot = self.rx.lock();
+        let rx = match &mut *slot {
+            Some(rx) => rx,
             // Geometry must arrive before data on every flow.
-            st.rx = Some(Reassembler::open(frame)?);
-        }
-        let Some(rx) = st.rx.as_mut() else {
-            return Err(StripeError::NotOpened);
+            empty => empty.insert(Reassembler::open(frame)?),
         };
-        let outcome = rx.accept(frame)?;
-        match outcome {
-            Accept::Complete => {
-                let tag = rx.tag();
-                let payload = rx.payload()?.to_vec();
-                st.done = Some((tag, payload));
-            }
-            Accept::Duplicate => st.duplicates += 1,
-            Accept::Fresh => {}
-        }
-        Ok(outcome)
+        rx.accept(frame)
     }
 
     /// The completed `(tag, payload)`, once every offset is covered.
+    /// Each call copies the payload out of the staging buffer.
     pub fn result(&self) -> Option<(i32, Vec<u8>)> {
-        self.state.lock().done.clone()
+        let slot = self.rx.lock();
+        let rx = slot.as_ref()?;
+        let payload = rx.payload().ok()?;
+        // lint:allow(hot-path-alloc) copied out on request, after the flows are done
+        Some((rx.tag(), payload.to_vec()))
     }
 
     /// Duplicate deliveries absorbed across all flows.
     pub fn duplicates(&self) -> u64 {
-        self.state.lock().duplicates
+        self.rx.lock().as_ref().map_or(0, Reassembler::duplicates)
     }
 
     /// Per-stripe holes, for failover diagnostics.
     pub fn missing_on(&self, stripe: u16) -> Vec<u64> {
-        self.state
+        self.rx
             .lock()
-            .rx
             .as_ref()
             .map(|rx| rx.missing_on(stripe))
             .unwrap_or_default()
@@ -1109,9 +1271,95 @@ mod tests {
             let framed = f.encode().unwrap();
             let len = u32::from_be_bytes(framed[0..4].try_into().unwrap());
             assert_eq!(len as usize, framed.len() - 4);
-            assert_eq!(StripeFrame::decode_body(&framed[4..]).unwrap(), f);
-            let mut cur = std::io::Cursor::new(framed);
-            assert_eq!(StripeFrame::read_from(&mut cur).unwrap(), f);
+            assert_eq!(
+                StripeFrame::decode_body(&framed[4..]).unwrap().into_owned(),
+                f
+            );
+            // The stream writer and the body-only encoder emit the same bytes.
+            let mut streamed = Vec::new();
+            f.write_to(&mut streamed).unwrap();
+            assert_eq!(streamed, framed);
+            let mut body = vec![0xEE];
+            f.encode_body_into(&mut body).unwrap();
+            assert_eq!(body[1..], framed[4..]);
+        }
+    }
+
+    /// The wire bytes of each frame type, written out by hand.
+    #[test]
+    fn wire_format_is_pinned() {
+        let cases: [(StripeFrame, &[u8]); 4] = [
+            (
+                StripeFrame::Open {
+                    transfer: 7,
+                    stripe: 1,
+                    stripes: 2,
+                    chunk: 4096,
+                    total_len: 65536,
+                    tag: -3,
+                },
+                &[
+                    0, 0, 0, 29, // length
+                    1,  // Open
+                    0, 0, 0, 0, 0, 0, 0, 7, // transfer
+                    0, 1, // stripe
+                    0, 2, // stripes
+                    0, 0, 0x10, 0, // chunk
+                    0, 0, 0, 0, 0, 1, 0, 0, // total_len
+                    0xff, 0xff, 0xff, 0xfd, // tag
+                ],
+            ),
+            (
+                StripeFrame::Data {
+                    transfer: 7,
+                    stripe: 1,
+                    seq: 3,
+                    offset: 0x3000,
+                    bytes: vec![0xaa, 0xbb, 0xcc],
+                },
+                &[
+                    0, 0, 0, 30, // length
+                    2,  // Data
+                    0, 0, 0, 0, 0, 0, 0, 7, // transfer
+                    0, 1, // stripe
+                    0, 0, 0, 0, 0, 0, 0, 3, // seq
+                    0, 0, 0, 0, 0, 0, 0x30, 0, // offset
+                    0xaa, 0xbb, 0xcc, // chunk
+                ],
+            ),
+            (
+                StripeFrame::Fin {
+                    transfer: 7,
+                    stripe: 1,
+                    chunks: 8,
+                },
+                &[
+                    0, 0, 0, 19, // length
+                    3,  // Fin
+                    0, 0, 0, 0, 0, 0, 0, 7, // transfer
+                    0, 1, // stripe
+                    0, 0, 0, 0, 0, 0, 0, 8, // chunks
+                ],
+            ),
+            (
+                StripeFrame::Done {
+                    transfer: 7,
+                    total_len: 65536,
+                },
+                &[
+                    0, 0, 0, 17, // length
+                    4,  // Done
+                    0, 0, 0, 0, 0, 0, 0, 7, // transfer
+                    0, 0, 0, 0, 0, 1, 0, 0, // total_len
+                ],
+            ),
+        ];
+        for (frame, wire) in cases {
+            assert_eq!(frame.encode().unwrap(), wire, "{frame:?}");
+            assert_eq!(
+                StripeFrame::decode_body(&wire[4..]).unwrap().into_owned(),
+                frame
+            );
         }
     }
 
@@ -1119,19 +1367,21 @@ mod tests {
     fn decode_rejects_garbage_and_oversize() {
         assert!(StripeFrame::decode_body(&[]).is_err());
         assert!(StripeFrame::decode_body(&[99]).is_err());
-        let mut f = StripeFrame::Done {
+        let done: StripeFrame = StripeFrame::Done {
             transfer: 1,
             total_len: 2,
-        }
-        .encode()
-        .unwrap();
+        };
+        let mut f = done.encode().unwrap();
         f.push(0);
         assert!(StripeFrame::decode_body(&f[4..]).is_err());
-        // Oversize declared length is refused before allocation.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_STRIPE_FRAME + 1).to_be_bytes());
+        // An oversize declared length is refused before the receive
+        // buffer grows, and nothing past the prefix is read.
+        let mut buf = (MAX_STRIPE_FRAME + 1).to_be_bytes().to_vec();
+        buf.extend_from_slice(&[0; 64]);
         let mut cur = std::io::Cursor::new(buf);
-        assert!(StripeFrame::read_from(&mut cur).is_err());
+        let err = StripeReceiver::new().feed(&mut cur, None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(cur.position(), 4);
         // Oversize chunk is refused at encode time.
         let e = StripeFrame::Data {
             transfer: 0,
@@ -1226,6 +1476,20 @@ mod tests {
             rx.accept_data(0, 0, 0, &pl[0..7]).unwrap_err(),
             StripeError::WrongLength { .. }
         ));
+        // A Fin whose count disagrees with the plan's 4 chunks on stripe 0.
+        assert_eq!(
+            rx.accept(&StripeFrame::Fin {
+                transfer: 1,
+                stripe: 0,
+                chunks: 3
+            })
+            .unwrap_err(),
+            StripeError::WrongChunkCount {
+                stripe: 0,
+                expected: 4,
+                got: 3
+            }
+        );
         // Re-open with different geometry.
         assert_eq!(
             rx.accept(&StripeFrame::Open {
@@ -1325,9 +1589,17 @@ mod tests {
         .unwrap();
         assert_eq!(report.bytes, pl.len() as u64);
         assert_eq!(report.redials, 0);
+        let streams = sinks.lock().clone();
+        // Each lane's stream is its frames' `encode()`, back to back.
+        for stripe in 0..4u16 {
+            let encoded: Vec<u8> = plan
+                .lane_frames(&pl, 42, 3, stripe)
+                .flat_map(|f| f.encode().unwrap())
+                .collect();
+            assert_eq!(streams[usize::from(stripe)], encoded, "lane {stripe}");
+        }
         // Feed the captured streams back in reverse stripe order.
         let rx = StripeReceiver::new();
-        let streams = sinks.lock().clone();
         for s in (0..4).rev() {
             rx.feed(std::io::Cursor::new(streams[s].clone()), None)
                 .unwrap();
@@ -1407,33 +1679,61 @@ mod tests {
 
     #[test]
     fn feed_ignores_clean_eof_mid_transfer() {
-        // A flow that dies before Fin: feed returns Ok(false), the
-        // reassembler keeps its partial coverage.
+        // A flow that dies before Fin, inside its second chunk: feed
+        // returns Ok(false), the reassembler keeps its partial coverage.
         let pl = payload(64);
         let plan = StripePlan::new(64, 2, 8).unwrap();
-        let mut buf = Vec::new();
-        StripeFrame::Open {
-            transfer: 1,
-            stripe: 0,
-            stripes: 2,
-            chunk: 8,
-            total_len: 64,
-            tag: 0,
-        }
-        .write_to(&mut buf)
-        .unwrap();
-        StripeFrame::Data {
-            transfer: 1,
-            stripe: 0,
-            seq: 0,
-            offset: 0,
-            bytes: pl[0..8].to_vec(),
-        }
-        .write_to(&mut buf)
-        .unwrap();
-        let rx = StripeReceiver::new();
-        assert!(!rx.feed(std::io::Cursor::new(buf), None).unwrap());
-        assert_eq!(rx.missing_on(0), vec![1, 2, 3]);
         assert_eq!(plan.chunks_on(0), 4);
+        let mut buf = Vec::new();
+        for frame in plan.lane_frames(&pl, 1, 0, 0).take(3) {
+            frame.write_to(&mut buf).unwrap();
+        }
+        buf.truncate(buf.len() - 3);
+        let rx = StripeReceiver::new();
+        assert!(!rx.feed(&buf[..], None).unwrap());
+        assert_eq!(rx.missing_on(0), vec![1, 2, 3]);
+        assert!(rx.result().is_none());
+    }
+
+    /// `feed` reads every frame of a flow into one buffer: a short
+    /// frame after a long one must see its own bytes only.
+    #[test]
+    fn feed_reuses_one_buffer_frame_by_frame() {
+        let chunk = DEFAULT_CHUNK_BYTES as usize;
+        let pl = payload(chunk + 100);
+        let plan = StripePlan::new(pl.len() as u64, 1, DEFAULT_CHUNK_BYTES).unwrap();
+        // Open, a full chunk, a 100 B tail chunk, Fin.
+        let lane: Vec<u8> = plan
+            .lane_frames(&pl, 1, 0, 0)
+            .flat_map(|f| f.encode().unwrap())
+            .collect();
+        let rx = StripeReceiver::new();
+        assert!(rx.feed(&lane[..], None).unwrap());
+        assert_eq!(rx.result().unwrap().1, pl);
+        // The tail chunk cut to 50 B is still checked against the plan,
+        // not read as the 50 B plus what the long frame left behind.
+        let mut cut = Vec::new();
+        for frame in plan.lane_frames(&pl, 1, 0, 0) {
+            let frame = match frame {
+                StripeFrame::Data { seq: 1, bytes, .. } => StripeFrame::Data {
+                    transfer: 1,
+                    stripe: 0,
+                    seq: 1,
+                    offset: chunk as u64,
+                    bytes: &bytes[..50],
+                },
+                other => other,
+            };
+            frame.write_to(&mut cut).unwrap();
+        }
+        let err = StripeReceiver::new().feed(&cut[..], None).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            StripeError::WrongLength {
+                expected: 100,
+                got: 50
+            }
+            .to_string()
+        );
     }
 }

@@ -13,7 +13,7 @@ use netsim::SimRng;
 use nexus_proxy::protocol::{EncodeError, Msg, MAX_FRAME};
 use nexus_proxy::{
     nx_proxy_bind, nx_proxy_connect, InnerConfig, InnerServer, OuterConfig, OuterServer, ProxyEnv,
-    StripeFrame, MAX_CHUNK_BYTES, MAX_STRIPES, MAX_STRIPE_FRAME,
+    StripeFrame, StripeReceiver, MAX_CHUNK_BYTES, MAX_STRIPES, MAX_STRIPE_FRAME,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -410,7 +410,10 @@ fn every_stripe_frame_roundtrips() {
             let framed = frame.encode().unwrap();
             let len = u32::from_be_bytes(framed[0..4].try_into().unwrap()) as usize;
             assert_eq!(len, framed.len() - 4, "length prefix disagrees: {frame:?}");
-            assert_eq!(StripeFrame::decode_body(&framed[4..]).unwrap(), frame);
+            assert_eq!(
+                StripeFrame::decode_body(&framed[4..]).unwrap().into_owned(),
+                frame
+            );
         }
     }
 }
@@ -420,6 +423,8 @@ fn every_stripe_frame_roundtrips() {
 /// chunk — the reassembler's length cross-check rejects it later. The
 /// decoder itself must never panic and never reproduce the original
 /// message from a cut body; fixed-layout variants must error outright.
+/// Through the stream receiver, a cut anywhere in the framed bytes is
+/// an early end of stream: the flow ends, incomplete, with no error.
 #[test]
 fn truncated_stripe_frames_never_panic() {
     let mut rng = SimRng::seed_from_u64(0x57a2e);
@@ -434,8 +439,18 @@ fn truncated_stripe_frames_never_panic() {
                         "truncated {frame:?} at {cut}/{} decoded",
                         body.len()
                     );
-                    assert_ne!(got, frame, "cut body reproduced the full frame");
+                    assert_ne!(
+                        got.into_owned(),
+                        frame,
+                        "cut body reproduced the full frame"
+                    );
                 }
+            }
+            for cut in 0..framed.len() {
+                let rx = StripeReceiver::new();
+                let fed = rx.feed(&framed[..cut], None);
+                assert!(matches!(fed, Ok(false)), "{frame:?} cut at {cut}: {fed:?}");
+                assert!(rx.result().is_none());
             }
         }
     }
@@ -459,6 +474,11 @@ fn bit_flipped_stripe_frames_never_panic() {
                 let bit = rng.below(8) as u8;
                 corrupt[byte] ^= 1 << bit;
                 let _ = StripeFrame::decode_body(&corrupt);
+                // A flip on a flow, length prefix included.
+                let mut stream = framed.clone();
+                let byte = rng.below(stream.len() as u64) as usize;
+                stream[byte] ^= 1 << rng.below(8);
+                let _ = StripeReceiver::new().feed(&stream[..], None);
             }
         }
     }
@@ -480,8 +500,8 @@ fn random_stripe_buffers_never_panic() {
 }
 
 /// Oversize (or zero) declared stripe-frame lengths are refused before
-/// any body allocation — the length prefix rides a relayed pipe and is
-/// peer-controlled.
+/// the receiver's frame buffer grows — the length prefix rides a
+/// relayed pipe and is peer-controlled.
 #[test]
 fn oversize_stripe_lengths_are_rejected_up_front() {
     let mut rng = SimRng::seed_from_u64(0x57a5e);
@@ -492,7 +512,7 @@ fn oversize_stripe_lengths_are_rejected_up_front() {
     for len in cases {
         let header = len.to_be_bytes();
         let mut cursor = std::io::Cursor::new(header.to_vec());
-        let err = StripeFrame::read_from(&mut cursor).unwrap_err();
+        let err = StripeReceiver::new().feed(&mut cursor, None).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "len {len}");
         // Nothing past the 4-byte header was consumed.
         assert_eq!(cursor.position(), 4);

@@ -282,7 +282,7 @@ impl Model for StripeModel {
             // The production lane sequence: what a sender re-sends.
             for frame in plan.lane_frames(&source, TRANSFER, TAG, stripe) {
                 let StripeFrame::Data { seq, .. } = &frame else {
-                    match rx.accept(&frame) {
+                    match rx.accept(frame) {
                         Ok(Accept::Fresh) => continue,
                         other => return Err(format!("failover {frame:?} gave {other:?}")),
                     }
@@ -291,7 +291,7 @@ impl Model for StripeModel {
                     .chunk_index(stripe, *seq)
                     .ok_or_else(|| format!("no chunk for stripe {stripe} seq {seq}"))?;
                 let had = delivered.contains(&(idx as u8));
-                match rx.accept(&frame) {
+                match rx.accept(frame) {
                     Ok(Accept::Duplicate) if had => {}
                     Ok(Accept::Fresh) if !had => {}
                     Ok(Accept::Complete) if !had => completions += 1,

@@ -24,10 +24,12 @@ pub enum Rule {
     /// sets a read timeout: a dead peer parks the thread forever. Mark
     /// deliberate blocking sites with `lint:allow(deadline-io)`.
     DeadlineIo,
-    /// `vec![0u8; ...]` in the relay data-plane hot files: per-chunk
-    /// allocation is what the shared [`BufferPool`] exists to remove.
-    /// The pool's own sanctioned allocation site carries
-    /// `lint:allow(hot-path-alloc)`.
+    /// `vec![0u8; ...]` or `.to_vec()` in the data-plane hot files:
+    /// per-chunk allocation and copying is what the shared
+    /// [`BufferPool`] and the stripe layer's borrowed frames exist to
+    /// remove. Sanctioned sites (the pool's segment allocation, the
+    /// stripe staging buffer, copies off the socket path) carry
+    /// `lint:allow(hot-path-alloc)` with a reason.
     HotPathAlloc,
     /// Bare `thread::sleep(` in non-test library code: chaos-layer
     /// timing must come from deadline-based waits (condvar timeouts,
@@ -117,8 +119,8 @@ impl Rule {
                  or an explicit lint:allow(deadline-io)"
             }
             Rule::HotPathAlloc => {
-                "no vec![0u8; ...] in pump/pool hot loops; take a segment \
-                 from the shared BufferPool"
+                "no vec![0u8; ...] or .to_vec() in pump/pool/stripe hot paths; \
+                 take a pooled segment or borrow the bytes"
             }
             Rule::BareSleep => {
                 "no bare thread::sleep in library code; wait on a deadline \
@@ -169,11 +171,13 @@ const STD_SYNC_EXEMPT: &[&str] = &["crates/wacs-sync/", "crates/xtask/"];
 /// (its instruments *are* atomics) and this analyzer.
 const ATOMIC_COUNTER_EXEMPT: &[&str] = &["crates/wacs-obs/", "crates/xtask/"];
 
-/// The relay data-plane hot files: every staging buffer there must come
-/// from the shared `BufferPool`, not a per-call `vec![0u8; ...]`.
+/// The data-plane hot files: relay segments come from the shared
+/// `BufferPool` and stripe chunks are borrowed, never a per-call
+/// `vec![0u8; ...]` or `.to_vec()` copy.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/nexus-proxy/src/pump.rs",
     "crates/nexus-proxy/src/pool.rs",
+    "crates/nexus-proxy/src/stripe.rs",
 ];
 
 /// Analyze one file; `path` is workspace-relative with `/` separators.
@@ -297,6 +301,14 @@ pub fn analyze(path: &str, source: &str) -> Vec<Violation> {
                     Rule::HotPathAlloc,
                     "per-call buffer allocation in a relay hot loop; draw a pooled \
                      segment from the shared BufferPool"
+                        .into(),
+                );
+            }
+            if hot_path && line.contains(".to_vec()") {
+                push(
+                    Rule::HotPathAlloc,
+                    "per-call copy in a data-plane hot path; borrow the bytes \
+                     (e.g. a `StripeFrame<&[u8]>`) instead"
                         .into(),
                 );
             }
@@ -715,6 +727,21 @@ fn f(s: &mut TcpStream) -> io::Result<()> {
         }
         // Everywhere else a zeroed vec is unremarkable.
         assert!(rules_hit("crates/demo/src/lib.rs", src).is_empty());
+    }
+
+    #[test]
+    fn hot_path_alloc_flags_chunk_copies() {
+        let src = "fn frame(payload: &[u8]) -> Vec<u8> {\n    payload[..8].to_vec()\n}\n";
+        for path in super::HOT_PATH_FILES {
+            assert_eq!(
+                rules_hit(path, src),
+                vec![(2, Rule::HotPathAlloc)],
+                "{path}"
+            );
+        }
+        assert!(rules_hit("crates/demo/src/lib.rs", src).is_empty());
+        let marked = "fn out(p: &[u8]) -> Vec<u8> {\n    // lint:allow(hot-path-alloc) copied out on request\n    p.to_vec()\n}\n";
+        assert!(rules_hit("crates/nexus-proxy/src/stripe.rs", marked).is_empty());
     }
 
     #[test]
