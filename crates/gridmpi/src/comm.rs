@@ -391,12 +391,16 @@ impl Comm {
         let key = (p.src, frame.transfer_id());
         // Stragglers of a finished transfer (a stripe retransmitted
         // whole after the last needed chunk arrived) are duplicates,
-        // not a new transfer: drop them.
+        // not a new transfer: drop them. Only a chunk is a duplicate
+        // chunk; the lanes' trailing `Fin`s land here after every
+        // transfer.
         if self.stripe_done.lock().contains(&key) {
             *self.dup_dropped.lock() += 1;
             if let Some(o) = &self.obs {
                 o.dup_dropped.inc();
-                o.stripe.dup_chunks.inc();
+                if matches!(frame, StripeFrame::Data { .. }) {
+                    o.stripe.dup_chunks.inc();
+                }
             }
             return Ok(None);
         }
@@ -424,8 +428,11 @@ impl Comm {
         let Some(rx) = map.get_mut(&key) else {
             return Ok(None);
         };
-        let outcome = rx.accept(frame).map_err(io::Error::from)?;
-        match outcome {
+        let outcome = rx.accept(frame);
+        if let Some(o) = &self.obs {
+            o.stripe.count_received(&frame, &outcome);
+        }
+        match outcome.map_err(io::Error::from)? {
             Accept::Complete => {
                 let Some(rx) = map.remove(&key) else {
                     return Ok(None);
@@ -436,10 +443,6 @@ impl Comm {
                 let payload = rx.into_payload().map_err(io::Error::from)?;
                 *self.received.lock() += 1;
                 *self.stripe_completed.lock() += 1;
-                if let Some(o) = &self.obs {
-                    o.stripe.chunks_received.inc();
-                    o.stripe.transfers.inc();
-                }
                 Ok(Some(Packet {
                     src: p.src,
                     tag,
@@ -452,19 +455,10 @@ impl Comm {
                 *self.dup_dropped.lock() += 1;
                 if let Some(o) = &self.obs {
                     o.dup_dropped.inc();
-                    o.stripe.dup_chunks.inc();
                 }
                 Ok(None)
             }
-            Accept::Fresh => {
-                drop(map);
-                if let Some(o) = &self.obs {
-                    if matches!(frame, StripeFrame::Data { .. }) {
-                        o.stripe.chunks_received.inc();
-                    }
-                }
-                Ok(None)
-            }
+            Accept::Fresh => Ok(None),
         }
     }
 

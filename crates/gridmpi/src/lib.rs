@@ -479,6 +479,41 @@ mod tests {
         assert_eq!(results[1], want);
     }
 
+    /// An empty striped send completes on its geometry alone: one
+    /// transfer, no chunk received, and its trailing `Fin` is no
+    /// duplicate chunk.
+    #[test]
+    fn empty_striped_send_counts_no_chunk() {
+        let w = world();
+        let registry = wacs_obs::Registry::new();
+        let ranks = specs(&w, 0, 2)
+            .into_iter()
+            .map(|spec| spec.with_obs(&registry))
+            .collect();
+        run_world(ranks, |comm| {
+            if comm.rank() == 0 {
+                comm.send_striped(1, 4, &[], 2).unwrap();
+            } else {
+                let (_, _, data) = comm.recv(Some(0), Some(4)).unwrap();
+                assert!(data.is_empty());
+                // The `Open` completed it; drain the `Fin` behind it.
+                for _ in 0..2000 {
+                    comm.iprobe(None, None).unwrap();
+                    if comm.duplicates_dropped() >= 1 {
+                        break;
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                assert_eq!(comm.duplicates_dropped(), 1);
+            }
+        })
+        .unwrap();
+        let stats = nexus_proxy::StripeStats::in_registry(&registry);
+        assert_eq!(stats.chunks_received.get(), 0);
+        assert_eq!(stats.transfers.get(), 1);
+        assert_eq!(stats.dup_chunks.get(), 0);
+    }
+
     /// A striped send across the firewall (proxied sender) still
     /// reassembles: stripe frames ride the relay like any packet.
     #[test]

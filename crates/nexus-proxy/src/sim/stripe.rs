@@ -155,43 +155,24 @@ impl StripeSinkActor {
                 if lane.is_some() && c.first_data_ns.is_none() {
                     c.first_data_ns = Some(now);
                 }
-                match c.receiver.ingest(&frame) {
-                    Ok(Accept::Complete) => {
-                        c.done_at_ns = Some(now);
+                let outcome = c.receiver.ingest(&frame);
+                if let Some(s) = &self.stats {
+                    s.count_received(&frame, &outcome);
+                }
+                match outcome {
+                    Ok(Accept::Duplicate) => {}
+                    Ok(accept) => {
                         if let Some((l, n)) = lane {
                             Self::lane_progress(&self.stats, &mut c, l, n, now);
                         }
-                        if let Some(s) = &self.stats {
-                            if lane.is_some() {
-                                s.chunks_received.inc();
-                            }
-                            s.transfers.inc();
-                            if let Some(t0) = c.first_data_ns {
+                        if accept == Accept::Complete {
+                            c.done_at_ns = Some(now);
+                            if let (Some(s), Some(t0)) = (&self.stats, c.first_data_ns) {
                                 s.transfer_ns.record(now.saturating_sub(t0));
                             }
                         }
                     }
-                    Ok(Accept::Duplicate) => {
-                        if let Some(s) = &self.stats {
-                            s.dup_chunks.inc();
-                        }
-                    }
-                    Ok(Accept::Fresh) => {
-                        if let Some((l, n)) = lane {
-                            Self::lane_progress(&self.stats, &mut c, l, n, now);
-                            if let Some(s) = &self.stats {
-                                s.chunks_received.inc();
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        if let Some(s) = &self.stats {
-                            if matches!(e, StripeError::Conflict { .. }) {
-                                s.conflicts.inc();
-                            }
-                        }
-                        c.errors.push(e);
-                    }
+                    Err(e) => c.errors.push(e),
                 }
             }
             _ => {}

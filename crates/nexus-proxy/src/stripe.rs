@@ -35,6 +35,13 @@
 //! from there; the receiver reads each frame into one buffer per flow,
 //! decodes it in place and copies the chunk into the staging buffer.
 //! The payload leaves staging only when [`StripeReceiver::result`] asks.
+//!
+//! The staging buffer outlives its transfer: a dropped [`Reassembler`]
+//! leaves it in one process-wide slot and the next transfer it fits
+//! takes it, so a repeated 32 MiB transfer copies into pages that are
+//! already mapped instead of faulting in fresh zeroed ones. The
+//! [`Reassembler`] docs give the rules that keep the slot bounded and
+//! its stale bytes unreadable.
 
 use crate::hook::{interpose, DialHook, DialLeg};
 use crate::protocol::{bad, Cursor};
@@ -63,6 +70,15 @@ pub const DEFAULT_CHUNK_BYTES: u32 = 64 * 1024;
 
 /// Upper bound on one stripe frame (header slack + chunk body).
 pub const MAX_STRIPE_FRAME: u32 = MAX_CHUNK_BYTES + 64;
+
+/// Largest staging buffer kept for a later transfer: a 32 MiB transfer
+/// with the fit rule's 2x slack (see [`Reassembler`]).
+pub const MAX_RETAINED_STAGING: usize = 64 << 20;
+
+/// The one staging buffer kept between transfers; empty when none is.
+/// A leaf lock: it is taken inside the receivers' locks, and nothing is
+/// locked, allocated or freed while it is held.
+static STAGING: Mutex<Vec<u8>> = Mutex::new(Vec::new());
 
 /// Longest run of frame bytes ahead of a chunk: the `u32` length
 /// prefix, then `Open`'s type byte and fields (1 + 8 + 2 + 2 + 4 + 8 + 4).
@@ -695,6 +711,23 @@ pub enum Accept {
 /// exhaustively: completion is reported exactly once, if and only if
 /// every offset is covered; duplicates never change state; a
 /// conflicting duplicate is a typed error.
+///
+/// **Staging is recycled.** The buffer the payload is assembled in
+/// comes from a process-wide slot that holds at most one buffer of at
+/// most [`MAX_RETAINED_STAGING`] bytes. `new` takes that buffer when
+/// `len ≤ capacity ≤ 2 × len`, so a payload [`Reassembler::into_payload`]
+/// hands out never carries more than twice its length; a buffer that
+/// does not fit stays in the slot. Dropping the reassembler puts its
+/// buffer in the slot (displacing any other); `into_payload` gives it to
+/// the caller instead. The slot must be process-wide because callers
+/// build a fresh [`StripeReceiver`] for every transfer.
+///
+/// A reused buffer is not zeroed: it still holds an earlier transfer's
+/// bytes. That is safe because no staging byte is readable before its
+/// chunk is covered: `payload`, `into_payload` (and so
+/// [`StripeReceiver::result`]) require every chunk, and the duplicate
+/// compare in `accept_data` reads only chunks whose `received` bit is
+/// set.
 pub struct Reassembler {
     transfer: u64,
     tag: i32,
@@ -712,8 +745,7 @@ impl Reassembler {
             transfer,
             tag,
             plan,
-            // lint:allow(hot-path-alloc) the one staging buffer per transfer
-            data: vec![0u8; plan.total_len() as usize],
+            data: take_staging(plan.total_len() as usize),
             received: vec![false; plan.chunk_count() as usize],
             received_count: 0,
             duplicates: 0,
@@ -920,14 +952,49 @@ impl Reassembler {
         Ok(&self.data)
     }
 
-    /// Consume into the reassembled payload.
-    pub fn into_payload(self) -> Result<Vec<u8>, StripeError> {
+    /// Consume into the reassembled payload; its buffer is not retained.
+    pub fn into_payload(mut self) -> Result<Vec<u8>, StripeError> {
         if !self.is_complete() {
             return Err(StripeError::Incomplete {
                 missing: self.plan.chunk_count() - self.received_count,
             });
         }
-        Ok(self.data)
+        Ok(std::mem::take(&mut self.data))
+    }
+}
+
+impl Drop for Reassembler {
+    fn drop(&mut self) {
+        let mut buf = std::mem::take(&mut self.data);
+        if buf.capacity() == 0 || buf.capacity() > MAX_RETAINED_STAGING {
+            return;
+        }
+        // A retained buffer is initialised to its capacity, so a later
+        // `take_staging` only ever shortens it. Only a buffer reused
+        // for a shorter transfer has a tail to fill here.
+        buf.resize(buf.capacity(), 0);
+        let displaced = std::mem::replace(&mut *STAGING.lock(), buf);
+        // Freed here, after the guard is gone.
+        drop(displaced);
+    }
+}
+
+/// A staging buffer of `len` bytes: the retained one when
+/// `len ≤ capacity ≤ 2 × len`, with whatever bytes it holds, else a
+/// fresh zeroed one.
+fn take_staging(len: usize) -> Vec<u8> {
+    let reused = {
+        let mut slot = STAGING.lock();
+        let fits = len <= slot.capacity() && slot.capacity() <= len.saturating_mul(2);
+        fits.then(|| std::mem::take(&mut *slot))
+    };
+    match reused {
+        Some(mut buf) => {
+            buf.truncate(len);
+            buf
+        }
+        // lint:allow(hot-path-alloc) first transfer of a size, or one the retained buffer cannot hold
+        None => vec![0u8; len],
     }
 }
 
@@ -966,6 +1033,29 @@ impl StripeStats {
             stripe_ns: registry.histogram("wacs.stripe.stripe_ns"),
             stripe_bytes_per_sec: registry.histogram("wacs.stripe.stripe_bytes_per_sec"),
             transfer_ns: registry.histogram("wacs.stripe.transfer_ns"),
+        }
+    }
+
+    /// Count what feeding `frame` to a reassembler did. Every receive
+    /// path (byte streams, gridmpi packets, sim actors) calls this once
+    /// per frame it feeds: a `Data` frame that adds coverage is a chunk
+    /// received, the one that completes the transfer included; a
+    /// completion is a transfer (an empty one completes on a chunkless
+    /// frame); an absorbed duplicate and a conflicting one are counted
+    /// as such.
+    pub fn count_received<B>(&self, frame: &StripeFrame<B>, outcome: &Result<Accept, StripeError>) {
+        match outcome {
+            Ok(Accept::Duplicate) => self.dup_chunks.inc(),
+            Ok(accept) => {
+                if matches!(frame, StripeFrame::Data { .. }) {
+                    self.chunks_received.inc();
+                }
+                if *accept == Accept::Complete {
+                    self.transfers.inc();
+                }
+            }
+            Err(StripeError::Conflict { .. }) => self.conflicts.inc(),
+            Err(_) => {}
         }
     }
 }
@@ -1116,25 +1206,11 @@ impl StripeReceiver {
         let mut body = Vec::new();
         while read_frame(&mut r, &mut body)? {
             let frame = StripeFrame::decode_body(&body)?;
-            let outcome = self.ingest(frame).map_err(io::Error::from)?;
-            match outcome {
-                Accept::Complete => {
-                    completed = true;
-                    if let Some(s) = stats {
-                        s.transfers.inc();
-                    }
-                }
-                Accept::Duplicate => {
-                    if let Some(s) = stats {
-                        s.dup_chunks.inc();
-                    }
-                }
-                Accept::Fresh => {
-                    if let (Some(s), StripeFrame::Data { .. }) = (stats, frame) {
-                        s.chunks_received.inc();
-                    }
-                }
+            let outcome = self.ingest(frame);
+            if let Some(s) = stats {
+                s.count_received(&frame, &outcome);
             }
+            completed |= outcome? == Accept::Complete;
             if matches!(frame, StripeFrame::Fin { .. }) {
                 break;
             }
@@ -1735,5 +1811,124 @@ mod tests {
             }
             .to_string()
         );
+    }
+
+    /// `feed` counts every chunk that adds coverage, the completing one
+    /// included, and the transfer once.
+    #[test]
+    fn feed_counts_every_fresh_chunk_and_the_transfer() {
+        let pl = payload(20);
+        let plan = StripePlan::new(20, 1, 8).unwrap();
+        assert_eq!(plan.chunk_count(), 3);
+        let lane: Vec<u8> = plan
+            .lane_frames(&pl, 1, 0, 0)
+            .flat_map(|f| f.encode().unwrap())
+            .collect();
+        let stats = StripeStats::in_registry(&Registry::new());
+        let rx = StripeReceiver::new();
+        assert!(rx.feed(&lane[..], Some(&stats)).unwrap());
+        assert_eq!(stats.chunks_received.get(), 3);
+        assert_eq!(stats.transfers.get(), 1);
+        assert_eq!(stats.dup_chunks.get(), 0);
+    }
+
+    /// A conflicting duplicate through `feed` is `InvalidData` and is
+    /// counted as a conflict.
+    #[test]
+    fn feed_counts_a_conflicting_duplicate() {
+        let pl = payload(16);
+        let plan = StripePlan::new(16, 1, 8).unwrap();
+        let stats = StripeStats::in_registry(&Registry::new());
+        let rx = StripeReceiver::new();
+        let mut evil = pl.clone();
+        evil[0] ^= 0xFF;
+        let mut lane = Vec::new();
+        for frame in plan.lane_frames(&pl, 1, 0, 0).take(2) {
+            frame.write_to(&mut lane).unwrap();
+        }
+        StripeFrame::Data {
+            transfer: 1,
+            stripe: 0,
+            seq: 0,
+            offset: 0,
+            bytes: &evil[..8],
+        }
+        .write_to(&mut lane)
+        .unwrap();
+        let err = rx.feed(&lane[..], Some(&stats)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(stats.conflicts.get(), 1);
+        assert_eq!(stats.chunks_received.get(), 1);
+    }
+
+    /// Complete and drop a transfer of `x`, leaving its staging buffer
+    /// in the slot unless another test thread takes it first.
+    fn leave_stale(plan: &StripePlan, x: &[u8]) {
+        let mut rx = Reassembler::new(1, 0, *plan);
+        for idx in 0..plan.chunk_count() {
+            rx.accept(&data_frame(plan, x, idx)).unwrap();
+        }
+        assert!(rx.is_complete());
+    }
+
+    /// A transfer staged in a buffer an earlier transfer left behind
+    /// never shows, or compares against, that transfer's bytes.
+    #[test]
+    fn recycled_staging_never_shows_stale_bytes() {
+        let plan = StripePlan::new(100, 2, 8).unwrap();
+        let x = payload(100);
+        let y: Vec<u8> = x.iter().map(|b| !b).collect();
+        let last = plan.chunk_count() - 1;
+
+        // One hole: still incomplete; the hole filled: exactly Y.
+        leave_stale(&plan, &x);
+        let mut rx = Reassembler::new(1, 0, plan);
+        for idx in 0..last {
+            assert_eq!(rx.accept(&data_frame(&plan, &y, idx)), Ok(Accept::Fresh));
+        }
+        assert_eq!(rx.payload(), Err(StripeError::Incomplete { missing: 1 }));
+        assert_eq!(
+            rx.accept(&data_frame(&plan, &y, last)),
+            Ok(Accept::Complete)
+        );
+        assert_eq!(rx.payload().unwrap(), &y[..]);
+        drop(rx);
+
+        // Through the receiver: no result while a hole is left.
+        leave_stale(&plan, &x);
+        let recv = StripeReceiver::new();
+        let hole = (plan.stripe_of(last), plan.seq_of(last));
+        for stripe in 0..plan.stripes() {
+            for frame in plan.lane_frames(&y, 1, 0, stripe) {
+                match frame {
+                    StripeFrame::Data { stripe, seq, .. } if (stripe, seq) == hole => {}
+                    frame => {
+                        recv.ingest(frame).unwrap();
+                    }
+                }
+            }
+        }
+        assert!(recv.result().is_none());
+        assert_eq!(
+            recv.ingest(&data_frame(&plan, &y, last)),
+            Ok(Accept::Complete)
+        );
+        assert_eq!(recv.result().unwrap().1, y);
+        drop(recv);
+
+        // A chunk equal to the stale bytes at its offset is new
+        // coverage, not a duplicate.
+        leave_stale(&plan, &x);
+        let mut rx = Reassembler::new(1, 0, plan);
+        for idx in 0..=last {
+            let want = if idx == last {
+                Accept::Complete
+            } else {
+                Accept::Fresh
+            };
+            assert_eq!(rx.accept(&data_frame(&plan, &x, idx)), Ok(want));
+        }
+        assert_eq!(rx.duplicates(), 0);
+        assert_eq!(rx.payload().unwrap(), &x[..]);
     }
 }

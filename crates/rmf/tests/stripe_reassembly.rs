@@ -291,6 +291,41 @@ fn seeded_random_sweeps_with_duplicates_and_conflicts() {
     }
 }
 
+/// Seeded back-to-back transfers through `feed`, each staged in
+/// whatever buffer an earlier one left behind: lengths shrink and grow
+/// across the staging fit rule's edges (0, 4 B, short tails, just above
+/// and just below half the previous length, about double it), every
+/// round has its own byte pattern, and every payload is byte-exact.
+#[test]
+fn back_to_back_transfers_through_feed_are_exact() {
+    let mut rng = Rng(0xbac2_bac2);
+    let mut prev = 4096usize;
+    for round in 0..300usize {
+        let jitter = rng.below(3) as usize;
+        let len = match rng.below(7) {
+            0 => 0,
+            1 => 4,
+            2 => 64 * jitter + 1 + rng.below(15) as usize,
+            3 => prev / 2 + 1 + jitter,
+            4 => (prev / 2).saturating_sub(1 + jitter),
+            5 => (2 * prev).min(1 << 14) + jitter,
+            _ => 1 + rng.below(1 << 13) as usize,
+        };
+        let stripes = 1 + rng.below(4) as u16;
+        let plan = StripePlan::new(len as u64, stripes, 64).unwrap();
+        let data: Vec<u8> = (0..len)
+            .map(|i| ((i * 137 + round * 31 + 29) % 251) as u8)
+            .collect();
+        let rx = StripeReceiver::new();
+        for lane in framed_lanes(&data, &plan).into_iter().rev() {
+            rx.feed(Cursor::new(lane), None).unwrap();
+        }
+        let (_, got) = rx.result().expect("incomplete after all lanes fed");
+        assert_eq!(got, data, "round {round}: {len} B after {prev} B");
+        prev = len;
+    }
+}
+
 /// Seeded random sweep with gaps: withholding a random subset of
 /// chunks yields exactly-accounted `Incomplete` errors — the missing
 /// count and per-stripe missing seq lists are exact, and `result()`

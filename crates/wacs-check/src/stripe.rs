@@ -21,6 +21,12 @@
 //!   (`Open` + every `Data` from seq 0 + `Fin`), as a failed-over
 //!   sender does, always lands in the fully-covered state for that
 //!   stripe with no byte changed and no double completion.
+//!
+//! Every rebuild runs on poisoned staging: a same-geometry transfer of
+//! the complemented source bytes completes and is dropped first, so
+//! the recycled buffer's stale bytes differ from the source at every
+//! offset and any read of an uncovered byte shows as a wrong payload,
+//! a false duplicate or a false conflict.
 
 use crate::explore::{explore_bfs, Model, Report};
 use nexus_proxy::stripe::{Accept, Reassembler, StripeError, StripeFrame, StripePlan};
@@ -103,10 +109,33 @@ impl StripeModel {
         StripePlan::new(self.total_len, self.stripes, self.chunk).map_err(|e| e.to_string())
     }
 
+    /// Complete and drop one same-geometry reassembler carrying the
+    /// complement of every source byte. Its staging buffer is the one
+    /// the process retains, so the next reassembler starts on stale
+    /// bytes that differ from the source everywhere (unless a
+    /// concurrent test takes the buffer first).
+    fn poison_staging(plan: StripePlan) -> Result<(), String> {
+        let mut stale = Reassembler::new(TRANSFER, TAG, plan);
+        for idx in 0..plan.chunk_count() {
+            let bytes: Vec<u8> = chunk_bytes(&plan, idx).iter().map(|b| !b).collect();
+            stale
+                .accept_data(
+                    plan.stripe_of(idx),
+                    plan.seq_of(idx),
+                    plan.offset_of(idx),
+                    &bytes,
+                )
+                .map_err(|e| format!("poisoning chunk {idx}: {e}"))?;
+        }
+        Ok(())
+    }
+
     /// Rebuild the real reassembler by replaying the recorded arrival
-    /// order, checking the accept verdict of every step.
+    /// order on poisoned staging, checking the accept verdict of every
+    /// step.
     fn rebuild(&self, s: &StState) -> Result<Reassembler, String> {
         let plan = self.plan()?;
+        Self::poison_staging(plan)?;
         let mut rx = Reassembler::new(TRANSFER, TAG, plan);
         let total = plan.chunk_count();
         for (step, &idx) in s.delivered().iter().enumerate() {

@@ -32,6 +32,7 @@ use std::process::ExitCode;
 
 mod lexer;
 mod mask;
+mod pairs;
 mod rules;
 mod scan;
 mod wsrules;
@@ -42,6 +43,7 @@ fn usage() -> ExitCode {
     eprintln!("usage: cargo run -p xtask -- lint [--root <dir>]");
     eprintln!("       cargo run -p xtask -- check [--deep]");
     eprintln!("       cargo run -p xtask -- rules");
+    eprintln!("       cargo run -p xtask -- pairs FILE [--exclude-seed S]...");
     ExitCode::from(2)
 }
 
@@ -65,7 +67,41 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
+        Some("pairs") => run_pairs(&args[1..]),
         _ => usage(),
+    }
+}
+
+/// Summarise a committed file of parent/change benchmark runs.
+fn run_pairs(args: &[String]) -> ExitCode {
+    let mut file = None;
+    let mut exclude = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--exclude-seed" => match rest.next().and_then(|s| s.parse().ok()) {
+                Some(seed) => exclude.push(seed),
+                None => return usage(),
+            },
+            path if file.is_none() => file = Some(path),
+            _ => return usage(),
+        }
+    }
+    let Some(file) = file else {
+        return usage();
+    };
+    let summary = std::fs::read_to_string(file)
+        .map_err(|e| format!("{file}: {e}"))
+        .and_then(|text| pairs::summarise(&text, &exclude));
+    match summary {
+        Ok(summary) => {
+            print!("{}", pairs::render(&summary));
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("xtask pairs: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 

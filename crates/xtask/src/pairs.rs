@@ -1,0 +1,314 @@
+//! `cargo run -p xtask -- pairs FILE [--exclude-seed S]...`: the
+//! verdict on a performance claim from its committed benchmark runs.
+//!
+//! FILE holds one run per line, `workload seed side op_a_us op_b_us
+//! op_c_us cpu_us_per_op setup_s failed attempted`, side `parent` or
+//! `change` (the `results/pr*_pairs.txt` format). `#` comments and
+//! traced lines (workload `*-traced`) are skipped. A pair is the parent
+//! and the change run of one workload and seed. For every workload and
+//! metric the summary gives each side's median and quartiles (Python's
+//! `statistics.quantiles`, exclusive method, as the benchmark computes
+//! its spreads), the pairs the change won (lower is better for every
+//! metric; ties count for neither side), the ratio of the medians, and
+//! the verdict the project claims gains by: a gain only when the change won at
+//! least nine tenths of the pairs and the medians differ by more than
+//! the parent's interquartile distance.
+
+use std::fmt::Write as _;
+
+/// The end-to-end metrics of a run line, in column order.
+pub const METRICS: [&str; 5] = ["op_a_us", "op_b_us", "op_c_us", "cpu_us_per_op", "setup_s"];
+
+/// One benchmark run.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    values: [f64; 5],
+    failed: u64,
+    attempted: u64,
+}
+
+/// Median and quartiles of one side's runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    pub median: f64,
+    pub q1: f64,
+    pub q3: f64,
+}
+
+impl Spread {
+    fn of(values: &[f64]) -> Spread {
+        let mut s = values.to_vec();
+        s.sort_by(f64::total_cmp);
+        let n = s.len();
+        let median = match n {
+            0 => 0.0,
+            n if n % 2 == 1 => s[n / 2],
+            n => (s[n / 2 - 1] + s[n / 2]) / 2.0,
+        };
+        if n < 2 {
+            return Spread {
+                median,
+                q1: median,
+                q3: median,
+            };
+        }
+        let at = |k: usize| {
+            let pos = k * (n + 1);
+            let j = (pos / 4).clamp(1, n - 1);
+            let delta = pos as f64 / 4.0 - j as f64;
+            s[j - 1] + (s[j] - s[j - 1]) * delta
+        };
+        Spread {
+            median,
+            q1: at(1),
+            q3: at(3),
+        }
+    }
+}
+
+/// One workload × metric of the summary.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    pub workload: String,
+    pub metric: &'static str,
+    pub parent: Spread,
+    pub change: Spread,
+    /// Pairs whose change run is lower than its parent run.
+    pub won: usize,
+    pub pairs: usize,
+}
+
+impl Row {
+    /// Change median over parent median.
+    pub fn ratio(&self) -> f64 {
+        self.change.median / self.parent.median
+    }
+
+    /// The rule for claiming a gain, lower being better.
+    pub fn gain(&self) -> bool {
+        self.won * 10 >= self.pairs * 9
+            && self.parent.median - self.change.median > self.parent.q3 - self.parent.q1
+    }
+}
+
+/// Failed and attempted operations per side, summed over a workload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Failures {
+    pub workload: String,
+    pub parent: (u64, u64),
+    pub change: (u64, u64),
+}
+
+#[derive(Debug, Clone, PartialEq)]
+pub struct Summary {
+    pub rows: Vec<Row>,
+    pub failures: Vec<Failures>,
+}
+
+/// Parse `text` into pairs, leave out the seeds in `exclude`, and
+/// summarise each workload in the order it first appears.
+pub fn summarise(text: &str, exclude: &[u64]) -> Result<Summary, String> {
+    let mut pairs: Vec<(String, u64, [Option<Run>; 2])> = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let bad = |what: &str| format!("line {}: {what}: {line}", n + 1);
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let [workload, seed, side, rest @ ..] = fields.as_slice() else {
+            return Err(bad("too few fields"));
+        };
+        if workload.ends_with("-traced") {
+            continue;
+        }
+        if rest.len() != METRICS.len() + 2 {
+            return Err(bad("want 10 fields"));
+        }
+        let seed: u64 = seed.parse().map_err(|_| bad("bad seed"))?;
+        if exclude.contains(&seed) {
+            continue;
+        }
+        let side = match *side {
+            "parent" => 0,
+            "change" => 1,
+            _ => return Err(bad("side is neither parent nor change")),
+        };
+        let mut values = [0.0; 5];
+        for (v, field) in values.iter_mut().zip(rest) {
+            *v = field.parse().map_err(|_| bad("bad metric value"))?;
+        }
+        let count = |field: &str| field.parse::<u64>().map_err(|_| bad("bad count"));
+        let run = Run {
+            values,
+            failed: count(rest[5])?,
+            attempted: count(rest[6])?,
+        };
+        let at = match pairs
+            .iter()
+            .position(|(w, s, _)| w == workload && *s == seed)
+        {
+            Some(at) => at,
+            None => {
+                pairs.push(((*workload).to_string(), seed, [None, None]));
+                pairs.len() - 1
+            }
+        };
+        if pairs[at].2[side].replace(run).is_some() {
+            return Err(bad("a second run of this side for this workload and seed"));
+        }
+    }
+
+    let mut complete: Vec<(&str, Run, Run)> = Vec::new();
+    for (workload, seed, runs) in &pairs {
+        match runs {
+            [Some(p), Some(c)] => complete.push((workload, *p, *c)),
+            _ => return Err(format!("{workload} seed {seed} has no pair")),
+        }
+    }
+    let mut workloads: Vec<&str> = Vec::new();
+    for (w, _, _) in &complete {
+        if !workloads.contains(w) {
+            workloads.push(w);
+        }
+    }
+
+    let mut summary = Summary {
+        rows: Vec::new(),
+        failures: Vec::new(),
+    };
+    for workload in workloads {
+        let runs: Vec<(Run, Run)> = complete
+            .iter()
+            .filter(|(w, _, _)| *w == workload)
+            .map(|&(_, p, c)| (p, c))
+            .collect();
+        for (m, metric) in METRICS.iter().enumerate() {
+            let parent: Vec<f64> = runs.iter().map(|(p, _)| p.values[m]).collect();
+            let change: Vec<f64> = runs.iter().map(|(_, c)| c.values[m]).collect();
+            summary.rows.push(Row {
+                workload: workload.to_string(),
+                metric,
+                parent: Spread::of(&parent),
+                change: Spread::of(&change),
+                won: parent.iter().zip(&change).filter(|(p, c)| c < p).count(),
+                pairs: runs.len(),
+            });
+        }
+        let sum = |side: fn(&(Run, Run)) -> Run| {
+            runs.iter()
+                .map(side)
+                .fold((0, 0), |(f, a), r| (f + r.failed, a + r.attempted))
+        };
+        summary.failures.push(Failures {
+            workload: workload.to_string(),
+            parent: sum(|(p, _)| *p),
+            change: sum(|(_, c)| *c),
+        });
+    }
+    Ok(summary)
+}
+
+/// Enough digits for microseconds and for seconds of set-up alike.
+fn num(v: f64) -> String {
+    if v.abs() >= 100.0 {
+        format!("{v:.1}")
+    } else if v.abs() >= 1.0 {
+        format!("{v:.2}")
+    } else {
+        format!("{v:.4}")
+    }
+}
+
+/// The summary as printed: one header per workload, one line per metric.
+pub fn render(summary: &Summary) -> String {
+    let mut out = String::new();
+    for f in &summary.failures {
+        let _ = writeln!(
+            out,
+            "{} (failed: parent {} of {}, change {} of {})",
+            f.workload, f.parent.0, f.parent.1, f.change.0, f.change.1
+        );
+        for r in summary.rows.iter().filter(|r| r.workload == f.workload) {
+            let side = |s: &Spread| format!("{} [{}, {}]", num(s.median), num(s.q1), num(s.q3));
+            let _ = writeln!(
+                out,
+                "  {:<14} parent {:<26} change {:<26} won {:>2}/{:<2} ratio {:.3}  {}",
+                r.metric,
+                side(&r.parent),
+                side(&r.change),
+                r.won,
+                r.pairs,
+                r.ratio(),
+                if r.gain() { "gain" } else { "no gain" }
+            );
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quartiles_follow_the_exclusive_method() {
+        let s = Spread::of(&[10.0, 1.0, 9.0, 2.0, 8.0, 3.0, 7.0, 4.0, 6.0, 5.0]);
+        // statistics.quantiles(range(1, 11), n=4) == [2.75, 5.5, 8.25]
+        assert_eq!(
+            s,
+            Spread {
+                median: 5.5,
+                q1: 2.75,
+                q3: 8.25
+            }
+        );
+    }
+
+    #[test]
+    fn committed_stripe_pairs_show_the_claimed_gain() {
+        let path = crate::workspace_root().join("results/pr25_stripe_pairs.txt");
+        let text = std::fs::read_to_string(path).unwrap();
+        let summary = summarise(&text, &[7]).unwrap();
+        let row = |workload: &str, metric: &str| {
+            summary
+                .rows
+                .iter()
+                .find(|r| r.workload == workload && r.metric == metric)
+                .unwrap()
+                .clone()
+        };
+        let c = row("bulk", "op_c_us");
+        assert_eq!(c.parent.median.round(), 4667.0);
+        assert_eq!(c.change.median.round(), 3097.0);
+        assert_eq!((c.won, c.pairs), (10, 10));
+        assert!(c.gain());
+        assert!(!row("bulk", "op_a_us").gain());
+        // Every workload of the file, five pairs each off `bulk`.
+        let workloads: Vec<_> = summary.failures.iter().map(|f| &f.workload).collect();
+        assert_eq!(workloads, ["bulk", "echo", "churn", "mpi_app"]);
+        assert_eq!(row("churn", "op_a_us").pairs, 10);
+        assert_eq!(row("echo", "op_a_us").pairs, 5);
+        assert!(summary
+            .failures
+            .iter()
+            .all(|f| f.parent.0 == 0 && f.change.0 == 0));
+        // The development seed makes an eleventh bulk pair.
+        assert_eq!(summarise(&text, &[]).unwrap().rows[0].pairs, 11);
+        assert!(render(&summary).contains("op_c_us"));
+    }
+
+    #[test]
+    fn malformed_and_unpaired_lines_are_errors() {
+        let ok = "bulk 1 parent 1 2 3 4 0.5 0 10\nbulk 1 change 1 2 3 4 0.5 0 10\n";
+        assert!(summarise(ok, &[]).is_ok());
+        assert!(summarise("bulk 1 parent 1 2 3 4 0.5 0 10\n", &[]).is_err());
+        assert!(summarise(&format!("{ok}bulk 1 change 1 2 3 4 0.5 0 10\n"), &[]).is_err());
+        assert!(summarise("bulk 1 parent 1 2 3\n", &[]).is_err());
+        assert!(summarise("bulk 1 other 1 2 3 4 0.5 0 10\n", &[]).is_err());
+        // Comments, traced lines and excluded seeds are skipped.
+        let skipped =
+            format!("# note\nbulk-traced 2 parent out1 7\n{ok}bulk 3 parent 1 2 3 4 0.5 0 10\n");
+        assert_eq!(summarise(&skipped, &[3]).unwrap().rows[0].pairs, 1);
+    }
+}
