@@ -7,10 +7,10 @@ use knapsack::{seq_solve, Instance, ParParams, SolveMode};
 use netsim::prelude::SimDuration;
 use nexus_proxy::sim::RelayModel;
 use wacs_core::calibration as cal;
-use wacs_core::experiments::{run_knapsack_with_faults, FaultConfig};
 use wacs_core::{
-    decompose_with_model, pingpong_with_model, run_knapsack, run_knapsack_with_mode,
-    sequential_baseline, FirewallMode, KnapsackRun, Mode, Pair, System,
+    decompose_with_model, pingpong_with_model, run_knapsack, run_knapsack_with_faults,
+    run_knapsack_with_mode, sequential_baseline, FaultConfig, FirewallMode, KnapsackRun, Mode,
+    Pair, System,
 };
 
 /// The paper's parameter tuning: "We varied a stealunit, interval, and

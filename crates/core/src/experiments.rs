@@ -6,7 +6,7 @@
 //! * [`run_knapsack`] / [`sequential_baseline`] — Tables 4-6.
 
 use crate::calibration as cal;
-use crate::testbed::{FirewallMode, PaperTestbed, System, NXPORT, OUTER_CTRL_PORT};
+use crate::testbed::{FirewallMode, PaperTestbed, RankPlace, System, NXPORT, OUTER_CTRL_PORT};
 use knapsack::instance::Instance;
 use knapsack::sim::{MasterActor, Shared, SlaveActor};
 use knapsack::{ParParams, RunResult};
@@ -406,78 +406,24 @@ impl KnapsackRun {
 /// Execute a knapsack run on the simulated testbed; returns the
 /// gathered [`RunResult`] (virtual-time `elapsed_secs`).
 pub fn run_knapsack(cfg: &KnapsackRun) -> RunResult {
-    let fw_mode = if cfg.use_proxy {
+    run_knapsack_with_mode(cfg, paper_mode(cfg))
+}
+
+/// The firewall a run's proxy choice implies: deny-in with the nxport
+/// hole behind the proxy, temporarily opened without it.
+fn paper_mode(cfg: &KnapsackRun) -> FirewallMode {
+    if cfg.use_proxy {
         FirewallMode::DenyInWithNxport
     } else {
         FirewallMode::TemporarilyOpen
-    };
-    run_knapsack_with_mode(cfg, fw_mode)
+    }
 }
 
 /// [`run_knapsack`] under an explicit firewall mode — used by the
 /// port-range ablation, where the firewall stays up but opens a
 /// listener range instead of deploying the proxy.
 pub fn run_knapsack_with_mode(cfg: &KnapsackRun, fw_mode: FirewallMode) -> RunResult {
-    let tb = PaperTestbed::build(fw_mode);
-    let ranks = cfg.system.ranks(&tb);
-    let inst = Arc::new(Instance::no_pruning(cfg.items));
-    let shared: Shared = Arc::default();
-    let mut sim = Simulator::new(tb.topo.clone(), NetConfig::default(), cfg.seed);
-
-    if cfg.use_proxy {
-        sim.spawn(
-            tb.rwcp_outer,
-            Box::new(SimOuterServer::new(
-                OUTER_CTRL_PORT,
-                Some((tb.rwcp_inner, NXPORT)),
-                cal::relay_model(),
-            )),
-        );
-        sim.spawn(
-            tb.rwcp_inner,
-            Box::new(SimInnerServer::new(NXPORT, cal::relay_model())),
-        );
-    }
-
-    let env_for = |host: NodeId| -> SimProxyEnv {
-        if cfg.use_proxy && tb.topo.site_of(host) == tb.rwcp_site {
-            SimProxyEnv::via((tb.rwcp_outer, OUTER_CTRL_PORT))
-        } else {
-            SimProxyEnv::direct()
-        }
-    };
-
-    let master = &ranks[0];
-    sim.spawn(
-        master.host,
-        Box::new(MasterActor::new(
-            inst.clone(),
-            cfg.params,
-            env_for(master.host),
-            shared.clone(),
-            master.group.clone(),
-            ranks.len() - 1,
-        )),
-    );
-    for (i, place) in ranks.iter().enumerate().skip(1) {
-        sim.spawn(
-            place.host,
-            Box::new(SlaveActor::new(
-                inst.clone(),
-                cfg.params,
-                env_for(place.host),
-                shared.clone(),
-                i as u32,
-                place.group.clone(),
-            )),
-        );
-    }
-    sim.run();
-    let result = shared.lock().result.clone();
-    // A finished sim always publishes a result; anything else is a bug
-    // in the master/slave protocol and deserves the abort.
-    #[allow(clippy::expect_used)]
-    result.expect("knapsack simulation did not finish") // lint:allow(unwrap-panic)
+    knapsack_world(cfg, fw_mode, |tb| cfg.system.ranks(tb), None).result
 }
 
 /// Fault-injection configuration for a knapsack run: the scenarios the
@@ -537,141 +483,121 @@ pub struct FaultRun {
 /// Panics if the workload fails to complete within the one-hour
 /// virtual-time horizon (an unsurvivable fault plan).
 pub fn run_knapsack_with_faults(cfg: &KnapsackRun, faults: &FaultConfig) -> FaultRun {
-    let fw_mode = if cfg.use_proxy {
-        FirewallMode::DenyInWithNxport
-    } else {
-        FirewallMode::TemporarilyOpen
-    };
-    let tb = PaperTestbed::build(fw_mode);
-    let ranks = cfg.system.ranks(&tb);
-    let inst = Arc::new(Instance::no_pruning(cfg.items));
-    let shared: Shared = Arc::default();
-    let registry = shared.lock().obs.clone();
-    let mut sim = Simulator::new(tb.topo.clone(), NetConfig::default(), cfg.seed);
-    sim.install_obs(registry.clone());
-
-    let mut outer_id = None;
-    if cfg.use_proxy {
-        outer_id = Some(
-            sim.spawn(
-                tb.rwcp_outer,
-                Box::new(
-                    SimOuterServer::new(
-                        OUTER_CTRL_PORT,
-                        Some((tb.rwcp_inner, NXPORT)),
-                        cal::relay_model(),
-                    )
-                    .with_obs(&registry),
-                ),
-            ),
-        );
-        sim.spawn(
-            tb.rwcp_inner,
-            Box::new(SimInnerServer::new(NXPORT, cal::relay_model()).with_obs(&registry)),
-        );
-    }
-
-    let env_for = |host: NodeId| -> SimProxyEnv {
-        if cfg.use_proxy && tb.topo.site_of(host) == tb.rwcp_site {
-            SimProxyEnv::via((tb.rwcp_outer, OUTER_CTRL_PORT))
-        } else {
-            SimProxyEnv::direct()
-        }
-    };
-
-    let master = &ranks[0];
-    sim.spawn(
-        master.host,
-        Box::new(MasterActor::new(
-            inst.clone(),
-            cfg.params,
-            env_for(master.host),
-            shared.clone(),
-            master.group.clone(),
-            ranks.len() - 1,
-        )),
-    );
-    for (i, place) in ranks.iter().enumerate().skip(1) {
-        sim.spawn(
-            place.host,
-            Box::new(SlaveActor::new(
-                inst.clone(),
-                cfg.params,
-                env_for(place.host),
-                shared.clone(),
-                i as u32,
-                place.group.clone(),
-            )),
-        );
-    }
-
-    let mut plan = FaultPlan::new(faults.seed);
-    if faults.wan_drop > 0.0 {
-        plan = plan.drop_messages(faults.wan_drop, true);
-    }
-    if let (Some(at), Some(outer)) = (faults.outer_crash_at, outer_id) {
-        let inner = (tb.rwcp_inner, NXPORT);
-        let restart_reg = registry.clone();
-        plan = plan.crash_restart(outer, at, faults.outer_restart_after, move || {
-            Box::new(
-                SimOuterServer::new(OUTER_CTRL_PORT, Some(inner), cal::relay_model())
-                    .with_obs(&restart_reg),
-            )
-        });
-    }
-    sim.install_faults(plan);
-
-    // Virtual-time safety cap: with the retry layer in place a run
-    // survives transient faults, but an unsurvivable plan (e.g. a
-    // crash with no restart) would otherwise retry forever.
-    sim.run_until(SimTime(SimDuration::from_secs(3600).nanos()));
-    let stats = sim.stats();
-    let (chunks_dropped, retransmits, actor_crashes, actor_restarts) = (
-        stats.chunks_dropped,
-        stats.retransmits,
-        stats.actor_crashes,
-        stats.actor_restarts,
-    );
-    let st = shared.lock();
-    let result = st.result.clone();
-    // With a survivable fault plan the retry layer always completes the
-    // workload; running out the horizon means the plan was not.
-    #[allow(clippy::expect_used)]
-    let result = result.expect("knapsack run did not survive the fault plan"); // lint:allow(unwrap-panic)
-    FaultRun {
-        result,
-        nx_retries: st.nx_retries,
-        chunks_dropped,
-        retransmits,
-        actor_crashes,
-        actor_restarts,
-        obs: registry.snapshot(),
-    }
+    knapsack_world(
+        cfg,
+        paper_mode(cfg),
+        |tb| cfg.system.ranks(tb),
+        Some(faults),
+    )
 }
 
 /// Sequential baseline: "we ran the sequential version of the 0-1
 /// knapsack problem on RWCP-Sun, and its execution time was used to
 /// calculate the speedup." One master, zero slaves, on rwcp-sun.
 pub fn sequential_baseline(items: usize) -> RunResult {
-    let tb = PaperTestbed::build(FirewallMode::TemporarilyOpen);
-    let inst = Arc::new(Instance::no_pruning(items));
+    let cfg = KnapsackRun {
+        use_proxy: false,
+        seed: 0,
+        ..KnapsackRun::paper_default(System::WideArea, items)
+    };
+    let alone = |tb: &PaperTestbed| {
+        vec![RankPlace {
+            host: tb.rwcp_sun,
+            group: "RWCP-Sun".into(),
+        }]
+    };
+    knapsack_world(&cfg, FirewallMode::TemporarilyOpen, alone, None).result
+}
+
+/// The one knapsack world: the paper testbed under `fw_mode`, the relay
+/// pair when `cfg.use_proxy`, the master on the first of `places` (which
+/// replaces `cfg.system`'s placement) and a slave on each further one.
+/// With `faults`, their plan is installed and the run is cut at a
+/// one-hour virtual horizon.
+fn knapsack_world(
+    cfg: &KnapsackRun,
+    fw_mode: FirewallMode,
+    places: impl FnOnce(&PaperTestbed) -> Vec<RankPlace>,
+    faults: Option<&FaultConfig>,
+) -> FaultRun {
+    let tb = PaperTestbed::build(fw_mode);
+    let ranks = places(&tb);
+    let inst = Arc::new(Instance::no_pruning(cfg.items));
     let shared: Shared = Arc::default();
-    let mut sim = Simulator::new(tb.topo.clone(), NetConfig::default(), 0);
-    sim.spawn(
-        tb.rwcp_sun,
-        Box::new(MasterActor::new(
-            inst,
-            cal::best_params(),
-            SimProxyEnv::direct(),
-            shared.clone(),
-            "RWCP-Sun",
-            0,
-        )),
-    );
-    sim.run();
-    let result = shared.lock().result.clone();
+    let registry = shared.lock().obs.clone();
+    let mut sim = Simulator::new(tb.topo.clone(), NetConfig::default(), cfg.seed);
+    sim.install_obs(registry.clone());
+
+    let inner = (tb.rwcp_inner, NXPORT);
+    let outer = move |reg: &wacs_obs::Registry| {
+        Box::new(
+            SimOuterServer::new(OUTER_CTRL_PORT, Some(inner), cal::relay_model()).with_obs(reg),
+        )
+    };
+    let mut outer_id = None;
+    if cfg.use_proxy {
+        outer_id = Some(sim.spawn(tb.rwcp_outer, outer(&registry)));
+        sim.spawn(
+            tb.rwcp_inner,
+            Box::new(SimInnerServer::new(NXPORT, cal::relay_model()).with_obs(&registry)),
+        );
+    }
+
+    for (i, place) in ranks.iter().enumerate() {
+        let env = if cfg.use_proxy && tb.topo.site_of(place.host) == tb.rwcp_site {
+            SimProxyEnv::via((tb.rwcp_outer, OUTER_CTRL_PORT))
+        } else {
+            SimProxyEnv::direct()
+        };
+        let (inst, shared, group) = (inst.clone(), shared.clone(), place.group.clone());
+        let actor: Box<dyn Actor> = if i == 0 {
+            let nslaves = ranks.len() - 1;
+            Box::new(MasterActor::new(
+                inst, cfg.params, env, shared, group, nslaves,
+            ))
+        } else {
+            Box::new(SlaveActor::new(
+                inst, cfg.params, env, shared, i as u32, group,
+            ))
+        };
+        sim.spawn(place.host, actor);
+    }
+
+    if let Some(faults) = faults {
+        let mut plan = FaultPlan::new(faults.seed);
+        if faults.wan_drop > 0.0 {
+            plan = plan.drop_messages(faults.wan_drop, true);
+        }
+        if let (Some(at), Some(id)) = (faults.outer_crash_at, outer_id) {
+            let restart_reg = registry.clone();
+            plan = plan.crash_restart(id, at, faults.outer_restart_after, move || {
+                outer(&restart_reg)
+            });
+        }
+        sim.install_faults(plan);
+        // Virtual-time safety cap: with the retry layer in place a run
+        // survives transient faults, but an unsurvivable plan (e.g. a
+        // crash with no restart) would otherwise retry forever.
+        sim.run_until(SimTime(SimDuration::from_secs(3600).nanos()));
+    } else {
+        sim.run();
+    }
+    let stats = sim.stats();
+    let st = shared.lock();
+    // A finished run always publishes a result; anything else is a
+    // master/slave protocol bug or an unsurvivable fault plan, and
+    // deserves the abort.
     #[allow(clippy::expect_used)]
-    result.expect("sequential run did not finish") // lint:allow(unwrap-panic)
+    let result = st.result.clone().expect("knapsack run did not finish"); // lint:allow(unwrap-panic)
+    FaultRun {
+        result,
+        nx_retries: st.nx_retries,
+        chunks_dropped: stats.chunks_dropped,
+        retransmits: stats.retransmits,
+        actor_crashes: stats.actor_crashes,
+        actor_restarts: stats.actor_restarts,
+        obs: registry.snapshot(),
+    }
 }
 
 #[cfg(test)]

@@ -1,142 +1,18 @@
-//! Parallel 0-1 knapsack: the paper's master-slave self-scheduling
-//! algorithm over `gridmpi` (§4.3).
-//!
-//! * The master repeats the branch operation `interval` times, then
-//!   services steal requests, sending `steal_unit` nodes from the top
-//!   of its stack to the requesting slave.
-//! * A slave branches until its stack empties, then sends a steal
-//!   request; it sends back `back_unit` nodes when its stack grows
-//!   past a threshold.
-//!
-//! "The algorithm is considered to be suitable for distributed
-//! heterogeneous metacomputing environments since it performs dynamic
-//! load balancing with low overhead."
+//! Parallel 0-1 knapsack over `gridmpi`: the `sched` core
+//! driven by blocking sends and receives, one thread per rank (§4.3).
+//! The master blocks in `recv` only when it has nothing left to do.
+//! `gridmpi` reconnects and resends, so no peer is ever reported gone.
 
 use crate::instance::Instance;
-use crate::node::{branch_once, BranchCounters, Node};
-use crate::stats::{RankStats, RunResult};
-use gridmpi::datatype::{pack_u64s, unpack_u64s};
+use crate::sched::{Heard, Master, Msg, ParParams, Slave};
+use crate::stats::RunResult;
 use gridmpi::Comm;
 use std::io;
 use std::time::Instant;
 
-pub const TAG_STEAL: i32 = 10;
-pub const TAG_NODES: i32 = 11;
-pub const TAG_BACK: i32 = 12;
-pub const TAG_DONE: i32 = 13;
-pub const TAG_STATS: i32 = 14;
-
-/// Scheduling parameters (the paper's `interval`, `stealunit`,
-/// `backunit`; they "varied … and took the best combination").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParParams {
-    pub interval: u32,
-    pub steal_unit: u32,
-    pub back_unit: u32,
-    /// Estimated *work* (in tree nodes) on a slave's stack beyond
-    /// which it returns surplus nodes — the paper's "a slave sends
-    /// back backunit nodes when the slave has too many nodes on the
-    /// stack", measured in subtree-size estimate rather than raw
-    /// stack length (raw length is bounded by the tree depth and
-    /// cannot detect a hoarded near-root subtree; see DESIGN.md).
-    /// `0` = automatic: 64 × `interval`.
-    pub back_threshold_nodes: u64,
-    pub prune: bool,
-    /// Items are ratio-sorted (enables the tight greedy bound).
-    pub sorted: bool,
-}
-
-impl Default for ParParams {
-    fn default() -> Self {
-        ParParams {
-            interval: 1024,
-            steal_unit: 4,
-            back_unit: 16,
-            back_threshold_nodes: 0,
-            prune: false,
-            sorted: false,
-        }
-    }
-}
-
-/// Resolve the automatic back-pressure threshold (estimated nodes).
-pub fn effective_back_threshold(params: &ParParams) -> u64 {
-    if params.back_threshold_nodes == 0 {
-        64 * u64::from(params.interval)
-    } else {
-        params.back_threshold_nodes
-    }
-}
-
-/// Estimated nodes remaining under one stack entry (full-subtree
-/// upper bound: `2^(n - index)`; exact for the no-pruning instance,
-/// an overestimate under pruning — conservative for back-pressure).
-pub fn node_work_estimate(node: &Node, n: usize) -> u64 {
-    let depth_left = n.saturating_sub(node.index as usize).min(62);
-    1u64 << depth_left
-}
-
-/// Estimated work on a whole stack (saturating).
-pub fn stack_work_estimate(stack: &[Node], n: usize) -> u64 {
-    stack.iter().fold(0u64, |acc, nd| {
-        acc.saturating_add(node_work_estimate(nd, n))
-    })
-}
-
-/// Pick how many *bottom* (shallowest) nodes to return so the
-/// remaining estimate drops to ~half the threshold, capped at
-/// `back_unit` and never emptying the stack.
-pub fn back_send_count(stack: &[Node], n: usize, threshold: u64, back_unit: u32) -> usize {
-    let mut est = stack_work_estimate(stack, n);
-    if est <= threshold {
-        return 0;
-    }
-    let target = threshold / 2;
-    let mut take = 0usize;
-    let max_take = (back_unit as usize).min(stack.len().saturating_sub(1));
-    while take < max_take && est > target {
-        est = est.saturating_sub(node_work_estimate(&stack[take], n));
-        take += 1;
-    }
-    take
-}
-
-fn encode_nodes(best: u64, nodes: &[Node]) -> Vec<u8> {
-    let mut words = Vec::with_capacity(1 + nodes.len() * 3);
-    words.push(best);
-    for n in nodes {
-        words.push(u64::from(n.index));
-        words.push(n.value);
-        words.push(n.capacity);
-    }
-    pack_u64s(&words)
-}
-
-fn decode_nodes(bytes: &[u8]) -> io::Result<(u64, Vec<Node>)> {
-    let words = unpack_u64s(bytes)?;
-    if words.is_empty() || (words.len() - 1) % 3 != 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "malformed node shipment",
-        ));
-    }
-    let best = words[0];
-    let nodes = words[1..]
-        .chunks_exact(3)
-        .map(|c| Node {
-            index: c[0] as u32,
-            value: c[1],
-            capacity: c[2],
-        })
-        .collect();
-    Ok((best, nodes))
-}
-
 /// Run the parallel solver on this rank. Rank 0 is the master and
-/// returns `Some(RunResult)`; slaves return `None`.
-///
-/// `group_of[r]` labels rank `r`'s cluster for the Table 5/6
-/// summaries.
+/// returns `Some(RunResult)`; slaves return `None`. `group_of[r]`
+/// labels rank `r`'s cluster for the Table 5/6 summaries.
 pub fn run(
     comm: &Comm,
     inst: &Instance,
@@ -149,204 +25,77 @@ pub fn run(
         "one group label per rank"
     );
     if comm.rank() == 0 {
-        master(comm, inst, params, group_of).map(Some)
+        master(comm, inst, params, &group_of[0]).map(Some)
     } else {
-        slave(comm, inst, params)?;
+        slave(comm, inst, params, &group_of[comm.rank() as usize])?;
         Ok(None)
     }
 }
 
-fn master(
-    comm: &Comm,
-    inst: &Instance,
-    params: &ParParams,
-    group_of: &[String],
-) -> io::Result<RunResult> {
+fn send(comm: &Comm, to: u32, msg: &Msg) -> io::Result<()> {
+    let (tag, payload) = msg.encode();
+    comm.send(to, tag, &payload)
+}
+
+fn master(comm: &Comm, inst: &Instance, params: &ParParams, group: &str) -> io::Result<RunResult> {
     let t0 = Instant::now();
-    let nslaves = comm.size() as usize - 1;
-    let mut stack = vec![Node::root(inst)];
-    let mut best = 0u64;
-    let mut counters = BranchCounters::default();
-    let mut steals_served = 0u64;
-    let mut pending: Vec<u32> = Vec::new();
-
-    loop {
-        // Branch `interval` times (or until the stack drains).
-        let mut ops = 0;
-        while ops < params.interval
-            && branch_once(
-                inst,
-                &mut stack,
-                &mut best,
-                params.prune,
-                params.sorted,
-                &mut counters,
-            )
-        {
-            ops += 1;
+    let mut m = Master::new(inst, *params, comm.size() as usize - 1);
+    for r in 1..comm.size() {
+        m.joined(r);
+    }
+    let on = |m: &mut Master<u32>, (src, tag, payload): (u32, i32, Vec<u8>)| {
+        if let Heard::Reply(msg) = m.on_msg(src, Msg::decode(tag, &payload, inst.n())?)? {
+            send(comm, src, &msg)?;
         }
-
-        // Service arrived messages.
-        while let Some((src, tag, payload)) = comm.try_recv(None, None)? {
-            master_handle(src, tag, &payload, &mut best, &mut stack, &mut pending)?;
+        io::Result::Ok(())
+    };
+    let dones = loop {
+        let ops = m.work(inst);
+        while let Some(arrived) = comm.try_recv(None, None)? {
+            on(&mut m, arrived)?;
         }
-        // Serve steal requests while nodes remain.
-        while !pending.is_empty() && !stack.is_empty() {
-            let slave = pending.remove(0);
-            let take = (params.steal_unit as usize).min(stack.len());
-            let at = stack.len() - take;
-            let shipped: Vec<Node> = stack.split_off(at);
-            comm.send(slave, TAG_NODES, &encode_nodes(best, &shipped))?;
-            steals_served += 1;
+        while let Some((to, msg)) = m.serve() {
+            send(comm, to, &msg)?;
         }
-
-        if stack.is_empty() && ops == 0 {
-            if pending.len() == nslaves {
-                break; // everyone idle, nothing left anywhere
+        if ops == 0 && !m.has_work() {
+            if let Some(dones) = m.finish() {
+                break dones;
             }
             // Block until somebody reports (a steal request or surplus
             // nodes coming back).
-            let (src, tag, payload) = comm.recv(None, None)?;
-            master_handle(src, tag, &payload, &mut best, &mut stack, &mut pending)?;
+            on(&mut m, comm.recv(None, None)?)?;
         }
+    };
+    for (to, msg) in &dones {
+        send(comm, *to, msg)?;
     }
-
-    // Tell everyone to stop and collect their statistics.
-    for r in 1..comm.size() {
-        comm.send(r, TAG_DONE, &[])?;
-    }
-    let mut ranks = vec![RankStats {
-        rank: 0,
-        host: comm.host().to_string(),
-        group: group_of[0].clone(),
-        traversed: counters.traversed,
-        steals: steals_served,
-        back_sends: 0,
-        local_best: best,
-    }];
-    for _ in 0..nslaves {
-        let (src, _, payload) = comm.recv(None, Some(TAG_STATS))?;
-        let words = unpack_u64s(&payload)?;
-        if words.len() != 4 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "malformed stats report",
-            ));
+    loop {
+        if let Some(rr) = m.result(comm.host(), group, t0.elapsed().as_secs_f64()) {
+            return Ok(rr);
         }
-        best = best.max(words[3]);
-        ranks.push(RankStats {
-            rank: src,
-            host: String::new(), // filled below from group map
-            group: group_of[src as usize].clone(),
-            traversed: words[0],
-            steals: words[1],
-            back_sends: words[2],
-            local_best: words[3],
-        });
+        on(&mut m, comm.recv(None, None)?)?;
     }
-    ranks.sort_by_key(|r| r.rank);
-    Ok(RunResult {
-        best,
-        elapsed_secs: t0.elapsed().as_secs_f64(),
-        ranks,
-    })
 }
 
-fn master_handle(
-    src: u32,
-    tag: i32,
-    payload: &[u8],
-    best: &mut u64,
-    stack: &mut Vec<Node>,
-    pending: &mut Vec<u32>,
-) -> io::Result<()> {
-    match tag {
-        TAG_STEAL => {
-            let words = unpack_u64s(payload)?;
-            if let Some(&b) = words.first() {
-                *best = (*best).max(b);
-            }
-            pending.push(src);
-        }
-        TAG_BACK => {
-            let (b, nodes) = decode_nodes(payload)?;
-            *best = (*best).max(b);
-            stack.extend(nodes);
-        }
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("master got unexpected tag {other}"),
-            ))
-        }
-    }
-    Ok(())
-}
-
-fn slave(comm: &Comm, inst: &Instance, params: &ParParams) -> io::Result<()> {
-    let threshold = effective_back_threshold(params);
-    let mut stack: Vec<Node> = Vec::new();
-    let mut best = 0u64;
-    let mut counters = BranchCounters::default();
-    let mut steal_requests = 0u64;
-    let mut back_sends = 0u64;
-
-    comm.send(0, TAG_STEAL, &pack_u64s(&[best]))?;
-    steal_requests += 1;
-
+fn slave(comm: &Comm, inst: &Instance, params: &ParParams, group: &str) -> io::Result<()> {
+    let mut s = Slave::new(inst, *params, comm.rank(), group);
+    send(comm, 0, &s.hello(comm.host()))?;
     loop {
         let (_, tag, payload) = comm.recv(Some(0), None)?;
-        match tag {
-            TAG_NODES => {
-                let (b, nodes) = decode_nodes(&payload)?;
-                best = best.max(b);
-                stack.extend(nodes);
-                // Work until dry.
-                loop {
-                    let mut ops = 0;
-                    while ops < params.interval
-                        && branch_once(
-                            inst,
-                            &mut stack,
-                            &mut best,
-                            params.prune,
-                            params.sorted,
-                            &mut counters,
-                        )
-                    {
-                        ops += 1;
-                    }
-                    // Return the *bottom* (shallowest, largest-subtree)
-                    // nodes when holding too much estimated work: this
-                    // is what breaks up a hoarded near-root subtree.
-                    let take = back_send_count(&stack, inst.n(), threshold, params.back_unit);
-                    if take > 0 {
-                        let surplus: Vec<Node> = stack.drain(..take).collect();
-                        comm.send(0, TAG_BACK, &encode_nodes(best, &surplus))?;
-                        back_sends += 1;
-                    }
-                    if stack.is_empty() {
-                        break;
-                    }
-                }
-                comm.send(0, TAG_STEAL, &pack_u64s(&[best]))?;
-                steal_requests += 1;
+        if let Some(report) = s.on_msg(Msg::decode(tag, &payload, inst.n())?, comm.host())? {
+            return send(comm, 0, &report);
+        }
+        // Work until dry, returning surplus on the way.
+        loop {
+            s.work(inst);
+            if let Some(back) = s.surplus() {
+                send(comm, 0, &back)?;
             }
-            TAG_DONE => {
-                comm.send(
-                    0,
-                    TAG_STATS,
-                    &pack_u64s(&[counters.traversed, steal_requests, back_sends, best]),
-                )?;
-                return Ok(());
-            }
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("slave got unexpected tag {other}"),
-                ))
+            if !s.has_work() {
+                break;
             }
         }
+        send(comm, 0, &s.steal())?;
     }
 }
 
@@ -384,59 +133,14 @@ mod tests {
     }
 
     #[test]
-    fn work_estimate_and_back_send_count() {
-        let n = 20;
-        let deep = Node {
-            index: 18,
-            value: 0,
-            capacity: 5,
-        };
-        let shallow = Node {
-            index: 1,
-            value: 0,
-            capacity: 5,
-        };
-        assert_eq!(node_work_estimate(&deep, n), 4);
-        assert_eq!(node_work_estimate(&shallow, n), 1 << 19);
-        // A stack of deep nodes never triggers.
-        let quiet = vec![deep; 10];
-        assert_eq!(back_send_count(&quiet, n, 1000, 16), 0);
-        // One hoarded shallow node triggers, is offered back (bottom
-        // first), and the stack is never fully drained.
-        let hoard = vec![shallow, deep, deep];
-        let k = back_send_count(&hoard, n, 1000, 16);
-        assert!(k >= 1, "hoard should trigger");
-        assert!(k < hoard.len(), "never empty the stack");
-        // back_unit caps the shipment.
-        let many = vec![shallow; 8];
-        assert!(back_send_count(&many, n, 1000, 3) <= 3);
-        // Estimates saturate rather than overflow for huge depths.
-        let huge = Node {
-            index: 0,
-            value: 0,
-            capacity: 0,
-        };
-        assert!(stack_work_estimate(&[huge; 4], 80) >= 1 << 62);
-    }
-
-    #[test]
-    fn node_shipment_roundtrip() {
-        let nodes = vec![
-            Node {
-                index: 1,
-                value: 2,
-                capacity: 3,
-            },
-            Node {
-                index: 4,
-                value: 5,
-                capacity: 6,
-            },
-        ];
-        let (best, back) = decode_nodes(&encode_nodes(77, &nodes)).unwrap();
-        assert_eq!(best, 77);
-        assert_eq!(back, nodes);
-        assert!(decode_nodes(&[0u8; 16]).is_err()); // 2 words: malformed
+    fn every_rank_reports_its_host() {
+        let inst = Instance::no_pruning(10);
+        let rr = run_flat(3, inst, ParParams::default());
+        for (i, r) in rr.ranks.iter().enumerate() {
+            assert_eq!(r.rank as usize, i);
+            assert_eq!(r.host, format!("h{i}"), "{r:?}");
+            assert_eq!(r.group, format!("g{}", i % 2), "{r:?}");
+        }
     }
 
     #[test]

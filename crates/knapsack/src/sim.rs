@@ -1,57 +1,24 @@
-//! Virtual-time master-slave knapsack: the same self-scheduling
-//! algorithm as [`crate::par`], run as `netsim` actors so wide-area
-//! timing (WAN latency, the Nexus Proxy relays, heterogeneous CPU
-//! rates) shapes the execution — this is the driver behind the
-//! paper's Tables 4-6.
-//!
-//! Compute is modelled by charging `ops / cpu_rate` virtual seconds
-//! per branch batch; the search itself is executed for real, so node
-//! counts, steal dynamics and the final optimum are exact, not
-//! approximated.
+//! Virtual-time master-slave knapsack: the `sched` core driven
+//! by `netsim` actors, so wide-area timing (WAN latency, the Nexus Proxy
+//! relays, heterogeneous CPU rates) shapes the execution — the driver
+//! behind the paper's Tables 4-6. A batch of `ops` branch operations is
+//! charged `ops / cpu_rate` virtual seconds; the search itself runs for
+//! real, so node counts, steals and the optimum are exact. Flows die
+//! here (proxy crashes, WAN loss), and the actors tell the core.
 
 use crate::instance::Instance;
-use crate::node::{branch_once, BranchCounters, Node};
-use crate::stats::{RankStats, RunResult};
+use crate::sched::{Heard, Master, Msg, ParParams, Slave};
+use crate::stats::RunResult;
 use netsim::prelude::*;
 use nexus_proxy::sim::{NxClient, NxEvent, NxHandled, SimProxyEnv};
-use std::collections::HashMap;
 use std::sync::Arc;
 use wacs_sync::Mutex;
 
-/// Abort on a protocol-wiring bug inside the simulation harness.
-/// These are programming errors in the actor plumbing, never runtime
-/// inputs, so the loud failure is deliberate; concentrating the abort
-/// here keeps every call site clean under the no-panic lint.
+/// Abort on a wiring bug in the actor plumbing (never a runtime input);
+/// one place keeps every call site clean under the no-panic lint.
 #[allow(clippy::panic)]
 fn sim_bug(what: &str, detail: impl std::fmt::Debug) -> ! {
     panic!("knapsack sim wiring bug: {what}: {detail:?}") // lint:allow(unwrap-panic)
-}
-
-/// Scheduling parameters (mirrors [`crate::par::ParParams`]).
-pub type SimParams = crate::par::ParParams;
-
-/// Typed messages of the simulated protocol.
-#[derive(Debug, Clone)]
-enum KMsg {
-    Steal { best: u64 },
-    Nodes { best: u64, nodes: Vec<Node> },
-    Back { best: u64, nodes: Vec<Node> },
-    Done,
-    Stats(Box<RankStats>),
-}
-
-impl KMsg {
-    /// Declared wire size (drives timing).
-    fn wire_size(&self) -> u64 {
-        match self {
-            KMsg::Steal { .. } => 16,
-            KMsg::Nodes { nodes, .. } | KMsg::Back { nodes, .. } => {
-                16 + nodes.len() as u64 * Node::WIRE_BYTES
-            }
-            KMsg::Done => 8,
-            KMsg::Stats(_) => 64,
-        }
-    }
 }
 
 /// Cross-actor coordination and result channel.
@@ -59,12 +26,10 @@ impl KMsg {
 pub struct SimShared {
     master_addr: Option<(NodeId, u16)>,
     pub result: Option<RunResult>,
-    /// Proxy-layer retries observed across all ranks (dial retries,
-    /// re-binds) — nonzero only when faults actually bit.
+    /// Proxy-layer retries (dial retries, re-binds) across all ranks.
     pub nx_retries: u64,
-    /// Metrics registry shared by every actor in the run (and,
-    /// via `Simulator::install_obs`, the network engine itself).
-    /// Virtual-time measurements only, so snapshots are deterministic.
+    /// Metrics registry of every actor in the run (and, via
+    /// `Simulator::install_obs`, of the engine); virtual time only.
     pub obs: wacs_obs::Registry,
 }
 
@@ -73,66 +38,51 @@ pub type Shared = Arc<Mutex<SimShared>>;
 const WORK: u64 = 1;
 const POLL: u64 = 2;
 
+/// Send at the modelled size; `false` if the flow is already severed
+/// (its `Closed` event is still in flight).
+fn send(ctx: &mut Ctx<'_>, flow: FlowId, msg: Msg) -> bool {
+    let size = msg.wire_size();
+    ctx.send(flow, size, msg).is_ok()
+}
+
+/// The virtual time a batch of `ops` branch operations takes here.
+fn cost(ctx: &Ctx<'_>, ops: u32) -> SimDuration {
+    SimDuration::from_secs_f64(f64::from(ops) / ctx.cpu_rate().max(1.0))
+}
+
 /// The master actor (rank 0).
 pub struct MasterActor {
     inst: Arc<Instance>,
-    params: SimParams,
+    core: Master<FlowId>,
     nx: NxClient,
     shared: Shared,
     group: String,
-    nslaves: usize,
-    stack: Vec<Node>,
-    best: u64,
-    counters: BranchCounters,
-    steals_served: u64,
-    pending: Vec<FlowId>,
-    slave_flows: Vec<FlowId>,
-    /// Batches shipped but not yet known-received, per flow. A slave
-    /// only sends again after it has the batch (its Steal/Back traffic
-    /// is FIFO-ordered behind our Nodes send), so any message from the
-    /// flow confirms receipt; a `Closed` before that re-queues the
-    /// batch (at-least-once — a little duplicate traversal beats a
-    /// silently pruned subtree).
-    outstanding: HashMap<FlowId, Vec<Node>>,
-    /// A bind has succeeded at least once (distinguishes a
-    /// misconfigured rig from a re-bind that failed because the relay
-    /// stayed dead).
+    /// A bind has succeeded once (a failed *re*-bind is not a rig bug).
     ever_bound: bool,
+    /// A WORK timer is pending: the last batch is still being charged.
     working: bool,
-    finished: bool,
-    reports: Vec<RankStats>,
     started_at: SimTime,
 }
 
 impl MasterActor {
     pub fn new(
         inst: Arc<Instance>,
-        params: SimParams,
+        params: ParParams,
         env: SimProxyEnv,
         shared: Shared,
         group: impl Into<String>,
         nslaves: usize,
     ) -> Self {
-        let stack = vec![Node::root(&inst)];
+        let core = Master::new(&inst, params, nslaves);
         let nx = NxClient::new(env).with_obs(&shared.lock().obs);
         MasterActor {
             inst,
-            params,
+            core,
             nx,
             shared,
             group: group.into(),
-            nslaves,
-            stack,
-            best: 0,
-            counters: BranchCounters::default(),
-            steals_served: 0,
-            pending: Vec::new(),
-            slave_flows: Vec::new(),
-            outstanding: HashMap::new(),
             ever_bound: false,
             working: false,
-            finished: false,
-            reports: Vec::new(),
             started_at: SimTime::ZERO,
         }
     }
@@ -144,125 +94,55 @@ impl MasterActor {
         }
     }
 
-    fn serve_pending(&mut self, ctx: &mut Ctx<'_>) {
-        while !self.pending.is_empty() && !self.stack.is_empty() {
-            let flow = self.pending.remove(0);
-            let take = (self.params.steal_unit as usize).min(self.stack.len());
-            let at = self.stack.len() - take;
-            let shipped: Vec<Node> = self.stack.split_off(at);
-            let msg = KMsg::Nodes {
-                best: self.best,
-                nodes: shipped.clone(),
-            };
-            let size = msg.wire_size();
-            if ctx.send(flow, size, msg).is_err() {
-                // Flow already severed (its Closed event is still in
-                // flight): keep the work; the slave will re-steal.
-                self.stack.extend(shipped);
-                continue;
+    fn serve(&mut self, ctx: &mut Ctx<'_>) {
+        while let Some((flow, msg)) = self.core.serve() {
+            if !send(ctx, flow, msg) {
+                self.core.unsent(flow); // the slave will re-steal
             }
-            self.outstanding.insert(flow, shipped);
-            self.steals_served += 1;
         }
     }
 
-    /// A slave's flow died (proxy crash, WAN loss). Re-queue any batch
-    /// it may never have received and forget the flow; the slave will
-    /// reconnect and resume stealing on a fresh flow.
-    fn on_slave_gone(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        self.pending.retain(|&f| f != flow);
-        self.slave_flows.retain(|&f| f != flow);
-        if let Some(nodes) = self.outstanding.remove(&flow) {
-            self.stack.extend(nodes);
-        }
-        if !self.stack.is_empty() {
-            self.schedule_work(ctx, SimDuration::ZERO);
-        }
-    }
-
+    /// Ask the finish rule, once the last batch has been charged.
     fn maybe_finish(&mut self, ctx: &mut Ctx<'_>) {
-        if self.finished
-            || self.working
-            || !self.stack.is_empty()
-            || self.slave_flows.len() != self.nslaves
-            || self.pending.len() != self.nslaves
-        {
+        if self.working {
             return;
         }
-        self.finished = true;
-        for &f in &self.slave_flows.clone() {
-            let msg = KMsg::Done;
-            let size = msg.wire_size();
-            let _ = ctx.send(f, size, msg);
+        for (flow, msg) in self.core.finish().into_iter().flatten() {
+            send(ctx, flow, msg);
         }
-        if self.nslaves == 0 {
-            self.publish(ctx);
-        }
+        self.maybe_publish(ctx);
     }
 
-    fn publish(&mut self, ctx: &mut Ctx<'_>) {
-        let mut ranks = vec![RankStats {
-            rank: 0,
-            host: ctx.host_name().to_string(),
-            group: self.group.clone(),
-            traversed: self.counters.traversed,
-            steals: self.steals_served,
-            back_sends: 0,
-            local_best: self.best,
-        }];
-        ranks.append(&mut self.reports);
-        ranks.sort_by_key(|r| r.rank);
-        let best = ranks.iter().map(|r| r.local_best).max().unwrap_or(0);
+    fn maybe_publish(&mut self, ctx: &mut Ctx<'_>) {
+        let elapsed = ctx.now().since(self.started_at).as_secs_f64();
+        let Some(result) = self.core.result(ctx.host_name(), &self.group, elapsed) else {
+            return;
+        };
         let mut sh = self.shared.lock();
         sh.nx_retries += self.nx.retries();
-        sh.result = Some(RunResult {
-            best,
-            elapsed_secs: ctx.now().since(self.started_at).as_secs_f64(),
-            ranks,
-        });
+        sh.result = Some(result);
         drop(sh);
         ctx.stop_simulation();
     }
 
     fn handle_data(&mut self, ctx: &mut Ctx<'_>, d: Delivery) {
         let flow = d.flow;
-        // Any message from a flow proves its last shipped batch landed.
-        self.outstanding.remove(&flow);
-        match d.expect::<KMsg>() {
-            KMsg::Steal { best } => {
-                self.best = self.best.max(best);
-                if self.finished {
-                    // A slave that lost its flow after the broadcast
-                    // reconnected and is still asking; re-answer Done
-                    // so it ships its Stats.
-                    let msg = KMsg::Done;
-                    let size = msg.wire_size();
-                    let _ = ctx.send(flow, size, msg);
-                    return;
-                }
-                self.pending.push(flow);
-                self.serve_pending(ctx);
+        match self.core.on_msg(flow, d.expect::<Msg>()) {
+            Ok(Heard::Reply(msg)) => {
+                send(ctx, flow, msg);
+            }
+            Ok(Heard::Waiting) => {
+                self.serve(ctx);
                 self.maybe_finish(ctx);
             }
-            KMsg::Back { best, nodes } => {
-                self.best = self.best.max(best);
-                self.stack.extend(nodes);
-                self.serve_pending(ctx);
-                if !self.stack.is_empty() {
+            Ok(Heard::Returned) => {
+                self.serve(ctx);
+                if self.core.has_work() {
                     self.schedule_work(ctx, SimDuration::ZERO);
                 }
             }
-            KMsg::Stats(rs) => {
-                // A slave may resend Stats after a post-Done reconnect.
-                if self.reports.iter().any(|r| r.rank == rs.rank) {
-                    return;
-                }
-                self.reports.push(*rs);
-                if self.reports.len() == self.nslaves {
-                    self.publish(ctx);
-                }
-            }
-            other => sim_bug("master got an unexpected message", other),
+            Ok(Heard::Report) => self.maybe_publish(ctx),
+            Err(e) => sim_bug("master got an unexpected message", e),
         }
     }
 
@@ -274,23 +154,21 @@ impl MasterActor {
                 self.ever_bound = true;
                 self.shared.lock().master_addr = Some(advertised);
             }
-            NxHandled::Event(NxEvent::BindLost) => {
-                // Outer server crashed: the advertised rendezvous is
-                // dead. Withdraw it so polling slaves wait for the
-                // fresh Bound instead of dialing a stale port.
-                self.shared.lock().master_addr = None;
-            }
-            NxHandled::Event(NxEvent::Accepted { flow }) => {
-                self.slave_flows.push(flow);
-            }
-            // An *initial* bind failure is a rig bug; a failed
-            // *re*-bind means the relay never came back — degrade
-            // (keep any local work going) rather than panic.
+            // The outer server crashed: withdraw the dead rendezvous so
+            // polling slaves wait for the fresh `Bound`.
+            NxHandled::Event(NxEvent::BindLost) => self.shared.lock().master_addr = None,
+            NxHandled::Event(NxEvent::Accepted { flow }) => self.core.joined(flow),
+            // A failed *re*-bind (the relay stayed dead) degrades instead.
             NxHandled::Event(NxEvent::BindFailed) if !self.ever_bound => {
                 sim_bug("master bind failed", ());
             }
             NxHandled::Data(d) => self.handle_data(ctx, d),
-            NxHandled::Flow(FlowEvent::Closed { flow, .. }) => self.on_slave_gone(ctx, flow),
+            NxHandled::Flow(FlowEvent::Closed { flow, .. }) => {
+                self.core.gone(flow);
+                if self.core.has_work() {
+                    self.schedule_work(ctx, SimDuration::ZERO);
+                }
+            }
             _ => {}
         }
     }
@@ -314,32 +192,16 @@ impl Actor for MasterActor {
         if self.nx.owns_timer(token) {
             let h = self.nx.on_timer(ctx, token);
             self.handle_nx(ctx, h);
-            return;
-        }
-        if token != WORK {
-            return;
-        }
-        self.working = false;
-        let rate = ctx.cpu_rate().max(1.0);
-        let mut ops: u32 = 0;
-        while ops < self.params.interval
-            && branch_once(
-                &self.inst,
-                &mut self.stack,
-                &mut self.best,
-                self.params.prune,
-                self.params.sorted,
-                &mut self.counters,
-            )
-        {
-            ops += 1;
-        }
-        self.serve_pending(ctx);
-        if ops > 0 {
-            let cost = SimDuration::from_secs_f64(f64::from(ops) / rate);
-            self.schedule_work(ctx, cost);
-        } else {
-            self.maybe_finish(ctx);
+        } else if token == WORK {
+            self.working = false;
+            let ops = self.core.work(&self.inst);
+            self.serve(ctx);
+            if ops > 0 {
+                let after = cost(ctx, ops);
+                self.schedule_work(ctx, after);
+            } else {
+                self.maybe_finish(ctx);
+            }
         }
     }
 
@@ -357,65 +219,39 @@ impl Actor for MasterActor {
 /// A slave actor.
 pub struct SlaveActor {
     inst: Arc<Instance>,
-    params: SimParams,
+    core: Slave,
     nx: NxClient,
     shared: Shared,
-    rank: u32,
-    group: String,
-    stack: Vec<Node>,
-    best: u64,
-    counters: BranchCounters,
-    steal_requests: u64,
-    back_sends: u64,
     master: Option<FlowId>,
     /// A dial is in flight (don't start another from a POLL tick).
     connecting: bool,
-    /// Copies of every node shipped Back on the current flow: if the
-    /// flow dies we cannot know whether the master got them, so they
-    /// are re-added locally (at-least-once). Cleared on `Done`.
-    retained: Vec<Node>,
-    /// `Done` received — only Stats remain to be (re-)sent.
-    done: bool,
     working: bool,
-    /// Steal request in flight since this virtual time (for the
-    /// steal-RTT histogram; cleared when the Nodes batch lands).
+    /// When the in-flight steal request left, for the steal-RTT
+    /// histogram (`knapsack.steal_rtt_ns`, virtual nanos).
     steal_sent: Option<SimTime>,
-    /// Steal request → Nodes batch round trip, in virtual nanos.
     steal_rtt_ns: wacs_obs::Histogram,
 }
 
 impl SlaveActor {
     pub fn new(
         inst: Arc<Instance>,
-        params: SimParams,
+        params: ParParams,
         env: SimProxyEnv,
         shared: Shared,
         rank: u32,
         group: impl Into<String>,
     ) -> Self {
-        let (nx, steal_rtt_ns) = {
-            let sh = shared.lock();
-            (
-                NxClient::new(env).with_obs(&sh.obs),
-                sh.obs.histogram("knapsack.steal_rtt_ns"),
-            )
-        };
+        let sh = shared.lock();
+        let nx = NxClient::new(env).with_obs(&sh.obs);
+        let steal_rtt_ns = sh.obs.histogram("knapsack.steal_rtt_ns");
+        drop(sh);
         SlaveActor {
+            core: Slave::new(&inst, params, rank, group),
             inst,
-            params,
             nx,
             shared,
-            rank,
-            group: group.into(),
-            stack: Vec::new(),
-            best: 0,
-            counters: BranchCounters::default(),
-            steal_requests: 0,
-            back_sends: 0,
             master: None,
             connecting: false,
-            retained: Vec::new(),
-            done: false,
             working: false,
             steal_sent: None,
             steal_rtt_ns,
@@ -426,34 +262,91 @@ impl SlaveActor {
         ctx.set_timer(SimDuration::from_millis(1), POLL);
     }
 
-    fn send_steal(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(flow) = self.master else {
-            // Not connected (master restarting): re-poll for its
-            // (possibly new) address instead of crashing the harness.
-            self.schedule_poll(ctx);
-            return;
-        };
-        let msg = KMsg::Steal { best: self.best };
-        let size = msg.wire_size();
-        if ctx.send(flow, size, msg).is_ok() {
-            self.steal_sent = Some(ctx.now());
+    fn start_work(&mut self, ctx: &mut Ctx<'_>) {
+        if !self.working {
+            self.working = true;
+            ctx.set_timer(SimDuration::ZERO, WORK);
         }
-        self.steal_requests += 1;
     }
 
-    fn send_stats(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
-        let rs = RankStats {
-            rank: self.rank,
-            host: ctx.host_name().to_string(),
-            group: self.group.clone(),
-            traversed: self.counters.traversed,
-            steals: self.steal_requests,
-            back_sends: self.back_sends,
-            local_best: self.best,
+    fn on_work(&mut self, ctx: &mut Ctx<'_>) {
+        self.working = false;
+        let ops = self.core.work(&self.inst);
+        // Surplus ships only while connected; during a master outage
+        // it stays here (correct, just less balanced).
+        if let Some(master) = self.master {
+            if let Some(back) = self.core.surplus() {
+                send(ctx, master, back);
+            }
+        }
+        if self.core.has_work() {
+            self.working = true;
+            let after = cost(ctx, ops.max(1));
+            ctx.set_timer(after, WORK);
+        } else if let Some(master) = self.master {
+            let steal = self.core.steal();
+            if send(ctx, master, steal) {
+                self.steal_sent = Some(ctx.now());
+            }
+        } else {
+            // The master is restarting: poll for its (new) address.
+            self.schedule_poll(ctx);
+        }
+    }
+
+    /// See `MasterActor::handle_nx` for why both callbacks funnel here.
+    fn handle_nx(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+        let d = match h {
+            NxHandled::Event(NxEvent::Connected { flow, .. }) => {
+                self.connecting = false;
+                self.master = Some(flow);
+                let hello = self.core.hello(ctx.host_name());
+                let steal = matches!(hello, Msg::Steal { .. });
+                if send(ctx, flow, hello) && steal {
+                    self.steal_sent = Some(ctx.now());
+                }
+                return;
+            }
+            // The relay chain (or the master) is down even after the
+            // proxy layer's retries: poll for a re-published address.
+            NxHandled::Event(NxEvent::Refused { .. }) => {
+                self.connecting = false;
+                self.schedule_poll(ctx);
+                return;
+            }
+            NxHandled::Flow(FlowEvent::Closed { flow, .. }) if self.master == Some(flow) => {
+                // An in-flight steal died with the flow: its RTT would
+                // span the outage, not a round trip.
+                self.master = None;
+                self.steal_sent = None;
+                self.core.gone();
+                if self.core.has_work() {
+                    self.start_work(ctx);
+                }
+                self.schedule_poll(ctx);
+                return;
+            }
+            NxHandled::Data(d) => d,
+            _ => return,
         };
-        let msg = KMsg::Stats(Box::new(rs));
-        let size = msg.wire_size();
-        let _ = ctx.send(flow, size, msg);
+        let flow = d.flow;
+        let was_done = self.core.done();
+        match self.core.on_msg(d.expect::<Msg>(), ctx.host_name()) {
+            Ok(None) => {
+                // A batch of nodes landed.
+                if let Some(t0) = self.steal_sent.take() {
+                    self.steal_rtt_ns.record(ctx.now().since(t0).nanos());
+                }
+                self.start_work(ctx);
+            }
+            Ok(Some(report)) => {
+                if !was_done {
+                    self.shared.lock().nx_retries += self.nx.retries();
+                }
+                send(ctx, flow, report);
+            }
+            Err(e) => sim_bug("slave got an unexpected message", e),
+        }
     }
 }
 
@@ -463,80 +356,24 @@ impl Actor for SlaveActor {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(SimDuration::from_millis(1), POLL);
+        self.schedule_poll(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if self.nx.owns_timer(token) {
             let h = self.nx.on_timer(ctx, token);
             self.handle_nx(ctx, h);
-            return;
-        }
-        match token {
-            POLL => {
-                if self.master.is_some() || self.connecting {
-                    return;
+        } else if token == WORK {
+            self.on_work(ctx);
+        } else if token == POLL && self.master.is_none() && !self.connecting {
+            let addr = self.shared.lock().master_addr;
+            match addr {
+                Some(dst) => {
+                    self.connecting = true;
+                    self.nx.connect(ctx, dst, 0);
                 }
-                let addr = self.shared.lock().master_addr;
-                match addr {
-                    Some(dst) => {
-                        self.connecting = true;
-                        self.nx.connect(ctx, dst, 0);
-                    }
-                    None => ctx.set_timer(SimDuration::from_millis(1), POLL),
-                }
+                None => self.schedule_poll(ctx),
             }
-            WORK => {
-                self.working = false;
-                let rate = ctx.cpu_rate().max(1.0);
-                let mut ops: u32 = 0;
-                while ops < self.params.interval
-                    && branch_once(
-                        &self.inst,
-                        &mut self.stack,
-                        &mut self.best,
-                        self.params.prune,
-                        self.params.sorted,
-                        &mut self.counters,
-                    )
-                {
-                    ops += 1;
-                }
-                let threshold = crate::par::effective_back_threshold(&self.params);
-                // Return bottom (largest-subtree) nodes when holding
-                // too much estimated work; see `par::slave`.
-                let take = crate::par::back_send_count(
-                    &self.stack,
-                    self.inst.n(),
-                    threshold,
-                    self.params.back_unit,
-                );
-                // Only ship surplus while connected; during a master
-                // outage the nodes stay on the local stack (correct,
-                // just less balanced until the flow is back).
-                if take > 0 {
-                    if let Some(master) = self.master {
-                        let surplus: Vec<Node> = self.stack.drain(..take).collect();
-                        self.retained.extend(surplus.iter().cloned());
-                        let msg = KMsg::Back {
-                            best: self.best,
-                            nodes: surplus,
-                        };
-                        let size = msg.wire_size();
-                        let _ = ctx.send(master, size, msg);
-                        self.back_sends += 1;
-                    }
-                }
-                let cost = SimDuration::from_secs_f64(f64::from(ops.max(1)) / rate);
-                if self.stack.is_empty() {
-                    // Charge the last partial batch, then steal.
-                    self.send_steal(ctx);
-                } else {
-                    self.working = true;
-                    ctx.set_timer(cost, WORK);
-                }
-            }
-            _ => {}
         }
     }
 
@@ -551,75 +388,6 @@ impl Actor for SlaveActor {
     }
 }
 
-impl SlaveActor {
-    /// See `MasterActor::handle_nx` for why both callbacks funnel here.
-    fn handle_nx(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
-        let d = match h {
-            NxHandled::Event(NxEvent::Connected { flow, .. }) => {
-                self.connecting = false;
-                self.master = Some(flow);
-                if self.done {
-                    // Reconnected after the broadcast: only our report
-                    // is owed.
-                    self.send_stats(ctx, flow);
-                } else {
-                    self.send_steal(ctx);
-                }
-                return;
-            }
-            NxHandled::Event(NxEvent::Refused { .. }) => {
-                // The relay chain (or the master) is down even after
-                // the proxy layer's own retries. Fall back to polling:
-                // a recovering master re-publishes a fresh address.
-                self.connecting = false;
-                self.schedule_poll(ctx);
-                return;
-            }
-            NxHandled::Flow(FlowEvent::Closed { flow, .. }) if self.master == Some(flow) => {
-                // The master flow died mid-run. Reclaim every node we
-                // shipped Back on it (the master may never have seen
-                // them), then rediscover the master and reconnect.
-                self.master = None;
-                // An in-flight steal died with the flow — its RTT
-                // would span the outage, not a round trip.
-                self.steal_sent = None;
-                self.stack.append(&mut self.retained);
-                if !self.stack.is_empty() && !self.working {
-                    self.working = true;
-                    ctx.set_timer(SimDuration::ZERO, WORK);
-                }
-                self.schedule_poll(ctx);
-                return;
-            }
-            NxHandled::Data(d) => d,
-            _ => return,
-        };
-        let master_flow = d.flow;
-        match d.expect::<KMsg>() {
-            KMsg::Nodes { best, nodes } => {
-                if let Some(t0) = self.steal_sent.take() {
-                    self.steal_rtt_ns.record(ctx.now().since(t0).nanos());
-                }
-                self.best = self.best.max(best);
-                self.stack.extend(nodes);
-                if !self.working {
-                    self.working = true;
-                    ctx.set_timer(SimDuration::ZERO, WORK);
-                }
-            }
-            KMsg::Done => {
-                if !self.done {
-                    self.done = true;
-                    self.retained.clear();
-                    self.shared.lock().nx_retries += self.nx.retries();
-                }
-                self.send_stats(ctx, master_flow);
-            }
-            other => sim_bug("slave got an unexpected message", other),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,7 +395,7 @@ mod tests {
 
     /// One open site, a master host and `k` slave hosts with the given
     /// relative CPU rates.
-    fn run_sim(n_items: usize, slave_rates: &[f64], params: SimParams) -> RunResult {
+    fn run_sim(n_items: usize, slave_rates: &[f64], params: ParParams) -> RunResult {
         let mut topo = Topology::new();
         let site = topo.add_site("lab", None);
         let sw = topo.add_switch("sw", site);
@@ -671,11 +439,11 @@ mod tests {
         result.expect("simulation did not produce a result")
     }
 
-    fn fast_params() -> SimParams {
-        SimParams {
+    fn fast_params() -> ParParams {
+        ParParams {
             interval: 256,
             steal_unit: 8,
-            ..SimParams::default()
+            ..ParParams::default()
         }
     }
 

@@ -53,12 +53,15 @@ pub enum Rule {
     /// A `protocol::Msg` variant never built by the malformed-frame
     /// fuzz sweep (see `wsrules`).
     FrameCoverage,
-    /// The servers' sans-IO core (`nexus-proxy/src/core`) naming a
-    /// socket, thread, clock or simulator type (see `wsrules`).
+    /// A sans-IO core (`nexus-proxy/src/core`, `knapsack/src/sched.rs`)
+    /// naming a socket, thread, clock or simulator type (see `wsrules`).
     CorePurity,
     /// A client driver re-growing the fleet ladder, or a second spelling
     /// of the stripe-lane frame sequence (see `wsrules`).
     ClientPlane,
+    /// A knapsack driver (`par.rs`, `sim.rs`) branching or returning
+    /// surplus on its own instead of through `sched.rs` (see `wsrules`).
+    SchedPlane,
 }
 
 pub const ALL: &[Rule] = &[
@@ -77,6 +80,7 @@ pub const ALL: &[Rule] = &[
     Rule::FrameCoverage,
     Rule::CorePurity,
     Rule::ClientPlane,
+    Rule::SchedPlane,
 ];
 
 impl Rule {
@@ -97,6 +101,7 @@ impl Rule {
             Rule::FrameCoverage => "frame-coverage",
             Rule::CorePurity => "core-purity",
             Rule::ClientPlane => "client-plane",
+            Rule::SchedPlane => "sched-plane",
         }
     }
 
@@ -136,11 +141,16 @@ impl Rule {
             }
             Rule::FrameCoverage => "every protocol::Msg variant must be hit by the fuzz sweep",
             Rule::CorePurity => {
-                "nexus-proxy's core module names no socket, thread, clock or simulator type"
+                "the sans-IO cores (nexus-proxy core/, knapsack sched.rs) name no socket, \
+                 thread, clock or simulator type"
             }
             Rule::ClientPlane => {
                 "client drivers name no ShardRouter/CircuitBreaker/route_from; \
                  StripeFrame::Open is spelled in stripe.rs only"
+            }
+            Rule::SchedPlane => {
+                "knapsack par.rs/sim.rs name no branch_once/back_send_count/\
+                 effective_back_threshold; the scheduler is sched.rs"
             }
         }
     }

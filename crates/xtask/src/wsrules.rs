@@ -1,7 +1,7 @@
 //! Workspace-level rules: analyses that need the whole file set (or
 //! files outside the library walk) rather than one file at a time.
 //!
-//! Five rules live here, all built on the token stream from
+//! Six rules live here, all built on the token stream from
 //! [`crate::lexer`]:
 //!
 //! * **`lock-order`** — a static lock-order graph over every
@@ -25,18 +25,23 @@
 //!   the malformed-frame fuzz sweep in `tests/transparency.rs`
 //!   (`random_msgs` builds one of each; a new variant that skips the
 //!   sweep is a decode path no fuzzing hits).
-//! * **`core-purity`** — the proxy servers' decision core
-//!   (`nexus-proxy/src/core.rs` or `core/`) is sans-IO by contract:
-//!   both the real and the sim driver, and the model checker, run it.
-//!   It may not name `std::net`, `std::thread`, `Instant`/`SystemTime`,
-//!   `netsim`, `firewall::vnet`, locks or atomics, and gets no
-//!   `lint:allow(bare-sleep)`.
+//! * **`core-purity`** — the proxy's decision core
+//!   (`nexus-proxy/src/core.rs` or `core/`) and the knapsack scheduler
+//!   (`knapsack/src/sched.rs`) are sans-IO by contract: a real and a
+//!   sim driver (and, for the proxy, the model checker) run them. They
+//!   may not name `std::net`, `std::thread`, `Instant`/`SystemTime`,
+//!   `netsim`, `gridmpi`, `firewall::vnet`, locks or atomics, and get
+//!   no `lint:allow(bare-sleep)`.
 //! * **`client-plane`** — the client control plane and the stripe-lane
 //!   sender each exist once (`core/client.rs`, `stripe.rs`). Their
 //!   drivers (`client.rs`, `sim/client.rs`, `sim/stripe.rs`,
 //!   `gridmpi/src/comm.rs`) may not name `ShardRouter`,
 //!   `CircuitBreaker` or `route_from`, and no non-test code outside
 //!   `stripe.rs` spells `StripeFrame::Open {`.
+//! * **`sched-plane`** — the knapsack scheduler exists once
+//!   (`knapsack/src/sched.rs`). Its drivers (`par.rs`, `sim.rs`) may
+//!   not name `branch_once`, `back_send_count` or
+//!   `effective_back_threshold`.
 
 use crate::lexer::{lex, string_content, Token, TokenKind};
 use crate::rules::{test_region_lines, Rule, Violation};
@@ -88,6 +93,7 @@ pub fn analyze_workspace(
     let frame_variants = check_frame_coverage(files, fuzz_sweep, &mut violations);
     check_core_purity(files, &mut violations);
     check_client_plane(files, &mut violations);
+    check_sched_plane(files, &mut violations);
 
     WsReport {
         violations,
@@ -756,9 +762,12 @@ fn enum_paths(source: &str, name: &str) -> BTreeSet<String> {
 // core-purity
 // ---------------------------------------------------------------------------
 
-/// The sans-IO core: `core.rs`, or anything under `core/`.
+/// The sans-IO cores: the proxy's `core.rs` or anything under `core/`,
+/// and the knapsack scheduler.
 fn is_core_file(path: &str) -> bool {
-    path == "crates/nexus-proxy/src/core.rs" || path.starts_with("crates/nexus-proxy/src/core/")
+    path == "crates/nexus-proxy/src/core.rs"
+        || path.starts_with("crates/nexus-proxy/src/core/")
+        || path == SCHED_CORE
 }
 
 /// Code spellings the core may not contain, with what each would let
@@ -772,6 +781,7 @@ const CORE_FORBIDDEN: &[(&str, &str)] = &[
     ("Instant", "a wall clock (callers pass `now`)"),
     ("SystemTime", "a wall clock (callers pass `now`)"),
     ("netsim", "the simulator"),
+    ("gridmpi", "the message-passing layer"),
     ("vnet", "the firewall-guarded socket layer"),
     (
         "OrderedMutex",
@@ -871,6 +881,42 @@ fn check_client_plane(files: &[(String, String)], out: &mut Vec<Violation>) {
                     message: "`StripeFrame::Open {` outside stripe.rs: walk \
                               `StripePlan::lane_frames` instead of a second lane loop"
                         .to_string(),
+                });
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// sched-plane
+// ---------------------------------------------------------------------------
+
+/// The knapsack scheduler's one home.
+const SCHED_CORE: &str = "crates/knapsack/src/sched.rs";
+
+/// Its drivers.
+const SCHED_DRIVERS: &[&str] = &["crates/knapsack/src/par.rs", "crates/knapsack/src/sim.rs"];
+
+/// What a driver would name to branch or return surplus on its own.
+const SCHED_SPELLINGS: &[&str] = &["branch_once", "back_send_count", "effective_back_threshold"];
+
+/// Batching and back-pressure live in `sched.rs`; a driver that names
+/// one of these has started a second scheduler.
+fn check_sched_plane(files: &[(String, String)], out: &mut Vec<Violation>) {
+    for (path, source) in files {
+        if !SCHED_DRIVERS.contains(&path.as_str()) {
+            continue;
+        }
+        for (line, code) in &code_lines(source, code_tokens(source).into_iter()) {
+            if let Some(needle) = SCHED_SPELLINGS.iter().find(|n| code.contains(*n)) {
+                out.push(Violation {
+                    path: path.clone(),
+                    line: *line,
+                    rule: Rule::SchedPlane,
+                    message: format!(
+                        "a knapsack driver names `{needle}`: scheduling decisions \
+                         belong to knapsack/src/sched.rs"
+                    ),
                 });
             }
         }
@@ -1149,8 +1195,13 @@ fn step(now: u64) {
                     "use firewall::vnet::VNet;\n",
                 ),
                 ("crates/nexus-proxy/src/core/inner.rs", clean),
-                // The same names outside the core are nobody's business.
+                (
+                    "crates/knapsack/src/sched.rs",
+                    "use gridmpi::Comm;\nuse crate::instance::Instance;\n",
+                ),
+                // The same names outside the cores are nobody's business.
                 ("crates/nexus-proxy/src/outer.rs", dirty),
+                ("crates/knapsack/src/par.rs", "use gridmpi::Comm;\n"),
             ],
             Some(""),
             Some(""),
@@ -1170,6 +1221,48 @@ fn step(now: u64) {
                 ("crates/nexus-proxy/src/core.rs", 7),
                 ("crates/nexus-proxy/src/core.rs", 7),
                 ("crates/nexus-proxy/src/core/outer.rs", 1),
+                ("crates/knapsack/src/sched.rs", 1),
+            ],
+            "{:?}",
+            r.violations
+        );
+    }
+
+    #[test]
+    fn sched_plane_flags_a_driver_that_branches_or_sheds_on_its_own() {
+        let driver = r#"
+use crate::node::branch_once;
+// back_send_count in a comment is fine.
+fn on_work(s: &mut Slave) {
+    let take = back_send_count(&stack, n, effective_back_threshold(&p), 4);
+}
+#[cfg(test)]
+mod tests {
+    fn t() { branch_once(); }
+}
+"#;
+        let r = ws(
+            &[
+                ("crates/knapsack/src/sim.rs", driver),
+                ("crates/knapsack/src/par.rs", "fn f() { s.work(inst); }\n"),
+                // The core and everyone else may name them.
+                ("crates/knapsack/src/sched.rs", driver),
+                ("crates/knapsack/src/seq.rs", driver),
+            ],
+            Some(""),
+            Some(""),
+        );
+        let hits: Vec<(&str, usize)> = r
+            .violations
+            .iter()
+            .filter(|v| v.rule == Rule::SchedPlane)
+            .map(|v| (v.path.as_str(), v.line))
+            .collect();
+        assert_eq!(
+            hits,
+            vec![
+                ("crates/knapsack/src/sim.rs", 2),
+                ("crates/knapsack/src/sim.rs", 5),
             ],
             "{:?}",
             r.violations
