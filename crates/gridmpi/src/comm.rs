@@ -3,6 +3,7 @@
 use crate::packet::Packet;
 use nexus::{Endpoint, NexusContext, Startpoint};
 use nexus_proxy::stripe::{Accept, LaneSink, Reassembler, StripeFrame, StripePlan, StripeStats};
+use nexus_proxy::RetryPolicy;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::Arc;
@@ -23,6 +24,10 @@ pub const STRIPE_CHUNK_BYTES: u32 = 64 * 1024;
 
 /// Whole-stripe retransmit attempts after a dead attachment.
 const STRIPE_REDIALS: u32 = 2;
+
+/// Rank start-up: a peer's endpoint may not exist yet, so an attach is
+/// tried 200 times, 5 ms apart.
+const ATTACH_RETRY: RetryPolicy = RetryPolicy::steps(200, Duration::from_millis(5));
 
 /// Receive from any rank.
 pub const ANY_SOURCE: Option<u32> = None;
@@ -340,8 +345,7 @@ impl Comm {
 
     fn attach(&self, dest: u32) -> io::Result<Startpoint> {
         let (host, port) = &self.addrs[dest as usize];
-        self.ctx
-            .attach_retry((host, *port), 200, Duration::from_millis(5))
+        self.ctx.attach_retry((host, *port), ATTACH_RETRY)
     }
 
     /// Decode an arrived frame and apply per-source dedup. Returns

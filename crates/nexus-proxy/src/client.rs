@@ -6,8 +6,11 @@
 //! "a communication utilizes the Nexus Proxy system when environment
 //! variables `NEXUS_PROXY_OUTER_SERVER` and `NEXUS_PROXY_INNER_SERVER`
 //! are defined; otherwise, the original communication is done."
+//! Each call makes one operation; [`retry_blocking`] repeats them.
 
-use crate::core::{ClientCore, ClientOp, Outcome, Refusal, Step};
+use crate::core::{
+    no_jitter, ClientCore, ClientOp, Outcome, Refusal, Retry, RetryPolicy, Step, REPLY_DEADLINE,
+};
 use crate::hook::{interpose, DialHook, DialLeg};
 use crate::liveness::BreakerConfig;
 use crate::protocol::Msg;
@@ -16,7 +19,7 @@ use std::fmt;
 use std::io;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use wacs_obs::Registry;
 use wacs_sync::OrderedMutex;
 
@@ -61,10 +64,6 @@ impl ProxyEnv {
     pub fn with_dial_hook(mut self, hook: DialHook) -> Self {
         self.dial_hook = Some(hook);
         self
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.fleet.is_some()
     }
 }
 
@@ -161,7 +160,7 @@ fn run(
                     last_err = Some(e);
                     fleet.step(|core, now| core.dial_failed(&mut op, now))
                 }
-                Ok(mut s) => match send.write_to(&mut s).and_then(|_| Msg::read_from(&mut s)) {
+                Ok(mut s) => match request(&mut s, &send) {
                     Err(e) => {
                         last_err = Some(e);
                         fleet.step(|core, now| core.session_died(&mut op, now))
@@ -177,6 +176,43 @@ fn run(
             },
             Step::Done(Outcome::Refused(why)) => return Err(refusal(why, last_err)),
             Step::Done(_) => return Err(refusal(Refusal::Unexpected, None)),
+        }
+    }
+}
+
+/// One control round trip. A rung silent past the reply deadline has
+/// died (`TimedOut`), as if it had hung up; the stream handed on has
+/// its read timeout cleared.
+fn request(s: &mut TcpStream, send: &Msg) -> io::Result<Msg> {
+    s.set_read_timeout(Some(REPLY_DEADLINE))?;
+    send.write_to(s)?;
+    let reply = Msg::read_from(s).map_err(|e| match e.kind() {
+        io::ErrorKind::WouldBlock => io::Error::new(io::ErrorKind::TimedOut, "no reply"),
+        _ => e,
+    })?;
+    s.set_read_timeout(None)?;
+    Ok(reply)
+}
+
+/// Repeat `op`, handed its attempt's reply deadline, until it succeeds,
+/// fails in a way `transient` rejects, or `policy` gives up; the error
+/// is the last attempt's. No jitter: a fixed step stays fixed.
+pub fn retry_blocking<T, E>(
+    policy: RetryPolicy,
+    mut op: impl FnMut(Duration) -> Result<T, E>,
+    transient: impl Fn(&E) -> bool,
+) -> Result<T, E> {
+    let t0 = Instant::now();
+    let now = || t0.elapsed().as_nanos() as u64;
+    let mut retry = Retry::new(policy, 0);
+    loop {
+        match op(retry.reply_deadline(now())) {
+            Err(e) if transient(&e) => {
+                let at = retry.failed(now(), no_jitter).ok_or(e)?;
+                let pause = Duration::from_nanos(at.saturating_sub(now()));
+                std::thread::sleep(pause); // lint:allow(bare-sleep) — the one blocking retry pacer.
+            }
+            done => return done,
         }
     }
 }

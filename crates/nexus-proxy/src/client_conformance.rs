@@ -17,10 +17,10 @@
 #![cfg(test)]
 
 use crate::conformance::{renumber, Trace};
-use crate::core::{shard_map, ClientHook, HostId};
+use crate::core::{shard_map, ClientHook, HostId, RetryPolicy};
 use crate::liveness::BreakerConfig;
 use crate::protocol::{CtrlMsg, Msg};
-use crate::sim::{NxClient, NxEvent, NxHandled, RetryPolicy, SimProxyEnv, CTRL_MSG_BYTES};
+use crate::sim::{NxClient, NxEvent, NxHandled, SimProxyEnv, CTRL_MSG_BYTES};
 use crate::{nx_proxy_bind, nx_proxy_connect, FleetRouter, ProxyEnv};
 use firewall::vnet::VNet;
 use netsim::prelude::*;
@@ -34,6 +34,8 @@ const CTRL: u16 = 5678;
 const HOSTS: [&str; 6] = ["edge", "shard-a", "shard-b", "ghost", "dead", "target"];
 /// What each host is to the client (the two shards are one role).
 const ROLES: [&str; 6] = ["edge", "shard", "shard", "ghost", "dead", "target"];
+/// How long a real fake shard waits on a quiet connection.
+const SHARD_PATIENCE: Duration = Duration::from_secs(10);
 
 /// The next thing a fake shard does with a request.
 #[derive(Clone)]
@@ -41,6 +43,9 @@ enum Reply<H> {
     Frame(CtrlMsg<H>),
     /// Accept, read the request, close without a word.
     Hangup,
+    /// Accept, read the request, never answer: the client's reply
+    /// deadline ends the rung.
+    Silent,
 }
 
 type Script<H> = Arc<Mutex<VecDeque<Reply<H>>>>;
@@ -100,6 +105,9 @@ fn scenario<H: Clone>(hosts: &[H; 6], dead_owned: u16) -> Vec<Op<H>> {
         bind(vec![frame(CtrlMsg::Busy)], "refused"),
         bind(vec![bound(0)], "refused"),
         connect(0, (target, 9000), vec![unreachable], "refused"),
+        // The owner takes the request and says nothing: past the reply
+        // deadline its session has died, and the next rung serves.
+        connect(0, (target, 9000), vec![Reply::Silent, connected.clone()], "connected"),
         // A rendezvous address is dialed direct: no shard is asked.
         connect(0, (a, CTRL), vec![], "connected"),
         // The owner's dial fails: the next rung serves.
@@ -139,18 +147,24 @@ fn fake_shard(net: &VNet, host: &str, script: Script<String>) {
     let listener = net.bind(host, CTRL).unwrap();
     std::thread::spawn(move || {
         while let Ok((mut s, _)) = listener.accept() {
-            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s.set_read_timeout(Some(SHARD_PATIENCE)).unwrap();
             // A direct dial sends no request and just goes away.
             if Msg::read_from(&mut s).is_err() {
                 continue;
             }
             let reply = script.lock().pop_front().expect("an unscripted request");
-            if let Reply::Frame(msg) = reply {
-                msg.write_to(&mut s).unwrap();
-                if is_grant(&msg) {
-                    // Held until the client lets go.
+            match reply {
+                Reply::Frame(msg) => {
+                    msg.write_to(&mut s).unwrap();
+                    if is_grant(&msg) {
+                        // Held until the client lets go.
+                        let _ = Msg::read_from(&mut s);
+                    }
+                }
+                Reply::Silent => {
                     let _ = Msg::read_from(&mut s);
                 }
+                Reply::Hangup => {}
             }
         }
     });
@@ -178,6 +192,7 @@ fn real_run(dead_owned: u16) -> (Vec<String>, Vec<&'static str>, Vec<ErrorKind>)
     for op in scenario(&hosts, dead_owned) {
         *script.lock() = op.replies.into();
         let env = &envs[op.env];
+        let t0 = std::time::Instant::now();
         let result = match op.call {
             Call::Bind => nx_proxy_bind(&net, env, "edge").map(|_| "bound"),
             Call::Connect((h, p)) => {
@@ -189,6 +204,9 @@ fn real_run(dead_owned: u16) -> (Vec<String>, Vec<&'static str>, Vec<ErrorKind>)
             "refused"
         }));
         assert_eq!(ended.last(), Some(&op.want));
+        // A silent rung ends at the client's reply deadline, not when
+        // the fake shard runs out of patience.
+        assert!(t0.elapsed() < SHARD_PATIENCE, "a call outwaited the shard");
         assert!(
             script.lock().is_empty(),
             "a scripted reply was never asked for"
@@ -222,6 +240,7 @@ impl Actor for SimShard {
                 }
             }
             Reply::Hangup => ctx.close(flow),
+            Reply::Silent => {}
         }
     }
 }
@@ -314,7 +333,7 @@ fn sim_run(dead_owned: u16) -> (Vec<String>, Vec<&'static str>) {
     // One operation per call, as on the real path: no retries.
     let policy = RetryPolicy {
         max_attempts: 1,
-        ..RetryPolicy::default()
+        ..RetryPolicy::DEFAULT
     };
     let clients = fleets(&nodes).map(|members| {
         NxClient::with_policy(SimProxyEnv::direct(), policy)
@@ -369,6 +388,7 @@ fn real_and_sim_clients_produce_identical_decision_traces() {
     for needle in [
         "replied Redirect { host: ghost, port: 5678 } -> Dial { to: (ghost, 5678)",
         "session_died -> Dial { to: (shard, 5678), leg: ClientCtrl, send: BindReq { host: edge, port: p2, fallback: true }",
+        "session_died -> Dial { to: (shard, 5678), leg: ClientCtrl, send: ConnectReq",
         "Done(Refused(Busy))",
         "Done(Refused(NoRendezvous))",
         "Done(Refused(Unreachable { detail: \"nope\" }))",

@@ -114,9 +114,11 @@ fn scenario<H: Clone>([edge, outer, inner, ghost]: [H; 4], own: u16, other: u16)
         Close { slot: 0 },
         Settle,
     ]);
-    // Busy: the one admission slot is held by a live relay.
+    // Busy: the one admission slot is held by a live relay (settled, so
+    // the real outer has seen its reply written before the next accept).
     ops.extend(open());
     ops.extend([
+        Settle,
         Dial { slot: 2, to: ctrl() },
         Send { slot: 2, msg: connect_req(SINK) },
         Expect { slot: 2, want: Want::Exactly(CtrlMsg::Busy) },

@@ -1,7 +1,8 @@
 //! The proxy's control plane as sans-IO state machines: the two
 //! servers here and in `outer`/`inner`, the client library's
 //! operations in `client` ([`ClientCore`], a pull-style machine — a
-//! linear operation needs no event/action executor).
+//! linear operation needs no event/action executor), and the pacing
+//! between operations in `retry` ([`Retry`], pull-style too).
 //!
 //! The outer and inner daemons make a dozen decisions (Fig. 3/4:
 //! admit, dial, rendezvous, `RelayReq`/`RelayRep`, bridge; §6b/§6d:
@@ -34,12 +35,15 @@
 mod client;
 mod inner;
 mod outer;
+mod retry;
 #[cfg(test)]
 mod tests;
 
 pub use client::{ClientCore, ClientHook, ClientOp, Outcome, Refusal, Step};
 pub use inner::InnerCore;
 pub use outer::{OuterCore, OuterParams};
+pub(crate) use retry::no_jitter;
+pub use retry::{Retry, RetryPolicy, REPLY_DEADLINE};
 
 use crate::hook::DialLeg;
 use crate::protocol::CtrlMsg;

@@ -43,7 +43,10 @@ pub mod stats;
 pub mod stripe;
 mod wire;
 
-pub use client::{nx_proxy_bind, nx_proxy_connect, FleetRouter, NxListener, ProxyEnv};
+pub use client::{
+    nx_proxy_bind, nx_proxy_connect, retry_blocking, FleetRouter, NxListener, ProxyEnv,
+};
+pub use core::{RetryPolicy, REPLY_DEADLINE};
 pub use hook::{DialHook, DialInterposer, DialLeg};
 pub use inner::{InnerConfig, InnerServer};
 pub use liveness::{

@@ -33,7 +33,8 @@
 //! socket owner can do: serving rendezvous listeners, the relay
 //! table's idle reaper, and drain.
 
-use crate::core::{Event, OuterCore, OuterParams};
+use crate::client::retry_blocking;
+use crate::core::{Event, OuterCore, OuterParams, RetryPolicy};
 use crate::hook::DialHook;
 use crate::liveness::{AdmissionLimits, BreakerConfig, HeartbeatConfig};
 use crate::stats::ProxySnapshot;
@@ -45,7 +46,7 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wacs_sync::OrderedMutex;
 
 /// Outer server configuration.
@@ -242,16 +243,9 @@ impl OuterServer {
         // we wait for the table to empty (the wacs-check admission
         // model's no-admit-after-drain invariant).
         self.daemon.core.lock().begin_drain();
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.active_relays() == 0 {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            thread::sleep(Duration::from_millis(2)); // lint:allow(bare-sleep) — deadline-bounded poll.
-        }
+        let poll = RetryPolicy::within(timeout, Duration::from_millis(2));
+        let empty = |_| (self.active_relays() == 0).then_some(()).ok_or(());
+        retry_blocking(poll, empty, |_| true).is_ok()
     }
 }
 

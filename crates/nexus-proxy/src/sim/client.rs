@@ -15,9 +15,9 @@
 //!
 //! The relay chain can fail independently of the endpoints (outer
 //! server crash, WAN loss). One operation walks the fleet ladder once;
-//! when it ends refused the client machine starts another with bounded
-//! exponential backoff + jitter ([`RetryPolicy`], seeded via the
-//! world's [`netsim::rng::SimRng`], so recovery is deterministic), and
+//! when it ends refused the client machine starts another when
+//! [`Retry`] says so (bounded exponential backoff + jitter drawn from
+//! the world's [`netsim::rng::SimRng`], so recovery is deterministic), and
 //! re-issues its `BindReq` when the bind control flow drops — the
 //! owner sees [`NxEvent::BindLost`] (withdraw the advertised address)
 //! followed by a fresh [`NxEvent::Bound`] once the outer server is
@@ -25,7 +25,7 @@
 //! [`NxClient::on_timer`] (gate on [`NxClient::owns_timer`]).
 
 use super::{SimMsg, CTRL_MSG_BYTES};
-use crate::core::{ClientCore, ClientOp, Outcome, Step};
+use crate::core::{ClientCore, ClientOp, Outcome, Retry, RetryPolicy, Step};
 use crate::liveness::{BreakerConfig, BreakerState};
 use netsim::prelude::*;
 use std::collections::HashMap;
@@ -61,33 +61,6 @@ impl SimProxyEnv {
     pub fn via(outer: (NodeId, u16)) -> Self {
         SimProxyEnv {
             members: vec![outer],
-        }
-    }
-}
-
-/// Bounded-retry knobs for dials and control round trips. Backoff for
-/// attempt `n` (1-based) is uniform jitter in `[cap/2, cap]` with
-/// `cap = min(base_backoff << (n-1), max_backoff)`.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total dial attempts per logical operation before giving up.
-    pub max_attempts: u32,
-    /// Backoff cap after the first failure.
-    pub base_backoff: SimDuration,
-    /// Upper bound on the backoff cap.
-    pub max_backoff: SimDuration,
-    /// How long to wait for a `ConnectRep`/`BindRep` on an established
-    /// control flow before abandoning it and retrying.
-    pub reply_deadline: SimDuration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 6,
-            base_backoff: SimDuration::from_millis(40),
-            max_backoff: SimDuration::from_secs(1),
-            reply_deadline: SimDuration::from_secs(2),
         }
     }
 }
@@ -146,11 +119,11 @@ enum Goal {
 enum Pending {
     /// A plain connect (direct mode, or straight to a rendezvous
     /// address): the flow itself is the result.
-    Direct { goal: Goal, attempt: u32 },
+    Direct { goal: Goal, retry: Retry },
     /// One rung of a proxied operation: `send` goes out once connected.
     Rung {
         goal: Goal,
-        attempt: u32,
+        retry: Retry,
         op: ClientOp<NodeId>,
         send: SimMsg,
     },
@@ -158,8 +131,8 @@ enum Pending {
 
 /// Deferred work attached to a timer token.
 enum RetryAction {
-    /// Start operation number `attempt` for `goal`.
-    Start { goal: Goal, attempt: u32 },
+    /// Start the next operation for `goal`.
+    Start { goal: Goal, retry: Retry },
     /// No reply on `flow` within the policy's deadline.
     Deadline { flow: FlowId },
 }
@@ -167,7 +140,7 @@ enum RetryAction {
 /// A control flow awaiting its `ConnectRep`/`BindRep`.
 struct Awaiting {
     goal: Goal,
-    attempt: u32,
+    retry: Retry,
     op: ClientOp<NodeId>,
     deadline_token: u64,
 }
@@ -185,8 +158,8 @@ struct ClientObs {
 
 /// The embedded client state machine: the event-driven driver of
 /// [`ClientCore`]. The core decides where every operation dials and how
-/// it ends; this machine owns what only an event-driven owner needs —
-/// pacing between operations ([`RetryPolicy`]), reply deadlines,
+/// it ends, and [`Retry`] whether and when another starts; this machine
+/// owns what only an event-driven owner needs — the timers for both,
 /// re-binding after a lost registration, segmentation, spans.
 pub struct NxClient {
     /// `None` in direct mode.
@@ -202,7 +175,6 @@ pub struct NxClient {
     timers: HashMap<u64, RetryAction>,
     next_itoken: u64,
     retries: u64,
-    rebinds: u64,
     obs: Option<ClientObs>,
     /// user token → when its `connect()` was issued (span bookkeeping;
     /// survives retries because retries keep the user token).
@@ -216,7 +188,7 @@ pub struct NxClient {
 
 impl NxClient {
     pub fn new(env: SimProxyEnv) -> Self {
-        Self::with_policy(env, RetryPolicy::default())
+        Self::with_policy(env, RetryPolicy::DEFAULT)
     }
 
     pub fn with_policy(env: SimProxyEnv, policy: RetryPolicy) -> Self {
@@ -230,7 +202,6 @@ impl NxClient {
             timers: HashMap::new(),
             next_itoken: NX_TOKEN_BASE,
             retries: 0,
-            rebinds: 0,
             obs: None,
             connect_started: HashMap::new(),
             bind_started: None,
@@ -295,15 +266,6 @@ impl NxClient {
         self
     }
 
-    /// Install a strictly newer fleet membership (relayed from a
-    /// `ShardSync` or pushed by the harness). Breakers of unchanged
-    /// shards keep their state.
-    pub fn fleet_install(&mut self, generation: u64, members: Vec<(NodeId, u16)>) -> bool {
-        self.core
-            .as_mut()
-            .is_some_and(|core| core.install(generation, members))
-    }
-
     /// Current fleet-map generation (0 in direct mode).
     pub fn fleet_generation(&self) -> u64 {
         self.core.as_ref().map_or(0, ClientCore::generation)
@@ -324,18 +286,9 @@ impl NxClient {
         }
     }
 
-    pub fn set_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
     /// Retry attempts scheduled so far (dial retries + re-binds).
     pub fn retries(&self) -> u64 {
         self.retries
-    }
-
-    /// Automatic re-binds after a lost bind control flow.
-    pub fn rebinds(&self) -> u64 {
-        self.rebinds
     }
 
     fn itoken(&mut self) -> u64 {
@@ -350,26 +303,18 @@ impl NxClient {
         token >= NX_TOKEN_BASE
     }
 
-    /// Jittered exponential backoff after failed attempt `attempt`
-    /// (1-based): uniform in `[cap/2, cap]`.
-    fn backoff_delay(&mut self, ctx: &mut Ctx<'_>, attempt: u32) -> SimDuration {
-        let base = self.policy.base_backoff.nanos().max(1);
-        let shift = attempt.saturating_sub(1).min(20);
-        let cap = (base << shift).min(self.policy.max_backoff.nanos().max(1));
-        let half = cap / 2;
-        SimDuration(half + ctx.rng().below(cap - half + 1))
-    }
-
-    fn schedule(&mut self, ctx: &mut Ctx<'_>, delay: SimDuration, action: RetryAction) {
+    fn schedule(&mut self, ctx: &mut Ctx<'_>, delay: SimDuration, action: RetryAction) -> u64 {
         let tok = self.itoken();
         self.timers.insert(tok, action);
         ctx.set_timer(delay, tok);
+        tok
     }
 
-    /// Operation number `attempt` failed: start another after a
-    /// backoff, or give up with `Refused` / `BindFailed`.
-    fn retry(&mut self, ctx: &mut Ctx<'_>, goal: Goal, attempt: u32) -> NxHandled {
-        if attempt >= self.policy.max_attempts {
+    /// The operation under way failed: start another when `retry`
+    /// says, or give up with `Refused` / `BindFailed`.
+    fn retry(&mut self, ctx: &mut Ctx<'_>, goal: Goal, mut retry: Retry) -> NxHandled {
+        let now = ctx.now().nanos();
+        let Some(at) = retry.failed(now, |n| ctx.rng().below(n)) else {
             return NxHandled::Event(match goal {
                 Goal::Connect { user_token, .. } => {
                     self.finish_connect_span(user_token, ctx.now());
@@ -380,41 +325,44 @@ impl NxClient {
                     NxEvent::BindFailed
                 }
             });
-        }
+        };
         self.retries += 1;
         if let Some(o) = &self.obs {
             o.retries.inc();
         }
-        let delay = self.backoff_delay(ctx, attempt);
-        let attempt = attempt + 1;
-        self.schedule(ctx, delay, RetryAction::Start { goal, attempt });
+        self.schedule(
+            ctx,
+            SimDuration(at - now),
+            RetryAction::Start { goal, retry },
+        );
         NxHandled::Consumed
     }
 
-    /// Start operation number `attempt` for `goal`.
-    fn start(&mut self, ctx: &mut Ctx<'_>, goal: Goal, attempt: u32) -> NxHandled {
+    /// Start an operation for `goal`: the first when `retry` is `None`.
+    fn start(&mut self, ctx: &mut Ctx<'_>, goal: Goal, retry: Option<Retry>) -> NxHandled {
         let now = ctx.now().nanos();
+        let retry = retry.unwrap_or_else(|| Retry::new(self.policy, now));
         let (op, step) = match (&mut self.core, goal) {
             (Some(core), Goal::Connect { dst, .. }) => core.connect(now, dst),
             (Some(core), Goal::Bind { client_port }) => {
                 core.bind(now, (ctx.host(), client_port), self.bind_lane)
             }
-            (None, Goal::Connect { dst, .. }) => return self.dial_direct(ctx, goal, attempt, dst),
+            (None, Goal::Connect { dst, .. }) => return self.dial_direct(ctx, goal, retry, dst),
             // A direct bind completes inside `bind()`.
             (None, Goal::Bind { .. }) => return NxHandled::Consumed,
         };
-        self.advance(ctx, goal, attempt, op, step)
+        self.advance(ctx, goal, retry, op, step)
     }
 
     fn dial_direct(
         &mut self,
         ctx: &mut Ctx<'_>,
         goal: Goal,
-        attempt: u32,
+        retry: Retry,
         to: (NodeId, u16),
     ) -> NxHandled {
         let tok = self.itoken();
-        self.pending.insert(tok, Pending::Direct { goal, attempt });
+        self.pending.insert(tok, Pending::Direct { goal, retry });
         ctx.connect(to, tok);
         NxHandled::Consumed
     }
@@ -424,17 +372,17 @@ impl NxClient {
         &mut self,
         ctx: &mut Ctx<'_>,
         goal: Goal,
-        attempt: u32,
+        retry: Retry,
         op: ClientOp<NodeId>,
         step: Step<NodeId>,
     ) -> NxHandled {
         match step {
-            Step::Direct { to } => self.dial_direct(ctx, goal, attempt, to),
+            Step::Direct { to } => self.dial_direct(ctx, goal, retry, to),
             Step::Dial { to, send, .. } => {
                 let tok = self.itoken();
                 let rung = Pending::Rung {
                     goal,
-                    attempt,
+                    retry,
                     op,
                     send,
                 };
@@ -444,7 +392,7 @@ impl NxClient {
             }
             // A typed refusal (or nobody left to dial): the policy
             // decides whether another operation starts.
-            Step::Done(_) => self.retry(ctx, goal, attempt),
+            Step::Done(_) => self.retry(ctx, goal, retry),
         }
     }
 
@@ -454,15 +402,15 @@ impl NxClient {
         &mut self,
         ctx: &mut Ctx<'_>,
         goal: Goal,
-        attempt: u32,
+        retry: Retry,
         mut op: ClientOp<NodeId>,
         report: fn(&mut ClientCore<NodeId>, &mut ClientOp<NodeId>, u64) -> Step<NodeId>,
     ) -> NxHandled {
         let Some(core) = &mut self.core else {
-            return self.retry(ctx, goal, attempt);
+            return self.retry(ctx, goal, retry);
         };
         let step = report(core, &mut op, ctx.now().nanos());
-        self.advance(ctx, goal, attempt, op, step)
+        self.advance(ctx, goal, retry, op, step)
     }
 
     /// `NXProxyConnect`: connect to `dst`, directly or via the outer
@@ -476,7 +424,7 @@ impl NxClient {
         if self.obs.is_some() {
             self.connect_started.insert(user_token, ctx.now());
         }
-        self.start(ctx, Goal::Connect { user_token, dst }, 1);
+        self.start(ctx, Goal::Connect { user_token, dst }, None);
     }
 
     /// `NXProxyBind`: start listening. Returns `Some(advertised)`
@@ -496,7 +444,7 @@ impl NxClient {
             Some((ctx.host(), port))
         } else {
             self.bind_started = Some(ctx.now());
-            self.start(ctx, Goal::Bind { client_port: port }, 1);
+            self.start(ctx, Goal::Bind { client_port: port }, None);
             None
         }
     }
@@ -534,11 +482,11 @@ impl NxClient {
     /// every token where [`NxClient::owns_timer`] is true).
     pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> NxHandled {
         match self.timers.remove(&token) {
-            Some(RetryAction::Start { goal, attempt }) => self.start(ctx, goal, attempt),
+            Some(RetryAction::Start { goal, retry }) => self.start(ctx, goal, Some(retry)),
             Some(RetryAction::Deadline { flow }) => match self.awaiting.remove(&flow) {
                 Some(a) => {
                     ctx.close(flow);
-                    self.rung_failed(ctx, a.goal, a.attempt, a.op, ClientCore::session_died)
+                    self.rung_failed(ctx, a.goal, a.retry, a.op, ClientCore::session_died)
                 }
                 None => NxHandled::Consumed,
             },
@@ -563,18 +511,18 @@ impl NxClient {
                     }
                     Some(Pending::Rung {
                         goal,
-                        attempt,
+                        retry,
                         op,
                         send,
                     }) => {
                         let _ = ctx.send(flow, CTRL_MSG_BYTES, send);
-                        let deadline_token = self.itoken();
-                        self.timers
-                            .insert(deadline_token, RetryAction::Deadline { flow });
-                        ctx.set_timer(self.policy.reply_deadline, deadline_token);
+                        let deadline = retry.reply_deadline(ctx.now().nanos());
+                        let deadline = SimDuration::from_nanos(deadline.as_nanos() as u64);
+                        let deadline_token =
+                            self.schedule(ctx, deadline, RetryAction::Deadline { flow });
                         let waiting = Awaiting {
                             goal,
-                            attempt,
+                            retry,
                             op,
                             deadline_token,
                         };
@@ -586,10 +534,10 @@ impl NxClient {
             }
             FlowEvent::Refused { token, .. } if token >= NX_TOKEN_BASE => {
                 match self.pending.remove(&token) {
-                    Some(Pending::Direct { goal, attempt }) => self.retry(ctx, goal, attempt),
+                    Some(Pending::Direct { goal, retry }) => self.retry(ctx, goal, retry),
                     Some(Pending::Rung {
-                        goal, attempt, op, ..
-                    }) => self.rung_failed(ctx, goal, attempt, op, ClientCore::dial_failed),
+                        goal, retry, op, ..
+                    }) => self.rung_failed(ctx, goal, retry, op, ClientCore::dial_failed),
                     None => NxHandled::Consumed,
                 }
             }
@@ -605,7 +553,7 @@ impl NxClient {
                     return NxHandled::Consumed;
                 };
                 self.timers.remove(&a.deadline_token);
-                self.rung_failed(ctx, a.goal, a.attempt, a.op, ClientCore::session_died)
+                self.rung_failed(ctx, a.goal, a.retry, a.op, ClientCore::session_died)
             }
             FlowEvent::Closed { flow, .. } if self.bind_ctrl == Some(flow) => {
                 // The outer server crashed (or withdrew us): the
@@ -613,14 +561,13 @@ impl NxClient {
                 // private port and tell the owner the old address died.
                 self.bind_ctrl = None;
                 if let (Some(client_port), true) = (self.private_port, self.core.is_some()) {
-                    self.rebinds += 1;
                     self.retries += 1;
                     if let Some(o) = &self.obs {
                         o.rebinds.inc();
                         o.retries.inc();
                     }
                     self.bind_started = Some(ctx.now());
-                    self.start(ctx, Goal::Bind { client_port }, 1);
+                    self.start(ctx, Goal::Bind { client_port }, None);
                 }
                 NxHandled::Event(NxEvent::BindLost)
             }
@@ -667,7 +614,7 @@ impl NxClient {
             // A refusal, or a redirect to follow: this flow is done.
             (next, goal) => {
                 ctx.close(flow);
-                self.advance(ctx, goal, a.attempt, a.op, next)
+                self.advance(ctx, goal, a.retry, a.op, next)
             }
         }
     }

@@ -14,7 +14,7 @@ pub mod inner;
 pub mod outer;
 pub mod stripe;
 
-pub use client::{NxClient, NxEvent, NxHandled, RetryPolicy, SimProxyEnv};
+pub use client::{NxClient, NxEvent, NxHandled, SimProxyEnv};
 pub use inner::SimInnerServer;
 pub use outer::SimOuterServer;
 pub use stripe::{stripe_cell, StripeCell, StripeCellState, StripeSenderActor, StripeSinkActor};

@@ -8,8 +8,10 @@
 use firewall::vnet::VNet;
 use firewall::{Policy, NXPORT, OUTER_PORT};
 use netsim::SimRng;
+use nexus_proxy::core::{shard_map, HostId};
 use nexus_proxy::{
-    nx_proxy_bind, nx_proxy_connect, InnerConfig, InnerServer, OuterConfig, OuterServer, ProxyEnv,
+    nx_proxy_bind, nx_proxy_connect, BreakerConfig, FleetRouter, InnerConfig, InnerServer,
+    OuterConfig, OuterServer, ProxyEnv, REPLY_DEADLINE,
 };
 use std::io::{Read, Write};
 use std::thread;
@@ -254,4 +256,105 @@ fn many_concurrent_relays() {
         assert!(Instant::now() < deadline, "relay table did not drain");
         thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// An outer server that accepts, takes the request and never answers.
+fn silent_outer(net: &VNet, host: &str) {
+    let l = net.bind(host, OUTER_PORT).unwrap();
+    thread::spawn(move || {
+        let mut held = Vec::new();
+        while let Ok((s, _)) = l.accept() {
+            held.push(s);
+        }
+    });
+}
+
+/// `f` on its own thread, failed (not hung) if it is not done in `limit`.
+fn watchdog<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("still blocked after {limit:?}"))
+}
+
+#[test]
+fn a_silent_outer_server_fails_connect_and_bind_at_the_reply_deadline() {
+    let net = VNet::new();
+    let dmz = net.add_site("dmz", None);
+    for h in ["edge", "silent", "etl-sun"] {
+        net.add_host(h, dmz);
+    }
+    silent_outer(&net, "silent");
+    let env = ProxyEnv::via("silent", OUTER_PORT);
+    let t0 = Instant::now();
+    let (connect, bind) = watchdog(REPLY_DEADLINE + Duration::from_secs(3), move || {
+        let (net2, env2) = (net.clone(), env.clone());
+        let connect = thread::spawn(move || {
+            nx_proxy_connect(&net2, &env2, "edge", ("etl-sun", 7000)).map(|_| ())
+        });
+        let bind = nx_proxy_bind(&net, &env, "edge").map(|_| ());
+        (connect.join().unwrap(), bind)
+    });
+    assert!(
+        t0.elapsed() >= REPLY_DEADLINE,
+        "gave up early: {:?}",
+        t0.elapsed()
+    );
+    for res in [connect, bind] {
+        assert_eq!(res.unwrap_err().kind(), std::io::ErrorKind::TimedOut);
+    }
+}
+
+#[test]
+fn connects_owned_by_a_silent_shard_are_served_by_the_live_one() {
+    let tb = testbed();
+    let dmz = tb.net.host_site("rwcp-outer").unwrap();
+    tb.net.add_host("silent", dmz);
+    silent_outer(&tb.net, "silent");
+    let members = vec![
+        ("silent".to_string(), OUTER_PORT),
+        ("rwcp-outer".to_string(), OUTER_PORT),
+    ];
+    // Destination ports whose ladder starts at the silent member.
+    let map = shard_map(1, &members);
+    let dst = "etl-sun".to_string();
+    let ports: Vec<u16> = (7000..8000)
+        .filter(|p| map.owner(&dst.shard_key(*p)) == Some(0))
+        .take(2)
+        .collect();
+    let env = ProxyEnv::via_fleet(FleetRouter::new(members, BreakerConfig::default()));
+    for &port in &ports {
+        let l = tb.net.bind("etl-sun", port).unwrap();
+        thread::spawn(move || {
+            let (mut s, _) = l.accept().unwrap();
+            let mut b = [0u8; 4];
+            s.read_exact(&mut b).unwrap();
+            s.write_all(&b).unwrap();
+        });
+    }
+    let net = tb.net.clone();
+    let t0 = Instant::now();
+    watchdog(REPLY_DEADLINE + Duration::from_secs(5), move || {
+        let calls: Vec<_> = ports
+            .into_iter()
+            .map(|port| {
+                let (net, env) = (net.clone(), env.clone());
+                thread::spawn(move || {
+                    let mut s = nx_proxy_connect(&net, &env, "rwcp-sun", ("etl-sun", port))?;
+                    s.write_all(b"ping")?;
+                    let mut b = [0u8; 4];
+                    s.read_exact(&mut b)?;
+                    Ok::<_, std::io::Error>(b)
+                })
+            })
+            .collect();
+        for call in calls {
+            assert_eq!(&call.join().unwrap().unwrap(), b"ping");
+        }
+    });
+    assert!(
+        t0.elapsed() >= REPLY_DEADLINE,
+        "the silent shard was not asked"
+    );
+    assert_eq!(tb._outer.stats().connects_ok, 2);
 }

@@ -6,7 +6,7 @@ use crate::endpoint::Endpoint;
 use crate::ports::{PortAllocator, PortPolicy};
 use crate::startpoint::{InProcExchange, Startpoint};
 use firewall::vnet::VNet;
-use nexus_proxy::ProxyEnv;
+use nexus_proxy::{retry_blocking, ProxyEnv, RetryPolicy};
 use std::io;
 use std::sync::Arc;
 
@@ -93,29 +93,15 @@ impl NexusContext {
         Startpoint::attach(self, dst)
     }
 
-    /// Attach with retries — MPI-style startup where the peer's
-    /// endpoint may not exist yet.
-    pub fn attach_retry(
-        &self,
-        dst: (&str, u16),
-        attempts: u32,
-        delay: std::time::Duration,
-    ) -> io::Result<Startpoint> {
-        let mut last = None;
-        for _ in 0..attempts.max(1) {
-            match self.attach(dst) {
-                Ok(sp) => return Ok(sp),
-                Err(e) => {
-                    // Firewall denials are never transient; fail fast.
-                    if e.kind() == io::ErrorKind::PermissionDenied {
-                        return Err(e);
-                    }
-                    last = Some(e);
-                    std::thread::sleep(delay); // lint:allow(bare-sleep) — bounded retry backoff.
-                }
-            }
-        }
-        Err(last.unwrap_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "attach failed")))
+    /// Attach with retries under `policy` — MPI-style startup where the
+    /// peer's endpoint may not exist yet. Firewall denials are never
+    /// transient: they fail at once.
+    pub fn attach_retry(&self, dst: (&str, u16), policy: RetryPolicy) -> io::Result<Startpoint> {
+        retry_blocking(
+            policy,
+            |_| self.attach(dst),
+            |e: &io::Error| e.kind() != io::ErrorKind::PermissionDenied,
+        )
     }
 
     pub(crate) fn next_listen_candidates(&self) -> Vec<u16> {

@@ -199,7 +199,8 @@ mod tests {
         let net = w.net.clone();
         let t = std::thread::spawn(move || {
             let client = NexusContext::direct(net, "etl-sun");
-            client.attach_retry(("etl-sun", 9009), 100, Duration::from_millis(5))
+            let policy = nexus_proxy::RetryPolicy::steps(100, Duration::from_millis(5));
+            client.attach_retry(("etl-sun", 9009), policy)
         });
         std::thread::sleep(Duration::from_millis(50));
         // Bind late, directly on the known port.

@@ -14,6 +14,7 @@ use crate::rsl::{self, JobRequest};
 use crate::wire::{Record, RecordServer};
 use firewall::vnet::VNet;
 use firewall::GATEKEEPER_PORT;
+use nexus_proxy::{retry_blocking, RetryPolicy};
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,6 +146,11 @@ fn handle(ctx: &Arc<GkCtx>, req: &Record) -> Record {
     }
 }
 
+/// How long a job waits for busy resources: placement is re-asked every
+/// 10 ms for 120 s.
+const BUSY_WAIT: RetryPolicy =
+    RetryPolicy::within(Duration::from_secs(120), Duration::from_millis(10));
+
 /// The job manager thread: "The job manager invoked by the gatekeeper
 /// creates a Q client process" and drives it to completion.
 fn job_manager(ctx: Arc<GkCtx>, job: JobId, req: JobRequest) {
@@ -169,20 +175,11 @@ fn job_manager(ctx: Arc<GkCtx>, job: JobId, req: JobRequest) {
     // frees up. Requests that can never fit (beyond total capacity)
     // fail immediately rather than queue forever; transport-level
     // retry lives inside `QClient::allocate` itself.
-    let allocs = {
-        let deadline = std::time::Instant::now() + Duration::from_secs(120);
-        loop {
-            match qc.allocate(&req) {
-                Ok(a) => break a,
-                Err(e @ RmfError::Busy(_)) => {
-                    if std::time::Instant::now() > deadline {
-                        return fail(format!("allocation timed out: {e}"));
-                    }
-                    thread::sleep(Duration::from_millis(10)); // lint:allow(bare-sleep) — deadline-bounded retry.
-                }
-                Err(e) => return fail(format!("allocation failed: {e}")),
-            }
-        }
+    let busy = |e: &RmfError| matches!(e, RmfError::Busy(_));
+    let allocs = match retry_blocking(BUSY_WAIT, |_| qc.allocate(&req), busy) {
+        Ok(a) => a,
+        Err(e) if busy(&e) => return fail(format!("allocation timed out: {e}")),
+        Err(e) => return fail(format!("allocation failed: {e}")),
     };
     let placed = match qc.submit(job, &req, allocs) {
         Ok(p) => p,
@@ -260,7 +257,7 @@ pub fn job_status(
     Ok((state, exit, stdout))
 }
 
-/// Client-side helper: wait for a terminal state.
+/// Client-side helper: wait (polling every 5 ms) for a terminal state.
 pub fn wait_job(
     net: &VNet,
     from_host: &str,
@@ -268,18 +265,14 @@ pub fn wait_job(
     job: JobId,
     timeout: Duration,
 ) -> io::Result<(JobState, i32, Vec<String>)> {
-    let deadline = std::time::Instant::now() + timeout;
-    loop {
-        let (state, exit, stdout) = job_status(net, from_host, gk, job)?;
-        if state.is_terminal() {
-            return Ok((state, exit, stdout));
-        }
-        if std::time::Instant::now() > deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "job never finished",
-            ));
-        }
-        thread::sleep(Duration::from_millis(5)); // lint:allow(bare-sleep) — deadline-bounded poll.
-    }
+    let poll = RetryPolicy::within(timeout, Duration::from_millis(5));
+    // `Err(None)`: not finished yet.
+    let done = |_| match job_status(net, from_host, gk, job) {
+        Ok(st) if st.0.is_terminal() => Ok(st),
+        Ok(_) => Err(None),
+        Err(e) => Err(Some(e)),
+    };
+    retry_blocking(poll, done, Option::is_none).map_err(|e| {
+        e.unwrap_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "job never finished"))
+    })
 }

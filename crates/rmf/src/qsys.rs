@@ -11,6 +11,7 @@ use crate::job::{FlowTrace, JobId, JobState};
 use crate::rsl::JobRequest;
 use crate::wire::{Record, RecordServer};
 use firewall::vnet::VNet;
+use nexus_proxy::{retry_blocking, RetryPolicy};
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
@@ -216,26 +217,10 @@ fn handle(ctx: &Arc<QServerCtx>, req: &Record) -> Record {
     }
 }
 
-/// Retry knobs for allocator RPCs: transient transport failures (the
-/// daemon restarting, a connection reset mid-exchange) are retried
-/// with a fixed backoff until `deadline`, then surface as
-/// [`RmfError::Timeout`] naming the last underlying error.
-#[derive(Debug, Clone, Copy)]
-pub struct RpcRetry {
-    /// Total time budget across all attempts.
-    pub deadline: Duration,
-    /// Pause between attempts.
-    pub backoff: Duration,
-}
-
-impl Default for RpcRetry {
-    fn default() -> Self {
-        RpcRetry {
-            deadline: Duration::from_secs(2),
-            backoff: Duration::from_millis(10),
-        }
-    }
-}
+/// The allocator query's retry policy: transport failures are retried
+/// every 10 ms for 2 s, and no reply is awaited past those 2 s.
+const ALLOCATE_RETRY: RetryPolicy =
+    RetryPolicy::within(Duration::from_secs(2), Duration::from_millis(10));
 
 /// Registry handles for the Q client's RPC service times. These time
 /// the *real* wall-clock path (threads + virtual sockets), so they are
@@ -259,7 +244,7 @@ pub struct QClient {
     allocator_host: String,
     gass: GassStore,
     trace: FlowTrace,
-    rpc_retry: RpcRetry,
+    rpc_retry: RetryPolicy,
     obs: Option<QClientObs>,
 }
 
@@ -285,14 +270,14 @@ impl QClient {
             allocator_host: allocator_host.into(),
             gass,
             trace,
-            rpc_retry: RpcRetry::default(),
+            rpc_retry: ALLOCATE_RETRY,
             obs: None,
         }
     }
 
-    /// Override the allocator-RPC retry policy.
+    /// Override the allocator query's retry policy.
     #[must_use]
-    pub fn with_rpc_retry(mut self, rpc_retry: RpcRetry) -> QClient {
+    pub fn with_rpc_retry(mut self, rpc_retry: RetryPolicy) -> QClient {
         self.rpc_retry = rpc_retry;
         self
     }
@@ -312,55 +297,52 @@ impl QClient {
 
     /// Ask the allocator where to run (Fig. 2 steps 3-4).
     ///
-    /// Transient transport failures (refused dial while the daemon
-    /// restarts, reset mid-exchange, EOF before a reply) are retried
-    /// until the [`RpcRetry`] deadline, then reported as
+    /// Transport failures (refused dial while the daemon restarts,
+    /// reset mid-exchange, EOF or silence before a reply) are retried
+    /// under the query's [`RetryPolicy`], then reported as
     /// [`RmfError::Timeout`]. Daemon refusals come back typed:
     /// [`RmfError::Busy`] is worth re-asking later,
     /// [`RmfError::Capacity`] never is.
     pub fn allocate(&self, req: &JobRequest) -> Result<Vec<Allocation>, RmfError> {
         let start = std::time::Instant::now();
-        let res = self.allocate_loop(req, start);
+        // Malformed data and daemon refusals are not transport flakes;
+        // retrying cannot change the answer.
+        let flake = |e: &io::Error| e.kind() != io::ErrorKind::InvalidData;
+        let mut attempts = 0;
+        let res = retry_blocking(
+            self.rpc_retry,
+            |reply_deadline| {
+                attempts += 1;
+                self.try_allocate(req, reply_deadline)
+            },
+            |e| matches!(e, RmfError::Io(e) if flake(e)),
+        )
+        .map_err(|e| match e {
+            RmfError::Io(last) if flake(&last) => RmfError::Timeout {
+                what: "allocator query",
+                elapsed: start.elapsed(),
+                last,
+            },
+            e => e,
+        });
         if let Some(o) = &self.obs {
+            o.rpc_retries.add(attempts - 1);
             o.allocate_ns.record(start.elapsed().as_nanos() as u64);
         }
         res
     }
 
-    /// The retry loop behind [`QClient::allocate`], with the caller's
-    /// start instant so the deadline spans the whole call.
-    fn allocate_loop(
+    /// One allocator round trip, waiting at most `reply_deadline` for
+    /// the answer.
+    fn try_allocate(
         &self,
         req: &JobRequest,
-        start: std::time::Instant,
+        reply_deadline: Duration,
     ) -> Result<Vec<Allocation>, RmfError> {
-        loop {
-            let last = match self.try_allocate(req) {
-                Ok(allocs) => return Ok(allocs),
-                // Malformed data and daemon refusals are not transport
-                // flakes; retrying cannot change the answer.
-                Err(RmfError::Io(e)) if e.kind() != io::ErrorKind::InvalidData => e,
-                Err(e) => return Err(e),
-            };
-            if start.elapsed() >= self.rpc_retry.deadline {
-                return Err(RmfError::Timeout {
-                    what: "allocator query",
-                    elapsed: start.elapsed(),
-                    last,
-                });
-            }
-            if let Some(o) = &self.obs {
-                o.rpc_retries.inc();
-            }
-            thread::sleep(self.rpc_retry.backoff); // lint:allow(bare-sleep) — bounded RPC retry backoff.
-        }
-    }
-
-    /// One allocator round trip.
-    fn try_allocate(&self, req: &JobRequest) -> Result<Vec<Allocation>, RmfError> {
         let mut s = self
             .net
             .dial(&self.host, &self.allocator_host, ALLOCATOR_PORT)?;
+        s.set_read_timeout(Some(reply_deadline))?;
         let mut q = Record::new("query").with("count", req.count.to_string());
         for r in &req.resources {
             q.push("resource", r);
@@ -488,21 +470,17 @@ impl QClient {
         }
     }
 
-    /// Block (polling) until the job reaches a terminal state.
+    /// Block (polling every 5 ms) until the job reaches a terminal state.
     pub fn wait(&self, placed: &PlacedJob, timeout: Duration) -> io::Result<(JobState, i32)> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let (st, code) = self.status(placed)?;
-            if st.is_terminal() {
-                return Ok((st, code));
-            }
-            if std::time::Instant::now() > deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "job wait timed out",
-                ));
-            }
-            thread::sleep(Duration::from_millis(5)); // lint:allow(bare-sleep) — deadline-bounded poll.
-        }
+        let poll = RetryPolicy::within(timeout, Duration::from_millis(5));
+        // `Err(None)`: not finished yet.
+        let done = |_| match self.status(placed) {
+            Ok((st, code)) if st.is_terminal() => Ok((st, code)),
+            Ok(_) => Err(None),
+            Err(e) => Err(Some(e)),
+        };
+        retry_blocking(poll, done, Option::is_none).map_err(|e| {
+            e.unwrap_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "job wait timed out"))
+        })
     }
 }

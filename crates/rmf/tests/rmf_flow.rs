@@ -421,7 +421,8 @@ fn explicit_resource_placement() {
 /// (daemon not up yet) and only then reports a typed timeout.
 #[test]
 fn allocator_rpc_retry_recovers_from_late_daemon_and_times_out_typed() {
-    use rmf::qsys::{QClient, RpcRetry};
+    use nexus_proxy::RetryPolicy;
+    use rmf::qsys::QClient;
     use rmf::{JobRequest, RmfError};
 
     let req = JobRequest {
@@ -447,10 +448,10 @@ fn allocator_rpc_retry_recovers_from_late_daemon_and_times_out_typed() {
         GassStore::new(),
         FlowTrace::new(),
     )
-    .with_rpc_retry(RpcRetry {
-        deadline: Duration::from_millis(120),
-        backoff: Duration::from_millis(5),
-    });
+    .with_rpc_retry(RetryPolicy::within(
+        Duration::from_millis(120),
+        Duration::from_millis(5),
+    ));
     match qc.allocate(&req) {
         Err(RmfError::Timeout { what, elapsed, .. }) => {
             assert_eq!(what, "allocator query");
@@ -487,13 +488,68 @@ fn allocator_rpc_retry_recovers_from_late_daemon_and_times_out_typed() {
         GassStore::new(),
         FlowTrace::new(),
     )
-    .with_rpc_retry(RpcRetry {
-        deadline: Duration::from_secs(2),
-        backoff: Duration::from_millis(5),
-    });
+    .with_rpc_retry(RetryPolicy::within(
+        Duration::from_secs(2),
+        Duration::from_millis(5),
+    ));
     let allocs = qc.allocate(&req).expect("late daemon should be reached");
     assert_eq!(allocs.iter().map(|a| a.count).sum::<u32>(), 2);
     drop(starter.join().unwrap());
+}
+
+/// An allocator that accepts and never answers: the query's reads are
+/// bounded by what is left of its budget, so the call ends in a typed
+/// `Timeout` within the budget plus one step instead of blocking.
+#[test]
+fn a_silent_allocator_times_out_within_the_budget() {
+    use nexus_proxy::RetryPolicy;
+    use rmf::qsys::QClient;
+    use rmf::{JobRequest, RmfError};
+
+    let net = VNet::new();
+    let site = net.add_site("flat", None);
+    net.add_host("user-host", site);
+    net.add_host("alloc-host", site);
+    let silent = net.bind("alloc-host", ALLOCATOR_PORT).unwrap();
+    std::thread::spawn(move || {
+        let mut held = Vec::new();
+        while let Ok((s, _)) = silent.accept() {
+            held.push(s);
+        }
+    });
+    let (budget, step) = (Duration::from_millis(300), Duration::from_millis(10));
+    let qc = QClient::new(
+        net,
+        "user-host",
+        "alloc-host",
+        GassStore::new(),
+        FlowTrace::new(),
+    )
+    .with_rpc_retry(RetryPolicy::within(budget, step));
+    let req = JobRequest {
+        executable: "noop".into(),
+        count: 1,
+        arguments: vec![],
+        resources: vec![],
+        stage_in: vec![],
+        extras: vec![],
+    };
+    // Watchdog: fail instead of hanging if the read is unbounded.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(qc.allocate(&req)));
+    let res = rx
+        .recv_timeout(budget + Duration::from_secs(5))
+        .expect("allocate still blocked on a silent allocator");
+    match res {
+        Err(RmfError::Timeout { what, elapsed, .. }) => {
+            assert_eq!(what, "allocator query");
+            assert!(elapsed >= budget, "{elapsed:?}");
+            // Scheduler slack on top of budget + step.
+            let slack = Duration::from_millis(500);
+            assert!(elapsed < budget + step + slack, "{elapsed:?}");
+        }
+        other => panic!("expected Timeout, got {other:?}"),
+    }
 }
 
 /// Typed refusals: over-capacity is Capacity (never retry), busy is

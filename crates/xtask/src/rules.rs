@@ -62,6 +62,10 @@ pub enum Rule {
     /// A knapsack driver (`par.rs`, `sim.rs`) branching or returning
     /// surplus on its own instead of through `sched.rs` (see `wsrules`).
     SchedPlane,
+    /// Backoff or give-up arithmetic outside `core/retry.rs`: reading a
+    /// `RetryPolicy`'s `base_backoff`/`max_backoff`/`max_attempts`
+    /// instead of driving `Retry` (see `wsrules`).
+    RetryPlane,
 }
 
 pub const ALL: &[Rule] = &[
@@ -81,6 +85,7 @@ pub const ALL: &[Rule] = &[
     Rule::CorePurity,
     Rule::ClientPlane,
     Rule::SchedPlane,
+    Rule::RetryPlane,
 ];
 
 impl Rule {
@@ -102,6 +107,7 @@ impl Rule {
             Rule::CorePurity => "core-purity",
             Rule::ClientPlane => "client-plane",
             Rule::SchedPlane => "sched-plane",
+            Rule::RetryPlane => "retry-plane",
         }
     }
 
@@ -151,6 +157,10 @@ impl Rule {
             Rule::SchedPlane => {
                 "knapsack par.rs/sim.rs name no branch_once/back_send_count/\
                  effective_back_threshold; the scheduler is sched.rs"
+            }
+            Rule::RetryPlane => {
+                "only nexus-proxy core/retry.rs reads a RetryPolicy's base_backoff/\
+                 max_backoff/max_attempts; callers ask Retry"
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Workspace-level rules: analyses that need the whole file set (or
 //! files outside the library walk) rather than one file at a time.
 //!
-//! Six rules live here, all built on the token stream from
+//! Seven rules live here, all built on the token stream from
 //! [`crate::lexer`]:
 //!
 //! * **`lock-order`** — a static lock-order graph over every
@@ -42,6 +42,10 @@
 //!   (`knapsack/src/sched.rs`). Its drivers (`par.rs`, `sim.rs`) may
 //!   not name `branch_once`, `back_send_count` or
 //!   `effective_back_threshold`.
+//! * **`retry-plane`** — backoff and give-up arithmetic exist once
+//!   (`nexus-proxy/src/core/retry.rs`). No other non-test code reads a
+//!   `RetryPolicy`'s `base_backoff`, `max_backoff` or `max_attempts`;
+//!   a caller asks `Retry` when the next attempt starts.
 
 use crate::lexer::{lex, string_content, Token, TokenKind};
 use crate::rules::{test_region_lines, Rule, Violation};
@@ -94,6 +98,7 @@ pub fn analyze_workspace(
     check_core_purity(files, &mut violations);
     check_client_plane(files, &mut violations);
     check_sched_plane(files, &mut violations);
+    check_retry_plane(files, &mut violations);
 
     WsReport {
         violations,
@@ -923,6 +928,45 @@ fn check_sched_plane(files: &[(String, String)], out: &mut Vec<Violation>) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// retry-plane
+// ---------------------------------------------------------------------------
+
+/// The one home of backoff and give-up arithmetic.
+const RETRY_CORE: &str = "crates/nexus-proxy/src/core/retry.rs";
+
+/// Crates below `nexus-proxy` in the dependency graph cannot hold a
+/// `RetryPolicy`; netsim's transport retransmit has a `max_attempts`
+/// of its own.
+const RETRY_EXEMPT: &[&str] = &["crates/netsim/"];
+
+/// Reading one of these is computing a backoff or a give-up.
+const RETRY_FIELDS: &[&str] = &[".base_backoff", ".max_backoff", ".max_attempts"];
+
+/// A file that reads a policy's pacing fields has started a second
+/// retry loop.
+fn check_retry_plane(files: &[(String, String)], out: &mut Vec<Violation>) {
+    for (path, source) in files {
+        if path == RETRY_CORE || RETRY_EXEMPT.iter().any(|p| path.starts_with(p)) {
+            continue;
+        }
+        for (line, code) in &code_lines(source, code_tokens(source).into_iter()) {
+            if let Some(field) = RETRY_FIELDS.iter().find(|n| code.contains(*n)) {
+                out.push(Violation {
+                    path: path.clone(),
+                    line: *line,
+                    rule: Rule::RetryPlane,
+                    message: format!(
+                        "reads `{}` of a retry policy: backoff and give-up belong to \
+                         core/retry.rs (drive `Retry`)",
+                        &field[1..]
+                    ),
+                });
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1196,6 +1240,10 @@ fn step(now: u64) {
                 ),
                 ("crates/nexus-proxy/src/core/inner.rs", clean),
                 (
+                    "crates/nexus-proxy/src/core/retry.rs",
+                    "use std::time::{Duration, Instant};\n",
+                ),
+                (
                     "crates/knapsack/src/sched.rs",
                     "use gridmpi::Comm;\nuse crate::instance::Instance;\n",
                 ),
@@ -1221,6 +1269,7 @@ fn step(now: u64) {
                 ("crates/nexus-proxy/src/core.rs", 7),
                 ("crates/nexus-proxy/src/core.rs", 7),
                 ("crates/nexus-proxy/src/core/outer.rs", 1),
+                ("crates/nexus-proxy/src/core/retry.rs", 1),
                 ("crates/knapsack/src/sched.rs", 1),
             ],
             "{:?}",
@@ -1267,6 +1316,48 @@ mod tests {
             "{:?}",
             r.violations
         );
+    }
+
+    #[test]
+    fn retry_plane_flags_backoff_arithmetic_outside_the_core() {
+        let caller = r#"
+fn delay(p: &RetryPolicy, n: u32) -> Option<u64> {
+    let base = p.base_backoff.as_nanos() as u64;
+    // p.max_backoff in a comment is fine; so is setting the fields.
+    if n >= p.max_attempts { return None; }
+    let _ = RetryPolicy { max_attempts: 1, ..RetryPolicy::DEFAULT };
+    Some(base.min(p.max_backoff.as_nanos() as u64))
+}
+#[cfg(test)]
+mod tests {
+    fn t(p: RetryPolicy) -> u32 { p.max_attempts }
+}
+"#;
+        let r = ws(
+            &[
+                ("crates/nexus-proxy/src/sim/client.rs", caller),
+                ("crates/rmf/src/qsys.rs", caller),
+                // The core may; netsim's retransmit is not a RetryPolicy.
+                ("crates/nexus-proxy/src/core/retry.rs", caller),
+                ("crates/netsim/src/engine.rs", caller),
+            ],
+            Some(""),
+            Some(""),
+        );
+        let hits: Vec<(&str, usize)> = r
+            .violations
+            .iter()
+            .filter(|v| v.rule == Rule::RetryPlane)
+            .map(|v| (v.path.as_str(), v.line))
+            .collect();
+        let mut want = Vec::new();
+        for path in [
+            "crates/nexus-proxy/src/sim/client.rs",
+            "crates/rmf/src/qsys.rs",
+        ] {
+            want.extend([3, 5, 7].map(|line| (path, line)));
+        }
+        assert_eq!(hits, want, "{:?}", r.violations);
     }
 
     #[test]
