@@ -4,7 +4,7 @@ use crate::packet::Packet;
 use nexus::{Endpoint, NexusContext, Startpoint};
 use nexus_proxy::stripe::{Accept, LaneSink, Reassembler, StripeFrame, StripePlan, StripeStats};
 use nexus_proxy::RetryPolicy;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -60,6 +60,15 @@ struct PeerLink {
     next_seq: u64,
 }
 
+/// Receive-side order of one source's sequenced frames.
+#[derive(Default)]
+struct SourceOrder {
+    /// Highest sequence delivered; every lower one was delivered too.
+    last: u64,
+    /// Frames that arrived ahead of a gap, by sequence.
+    ahead: BTreeMap<u64, Packet>,
+}
+
 /// Registry handles for a communicator's message path. Shared across
 /// ranks when they share a registry, so the histograms aggregate the
 /// whole world's traffic. Wall-clock timings — diagnostics, not
@@ -101,7 +110,10 @@ impl CommObs {
 /// retransmitted once on a fresh attachment with the *same* sequence
 /// number, and receivers drop any frame whose sequence they have
 /// already accepted — so a frame that made it through both the dying
-/// and the fresh connection is delivered exactly once, in order.
+/// and the fresh connection is delivered exactly once. The two
+/// connections are read by separate threads, so the fresh one can
+/// overtake the old one's tail; receivers hold a frame that arrives
+/// ahead of a gap until the gap fills, so delivery stays in order.
 pub struct Comm {
     rank: u32,
     size: u32,
@@ -114,10 +126,10 @@ pub struct Comm {
     /// Messages received but not yet matched (MPI's unexpected-message
     /// queue).
     stash: OrderedMutex<VecDeque<Packet>>,
-    /// Highest sequence accepted from each source (dedup after a
-    /// sender-side retransmit). Valid because per-pair sends are
-    /// sequential and each connection is FIFO.
-    last_seq: OrderedMutex<Vec<u64>>,
+    /// Per-source delivery order (dedup after a sender-side
+    /// retransmit, reorder across a reconnect). Per-pair sends are
+    /// numbered without gaps, so a gap is a frame still in flight.
+    order: OrderedMutex<Vec<SourceOrder>>,
     epoch: Instant,
     /// Diagnostics.
     sent: OrderedMutex<u64>,
@@ -127,7 +139,7 @@ pub struct Comm {
     /// Sends that needed the reconnect-and-retransmit path.
     resends: OrderedMutex<u64>,
     /// In-flight striped transfers, keyed by `(src, transfer)`. The
-    /// stripe transport bypasses `last_seq` (parallel flows break the
+    /// stripe transport bypasses `order` (parallel flows break the
     /// FIFO-per-pair assumption that dedup relies on); the reassembler
     /// dedups per chunk offset instead.
     stripe_rx: OrderedMutex<HashMap<(u32, u64), Reassembler>>,
@@ -170,7 +182,10 @@ impl Comm {
             addrs,
             peers,
             stash: OrderedMutex::new("gridmpi.comm.stash", VecDeque::new()),
-            last_seq: OrderedMutex::new("gridmpi.comm.dedup", vec![0; size as usize]),
+            order: OrderedMutex::new(
+                "gridmpi.comm.dedup",
+                (0..size).map(|_| SourceOrder::default()).collect(),
+            ),
             epoch: Instant::now(),
             sent: OrderedMutex::new("gridmpi.comm.sent", 0),
             received: OrderedMutex::new("gridmpi.comm.received", 0),
@@ -348,36 +363,74 @@ impl Comm {
         self.ctx.attach_retry((host, *port), ATTACH_RETRY)
     }
 
-    /// Decode an arrived frame and apply per-source dedup. Returns
-    /// `None` for a retransmit duplicate (already accepted).
+    /// Decode an arrived frame and apply per-source order. Returns the
+    /// packet when it is its source's next and nothing waits behind
+    /// it. Otherwise `None`: the frame was dropped (a retransmit
+    /// duplicate), held (ahead of a gap), or it closed a gap and went
+    /// to the unexpected queue with every held frame now in order.
     fn ingest(&self, frame: Vec<u8>) -> io::Result<Option<Packet>> {
         let p = Packet::decode(frame)?;
         // Stripe transport frames are routed *before* the sequence
-        // dedup: they arrive over parallel flows, so the FIFO-per-pair
-        // assumption behind `last_seq` does not hold for them. The
-        // reassembler dedups per chunk offset instead.
+        // dedup: they arrive over parallel flows, so they carry no
+        // per-pair sequence. The reassembler dedups per chunk offset
+        // instead.
         if p.tag == STRIPE_TAG {
             return self.ingest_stripe(p);
         }
-        let mut last = self.last_seq.lock();
-        let slot = last.get_mut(p.src as usize).ok_or_else(|| {
+        let mut order = self.order.lock();
+        let from = order.get_mut(p.src as usize).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("packet from out-of-range rank {}", p.src),
             )
         })?;
-        if p.seq <= *slot {
-            drop(last);
+        if p.seq <= from.last || from.ahead.contains_key(&p.seq) {
+            drop(order);
             *self.dup_dropped.lock() += 1;
             if let Some(o) = &self.obs {
                 o.dup_dropped.inc();
             }
             return Ok(None);
         }
-        *slot = p.seq;
-        drop(last);
-        *self.received.lock() += 1;
-        Ok(Some(p))
+        if p.seq > from.last + 1 {
+            from.ahead.insert(p.seq, p);
+            return Ok(None);
+        }
+        from.last = p.seq;
+        if from.ahead.is_empty() {
+            drop(order);
+            *self.received.lock() += 1;
+            return Ok(Some(p));
+        }
+        let mut ready = vec![p];
+        while let Some(q) = from.ahead.remove(&(from.last + 1)) {
+            from.last = q.seq;
+            ready.push(q);
+        }
+        drop(order);
+        *self.received.lock() += ready.len() as u64;
+        self.stash.lock().extend(ready);
+        Ok(None)
+    }
+
+    /// Ingest one arrived frame and return the first packet that now
+    /// matches; an arrival that does not match goes to the unexpected
+    /// queue.
+    fn ingest_for(
+        &self,
+        frame: Vec<u8>,
+        src: Option<u32>,
+        tag: Option<i32>,
+    ) -> io::Result<Option<Packet>> {
+        match self.ingest(frame)? {
+            Some(p) if p.matches(src, tag) => Ok(Some(p)),
+            Some(p) => {
+                self.stash.lock().push_back(p);
+                Ok(None)
+            }
+            // A closed gap files its run in the queue.
+            None => Ok(self.take_from_stash(src, tag)),
+        }
     }
 
     /// Feed one stripe transport frame to the per-transfer
@@ -484,13 +537,9 @@ impl Comm {
         // 2. Drain the endpoint until a match arrives.
         loop {
             let frame = self.ep.recv()?;
-            let Some(p) = self.ingest(frame)? else {
-                continue;
-            };
-            if p.matches(src, tag) {
+            if let Some(p) = self.ingest_for(frame, src, tag)? {
                 return Ok((p.src, p.tag, p.payload));
             }
-            self.stash.lock().push_back(p);
         }
     }
 
@@ -510,17 +559,11 @@ impl Comm {
             if now >= deadline {
                 return Ok(None);
             }
-            match self.ep.recv_timeout(deadline - now)? {
-                Some(frame) => {
-                    let Some(p) = self.ingest(frame)? else {
-                        continue;
-                    };
-                    if p.matches(src, tag) {
-                        return Ok(Some((p.src, p.tag, p.payload)));
-                    }
-                    self.stash.lock().push_back(p);
-                }
-                None => return Ok(None),
+            let Some(frame) = self.ep.recv_timeout(deadline - now)? else {
+                return Ok(None);
+            };
+            if let Some(p) = self.ingest_for(frame, src, tag)? {
+                return Ok(Some((p.src, p.tag, p.payload)));
             }
         }
     }

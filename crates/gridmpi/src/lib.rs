@@ -441,6 +441,55 @@ mod tests {
         assert_eq!(results[1], 1);
     }
 
+    /// Frames that arrive ahead of a gap wait for it: a reconnect's
+    /// fresh connection can overtake the old one's tail, and the
+    /// overtaken frames are not duplicates. One raw connection replays
+    /// rank 0's sequences 2, 3, then 1, then 2 again.
+    #[test]
+    fn frames_ahead_of_a_gap_wait_for_it() {
+        let w = world();
+        let net = w.net.clone();
+        let results = run_world(specs(&w, 0, 2), move |comm| {
+            if comm.rank() == 0 {
+                let (_, _, addr) = comm.recv(Some(1), Some(9)).unwrap();
+                let addr = String::from_utf8(addr).unwrap();
+                let (host, port) = addr.rsplit_once(':').unwrap();
+                let raw = NexusContext::direct(net.clone(), "etl2");
+                let sp = raw.attach((host, port.parse().unwrap())).unwrap();
+                for seq in [2u64, 3, 1, 2] {
+                    sp.send(&packet::Packet::encode(0, 5, seq, &[seq as u8]))
+                        .unwrap();
+                }
+                let wait = std::time::Duration::from_secs(10);
+                let (_, _, ok) = comm.recv_timeout(Some(1), Some(6), wait).unwrap().unwrap();
+                assert_eq!(ok, b"seen");
+                Vec::new()
+            } else {
+                let (h, p) = comm.advertised();
+                comm.send(0, 9, format!("{h}:{p}").as_bytes()).unwrap();
+                let mut got = Vec::new();
+                let wait = std::time::Duration::from_secs(5);
+                for _ in 0..3 {
+                    let (_, _, data) = comm.recv_timeout(Some(0), Some(5), wait).unwrap().unwrap();
+                    got.extend(data);
+                }
+                for _ in 0..2000 {
+                    comm.iprobe(None, None).unwrap();
+                    if comm.duplicates_dropped() >= 1 {
+                        break;
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                assert_eq!(comm.duplicates_dropped(), 1);
+                assert!(!comm.iprobe(Some(0), Some(5)).unwrap());
+                comm.send(0, 6, b"seen").unwrap();
+                got
+            }
+        })
+        .unwrap();
+        assert_eq!(results[1], vec![1, 2, 3]);
+    }
+
     /// A striped bulk send (K parallel stripe flows, each with its own
     /// seq space) reassembles byte-identically at the receiver and is
     /// delivered as one ordinary tagged message.

@@ -42,7 +42,10 @@ impl Packet {
         buf
     }
 
-    pub fn decode(frame: Vec<u8>) -> io::Result<Packet> {
+    /// Decode an arrived frame. The payload keeps the frame's buffer:
+    /// draining the header shifts it down in place, with no second
+    /// allocation.
+    pub fn decode(mut frame: Vec<u8>) -> io::Result<Packet> {
         if frame.len() < HEADER_LEN {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -54,12 +57,12 @@ impl Packet {
         let seq = u64::from_be_bytes([
             frame[8], frame[9], frame[10], frame[11], frame[12], frame[13], frame[14], frame[15],
         ]);
-        let payload = frame[HEADER_LEN..].to_vec();
+        frame.drain(..HEADER_LEN);
         Ok(Packet {
             src,
             tag,
             seq,
-            payload,
+            payload: frame,
         })
     }
 

@@ -55,7 +55,7 @@ pub use liveness::{
 };
 pub use outer::{OuterConfig, OuterServer};
 pub use pool::{BufferPool, PoolConfig};
-pub use protocol::{CtrlMsg, Msg};
+pub use protocol::{write_all_parts, CtrlMsg, Msg};
 pub use pump::{copy_loop, CopyEnd, RelayActivity};
 pub use shard::{
     bind_key, member_tag, GenerationWitness, ShardMap, ShardRoute, ShardRouter, ShardStats,

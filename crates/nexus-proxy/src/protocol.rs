@@ -474,6 +474,32 @@ impl Msg {
     }
 }
 
+/// Write every byte of `parts`, in order, through `write_vectored`: a
+/// writer that takes everything offered sees one call, so a frame
+/// whose head and body live apart still leaves as one write (under
+/// `TCP_NODELAY`, one segment when it fits). Short writes resume
+/// mid-slice, `Interrupted` is retried and `Ok(0)` is
+/// [`io::ErrorKind::WriteZero`], as `write_all` does. This is std's
+/// unstable `Write::write_all_vectored`.
+pub fn write_all_parts(w: &mut impl Write, mut parts: &mut [io::IoSlice<'_>]) -> io::Result<()> {
+    // Drop leading empty slices, so an all-empty write makes no call.
+    io::IoSlice::advance_slices(&mut parts, 0);
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole buffer",
+                ))
+            }
+            Ok(n) => io::IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,8 +44,8 @@
 //! its stale bytes unreadable.
 
 use crate::hook::{interpose, DialHook, DialLeg};
-use crate::protocol::{bad, Cursor};
-use std::io::{self, Read, Write};
+use crate::protocol::{bad, write_all_parts, Cursor};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use wacs_obs::{Counter, Histogram, Registry};
@@ -571,12 +571,11 @@ impl<B: AsRef<[u8]>> StripeFrame<B> {
         Ok([head.framed(), chunk].concat())
     }
 
-    /// Write one framed stripe frame to a stream: the head, then the
-    /// chunk straight from where it lives.
+    /// Write one framed stripe frame to a stream: the head and the
+    /// chunk, straight from where it lives, in one vectored write.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         let (head, chunk) = self.parts()?;
-        w.write_all(head.framed())?;
-        w.write_all(chunk)?;
+        write_all_parts(w, &mut [IoSlice::new(head.framed()), IoSlice::new(chunk)])?;
         w.flush()
     }
 }
@@ -1437,6 +1436,168 @@ mod tests {
                 frame
             );
         }
+    }
+
+    /// A writer that takes 1..=`max` bytes per call, straight across
+    /// slice boundaries, and returns `Interrupted` on every seventh
+    /// call instead: a busy socket's short writes. `spans` records the
+    /// `[start, end)` of the stream each successful call took.
+    struct Trickle {
+        out: Vec<u8>,
+        spans: Vec<(usize, usize)>,
+        calls: usize,
+        max: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 7 == 3 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let start = self.out.len();
+            let mut budget = 1 + (self.calls * 5) % self.max;
+            for b in bufs {
+                let take = budget.min(b.len());
+                self.out.extend_from_slice(&b[..take]);
+                budget -= take;
+                if budget == 0 {
+                    break;
+                }
+            }
+            self.spans.push((start, self.out.len()));
+            Ok(self.out.len() - start)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Stripe frames written through short writes that split the head
+    /// and cross the head/chunk boundary read back unchanged.
+    #[test]
+    fn short_writes_preserve_stripe_frames() {
+        let (mut split_head, mut crossed) = (0, 0);
+        for max in 1..=40 {
+            let frames: Vec<StripeFrame> = (0..6u64)
+                .map(|seq| StripeFrame::Data {
+                    transfer: 7,
+                    stripe: 1,
+                    seq,
+                    offset: seq * 64,
+                    bytes: payload((seq as usize * 13 + max) % 64),
+                })
+                .chain([StripeFrame::Fin {
+                    transfer: 7,
+                    stripe: 1,
+                    chunks: 6,
+                }])
+                .collect();
+            let mut w = Trickle {
+                out: Vec::new(),
+                spans: Vec::new(),
+                calls: 0,
+                max,
+            };
+            // Where each frame's head starts and ends in the stream.
+            let mut heads = Vec::new();
+            for f in &frames {
+                let (head, _) = f.parts().unwrap();
+                heads.push((w.out.len(), w.out.len() + head.framed().len()));
+                f.write_to(&mut w).unwrap();
+            }
+            for &(a, b) in &w.spans {
+                for &(h, body) in &heads {
+                    split_head += usize::from(h < b && b < body);
+                    crossed += usize::from(a < body && body < b);
+                }
+            }
+            let mut cur = io::Cursor::new(w.out);
+            let mut body = Vec::new();
+            for f in &frames {
+                assert!(read_frame(&mut cur, &mut body).unwrap());
+                assert_eq!(&StripeFrame::decode_body(&body).unwrap().into_owned(), f);
+            }
+            assert!(!read_frame(&mut cur, &mut body).unwrap());
+        }
+        assert!(split_head > 0 && crossed > 0);
+    }
+
+    /// A writer that takes everything offered and counts its calls.
+    #[derive(Default)]
+    struct Counting {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let start = self.out.len();
+            for b in bufs {
+                self.out.extend_from_slice(b);
+            }
+            Ok(self.out.len() - start)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_stripe_frame_is_one_write() {
+        let chunk = payload(4096);
+        for f in [
+            StripeFrame::Data {
+                transfer: 7,
+                stripe: 0,
+                seq: 0,
+                offset: 0,
+                bytes: &chunk[..],
+            },
+            StripeFrame::Done {
+                transfer: 7,
+                total_len: 4096,
+            },
+        ] {
+            let mut w = Counting::default();
+            f.write_to(&mut w).unwrap();
+            assert_eq!(w.calls, 1);
+            assert_eq!(w.out, f.encode().unwrap());
+        }
+    }
+
+    /// A writer that accepts nothing.
+    struct Full;
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Ok(0)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_writer_taking_nothing_is_write_zero() {
+        let f: StripeFrame = StripeFrame::Done {
+            transfer: 7,
+            total_len: 0,
+        };
+        let err = f.write_to(&mut Full).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //! `statistics.quantiles`, exclusive method, as the benchmark computes
 //! its spreads), the pairs the change won (lower is better for every
 //! metric; ties count for neither side), the ratio of the medians, and
-//! the verdict the project claims gains by: a gain only when the change won at
-//! least nine tenths of the pairs and the medians differ by more than
-//! the parent's interquartile distance.
+//! a verdict by the rule the project claims gains by, applied both
+//! ways: `gain` when the change won at least nine tenths of the pairs
+//! and its median is lower than the parent's by more than the parent's
+//! interquartile distance, `worse` when it lost that many pairs and its
+//! median is higher by that much, `no gain` otherwise. A claim's
+//! "must not move" rows are read off the same table: none says `worse`.
 
 use std::fmt::Write as _;
 
@@ -75,7 +78,27 @@ pub struct Row {
     pub change: Spread,
     /// Pairs whose change run is lower than its parent run.
     pub won: usize,
+    /// Pairs whose change run is higher than its parent run.
+    pub lost: usize,
     pub pairs: usize,
+}
+
+/// What the pairs of one row say, lower being better.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    Gain,
+    NoGain,
+    Worse,
+}
+
+impl Verdict {
+    fn label(self) -> &'static str {
+        match self {
+            Verdict::Gain => "gain",
+            Verdict::NoGain => "no gain",
+            Verdict::Worse => "worse",
+        }
+    }
 }
 
 impl Row {
@@ -84,10 +107,19 @@ impl Row {
         self.change.median / self.parent.median
     }
 
-    /// The rule for claiming a gain, lower being better.
-    pub fn gain(&self) -> bool {
-        self.won * 10 >= self.pairs * 9
-            && self.parent.median - self.change.median > self.parent.q3 - self.parent.q1
+    /// The rule for claiming a gain, and its mirror image for a loss:
+    /// nine tenths of the pairs one way, and the medians further apart
+    /// that way than the parent's interquartile distance.
+    pub fn verdict(&self) -> Verdict {
+        let iqr = self.parent.q3 - self.parent.q1;
+        let most = |n: usize| n * 10 >= self.pairs * 9;
+        if most(self.won) && self.parent.median - self.change.median > iqr {
+            Verdict::Gain
+        } else if most(self.lost) && self.change.median - self.parent.median > iqr {
+            Verdict::Worse
+        } else {
+            Verdict::NoGain
+        }
     }
 }
 
@@ -192,6 +224,7 @@ pub fn summarise(text: &str, exclude: &[u64]) -> Result<Summary, String> {
                 parent: Spread::of(&parent),
                 change: Spread::of(&change),
                 won: parent.iter().zip(&change).filter(|(p, c)| c < p).count(),
+                lost: parent.iter().zip(&change).filter(|(p, c)| c > p).count(),
                 pairs: runs.len(),
             });
         }
@@ -240,7 +273,7 @@ pub fn render(summary: &Summary) -> String {
                 r.won,
                 r.pairs,
                 r.ratio(),
-                if r.gain() { "gain" } else { "no gain" }
+                r.verdict().label()
             );
         }
     }
@@ -282,8 +315,8 @@ mod tests {
         assert_eq!(c.parent.median.round(), 4667.0);
         assert_eq!(c.change.median.round(), 3097.0);
         assert_eq!((c.won, c.pairs), (10, 10));
-        assert!(c.gain());
-        assert!(!row("bulk", "op_a_us").gain());
+        assert_eq!(c.verdict(), Verdict::Gain);
+        assert_eq!(row("bulk", "op_a_us").verdict(), Verdict::NoGain);
         // Every workload of the file, five pairs each off `bulk`.
         let workloads: Vec<_> = summary.failures.iter().map(|f| &f.workload).collect();
         assert_eq!(workloads, ["bulk", "echo", "churn", "mpi_app"]);
@@ -310,5 +343,41 @@ mod tests {
         let skipped =
             format!("# note\nbulk-traced 2 parent out1 7\n{ok}bulk 3 parent 1 2 3 4 0.5 0 10\n");
         assert_eq!(summarise(&skipped, &[3]).unwrap().rows[0].pairs, 1);
+    }
+
+    /// Ten pairs of one workload: parent `op_a_us` 100..=109, change
+    /// `change(parent)`; the other metrics equal on both sides.
+    fn ten_pairs(change: impl Fn(f64) -> f64) -> Summary {
+        let mut text = String::new();
+        for seed in 0..10 {
+            let p = 100.0 + f64::from(seed);
+            text += &format!("echo {seed} parent {p} 1 1 1 0.5 0 10\n");
+            text += &format!("echo {seed} change {} 1 1 1 0.5 0 10\n", change(p));
+        }
+        summarise(&text, &[]).unwrap()
+    }
+
+    fn verdict(change: impl Fn(f64) -> f64) -> Verdict {
+        ten_pairs(change).rows[0].verdict()
+    }
+
+    #[test]
+    fn verdicts_need_nine_tenths_and_more_than_the_parent_iqr() {
+        // The parent's quartiles are 101.75 and 107.25: an IQR of 5.5.
+        assert_eq!(verdict(|p| p - 10.0), Verdict::Gain);
+        assert_eq!(verdict(|p| p + 10.0), Verdict::Worse);
+        // Every pair one way, but by less than the IQR.
+        assert_eq!(verdict(|p| p - 1.0), Verdict::NoGain);
+        assert_eq!(verdict(|p| p + 1.0), Verdict::NoGain);
+        assert_eq!(verdict(|p| p), Verdict::NoGain);
+        // Nine pairs of ten one way are enough; eight are not.
+        let flip = |k: f64, by: f64| move |p: f64| if p < 100.0 + k { p - by } else { p + by };
+        assert_eq!(verdict(flip(1.0, -10.0)), Verdict::Gain);
+        assert_eq!(verdict(flip(2.0, -10.0)), Verdict::NoGain);
+        assert_eq!(verdict(flip(1.0, 10.0)), Verdict::Worse);
+        assert_eq!(verdict(flip(2.0, 10.0)), Verdict::NoGain);
+        let printed = render(&ten_pairs(|p| p + 10.0));
+        assert!(printed.lines().nth(1).unwrap().ends_with("worse"));
+        assert!(printed.lines().nth(2).unwrap().ends_with("no gain"));
     }
 }
