@@ -23,7 +23,9 @@
 //! legacy solo slice, preserving the pre-fleet behaviour exactly.
 //!
 //! The decisions are [`InnerCore`]'s (`crate::core`); this file is its
-//! blocking-socket driver, one thread per connection (`crate::wire`).
+//! blocking-socket driver (`crate::wire`). The accept loop is its one
+//! thread of its own; each connection runs on one of the daemon's
+//! parked workers (`workers.rs`).
 
 use crate::core::InnerCore;
 use crate::hook::DialHook;
@@ -118,16 +120,16 @@ impl InnerServer {
             InnerCore::step,
             None,
         );
-        // One thread per connection from an outer server: a relay (ends
+        // One worker per connection from an outer server: a relay (ends
         // in a bridge) or a control session (ends when it closes, goes
         // silent past the control timeout, or the server shuts down — a
         // shut-down server must stop answering pings, or the outer
         // server would believe a dead peer alive forever).
         let (d, nxport, timeout) = (daemon.clone(), cfg.nxport, cfg.control_timeout);
+        // lint:allow(daemon-spawn) the nxport accept loop, joined on drop
         let accept_thread = thread::spawn(move || {
             d.accept_loop(&listener, |from_outer| {
-                let d = d.clone();
-                thread::spawn(move || {
+                d.on_worker(move |d| {
                     let mut io = Io::new(&d).until_shutdown().frame_timeout(timeout);
                     io.accept(from_outer, nxport);
                 });

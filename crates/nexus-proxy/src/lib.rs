@@ -42,6 +42,7 @@ pub mod sim;
 pub mod stats;
 pub mod stripe;
 mod wire;
+mod workers;
 
 pub use client::{
     nx_proxy_bind, nx_proxy_connect, retry_blocking, FleetRouter, NxListener, ProxyEnv,

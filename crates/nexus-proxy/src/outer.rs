@@ -27,11 +27,14 @@
 //! per shard.
 //!
 //! Every decision above is made by [`OuterCore`] (DESIGN.md §6g). This
-//! file is its blocking-socket driver: it accepts, spawns a thread per
-//! connection and lets [`Io`] turn what happens there into core events
-//! and execute the core's actions. What stays here is what only a
-//! socket owner can do: serving rendezvous listeners, the relay
-//! table's idle reaper, and drain.
+//! file is its blocking-socket driver: it accepts, hands each
+//! connection to one of the daemon's parked workers (`workers.rs`) and
+//! lets [`Io`] turn what happens there into core events and execute
+//! the core's actions. What stays here is what only a socket owner can
+//! do: serving rendezvous listeners, the relay table's idle reaper, and
+//! drain. The control accept loop, the reaper and the heartbeat session
+//! are the only threads of their own; a registration's watcher and
+//! rendezvous acceptor run on workers too.
 
 use crate::client::retry_blocking;
 use crate::core::{Event, OuterCore, OuterParams, RetryPolicy};
@@ -161,18 +164,20 @@ impl OuterServer {
         let mut threads = Vec::new();
 
         let (d, ctrl_port) = (daemon.clone(), cfg.params.ctrl_port);
+        // lint:allow(daemon-spawn) the control accept loop, joined on drop
         threads.push(thread::spawn(move || {
             d.accept_loop(&listener, |stream| {
-                let d = d.clone();
-                thread::spawn(move || handle_control(&d, stream, ctrl_port));
+                d.on_worker(move |d| handle_control(&d, stream, ctrl_port));
             });
         }));
 
         let (d, idle_timeout) = (daemon.clone(), cfg.idle_timeout);
+        // lint:allow(daemon-spawn) the idle reaper, joined on drop
         threads.push(thread::spawn(move || reaper_loop(&d, idle_timeout)));
 
         if cfg.params.heartbeat.is_some() && cfg.params.inner.is_some() {
             let d = daemon.clone();
+            // lint:allow(daemon-spawn) the heartbeat session, joined on drop
             threads.push(thread::spawn(move || {
                 Io::new(&d).until_shutdown().run(Event::Start);
                 d.stats.inner_alive.set(0);
@@ -259,9 +264,9 @@ impl Drop for OuterServer {
 }
 
 /// One control connection: Fig. 3 ends in a bridge; Fig. 4 steps 1-2
-/// end with a registered listener still in hand, which is then served
-/// by two threads of its own for as long as the client keeps the
-/// control connection open.
+/// end with a registered listener still in hand, which this worker then
+/// serves, with one more watching the control connection, for as long
+/// as the client keeps that connection open.
 fn handle_control(d: &OuterDaemon, stream: TcpStream, ctrl_port: u16) {
     let mut io = Io::new(d);
     let conn = io.accept(stream, ctrl_port);
@@ -274,27 +279,24 @@ fn handle_control(d: &OuterDaemon, stream: TcpStream, ctrl_port: u16) {
     // don't speak after bind).
     {
         let (ctrl, stop) = (ctrl.clone(), listener.stop_handle());
-        thread::spawn(move || {
+        d.workers.run(move || {
             let mut scratch = [0u8; 16];
             while matches!(io::Read::read(&mut &*ctrl, &mut scratch), Ok(n) if n > 0) {}
             stop.stop();
         });
     }
     // Accept peers on the rendezvous port, one at a time (Fig. 4 steps
-    // 3-5 run on this thread).
-    let d = d.clone();
-    thread::spawn(move || {
-        d.accept_loop(&listener, |peer| {
-            Io::new(&d).accept(peer, rdv_port);
-        });
-        // Unbind before withdrawing the registry entry, so observers
-        // who see the port gone can rely on new dials failing.
-        drop(listener);
-        // A server shutdown ends the registration as well: the client
-        // reads EOF and the watcher above returns.
-        let _ = ctrl.shutdown(Shutdown::Both);
-        Io::new(&d).run(Event::Closed { conn });
+    // 3-5 run on this worker).
+    d.accept_loop(&listener, |peer| {
+        Io::new(d).accept(peer, rdv_port);
     });
+    // Unbind before withdrawing the registry entry, so observers who see
+    // the port gone can rely on new dials failing.
+    drop(listener);
+    // A server shutdown ends the registration as well: the client reads
+    // EOF and the watcher above returns.
+    let _ = ctrl.shutdown(Shutdown::Both);
+    Io::new(d).run(Event::Closed { conn });
 }
 
 /// Sweep the relay table, resetting pairs idle past the timeout. The

@@ -2,7 +2,9 @@
 //!
 //! One blocking thread per direction, each reading into one whole
 //! pooled segment ([`crate::pool::PoolConfig::seg_bytes`] is the one
-//! buffer size of the data plane). Clean EOF propagates as a
+//! buffer size of the data plane). Both run on the daemon's parked
+//! workers (`workers.rs`): while one is parked, a relay's pump starts no
+//! thread. Clean EOF propagates as a
 //! *half-close* (the reverse direction may still be carrying a reply);
 //! hard errors reset both sockets so the opposite thread unblocks.
 //!
@@ -12,11 +14,11 @@
 
 use crate::pool::BufferPool;
 use crate::stats::ProxyStats;
+use crate::workers::Workers;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Last-activity clock of one relay, shared between the pump threads
@@ -133,15 +135,17 @@ fn copy_dir(
 
 /// Bridge `a` and `b` until both directions have drained, touching
 /// `activity` on every forwarded segment so an idle-reaper can spot
-/// dead pairs. Staging buffers come from the caller-shared
+/// dead pairs. This thread copies `b`→`a`; `a`→`b` runs on one of
+/// `workers`. Staging buffers come from the caller-shared
 /// [`BufferPool`]: relays churn, and the pool amortizes allocation
 /// across all of them.
-pub fn pump_pooled(
+pub(crate) fn pump_pooled(
     a: TcpStream,
     b: TcpStream,
     stats: Arc<ProxyStats>,
     activity: Option<RelayActivity>,
     pool: &BufferPool,
+    workers: &Workers,
 ) {
     let (a2, b2) = (a.try_clone(), b.try_clone());
     match (a2, b2) {
@@ -149,9 +153,15 @@ pub fn pump_pooled(
             let s1 = stats.clone();
             let act = activity.clone();
             let p = pool.clone();
-            let t = thread::spawn(move || copy_dir(a2, b2, s1, act, &p));
+            // Dropped when the job ends, even by a panic: the wait
+            // below cannot hang on it.
+            let (done, finished) = mpsc::sync_channel::<()>(1);
+            workers.run(move || {
+                copy_dir(a2, b2, s1, act, &p);
+                drop(done);
+            });
             copy_dir(b, a, stats, activity, pool);
-            let _ = t.join();
+            let _ = finished.recv();
         }
         _ => {
             // Clone failure: the pair cannot be pumped bidirectionally.
@@ -170,6 +180,7 @@ mod tests {
     use crate::pool::PoolConfig;
     use std::io::{Read, Write};
     use std::net::TcpListener;
+    use std::thread;
 
     /// Build a connected (client, server-side) socket pair on loopback.
     fn socket_pair() -> (TcpStream, TcpStream) {
@@ -180,6 +191,10 @@ mod tests {
         (c, s)
     }
 
+    fn workers(stats: &ProxyStats) -> Workers {
+        Workers::new(stats.worker_spawns.clone(), stats.workers_parked.clone())
+    }
+
     /// Pump the pair on a background thread through a private pool of
     /// `seg_bytes` segments.
     fn spawn_pump(a: TcpStream, b: TcpStream, seg_bytes: usize, stats: Arc<ProxyStats>) {
@@ -187,7 +202,8 @@ mod tests {
             seg_bytes,
             max_retained: 2,
         });
-        thread::spawn(move || pump_pooled(a, b, stats, None, &pool));
+        let workers = workers(&stats);
+        thread::spawn(move || pump_pooled(a, b, stats, None, &pool, &workers));
     }
 
     #[test]
@@ -357,7 +373,8 @@ mod tests {
             let (mut r, rr) = socket_pair();
             let s = stats.clone();
             let p = pool.clone();
-            let t = thread::spawn(move || pump_pooled(lr, rr, s, None, &p));
+            let w = workers(&s);
+            let t = thread::spawn(move || pump_pooled(lr, rr, s, None, &p, &w));
             l.write_all(b"abc").unwrap();
             drop(l);
             let mut got = Vec::new();

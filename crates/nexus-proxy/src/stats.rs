@@ -60,6 +60,11 @@ pub struct ProxyStats {
     /// `pump.coalesced_share`, and goes with that row when
     /// `benchmark/BASELINE.json` is next re-recorded.
     pub pump_coalesced_writes: Counter,
+    /// Threads the daemon's worker pool started: its parked set at
+    /// start-up, then one per job that found no worker parked.
+    pub worker_spawns: Counter,
+    /// Workers parked right now, waiting for a job.
+    pub workers_parked: Gauge,
     /// 1 while the inner server's control session is live, else 0.
     pub inner_alive: Gauge,
     /// Currently active relay-table entries.
@@ -111,6 +116,8 @@ impl ProxyStats {
             pool_misses: c("pool_misses"),
             pump_segments: c("pump_segments"),
             pump_coalesced_writes: c("pump_coalesced_writes"),
+            worker_spawns: c("worker_spawns"),
+            workers_parked: g("workers_parked"),
             inner_alive: g("inner_alive"),
             active_relays: g("active_relays"),
             control_handshake_ns: h("control_handshake_ns"),
@@ -150,6 +157,7 @@ impl ProxyStats {
             pool_misses: self.pool_misses.get(),
             pump_segments: self.pump_segments.get(),
             pump_coalesced_writes: self.pump_coalesced_writes.get(),
+            worker_spawns: self.worker_spawns.get(),
         }
     }
 }
@@ -174,6 +182,7 @@ pub struct ProxySnapshot {
     pub pool_misses: u64,
     pub pump_segments: u64,
     pub pump_coalesced_writes: u64,
+    pub worker_spawns: u64,
 }
 
 #[cfg(test)]

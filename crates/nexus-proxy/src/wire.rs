@@ -2,9 +2,12 @@
 //! the real outer and inner drivers share.
 //!
 //! A [`Daemon`] is one running server: its core behind the server's
-//! one lock, its clock, and the I/O a core action can ask for (dial
-//! through the hook, allocate a listener, pump a bridged pair). Every
-//! server thread owns one [`Io`] over it: the sockets the thread is
+//! one lock, its clock, the I/O a core action can ask for (dial
+//! through the hook, allocate a listener, pump a bridged pair), and the
+//! parked [`Workers`] every per-connection and per-relay job of the
+//! server runs on. Only the accept loops, the outer server's reaper and
+//! its heartbeat session have threads of their own. Every server thread
+//! owns one [`Io`] over it: the sockets the thread is
 //! handling, at most one connection whose next frame the core asked
 //! for, and at most one pending timer. [`Io::run`] feeds an event to
 //! the core, executes the returned actions in order, feeds back what
@@ -19,6 +22,7 @@ use crate::pool::{BufferPool, PoolConfig};
 use crate::protocol::Msg;
 use crate::pump::{pump_pooled, RelayActivity};
 use crate::stats::ProxyStats;
+use crate::workers::Workers;
 use firewall::vnet::{StopHandle, VListener, VNet};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -72,6 +76,8 @@ pub(crate) struct Daemon<M> {
     conn_seq: AtomicU64, // lint:allow(bare-atomic-counter)
     /// One staging-buffer pool for every pump this server runs.
     pool: BufferPool,
+    /// The threads every connection and relay of this server runs on.
+    pub workers: Workers,
 }
 
 impl<M: Send + 'static> Daemon<M> {
@@ -100,6 +106,7 @@ impl<M: Send + 'static> Daemon<M> {
                 stats.pool_hits.clone(),
                 stats.pool_misses.clone(),
             ),
+            workers: Workers::new(stats.worker_spawns.clone(), stats.workers_parked.clone()),
             stats,
         })
     }
@@ -124,8 +131,14 @@ impl<M: Send + 'static> Daemon<M> {
         )
     }
 
-    /// Pump `a`↔`b` on a thread of their own (registered in the relay
-    /// table, when there is one). On pump exit the entry is GC'd and
+    /// Run `job` on one of the daemon's workers, handing it the daemon.
+    pub fn on_worker(self: &Arc<Self>, job: impl FnOnce(Arc<Self>) + Send + 'static) {
+        let d = self.clone();
+        self.workers.run(move || job(d));
+    }
+
+    /// Pump `a`↔`b` on two workers (registered in the relay table,
+    /// when there is one). On pump exit the entry is GC'd and
     /// the core told, which is what releases an admission slot —
     /// half-open pairs the reaper resets exit the same way.
     fn bridge(self: &Arc<Self>, id: ConnId, a: TcpStream, b: TcpStream) {
@@ -143,9 +156,8 @@ impl<M: Send + 'static> Daemon<M> {
             }
             activity
         });
-        let d = self.clone();
-        thread::spawn(move || {
-            pump_pooled(a, b, d.stats.clone(), activity, &d.pool);
+        self.on_worker(move |d| {
+            pump_pooled(a, b, d.stats.clone(), activity, &d.pool, &d.workers);
             if let Some(table) = &d.relays {
                 if table.lock().remove(&id).is_some() {
                     d.stats.active_relays.add(-1);
@@ -171,7 +183,8 @@ impl<M: Send + 'static> Daemon<M> {
     }
 
     /// Stop serving: raise the flag every thread checks around its
-    /// waits, and end every blocked accept.
+    /// waits, end every blocked accept, and join the parked workers
+    /// (busy ones exit when their job ends).
     pub fn shut_down(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Dialed outside the lock: a woken acceptor takes it to unregister.
@@ -179,6 +192,7 @@ impl<M: Send + 'static> Daemon<M> {
         for stop in stops {
             stop.stop();
         }
+        self.workers.close();
     }
 }
 

@@ -1,0 +1,268 @@
+//! Parked worker threads: where a daemon's per-connection and
+//! per-relay threads come from.
+//!
+//! Setting up a relay passes through several blocking jobs: a control
+//! handler, a registration watcher, a rendezvous acceptor, two pump
+//! directions, the inner server's connection. Starting a thread for
+//! each costs about 20 us; handing a job to a thread already blocked in
+//! `recv()` costs a channel send. [`Workers::run`] pops a parked worker
+//! and sends it the job, and spawns a thread only when none is parked.
+//! A worker that finishes parks again while fewer than [`PARKED`] are
+//! parked, and otherwise exits, so a burst's extra threads leave once it
+//! is over.
+//!
+//! There is no idle timeout. A parked worker blocks in `recv()` with no
+//! timer, so an idle daemon makes no wake-ups, and the [`PARKED`]
+//! threads started by [`Workers::new`] stay in the process's thread
+//! count until [`Workers::close`]. `close` drops every parked worker's
+//! sender and joins it; a busy worker finishes its job and then exits.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
+use wacs_obs::{Counter, Gauge};
+use wacs_sync::Mutex;
+
+/// Workers kept parked per daemon: the threads one passive relay holds
+/// on the outer server (registration watcher, rendezvous acceptor and
+/// the two pump directions), so the relay's set-up starts no thread.
+pub(crate) const PARKED: usize = 4;
+
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A worker's way back to itself: its channel and its own join handle.
+/// The pool holds it while the worker is parked, the worker while it
+/// runs a job.
+struct Worker {
+    tx: Sender<(Job, Worker)>,
+    thread: JoinHandle<()>,
+}
+
+struct Shared {
+    parked: Mutex<Parked>,
+    /// Threads this pool has started.
+    spawns: Counter,
+    /// Workers parked right now.
+    parked_gauge: Gauge,
+}
+
+struct Parked {
+    workers: Vec<Worker>,
+    closed: bool,
+}
+
+impl Shared {
+    /// Park `me` unless the pool is closed or full; `false` = exit.
+    fn park(&self, me: Worker) -> bool {
+        let mut parked = self.parked.lock();
+        if parked.closed || parked.workers.len() >= PARKED {
+            return false;
+        }
+        parked.workers.push(me);
+        self.parked_gauge.set(parked.workers.len() as i64);
+        true
+    }
+
+    fn pop(&self) -> Option<Worker> {
+        let mut parked = self.parked.lock();
+        let w = parked.workers.pop();
+        self.parked_gauge.set(parked.workers.len() as i64);
+        w
+    }
+}
+
+/// One daemon's thread pool. Dropping it closes it.
+pub(crate) struct Workers {
+    shared: Arc<Shared>,
+}
+
+impl Workers {
+    /// A pool with [`PARKED`] workers already parked. No wait: each
+    /// worker's channel exists before its thread does, so a job sent
+    /// before the thread first runs waits in the channel.
+    pub fn new(spawns: Counter, parked_gauge: Gauge) -> Self {
+        let shared = Arc::new(Shared {
+            parked: Mutex::new(Parked {
+                workers: Vec::new(),
+                closed: false,
+            }),
+            spawns,
+            parked_gauge,
+        });
+        let workers = (0..PARKED)
+            .map(|_| {
+                let (tx, rx) = channel();
+                let thread = start(&shared, rx);
+                Worker { tx, thread }
+            })
+            .collect();
+        shared.parked.lock().workers = workers;
+        shared.parked_gauge.set(PARKED as i64);
+        Workers { shared }
+    }
+
+    /// Run `job` on a parked worker, or on a new thread when none is
+    /// parked. A job that panics ends itself, not its worker.
+    pub fn run(&self, job: impl FnOnce() + Send + 'static) {
+        let job: Job = Box::new(job);
+        match self.shared.pop() {
+            Some(w) => {
+                // A parked worker is blocked in `recv()` on the other
+                // end, so the send cannot fail.
+                let tx = w.tx.clone();
+                let _ = tx.send((job, w));
+            }
+            None => {
+                let (tx, rx) = channel();
+                let thread = start(&self.shared, rx);
+                let _ = tx.clone().send((job, Worker { tx, thread }));
+            }
+        }
+    }
+
+    /// Stop parking: every parked worker exits and is joined before
+    /// this returns. Busy workers exit when their job ends.
+    pub fn close(&self) {
+        let parked = {
+            let mut parked = self.shared.parked.lock();
+            parked.closed = true;
+            std::mem::take(&mut parked.workers)
+        };
+        self.shared.parked_gauge.set(0);
+        // Dropping a sender wakes its worker with a closed channel. Wake
+        // them all before joining any, so they exit side by side.
+        let threads: Vec<JoinHandle<()>> = parked.into_iter().map(|w| w.thread).collect();
+        for t in threads {
+            let _ = t.join();
+        }
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+fn start(shared: &Arc<Shared>, rx: Receiver<(Job, Worker)>) -> JoinHandle<()> {
+    shared.spawns.inc();
+    let shared = shared.clone();
+    thread::spawn(move || {
+        while let Ok((job, me)) = rx.recv() {
+            let _ = catch_unwind(AssertUnwindSafe(job));
+            if !shared.park(me) {
+                return;
+            }
+        }
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::sync_channel;
+    use std::sync::Barrier;
+    use std::time::{Duration, Instant};
+    use wacs_obs::Registry;
+
+    fn pool() -> (Workers, Counter, Gauge) {
+        let reg = Registry::new();
+        let (spawns, parked) = (reg.counter("spawns"), reg.gauge("parked"));
+        (Workers::new(spawns.clone(), parked.clone()), spawns, parked)
+    }
+
+    fn wait_parked(parked: &Gauge, n: i64) {
+        let end = Instant::now() + Duration::from_secs(5);
+        while parked.get() != n {
+            assert!(
+                Instant::now() < end,
+                "parked {} never reached {n}",
+                parked.get()
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn parked_sequential_jobs_start_no_thread() {
+        let (w, spawns, parked) = pool();
+        assert_eq!((spawns.get(), parked.get()), (PARKED as u64, PARKED as i64));
+        for i in 0..PARKED {
+            let (tx, rx) = sync_channel(1);
+            w.run(move || tx.send(i).unwrap());
+            assert_eq!(rx.recv().unwrap(), i);
+            wait_parked(&parked, PARKED as i64);
+        }
+        assert_eq!(spawns.get(), PARKED as u64);
+    }
+
+    #[test]
+    fn a_burst_runs_whole_and_its_extra_threads_exit() {
+        let (w, spawns, parked) = pool();
+        let n = PARKED + 2;
+        // Every job waits for all the others: they can only all get
+        // past the barrier if each ran on a thread of its own.
+        let gate = Arc::new(Barrier::new(n + 1));
+        let (done_tx, done_rx) = channel();
+        for i in 0..n {
+            let (gate, done) = (gate.clone(), done_tx.clone());
+            w.run(move || {
+                gate.wait();
+                done.send(i).unwrap();
+            });
+        }
+        gate.wait();
+        let mut ran: Vec<usize> = (0..n).map(|_| done_rx.recv().unwrap()).collect();
+        ran.sort_unstable();
+        assert_eq!(ran, (0..n).collect::<Vec<_>>());
+        assert_eq!(spawns.get(), (PARKED + 2) as u64);
+        // Exactly PARKED park again. Each worker holds the pool's
+        // shared state until its thread ends, so once only the pool
+        // and the parked set hold it, the two extras have exited.
+        wait_parked(&parked, PARKED as i64);
+        let end = Instant::now() + Duration::from_secs(5);
+        while Arc::strong_count(&w.shared) != 1 + PARKED {
+            assert!(Instant::now() < end, "the extra workers never exited");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(w.shared.parked.lock().workers.len(), PARKED);
+    }
+
+    #[test]
+    fn close_returns_after_every_parked_worker_exited() {
+        let (w, _, parked) = pool();
+        w.close();
+        assert_eq!(parked.get(), 0);
+        // A worker drops its hold on the shared state as its thread
+        // ends: had close() not joined them, some would still hold it.
+        assert_eq!(Arc::strong_count(&w.shared), 1);
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_wedge_the_pool() {
+        let (w, spawns, parked) = pool();
+        // One at a time: a worker killed by its job would never park
+        // again, and the parked set would stay one short.
+        for _ in 0..=PARKED {
+            w.run(|| panic!("job failed"));
+            wait_parked(&parked, PARKED as i64);
+        }
+        let (tx, rx) = sync_channel(1);
+        w.run(move || tx.send(7).unwrap());
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
+        assert_eq!(spawns.get(), PARKED as u64);
+    }
+
+    #[test]
+    fn a_closed_pool_still_runs_jobs_and_parks_nothing() {
+        let (w, spawns, parked) = pool();
+        w.close();
+        let (tx, rx) = sync_channel(1);
+        w.run(move || tx.send(1).unwrap());
+        assert_eq!(rx.recv().unwrap(), 1);
+        assert_eq!(spawns.get(), PARKED as u64 + 1);
+        thread::sleep(Duration::from_millis(20));
+        assert_eq!(parked.get(), 0);
+    }
+}

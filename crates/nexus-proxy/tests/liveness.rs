@@ -1377,7 +1377,9 @@ fn real_control_close_withdraws_the_rendezvous_without_a_peer() {
 /// A stop handle's wake dial is not traffic: one rendezvous listener
 /// stopped by its watcher, then the control port, the other rendezvous
 /// port and `nxport` stopped by `shutdown()`, and not one counter,
-/// gauge or histogram of either server moves.
+/// gauge or histogram of either server moves. The one instrument
+/// `shutdown()` itself moves is `proxy.workers_parked`: it closes the
+/// worker pool, so that gauge must read 0 afterwards.
 #[test]
 fn real_stop_wakes_are_invisible_in_stats() {
     let w = real_world();
@@ -1394,10 +1396,14 @@ fn real_stop_wakes_are_invisible_in_stats() {
     wait_until("both binds recorded", Duration::from_secs(1), || {
         outer.obs_snapshot().histograms["proxy.bind_req_ns"].count == 2
     });
+    let without_pool = |mut s: wacs_obs::RegistrySnapshot| {
+        s.gauges.remove("proxy.workers_parked").expect("pool gauge");
+        s
+    };
     let observe = || {
         (
-            outer.obs_snapshot(),
-            inner.obs_snapshot(),
+            without_pool(outer.obs_snapshot()),
+            without_pool(inner.obs_snapshot()),
             outer.admission_active(),
         )
     };
@@ -1417,6 +1423,9 @@ fn real_stop_wakes_are_invisible_in_stats() {
             && w.net.resolve("rwcp-inner", NXPORT).is_none()
     });
     assert_eq!(observe(), before);
+    for snap in [outer.obs_snapshot(), inner.obs_snapshot()] {
+        assert_eq!(snap.gauges["proxy.workers_parked"], 0);
+    }
 }
 
 /// A one-hop redirect raced by strictly-newer `ShardSync` installs:

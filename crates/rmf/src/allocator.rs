@@ -39,9 +39,6 @@ pub enum SelectPolicy {
 struct Entry {
     info: ResourceInfo,
     load: u32,
-    /// Health as last reported by the supervisor; dead resources are
-    /// skipped by implicit selection (see [`AllocatorState::select`]).
-    alive: bool,
 }
 
 /// One allocation slice: `count` processes on a resource.
@@ -69,11 +66,7 @@ impl AllocatorState {
     }
 
     pub fn register(&self, info: ResourceInfo) {
-        self.entries.lock().push(Entry {
-            info,
-            load: 0,
-            alive: true,
-        });
+        self.entries.lock().push(Entry { info, load: 0 });
     }
 
     /// Current load of a resource (diagnostics).
@@ -83,37 +76,6 @@ impl AllocatorState {
             .iter()
             .find(|e| e.info.name == name)
             .map(|e| e.load)
-    }
-
-    /// Health of a resource (diagnostics).
-    pub fn is_alive(&self, name: &str) -> Option<bool> {
-        self.entries
-            .lock()
-            .iter()
-            .find(|e| e.info.name == name)
-            .map(|e| e.alive)
-    }
-
-    /// Mark a resource alive/dead (the Q-server supervisor's verdict).
-    pub fn set_health(&self, name: &str, alive: bool) -> Result<(), RmfError> {
-        let mut entries = self.entries.lock();
-        let Some(e) = entries.iter_mut().find(|e| e.info.name == name) else {
-            return Err(RmfError::Daemon(format!("unknown resource {name}")));
-        };
-        e.alive = alive;
-        Ok(())
-    }
-
-    /// Zero the booked load of a dead resource — its Q server will
-    /// never report the completions — and return what was orphaned.
-    pub fn orphan_load(&self, name: &str) -> Result<u32, RmfError> {
-        let mut entries = self.entries.lock();
-        let Some(e) = entries.iter_mut().find(|e| e.info.name == name) else {
-            return Err(RmfError::Daemon(format!("unknown resource {name}")));
-        };
-        let orphaned = e.load;
-        e.load = 0;
-        Ok(orphaned)
     }
 
     /// Apply a load delta reported by a Q server.
@@ -162,8 +124,7 @@ impl AllocatorState {
         }
         let mut entries = self.entries.lock();
         let order: Vec<usize> = if explicit.is_empty() {
-            // Implicit selection never places on a dead resource.
-            let mut idx: Vec<usize> = (0..entries.len()).filter(|&i| entries[i].alive).collect();
+            let mut idx: Vec<usize> = (0..entries.len()).collect();
             if self.policy == SelectPolicy::LeastLoaded {
                 idx.sort_by(|&a, &b| {
                     let fa = f64::from(entries[a].load) / f64::from(entries[a].info.cpus.max(1));
@@ -181,11 +142,6 @@ impl AllocatorState {
                     .ok_or_else(|| {
                         io::Error::new(io::ErrorKind::NotFound, format!("unknown resource {name}"))
                     })?;
-                // Explicit placement on a dead resource is refused too:
-                // the user named it, but nothing can run there.
-                if !entries[pos].alive {
-                    return Err(io::Error::other(format!("resource {name} is down")));
-                }
                 idx.push(pos);
             }
             idx
@@ -500,36 +456,6 @@ mod tests {
         );
         assert_eq!(rep.kind(), "ok");
         assert_eq!(s.load_of("A"), Some(0));
-    }
-
-    #[test]
-    fn dead_resources_are_skipped_and_revived() {
-        let s = state_with(&[("A", 8), ("B", 8)]);
-        s.set_health("A", false).unwrap();
-        assert_eq!(s.is_alive("A"), Some(false));
-        // Implicit selection avoids the dead resource entirely.
-        let allocs = s.select(8, &[]).unwrap();
-        assert!(allocs.iter().all(|a| a.resource == "B"));
-        // Explicitly naming a dead resource is refused.
-        assert!(s.select(1, &["A".to_string()]).is_err());
-        // More than the live capacity cannot be placed right now.
-        assert!(s.select(9, &[]).is_err());
-        // Recovery restores it as a candidate.
-        s.set_health("A", true).unwrap();
-        assert!(s.select(8, &[]).is_ok());
-        assert!(matches!(
-            s.set_health("nope", true),
-            Err(RmfError::Daemon(_))
-        ));
-    }
-
-    #[test]
-    fn orphan_load_zeroes_a_dead_ledger() {
-        let s = state_with(&[("A", 8)]);
-        s.select(6, &[]).unwrap();
-        assert_eq!(s.orphan_load("A").unwrap(), 6);
-        assert_eq!(s.load_of("A"), Some(0));
-        assert!(matches!(s.orphan_load("nope"), Err(RmfError::Daemon(_))));
     }
 
     #[test]

@@ -101,8 +101,6 @@ impl QServer {
 
 fn handle(ctx: &Arc<QServerCtx>, req: &Record) -> Record {
     match req.kind() {
-        // Supervisor liveness probe (see `crate::supervise`).
-        "ping" => Record::new("pong").with("resource", &ctx.resource),
         "submit" => {
             let Ok(job) = req.require_u64("job") else {
                 return Record::new("error").with("detail", "missing job id");

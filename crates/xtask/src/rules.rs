@@ -66,6 +66,11 @@ pub enum Rule {
     /// `RetryPolicy`'s `base_backoff`/`max_backoff`/`max_attempts`
     /// instead of driving `Retry` (see `wsrules`).
     RetryPlane,
+    /// A `thread::spawn` in the proxy daemons' driver files (`outer.rs`,
+    /// `inner.rs`, `wire.rs`, `pump.rs`) that is not one of the named
+    /// long-lived daemon threads: a connection's or relay's thread comes
+    /// from the daemon's parked workers (see `wsrules`).
+    DaemonSpawn,
 }
 
 pub const ALL: &[Rule] = &[
@@ -86,6 +91,7 @@ pub const ALL: &[Rule] = &[
     Rule::ClientPlane,
     Rule::SchedPlane,
     Rule::RetryPlane,
+    Rule::DaemonSpawn,
 ];
 
 impl Rule {
@@ -108,6 +114,7 @@ impl Rule {
             Rule::ClientPlane => "client-plane",
             Rule::SchedPlane => "sched-plane",
             Rule::RetryPlane => "retry-plane",
+            Rule::DaemonSpawn => "daemon-spawn",
         }
     }
 
@@ -161,6 +168,10 @@ impl Rule {
             Rule::RetryPlane => {
                 "only nexus-proxy core/retry.rs reads a RetryPolicy's base_backoff/\
                  max_backoff/max_attempts; callers ask Retry"
+            }
+            Rule::DaemonSpawn => {
+                "no thread::spawn in nexus-proxy outer/inner/wire/pump.rs but the marked \
+                 long-lived daemon threads; relay threads come from workers.rs"
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Workspace-level rules: analyses that need the whole file set (or
 //! files outside the library walk) rather than one file at a time.
 //!
-//! Seven rules live here, all built on the token stream from
+//! Eight rules live here, all built on the token stream from
 //! [`crate::lexer`]:
 //!
 //! * **`lock-order`** — a static lock-order graph over every
@@ -46,6 +46,12 @@
 //!   (`nexus-proxy/src/core/retry.rs`). No other non-test code reads a
 //!   `RetryPolicy`'s `base_backoff`, `max_backoff` or `max_attempts`;
 //!   a caller asks `Retry` when the next attempt starts.
+//! * **`daemon-spawn`** — a relay's threads come from one place, the
+//!   daemon's parked workers (`nexus-proxy/src/workers.rs`). No non-test
+//!   `thread::spawn` in `nexus-proxy/src/{outer,inner,wire,pump}.rs`
+//!   except the named long-lived daemon threads (accept loops, reaper,
+//!   heartbeat), each marked `lint:allow(daemon-spawn)` with a reason on
+//!   its line or the comment line above or below.
 
 use crate::lexer::{lex, string_content, Token, TokenKind};
 use crate::rules::{test_region_lines, Rule, Violation};
@@ -99,6 +105,7 @@ pub fn analyze_workspace(
     check_client_plane(files, &mut violations);
     check_sched_plane(files, &mut violations);
     check_retry_plane(files, &mut violations);
+    check_daemon_spawn(files, &mut violations);
 
     WsReport {
         violations,
@@ -967,6 +974,65 @@ fn check_retry_plane(files: &[(String, String)], out: &mut Vec<Violation>) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// daemon-spawn
+// ---------------------------------------------------------------------------
+
+/// The proxy daemons' driver files: their per-connection and per-relay
+/// jobs run on `workers.rs`'s parked threads.
+const DAEMON_FILES: &[&str] = &[
+    "crates/nexus-proxy/src/outer.rs",
+    "crates/nexus-proxy/src/inner.rs",
+    "crates/nexus-proxy/src/wire.rs",
+    "crates/nexus-proxy/src/pump.rs",
+];
+
+/// Ways to start a thread.
+const SPAWN_SPELLINGS: &[&str] = &["thread::spawn", "thread::Builder", "thread::scope"];
+
+/// `lint:allow(daemon-spawn)` followed by a reason.
+fn reasoned(line: &str) -> bool {
+    line.split_once("lint:allow(daemon-spawn)")
+        .is_some_and(|(_, why)| {
+            !why.trim_matches(|c: char| c.is_whitespace() || c == '—')
+                .is_empty()
+        })
+}
+
+/// A daemon thread that is not a worker must be named: a marker with a
+/// reason on its line, or on a comment line directly above or below.
+fn check_daemon_spawn(files: &[(String, String)], out: &mut Vec<Violation>) {
+    for (path, source) in files {
+        if !DAEMON_FILES.contains(&path.as_str()) {
+            continue;
+        }
+        let lines: Vec<&str> = source.lines().collect();
+        let text = |i: usize| lines.get(i).copied().unwrap_or("");
+        let comment = |i: usize| text(i).trim_start().starts_with("//") && reasoned(text(i));
+        // `line` counts from 1, `lines` from 0.
+        let marked = |line: usize| {
+            reasoned(text(line - 1)) || (line >= 2 && comment(line - 2)) || comment(line)
+        };
+        for (line, code) in &code_lines(source, code_tokens(source).into_iter()) {
+            let Some(needle) = SPAWN_SPELLINGS.iter().find(|n| code.contains(*n)) else {
+                continue;
+            };
+            if !marked(*line) {
+                out.push(Violation {
+                    path: path.clone(),
+                    line: *line,
+                    rule: Rule::DaemonSpawn,
+                    message: format!(
+                        "`{needle}` in a proxy daemon: run the job on the daemon's \
+                         workers (`Daemon::on_worker`), or mark a long-lived daemon \
+                         thread `lint:allow(daemon-spawn)` with a reason"
+                    ),
+                });
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1358,6 +1424,55 @@ mod tests {
             want.extend([3, 5, 7].map(|line| (path, line)));
         }
         assert_eq!(hits, want, "{:?}", r.violations);
+    }
+
+    #[test]
+    fn daemon_spawn_flags_unnamed_threads_in_the_daemon_drivers() {
+        let failing = r#"
+fn serve(d: &Daemon) {
+    thread::spawn(move || handle(d));
+    // lint:allow(daemon-spawn)
+    std::thread::spawn(move || reap(d));
+    let t = thread::Builder::new().spawn(move || pump(d));
+}
+#[cfg(test)]
+mod tests {
+    fn t() { std::thread::spawn(|| ()); }
+}
+"#;
+        let passing = r#"
+fn serve(d: &Daemon) {
+    // lint:allow(daemon-spawn) the accept loop, joined on drop
+    threads.push(thread::spawn(move || accept(d)));
+    let r = thread::spawn(move || reap(d)); // lint:allow(daemon-spawn) the reaper
+    d.on_worker(move |d| handle(&d));
+}
+"#;
+        let r = ws(
+            &[
+                ("crates/nexus-proxy/src/outer.rs", failing),
+                ("crates/nexus-proxy/src/pump.rs", passing),
+                // Outside the daemon drivers, spawning is not this rule's business.
+                ("crates/nexus-proxy/src/workers.rs", failing),
+                ("crates/nexus/src/endpoint.rs", failing),
+            ],
+            Some(""),
+            Some(""),
+        );
+        let hits: Vec<(&str, usize)> = r
+            .violations
+            .iter()
+            .filter(|v| v.rule == Rule::DaemonSpawn)
+            .map(|v| (v.path.as_str(), v.line))
+            .collect();
+        // Line 5's marker gives no reason, so it does not count.
+        let outer = "crates/nexus-proxy/src/outer.rs";
+        assert_eq!(
+            hits,
+            [(outer, 3), (outer, 5), (outer, 6)],
+            "{:?}",
+            r.violations
+        );
     }
 
     #[test]
