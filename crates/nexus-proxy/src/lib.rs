@@ -67,3 +67,4 @@ pub use stripe::{
     StripePlan, StripeReceiver, StripeStats, DEFAULT_CHUNK_BYTES, MAX_CHUNK_BYTES, MAX_STRIPES,
     MAX_STRIPE_FRAME,
 };
+pub use workers::{Workers, PARKED};

@@ -1,21 +1,26 @@
 //! Parked worker threads: where a daemon's per-connection and
-//! per-relay threads come from.
+//! per-relay threads, a Nexus endpoint's readers and an RMF record
+//! server's handlers come from.
 //!
-//! Setting up a relay passes through several blocking jobs: a control
-//! handler, a registration watcher, a rendezvous acceptor, two pump
-//! directions, the inner server's connection. Starting a thread for
-//! each costs about 20 us; handing a job to a thread already blocked in
-//! `recv()` costs a channel send. [`Workers::run`] pops a parked worker
-//! and sends it the job, and spawns a thread only when none is parked.
-//! A worker that finishes parks again while fewer than [`PARKED`] are
-//! parked, and otherwise exits, so a burst's extra threads leave once it
-//! is over.
+//! Each owner holds one [`Workers`]: both proxy daemons (a relay's set-up
+//! passes through several blocking jobs: a control handler, a
+//! registration watcher, a rendezvous acceptor, two pump directions, the
+//! inner server's connection), every `nexus::Endpoint` (one frame loop
+//! per attached startpoint) and every `rmf` record server (one handler
+//! per request connection). Starting a thread for each job costs about
+//! 20 us; handing a job to a thread already blocked in `recv()` costs a
+//! channel send. [`Workers::run`] pops a parked worker and sends it the
+//! job, and spawns a thread only when none is parked. A worker that
+//! finishes parks again while fewer than [`PARKED`] are parked, and
+//! otherwise exits, so a burst's extra threads leave once it is over.
 //!
 //! There is no idle timeout. A parked worker blocks in `recv()` with no
-//! timer, so an idle daemon makes no wake-ups, and the [`PARKED`]
+//! timer, so an idle owner makes no wake-ups, and the [`PARKED`]
 //! threads started by [`Workers::new`] stay in the process's thread
 //! count until [`Workers::close`]. `close` drops every parked worker's
 //! sender and joins it; a busy worker finishes its job and then exits.
+//! A job must not hold the pool that runs it: the last [`Workers`] drop
+//! joins the parked set, which a worker cannot do from inside itself.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -24,10 +29,26 @@ use std::thread::{self, JoinHandle};
 use wacs_obs::{Counter, Gauge};
 use wacs_sync::Mutex;
 
-/// Workers kept parked per daemon: the threads one passive relay holds
-/// on the outer server (registration watcher, rendezvous acceptor and
-/// the two pump directions), so the relay's set-up starts no thread.
-pub(crate) const PARKED: usize = 4;
+/// Workers kept parked per pool: one constant for every owner, sized
+/// for the busiest. One passive relay holds four threads on the outer
+/// server (registration watcher, rendezvous acceptor and the two pump
+/// directions), so its set-up starts no thread. The other owners need
+/// fewer. Measured peaks of jobs busy at once in one pool:
+/// - a nexus endpoint, whose reader is busy for its attachment's whole
+///   life: 2 on `mpi_app`'s channel endpoint (a new channel arrives
+///   while the last one's reader ends) and 1 on each rank's endpoint of
+///   its 2-rank world. A rank that N - 1 peers talk to peaks at N - 1:
+///   up to 3 in the gridmpi tests, and 5 for the master of the 6-rank
+///   knapsack test in `tests/wide_area_stack.rs`. The striped-send test,
+///   whose lanes re-attach, peaks at 4;
+/// - an RMF record server: 2 in the rmf tests. No benchmark runs one.
+///
+/// So 4 covers all but one measured endpoint, and most endpoints and
+/// record servers keep 2 or 3 parked threads they never use. Each costs
+/// about 11 KiB resident on Linux and no wake-ups. An endpoint with more
+/// than 4 live attachments starts a thread for each one past the 4th,
+/// as it did for every attachment before endpoints had a pool.
+pub const PARKED: usize = 4;
 
 type Job = Box<dyn FnOnce() + Send>;
 
@@ -72,8 +93,8 @@ impl Shared {
     }
 }
 
-/// One daemon's thread pool. Dropping it closes it.
-pub(crate) struct Workers {
+/// One owner's thread pool. Dropping it closes it.
+pub struct Workers {
     shared: Arc<Shared>,
 }
 
@@ -100,6 +121,28 @@ impl Workers {
         shared.parked.lock().workers = workers;
         shared.parked_gauge.set(PARKED as i64);
         Workers { shared }
+    }
+
+    /// [`Workers::new`] with instruments of its own, in no registry: for
+    /// an owner that has none, read through the getters below.
+    pub fn standalone() -> Self {
+        Workers::new(Counter::default(), Gauge::default())
+    }
+
+    /// Threads this pool has started.
+    pub fn spawns(&self) -> u64 {
+        self.shared.spawns.get()
+    }
+
+    /// Workers parked right now.
+    pub fn parked(&self) -> i64 {
+        self.shared.parked_gauge.get()
+    }
+
+    /// Worker threads alive, parked or busy. Each holds the pool's shared
+    /// state until its thread ends, so this drops only as threads exit.
+    pub fn threads(&self) -> usize {
+        Arc::strong_count(&self.shared) - 1
     }
 
     /// Run `job` on a parked worker, or on a new thread when none is
@@ -217,12 +260,10 @@ mod tests {
         ran.sort_unstable();
         assert_eq!(ran, (0..n).collect::<Vec<_>>());
         assert_eq!(spawns.get(), (PARKED + 2) as u64);
-        // Exactly PARKED park again. Each worker holds the pool's
-        // shared state until its thread ends, so once only the pool
-        // and the parked set hold it, the two extras have exited.
+        // Exactly PARKED park again, and the two extras exit.
         wait_parked(&parked, PARKED as i64);
         let end = Instant::now() + Duration::from_secs(5);
-        while Arc::strong_count(&w.shared) != 1 + PARKED {
+        while w.threads() != PARKED {
             assert!(Instant::now() < end, "the extra workers never exited");
             thread::sleep(Duration::from_millis(1));
         }
@@ -234,9 +275,8 @@ mod tests {
         let (w, _, parked) = pool();
         w.close();
         assert_eq!(parked.get(), 0);
-        // A worker drops its hold on the shared state as its thread
-        // ends: had close() not joined them, some would still hold it.
-        assert_eq!(Arc::strong_count(&w.shared), 1);
+        // Had close() not joined them, some would still be alive.
+        assert_eq!(w.threads(), 0);
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! Endpoints: the passive (receiving) half of a Nexus channel.
 //!
 //! An endpoint owns a listener (registered with the Nexus Proxy when
-//! one is configured), an acceptor thread, and one reader thread per
-//! attached startpoint. All arriving messages multiplex into a single
-//! queue, preserving per-startpoint order.
+//! one is configured), an acceptor thread, and a pool of parked reader
+//! threads (`nexus_proxy::Workers`). The acceptor hands each attached
+//! startpoint's frame loop to the pool, so a new channel's first
+//! message waits for a channel send, not for a `thread::spawn`. All
+//! arriving messages multiplex into a single queue, preserving
+//! per-startpoint order.
 
 use crate::context::NexusContext;
 use crate::msg::recv_frame;
 use crate::ports::PortPolicy;
 use firewall::StopHandle;
-use nexus_proxy::{nx_proxy_bind, NxListener};
+use nexus_proxy::{nx_proxy_bind, NxListener, Workers};
 use std::io;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -31,6 +35,9 @@ pub struct Endpoint {
     // Handshake-acceptance tally shared with the accept thread; not
     // registry-backed (nexus has no registry). lint:allow(bare-atomic-counter)
     accepted: Arc<AtomicU64>,
+    /// Runs each attachment's frame loop. Shared with the acceptor; no
+    /// reader job holds it.
+    readers: Arc<Workers>,
     inproc_key: (String, u16),
     exchange: crate::startpoint::InProcExchange,
 }
@@ -65,18 +72,22 @@ impl Endpoint {
         };
         let advertised = listener.advertised.clone();
         let stop = listener.stop_handle();
+        let readers = Arc::new(Workers::standalone());
 
-        // Acceptor thread: accepts attachments, spawns a reader each.
+        // Acceptor thread: accepts attachments, hands each to a reader.
         {
             let stop = stop.clone();
             let tx = tx.clone();
             let accepted = accepted.clone();
+            let readers = readers.clone();
+            // lint:allow(daemon-spawn) the endpoint's accept loop, ended by its stop handle
             thread::spawn(move || {
                 // The listener stays registered as long as this loop runs.
                 while let Some(stream) = listener.accept_until_stop() {
                     stream.set_nodelay(true).ok();
                     accepted.fetch_add(1, Ordering::Relaxed);
-                    spawn_reader(stream, tx.clone(), stop.clone());
+                    let (tx, stop) = (tx.clone(), stop.clone());
+                    readers.run(move || read_frames(stream, &tx, &stop));
                 }
             });
         }
@@ -90,6 +101,7 @@ impl Endpoint {
             rx,
             stop,
             accepted,
+            readers,
             inproc_key,
             exchange: ctx.inproc().clone(),
         })
@@ -137,6 +149,12 @@ impl Endpoint {
         self.accepted.load(Ordering::Relaxed)
     }
 
+    /// Reader threads this endpoint has started: [`nexus_proxy::PARKED`]
+    /// at creation, then one per attachment that found no reader parked.
+    pub fn reader_spawns(&self) -> u64 {
+        self.readers.spawns()
+    }
+
     /// Messages waiting in the queue.
     pub fn pending(&self) -> usize {
         self.rx.len()
@@ -147,24 +165,122 @@ impl Drop for Endpoint {
     fn drop(&mut self) {
         self.stop.stop();
         self.exchange.unregister(&self.inproc_key);
+        // Joins the parked readers; a busy one exits when its attachment
+        // ends.
+        self.readers.close();
     }
 }
 
-fn spawn_reader(stream: std::net::TcpStream, tx: Sender<Vec<u8>>, stop: StopHandle) {
-    thread::spawn(move || {
-        let mut stream = stream;
-        loop {
-            if stop.is_stopped() {
-                break;
-            }
-            match recv_frame(&mut stream) {
-                Ok(Some(msg)) => {
-                    if tx.send(msg).is_err() {
-                        break;
-                    }
+/// One attachment's frame loop, run on a parked reader.
+fn read_frames(mut stream: TcpStream, tx: &Sender<Vec<u8>>, stop: &StopHandle) {
+    while !stop.is_stopped() {
+        match recv_frame(&mut stream) {
+            Ok(Some(msg)) => {
+                if tx.send(msg).is_err() {
+                    break;
                 }
-                Ok(None) | Err(_) => break,
             }
+            Ok(None) | Err(_) => break,
         }
-    });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::{proxied, world};
+    use crate::NexusContext;
+    use std::time::Instant;
+
+    fn wait_parked(ep: &Endpoint, n: i64) {
+        let end = Instant::now() + Duration::from_secs(5);
+        while ep.readers.parked() != n {
+            assert!(
+                Instant::now() < end,
+                "parked readers {} never reached {n}",
+                ep.readers.parked()
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn warm_sequential_channels_start_no_reader_thread() {
+        let w = world();
+        let ep = proxied(&w.net, "rwcp-sun").endpoint().unwrap();
+        let full = ep.readers.parked();
+        assert_eq!(full, nexus_proxy::PARKED as i64);
+        let adv = (ep.advertised().0.to_string(), ep.advertised().1);
+        let client = NexusContext::direct(w.net.clone(), "etl-sun");
+        let round = |i: u8| {
+            let sp = client.attach((&adv.0, adv.1)).unwrap();
+            let msg = vec![i; 1024];
+            sp.send(&msg).unwrap();
+            assert_eq!(ep.recv().unwrap(), msg);
+            // The reader parks again once the relay passes the close on.
+            drop(sp);
+            wait_parked(&ep, full);
+        };
+        round(0);
+        let warm = ep.reader_spawns();
+        for i in 1..=20 {
+            round(i);
+        }
+        assert_eq!(ep.reader_spawns(), warm);
+        assert_eq!(ep.attachments(), 21);
+    }
+
+    #[test]
+    fn two_live_attachments_each_keep_their_order() {
+        let w = world();
+        let ep = proxied(&w.net, "rwcp-sun").endpoint().unwrap();
+        let adv = (ep.advertised().0.to_string(), ep.advertised().1);
+        let client = NexusContext::direct(w.net.clone(), "etl-sun");
+        let sps: Vec<_> = (0..2)
+            .map(|_| client.attach((&adv.0, adv.1)).unwrap())
+            .collect();
+        thread::scope(|s| {
+            for (id, sp) in sps.iter().enumerate() {
+                s.spawn(move || {
+                    for seq in 0..200u32 {
+                        let mut msg = vec![id as u8];
+                        msg.extend_from_slice(&seq.to_be_bytes());
+                        sp.send(&msg).unwrap();
+                    }
+                });
+            }
+        });
+        let mut next = [0u32; 2];
+        for _ in 0..400 {
+            let msg = ep.recv_timeout(Duration::from_secs(10)).unwrap().unwrap();
+            let id = usize::from(msg[0]);
+            assert_eq!(u32::from_be_bytes(msg[1..5].try_into().unwrap()), next[id]);
+            next[id] += 1;
+        }
+        assert_eq!(next, [200, 200]);
+        assert_eq!(ep.attachments(), 2);
+    }
+
+    #[test]
+    fn a_dropped_endpoint_leaves_no_reader_thread_behind() {
+        let w = world();
+        let ep = proxied(&w.net, "rwcp-sun").endpoint().unwrap();
+        let readers = ep.readers.clone();
+        let adv = (ep.advertised().0.to_string(), ep.advertised().1);
+        let client = NexusContext::direct(w.net.clone(), "etl-sun");
+        let sp = client.attach((&adv.0, adv.1)).unwrap();
+        sp.send(b"live").unwrap();
+        assert_eq!(ep.recv().unwrap(), b"live");
+        assert_eq!(readers.threads(), nexus_proxy::PARKED);
+        // The parked readers are joined before the drop returns; the
+        // busy one is left to end with its attachment.
+        drop(ep);
+        assert_eq!((readers.parked(), readers.threads()), (0, 1));
+        drop(sp);
+        let end = Instant::now() + Duration::from_secs(5);
+        while readers.threads() != 0 {
+            assert!(Instant::now() < end, "the busy reader never exited");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
 }

@@ -47,13 +47,13 @@ mod tests {
     use nexus_proxy::{InnerConfig, InnerServer, OuterConfig, OuterServer};
     use std::time::Duration;
 
-    struct World {
-        net: VNet,
+    pub(crate) struct World {
+        pub(crate) net: VNet,
         _outer: OuterServer,
         _inner: InnerServer,
     }
 
-    fn world() -> World {
+    pub(crate) fn world() -> World {
         let net = VNet::new();
         let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
         let dmz = net.add_site("dmz", None);
@@ -77,7 +77,7 @@ mod tests {
         }
     }
 
-    fn proxied(net: &VNet, host: &str) -> NexusContext {
+    pub(crate) fn proxied(net: &VNet, host: &str) -> NexusContext {
         NexusContext::via_proxy(net.clone(), host, ("rwcp-outer", OUTER_PORT))
     }
 

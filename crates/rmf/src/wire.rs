@@ -11,6 +11,7 @@
 //! would be a remote denial of service.
 
 use firewall::vnet::{StopHandle, VListener};
+use nexus_proxy::Workers;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -186,12 +187,16 @@ impl Record {
 }
 
 /// A request/reply record service, as the allocator, the Q servers and
-/// the gatekeeper all run it: one acceptor thread on the listener, one
-/// thread per connection answering each request with `handle`.
-/// Dropping it stops the acceptor and joins it.
+/// the gatekeeper all run it: one acceptor thread on the listener, and
+/// each connection answered on a parked worker of the server's own
+/// [`Workers`], one request at a time with `handle`. Dropping it stops
+/// the acceptor, joins it, and closes the pool.
 pub(crate) struct RecordServer {
     stop: StopHandle,
     acceptor: Option<thread::JoinHandle<()>>,
+    /// Runs each connection's request loop. Shared with the acceptor; no
+    /// handler holds it.
+    handlers: Arc<Workers>,
 }
 
 impl RecordServer {
@@ -201,10 +206,13 @@ impl RecordServer {
     ) -> RecordServer {
         let stop = listener.stop_handle();
         let handle = Arc::new(handle);
+        let handlers = Arc::new(Workers::standalone());
+        let pool = handlers.clone();
+        // lint:allow(daemon-spawn) the server's accept loop, joined on drop
         let acceptor = thread::spawn(move || {
             while let Some(mut stream) = listener.accept_until_stop() {
                 let handle = handle.clone();
-                thread::spawn(move || {
+                pool.run(move || {
                     while let Ok(Some(req)) = Record::read_from(&mut stream) {
                         if handle(&req).write_to(&mut stream).is_err() {
                             break;
@@ -216,6 +224,7 @@ impl RecordServer {
         RecordServer {
             stop,
             acceptor: Some(acceptor),
+            handlers,
         }
     }
 
@@ -230,6 +239,9 @@ impl Drop for RecordServer {
         if let Some(t) = self.acceptor.take() {
             let _ = t.join();
         }
+        // Joins the parked handlers; a busy one exits when its
+        // connection ends.
+        self.handlers.close();
     }
 }
 
@@ -346,5 +358,44 @@ mod tests {
             let bytes: Vec<u8> = (0..len).map(|_| r() as u8).collect();
             let _ = Record::decode(&bytes);
         }
+    }
+
+    #[test]
+    fn warm_sequential_connections_start_no_thread() {
+        use std::time::{Duration, Instant};
+        let net = firewall::vnet::VNet::new();
+        let site = net.add_site("site", None);
+        net.add_host("server", site);
+        net.add_host("client", site);
+        let listener = net.bind("server", 0).unwrap();
+        let port = listener.logical_port();
+        let server =
+            RecordServer::start(listener, |req| Record::new("ack").with("for", req.kind()));
+        let pool = server.handlers.clone();
+        let full = pool.parked();
+        assert_eq!(full, nexus_proxy::PARKED as i64);
+        let request = |i: usize| {
+            let kind = format!("req{i}");
+            let mut stream = net.dial("client", "server", port).unwrap();
+            Record::new(&kind).write_to(&mut stream).unwrap();
+            let rep = Record::read_from(&mut stream).unwrap().unwrap();
+            assert_eq!(rep.get("for"), Some(kind.as_str()));
+            // The handler parks again once it reads the close.
+            drop(stream);
+            let end = Instant::now() + Duration::from_secs(5);
+            while pool.parked() != full {
+                assert!(Instant::now() < end, "handler never parked again");
+                thread::sleep(Duration::from_millis(1));
+            }
+        };
+        request(0);
+        let warm = pool.spawns();
+        for i in 1..=10 {
+            request(i);
+        }
+        assert_eq!(pool.spawns(), warm);
+        // Every handler is parked, so the drop joins them all.
+        drop(server);
+        assert_eq!(pool.threads(), 0);
     }
 }

@@ -66,11 +66,15 @@ pub enum Rule {
     /// `RetryPolicy`'s `base_backoff`/`max_backoff`/`max_attempts`
     /// instead of driving `Retry` (see `wsrules`).
     RetryPlane,
-    /// A `thread::spawn` in the proxy daemons' driver files (`outer.rs`,
-    /// `inner.rs`, `wire.rs`, `pump.rs`) that is not one of the named
-    /// long-lived daemon threads: a connection's or relay's thread comes
-    /// from the daemon's parked workers (see `wsrules`).
+    /// A `thread::spawn` in a file whose per-connection threads come
+    /// from a `Workers` pool (the proxy daemons' `outer.rs`, `inner.rs`,
+    /// `wire.rs`, `pump.rs`, nexus `endpoint.rs`, rmf `wire.rs`) that is
+    /// not one of the named long-lived threads (see `wsrules`).
     DaemonSpawn,
+    /// A `*.rs` under a crate's `src/` that no `mod` declaration reaches
+    /// from `lib.rs`/`main.rs` and that is not under `src/bin/`: nothing
+    /// compiles it (see `wsrules`).
+    OrphanModule,
 }
 
 pub const ALL: &[Rule] = &[
@@ -92,6 +96,7 @@ pub const ALL: &[Rule] = &[
     Rule::SchedPlane,
     Rule::RetryPlane,
     Rule::DaemonSpawn,
+    Rule::OrphanModule,
 ];
 
 impl Rule {
@@ -115,6 +120,7 @@ impl Rule {
             Rule::SchedPlane => "sched-plane",
             Rule::RetryPlane => "retry-plane",
             Rule::DaemonSpawn => "daemon-spawn",
+            Rule::OrphanModule => "orphan-module",
         }
     }
 
@@ -170,8 +176,12 @@ impl Rule {
                  max_backoff/max_attempts; callers ask Retry"
             }
             Rule::DaemonSpawn => {
-                "no thread::spawn in nexus-proxy outer/inner/wire/pump.rs but the marked \
-                 long-lived daemon threads; relay threads come from workers.rs"
+                "no thread::spawn in nexus-proxy outer/inner/wire/pump.rs, nexus endpoint.rs \
+                 or rmf wire.rs but the marked long-lived threads; the rest come from workers.rs"
+            }
+            Rule::OrphanModule => {
+                "every src/ file is reached from lib.rs/main.rs through mod declarations \
+                 or lives in src/bin/"
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Workspace-level rules: analyses that need the whole file set (or
 //! files outside the library walk) rather than one file at a time.
 //!
-//! Eight rules live here, all built on the token stream from
+//! Nine rules live here, all built on the token stream from
 //! [`crate::lexer`]:
 //!
 //! * **`lock-order`** — a static lock-order graph over every
@@ -46,12 +46,21 @@
 //!   (`nexus-proxy/src/core/retry.rs`). No other non-test code reads a
 //!   `RetryPolicy`'s `base_backoff`, `max_backoff` or `max_attempts`;
 //!   a caller asks `Retry` when the next attempt starts.
-//! * **`daemon-spawn`** — a relay's threads come from one place, the
-//!   daemon's parked workers (`nexus-proxy/src/workers.rs`). No non-test
-//!   `thread::spawn` in `nexus-proxy/src/{outer,inner,wire,pump}.rs`
-//!   except the named long-lived daemon threads (accept loops, reaper,
-//!   heartbeat), each marked `lint:allow(daemon-spawn)` with a reason on
-//!   its line or the comment line above or below.
+//! * **`daemon-spawn`** — per-connection threads come from one place,
+//!   the owner's parked workers (`nexus-proxy/src/workers.rs`): a relay's
+//!   on the proxy daemons, an attachment's reader on a nexus endpoint, a
+//!   request connection's handler on an RMF record server. No non-test
+//!   `thread::spawn` in `nexus-proxy/src/{outer,inner,wire,pump}.rs`,
+//!   `nexus/src/endpoint.rs` or `rmf/src/wire.rs` except the named
+//!   long-lived threads (accept loops, reaper, heartbeat), each marked
+//!   `lint:allow(daemon-spawn)` with a reason on its line or the comment
+//!   line above or below.
+//! * **`orphan-module`** — every `*.rs` under a crate's `src/` (and the
+//!   root `src/`) is reached from that directory's `lib.rs`/`main.rs`
+//!   through `mod` declarations (inline `mod x { mod y; }` nesting
+//!   followed), or lives under `src/bin/`. A file nothing declares is
+//!   never compiled, so it can rot unseen. `#[path]` is not followed;
+//!   the workspace uses none.
 
 use crate::lexer::{lex, string_content, Token, TokenKind};
 use crate::rules::{test_region_lines, Rule, Violation};
@@ -106,6 +115,7 @@ pub fn analyze_workspace(
     check_sched_plane(files, &mut violations);
     check_retry_plane(files, &mut violations);
     check_daemon_spawn(files, &mut violations);
+    check_orphan_modules(files, &mut violations);
 
     WsReport {
         violations,
@@ -978,13 +988,17 @@ fn check_retry_plane(files: &[(String, String)], out: &mut Vec<Violation>) {
 // daemon-spawn
 // ---------------------------------------------------------------------------
 
-/// The proxy daemons' driver files: their per-connection and per-relay
-/// jobs run on `workers.rs`'s parked threads.
+/// Files whose per-connection jobs run on `workers.rs`'s parked
+/// threads: the proxy daemons' drivers, the nexus endpoint (one reader
+/// per attachment) and the RMF record server (one handler per request
+/// connection).
 const DAEMON_FILES: &[&str] = &[
     "crates/nexus-proxy/src/outer.rs",
     "crates/nexus-proxy/src/inner.rs",
     "crates/nexus-proxy/src/wire.rs",
     "crates/nexus-proxy/src/pump.rs",
+    "crates/nexus/src/endpoint.rs",
+    "crates/rmf/src/wire.rs",
 ];
 
 /// Ways to start a thread.
@@ -999,8 +1013,8 @@ fn reasoned(line: &str) -> bool {
         })
 }
 
-/// A daemon thread that is not a worker must be named: a marker with a
-/// reason on its line, or on a comment line directly above or below.
+/// A thread that is not a worker must be named: a marker with a reason
+/// on its line, or on a comment line directly above or below.
 fn check_daemon_spawn(files: &[(String, String)], out: &mut Vec<Violation>) {
     for (path, source) in files {
         if !DAEMON_FILES.contains(&path.as_str()) {
@@ -1023,13 +1037,141 @@ fn check_daemon_spawn(files: &[(String, String)], out: &mut Vec<Violation>) {
                     line: *line,
                     rule: Rule::DaemonSpawn,
                     message: format!(
-                        "`{needle}` in a proxy daemon: run the job on the daemon's \
-                         workers (`Daemon::on_worker`), or mark a long-lived daemon \
-                         thread `lint:allow(daemon-spawn)` with a reason"
+                        "`{needle}` in a pooled server: run the job on its parked \
+                         `Workers` (`workers.run`, `Daemon::on_worker`), or mark a \
+                         long-lived thread `lint:allow(daemon-spawn)` with a reason"
                     ),
                 });
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// orphan-module
+// ---------------------------------------------------------------------------
+
+/// The `src/` directory a workspace-relative path sits under:
+/// `crates/<name>/src/` or the root `src/`.
+fn src_dir(path: &str) -> Option<&str> {
+    let end = match path.strip_prefix("crates/") {
+        Some(rest) => "crates/".len() + rest.find('/')? + "/src/".len(),
+        None => "src/".len(),
+    };
+    path.get(..end)
+        .filter(|dir| *dir == "src/" || dir.ends_with("/src/"))
+}
+
+/// `lib.rs` or `main.rs` directly inside a `src/` directory.
+fn is_crate_root(path: &str) -> bool {
+    src_dir(path).is_some_and(|d| matches!(&path[d.len()..], "lib.rs" | "main.rs"))
+}
+
+/// Where the files of `path`'s child modules live: beside a crate root
+/// or a `mod.rs`, in a directory named after any other file.
+fn child_dir(path: &str) -> String {
+    let (dir, file) = path.rsplit_once('/').unwrap_or(("", path));
+    if is_crate_root(path) || file == "mod.rs" {
+        format!("{dir}/")
+    } else {
+        format!("{dir}/{}/", file.trim_end_matches(".rs"))
+    }
+}
+
+/// Every out-of-line `mod name;` in `source`, as a path relative to the
+/// file's [`child_dir`]: `mod a { mod b; }` declares `a/b`. Test
+/// regions count (a `#[cfg(test)] mod tests;` is compiled by the tests).
+fn declared_mods(source: &str) -> Vec<String> {
+    let toks: Vec<Token> = lex(source)
+        .into_iter()
+        .filter(|t| !t.kind.is_trivia())
+        .collect();
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text(source));
+    let is_name = |i: usize| {
+        toks.get(i)
+            .is_some_and(|t| matches!(t.kind, TokenKind::Ident | TokenKind::RawIdent))
+    };
+    // Inline modules open around the cursor, with the brace depth
+    // inside each one's body.
+    let mut inline: Vec<(&str, usize)> = Vec::new();
+    let mut depth = 0usize;
+    let mut out = Vec::new();
+    for (i, tok) in toks.iter().enumerate() {
+        match tok.text(source) {
+            "{" => depth += 1,
+            "}" => {
+                depth = depth.saturating_sub(1);
+                if inline.last().is_some_and(|&(_, d)| d > depth) {
+                    inline.pop();
+                }
+            }
+            "mod" if tok.kind == TokenKind::Ident && is_name(i + 1) => {
+                let name = text(i + 1).trim_start_matches("r#");
+                match text(i + 2) {
+                    ";" => {
+                        let mut path: Vec<&str> = inline.iter().map(|&(n, _)| n).collect();
+                        path.push(name);
+                        out.push(path.join("/"));
+                    }
+                    // The `{` itself is counted when the loop reaches it.
+                    "{" => inline.push((name, depth + 1)),
+                    _ => {}
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Walk `mod` declarations from every crate root; report each `src/`
+/// file outside `src/bin/` that the walk never reaches. A `src/` whose
+/// `lib.rs` and `main.rs` are both missing from `files` is a partial
+/// view (a fixture, a pruned checkout) and is not judged.
+fn check_orphan_modules(files: &[(String, String)], out: &mut Vec<Violation>) {
+    let sources: BTreeMap<&str, &str> = files
+        .iter()
+        .map(|(p, s)| (p.as_str(), s.as_str()))
+        .collect();
+    let mut todo: Vec<&str> = sources
+        .keys()
+        .copied()
+        .filter(|p| is_crate_root(p))
+        .collect();
+    let mut reached = BTreeSet::new();
+    while let Some(path) = todo.pop() {
+        if !reached.insert(path) {
+            continue;
+        }
+        let dir = child_dir(path);
+        for decl in declared_mods(sources[path]) {
+            for file in [format!("{dir}{decl}.rs"), format!("{dir}{decl}/mod.rs")] {
+                if let Some((&found, _)) = sources.get_key_value(file.as_str()) {
+                    todo.push(found);
+                }
+            }
+        }
+    }
+    let rooted: BTreeSet<&str> = reached.iter().filter_map(|p| src_dir(p)).collect();
+    for (path, _) in files {
+        let Some(dir) = src_dir(path) else {
+            continue;
+        };
+        if !rooted.contains(dir)
+            || path[dir.len()..].starts_with("bin/")
+            || reached.contains(path.as_str())
+        {
+            continue;
+        }
+        out.push(Violation {
+            path: path.clone(),
+            line: 1,
+            rule: Rule::OrphanModule,
+            message: format!(
+                "no `mod` declaration reaches this file from `{dir}lib.rs` or `{dir}main.rs`, \
+                 so nothing compiles it: declare it, move it under `{dir}bin/`, or delete it"
+            ),
+        });
     }
 }
 
@@ -1452,9 +1594,12 @@ fn serve(d: &Daemon) {
             &[
                 ("crates/nexus-proxy/src/outer.rs", failing),
                 ("crates/nexus-proxy/src/pump.rs", passing),
-                // Outside the daemon drivers, spawning is not this rule's business.
-                ("crates/nexus-proxy/src/workers.rs", failing),
+                // The nexus endpoint's readers come from its pool too.
                 ("crates/nexus/src/endpoint.rs", failing),
+                ("crates/rmf/src/wire.rs", passing),
+                // The pool itself spawns; so may files without a pool.
+                ("crates/nexus-proxy/src/workers.rs", failing),
+                ("crates/rmf/src/gatekeeper.rs", failing),
             ],
             Some(""),
             Some(""),
@@ -1467,9 +1612,78 @@ fn serve(d: &Daemon) {
             .collect();
         // Line 5's marker gives no reason, so it does not count.
         let outer = "crates/nexus-proxy/src/outer.rs";
+        let endpoint = "crates/nexus/src/endpoint.rs";
         assert_eq!(
             hits,
-            [(outer, 3), (outer, 5), (outer, 6)],
+            [
+                (outer, 3),
+                (outer, 5),
+                (outer, 6),
+                (endpoint, 3),
+                (endpoint, 5),
+                (endpoint, 6)
+            ],
+            "{:?}",
+            r.violations
+        );
+    }
+
+    #[test]
+    fn orphan_module_flags_files_no_mod_declaration_reaches() {
+        let lib = r#"
+pub mod a;
+mod b {
+    pub mod c;
+    fn f() {}
+}
+#[cfg(test)]
+mod tests;
+mod inline_only {}
+// mod commented;
+const S: &str = "mod in_string;";
+"#;
+        let r = ws(
+            &[
+                ("crates/demo/src/lib.rs", lib),
+                ("crates/demo/src/a.rs", "mod d;\n"),
+                ("crates/demo/src/a/d.rs", ""),
+                ("crates/demo/src/b/c.rs", ""),
+                ("crates/demo/src/tests.rs", "#![cfg(test)]\n"),
+                ("crates/demo/src/commented.rs", ""),
+                ("crates/demo/src/in_string.rs", ""),
+                ("crates/demo/src/a/e.rs", ""),
+                ("crates/demo/src/c.rs", ""),
+                ("crates/demo/src/bin/tool.rs", ""),
+                ("crates/tool/src/main.rs", "mod cli;\n"),
+                ("crates/tool/src/cli/mod.rs", "pub mod parse;\n"),
+                ("crates/tool/src/cli/parse.rs", ""),
+                ("crates/tool/src/old.rs", ""),
+                ("src/lib.rs", "pub mod prelude;\n"),
+                ("src/prelude.rs", ""),
+                ("src/extra.rs", ""),
+                // No root in the set: not judged.
+                ("crates/partial/src/alone.rs", ""),
+            ],
+            Some(""),
+            Some(""),
+        );
+        let hits: Vec<(&str, usize)> = r
+            .violations
+            .iter()
+            .filter(|v| v.rule == Rule::OrphanModule)
+            .map(|v| (v.path.as_str(), v.line))
+            .collect();
+        assert_eq!(
+            hits,
+            [
+                ("crates/demo/src/commented.rs", 1),
+                ("crates/demo/src/in_string.rs", 1),
+                ("crates/demo/src/a/e.rs", 1),
+                // `b::c` lives in `b/c.rs`, not beside the root.
+                ("crates/demo/src/c.rs", 1),
+                ("crates/tool/src/old.rs", 1),
+                ("src/extra.rs", 1),
+            ],
             "{:?}",
             r.violations
         );
