@@ -337,3 +337,63 @@ pub fn nx_proxy_bind(net: &VNet, env: &ProxyEnv, host: &str) -> io::Result<NxLis
         (_, None) => Err(refusal(Refusal::Unexpected, None)),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+
+    const CTRL: u16 = 7000;
+    /// What a peer sends right behind the grant, before the client
+    /// has written anything.
+    const APP: &[u8] = b"application bytes behind the grant";
+
+    /// An outer server on `outer:CTRL` that answers one request with
+    /// `grant` and `APP` in a single write, then holds the stream.
+    fn granting_outer(grant: Msg) -> VNet {
+        let net = VNet::new();
+        let site = net.add_site("lab", None);
+        for h in ["edge", "outer"] {
+            net.add_host(h, site);
+        }
+        let listener = net.bind("outer", CTRL).unwrap();
+        std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            Msg::read_from(&mut s).unwrap();
+            let mut reply = grant.encode().unwrap();
+            reply.extend_from_slice(APP);
+            s.write_all(&reply).unwrap();
+            let _ = s.read(&mut [0]);
+        });
+        net
+    }
+
+    /// Every byte behind the reply frame is left for the stream's next
+    /// reader.
+    fn assert_app_bytes_left(mut s: &TcpStream) {
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut got = vec![0; APP.len()];
+        s.read_exact(&mut got).unwrap();
+        assert_eq!(got, APP);
+    }
+
+    #[test]
+    fn a_connect_hands_on_the_bytes_behind_its_reply() {
+        let net = granting_outer(Msg::ConnectRep {
+            ok: true,
+            detail: String::new(),
+        });
+        let env = ProxyEnv::via("outer", CTRL);
+        let s = nx_proxy_connect(&net, &env, "edge", ("target", 9000)).unwrap();
+        assert_app_bytes_left(&s);
+    }
+
+    #[test]
+    fn a_bind_keeps_the_bytes_behind_its_reply() {
+        let net = granting_outer(Msg::BindRep { rdv_port: 7001 });
+        let env = ProxyEnv::via("outer", CTRL);
+        let l = nx_proxy_bind(&net, &env, "edge").unwrap();
+        assert_eq!(l.advertised, ("outer".to_string(), 7001));
+        assert_app_bytes_left(l._ctrl.as_ref().unwrap());
+    }
+}

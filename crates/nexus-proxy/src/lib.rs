@@ -30,6 +30,7 @@ mod client_conformance;
 #[cfg(test)]
 mod conformance;
 pub mod core;
+pub mod frame;
 pub mod hook;
 pub mod inner;
 pub mod liveness;
@@ -48,6 +49,7 @@ pub use client::{
     nx_proxy_bind, nx_proxy_connect, retry_blocking, FleetRouter, NxListener, ProxyEnv,
 };
 pub use core::{RetryPolicy, REPLY_DEADLINE};
+pub use frame::write_all_parts;
 pub use hook::{DialHook, DialInterposer, DialLeg};
 pub use inner::{InnerConfig, InnerServer};
 pub use liveness::{
@@ -56,7 +58,7 @@ pub use liveness::{
 };
 pub use outer::{OuterConfig, OuterServer};
 pub use pool::{BufferPool, PoolConfig};
-pub use protocol::{write_all_parts, CtrlMsg, Msg};
+pub use protocol::{CtrlMsg, Msg};
 pub use pump::{copy_loop, CopyEnd, RelayActivity};
 pub use shard::{
     bind_key, member_tag, GenerationWitness, ShardMap, ShardRoute, ShardRouter, ShardStats,

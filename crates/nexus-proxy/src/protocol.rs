@@ -1,17 +1,19 @@
 //! Wire protocol of the Nexus Proxy (real-socket implementation).
 //!
-//! Control messages are length-prefixed frames:
+//! Control messages are frames of at most [`MAX_FRAME`] bytes; the
+//! length prefix is [`crate::frame`]'s. A frame body is a type byte and
+//! that type's fields:
 //!
 //! ```text
-//! +--------+------+------------------+
-//! | u32 BE | u8   | body             |
-//! | length | type | (type-specific)  |
-//! +--------+------+------------------+
+//! +------+------------------+
+//! | u8   | fields           |
+//! | type | (type-specific)  |
+//! +------+------------------+
 //! ```
 //!
-//! `length` covers the type byte and body. Once a relay is negotiated
-//! the stream leaves framed mode and both directions become an opaque
-//! byte pipe (the relay copies, never parses — like the original).
+//! Once a relay is negotiated the stream leaves framed mode and both
+//! directions become an opaque byte pipe (the relay copies, never
+//! parses — like the original).
 //!
 //! The message set mirrors the paper's §3:
 //!
@@ -33,24 +35,12 @@
 //! * `ShardSync` — generation-counted fleet-membership announcement,
 //!   the BindSync discipline applied to the shard map itself.
 
+use crate::frame::{read_frame, write_frame};
 use std::io::{self, Read, Write};
 
 /// Upper bound on a control frame; anything larger is a protocol error
 /// (relay *data* is never framed, so this only bounds control traffic).
 pub const MAX_FRAME: u32 = 64 * 1024;
-
-/// Reject a declared length before any allocation sized by it. A
-/// malformed or adversarial peer controls the length prefix; capping
-/// here means the decoder's allocations are bounded by [`MAX_FRAME`]
-/// no matter what arrives on the wire.
-fn check_frame_len(len: u32) -> io::Result<()> {
-    if len == 0 || len > MAX_FRAME {
-        return Err(bad(&format!(
-            "bad frame length {len} (cap {MAX_FRAME} bytes)"
-        )));
-    }
-    Ok(())
-}
 
 /// A control message, generic over how a host is named: `String` on
 /// the wire ([`Msg`]), `netsim::NodeId` in virtual time. One enum, so
@@ -293,6 +283,17 @@ impl Msg {
     /// Fails (rather than truncating) if a string field exceeds the
     /// `u16` wire-length limit.
     pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
+        let body = self.encode_body()?;
+        let mut framed = Vec::with_capacity(4 + body.len());
+        // Into a `Vec`, only the cap can fail, and `encode_body` has
+        // checked it.
+        write_frame(&mut framed, MAX_FRAME, [&body])
+            .map_err(|_| EncodeError::FrameTooLarge { len: body.len() })?;
+        Ok(framed)
+    }
+
+    /// The frame body: type byte and fields.
+    fn encode_body(&self) -> Result<Vec<u8>, EncodeError> {
         let mut body = Vec::with_capacity(64);
         match self {
             Msg::ConnectReq { host, port } => {
@@ -359,18 +360,12 @@ impl Msg {
                 put_endpoints(&mut body, "members", members)?;
             }
         }
-        // Enforce the cap symmetrically with `check_frame_len`: never
-        // emit a frame the peer's decoder is required to reject. The
-        // old `as u32` cast here could not truncate in practice (the
-        // u16 string caps bound the body), but an oversize frame
-        // would still have been *sent* and then refused remotely.
+        // Enforce the cap symmetrically with `read_frame`: never emit a
+        // frame the peer's decoder is required to reject.
         if body.len() > MAX_FRAME as usize {
             return Err(EncodeError::FrameTooLarge { len: body.len() });
         }
-        let mut framed = Vec::with_capacity(4 + body.len());
-        framed.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        framed.extend_from_slice(&body);
-        Ok(framed)
+        Ok(body)
     }
 
     /// Decode one frame body (without the length prefix).
@@ -451,53 +446,20 @@ impl Msg {
         Ok(msg)
     }
 
-    /// Write one framed message to a stream.
+    /// Write one framed message to a stream, in one write.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let framed = self.encode()?;
-        w.write_all(&framed)?;
-        w.flush()
+        write_frame(w, MAX_FRAME, [&self.encode_body()?])
     }
 
-    /// Read one framed message from a stream.
+    /// Read one framed message from a stream. Any end of stream, also
+    /// between frames, is an error: a control reply was due.
     pub fn read_from(r: &mut impl Read) -> io::Result<Msg> {
-        let mut len = [0u8; 4];
-        // Generic `Read`; socket callers own the deadline (the servers
-        // set read timeouts on their streams).
-        r.read_exact(&mut len)?; // lint:allow(deadline-io)
-        let len = u32::from_be_bytes(len);
-        // Cap-check the declared length *before* allocating the body
-        // buffer: the prefix is peer-controlled.
-        check_frame_len(len)?;
-        let mut body = vec![0u8; len as usize];
-        r.read_exact(&mut body)?; // lint:allow(deadline-io)
+        let mut body = Vec::new();
+        if !read_frame(r, MAX_FRAME, &mut body)? {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
         Msg::decode(&body)
     }
-}
-
-/// Write every byte of `parts`, in order, through `write_vectored`: a
-/// writer that takes everything offered sees one call, so a frame
-/// whose head and body live apart still leaves as one write (under
-/// `TCP_NODELAY`, one segment when it fits). Short writes resume
-/// mid-slice, `Interrupted` is retried and `Ok(0)` is
-/// [`io::ErrorKind::WriteZero`], as `write_all` does. This is std's
-/// unstable `Write::write_all_vectored`.
-pub fn write_all_parts(w: &mut impl Write, mut parts: &mut [io::IoSlice<'_>]) -> io::Result<()> {
-    // Drop leading empty slices, so an all-empty write makes no call.
-    io::IoSlice::advance_slices(&mut parts, 0);
-    while !parts.is_empty() {
-        match w.write_vectored(parts) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "failed to write whole buffer",
-                ))
-            }
-            Ok(n) => io::IoSlice::advance_slices(&mut parts, n),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@
 //!   chunks — no side channel is needed to describe the split;
 //! * [`StripeFrame`] is the wire format riding *inside* the opaque
 //!   relay pipe (the relay copies, never parses — framing is parsed
-//!   only by the endpoints), with the same length-prefix + type-byte
-//!   + cap-before-allocation discipline as the control protocol;
+//!   only by the endpoints): [`crate::frame`]'s frames under their own
+//!   cap, a type byte first, as in the control protocol;
 //! * the [`Reassembler`] accepts chunks in any arrival order, drops
 //!   duplicate deliveries (a stripe that failed over re-sends from
 //!   the start; PR 3's per-pair sequence dedup cannot help because
@@ -43,9 +43,10 @@
 //! [`Reassembler`] docs give the rules that keep the slot bounded and
 //! its stale bytes unreadable.
 
+use crate::frame::{read_frame, write_frame};
 use crate::hook::{interpose, DialHook, DialLeg};
-use crate::protocol::{bad, write_all_parts, Cursor};
-use std::io::{self, IoSlice, Read, Write};
+use crate::protocol::{bad, Cursor};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use wacs_obs::{Counter, Histogram, Registry};
@@ -80,9 +81,9 @@ pub const MAX_RETAINED_STAGING: usize = 64 << 20;
 /// locked, allocated or freed while it is held.
 static STAGING: Mutex<Vec<u8>> = Mutex::new(Vec::new());
 
-/// Longest run of frame bytes ahead of a chunk: the `u32` length
-/// prefix, then `Open`'s type byte and fields (1 + 8 + 2 + 2 + 4 + 8 + 4).
-const MAX_HEAD: usize = 4 + 29;
+/// Longest run of body bytes ahead of a chunk: `Open`'s type byte and
+/// fields (1 + 8 + 2 + 2 + 4 + 8 + 4).
+const MAX_HEAD: usize = 29;
 
 /// Typed stripe-layer failure. Every decode or reassembly problem is
 /// one of these — the bulk path never guesses and never silently
@@ -373,30 +374,18 @@ const T_DATA: u8 = 2;
 const T_FIN: u8 = 3;
 const T_DONE: u8 = 4;
 
-/// Reject a declared stripe-frame length before any allocation sized
-/// by it (the prefix is peer-controlled).
-fn check_stripe_frame_len(len: u32) -> io::Result<()> {
-    if len == 0 || len > MAX_STRIPE_FRAME {
-        return Err(bad(&format!(
-            "bad stripe frame length {len} (cap {MAX_STRIPE_FRAME} bytes)"
-        )));
-    }
-    Ok(())
-}
-
-/// A frame's bytes ahead of its chunk, on the stack: the length
-/// prefix, the type byte and the fixed fields.
+/// A frame body's bytes ahead of its chunk, on the stack: the type
+/// byte and the fixed fields.
 struct Head {
     buf: [u8; MAX_HEAD],
     len: usize,
 }
 
 impl Head {
-    /// Room for the length prefix, then the type byte.
     fn new(frame_type: u8) -> Head {
         Head {
             buf: [0; MAX_HEAD],
-            len: 4,
+            len: 0,
         }
         .put(&[frame_type])
     }
@@ -407,22 +396,9 @@ impl Head {
         self
     }
 
-    /// Fill in the length prefix for a body of the fixed fields plus
-    /// `chunk` bytes.
-    fn prefixed(mut self, chunk: usize) -> Head {
-        let body = (self.len - 4 + chunk) as u32;
-        self.buf[..4].copy_from_slice(&body.to_be_bytes());
-        self
-    }
-
-    /// Length prefix and fixed part: what a stream carries first.
-    fn framed(&self) -> &[u8] {
-        &self.buf[..self.len]
-    }
-
-    /// The fixed part alone: the start of the frame body.
+    /// The fixed part: the start of the frame body.
     fn body(&self) -> &[u8] {
-        &self.buf[4..self.len]
+        &self.buf[..self.len]
     }
 }
 
@@ -552,7 +528,7 @@ impl<B: AsRef<[u8]>> StripeFrame<B> {
                 &[][..],
             ),
         };
-        Ok((head.prefixed(chunk.len()), chunk))
+        Ok((head, chunk))
     }
 
     /// Append the frame body (type byte + fields + chunk, no length
@@ -565,18 +541,26 @@ impl<B: AsRef<[u8]>> StripeFrame<B> {
         Ok(())
     }
 
-    /// Encode with the `u32` BE length prefix for stream transports.
+    /// Encode with the length prefix for stream transports.
     pub fn encode(&self) -> Result<Vec<u8>, StripeError> {
         let (head, chunk) = self.parts()?;
-        Ok([head.framed(), chunk].concat())
+        let mut framed = Vec::with_capacity(4 + head.body().len() + chunk.len());
+        // Into a `Vec`, only the cap can fail, and `parts` has checked
+        // the chunk against it.
+        write_frame(&mut framed, MAX_STRIPE_FRAME, [head.body(), chunk]).map_err(|_| {
+            StripeError::WrongLength {
+                expected: MAX_CHUNK_BYTES,
+                got: chunk.len() as u64,
+            }
+        })?;
+        Ok(framed)
     }
 
     /// Write one framed stripe frame to a stream: the head and the
     /// chunk, straight from where it lives, in one vectored write.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         let (head, chunk) = self.parts()?;
-        write_all_parts(w, &mut [IoSlice::new(head.framed()), IoSlice::new(chunk)])?;
-        w.flush()
+        write_frame(w, MAX_STRIPE_FRAME, [head.body(), chunk])
     }
 }
 
@@ -666,28 +650,6 @@ impl<'a> StripeFrame<&'a [u8]> {
 impl<'a> From<&'a StripeFrame> for StripeFrame<&'a [u8]> {
     fn from(frame: &'a StripeFrame) -> StripeFrame<&'a [u8]> {
         frame.map_chunk(Vec::as_slice)
-    }
-}
-
-/// Read the next frame body from a stream into `body`, which the
-/// caller reuses across frames. `Ok(false)` at end of stream, also
-/// when it ends inside a frame.
-fn read_frame(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<bool> {
-    let mut len = [0u8; 4];
-    // Generic `Read`; socket callers own the deadline.
-    let read = r
-        .read_exact(&mut len) // lint:allow(deadline-io)
-        .and_then(|()| {
-            let len = u32::from_be_bytes(len);
-            // Cap before the buffer grows: the prefix is peer-controlled.
-            check_stripe_frame_len(len)?;
-            body.resize(len as usize, 0);
-            r.read_exact(body) // lint:allow(deadline-io)
-        });
-    match read {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(e),
     }
 }
 
@@ -1203,7 +1165,12 @@ impl StripeReceiver {
     pub fn feed<R: Read>(&self, mut r: R, stats: Option<&StripeStats>) -> io::Result<bool> {
         let mut completed = false;
         let mut body = Vec::new();
-        while read_frame(&mut r, &mut body)? {
+        // A lane that ends, inside a frame too, just stops feeding.
+        let mut next = |body: &mut Vec<u8>| match read_frame(&mut r, MAX_STRIPE_FRAME, body) {
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+            read => read,
+        };
+        while next(&mut body)? {
             let frame = StripeFrame::decode_body(&body)?;
             let outcome = self.ingest(frame);
             if let Some(s) = stats {
@@ -1261,6 +1228,7 @@ impl StripeReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::IoSlice;
 
     fn payload(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 31 + 7) as u8).collect()
@@ -1508,7 +1476,7 @@ mod tests {
             let mut heads = Vec::new();
             for f in &frames {
                 let (head, _) = f.parts().unwrap();
-                heads.push((w.out.len(), w.out.len() + head.framed().len()));
+                heads.push((w.out.len(), w.out.len() + 4 + head.body().len()));
                 f.write_to(&mut w).unwrap();
             }
             for &(a, b) in &w.spans {
@@ -1520,10 +1488,10 @@ mod tests {
             let mut cur = io::Cursor::new(w.out);
             let mut body = Vec::new();
             for f in &frames {
-                assert!(read_frame(&mut cur, &mut body).unwrap());
+                assert!(read_frame(&mut cur, MAX_STRIPE_FRAME, &mut body).unwrap());
                 assert_eq!(&StripeFrame::decode_body(&body).unwrap().into_owned(), f);
             }
-            assert!(!read_frame(&mut cur, &mut body).unwrap());
+            assert!(!read_frame(&mut cur, MAX_STRIPE_FRAME, &mut body).unwrap());
         }
         assert!(split_head > 0 && crossed > 0);
     }

@@ -75,6 +75,10 @@ pub enum Rule {
     /// from `lib.rs`/`main.rs` and that is not under `src/bin/`: nothing
     /// compiles it (see `wsrules`).
     OrphanModule,
+    /// A stream's length prefix parsed outside `nexus-proxy/src/frame.rs`:
+    /// a `read_exact` into a 4-byte buffer that then goes through
+    /// `u32::from_be_bytes` is a second frame reader (see `wsrules`).
+    FramePlane,
 }
 
 pub const ALL: &[Rule] = &[
@@ -97,6 +101,7 @@ pub const ALL: &[Rule] = &[
     Rule::RetryPlane,
     Rule::DaemonSpawn,
     Rule::OrphanModule,
+    Rule::FramePlane,
 ];
 
 impl Rule {
@@ -121,6 +126,7 @@ impl Rule {
             Rule::RetryPlane => "retry-plane",
             Rule::DaemonSpawn => "daemon-spawn",
             Rule::OrphanModule => "orphan-module",
+            Rule::FramePlane => "frame-plane",
         }
     }
 
@@ -182,6 +188,10 @@ impl Rule {
             Rule::OrphanModule => {
                 "every src/ file is reached from lib.rs/main.rs through mod declarations \
                  or lives in src/bin/"
+            }
+            Rule::FramePlane => {
+                "a stream's u32 length prefix is read in nexus-proxy frame.rs only; \
+                 call frame::read_frame"
             }
         }
     }

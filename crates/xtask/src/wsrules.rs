@@ -1,7 +1,7 @@
 //! Workspace-level rules: analyses that need the whole file set (or
 //! files outside the library walk) rather than one file at a time.
 //!
-//! Nine rules live here, all built on the token stream from
+//! Ten rules live here, all built on the token stream from
 //! [`crate::lexer`]:
 //!
 //! * **`lock-order`** — a static lock-order graph over every
@@ -61,6 +61,13 @@
 //!   followed), or lives under `src/bin/`. A file nothing declares is
 //!   never compiled, so it can rot unseen. `#[path]` is not followed;
 //!   the workspace uses none.
+//! * **`frame-plane`** — the stream frame format is read in one place,
+//!   `nexus-proxy/src/frame.rs`. Outside it, no non-test code
+//!   `read_exact`s a 4-byte buffer (`let mut b = [0u8; 4]`, `[0; 4]` or
+//!   `: [u8; 4]`) and then passes that buffer to `u32::from_be_bytes`:
+//!   that is a stream's length prefix, parsed by a second frame reader.
+//!   A header parsed from a slice already in memory is not a stream
+//!   read and is left alone.
 
 use crate::lexer::{lex, string_content, Token, TokenKind};
 use crate::rules::{test_region_lines, Rule, Violation};
@@ -116,6 +123,7 @@ pub fn analyze_workspace(
     check_retry_plane(files, &mut violations);
     check_daemon_spawn(files, &mut violations);
     check_orphan_modules(files, &mut violations);
+    check_frame_plane(files, &mut violations);
 
     WsReport {
         violations,
@@ -1175,6 +1183,59 @@ fn check_orphan_modules(files: &[(String, String)], out: &mut Vec<Violation>) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// frame-plane
+// ---------------------------------------------------------------------------
+
+/// The one home of the stream frame format.
+const FRAME_CODEC: &str = "crates/nexus-proxy/src/frame.rs";
+
+/// A `read_exact` into a 4-byte buffer that is later handed to
+/// `u32::from_be_bytes` reads a length prefix: outside `frame.rs` that
+/// is a second frame reader.
+fn check_frame_plane(files: &[(String, String)], out: &mut Vec<Violation>) {
+    for (path, source) in files {
+        if path == FRAME_CODEC {
+            continue;
+        }
+        let toks = code_tokens(source);
+        let text: Vec<&str> = toks.iter().map(|t| t.text(source)).collect();
+        let at = |i: usize, want: &[&str]| text.get(i..i + want.len()) == Some(want);
+        // `let mut b = [0u8; 4]`, `[0; 4]` or `let mut b: [u8; 4]`.
+        let quads: BTreeSet<&str> = (0..text.len())
+            .filter(|&i| {
+                at(i, &["let", "mut"])
+                    && ((at(i + 3, &["=", "["])
+                        && matches!(text.get(i + 5), Some(&("0" | "0u8")))
+                        && at(i + 6, &[";", "4", "]"]))
+                        || at(i + 3, &[":", "[", "u8", ";", "4", "]"]))
+            })
+            .map(|i| text[i + 2])
+            .collect();
+        for (i, tok) in toks.iter().enumerate() {
+            let Some(&buf) = text.get(i + 4) else {
+                break;
+            };
+            let read = at(i, &["read_exact", "(", "&", "mut"]) && at(i + 5, &[")"]);
+            let parsed = || {
+                (i + 6..text.len())
+                    .any(|j| at(j, &["u32", ":", ":", "from_be_bytes", "(", buf, ")"]))
+            };
+            if read && quads.contains(buf) && parsed() {
+                out.push(Violation {
+                    path: path.clone(),
+                    line: tok.line,
+                    rule: Rule::FramePlane,
+                    message: format!(
+                        "reads a length prefix into `{buf}`: stream frames are read by \
+                         `nexus_proxy::frame::read_frame` only"
+                    ),
+                });
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1804,5 +1865,71 @@ pub enum StripeFrame {
         assert_eq!(r.violations[0].rule, Rule::FrameCoverage);
         assert!(r.violations[0].message.contains("StripeFrame::Done"));
         assert_eq!(r.frame_variants, 4);
+    }
+
+    #[test]
+    fn frame_plane_flags_length_prefixes_read_outside_the_codec() {
+        // The control-frame reader as it was before `frame.rs`.
+        let failing = r#"
+impl Msg {
+    pub fn read_from(r: &mut impl Read) -> io::Result<Msg> {
+        let mut len = [0u8; 4];
+        r.read_exact(&mut len)?; // lint:allow(deadline-io)
+        let len = u32::from_be_bytes(len);
+        check_frame_len(len)?;
+        let mut body = vec![0u8; len as usize];
+        r.read_exact(&mut body)?; // lint:allow(deadline-io)
+        Msg::decode(&body)
+    }
+}
+fn typed(r: &mut impl Read) -> io::Result<u32> {
+    let mut n: [u8; 4] = [0; 4];
+    r.read_exact(&mut n)?;
+    Ok(u32::from_be_bytes(n))
+}
+#[cfg(test)]
+mod tests {
+    fn t(r: &mut impl Read) -> u32 {
+        let mut len = [0; 4];
+        r.read_exact(&mut len).unwrap();
+        u32::from_be_bytes(len)
+    }
+}
+"#;
+        // gridmpi's packet header, parsed from a frame already read.
+        let passing = r#"
+pub fn decode(mut frame: Vec<u8>) -> io::Result<Packet> {
+    if frame.len() < HEADER_LEN {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "short MPI packet"));
+    }
+    let src = u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]);
+    let tag = i32::from_be_bytes([frame[4], frame[5], frame[6], frame[7]]);
+    frame.drain(..HEADER_LEN);
+    Ok(Packet { src, tag, payload: frame })
+}
+fn echo(s: &mut TcpStream) -> io::Result<()> {
+    let mut b = [0u8; 4];
+    s.read_exact(&mut b)?;
+    s.write_all(&b)
+}
+"#;
+        let r = ws(
+            &[
+                ("crates/nexus-proxy/src/protocol.rs", failing),
+                ("crates/gridmpi/src/packet.rs", passing),
+                // The codec itself reads prefixes.
+                ("crates/nexus-proxy/src/frame.rs", failing),
+            ],
+            Some(""),
+            Some(""),
+        );
+        let hits: Vec<(&str, usize)> = r
+            .violations
+            .iter()
+            .filter(|v| v.rule == Rule::FramePlane)
+            .map(|v| (v.path.as_str(), v.line))
+            .collect();
+        let protocol = "crates/nexus-proxy/src/protocol.rs";
+        assert_eq!(hits, [(protocol, 5), (protocol, 15)], "{:?}", r.violations);
     }
 }
