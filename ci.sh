@@ -4,7 +4,7 @@
 #
 #   1. formatting            (cargo fmt --check)
 #   2. zero-warning clippy   (workspace lints, all targets)
-#   3. project lint rules    (xtask: panics, lock standard, ports)
+#   3. project lint rules    (`cargo run -p xtask -- rules` lists them)
 #   4. the test suite, including crates/bench/tests/goldens.rs: every
 #      `paper <name>` output must equal its golden under results/
 #   5. the gated benchmark's own package (outside the workspace, so

@@ -3,7 +3,7 @@
 //!
 //! | scenario | shape |
 //! |---|---|
-//! | `shard_scaling` | fan-in cells over a sharded outer fleet: the same cell workload at 1/2/4 shards (Table 2's fan-in shape, relay service queues per shard), plus a kill-one-shard cell that must finish with zero lost sequence numbers |
+//! | `shard_scaling` | fan-in cells over a sharded outer fleet: the same cell workload at 1/2/4 shards (Table 2's fan-in shape, relay service queues per shard), plus a kill-one-shard cell that must finish with zero lost sequence numbers and a stale-map cell whose sinks bind with the map of a smaller fleet |
 //! | `stripe_scaling` | one multi-megabyte staging payload a single relay cannot saturate, moved at 1/2/4/8 parallel stripe lanes (GridFTP-style), plus a 1%-loss WAN cell and a kill-one-stripe cell that must reassemble byte-exactly |
 //!
 //! Both run on the netsim clock with fixed seeds, so each prints one
@@ -99,7 +99,18 @@ fn crash_serving(
 // The `killshard` cell reuses the netsim fault layer to crash the
 // shard serving cell 0 mid-run; stop-and-wait sequence numbers with
 // exactly-once accept at the sink prove the breaker-driven failover
-// loses nothing.
+// loses nothing. In the `stalemap` cell the sinks still hold the
+// generation-1 map of a two-shard fleet while four shards serve: a
+// bind that lands on a shard which no longer owns its key is
+// redirected to the owner, so the redirect hop is on the measured path.
+
+/// What a `shard_scaling` cell adds to plain fan-in.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum CellKind {
+    FanIn,
+    KillShard,
+    StaleMap,
+}
 
 #[derive(Default)]
 struct CellState {
@@ -286,8 +297,8 @@ pub struct ShardCellStats {
     /// Shards crashed mid-run (1 in the kill cell).
     pub killed: u64,
     binds_owned: u64,
-    redirects_sent: u64,
-    redirects_followed: u64,
+    pub redirects_sent: u64,
+    pub redirects_followed: u64,
     pub failovers: u64,
     map_syncs: u64,
 }
@@ -321,17 +332,19 @@ impl ShardCellStats {
     }
 }
 
-/// One shard-count cell run in virtual time. `kill` runs the chaos
-/// variant: stop-and-wait sequence traffic, and the shard serving
-/// cell 0 is crashed mid-run via the netsim fault layer.
+/// One shard-count cell run in virtual time. `KillShard` runs the
+/// chaos variant: stop-and-wait sequence traffic, and the shard serving
+/// cell 0 is crashed mid-run via the netsim fault layer. `StaleMap`
+/// hands the sinks the map of the first half of the fleet.
 fn shard_cell(
     seed: u64,
     shards: usize,
     cells: u64,
     msgs: u64,
     msg_bytes: u64,
-    kill: bool,
+    kind: CellKind,
 ) -> io::Result<ShardCellStats> {
+    let kill = kind == CellKind::KillShard;
     let start_at = SimDuration::from_millis(300);
     let names = (0..shards)
         .map(|i| format!("shard{i}"))
@@ -345,13 +358,18 @@ fn shard_cell(
     let hist = registry.histogram("paper.shard.relay_ns");
     let mut sim = Simulator::new(topo, NetConfig::default(), seed);
     let (members, shard_ids) = spawn_fleet(&mut sim, shard_hosts, &registry);
+    let sink_map = if kind == CellKind::StaleMap {
+        members[..shards / 2].to_vec()
+    } else {
+        members
+    };
     let cell_refs: Vec<CellRef> = (0..cells).map(|_| CellRef::default()).collect();
     for i in 0..cells as usize {
         sim.spawn(
             srv_hosts[i],
             Box::new(CellSink {
                 nx: NxClient::new(SimProxyEnv::direct())
-                    .with_fleet(members.clone())
+                    .with_fleet(sink_map.clone())
                     .with_obs(&registry),
                 cell: cell_refs[i].clone(),
                 expect: msgs,
@@ -420,7 +438,7 @@ fn shard_cell(
 }
 
 /// The `shard_scaling` scenario: cells `shards1`, `shards2`,
-/// `shards4`, `killshard`.
+/// `shards4`, `killshard`, `stalemap`.
 pub struct ShardScaling {
     seed: u64,
     cells: u64,
@@ -455,16 +473,21 @@ impl ShardScaling {
     }
 }
 
-/// Run the four `shard_scaling` cells (fixed seed, virtual time).
+/// Run the five `shard_scaling` cells (fixed seed, virtual time).
 pub fn shard_scaling() -> io::Result<ShardScaling> {
     let (seed, cells, msgs, msg_bytes) = (0x54a2d, 12, 25, 4096);
     let mut modes = Vec::new();
     for shards in [1usize, 2, 4] {
-        let st = shard_cell(seed, shards, cells, msgs, msg_bytes, false)?;
+        let st = shard_cell(seed, shards, cells, msgs, msg_bytes, CellKind::FanIn)?;
         modes.push((format!("shards{shards}"), st));
     }
-    let kill = shard_cell(seed, 4, cells, msgs, msg_bytes, true)?;
-    modes.push(("killshard".to_string(), kill));
+    for (name, kind) in [
+        ("killshard", CellKind::KillShard),
+        ("stalemap", CellKind::StaleMap),
+    ] {
+        let st = shard_cell(seed, 4, cells, msgs, msg_bytes, kind)?;
+        modes.push((name.to_string(), st));
+    }
     Ok(ShardScaling {
         seed,
         cells,

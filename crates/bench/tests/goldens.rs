@@ -89,13 +89,20 @@ fn shard_scaling() {
     golden("shard_scaling");
     let s = scaling::shard_scaling().unwrap();
     let names: Vec<&str> = s.modes.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(names, ["shards1", "shards2", "shards4", "killshard"]);
+    assert_eq!(
+        names,
+        ["shards1", "shards2", "shards4", "killshard", "stalemap"]
+    );
     let killed: Vec<u64> = s.modes.iter().map(|(_, c)| c.killed).collect();
     assert_eq!(
         killed,
-        [0, 0, 0, 1],
+        [0, 0, 0, 1, 0],
         "exactly the killshard cell kills a shard"
     );
+    // A bind with a stale map is redirected once, to the owner.
+    let stale = &s.modes[4].1;
+    assert!(stale.redirects_sent > 0, "stalemap: no redirect");
+    assert_eq!(stale.redirects_followed, stale.redirects_sent);
     for (name, c) in &s.modes {
         // Zero lost work, the kill cell included: it counts exactly-once
         // accepted sequence numbers.

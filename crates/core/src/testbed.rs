@@ -196,12 +196,6 @@ impl System {
         }
     }
 
-    /// Whether this system spans both sites (and therefore exercises
-    /// the WAN and, under deny-in, the Nexus Proxy).
-    pub fn is_wide_area(self) -> bool {
-        matches!(self, System::WideArea)
-    }
-
     /// Rank placements (rank 0 = master first). Mirrors Table 3.
     pub fn ranks(self, tb: &PaperTestbed) -> Vec<RankPlace> {
         let mut v = Vec::new();
@@ -235,10 +229,6 @@ impl System {
             }
         }
         v
-    }
-
-    pub fn processors(self, tb: &PaperTestbed) -> usize {
-        self.ranks(tb).len()
     }
 }
 
@@ -293,10 +283,10 @@ mod tests {
     #[test]
     fn table3_processor_counts() {
         let tb = PaperTestbed::build(FirewallMode::DenyInWithNxport);
-        assert_eq!(System::Compas.processors(&tb), 8);
-        assert_eq!(System::EtlO2k.processors(&tb), 8);
-        assert_eq!(System::LocalArea.processors(&tb), 12);
-        assert_eq!(System::WideArea.processors(&tb), 20);
+        assert_eq!(System::Compas.ranks(&tb).len(), 8);
+        assert_eq!(System::EtlO2k.ranks(&tb).len(), 8);
+        assert_eq!(System::LocalArea.ranks(&tb).len(), 12);
+        assert_eq!(System::WideArea.ranks(&tb).len(), 20);
         // Master of the multi-cluster systems is on RWCP-Sun.
         assert_eq!(System::WideArea.ranks(&tb)[0].host, tb.rwcp_sun);
         assert_eq!(System::LocalArea.ranks(&tb)[0].group, "RWCP-Sun");

@@ -80,20 +80,6 @@ impl AuditLog {
         self.dropped_packets
     }
 
-    /// Were any *retained* inbound packets passed by a non-established
-    /// rule match, other than to the given port set? Used to verify the
-    /// paper's "only nxport is open" claim.
-    pub fn inbound_passes_outside(&self, allowed_dst_ports: &[u16]) -> Vec<&AuditRecord> {
-        self.records
-            .iter()
-            .filter(|r| {
-                r.direction == Direction::Inbound
-                    && r.verdict == Verdict::Pass
-                    && !allowed_dst_ports.contains(&r.dst.port)
-            })
-            .collect()
-    }
-
     pub fn clear(&mut self) {
         self.records.clear();
     }
@@ -132,17 +118,5 @@ mod tests {
         log.push(rec(1, Verdict::Drop, Direction::Inbound));
         log.push(rec(2, Verdict::Pass, Direction::Inbound));
         assert_eq!(log.dropped(), 1);
-    }
-
-    #[test]
-    fn inbound_pass_scan() {
-        let mut log = AuditLog::default();
-        log.push(rec(911, Verdict::Pass, Direction::Inbound));
-        log.push(rec(5000, Verdict::Pass, Direction::Inbound));
-        log.push(rec(6000, Verdict::PassEstablished, Direction::Inbound)); // not counted
-        log.push(rec(7000, Verdict::Pass, Direction::Outbound)); // not inbound
-        let bad = log.inbound_passes_outside(&[911]);
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].dst.port, 5000);
     }
 }

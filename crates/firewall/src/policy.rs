@@ -266,9 +266,12 @@ mod tests {
                     .label("open"),
             )
             .push(
-                Rule::deny(Direction::Inbound)
-                    .dst(HostSet::Any, PortSet::One(911))
-                    .label("shadowed"),
+                Rule {
+                    action: Action::Deny,
+                    ..Rule::allow(Direction::Inbound)
+                }
+                .dst(HostSet::Any, PortSet::One(911))
+                .label("shadowed"),
             );
         let (a, label) = p.evaluate(Direction::Inbound, Proto::Tcp, ep(9, 1), ep(1, 911));
         assert_eq!(a, Action::Allow);

@@ -175,14 +175,6 @@ impl Rule {
         }
     }
 
-    /// Deny-everything-in-`direction` skeleton.
-    pub fn deny(direction: Direction) -> Rule {
-        Rule {
-            action: Action::Deny,
-            ..Rule::allow(direction)
-        }
-    }
-
     pub fn proto(mut self, p: Proto) -> Rule {
         self.proto = p;
         self

@@ -40,7 +40,6 @@ const STOP_DIAL_TIMEOUT: Duration = Duration::from_millis(250);
 pub type VSiteId = usize;
 
 struct SiteEntry {
-    #[allow(dead_code)]
     name: String,
     firewall: Mutex<Option<Firewall>>,
 }
@@ -135,19 +134,6 @@ impl VNet {
         }
     }
 
-    /// Remove a site's firewall entirely ("temporarily changed the
-    /// configuration … to enable direct communication").
-    pub fn drop_firewall(&self, site: VSiteId) -> bool {
-        let sites = self.inner.sites.lock();
-        match sites.get(site) {
-            Some(s) => {
-                *s.firewall.lock() = None;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Allocate a logical ephemeral port (for listen-on-any requests).
     /// The range wraps in one atomic step, so concurrent callers never
     /// share a value.
@@ -234,12 +220,16 @@ impl VNet {
             (src_site, Direction::Outbound),
             (dst_site, Direction::Inbound),
         ] {
-            if let Some(fw) = sites[site].firewall.lock().as_mut() {
+            let site = &sites[site];
+            if let Some(fw) = site.firewall.lock().as_mut() {
                 let verdict = fw.filter_open(dir, Proto::Tcp, src_ep, dst_ep);
                 if !verdict.passed() {
                     return Err(io::Error::new(
                         io::ErrorKind::PermissionDenied,
-                        format!("firewall dropped {from}->{to}:{port} ({dir:?} at site {site})"),
+                        format!(
+                            "firewall dropped {from}->{to}:{port} ({dir:?} at site {})",
+                            site.name
+                        ),
                     ));
                 }
             }
@@ -402,6 +392,16 @@ mod tests {
         let _l = n.bind("in-a", 7000).unwrap();
         let err = n.dial("out-x", "in-a", 7000).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
+    }
+
+    #[test]
+    fn refusal_names_the_site_by_name() {
+        let n = net();
+        let err = n.check_connect("out-x", "in-a", 7000).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "firewall dropped out-x->in-a:7000 (Inbound at site inside)"
+        );
     }
 
     #[test]

@@ -3,28 +3,15 @@
 //! Broadcast and reduction use binomial trees; barrier is a reduce to
 //! rank 0 followed by a broadcast. Collectives run on reserved
 //! negative tags so they never collide with point-to-point traffic.
-//!
-//! A flat (linear) broadcast is also provided for the MagPIe-style
-//! ablation: over a WAN, tree shape matters, and the bench compares
-//! the two.
 
 use crate::comm::Comm;
-use crate::datatype::{pack_f64s, pack_u64s, unpack_f64s, unpack_u64s};
+use crate::datatype::{pack_f64s, unpack_f64s};
 use std::io;
-
-/// Copy an (already length-checked) 4-byte slice into an array.
-fn read4(c: &[u8]) -> [u8; 4] {
-    [c[0], c[1], c[2], c[3]]
-}
 
 const TAG_BARRIER_UP: i32 = -1;
 const TAG_BARRIER_DOWN: i32 = -2;
 const TAG_BCAST: i32 = -3;
 const TAG_REDUCE: i32 = -4;
-const TAG_GATHER: i32 = -5;
-const TAG_SCATTER: i32 = -6;
-const TAG_ALLGATHER: i32 = -7;
-const TAG_ALLTOALL: i32 = -8;
 
 /// Element-wise reduction operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,14 +23,6 @@ pub enum ReduceOp {
 
 impl ReduceOp {
     fn f64(self, a: f64, b: f64) -> f64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        }
-    }
-
-    fn u64(self, a: u64, b: u64) -> u64 {
         match self {
             ReduceOp::Sum => a + b,
             ReduceOp::Min => a.min(b),
@@ -87,25 +66,6 @@ impl Comm {
         Ok(data)
     }
 
-    /// Flat (linear) broadcast: root sends to everyone directly. The
-    /// wide-area-hostile baseline for the collective ablation.
-    pub fn bcast_flat(&self, root: u32, data: Vec<u8>) -> io::Result<Vec<u8>> {
-        if self.size() == 1 {
-            return Ok(data);
-        }
-        if self.rank() == root {
-            for r in 0..self.size() {
-                if r != root {
-                    self.send_internal(r, TAG_BCAST, &data)?;
-                }
-            }
-            Ok(data)
-        } else {
-            let (_, _, payload) = self.recv(Some(root), Some(TAG_BCAST))?;
-            Ok(payload)
-        }
-    }
-
     /// Binomial-tree reduction of an `f64` vector to `root`.
     /// Returns `Some(result)` on root, `None` elsewhere.
     pub fn reduce_f64(
@@ -140,203 +100,6 @@ impl Comm {
         let reduced = self.reduce_f64(0, local, op)?;
         let bytes = self.bcast(0, reduced.map(|v| pack_f64s(&v)).unwrap_or_default())?;
         unpack_f64s(&bytes)
-    }
-
-    /// Binomial-tree reduction of a `u64` vector to `root`.
-    pub fn reduce_u64(
-        &self,
-        root: u32,
-        mut local: Vec<u64>,
-        op: ReduceOp,
-    ) -> io::Result<Option<Vec<u64>>> {
-        let size = self.size();
-        let vrank = (self.rank() + size - root) % size;
-        let mut mask = 1u32;
-        while mask < size {
-            if vrank & mask == 0 {
-                let child = vrank | mask;
-                if child < size {
-                    let (_, _, bytes) = self.recv(Some((child + root) % size), Some(TAG_REDUCE))?;
-                    let other = unpack_u64s(&bytes)?;
-                    if other.len() != local.len() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "reduce length mismatch",
-                        ));
-                    }
-                    for (a, b) in local.iter_mut().zip(other) {
-                        *a = op.u64(*a, b);
-                    }
-                }
-            } else {
-                let parent = vrank & !mask;
-                self.send_internal((parent + root) % size, TAG_REDUCE, &pack_u64s(&local))?;
-                return Ok(None);
-            }
-            mask <<= 1;
-        }
-        Ok(Some(local))
-    }
-
-    /// Gather raw byte blobs at `root` (index = rank). Returns
-    /// `Some(vec)` on root, `None` elsewhere.
-    pub fn gather(&self, root: u32, data: Vec<u8>) -> io::Result<Option<Vec<Vec<u8>>>> {
-        if self.rank() == root {
-            let mut out: Vec<Option<Vec<u8>>> = vec![None; self.size() as usize];
-            out[root as usize] = Some(data);
-            for _ in 0..self.size() - 1 {
-                let (src, _, payload) = self.recv(None, Some(TAG_GATHER))?;
-                out[src as usize] = Some(payload);
-            }
-            let full: io::Result<Vec<Vec<u8>>> = out
-                .into_iter()
-                .map(|o| {
-                    o.ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, "gather missed a rank")
-                    })
-                })
-                .collect();
-            Ok(Some(full?))
-        } else {
-            self.send_internal(root, TAG_GATHER, &data)?;
-            Ok(None)
-        }
-    }
-
-    /// Scatter: `root` holds one byte-blob per rank (index = rank) and
-    /// delivers each rank its own. Every rank returns its slice.
-    pub fn scatter(&self, root: u32, blobs: Option<Vec<Vec<u8>>>) -> io::Result<Vec<u8>> {
-        if self.rank() == root {
-            let blobs = blobs.ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidInput, "root must supply blobs")
-            })?;
-            if blobs.len() != self.size() as usize {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "scatter needs one blob per rank",
-                ));
-            }
-            let mut mine = Vec::new();
-            for (r, blob) in blobs.into_iter().enumerate() {
-                if r as u32 == root {
-                    mine = blob;
-                } else {
-                    self.send_internal(r as u32, TAG_SCATTER, &blob)?;
-                }
-            }
-            Ok(mine)
-        } else {
-            let (_, _, payload) = self.recv(Some(root), Some(TAG_SCATTER))?;
-            Ok(payload)
-        }
-    }
-
-    /// Allgather: every rank contributes a byte-blob; every rank
-    /// returns the full vector (index = rank). Implemented as gather
-    /// at rank 0 followed by a binomial broadcast of the concatenation.
-    pub fn allgather(&self, data: Vec<u8>) -> io::Result<Vec<Vec<u8>>> {
-        let gathered = self.gather(0, data)?;
-        // Root frames the blobs (u32 count, then u32 length + bytes
-        // each) and broadcasts.
-        let framed = match gathered {
-            Some(blobs) => {
-                let mut buf = Vec::new();
-                buf.extend_from_slice(&(blobs.len() as u32).to_be_bytes());
-                for b in &blobs {
-                    buf.extend_from_slice(&(b.len() as u32).to_be_bytes());
-                    buf.extend_from_slice(b);
-                }
-                buf
-            }
-            None => Vec::new(),
-        };
-        let buf = self.bcast_tagged(0, framed, TAG_ALLGATHER)?;
-        // Decode.
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> io::Result<&[u8]> {
-            if buf.len() < *pos + n {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "short allgather frame",
-                ));
-            }
-            let s = &buf[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let count = u32::from_be_bytes(read4(take(&mut pos, 4)?));
-        let mut out = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let len = u32::from_be_bytes(read4(take(&mut pos, 4)?)) as usize;
-            out.push(take(&mut pos, len)?.to_vec());
-        }
-        Ok(out)
-    }
-
-    /// All-to-all personalized exchange: rank `i` gives `blobs[j]` to
-    /// rank `j`; every rank returns the vector it received (index =
-    /// source rank). Linear exchange — adequate at metacomputing scale
-    /// (tens of ranks).
-    pub fn alltoall(&self, blobs: Vec<Vec<u8>>) -> io::Result<Vec<Vec<u8>>> {
-        if blobs.len() != self.size() as usize {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "alltoall needs one blob per rank",
-            ));
-        }
-        let me = self.rank();
-        let mut out: Vec<Option<Vec<u8>>> = vec![None; blobs.len()];
-        // Send everything first (messages buffer at the receivers), so
-        // no send/recv interleaving deadlock is possible.
-        for (r, blob) in blobs.iter().enumerate() {
-            if r as u32 != me {
-                self.send_internal(r as u32, TAG_ALLTOALL, blob)?;
-            }
-        }
-        out[me as usize] = Some(blobs[me as usize].clone());
-        for _ in 0..self.size() - 1 {
-            let (src, _, payload) = self.recv(None, Some(TAG_ALLTOALL))?;
-            out[src as usize] = Some(payload);
-        }
-        out.into_iter()
-            .map(|o| {
-                o.ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "alltoall missed a rank")
-                })
-            })
-            .collect()
-    }
-
-    /// Binomial broadcast on an explicit reserved tag (lets composed
-    /// collectives avoid colliding with user-level `bcast` calls that
-    /// may be in flight on other branches).
-    fn bcast_tagged(&self, root: u32, data: Vec<u8>, tag: i32) -> io::Result<Vec<u8>> {
-        let size = self.size();
-        if size == 1 {
-            return Ok(data);
-        }
-        let vrank = (self.rank() + size - root) % size;
-        let data = if vrank == 0 {
-            data
-        } else {
-            let parent_v = vrank & (vrank - 1);
-            let parent = (parent_v + root) % size;
-            let (_, _, payload) = self.recv(Some(parent), Some(tag))?;
-            payload
-        };
-        let mut mask = 1u32;
-        while mask < size {
-            if vrank & mask != 0 {
-                break;
-            }
-            let child = vrank | mask;
-            if child < size {
-                let dest = (child + root) % size;
-                self.send_internal(dest, tag, &data)?;
-            }
-            mask <<= 1;
-        }
-        Ok(data)
     }
 
     /// Barrier: binomial reduce of nothing to rank 0, then broadcast.

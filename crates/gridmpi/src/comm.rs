@@ -29,12 +29,6 @@ const STRIPE_REDIALS: u32 = 2;
 /// tried 200 times, 5 ms apart.
 const ATTACH_RETRY: RetryPolicy = RetryPolicy::steps(200, Duration::from_millis(5));
 
-/// Receive from any rank.
-pub const ANY_SOURCE: Option<u32> = None;
-
-/// Receive any tag.
-pub const ANY_TAG: Option<i32> = None;
-
 /// One stripe lane over an attachment: every frame is a
 /// [`STRIPE_TAG`] packet (packet seq 0 — the stripe layer does its own
 /// dedup). The frame body is encoded straight behind the packet
@@ -130,10 +124,6 @@ pub struct Comm {
     /// retransmit, reorder across a reconnect). Per-pair sends are
     /// numbered without gaps, so a gap is a frame still in flight.
     order: OrderedMutex<Vec<SourceOrder>>,
-    epoch: Instant,
-    /// Diagnostics.
-    sent: OrderedMutex<u64>,
-    received: OrderedMutex<u64>,
     /// Frames dropped as duplicates of an already-accepted sequence.
     dup_dropped: OrderedMutex<u64>,
     /// Sends that needed the reconnect-and-retransmit path.
@@ -150,8 +140,6 @@ pub struct Comm {
     stripe_done: OrderedMutex<std::collections::HashSet<(u32, u64)>>,
     /// Next striped-transfer id issued by this rank.
     next_transfer: OrderedMutex<u64>,
-    /// Striped transfers reassembled to completion (diagnostics).
-    stripe_completed: OrderedMutex<u64>,
     obs: Option<CommObs>,
 }
 
@@ -186,9 +174,6 @@ impl Comm {
                 "gridmpi.comm.dedup",
                 (0..size).map(|_| SourceOrder::default()).collect(),
             ),
-            epoch: Instant::now(),
-            sent: OrderedMutex::new("gridmpi.comm.sent", 0),
-            received: OrderedMutex::new("gridmpi.comm.received", 0),
             dup_dropped: OrderedMutex::new("gridmpi.comm.dup_dropped", 0),
             resends: OrderedMutex::new("gridmpi.comm.resends", 0),
             stripe_rx: OrderedMutex::new("gridmpi.comm.stripe_rx", HashMap::new()),
@@ -197,7 +182,6 @@ impl Comm {
                 std::collections::HashSet::new(),
             ),
             next_transfer: OrderedMutex::new("gridmpi.comm.next_transfer", 1),
-            stripe_completed: OrderedMutex::new("gridmpi.comm.stripe_completed", 0),
             obs: None,
         }
     }
@@ -224,19 +208,6 @@ impl Comm {
         self.ctx.host()
     }
 
-    /// `MPI_Wtime` analogue: seconds since communicator creation.
-    pub fn wtime(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-
-    pub fn messages_sent(&self) -> u64 {
-        *self.sent.lock()
-    }
-
-    pub fn messages_received(&self) -> u64 {
-        *self.received.lock()
-    }
-
     /// Frames dropped as retransmit duplicates (diagnostics).
     pub fn duplicates_dropped(&self) -> u64 {
         *self.dup_dropped.lock()
@@ -250,8 +221,8 @@ impl Comm {
     /// Drop the cached startpoint to `dest`, as if its connection had
     /// been torn down by a relay failure: the next send to `dest` must
     /// re-attach. Test hook for the reconnect path.
-    #[doc(hidden)]
-    pub fn reset_peer_link(&self, dest: u32) {
+    #[cfg(test)]
+    pub(crate) fn reset_peer_link(&self, dest: u32) {
         self.peers[dest as usize].lock().sp = None;
     }
 
@@ -259,11 +230,6 @@ impl Comm {
     pub fn send(&self, dest: u32, tag: i32, payload: &[u8]) -> io::Result<()> {
         assert!(tag >= USER_TAG_MIN, "negative tags are reserved");
         self.send_internal(dest, tag, payload)
-    }
-
-    /// Striped transfers this rank has reassembled (diagnostics).
-    pub fn striped_completed(&self) -> u64 {
-        *self.stripe_completed.lock()
     }
 
     /// Send a large `payload` to `dest` as `stripes` parallel flows
@@ -316,7 +282,6 @@ impl Comm {
         };
         let stats = self.obs.as_ref().map(|o| &o.stripe);
         nexus_proxy::send_striped(payload, &plan, transfer, tag, STRIPE_REDIALS, stats, dial)?;
-        *self.sent.lock() += 1;
         if let Some(o) = &self.obs {
             o.send_ns.record(start.elapsed().as_nanos() as u64);
         }
@@ -351,7 +316,6 @@ impl Comm {
             }
         }
         link.next_seq += 1;
-        *self.sent.lock() += 1;
         if let Some(o) = &self.obs {
             o.send_ns.record(start.elapsed().as_nanos() as u64);
         }
@@ -398,8 +362,6 @@ impl Comm {
         }
         from.last = p.seq;
         if from.ahead.is_empty() {
-            drop(order);
-            *self.received.lock() += 1;
             return Ok(Some(p));
         }
         let mut ready = vec![p];
@@ -408,7 +370,6 @@ impl Comm {
             ready.push(q);
         }
         drop(order);
-        *self.received.lock() += ready.len() as u64;
         self.stash.lock().extend(ready);
         Ok(None)
     }
@@ -498,8 +459,6 @@ impl Comm {
                 self.stripe_done.lock().insert(key);
                 let tag = rx.tag();
                 let payload = rx.into_payload().map_err(io::Error::from)?;
-                *self.received.lock() += 1;
-                *self.stripe_completed.lock() += 1;
                 Ok(Some(Packet {
                     src: p.src,
                     tag,
@@ -594,21 +553,6 @@ impl Comm {
         } else {
             Ok(None)
         }
-    }
-
-    /// Combined send + receive (deadlock-safe: the outbound message is
-    /// written to the socket before blocking on the inbound one, and
-    /// endpoints buffer, so a symmetric exchange cannot wedge).
-    pub fn sendrecv(
-        &self,
-        dest: u32,
-        send_tag: i32,
-        payload: &[u8],
-        src: Option<u32>,
-        recv_tag: Option<i32>,
-    ) -> io::Result<(u32, i32, Vec<u8>)> {
-        self.send(dest, send_tag, payload)?;
-        self.recv(src, recv_tag)
     }
 
     fn take_from_stash(&self, src: Option<u32>, tag: Option<i32>) -> Option<Packet> {

@@ -7,54 +7,6 @@
 
 use std::io;
 
-fn short(err: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, err.to_string())
-}
-
-pub fn pack_u64s(values: &[u64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        buf.extend_from_slice(&v.to_be_bytes());
-    }
-    buf
-}
-
-pub fn unpack_u64s(bytes: &[u8]) -> io::Result<Vec<u64>> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(short("u64 array length not a multiple of 8"));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(c);
-            u64::from_be_bytes(a)
-        })
-        .collect())
-}
-
-pub fn pack_i64s(values: &[i64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        buf.extend_from_slice(&v.to_be_bytes());
-    }
-    buf
-}
-
-pub fn unpack_i64s(bytes: &[u8]) -> io::Result<Vec<i64>> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(short("i64 array length not a multiple of 8"));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(c);
-            i64::from_be_bytes(a)
-        })
-        .collect())
-}
-
 pub fn pack_f64s(values: &[f64]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(values.len() * 8);
     for v in values {
@@ -65,7 +17,10 @@ pub fn pack_f64s(values: &[f64]) -> Vec<u8> {
 
 pub fn unpack_f64s(bytes: &[u8]) -> io::Result<Vec<f64>> {
     if !bytes.len().is_multiple_of(8) {
-        return Err(short("f64 array length not a multiple of 8"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "f64 array length not a multiple of 8",
+        ));
     }
     Ok(bytes
         .chunks_exact(8)
@@ -77,63 +32,19 @@ pub fn unpack_f64s(bytes: &[u8]) -> io::Result<Vec<f64>> {
         .collect())
 }
 
-pub fn pack_u32s(values: &[u32]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        buf.extend_from_slice(&v.to_be_bytes());
-    }
-    buf
-}
-
-pub fn unpack_u32s(bytes: &[u8]) -> io::Result<Vec<u32>> {
-    if !bytes.len().is_multiple_of(4) {
-        return Err(short("u32 array length not a multiple of 4"));
-    }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| {
-            let mut a = [0u8; 4];
-            a.copy_from_slice(c);
-            u32::from_be_bytes(a)
-        })
-        .collect())
-}
-
-/// One u64 scalar.
-pub fn pack_u64(v: u64) -> Vec<u8> {
-    v.to_be_bytes().to_vec()
-}
-
-pub fn unpack_u64(bytes: &[u8]) -> io::Result<u64> {
-    let arr: [u8; 8] = bytes.try_into().map_err(|_| short("expected 8 bytes"))?;
-    Ok(u64::from_be_bytes(arr))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn scalar_roundtrip() {
-        assert_eq!(
-            unpack_u64(&pack_u64(0xDEAD_BEEF_CAFE_F00D)).unwrap(),
-            0xDEAD_BEEF_CAFE_F00D
-        );
-        assert!(unpack_u64(&[1, 2, 3]).is_err());
-    }
-
-    #[test]
     fn misaligned_arrays_rejected() {
-        assert!(unpack_u64s(&[0; 9]).is_err());
         assert!(unpack_f64s(&[0; 7]).is_err());
-        assert!(unpack_u32s(&[0; 6]).is_err());
-        assert!(unpack_i64s(&[0; 12]).is_err());
+        assert!(unpack_f64s(&[0; 12]).is_err());
     }
 
     #[test]
     fn wire_format_is_big_endian() {
-        assert_eq!(pack_u32s(&[1]), vec![0, 0, 0, 1]);
-        assert_eq!(pack_u64s(&[256]), vec![0, 0, 0, 0, 0, 0, 1, 0]);
+        assert_eq!(pack_f64s(&[1.0]), vec![0x3f, 0xf0, 0, 0, 0, 0, 0, 0]);
     }
 
     /// SplitMix64 — a local deterministic stream for randomized tests.
@@ -148,18 +59,12 @@ mod tests {
         }
     }
 
-    /// Pack/unpack round trips across random vectors of every type.
+    /// Pack/unpack round trips across random vectors.
     #[test]
     fn random_vectors_roundtrip() {
         let mut r = test_rng(0xda7a);
         for _ in 0..200 {
             let n = (r() % 64) as usize;
-            let u64s: Vec<u64> = (0..n).map(|_| r()).collect();
-            assert_eq!(unpack_u64s(&pack_u64s(&u64s)).unwrap(), u64s);
-            let i64s: Vec<i64> = (0..n).map(|_| r() as i64).collect();
-            assert_eq!(unpack_i64s(&pack_i64s(&i64s)).unwrap(), i64s);
-            let u32s: Vec<u32> = (0..n).map(|_| r() as u32).collect();
-            assert_eq!(unpack_u32s(&pack_u32s(&u32s)).unwrap(), u32s);
             // Normal (non-NaN, non-subnormal) floats compare exactly.
             let f64s: Vec<f64> = (0..n)
                 .map(|_| 1.0 + (r() % 1_000_000) as f64 / 997.0)

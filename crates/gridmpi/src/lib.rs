@@ -9,8 +9,8 @@
 //!   unexpected-message queue ([`comm`]);
 //! * non-blocking probe (`iprobe`) — the primitive the self-scheduling
 //!   master polls between branch operations;
-//! * binomial-tree collectives plus a flat-broadcast baseline for the
-//!   wide-area collective ablation ([`collective`]);
+//! * binomial-tree collectives: broadcast, reduce, allreduce and
+//!   barrier ([`collective`]);
 //! * big-endian wire conversion for heterogeneous hosts ([`datatype`]);
 //! * a world launcher that plays DUROC's address-exchange role
 //!   ([`world`]).
@@ -27,7 +27,7 @@ pub mod packet;
 pub mod world;
 
 pub use collective::ReduceOp;
-pub use comm::{Comm, ANY_SOURCE, ANY_TAG, STRIPE_CHUNK_BYTES, STRIPE_TAG};
+pub use comm::{Comm, STRIPE_CHUNK_BYTES, STRIPE_TAG};
 pub use world::{run_world, RankSpec};
 
 #[cfg(test)]
@@ -179,168 +179,12 @@ mod tests {
             assert_eq!(got, b"payload");
             // Allreduce a vector.
             let local = vec![comm.rank() as f64, 1.0];
-            let sum = comm.allreduce_f64(local, ReduceOp::Sum).unwrap();
-            // Gather rank bytes at 0.
-            let g = comm.gather(0, vec![comm.rank() as u8]).unwrap();
-            if comm.rank() == 0 {
-                let g = g.unwrap();
-                assert_eq!(g, vec![vec![0], vec![1], vec![2], vec![3], vec![4]]);
-            }
-            sum
+            comm.allreduce_f64(local, ReduceOp::Sum).unwrap()
         })
         .unwrap();
         for sum in results {
             assert_eq!(sum, vec![0.0 + 1.0 + 2.0 + 3.0 + 4.0, 5.0]);
         }
-    }
-
-    #[test]
-    fn flat_and_tree_bcast_agree() {
-        let w = world();
-        let results = run_world(specs(&w, 1, 3), |comm| {
-            let data = if comm.rank() == 0 {
-                vec![9u8; 100]
-            } else {
-                vec![]
-            };
-            let a = comm.bcast(0, data.clone()).unwrap();
-            comm.barrier().unwrap();
-            let b = comm.bcast_flat(0, data).unwrap();
-            (a, b)
-        })
-        .unwrap();
-        for (a, b) in results {
-            assert_eq!(a, vec![9u8; 100]);
-            assert_eq!(b, vec![9u8; 100]);
-        }
-    }
-
-    #[test]
-    fn scatter_delivers_per_rank_blobs() {
-        let w = world();
-        let results = run_world(specs(&w, 1, 3), |comm| {
-            let blobs = if comm.rank() == 1 {
-                Some((0..4).map(|r| vec![r as u8; (r + 1) as usize]).collect())
-            } else {
-                None
-            };
-            comm.scatter(1, blobs).unwrap()
-        })
-        .unwrap();
-        for (r, blob) in results.iter().enumerate() {
-            assert_eq!(blob, &vec![r as u8; r + 1], "rank {r}");
-        }
-    }
-
-    #[test]
-    fn allgather_collects_everywhere() {
-        let w = world();
-        let results = run_world(specs(&w, 2, 2), |comm| {
-            let mine = format!("rank-{}@{}", comm.rank(), comm.host()).into_bytes();
-            comm.allgather(mine).unwrap()
-        })
-        .unwrap();
-        // Every rank sees everyone's contribution in rank order.
-        for all in &results {
-            assert_eq!(all.len(), 4);
-            for (r, blob) in all.iter().enumerate() {
-                assert!(
-                    String::from_utf8_lossy(blob).starts_with(&format!("rank-{r}@")),
-                    "{blob:?}"
-                );
-            }
-        }
-        // And all views agree.
-        assert!(results.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn scatter_root_argument_validation() {
-        let w = world();
-        run_world(specs(&w, 0, 2), |comm| {
-            if comm.rank() == 0 {
-                // Wrong blob count must error, not hang the peers: do a
-                // correct scatter afterwards so rank 1 completes.
-                assert!(comm.scatter(0, Some(vec![vec![]; 5])).is_err());
-                assert!(comm.scatter(0, None).is_err());
-                let mine = comm
-                    .scatter(0, Some(vec![b"a".to_vec(), b"b".to_vec()]))
-                    .unwrap();
-                assert_eq!(mine, b"a");
-            } else {
-                let mine = comm.scatter(0, None).unwrap();
-                assert_eq!(mine, b"b");
-            }
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn reduce_u64_and_min_max() {
-        let w = world();
-        let results = run_world(specs(&w, 0, 4), |comm| {
-            let r = comm.rank() as u64;
-            let mx = comm.reduce_u64(0, vec![r], ReduceOp::Max).unwrap();
-            comm.barrier().unwrap();
-            let mn = comm.reduce_u64(0, vec![r + 10], ReduceOp::Min).unwrap();
-            (mx, mn)
-        })
-        .unwrap();
-        assert_eq!(results[0].0.as_ref().unwrap(), &vec![3]);
-        assert_eq!(results[0].1.as_ref().unwrap(), &vec![10]);
-        for r in &results[1..] {
-            assert!(r.0.is_none() && r.1.is_none());
-        }
-    }
-
-    #[test]
-    fn alltoall_personalized_exchange() {
-        let w = world();
-        let results = run_world(specs(&w, 2, 2), |comm| {
-            let blobs: Vec<Vec<u8>> = (0..comm.size())
-                .map(|dst| vec![comm.rank() as u8, dst as u8])
-                .collect();
-            comm.alltoall(blobs).unwrap()
-        })
-        .unwrap();
-        for (me, got) in results.iter().enumerate() {
-            for (src, blob) in got.iter().enumerate() {
-                assert_eq!(blob, &vec![src as u8, me as u8], "rank {me} from {src}");
-            }
-        }
-        // Wrong blob count errors.
-        let w2 = world();
-        run_world(specs(&w2, 0, 1), |comm| {
-            assert!(comm.alltoall(vec![]).is_err());
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn sendrecv_symmetric_exchange() {
-        let w = world();
-        let results = run_world(specs(&w, 1, 1), |comm| {
-            let peer = 1 - comm.rank();
-            let mine = format!("from-{}", comm.rank());
-            let (src, _, got) = comm
-                .sendrecv(peer, 5, mine.as_bytes(), Some(peer), Some(5))
-                .unwrap();
-            (src, got)
-        })
-        .unwrap();
-        assert_eq!(results[0], (1, b"from-1".to_vec()));
-        assert_eq!(results[1], (0, b"from-0".to_vec()));
-    }
-
-    #[test]
-    fn wtime_advances() {
-        let w = world();
-        run_world(specs(&w, 0, 1), |comm| {
-            let t0 = comm.wtime();
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            assert!(comm.wtime() > t0);
-        })
-        .unwrap();
     }
 
     #[test]
@@ -520,7 +364,6 @@ mod tests {
                     let (_, _, tail) = comm.recv(Some(0), Some(8)).unwrap();
                     assert_eq!(tail, b"tail");
                 }
-                assert_eq!(comm.striped_completed(), 201);
                 data
             }
         })

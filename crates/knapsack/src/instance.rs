@@ -28,10 +28,6 @@ impl Instance {
         self.items.len()
     }
 
-    pub fn total_weight(&self) -> u64 {
-        self.items.iter().map(|i| i.weight).sum()
-    }
-
     pub fn total_profit(&self) -> u64 {
         self.items.iter().map(|i| i.profit).sum()
     }
@@ -142,7 +138,7 @@ mod tests {
     fn no_pruning_everything_fits() {
         let inst = Instance::no_pruning(10);
         assert_eq!(inst.n(), 10);
-        assert_eq!(inst.capacity, inst.total_weight());
+        assert_eq!(inst.capacity, inst.items.iter().map(|i| i.weight).sum());
         assert_eq!(Instance::full_tree_nodes(10), 2047);
     }
 
@@ -162,7 +158,7 @@ mod tests {
             Instance::weakly_correlated(30, 50, 1),
             Instance::strongly_correlated(30, 50, 1),
         ] {
-            assert!(inst.capacity < inst.total_weight());
+            assert!(inst.capacity < inst.items.iter().map(|i| i.weight).sum());
             assert!(inst.capacity > 0);
             assert!(inst.items.iter().all(|i| i.weight >= 1 && i.profit >= 1));
         }

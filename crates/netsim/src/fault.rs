@@ -3,13 +3,9 @@
 //! A [`FaultPlan`] is a seeded script of adverse conditions installed
 //! into a [`crate::engine::Simulator`] before (or between) runs:
 //!
-//! * **link down/up windows** — chunks attempting a dead link are
-//!   dropped for the duration of the window;
 //! * **probabilistic chunk drops** — each link traversal loses the
 //!   chunk with probability `p`, optionally restricted to inter-site
 //!   (WAN) links;
-//! * **delay spikes** — extra one-way latency added to every link
-//!   traversal inside a time window;
 //! * **process crash/restart** — an actor is killed abruptly at a
 //!   scheduled instant ([`crate::engine::Simulator::kill_actor`]
 //!   semantics: listeners vanish, flows reset) and optionally revived
@@ -32,7 +28,6 @@
 use crate::actor::{Actor, ActorId};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::topology::LinkId;
 
 /// Recreates a crashed actor for in-place restart (same `ActorId`,
 /// fresh state — a process supervisor respawning a daemon).
@@ -76,8 +71,6 @@ struct CrashSpec {
 /// [`crate::engine::Simulator::install_faults`].
 pub struct FaultPlan {
     seed: u64,
-    link_downs: Vec<(LinkId, SimDuration, SimDuration)>,
-    spikes: Vec<(SimDuration, SimDuration, SimDuration)>,
     drop: Option<DropSpec>,
     crashes: Vec<CrashSpec>,
     retransmit: RetransmitPolicy,
@@ -87,33 +80,10 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
-            link_downs: Vec::new(),
-            spikes: Vec::new(),
             drop: None,
             crashes: Vec::new(),
             retransmit: RetransmitPolicy::default(),
         }
-    }
-
-    /// Take `link` down during `[from, until)` (both offsets from
-    /// install time). Chunks attempting the link are dropped.
-    #[must_use]
-    pub fn link_down(mut self, link: LinkId, from: SimDuration, until: SimDuration) -> Self {
-        self.link_downs.push((link, from, until));
-        self
-    }
-
-    /// Add `extra` one-way latency to every link traversal during
-    /// `[from, until)`.
-    #[must_use]
-    pub fn delay_spike(
-        mut self,
-        from: SimDuration,
-        until: SimDuration,
-        extra: SimDuration,
-    ) -> Self {
-        self.spikes.push((from, until, extra));
-        self
     }
 
     /// Drop each chunk with `probability` per link traversal. With
@@ -178,16 +148,6 @@ impl FaultPlan {
             .collect();
         let state = FaultState {
             rng: SimRng::seed_from_u64(self.seed).fork(0xFA17),
-            link_downs: self
-                .link_downs
-                .into_iter()
-                .map(|(l, f, u)| (l, now + f, now + u))
-                .collect(),
-            spikes: self
-                .spikes
-                .into_iter()
-                .map(|(f, u, e)| (now + f, now + u, e))
-                .collect(),
             drop: self.drop,
             retransmit: self.retransmit,
         };
@@ -201,41 +161,19 @@ pub(crate) struct ScheduledCrash {
     pub restart: Option<(SimDuration, RestartFactory)>,
 }
 
-/// What happened to a chunk attempting a link traversal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChunkFate {
-    Pass { extra: SimDuration },
-    Drop,
-}
-
 /// Installed fault state, consulted by the engine per chunk-hop.
 pub(crate) struct FaultState {
     rng: SimRng,
-    link_downs: Vec<(LinkId, SimTime, SimTime)>,
-    spikes: Vec<(SimTime, SimTime, SimDuration)>,
     drop: Option<DropSpec>,
     pub(crate) retransmit: RetransmitPolicy,
 }
 
 impl FaultState {
-    pub(crate) fn chunk_fate(&mut self, link: LinkId, now: SimTime, inter_site: bool) -> ChunkFate {
-        for &(l, from, until) in &self.link_downs {
-            if l == link && now >= from && now < until {
-                return ChunkFate::Drop;
-            }
-        }
-        if let Some(d) = self.drop {
-            if (!d.wan_only || inter_site) && self.rng.f64() < d.probability {
-                return ChunkFate::Drop;
-            }
-        }
-        let mut extra = SimDuration::ZERO;
-        for &(from, until, e) in &self.spikes {
-            if now >= from && now < until {
-                extra = extra + e;
-            }
-        }
-        ChunkFate::Pass { extra }
+    /// Is a chunk crossing a link (`inter_site`: between two sites)
+    /// lost on this traversal?
+    pub(crate) fn drops_chunk(&mut self, inter_site: bool) -> bool {
+        self.drop
+            .is_some_and(|d| (!d.wan_only || inter_site) && self.rng.f64() < d.probability)
     }
 }
 
@@ -244,58 +182,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn link_down_window_drops_then_passes() {
-        let plan = FaultPlan::new(1).link_down(
-            LinkId(0),
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(20),
-        );
-        let (crashes, mut fs) = plan.into_parts(SimTime::ZERO);
-        assert!(crashes.is_empty());
-        let at = |ms| SimTime(SimDuration::from_millis(ms).nanos());
-        assert_eq!(
-            fs.chunk_fate(LinkId(0), at(5), false),
-            ChunkFate::Pass {
-                extra: SimDuration::ZERO
-            }
-        );
-        assert_eq!(fs.chunk_fate(LinkId(0), at(15), false), ChunkFate::Drop);
-        // Other links unaffected; window end is exclusive.
-        assert_ne!(fs.chunk_fate(LinkId(1), at(15), false), ChunkFate::Drop);
-        assert_ne!(fs.chunk_fate(LinkId(0), at(20), false), ChunkFate::Drop);
-    }
-
-    #[test]
     fn wan_only_drop_spares_lan_links() {
         let (_, mut fs) = FaultPlan::new(3)
             .drop_messages(1.0, true)
             .into_parts(SimTime::ZERO);
-        assert_ne!(fs.chunk_fate(LinkId(0), SimTime(0), false), ChunkFate::Drop);
-        assert_eq!(fs.chunk_fate(LinkId(0), SimTime(0), true), ChunkFate::Drop);
-    }
-
-    #[test]
-    fn delay_spike_adds_latency_inside_window() {
-        let (_, mut fs) = FaultPlan::new(4)
-            .delay_spike(
-                SimDuration::ZERO,
-                SimDuration::from_millis(1),
-                SimDuration::from_millis(7),
-            )
-            .into_parts(SimTime::ZERO);
-        assert_eq!(
-            fs.chunk_fate(LinkId(0), SimTime(0), false),
-            ChunkFate::Pass {
-                extra: SimDuration::from_millis(7)
-            }
-        );
-        let after = SimTime(SimDuration::from_millis(2).nanos());
-        assert_eq!(
-            fs.chunk_fate(LinkId(0), after, false),
-            ChunkFate::Pass {
-                extra: SimDuration::ZERO
-            }
-        );
+        assert!(!fs.drops_chunk(false));
+        assert!(fs.drops_chunk(true));
     }
 
     #[test]
@@ -305,7 +197,7 @@ mod tests {
                 .drop_messages(0.5, false)
                 .into_parts(SimTime::ZERO);
             (0..64)
-                .map(|_| fs.chunk_fate(LinkId(0), SimTime(0), false) == ChunkFate::Drop)
+                .map(|_| fs.drops_chunk(false))
                 .collect::<Vec<bool>>()
         };
         assert_eq!(fates(9), fates(9));

@@ -11,9 +11,8 @@
 //!   chunked store-and-forward transfers, per-link FIFO contention and
 //!   firewall filtering at every site boundary ([`engine`], [`flow`]);
 //! * an actor model for simulated processes ([`actor`]);
-//! * seeded fault injection — link outages, probabilistic loss with
-//!   transport retransmit, delay spikes, actor crash/restart
-//!   ([`fault`]);
+//! * seeded fault injection — probabilistic loss with transport
+//!   retransmit, actor crash/restart ([`fault`]);
 //! * statistics ([`stats`]) and protocol traces ([`trace`]).
 //!
 //! Every run is a pure function of `(topology, actors, seed)`; the

@@ -1,7 +1,7 @@
 //! Run statistics: per-link, per-flow and global counters, collected by
 //! the engine as a side effect of event processing.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use crate::topology::LinkId;
 
 /// Per-link, per-direction accounting. Direction 0 is a→b.
@@ -11,21 +11,6 @@ pub struct LinkStats {
     pub chunks: [u64; 2],
     /// Cumulative serialization (busy) time.
     pub busy: [SimDuration; 2],
-}
-
-impl LinkStats {
-    /// Utilization of one direction over a horizon (0..=1, can exceed 1
-    /// only through accounting error — asserted against in tests).
-    pub fn utilization(&self, dir: usize, horizon: SimDuration) -> f64 {
-        if horizon.nanos() == 0 {
-            return 0.0;
-        }
-        self.busy[dir].nanos() as f64 / horizon.nanos() as f64
-    }
-
-    pub fn total_bytes(&self) -> u64 {
-        self.wire_bytes[0] + self.wire_bytes[1]
-    }
 }
 
 /// Whole-run statistics.
@@ -40,7 +25,7 @@ pub struct Stats {
     pub flows_opened: u64,
     pub flows_refused: u64,
     pub flows_closed: u64,
-    /// Chunks lost to fault injection (drop probability, link-down).
+    /// Chunks lost to fault injection (drop probability).
     pub chunks_dropped: u64,
     /// End-to-end retransmissions triggered by lost chunks.
     pub retransmits: u64,
@@ -51,8 +36,6 @@ pub struct Stats {
     pub actor_crashes: u64,
     /// Actors revived by fault injection.
     pub actor_restarts: u64,
-    /// Sum of message delivery latencies, for a quick mean.
-    pub latency_sum: SimDuration,
 }
 
 impl Stats {
@@ -77,18 +60,9 @@ impl Stats {
         l.busy[dir] = l.busy[dir] + ser;
     }
 
-    pub fn record_delivery(&mut self, payload_bytes: u64, sent_at: SimTime, now: SimTime) {
+    pub fn record_delivery(&mut self, payload_bytes: u64) {
         self.messages_delivered += 1;
         self.payload_bytes_delivered += payload_bytes;
-        self.latency_sum = self.latency_sum + now.since(sent_at);
-    }
-
-    /// Mean end-to-end message latency.
-    pub fn mean_latency(&self) -> Option<SimDuration> {
-        self.latency_sum
-            .nanos()
-            .checked_div(self.messages_delivered)
-            .map(SimDuration)
     }
 }
 
@@ -107,19 +81,6 @@ mod tests {
         assert_eq!(l.wire_bytes[0], 3000);
         assert_eq!(l.chunks[0], 2);
         assert_eq!(l.wire_bytes[1], 60);
-        assert_eq!(l.total_bytes(), 3060);
-        let u = l.utilization(0, SimDuration::from_millis(1));
-        assert!((u - 0.24).abs() < 1e-9, "{u}");
-        assert_eq!(l.utilization(0, SimDuration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn mean_latency() {
-        let mut s = Stats::default();
-        assert!(s.mean_latency().is_none());
-        s.record_delivery(10, SimTime(0), SimTime(1000));
-        s.record_delivery(10, SimTime(0), SimTime(3000));
-        assert_eq!(s.mean_latency().unwrap().nanos(), 2000);
-        assert_eq!(s.payload_bytes_delivered, 20);
+        assert_eq!(l.busy[0], SimDuration::from_micros(240));
     }
 }

@@ -175,17 +175,6 @@ impl Topology {
         self.node(node).site
     }
 
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    pub fn find_host(&self, name: &str) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.name == name)
-            .map(|i| NodeId(i as u32))
-    }
-
     /// Shortest path (by cumulative latency, hops as tie-break) from
     /// `src` to `dst`, as the sequence of links to traverse. Returns
     /// `None` if disconnected.
@@ -351,15 +340,8 @@ mod tests {
         assert_eq!(xs, vec![(SiteId(0), SiteId(1))]);
         // And none within a site.
         let (t2, h0b, _) = line();
-        let p2 = t2.route(h0b, t2.find_host("h0").unwrap()).unwrap();
+        let p2 = t2.route(h0b, h0b).unwrap();
         assert!(t2.site_crossings(h0b, &p2).is_empty());
-    }
-
-    #[test]
-    fn find_host_by_name() {
-        let (t, h0, _) = line();
-        assert_eq!(t.find_host("h0"), Some(h0));
-        assert_eq!(t.find_host("nope"), None);
     }
 
     #[test]

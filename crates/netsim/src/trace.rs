@@ -31,14 +31,6 @@ impl Trace {
         self.enabled = true;
     }
 
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     pub fn log(&mut self, at: SimTime, line: impl FnOnce() -> String) {
         if !self.enabled {
             return;

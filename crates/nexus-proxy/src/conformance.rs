@@ -395,15 +395,11 @@ fn real_traces(own: u16, other: u16) -> [Vec<String>; 3] {
         Some(recorder(&traces[2])),
     )
     .unwrap();
-    let _outer = OuterServer::start_hooked(
-        net.clone(),
-        OuterConfig::new("outer")
-            .with_inner("inner", NX)
-            .with_limits(limits)
-            .with_fleet(members.clone(), 0),
-        Some(recorder(&traces[0])),
-    )
-    .unwrap();
+    let mut first = OuterConfig::new("outer")
+        .with_inner("inner", NX)
+        .with_fleet(members.clone(), 0);
+    first.params.limits = limits;
+    let _outer = OuterServer::start_hooked(net.clone(), first, Some(recorder(&traces[0]))).unwrap();
     let mut superseded = OuterConfig::new("outer")
         .with_inner("inner", NX)
         .with_fleet(members[1..].to_vec(), 1);

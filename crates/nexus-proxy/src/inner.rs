@@ -38,6 +38,10 @@ use std::thread;
 use std::time::Duration;
 use wacs_sync::OrderedMutex;
 
+/// A control session silent for longer than this is abandoned (the
+/// outer server pings well inside it while alive).
+const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Inner server configuration.
 #[derive(Debug, Clone)]
 pub struct InnerConfig {
@@ -49,9 +53,6 @@ pub struct InnerConfig {
     /// Refuse `RelayReq` for endpoints that were never announced via
     /// `BindSync`. Off by default (pre-liveness behaviour).
     pub require_registration: bool,
-    /// A control session silent for longer than this is abandoned (the
-    /// outer server pings well inside it while alive).
-    pub control_timeout: Duration,
     /// Optional socket-level interposer on the inner→client relay
     /// dials. `None` — the default — leaves every dial untouched
     /// (DESIGN.md §6f).
@@ -64,18 +65,12 @@ impl InnerConfig {
             host: host.into(),
             nxport: firewall::NXPORT,
             require_registration: false,
-            control_timeout: Duration::from_secs(5),
             dial_hook: None,
         }
     }
 
     pub fn with_registration_required(mut self) -> Self {
         self.require_registration = true;
-        self
-    }
-
-    pub fn with_control_timeout(mut self, t: Duration) -> Self {
-        self.control_timeout = t;
         self
     }
 
@@ -89,7 +84,6 @@ impl InnerConfig {
 
 /// A running inner server. Dropping the handle shuts it down.
 pub struct InnerServer {
-    cfg: InnerConfig,
     daemon: Arc<Daemon<InnerCore<String>>>,
     accept_thread: Option<thread::JoinHandle<()>>,
 }
@@ -125,18 +119,17 @@ impl InnerServer {
         // silent past the control timeout, or the server shuts down — a
         // shut-down server must stop answering pings, or the outer
         // server would believe a dead peer alive forever).
-        let (d, nxport, timeout) = (daemon.clone(), cfg.nxport, cfg.control_timeout);
+        let (d, nxport) = (daemon.clone(), cfg.nxport);
         // lint:allow(daemon-spawn) the nxport accept loop, joined on drop
         let accept_thread = thread::spawn(move || {
             d.accept_loop(&listener, |from_outer| {
                 d.on_worker(move |d| {
-                    let mut io = Io::new(&d).until_shutdown().frame_timeout(timeout);
+                    let mut io = Io::new(&d).until_shutdown().frame_timeout(CONTROL_TIMEOUT);
                     io.accept(from_outer, nxport);
                 });
             });
         });
         Ok(InnerServer {
-            cfg,
             daemon,
             accept_thread: Some(accept_thread),
         })
@@ -149,11 +142,6 @@ impl InnerServer {
     /// Full metric snapshot (counters + service-time histograms).
     pub fn obs_snapshot(&self) -> wacs_obs::RegistrySnapshot {
         self.daemon.stats.registry().snapshot()
-    }
-
-    /// Logical address of the relay port (what the outer server dials).
-    pub fn nxport_addr(&self) -> (String, u16) {
-        (self.cfg.host.clone(), self.cfg.nxport)
     }
 
     /// Endpoints currently announced via `BindSync`, the union over

@@ -92,16 +92,6 @@ impl OuterConfig {
         self
     }
 
-    pub fn with_limits(mut self, limits: AdmissionLimits) -> Self {
-        self.params.limits = limits;
-        self
-    }
-
-    pub fn with_idle_timeout(mut self, t: Duration) -> Self {
-        self.idle_timeout = t;
-        self
-    }
-
     pub fn with_heartbeat(mut self, hb: HeartbeatConfig) -> Self {
         self.params.heartbeat = Some(hb);
         self
@@ -130,7 +120,6 @@ type OuterDaemon = Arc<Daemon<OuterCore<String>>>;
 
 /// A running outer server. Dropping the handle shuts it down.
 pub struct OuterServer {
-    cfg: OuterConfig,
     daemon: OuterDaemon,
     threads: Vec<thread::JoinHandle<()>>,
 }
@@ -184,11 +173,7 @@ impl OuterServer {
             }));
         }
 
-        Ok(OuterServer {
-            cfg,
-            daemon,
-            threads,
-        })
+        Ok(OuterServer { daemon, threads })
     }
 
     pub fn stats(&self) -> ProxySnapshot {
@@ -198,11 +183,6 @@ impl OuterServer {
     /// Full metric snapshot (counters + service-time histograms).
     pub fn obs_snapshot(&self) -> wacs_obs::RegistrySnapshot {
         self.daemon.stats.registry().snapshot()
-    }
-
-    /// Logical control address clients should use.
-    pub fn ctrl_addr(&self) -> (String, u16) {
-        (self.cfg.host.clone(), self.cfg.params.ctrl_port)
     }
 
     /// Currently registered rendezvous ports (diagnostics).

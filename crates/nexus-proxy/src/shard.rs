@@ -91,11 +91,6 @@ impl ShardMap {
         ShardMap { generation, tags }
     }
 
-    /// A single-member map: the degenerate (paper) deployment.
-    pub fn solo(tag: u64) -> Self {
-        ShardMap::new(0, vec![tag])
-    }
-
     pub fn generation(&self) -> u64 {
         self.generation
     }

@@ -230,14 +230,6 @@ impl RelayCore {
         });
     }
 
-    pub fn is_paired(&self, f: FlowId) -> bool {
-        self.pairs.contains_key(&f)
-    }
-
-    pub fn pair_of(&self, f: FlowId) -> Option<FlowId> {
-        self.pairs.get(&f).copied()
-    }
-
     /// Bridge two flows; any early data buffered on either side is
     /// scheduled for forwarding immediately.
     pub fn pair(&mut self, ctx: &mut Ctx<'_>, f: FlowId, g: FlowId) {

@@ -60,6 +60,7 @@ impl SimOuterServer {
     /// Enable the heartbeat control session to the inner server and
     /// tune the WAN-leg circuit breaker — the sim twin of
     /// `OuterConfig::with_heartbeat`/`with_breaker`.
+    // lint:allow(unused-pub) test knob: the sim heartbeat and breaker cells in tests/liveness.rs
     pub fn with_liveness(mut self, hb: HeartbeatConfig, br: BreakerConfig) -> Self {
         self.params.heartbeat = Some(hb);
         self.params.breaker = br;
@@ -68,6 +69,7 @@ impl SimOuterServer {
 
     /// Bound admission (total + per-peer), refusing with `Busy` on the
     /// control port.
+    // lint:allow(unused-pub) test knob: the sim admission cells in tests/liveness.rs
     pub fn with_admission(mut self, limits: AdmissionLimits) -> Self {
         self.params.limits = limits;
         self.rebuilt()

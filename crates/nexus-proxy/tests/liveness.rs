@@ -496,16 +496,12 @@ fn real_outer_detects_dead_inner_and_reregisters_binds() {
 fn real_admission_limit_returns_busy_and_releases() {
     let w = real_world();
     let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let outer = OuterServer::start(
-        w.net.clone(),
-        OuterConfig::new("rwcp-outer")
-            .with_inner("rwcp-inner", NXPORT)
-            .with_limits(AdmissionLimits {
-                max_total: 1,
-                max_per_peer: 1,
-            }),
-    )
-    .unwrap();
+    let mut cfg = OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT);
+    cfg.params.limits = AdmissionLimits {
+        max_total: 1,
+        max_per_peer: 1,
+    };
+    let outer = OuterServer::start(w.net.clone(), cfg).unwrap();
     let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
     let l = w.net.bind("etl-sun", 7100).unwrap();
     let held = Arc::new(Mutex::new(Vec::new()));
@@ -538,13 +534,9 @@ fn real_admission_limit_returns_busy_and_releases() {
 fn real_idle_relays_are_reaped() {
     let w = real_world();
     let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let outer = OuterServer::start(
-        w.net.clone(),
-        OuterConfig::new("rwcp-outer")
-            .with_inner("rwcp-inner", NXPORT)
-            .with_idle_timeout(Duration::from_millis(400)),
-    )
-    .unwrap();
+    let mut cfg = OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT);
+    cfg.idle_timeout = Duration::from_millis(400);
+    let outer = OuterServer::start(w.net.clone(), cfg).unwrap();
     let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
     let l = w.net.bind("etl-sun", 7200).unwrap();
     let _acceptor = std::thread::spawn(move || {
@@ -578,13 +570,9 @@ fn real_idle_relays_are_reaped() {
 fn real_relays_are_reaped_only_when_idle() {
     let w = real_world();
     let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let outer = OuterServer::start(
-        w.net.clone(),
-        OuterConfig::new("rwcp-outer")
-            .with_inner("rwcp-inner", NXPORT)
-            .with_idle_timeout(Duration::from_millis(150)),
-    )
-    .unwrap();
+    let mut cfg = OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT);
+    cfg.idle_timeout = Duration::from_millis(150);
+    let outer = OuterServer::start(w.net.clone(), cfg).unwrap();
     let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
     let l = w.net.bind("etl-sun", 7600).unwrap();
     let srv = std::thread::spawn(move || {

@@ -15,7 +15,6 @@ use firewall::StopHandle;
 use nexus_proxy::{nx_proxy_bind, NxListener, Workers};
 use std::io;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -32,9 +31,6 @@ pub struct Endpoint {
     /// Ends the acceptor's blocked accept; the readers check it between
     /// frames.
     stop: StopHandle,
-    // Handshake-acceptance tally shared with the accept thread; not
-    // registry-backed (nexus has no registry). lint:allow(bare-atomic-counter)
-    accepted: Arc<AtomicU64>,
     /// Runs each attachment's frame loop. Shared with the acceptor; no
     /// reader job holds it.
     readers: Arc<Workers>,
@@ -45,7 +41,6 @@ pub struct Endpoint {
 impl Endpoint {
     pub(crate) fn create(ctx: &NexusContext) -> io::Result<Endpoint> {
         let (tx, rx) = bounded::<Vec<u8>>(QUEUE_DEPTH);
-        let accepted = Arc::new(AtomicU64::new(0)); // lint:allow(bare-atomic-counter)
 
         let listener: NxListener = match ctx.port_policy() {
             PortPolicy::Dynamic => nx_proxy_bind(ctx.net(), ctx.proxy_env(), ctx.host())?,
@@ -78,14 +73,12 @@ impl Endpoint {
         {
             let stop = stop.clone();
             let tx = tx.clone();
-            let accepted = accepted.clone();
             let readers = readers.clone();
             // lint:allow(daemon-spawn) the endpoint's accept loop, ended by its stop handle
             thread::spawn(move || {
                 // The listener stays registered as long as this loop runs.
                 while let Some(stream) = listener.accept_until_stop() {
                     stream.set_nodelay(true).ok();
-                    accepted.fetch_add(1, Ordering::Relaxed);
                     let (tx, stop) = (tx.clone(), stop.clone());
                     readers.run(move || read_frames(stream, &tx, &stop));
                 }
@@ -100,7 +93,6 @@ impl Endpoint {
             advertised,
             rx,
             stop,
-            accepted,
             readers,
             inproc_key,
             exchange: ctx.inproc().clone(),
@@ -142,17 +134,6 @@ impl Endpoint {
                 Err(io::Error::new(io::ErrorKind::BrokenPipe, "endpoint closed"))
             }
         }
-    }
-
-    /// Number of startpoints that have attached over the network.
-    pub fn attachments(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Reader threads this endpoint has started: [`nexus_proxy::PARKED`]
-    /// at creation, then one per attachment that found no reader parked.
-    pub fn reader_spawns(&self) -> u64 {
-        self.readers.spawns()
     }
 
     /// Messages waiting in the queue.
@@ -222,12 +203,11 @@ mod tests {
             wait_parked(&ep, full);
         };
         round(0);
-        let warm = ep.reader_spawns();
+        let warm = ep.readers.spawns();
         for i in 1..=20 {
             round(i);
         }
-        assert_eq!(ep.reader_spawns(), warm);
-        assert_eq!(ep.attachments(), 21);
+        assert_eq!(ep.readers.spawns(), warm);
     }
 
     #[test]
@@ -258,7 +238,6 @@ mod tests {
             next[id] += 1;
         }
         assert_eq!(next, [200, 200]);
-        assert_eq!(ep.attachments(), 2);
     }
 
     #[test]

@@ -104,7 +104,6 @@ mod tests {
         sp.send(b"msg-2").unwrap();
         assert_eq!(ep.recv().unwrap(), b"msg-1");
         assert_eq!(ep.recv().unwrap(), b"msg-2");
-        assert_eq!(ep.attachments(), 1);
     }
 
     #[test]
@@ -136,22 +135,6 @@ mod tests {
         assert_eq!(b_ep.recv().unwrap(), b"ping");
         b_to_a.send(b"pong").unwrap();
         assert_eq!(a_ep.recv().unwrap(), b"pong");
-    }
-
-    #[test]
-    fn inproc_shortcut_when_exchange_shared() {
-        let w = world();
-        let exchange = InProcExchange::new();
-        let a = NexusContext::direct(w.net.clone(), "etl-sun").with_shared_inproc(exchange.clone());
-        let b = NexusContext::direct(w.net.clone(), "etl-sun").with_shared_inproc(exchange);
-        let ep = a.endpoint().unwrap();
-        let adv = (ep.advertised().0.to_string(), ep.advertised().1);
-        let sp = b.attach((&adv.0, adv.1)).unwrap();
-        assert!(sp.is_inproc());
-        sp.send(b"local").unwrap();
-        assert_eq!(ep.recv().unwrap(), b"local");
-        // No network attachment happened.
-        assert_eq!(ep.attachments(), 0);
     }
 
     #[test]

@@ -23,15 +23,6 @@ impl PortPolicy {
         assert!(min <= max, "empty port range");
         PortPolicy::Range { min, max }
     }
-
-    /// Number of inbound ports a firewall must open for this policy to
-    /// work across it (the paper's security argument in one number).
-    pub fn exposure(&self) -> u32 {
-        match self {
-            PortPolicy::Dynamic => 65536 - 1024, // effectively everything
-            PortPolicy::Range { min, max } => u32::from(*max - *min) + 1,
-        }
-    }
 }
 
 /// Allocates candidate ports under a [`PortPolicy`].
@@ -108,15 +99,6 @@ mod tests {
         let a = PortAllocator::new(PortPolicy::range(20000, 20004));
         assert_eq!(a.candidates(100).len(), 5);
         assert_eq!(a.candidates(2).len(), 2);
-    }
-
-    #[test]
-    fn exposure_comparisons() {
-        assert_eq!(PortPolicy::range(10000, 10999).exposure(), 1000);
-        assert!(PortPolicy::Dynamic.exposure() > 60000);
-        // The proxy scheme's analogue is a single port (NXPORT); both
-        // Globus policies expose strictly more.
-        assert!(PortPolicy::range(10000, 10000).exposure() == 1);
     }
 
     #[test]

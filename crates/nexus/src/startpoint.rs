@@ -107,9 +107,28 @@ impl Startpoint {
     pub fn peer(&self) -> (&str, u16) {
         (&self.dst.0, self.dst.1)
     }
+}
 
-    /// True if this startpoint bypasses the network entirely.
-    pub fn is_inproc(&self) -> bool {
-        matches!(self.inner, Inner::InProc(_))
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use firewall::vnet::VNet;
+
+    /// Contexts sharing an exchange attach in process: the startpoint
+    /// holds the endpoint's queue, not a socket.
+    #[test]
+    fn inproc_shortcut_when_exchange_shared() {
+        let net = VNet::new();
+        let site = net.add_site("etl", None);
+        net.add_host("etl-sun", site);
+        let exchange = InProcExchange::new();
+        let a = NexusContext::direct(net.clone(), "etl-sun").with_shared_inproc(exchange.clone());
+        let b = NexusContext::direct(net, "etl-sun").with_shared_inproc(exchange);
+        let ep = a.endpoint().unwrap();
+        let adv = (ep.advertised().0.to_string(), ep.advertised().1);
+        let sp = b.attach((&adv.0, adv.1)).unwrap();
+        assert!(matches!(sp.inner, Inner::InProc(_)));
+        sp.send(b"local").unwrap();
+        assert_eq!(ep.recv().unwrap(), b"local");
     }
 }

@@ -70,6 +70,7 @@ impl AllocatorState {
     }
 
     /// Current load of a resource (diagnostics).
+    // lint:allow(unused-pub) test knob: tests/rmf_flow.rs waits on it for the load release
     pub fn load_of(&self, name: &str) -> Option<u32> {
         self.entries
             .lock()

@@ -55,10 +55,6 @@ impl GassUrl {
             path: path.to_string(),
         })
     }
-
-    pub fn to_url(&self) -> String {
-        format!("gass://{}/{}", self.host, self.path)
-    }
 }
 
 /// How one staging transfer is split over parallel stripe lanes: a
@@ -242,7 +238,6 @@ mod tests {
         let u = GassUrl::parse("gass://rwcp-sun/inputs/knap50.dat").unwrap();
         assert_eq!(u.host, "rwcp-sun");
         assert_eq!(u.path, "inputs/knap50.dat");
-        assert_eq!(u.to_url(), "gass://rwcp-sun/inputs/knap50.dat");
         assert!(GassUrl::parse("http://x/y").is_err());
         assert!(GassUrl::parse("gass://hostonly").is_err());
         assert!(GassUrl::parse("gass:///path").is_err());

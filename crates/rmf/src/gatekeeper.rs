@@ -35,7 +35,6 @@ pub struct JobInfo {
 /// A running gatekeeper.
 pub struct Gatekeeper {
     host: String,
-    jobs: Arc<Mutex<HashMap<JobId, JobInfo>>>,
     server: RecordServer,
 }
 
@@ -46,7 +45,7 @@ struct GkCtx {
     allocator_host: String,
     gass: GassStore,
     trace: FlowTrace,
-    jobs: Arc<Mutex<HashMap<JobId, JobInfo>>>,
+    jobs: Mutex<HashMap<JobId, JobInfo>>,
     // Job-ID generator, not a metric. lint:allow(bare-atomic-counter)
     next_job: AtomicU64,
 }
@@ -64,7 +63,6 @@ impl Gatekeeper {
     ) -> io::Result<Gatekeeper> {
         let host = host.into();
         let listener = net.bind(&host, GATEKEEPER_PORT)?;
-        let jobs = Arc::new(Mutex::new(HashMap::new()));
         let ctx = Arc::new(GkCtx {
             net,
             host: host.clone(),
@@ -72,19 +70,15 @@ impl Gatekeeper {
             allocator_host: allocator_host.into(),
             gass,
             trace,
-            jobs: jobs.clone(),
+            jobs: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(1), // lint:allow(bare-atomic-counter)
         });
         let server = RecordServer::start(listener, move |req| handle(&ctx, req));
-        Ok(Gatekeeper { host, jobs, server })
+        Ok(Gatekeeper { host, server })
     }
 
     pub fn addr(&self) -> (String, u16) {
         (self.host.clone(), GATEKEEPER_PORT)
-    }
-
-    pub fn job_info(&self, job: JobId) -> Option<JobInfo> {
-        self.jobs.lock().get(&job).cloned()
     }
 
     pub fn shutdown(&self) {

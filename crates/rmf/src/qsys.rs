@@ -275,6 +275,7 @@ impl QClient {
 
     /// Override the allocator query's retry policy.
     #[must_use]
+    // lint:allow(unused-pub) test knob: the silent-allocator cells of tests/rmf_flow.rs shorten it
     pub fn with_rpc_retry(mut self, rpc_retry: RetryPolicy) -> QClient {
         self.rpc_retry = rpc_retry;
         self

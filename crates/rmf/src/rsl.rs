@@ -10,7 +10,6 @@
 //! `&(key=value)(key=value)…`, with quoted values for embedded
 //! spaces/parens and repeated keys for lists.
 
-use crate::wire::Record;
 use std::fmt;
 
 /// A parsed job request.
@@ -154,60 +153,6 @@ pub fn parse(input: &str) -> Result<JobRequest, RslError> {
     Ok(req)
 }
 
-impl JobRequest {
-    /// Encode into a wire [`Record`] (for the gatekeeper protocol).
-    pub fn to_record(&self) -> Record {
-        let mut r = Record::new("job-request");
-        r.push("executable", &self.executable);
-        r.push("count", self.count.to_string());
-        for a in &self.arguments {
-            r.push("arg", a);
-        }
-        for res in &self.resources {
-            r.push("resource", res);
-        }
-        for (name, path) in &self.stage_in {
-            r.push("stage_in", format!("{name}<{path}"));
-        }
-        for (k, v) in &self.extras {
-            r.push("extra", format!("{k}={v}"));
-        }
-        r
-    }
-
-    /// Decode from a wire [`Record`].
-    pub fn from_record(r: &Record) -> std::io::Result<JobRequest> {
-        let executable = r.require("executable")?.to_string();
-        let count = r.require_u64("count")? as u32;
-        let arguments = r.get_all("arg").iter().map(ToString::to_string).collect();
-        let resources = r
-            .get_all("resource")
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let stage_in = r
-            .get_all("stage_in")
-            .iter()
-            .filter_map(|s| s.split_once('<'))
-            .map(|(a, b)| (a.to_string(), b.to_string()))
-            .collect();
-        let extras = r
-            .get_all("extra")
-            .iter()
-            .filter_map(|s| s.split_once('='))
-            .map(|(a, b)| (a.to_string(), b.to_string()))
-            .collect();
-        Ok(JobRequest {
-            executable,
-            count,
-            arguments,
-            resources,
-            stage_in,
-            extras,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,14 +217,6 @@ mod tests {
             parse("&(executable=x)(stage_in=nope)"),
             Err(RslError::Syntax(_))
         ));
-    }
-
-    #[test]
-    fn record_roundtrip() {
-        let r = parse("&(executable=knapsack)(count=8)(arguments=-n 30)(resource=COMPaS)(stage_in=a<gass://h/a)(env=B=2)").unwrap();
-        let rec = r.to_record();
-        let back = JobRequest::from_record(&rec).unwrap();
-        assert_eq!(back, r);
     }
 
     /// SplitMix64 — a local deterministic stream for randomized tests.

@@ -8,7 +8,8 @@ use firewall::vnet::VNet;
 use firewall::Policy;
 use rmf::{
     rmf_site_policy, submit_job, wait_job, ExecCtx, ExecRegistry, FlowTrace, GassStore, Gatekeeper,
-    JobState, QServer, ResourceAllocator, ResourceInfo, SelectPolicy, ALLOCATOR_PORT, QSERVER_PORT,
+    JobState, QServer, Record, ResourceAllocator, ResourceInfo, SelectPolicy, ALLOCATOR_PORT,
+    QSERVER_PORT,
 };
 use std::time::Duration;
 
@@ -269,8 +270,15 @@ fn over_capacity_request_fails_cleanly() {
     )
     .unwrap();
     assert_eq!(state, JobState::Failed);
-    let info = d.gk.job_info(job).unwrap();
-    assert!(info.detail.contains("allocation failed"), "{}", info.detail);
+    // The failure's reason reaches the client in the status reply.
+    let mut s = d.net.dial("user-host", &gk.0, gk.1).unwrap();
+    Record::new("status")
+        .with("job", job.0.to_string())
+        .write_to(&mut s)
+        .unwrap();
+    let rep = Record::read_from(&mut s).unwrap().unwrap();
+    let detail = rep.get("detail").unwrap_or("");
+    assert!(detail.contains("allocation failed"), "{detail}");
 }
 
 #[test]

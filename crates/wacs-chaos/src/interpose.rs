@@ -135,12 +135,6 @@ impl ChaosInterposer {
     pub fn hook(self: &Arc<ChaosInterposer>) -> DialHook {
         DialHook::new(self.clone())
     }
-
-    /// Dials seen so far on `leg` (diagnostics, deterministic under
-    /// sequential per-leg traffic).
-    pub fn dials_on(&self, leg: DialLeg) -> u64 {
-        *self.seqs.lock().get(&leg).unwrap_or(&0)
-    }
 }
 
 impl DialInterposer for ChaosInterposer {

@@ -262,6 +262,7 @@ impl ChaosSuite {
     }
 
     /// Wall-clock recovery measurements (feeds bench percentiles).
+    // lint:allow(unused-pub) the one reader of wacs.chaos.recovery_ns, kept for ROADMAP items 1 and 2
     pub fn timing_snapshot(&self) -> RegistrySnapshot {
         self.timing.snapshot()
     }

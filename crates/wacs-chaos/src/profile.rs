@@ -75,12 +75,6 @@ impl FaultClass {
         FaultClass::RollingRestart,
         FaultClass::InnerRestart,
     ];
-
-    /// Does this class make the wrapped operation *fail* (so recovery
-    /// is failure → next success), as opposed to merely degrading it?
-    pub fn is_fatal(self) -> bool {
-        matches!(self, FaultClass::Rst | FaultClass::Blackhole)
-    }
 }
 
 impl std::fmt::Display for FaultClass {
@@ -269,7 +263,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), FaultClass::ALL.len());
-        assert!(FaultClass::Rst.is_fatal() && FaultClass::Blackhole.is_fatal());
-        assert!(!FaultClass::Throttle.is_fatal());
     }
 }

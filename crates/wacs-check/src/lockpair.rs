@@ -57,7 +57,8 @@ impl LockPairModel {
     }
 
     /// The classic inversion: thread 1 nests b -> a.
-    pub fn inverted() -> Self {
+    #[cfg(test)]
+    fn inverted() -> Self {
         LockPairModel {
             programs: vec![vec![0, 1], vec![1, 0]],
             locks: 2,

@@ -5,7 +5,7 @@
 //! `[lower, lower + width)` always has `lower >= SUB_BUCKETS * width`,
 //! so reporting any in-bucket representative misstates a recorded value
 //! by at most `width / lower <= 1/16` — the quantile estimates below
-//! are within **6.25%** relative error ([`REL_ERROR_DENOM`]).
+//! are within **6.25%** relative error.
 //!
 //! Values `0..16` get exact unit buckets; the scheme is continuous at
 //! the boundary. The top bucket covers the largest values representable
@@ -16,9 +16,6 @@
 pub const SUB_BITS: u32 = 4;
 /// Linear sub-buckets per octave (16).
 pub const SUB_BUCKETS: u64 = 1 << SUB_BITS;
-/// Quantile estimates err by at most `1/REL_ERROR_DENOM` (6.25%)
-/// relative to some truly recorded value.
-pub const REL_ERROR_DENOM: u64 = SUB_BUCKETS;
 /// Total bucket count: indices `0..16` are exact, then 16 per octave
 /// for exponents 4..=63.
 pub const NUM_BUCKETS: usize = 976;
@@ -234,12 +231,6 @@ impl HistogramSnapshot {
         Some(self.max)
     }
 
-    /// Mean of the recorded values, rounded down. `None` when empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<u64> {
-        (self.count > 0).then(|| self.sum / self.count)
-    }
-
     /// Merge `other` into `self`. `merge(a, b) == merge(b, a)`.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         if other.count == 0 {
@@ -338,7 +329,7 @@ mod tests {
             let err = rep.abs_diff(v);
             // err <= width/2 <= lower/16 <= v/16 (and exact below 16).
             assert!(
-                err.saturating_mul(REL_ERROR_DENOM) <= v,
+                err.saturating_mul(SUB_BUCKETS) <= v,
                 "v={v} rep={rep} err={err}"
             );
         }
@@ -361,7 +352,7 @@ mod tests {
                 let truth = vals[rank - 1];
                 let err = est.abs_diff(truth);
                 assert!(
-                    err.saturating_mul(REL_ERROR_DENOM) <= truth,
+                    err.saturating_mul(SUB_BUCKETS) <= truth,
                     "round {round}: q={q} est={est} truth={truth} n={n}"
                 );
             }
@@ -375,7 +366,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-        assert_eq!(h.snapshot().mean(), None);
 
         let mut h = HistogramCore::new();
         h.record(123_456);
@@ -383,7 +373,6 @@ mod tests {
         for &q in &[0.0, 0.5, 1.0] {
             assert_eq!(h.quantile(q), Some(123_456));
         }
-        assert_eq!(h.snapshot().mean(), Some(123_456));
     }
 
     #[test]

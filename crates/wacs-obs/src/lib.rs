@@ -1,9 +1,9 @@
 //! # wacs-obs — the workspace observability layer
 //!
 //! A dependency-free metrics registry shared by the simulator and the
-//! real-socket paths: counters, gauges, log-linear histograms with a
-//! bounded relative error on quantile estimates, and lightweight span
-//! timing. Everything is designed around one invariant:
+//! real-socket paths: counters, gauges and log-linear histograms with a
+//! bounded relative error on quantile estimates. Everything is designed
+//! around one invariant:
 //!
 //! > **Determinism.** Under the simulator, every recorded value derives
 //! > from `SimTime` (integer nanoseconds) — never from the wall clock —
@@ -11,8 +11,8 @@
 //! > [`RegistrySnapshot::to_json`] output.
 //!
 //! To keep the dependency graph acyclic (`netsim` records into the
-//! registry), this crate knows nothing about `netsim`: spans operate on
-//! raw `u64` nanosecond timestamps, and callers pass
+//! registry), this crate knows nothing about `netsim`: histograms record
+//! raw `u64` nanosecond durations, and callers pass
 //! `SimTime::as_nanos()` (sim paths) or a monotonic-clock delta (real
 //! paths, where determinism is not expected).
 //!
@@ -23,10 +23,8 @@
 //!   registry through many components aggregates naturally.
 //! * [`Histogram`] — log-linear buckets (16 per octave): quantile
 //!   estimates are within **6.25%** relative error of a true recorded
-//!   value ([`hist::REL_ERROR_DENOM`]). Sums saturate; the top bucket
-//!   absorbs arbitrarily large values instead of overflowing.
-//! * [`Span`] — `begin(now)` / `elapsed(now)` pairs for service-time
-//!   measurement; `Histogram::record_span` closes one.
+//!   value. Sums saturate; the top bucket absorbs arbitrarily large
+//!   values instead of overflowing.
 //! * [`RegistrySnapshot`] — a point-in-time copy. Snapshots merge
 //!   commutatively (`merge(a,b) == merge(b,a)`) and serialize to a
 //!   stable, integer-only JSON document (BTreeMap key order).
@@ -37,9 +35,7 @@ pub mod hist;
 pub mod json;
 pub mod registry;
 pub mod snapshot;
-pub mod span;
 
 pub use hist::{HistogramCore, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use snapshot::RegistrySnapshot;
-pub use span::Span;

@@ -9,7 +9,6 @@
 
 use crate::hist::HistogramCore;
 use crate::snapshot::RegistrySnapshot;
-use crate::span::Span;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,11 +59,6 @@ pub struct Histogram(Arc<Mutex<HistogramCore>>);
 impl Histogram {
     pub fn record(&self, v: u64) {
         self.0.lock().record(v);
-    }
-
-    /// Close `span` at `now_nanos` and record its duration.
-    pub fn record_span(&self, span: Span, now_nanos: u64) {
-        self.record(span.elapsed(now_nanos));
     }
 
     #[must_use]
@@ -179,7 +173,7 @@ mod tests {
         reg.counter("c").inc();
         reg.gauge("g").set(-4);
         let h = reg.histogram("h");
-        h.record_span(Span::begin(100), 350);
+        h.record(250);
         let snap = reg.snapshot();
         assert_eq!(snap.counters.get("c"), Some(&1));
         assert_eq!(snap.gauges.get("g"), Some(&-4));

@@ -198,8 +198,9 @@ pub mod lock_order {
             .collect()
     }
 
-    /// Number of nesting edges observed (diagnostics).
-    pub fn edge_count() -> usize {
+    /// Number of nesting edges observed.
+    #[cfg(test)]
+    pub(crate) fn edge_count() -> usize {
         registry().edges.lock().values().map(HashSet::len).sum()
     }
 

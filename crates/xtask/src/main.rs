@@ -161,7 +161,10 @@ fn run_lint(root: &Path) -> ExitCode {
     for (rel, text) in &files {
         violations.extend(rules::analyze(rel, text));
     }
-    let ws = wsrules::analyze_root(root, &files);
+    let Ok(ws) = wsrules::analyze_root(root, &files) else {
+        eprintln!("xtask lint: unreadable sources under {}", root.display());
+        return ExitCode::FAILURE;
+    };
     violations.extend(ws.violations);
     for v in &violations {
         println!("{v}");

@@ -79,6 +79,9 @@ pub enum Rule {
     /// a `read_exact` into a 4-byte buffer that then goes through
     /// `u32::from_be_bytes` is a second frame reader (see `wsrules`).
     FramePlane,
+    /// A `pub` item of a library crate that nothing but its definition,
+    /// `use` paths and its own crate's tests names (see `wsrules`).
+    UnusedPub,
 }
 
 pub const ALL: &[Rule] = &[
@@ -102,6 +105,7 @@ pub const ALL: &[Rule] = &[
     Rule::DaemonSpawn,
     Rule::OrphanModule,
     Rule::FramePlane,
+    Rule::UnusedPub,
 ];
 
 impl Rule {
@@ -127,6 +131,7 @@ impl Rule {
             Rule::DaemonSpawn => "daemon-spawn",
             Rule::OrphanModule => "orphan-module",
             Rule::FramePlane => "frame-plane",
+            Rule::UnusedPub => "unused-pub",
         }
     }
 
@@ -192,6 +197,10 @@ impl Rule {
             Rule::FramePlane => {
                 "a stream's u32 length prefix is read in nexus-proxy frame.rs only; \
                  call frame::read_frame"
+            }
+            Rule::UnusedPub => {
+                "every pub item of a library crate is named outside its definition, use \
+                 paths and its own crate's tests"
             }
         }
     }

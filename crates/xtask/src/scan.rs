@@ -25,6 +25,23 @@ pub fn library_sources(root: &Path) -> Vec<PathBuf> {
     out
 }
 
+/// The sources outside the library walk that call into it: every
+/// crate's `tests/`, the root `tests/` and `examples/`, and the
+/// benchmark package's `src/`.
+pub fn caller_sources(root: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
+        for entry in entries.filter_map(Result::ok) {
+            walk_rs(&entry.path().join("tests"), &mut out);
+        }
+    }
+    for dir in ["tests", "examples", "benchmark/src"] {
+        walk_rs(&root.join(dir), &mut out);
+    }
+    out.sort();
+    out
+}
+
 fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;

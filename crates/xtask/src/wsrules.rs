@@ -1,7 +1,7 @@
 //! Workspace-level rules: analyses that need the whole file set (or
 //! files outside the library walk) rather than one file at a time.
 //!
-//! Ten rules live here, all built on the token stream from
+//! Eleven rules live here, all built on the token stream from
 //! [`crate::lexer`]:
 //!
 //! * **`lock-order`** — a static lock-order graph over every
@@ -61,6 +61,17 @@
 //!   followed), or lives under `src/bin/`. A file nothing declares is
 //!   never compiled, so it can rot unseen. `#[path]` is not followed;
 //!   the workspace uses none.
+//! * **`unused-pub`** — every `pub`/`pub(crate)` fn, struct, enum,
+//!   const, static, trait or type alias in the non-test code of a
+//!   library crate (`crates/*/src` with a `lib.rs`; binaries and
+//!   `xtask` are not judged) is named somewhere besides its definition,
+//!   `use` paths and its own crate's tests: by non-test code anywhere in
+//!   `crates/`, `src/`, `examples/` or `benchmark/src/`, or by another
+//!   crate's tests. Methods in `impl Trait for` bodies are not judged.
+//!   Matching is by name, so a name shared with a live item is never
+//!   flagged. A test knob an integration test needs, or an item a
+//!   named ROADMAP item will read, carries `lint:allow(unused-pub)`
+//!   with a reason on its line or the comment line above or below.
 //! * **`frame-plane`** — the stream frame format is read in one place,
 //!   `nexus-proxy/src/frame.rs`. Outside it, no non-test code
 //!   `read_exact`s a 4-byte buffer (`let mut b = [0u8; 4]`, `[0; 4]` or
@@ -100,6 +111,7 @@ pub struct WsReport {
 /// a missing anchor file report that instead of guessing).
 pub fn analyze_workspace(
     files: &[(String, String)],
+    callers: &[(String, String)],
     experiments: Option<&str>,
     fuzz_sweep: Option<&str>,
 ) -> WsReport {
@@ -123,6 +135,7 @@ pub fn analyze_workspace(
     check_retry_plane(files, &mut violations);
     check_daemon_spawn(files, &mut violations);
     check_orphan_modules(files, &mut violations);
+    check_unused_pub(files, callers, &mut violations);
     check_frame_plane(files, &mut violations);
 
     WsReport {
@@ -134,19 +147,33 @@ pub fn analyze_workspace(
     }
 }
 
-/// Convenience for `main`: read the two anchor files relative to the
-/// workspace root and run the pass.
-pub fn analyze_root(root: &Path, files: &[(String, String)]) -> WsReport {
+/// Convenience for `main`: read the two anchor files and the caller
+/// sources relative to the workspace root and run the pass.
+pub fn analyze_root(root: &Path, files: &[(String, String)]) -> std::io::Result<WsReport> {
     let experiments = std::fs::read_to_string(root.join("EXPERIMENTS.md")).ok();
     let fuzz = std::fs::read_to_string(root.join("crates/nexus-proxy/tests/transparency.rs")).ok();
-    analyze_workspace(files, experiments.as_deref(), fuzz.as_deref())
+    let callers = relative_sources(root, scan::caller_sources(root))?;
+    Ok(analyze_workspace(
+        files,
+        &callers,
+        experiments.as_deref(),
+        fuzz.as_deref(),
+    ))
 }
 
 /// Load the library file set for `root` in the shape this module
 /// wants.
 pub fn load_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    relative_sources(root, scan::library_sources(root))
+}
+
+/// `(workspace-relative path, source)` for each of `paths`.
+fn relative_sources(
+    root: &Path,
+    paths: Vec<std::path::PathBuf>,
+) -> std::io::Result<Vec<(String, String)>> {
     let mut out = Vec::new();
-    for path in scan::library_sources(root) {
+    for path in paths {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
@@ -1012,13 +1039,22 @@ const DAEMON_FILES: &[&str] = &[
 /// Ways to start a thread.
 const SPAWN_SPELLINGS: &[&str] = &["thread::spawn", "thread::Builder", "thread::scope"];
 
-/// `lint:allow(daemon-spawn)` followed by a reason.
-fn reasoned(line: &str) -> bool {
-    line.split_once("lint:allow(daemon-spawn)")
+/// `lint:allow(<rule>)` followed by a reason.
+fn reasoned(line: &str, rule: Rule) -> bool {
+    line.split_once(&format!("lint:allow({})", rule.name()))
         .is_some_and(|(_, why)| {
             !why.trim_matches(|c: char| c.is_whitespace() || c == '—')
                 .is_empty()
         })
+}
+
+/// A reasoned `rule` marker on 1-based `line` of `lines`, or on a
+/// comment line directly above or below it.
+fn marked(lines: &[&str], line: usize, rule: Rule) -> bool {
+    let text = |i: usize| lines.get(i).copied().unwrap_or("");
+    let comment = |i: usize| text(i).trim_start().starts_with("//") && reasoned(text(i), rule);
+    // `line` counts from 1, `lines` from 0.
+    reasoned(text(line - 1), rule) || (line >= 2 && comment(line - 2)) || comment(line)
 }
 
 /// A thread that is not a worker must be named: a marker with a reason
@@ -1029,17 +1065,11 @@ fn check_daemon_spawn(files: &[(String, String)], out: &mut Vec<Violation>) {
             continue;
         }
         let lines: Vec<&str> = source.lines().collect();
-        let text = |i: usize| lines.get(i).copied().unwrap_or("");
-        let comment = |i: usize| text(i).trim_start().starts_with("//") && reasoned(text(i));
-        // `line` counts from 1, `lines` from 0.
-        let marked = |line: usize| {
-            reasoned(text(line - 1)) || (line >= 2 && comment(line - 2)) || comment(line)
-        };
         for (line, code) in &code_lines(source, code_tokens(source).into_iter()) {
             let Some(needle) = SPAWN_SPELLINGS.iter().find(|n| code.contains(*n)) else {
                 continue;
             };
-            if !marked(*line) {
+            if !marked(&lines, *line, Rule::DaemonSpawn) {
                 out.push(Violation {
                     path: path.clone(),
                     line: *line,
@@ -1184,6 +1214,221 @@ fn check_orphan_modules(files: &[(String, String)], out: &mut Vec<Violation>) {
 }
 
 // ---------------------------------------------------------------------------
+// unused-pub
+// ---------------------------------------------------------------------------
+
+/// The item kinds the rule judges, by the keyword that introduces them.
+const PUB_ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "const", "static", "trait", "type"];
+
+/// The package a workspace-relative path belongs to: `crates/<name>/…`
+/// is `<name>`, `benchmark/…` the benchmark, anything else the root.
+fn crate_of(path: &str) -> &str {
+    if let Some(rest) = path.strip_prefix("crates/") {
+        rest.split('/').next().unwrap_or(rest)
+    } else if path.starts_with("benchmark/") {
+        "benchmark"
+    } else {
+        ""
+    }
+}
+
+/// A `tests/` file: an integration test, test code as a whole.
+fn is_test_file(path: &str) -> bool {
+    path.starts_with("tests/") || path.split('/').nth(2) == Some("tests")
+}
+
+/// One non-trivia token of a file, with what the rule needs to know
+/// about where it stands.
+struct Spot {
+    tok: Token,
+    /// In a test file or a `#[cfg(test)]`/`#[test]` region.
+    test: bool,
+    /// Between a `use` and its `;`.
+    in_use: bool,
+}
+
+fn spots(path: &str, source: &str) -> Vec<Spot> {
+    let whole = is_test_file(path);
+    let test_lines = test_region_lines(&mask::mask(source).code);
+    let mut in_use = false;
+    let mut out = Vec::new();
+    for tok in lex(source).into_iter().filter(|t| !t.kind.is_trivia()) {
+        match tok.text(source) {
+            "use" if tok.kind == TokenKind::Ident => in_use = true,
+            ";" => in_use = false,
+            _ => {}
+        }
+        let test = whole || test_lines.get(tok.line - 1).copied().unwrap_or(false);
+        out.push(Spot { tok, test, in_use });
+    }
+    out
+}
+
+/// A judged `pub` item.
+struct PubItem<'a> {
+    path: &'a str,
+    line: usize,
+    /// Byte offset of the name token: the definition itself, which is
+    /// no caller.
+    at: usize,
+    kind: &'a str,
+    name: &'a str,
+}
+
+/// The `pub`/`pub(crate)` items of one library file's non-test code,
+/// outside `impl Trait for …` bodies.
+fn pub_items<'a>(path: &'a str, source: &'a str, spots: &[Spot]) -> Vec<PubItem<'a>> {
+    let text = |i: usize| spots.get(i).map_or("", |s| s.tok.text(source));
+    let mut out = Vec::new();
+    let mut depth = 0usize;
+    // Depth inside the `impl Trait for` body being skipped.
+    let mut skip: Option<usize> = None;
+    for (i, spot) in spots.iter().enumerate() {
+        match text(i) {
+            "{" => depth += 1,
+            "}" => {
+                depth = depth.saturating_sub(1);
+                if skip.is_some_and(|d| d > depth) {
+                    skip = None;
+                }
+            }
+            "impl" if skip.is_none() => {
+                let header = (i + 1..spots.len()).take_while(|&j| !matches!(text(j), "{" | ";"));
+                if header
+                    .clone()
+                    .any(|j| text(j) == "for" && text(j + 1) != "<")
+                {
+                    skip = Some(depth + 1);
+                }
+            }
+            "pub" if skip.is_none() && !spot.test => {
+                let mut j = i + 1;
+                if text(j) == "(" {
+                    if text(j + 1) != "crate" || text(j + 2) != ")" {
+                        continue;
+                    }
+                    j += 3;
+                }
+                while matches!(text(j), "unsafe" | "async" | "extern")
+                    || (text(j) == "const" && matches!(text(j + 1), "fn" | "unsafe" | "async"))
+                    || matches!(spots.get(j), Some(s) if matches!(s.tok.kind, TokenKind::Str { .. }))
+                {
+                    j += 1;
+                }
+                let Some(&kind) = PUB_ITEM_KINDS.iter().find(|k| **k == text(j)) else {
+                    continue;
+                };
+                j += usize::from(kind == "static" && text(j + 1) == "mut") + 1;
+                let Some(name) = spots.get(j).filter(|s| s.tok.kind == TokenKind::Ident) else {
+                    continue;
+                };
+                out.push(PubItem {
+                    path,
+                    line: spot.tok.line,
+                    at: name.tok.start,
+                    kind,
+                    name: name.tok.text(source),
+                });
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Flag each `pub` item of a library crate's non-test code that nothing
+/// but its definition, `use` paths and its own crate's tests names.
+/// `files` is the library walk, `callers` the test, example and
+/// benchmark sources whose mentions count too. Judged: `crates/*/src`
+/// of a crate whose `lib.rs` is in `files`, outside `src/bin/`,
+/// `main.rs` and `xtask`. Mentions are matched by name, so a name
+/// shared with anything else that lives is never flagged.
+fn check_unused_pub(
+    files: &[(String, String)],
+    callers: &[(String, String)],
+    out: &mut Vec<Violation>,
+) {
+    let all: Vec<(&str, &str, Vec<Spot>)> = files
+        .iter()
+        .chain(callers)
+        .map(|(p, s)| (p.as_str(), s.as_str(), spots(p, s)))
+        .collect();
+    let library: BTreeSet<&str> = files
+        .iter()
+        .filter_map(|(p, _)| p.strip_suffix("src/lib.rs"))
+        .filter(|dir| dir.starts_with("crates/") && *dir != "crates/xtask/")
+        .collect();
+    let judged = |path: &str| {
+        library.iter().any(|dir| {
+            path.strip_prefix(dir)
+                .and_then(|p| p.strip_prefix("src/"))
+                .is_some_and(|rest| !rest.starts_with("bin/") && rest != "main.rs")
+        })
+    };
+    let mut items: Vec<PubItem> = Vec::new();
+    for (path, source, spots) in all.iter().take(files.len()) {
+        if judged(path) {
+            items.extend(pub_items(path, source, spots));
+        }
+    }
+    // `use a::X as Y`: a mention of `Y` is one of `X`.
+    let mut aliases: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for (_, source, spots) in &all {
+        for w in spots.windows(3) {
+            if w[1].in_use && w[1].tok.text(source) == "as" {
+                let alias = w[2].tok.text(source);
+                aliases
+                    .entry(alias)
+                    .or_default()
+                    .push(w[0].tok.text(source));
+            }
+        }
+    }
+    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    for (k, item) in items.iter().enumerate() {
+        by_name.entry(item.name).or_default().push(k);
+    }
+    let mut alive = vec![false; items.len()];
+    for (path, source, spots) in &all {
+        let krate = crate_of(path);
+        for spot in spots
+            .iter()
+            .filter(|s| !s.in_use && s.tok.kind == TokenKind::Ident)
+        {
+            let name = spot.tok.text(source);
+            let named =
+                std::iter::once(name).chain(aliases.get(name).into_iter().flatten().copied());
+            for k in named.flat_map(|n| by_name.get(n).into_iter().flatten()) {
+                let item = &items[*k];
+                let definition = item.path == *path && item.at == spot.tok.start;
+                let own_test = spot.test && crate_of(item.path) == krate;
+                alive[*k] |= !definition && !own_test;
+            }
+        }
+    }
+    let sources: BTreeMap<&str, Vec<&str>> = files
+        .iter()
+        .map(|(p, s)| (p.as_str(), s.lines().collect()))
+        .collect();
+    for (item, _) in items.iter().zip(&alive).filter(|(_, live)| !**live) {
+        if marked(&sources[item.path], item.line, Rule::UnusedPub) {
+            continue;
+        }
+        out.push(Violation {
+            path: item.path.to_string(),
+            line: item.line,
+            rule: Rule::UnusedPub,
+            message: format!(
+                "`pub {} {}` is named only by its definition, `use` paths and its own \
+                 crate's tests: delete it, make it `#[cfg(test)]`, or mark it \
+                 `lint:allow(unused-pub)` with a reason",
+                item.kind, item.name
+            ),
+        });
+    }
+}
+
+// ---------------------------------------------------------------------------
 // frame-plane
 // ---------------------------------------------------------------------------
 
@@ -1241,11 +1486,7 @@ mod tests {
     use super::*;
 
     fn ws(files: &[(&str, &str)], schema: Option<&str>, sweep: Option<&str>) -> WsReport {
-        let owned: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        analyze_workspace(&owned, schema, sweep)
+        analyze_workspace(&owned(files), &[], schema, sweep)
     }
 
     #[test]
@@ -1689,6 +1930,113 @@ fn serve(d: &Daemon) {
         );
     }
 
+    /// Owned `(path, source)` pairs for a fixture file set.
+    fn owned(files: &[(&str, &str)]) -> Vec<(String, String)> {
+        files
+            .iter()
+            .map(|(p, s)| (p.to_string(), s.to_string()))
+            .collect()
+    }
+
+    fn unused_pub_hits(files: &[(&str, &str)], callers: &[(&str, &str)]) -> Vec<(String, usize)> {
+        analyze_workspace(&owned(files), &owned(callers), Some(""), Some(""))
+            .violations
+            .into_iter()
+            .filter(|v| v.rule == Rule::UnusedPub)
+            .map(|v| (v.path, v.line))
+            .collect()
+    }
+
+    #[test]
+    fn unused_pub_flags_items_only_their_own_crate_tests_name() {
+        let lib = r#"
+pub mod util;
+pub use util::reexported;
+
+pub fn only_unit_tested() -> u32 { 1 }
+pub fn only_integration_tested() {}
+pub struct UsedElsewhere;
+pub const FOR_EXAMPLES: u32 = 3;
+pub static FOR_BENCH: u32 = 4;
+pub fn for_other_tests() {}
+// only_integration_tested in a comment is no caller.
+const NOTE: &str = "only_unit_tested";
+impl Display for UsedElsewhere {
+    pub fn fmt(&self) -> u32 { 0 }
+}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { assert_eq!(super::only_unit_tested(), 1); }
+}
+"#;
+        let files = [
+            ("crates/demo/src/lib.rs", lib),
+            ("crates/demo/src/util.rs", "pub fn reexported() {}\n"),
+            (
+                "crates/other/src/lib.rs",
+                "use demo::UsedElsewhere;\nfn f() -> UsedElsewhere { UsedElsewhere }\n",
+            ),
+        ];
+        let callers = [
+            // A helper outside any `#[test]` fn is test code too.
+            (
+                "crates/demo/tests/flow.rs",
+                "fn setup() { demo::only_integration_tested(); }\n#[test]\nfn t() { setup(); }\n",
+            ),
+            (
+                "crates/other/tests/it.rs",
+                "#[test]\nfn t() { demo::for_other_tests(); }\n",
+            ),
+            (
+                "examples/tour.rs",
+                "fn main() { let _ = demo::FOR_EXAMPLES; }\n",
+            ),
+            (
+                "benchmark/src/main.rs",
+                "fn main() { let _ = demo::FOR_BENCH; }\n",
+            ),
+        ];
+        let lib_rs = "crates/demo/src/lib.rs".to_string();
+        assert_eq!(
+            unused_pub_hits(&files, &callers),
+            [
+                (lib_rs.clone(), 5),
+                (lib_rs, 6),
+                ("crates/demo/src/util.rs".to_string(), 1),
+            ]
+        );
+    }
+
+    #[test]
+    fn unused_pub_spares_test_only_items_and_reasoned_markers() {
+        let lib = r#"
+// lint:allow(unused-pub) test knob: tests/flow.rs shortens it
+pub fn knob() {}
+pub fn bare() {} // lint:allow(unused-pub)
+pub(crate) fn crate_only() {}
+pub(super) fn outside_the_rule() {}
+#[cfg(test)]
+pub fn test_helper() {}
+pub fn caller() { helper() }
+fn helper() {}
+"#;
+        // `caller` is named by the root package's examples; a crate
+        // with no `lib.rs` in view, `xtask` and binaries are not judged.
+        let files = [
+            ("crates/demo/src/lib.rs", lib),
+            ("crates/demo/src/bin/tool.rs", "pub fn unused_in_bin() {}\n"),
+            ("crates/xtask/src/lib.rs", "pub fn unused_in_xtask() {}\n"),
+            ("crates/partial/src/alone.rs", "pub fn unused_alone() {}\n"),
+        ];
+        let callers = [("examples/tour.rs", "fn main() { demo::caller(); }\n")];
+        let lib_rs = "crates/demo/src/lib.rs".to_string();
+        assert_eq!(
+            unused_pub_hits(&files, &callers),
+            [(lib_rs.clone(), 4), (lib_rs, 5)]
+        );
+    }
+
     #[test]
     fn orphan_module_flags_files_no_mod_declaration_reaches() {
         let lib = r#"
@@ -1827,7 +2175,7 @@ pub enum Msg {
             .and_then(std::path::Path::parent)
             .expect("workspace root");
         let files = load_files(root).expect("load workspace sources");
-        let report = analyze_root(root, &files);
+        let report = analyze_root(root, &files).expect("load caller sources");
         assert!(
             report.violations.is_empty(),
             "workspace rule violations:\n{}",
