@@ -135,11 +135,6 @@ impl Endpoint {
             }
         }
     }
-
-    /// Messages waiting in the queue.
-    pub fn pending(&self) -> usize {
-        self.rx.len()
-    }
 }
 
 impl Drop for Endpoint {

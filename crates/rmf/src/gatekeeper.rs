@@ -25,11 +25,11 @@ use wacs_sync::Mutex;
 
 /// Tracked status of one job.
 #[derive(Debug, Clone)]
-pub struct JobInfo {
-    pub state: JobState,
-    pub detail: String,
-    pub exit: i32,
-    pub stdout_urls: Vec<String>,
+struct JobInfo {
+    state: JobState,
+    detail: String,
+    exit: i32,
+    stdout_urls: Vec<String>,
 }
 
 /// A running gatekeeper.

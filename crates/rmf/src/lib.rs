@@ -38,7 +38,7 @@ pub use allocator::{
 pub use error::RmfError;
 pub use exec::{ExecCtx, ExecRegistry};
 pub use gass::{GassStore, GassUrl, StripedTransfer};
-pub use gatekeeper::{job_status, submit_job, wait_job, Gatekeeper, JobInfo};
+pub use gatekeeper::{job_status, submit_job, wait_job, Gatekeeper};
 pub use job::{FlowTrace, JobId, JobState};
 pub use qsys::{QClient, QServer, QSERVER_PORT};
 pub use rsl::{JobRequest, RslError};

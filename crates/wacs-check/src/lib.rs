@@ -32,8 +32,9 @@
 //!   generation is never ahead of its table, installed map
 //!   generations are monotone.
 //! * [`channel`] — the `wacs_sync` bounded channel's monitor
-//!   discipline: no lost wakeups (wedge-freedom) under the
-//!   notify-one-on-every-operation protocol.
+//!   discipline: no lost wakeups (wedge-freedom) when a send or pop
+//!   wakes the other side only if a thread is counted as parked there,
+//!   and notifies after unlocking.
 //! * [`lockpair`] — nested `OrderedMutex` acquisition: one global
 //!   nesting order is deadlock-free across all interleavings
 //!   (verified with the sleep-set DFS engine).

@@ -16,8 +16,8 @@
 //!   graph and report ABBA inversions (cycles) the moment the second
 //!   edge of a cycle appears, instead of the once-in-a-blue-moon
 //!   wedge an inversion produces in production. See [`ordered`].
-//! * [`channel`] — a bounded MPSC channel with timeout receive and
-//!   queue introspection, replacing the previous external dependency.
+//! * [`channel`] — a bounded MPSC channel with timeout receive,
+//!   replacing the previous external dependency.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 pub mod channel;

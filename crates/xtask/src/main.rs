@@ -9,10 +9,12 @@
 //!   MPI progress loops) must degrade via `Result`, not abort: the
 //!   paper's wide-area runs go through firewalls, and remote bytes
 //!   must never be able to kill a process.
-//! * **`std-sync`** — no direct `std::sync::Mutex`/`RwLock` outside
-//!   `wacs-sync`. The workspace lock standard is `wacs_sync::{Mutex,
-//!   RwLock}` (poison-transparent) and `wacs_sync::Ordered*` (lock-
-//!   order checked) so the deadlock detector sees every acquisition.
+//! * **`std-sync`** — no direct `std::sync::Mutex`/`RwLock`/`Condvar`
+//!   outside `wacs-sync`. The workspace lock standard is
+//!   `wacs_sync::{Mutex, RwLock}` (poison-transparent) and
+//!   `wacs_sync::Ordered*` (lock-order checked) so the deadlock
+//!   detector sees every acquisition, and `wacs_sync::channel` stays
+//!   the one hand-rolled monitor, the one `wacs-check` models.
 //! * **`port-literal`** — the well-known service ports (NXPORT 911,
 //!   OUTER_PORT 5678, GATEKEEPER_PORT 2119) may appear as literals
 //!   only at their canonical definition sites; everything else must

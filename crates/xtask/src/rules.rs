@@ -138,7 +138,9 @@ impl Rule {
     pub fn summary(self) -> &'static str {
         match self {
             Rule::UnwrapPanic => "no .unwrap()/.expect()/panic! outside #[cfg(test)] code",
-            Rule::StdSync => "use wacs_sync::{Mutex, RwLock} instead of std::sync locks",
+            Rule::StdSync => {
+                "use wacs_sync::{Mutex, RwLock} instead of std::sync locks and condvars"
+            }
             Rule::PortLiteral => {
                 "well-known ports (911/5678/2119) must reference the named constants"
             }
@@ -376,11 +378,14 @@ pub fn analyze(path: &str, source: &str) -> Vec<Violation> {
         if !sync_exempt
             && (line.contains("std::sync::Mutex")
                 || line.contains("std::sync::RwLock")
+                || line.contains("std::sync::Condvar")
                 || std_sync_use_names_lock(line))
         {
             push(
                 Rule::StdSync,
-                "std::sync lock; use wacs_sync::{Mutex, RwLock} (or Ordered*)".into(),
+                "std::sync lock or condvar; use wacs_sync::{Mutex, RwLock} (or Ordered*), \
+                 and wacs_sync::channel to hand work between threads"
+                    .into(),
             );
         }
         if has_macro(line, "todo") {
@@ -448,7 +453,8 @@ fn has_bare_number(line: &str, num: &str) -> bool {
     false
 }
 
-/// `use std::sync::{...}` pulling in `Mutex` or `RwLock` by name.
+/// `use std::sync::{...}` pulling in `Mutex`, `RwLock` or `Condvar` by
+/// name.
 fn std_sync_use_names_lock(line: &str) -> bool {
     let Some(rest) = line
         .trim_start()
@@ -457,7 +463,7 @@ fn std_sync_use_names_lock(line: &str) -> bool {
     else {
         return false;
     };
-    rest.contains("Mutex") || rest.contains("RwLock")
+    rest.contains("Mutex") || rest.contains("RwLock") || rest.contains("Condvar")
 }
 
 /// Per-line flags: is this line inside a `#[cfg(test)]` / `#[test]`
@@ -608,6 +614,23 @@ pub fn f() -> Option<u32> {
             vec![(1, Rule::StdSync), (2, Rule::StdSync)]
         );
         assert!(rules_hit("crates/wacs-sync/src/mutex.rs", src).is_empty());
+    }
+
+    #[test]
+    fn std_sync_condvar_flagged_outside_wacs_sync() {
+        // A hand-rolled monitor outside `wacs-sync` would be one the
+        // channel model does not cover.
+        let src = "\
+use std::sync::{Arc, Condvar};
+struct Gate {
+    cv: std::sync::Condvar,
+}
+";
+        assert_eq!(
+            rules_hit("crates/demo/src/lib.rs", src),
+            vec![(1, Rule::StdSync), (3, Rule::StdSync)]
+        );
+        assert!(rules_hit("crates/wacs-sync/src/channel.rs", src).is_empty());
     }
 
     #[test]
