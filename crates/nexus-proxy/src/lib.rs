@@ -37,7 +37,7 @@ pub mod liveness;
 pub mod outer;
 pub mod pool;
 pub mod protocol;
-pub mod pump;
+mod pump;
 pub mod shard;
 pub mod sim;
 pub mod stats;
@@ -59,7 +59,6 @@ pub use liveness::{
 pub use outer::{OuterConfig, OuterServer};
 pub use pool::{BufferPool, PoolConfig};
 pub use protocol::{CtrlMsg, Msg};
-pub use pump::{copy_loop, CopyEnd, RelayActivity};
 pub use shard::{
     bind_key, member_tag, GenerationWitness, ShardMap, ShardRoute, ShardRouter, ShardStats,
 };

@@ -195,6 +195,21 @@ impl OuterServer {
         self.daemon.relays.as_ref().map_or(0, |t| t.lock().len())
     }
 
+    /// `TCP_NODELAY` of both legs of every live relay: the accepted
+    /// leg, then the dialed one.
+    #[cfg(test)]
+    pub(crate) fn relay_legs_nodelay(&self) -> Vec<(bool, bool)> {
+        let Some(table) = &self.daemon.relays else {
+            return Vec::new();
+        };
+        let nodelay = |s: &TcpStream| s.nodelay().unwrap_or(false);
+        table
+            .lock()
+            .values()
+            .map(|e| (nodelay(&e.a), nodelay(&e.b)))
+            .collect()
+    }
+
     /// Admission slots currently held. Chaos invariants assert this
     /// returns to zero once recovery completes (no leaked slots).
     pub fn admission_active(&self) -> u32 {

@@ -26,24 +26,18 @@ use std::time::{Duration, Instant};
 /// whose peers both went silent — the half-open TCP case — stops
 /// touching this and becomes reapable.
 #[derive(Clone)]
-pub struct RelayActivity {
+pub(crate) struct RelayActivity {
     epoch: Instant,
     // A timestamp cell, not a metric: it must be read-modify-write
     // shared across pump threads, which a wacs-obs Counter is not.
     last: Arc<AtomicU64>, // lint:allow(bare-atomic-counter)
 }
 
-impl Default for RelayActivity {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl RelayActivity {
     /// A fresh activity clock, initialized to *now*: a relay that has
     /// not yet moved a byte is "just active", never idle-since-epoch,
     /// so a short idle timeout cannot reap it at birth.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let a = RelayActivity {
             epoch: Instant::now(),
             last: Arc::new(AtomicU64::new(0)), // lint:allow(bare-atomic-counter)
@@ -53,13 +47,13 @@ impl RelayActivity {
     }
 
     /// Record activity now.
-    pub fn touch(&self) {
+    fn touch(&self) {
         self.last
             .store(self.epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// How long since the last recorded activity.
-    pub fn idle_for(&self) -> Duration {
+    pub(crate) fn idle_for(&self) -> Duration {
         let now = self.epoch.elapsed().as_nanos() as u64;
         Duration::from_nanos(now.saturating_sub(self.last.load(Ordering::Relaxed)))
     }
@@ -67,7 +61,7 @@ impl RelayActivity {
 
 /// How one copy direction ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CopyEnd {
+enum CopyEnd {
     /// The source reached clean EOF; propagate as a half-close.
     CleanEof,
     /// A hard read or write error; reset both ends.
@@ -78,11 +72,7 @@ pub enum CopyEnd {
 /// Bytes count toward `relayed_bytes` only *after* the write lands — a
 /// failed write must not inflate the counter (the far side never saw
 /// those bytes).
-///
-/// Public so out-of-tree stream plumbing (the `wacs-chaos` interposer's
-/// clean forwarding path) reuses the battle-tested loop and its
-/// accounting instead of growing a second one.
-pub fn copy_loop<R: Read, W: Write>(
+fn copy_loop<R: Read, W: Write>(
     from: &mut R,
     to: &mut W,
     buf: &mut [u8],

@@ -119,16 +119,23 @@ impl<M: Send + 'static> Daemon<M> {
         (self.step)(&mut core, now, ev)
     }
 
+    /// Dial through the hook. Like every socket the server accepts
+    /// ([`Io::accept`]), the stream it returns has `TCP_NODELAY` set: a
+    /// relay leg sends each write at once, so the relay keeps the Nagle
+    /// choice its endpoints made, and a small write never waits for a
+    /// peer's delayed ACK (DESIGN.md §6c "No Nagle on relay legs").
     fn dial(&self, leg: DialLeg, (host, port): &(String, u16)) -> io::Result<TcpStream> {
         let dialed = self.net.dial(&self.host, host, *port);
-        interpose(
+        let stream = interpose(
             self.dial_hook.as_ref(),
             leg,
             &self.host,
             host,
             *port,
             dialed,
-        )
+        )?;
+        let _ = stream.set_nodelay(true);
+        Ok(stream)
     }
 
     /// Run `job` on one of the daemon's workers, handing it the daemon.
@@ -142,6 +149,10 @@ impl<M: Send + 'static> Daemon<M> {
     /// the core told, which is what releases an admission slot —
     /// half-open pairs the reaper resets exit the same way.
     fn bridge(self: &Arc<Self>, id: ConnId, a: TcpStream, b: TcpStream) {
+        #[cfg(test)]
+        {
+            tests::record_bridge(&self.host, &a, &b);
+        }
         let activity = self.relays.as_ref().map(|table| {
             let activity = RelayActivity::new();
             if let (Ok(ca), Ok(cb)) = (a.try_clone(), b.try_clone()) {
@@ -239,6 +250,8 @@ impl<'a, M: Send + 'static> Io<'a, M> {
     /// is bridged or closed (or left behind: see [`Io::take`]).
     pub fn accept(&mut self, stream: TcpStream, port: u16) -> ConnId {
         let conn = self.daemon.conn_seq.fetch_add(1, Ordering::Relaxed);
+        // No Nagle, as on every dialed leg (see `Daemon::dial`).
+        let _ = stream.set_nodelay(true);
         if self.frame_timeout.is_some() {
             let _ = stream.set_read_timeout(self.frame_timeout);
         }
@@ -394,5 +407,88 @@ impl<'a, M: Send + 'static> Io<'a, M> {
             Some(Ok(msg)) => Event::Frame { conn, msg },
             _ => Event::Closed { conn },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{
+        nx_proxy_bind, nx_proxy_connect, InnerConfig, InnerServer, OuterConfig, OuterServer,
+        ProxyEnv,
+    };
+    use firewall::vnet::VNet;
+    use firewall::{Policy, NXPORT, OUTER_PORT};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use wacs_sync::Mutex;
+
+    /// `(daemon host, TCP_NODELAY of a, of b)` for every pair any
+    /// daemon of the test process bridged.
+    static BRIDGED: Mutex<Vec<(String, bool, bool)>> = Mutex::new(Vec::new());
+
+    pub(super) fn record_bridge(host: &str, a: &TcpStream, b: &TcpStream) {
+        let nodelay = |s: &TcpStream| s.nodelay().unwrap_or(false);
+        BRIDGED
+            .lock()
+            .push((host.to_string(), nodelay(a), nodelay(b)));
+    }
+
+    /// `TCP_NODELAY` of both streams of every pair bridged on `host`.
+    fn bridged_on(host: &str) -> Vec<(bool, bool)> {
+        let bridged = BRIDGED.lock();
+        let on_host = bridged.iter().filter(|(h, ..)| h == host);
+        on_host.map(|&(_, a, b)| (a, b)).collect()
+    }
+
+    /// One byte each way through a relay: once it has crossed, the
+    /// relay is bridged and its pump runs.
+    fn cross(a: &mut TcpStream, b: &mut TcpStream) {
+        let mut byte = [0u8; 1];
+        a.write_all(b"x").unwrap();
+        b.read_exact(&mut byte).unwrap();
+        b.write_all(b"y").unwrap();
+        a.read_exact(&mut byte).unwrap();
+    }
+
+    /// Every socket of both daemons sends without Nagle, accepted and
+    /// dialed alike: both legs of one active and one passive relay in
+    /// the outer server's relay table, and both legs of the passive
+    /// relay on the inner server (the accepted nxport leg, then the
+    /// dialed leg to the client). The inner server's host name is this
+    /// test's own, so relays of tests running beside it do not count.
+    #[test]
+    fn every_relay_leg_of_both_daemons_sets_nodelay() {
+        let net = VNet::new();
+        let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
+        let dmz = net.add_site("dmz", None);
+        let etl = net.add_site("etl", None);
+        net.add_host("rwcp-sun", rwcp);
+        let inner_ref = net.add_host("nodelay-inner", rwcp);
+        net.add_host("rwcp-outer", dmz);
+        net.add_host("etl-sun", etl);
+        net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
+        let _inner = InnerServer::start(net.clone(), InnerConfig::new("nodelay-inner")).unwrap();
+        let outer = OuterServer::start(
+            net.clone(),
+            OuterConfig::new("rwcp-outer").with_inner("nodelay-inner", NXPORT),
+        )
+        .unwrap();
+        let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+
+        // Active (Fig. 3): inside client → outer → outside destination.
+        let dst = net.bind("etl-sun", 6000).unwrap();
+        let mut active = nx_proxy_connect(&net, &env, "rwcp-sun", ("etl-sun", 6000)).unwrap();
+        let (mut active_far, _) = dst.accept().unwrap();
+        cross(&mut active, &mut active_far);
+
+        // Passive (Fig. 4): outside peer → rendezvous → inner → client.
+        let listener = nx_proxy_bind(&net, &env, "rwcp-sun").unwrap();
+        let (host, port) = listener.advertised.clone();
+        let mut passive = net.dial("etl-sun", &host, port).unwrap();
+        let mut passive_far = listener.accept().unwrap();
+        cross(&mut passive, &mut passive_far);
+
+        assert_eq!(outer.relay_legs_nodelay(), vec![(true, true); 2]);
+        assert_eq!(bridged_on("nodelay-inner"), vec![(true, true)]);
     }
 }

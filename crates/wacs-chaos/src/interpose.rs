@@ -180,6 +180,12 @@ fn splice(real: TcpStream, plan: FaultPlan) -> io::Result<TcpStream> {
     // The connect above already completed its handshake against the
     // listener backlog, so this accept cannot block.
     let (far, _) = lst.accept()?; // lint:allow(deadline-io)
+
+    // The pumps write what the plan says, when it says: no Nagle
+    // coalescing or delayed-ACK wait of the splice's own mixes in. The
+    // caller's end (`near`) is the caller's to tune.
+    let _ = far.set_nodelay(true);
+    let _ = real.set_nodelay(true);
     let trip = Trip::new();
     let up = (far.try_clone()?, real.try_clone()?);
     let down = (real, far);
@@ -302,6 +308,20 @@ mod tests {
         peer.write_all(b"pong").unwrap();
         s.read_exact(&mut b).unwrap();
         assert_eq!(&b, b"pong");
+    }
+
+    #[test]
+    fn a_spliced_stream_sends_without_nagle() {
+        let p = ChaosProfile::new(4).with_rule(FaultRule::every(
+            DialLeg::ClientData,
+            FaultClass::SplitMerge,
+            1,
+        ));
+        let ip = ChaosInterposer::new(p, &Registry::new());
+        let (dialed, _peer) = echo_pair();
+        let real = dialed.try_clone().unwrap();
+        let _near = ip.wrap(DialLeg::ClientData, "a", "b", 1, dialed).unwrap();
+        assert!(real.nodelay().unwrap());
     }
 
     #[test]

@@ -176,8 +176,34 @@ fn note_released(id: usize) {
     });
 }
 
-fn register_label(id: usize, name: &str) {
-    registry().labels.lock().insert(id, format!("{name}#{id}"));
+/// One lock's node in the graph: registered at creation, removed with
+/// its edges when the lock is dropped. A lock that no longer exists
+/// cannot close a future cycle, and without this every `Comm` and
+/// `FleetRouter` ever built kept its labels for the life of the
+/// process. A report already made keeps its labels (they are rendered
+/// into it), and ids are never reused, so a dropped lock's id left in
+/// the deduplication set cannot suppress a later report.
+struct Node(usize);
+
+impl Node {
+    fn register(name: &str) -> Node {
+        let id = next_id();
+        registry().labels.lock().insert(id, format!("{name}#{id}"));
+        Node(id)
+    }
+}
+
+impl Drop for Node {
+    fn drop(&mut self) {
+        let reg = registry();
+        reg.labels.lock().remove(&self.0);
+        let mut edges = reg.edges.lock();
+        edges.remove(&self.0);
+        edges.retain(|_, to| {
+            to.remove(&self.0);
+            !to.is_empty()
+        });
+    }
 }
 
 /// Inspection and test-support entry points for the global graph.
@@ -204,6 +230,13 @@ pub mod lock_order {
         registry().edges.lock().values().map(HashSet::len).sum()
     }
 
+    /// Number of registered locks whose label contains `needle`.
+    #[cfg(test)]
+    pub(crate) fn label_count(needle: &str) -> usize {
+        let labels = registry().labels.lock();
+        labels.values().filter(|l| l.contains(needle)).count()
+    }
+
     /// Error (listing the inversions) if any lock whose label contains
     /// `needle` participates in a cycle. `needle = ""` checks all.
     pub fn check_clean(needle: &str) -> Result<(), Vec<Violation>> {
@@ -218,7 +251,7 @@ pub mod lock_order {
 
 /// A [`Mutex`] participating in global lock-order checking.
 pub struct OrderedMutex<T: ?Sized> {
-    id: usize,
+    node: Node,
     inner: Mutex<T>,
 }
 
@@ -226,10 +259,8 @@ impl<T> OrderedMutex<T> {
     /// `name` labels this lock in violation reports; use a stable
     /// dotted path like `"rmf.allocator.entries"`.
     pub fn new(name: &str, value: T) -> OrderedMutex<T> {
-        let id = next_id();
-        register_label(id, name);
         OrderedMutex {
-            id,
+            node: Node::register(name),
             inner: Mutex::new(value),
         }
     }
@@ -241,21 +272,21 @@ impl<T> OrderedMutex<T> {
 
 impl<T: ?Sized> OrderedMutex<T> {
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
-        note_acquire_intent(self.id);
+        note_acquire_intent(self.node.0);
         let guard = self.inner.lock();
-        note_acquired(self.id);
+        note_acquired(self.node.0);
         OrderedMutexGuard {
-            id: self.id,
+            id: self.node.0,
             inner: Some(guard),
         }
     }
 
     pub fn try_lock(&self) -> Option<OrderedMutexGuard<'_, T>> {
-        note_acquire_intent(self.id);
+        note_acquire_intent(self.node.0);
         let guard = self.inner.try_lock()?;
-        note_acquired(self.id);
+        note_acquired(self.node.0);
         Some(OrderedMutexGuard {
-            id: self.id,
+            id: self.node.0,
             inner: Some(guard),
         })
     }
@@ -268,7 +299,7 @@ impl<T: ?Sized> OrderedMutex<T> {
 impl<T: fmt::Debug> fmt::Debug for OrderedMutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OrderedMutex")
-            .field("id", &self.id)
+            .field("id", &self.node.0)
             .field("inner", &self.inner)
             .finish()
     }
@@ -305,16 +336,14 @@ impl<T: ?Sized> Drop for OrderedMutexGuard<'_, T> {
 
 /// An [`RwLock`] participating in global lock-order checking.
 pub struct OrderedRwLock<T: ?Sized> {
-    id: usize,
+    node: Node,
     inner: crate::mutex::RwLock<T>,
 }
 
 impl<T> OrderedRwLock<T> {
     pub fn new(name: &str, value: T) -> OrderedRwLock<T> {
-        let id = next_id();
-        register_label(id, name);
         OrderedRwLock {
-            id,
+            node: Node::register(name),
             inner: crate::mutex::RwLock::new(value),
         }
     }
@@ -326,21 +355,21 @@ impl<T> OrderedRwLock<T> {
 
 impl<T: ?Sized> OrderedRwLock<T> {
     pub fn read(&self) -> OrderedRwLockReadGuard<'_, T> {
-        note_acquire_intent(self.id);
+        note_acquire_intent(self.node.0);
         let guard = self.inner.read();
-        note_acquired(self.id);
+        note_acquired(self.node.0);
         OrderedRwLockReadGuard {
-            id: self.id,
+            id: self.node.0,
             inner: Some(guard),
         }
     }
 
     pub fn write(&self) -> OrderedRwLockWriteGuard<'_, T> {
-        note_acquire_intent(self.id);
+        note_acquire_intent(self.node.0);
         let guard = self.inner.write();
-        note_acquired(self.id);
+        note_acquired(self.node.0);
         OrderedRwLockWriteGuard {
-            id: self.id,
+            id: self.node.0,
             inner: Some(guard),
         }
     }
@@ -515,6 +544,39 @@ mod tests {
         .join()
         .unwrap_or(());
         assert_eq!(lock_order::violations_mentioning("rw-test").len(), 1);
+    }
+
+    /// A dropped lock leaves the registry: its label and its edges go
+    /// with it, so building and dropping locks does not grow the graph.
+    #[test]
+    fn dropped_locks_leave_the_registry() {
+        assert_eq!(lock_order::label_count("drop-test."), 0);
+        for i in 0..500 {
+            let m = OrderedMutex::new(&format!("drop-test.M{i}"), ());
+            let r = OrderedRwLock::new(&format!("drop-test.R{i}"), ());
+            let _gm = m.lock();
+            let _gr = r.write(); // edge M → R
+        }
+        assert_eq!(lock_order::label_count("drop-test."), 0);
+        let a = OrderedMutex::new("drop-test.A", ());
+        let b = OrderedMutex::new("drop-test.B", ());
+        {
+            let _ga = a.lock();
+            let _gb = b.lock(); // edge A → B
+        }
+        assert_eq!(lock_order::label_count("drop-test."), 2);
+        let edge_to_b = || {
+            registry()
+                .edges
+                .lock()
+                .values()
+                .any(|to| to.contains(&b.node.0))
+        };
+        assert!(edge_to_b());
+        drop(a);
+        assert!(!edge_to_b());
+        assert_eq!(lock_order::label_count("drop-test."), 1);
+        assert!(lock_order::check_clean("drop-test").is_ok());
     }
 
     #[test]
