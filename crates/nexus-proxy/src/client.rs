@@ -299,7 +299,7 @@ impl NxListener {
     /// endpoint returned by `NXProxyBind`. Relayed peers arrive here
     /// via the inner server.
     pub fn accept(&self) -> io::Result<TcpStream> {
-        self.private.accept().map(|(s, _)| s) // lint:allow(deadline-io) — `NXProxyAccept` blocks by contract.
+        self.private.accept().map(|(s, _)| s) // `NXProxyAccept` blocks by contract.
     }
 
     /// The handle that ends [`accept_until_stop`](Self::accept_until_stop).

@@ -16,6 +16,10 @@
 //! from char literals), raw identifiers (`r#fn`), identifiers
 //! (including non-ASCII), numbers (underscores, radix prefixes,
 //! floats, exponents, suffixes), and single-byte punctuation.
+//!
+//! [`Source`] is the one pass over a file that every rule reads: its
+//! tokens, each line's code and comment text, which lines are test
+//! code, and its `lint:allow(...)` markers.
 
 /// Token classification. Literal/comment kinds carry a `terminated`
 /// flag so callers can detect truncated input instead of silently
@@ -47,23 +51,18 @@ pub enum TokenKind {
 }
 
 impl TokenKind {
-    /// Comment or literal whose bytes are prose/data, not code.
-    pub fn is_blankable(self) -> bool {
+    /// Literal whose bytes are data, not code.
+    fn is_literal(self) -> bool {
         matches!(
             self,
-            TokenKind::LineComment
-                | TokenKind::BlockComment { .. }
-                | TokenKind::Char { .. }
-                | TokenKind::Str { .. }
-                | TokenKind::RawStr { .. }
+            TokenKind::Char { .. } | TokenKind::Str { .. } | TokenKind::RawStr { .. }
         )
     }
 
-    /// Whitespace or comment — skipped by structural matchers.
-    pub fn is_trivia(self) -> bool {
+    fn is_comment(self) -> bool {
         matches!(
             self,
-            TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment { .. }
+            TokenKind::LineComment | TokenKind::BlockComment { .. }
         )
     }
 }
@@ -129,6 +128,186 @@ pub fn string_content<'a>(src: &'a str, t: &Token) -> Option<&'a str> {
             open.get(..open.len().checked_sub(h + 1)?)
         }
         _ => None,
+    }
+}
+
+/// One file, lexed once.
+pub struct Source {
+    /// Workspace-relative, `/`-separated.
+    pub path: String,
+    pub text: String,
+    /// Every token but whitespace and comments, in order.
+    pub toks: Vec<Token>,
+    /// Indexed by 1-based line number (index 0 is empty).
+    pub lines: Vec<Line>,
+    pub markers: Vec<Marker>,
+}
+
+/// What the spelling rows read of one line.
+#[derive(Default)]
+pub struct Line {
+    /// The code tokens that start on the line, literals left out,
+    /// joined without space.
+    pub code: String,
+    /// The offsets in `code` where a token starts or ends.
+    pub bounds: Vec<usize>,
+    /// The text of the comments that start on the line.
+    pub comment: String,
+    /// In a `#[test]`/`#[cfg(test)]` item or a `#![cfg(test)]` file.
+    pub test: bool,
+}
+
+/// A `lint:allow(rule, …)` in a comment. It covers its own line and,
+/// when the comment is alone on its line (rustfmt floats long trailing
+/// comments there), the lines directly above and below.
+pub struct Marker {
+    pub line: usize,
+    pub alone: bool,
+    /// The comma-separated rule names between the parentheses.
+    pub rules: String,
+    /// Text follows the closing parenthesis.
+    pub reason: bool,
+}
+
+impl Source {
+    pub fn new(path: &str, text: String) -> Source {
+        let all = lex(&text);
+        let count = all.last().map_or(0, |t| t.line);
+        let mut lines: Vec<Line> = (0..=count).map(|_| Line::default()).collect();
+        let mut markers = Vec::new();
+        let mut toks = Vec::new();
+        let mut alone = true;
+        for t in all {
+            let line = &mut lines[t.line];
+            let s = t.text(&text);
+            if t.kind == TokenKind::Whitespace {
+                alone |= s.contains('\n');
+            } else if t.kind.is_comment() {
+                line.comment.push_str(s);
+                for (_, rest) in s
+                    .match_indices("lint:allow(")
+                    .map(|(at, m)| s.split_at(at + m.len()))
+                {
+                    let (rules, after) = rest.split_once(')').unwrap_or((rest, ""));
+                    markers.push(Marker {
+                        line: t.line,
+                        alone,
+                        rules: rules.to_string(),
+                        reason: !after
+                            .trim_matches(|c: char| c.is_whitespace() || c == '—')
+                            .is_empty(),
+                    });
+                }
+                alone = false;
+            } else {
+                if !t.kind.is_literal() {
+                    line.bounds.push(line.code.len());
+                    line.code.push_str(s);
+                    line.bounds.push(line.code.len());
+                }
+                toks.push(t);
+                alone = false;
+            }
+        }
+        mark_tests(&text, &toks, &mut lines);
+        Source {
+            path: path.to_string(),
+            text,
+            toks,
+            lines,
+            markers,
+        }
+    }
+
+    /// The tokens outside test code.
+    pub fn code(&self) -> Vec<Token> {
+        self.toks
+            .iter()
+            .filter(|t| !self.lines[t.line].test)
+            .copied()
+            .collect()
+    }
+
+    /// Whether a marker naming `rule` covers `line`; `reasoned` asks for
+    /// one that says why.
+    pub fn marked(&self, line: usize, rule: &str, reasoned: bool) -> bool {
+        self.markers.iter().any(|m| {
+            (m.line == line || (m.alone && m.line.abs_diff(line) == 1))
+                && (m.reason || !reasoned)
+                && m.rules.split(',').any(|r| r.trim() == rule)
+        })
+    }
+}
+
+/// Flag the lines of test items. A test attribute (`#[test]`,
+/// `#[cfg(test)]`, `#[cfg(all(test …`/`any(test …`, `#[should_panic]`)
+/// arms; the next `{` opens a region that ends with its `}`, and a `;`
+/// at the attribute's own paren/bracket depth ends a braceless item
+/// (`#[cfg(test)] mod tests;`). A line is test code when any point of
+/// it is armed or in a region. `#![cfg(test)]` at the top level makes
+/// the rest of the file test code.
+fn mark_tests(text: &str, toks: &[Token], lines: &mut [Line]) {
+    let t = |i: usize| toks.get(i).map_or("", |t| t.text(text));
+    let (mut depth, mut nest, mut whole) = (0usize, 0usize, false);
+    let mut armed: Option<usize> = None;
+    // The brace depth each open region started at.
+    let mut regions: Vec<usize> = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        let mut end = i;
+        let inner = t(i + 1) == "!";
+        let open = i + 1 + usize::from(inner);
+        if t(i) == "#" && t(open) == "[" {
+            let mut d = 0usize;
+            end = (open..toks.len())
+                .find(|&j| {
+                    match t(j) {
+                        "[" => d += 1,
+                        "]" => d -= 1,
+                        _ => {}
+                    }
+                    d == 0
+                })
+                .unwrap_or(toks.len() - 1);
+            let body: Vec<&str> = (open + 1..end).map(t).collect();
+            let cfg_test = body == ["cfg", "(", "test", ")"];
+            if inner {
+                whole |= cfg_test && depth == 0;
+            } else if cfg_test
+                || body == ["test"]
+                || body.first() == Some(&"should_panic")
+                || body.starts_with(&["cfg", "(", "all", "(", "test"])
+                || body.starts_with(&["cfg", "(", "any", "(", "test"])
+            {
+                armed = Some(nest);
+            }
+        } else {
+            let before = armed.is_some() || !regions.is_empty();
+            match t(i) {
+                "{" => {
+                    if armed.take().is_some() {
+                        regions.push(depth);
+                    }
+                    depth += 1;
+                }
+                "}" => {
+                    depth = depth.saturating_sub(1);
+                    if regions.last() == Some(&depth) {
+                        regions.pop();
+                    }
+                }
+                "(" | "[" => nest += 1,
+                ")" | "]" => nest = nest.saturating_sub(1),
+                ";" if armed == Some(nest) => armed = None,
+                _ => {}
+            }
+            lines[toks[i].line].test |= before;
+        }
+        let now = whole || armed.is_some() || !regions.is_empty();
+        for tok in &toks[i..=end] {
+            lines[tok.line].test |= now;
+        }
+        i = end + 1;
     }
 }
 

@@ -1,31 +1,12 @@
-//! Workspace lint analyzer (`cargo run -p xtask -- lint`).
+//! Workspace automation: the project lint analyzer (`lint`, `rules`),
+//! the model checker (`check`) and the benchmark pair summary (`pairs`).
 //!
-//! A dependency-free static pass over every library source file in the
-//! workspace, enforcing the project conventions that rustc and clippy
-//! cannot express:
-//!
-//! * **`unwrap-panic`** — no `.unwrap()`, `.expect(...)`, or `panic!`
-//!   in non-test library code. Daemon code (gatekeeper, proxy pumps,
-//!   MPI progress loops) must degrade via `Result`, not abort: the
-//!   paper's wide-area runs go through firewalls, and remote bytes
-//!   must never be able to kill a process.
-//! * **`std-sync`** — no direct `std::sync::Mutex`/`RwLock`/`Condvar`
-//!   outside `wacs-sync`. The workspace lock standard is
-//!   `wacs_sync::{Mutex, RwLock}` (poison-transparent) and
-//!   `wacs_sync::Ordered*` (lock-order checked) so the deadlock
-//!   detector sees every acquisition, and `wacs_sync::channel` stays
-//!   the one hand-rolled monitor, the one `wacs-check` models.
-//! * **`port-literal`** — the well-known service ports (NXPORT 911,
-//!   OUTER_PORT 5678, GATEKEEPER_PORT 2119) may appear as literals
-//!   only at their canonical definition sites; everything else must
-//!   name the constant, so changing a port is a one-line edit.
-//! * **`todo`** — no `todo!()`/`unimplemented!()` in library crates.
-//!
-//! The analyzer masks comments, strings, and char literals before
-//! matching (a doc-comment mentioning `.unwrap()` is fine) and skips
-//! `#[cfg(test)]`/`#[test]` regions by brace tracking. A finding on a
-//! line carrying `// lint:allow(<rule>)` is suppressed — the escape
-//! hatch for the rare justified exception, greppable by design.
+//! `xtask lint` is a dependency-free static pass over every library
+//! source file in the workspace, enforcing the project conventions
+//! that rustc and clippy cannot express. Each file is lexed once
+//! (`lexer`); the spelling table (`rules`) and the rules that relate
+//! several sites (`wsrules`) read that one pass. `xtask rules` lists
+//! every rule; DESIGN.md §5a gives the reasons and the marker grammar.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 use std::fmt;
@@ -33,7 +14,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 mod lexer;
-mod mask;
 mod pairs;
 mod rules;
 mod scan;
@@ -159,15 +139,11 @@ fn run_lint(root: &Path) -> ExitCode {
         eprintln!("xtask lint: no sources found under {}", root.display());
         return ExitCode::FAILURE;
     }
-    let mut violations = Vec::new();
-    for (rel, text) in &files {
-        violations.extend(rules::analyze(rel, text));
-    }
     let Ok(ws) = wsrules::analyze_root(root, &files) else {
         eprintln!("xtask lint: unreadable sources under {}", root.display());
         return ExitCode::FAILURE;
     };
-    violations.extend(ws.violations);
+    let violations = ws.violations;
     for v in &violations {
         println!("{v}");
     }

@@ -1,211 +1,101 @@
-//! The rule set and the per-file analysis driver.
+//! The rule list and the spelling table.
+//!
+//! Every rule is named and summarised once, in [`rules!`]. Fifteen of
+//! them have one shape: "these spellings are forbidden in these files,
+//! optionally in test code too, except where a marker says why". Each
+//! clause of such a rule is one [`Row`] of [`ROWS`], and [`check`]
+//! matches every row against one file's [`Source`] lines. The six
+//! rules that relate several sites (`lock-order`, `counter-schema`,
+//! `frame-coverage`, `orphan-module`, `unused-pub`, `frame-plane`)
+//! live in `wsrules`.
+//!
+//! A spelling is matched in a line's code tokens joined without space
+//! (comments and literals left out), so `x . unwrap ()` spells
+//! `.unwrap()` and a doc comment or string that mentions it does not.
+//! A space at either end of a spelling demands a token edge there
+//! (`" panic!"` is not `dont_panic!`, `" 5678 "` is not `15678`), and
+//! `…` joins parts that must follow each other on the line.
 
-use crate::mask::mask;
+use crate::lexer::{Line, Source};
 
-/// One enforced convention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rule {
-    /// `.unwrap()` / `.expect(` / `panic!` in non-test library code.
-    UnwrapPanic,
-    /// `std::sync::Mutex`/`RwLock` outside the `wacs-sync` wrappers.
-    StdSync,
-    /// Well-known service port literal outside its definition site.
-    PortLiteral,
-    /// `todo!` / `unimplemented!` anywhere in library code.
-    Todo,
-    /// `.unwrap_or(...)` on a `require_u64(...)` result in non-test
-    /// code: a *required* wire field silently replaced by a default.
-    RequireUnwrapOr,
-    /// Bare `AtomicU64` metric counter outside `wacs-obs`: new
-    /// instrumentation must go through the registry so it shows up in
-    /// snapshots and replay tests.
-    BareAtomicCounter,
-    /// A blocking `.read_exact(` / `.accept()` in a file that never
-    /// sets a read timeout: a dead peer parks the thread forever. Mark
-    /// deliberate blocking sites with `lint:allow(deadline-io)`.
-    DeadlineIo,
-    /// `vec![0u8; ...]` or `.to_vec()` in the data-plane hot files:
-    /// per-chunk allocation and copying is what the shared
-    /// [`BufferPool`] and the stripe layer's borrowed frames exist to
-    /// remove. Sanctioned sites (the pool's segment allocation, the
-    /// stripe staging buffer, copies off the socket path) carry
-    /// `lint:allow(hot-path-alloc)` with a reason.
-    HotPathAlloc,
-    /// Bare `thread::sleep(` in non-test library code: chaos-layer
-    /// timing must come from deadline-based waits (condvar timeouts,
-    /// `set_read_timeout`), not open-loop sleeps, or recovery-time
-    /// measurements inherit the sleep quantum as noise. Deliberate
-    /// bounded backoffs carry `lint:allow(bare-sleep)`; no crate is
-    /// exempt. Polling a listener is not a sanctioned reason: see
-    /// [`Rule::AcceptPoll`].
-    BareSleep,
-    /// `.set_nonblocking(true)` in non-test library code. Nothing in
-    /// production is nonblocking: a listener is served with
-    /// `VListener::accept_until_stop` and ended through its stop
-    /// handle, so the accept-and-sleep poll loop cannot come back.
-    AcceptPoll,
-    /// A cycle in the static lock-order graph over
-    /// `Ordered{Mutex,RwLock}` acquisition sites (see `wsrules`).
-    LockOrder,
-    /// A `wacs-obs` metric key registered in code but absent from the
-    /// EXPERIMENTS.md schema table (see `wsrules`).
-    CounterSchema,
-    /// A `protocol::Msg` variant never built by the malformed-frame
-    /// fuzz sweep (see `wsrules`).
-    FrameCoverage,
-    /// A sans-IO core (`nexus-proxy/src/core`, `knapsack/src/sched.rs`)
-    /// naming a socket, thread, clock or simulator type (see `wsrules`).
-    CorePurity,
-    /// A client driver re-growing the fleet ladder, or a second spelling
-    /// of the stripe-lane frame sequence (see `wsrules`).
-    ClientPlane,
-    /// A knapsack driver (`par.rs`, `sim.rs`) branching or returning
-    /// surplus on its own instead of through `sched.rs` (see `wsrules`).
-    SchedPlane,
-    /// Backoff or give-up arithmetic outside `core/retry.rs`: reading a
-    /// `RetryPolicy`'s `base_backoff`/`max_backoff`/`max_attempts`
-    /// instead of driving `Retry` (see `wsrules`).
-    RetryPlane,
-    /// A `thread::spawn` in a file whose per-connection threads come
-    /// from a `Workers` pool (the proxy daemons' `outer.rs`, `inner.rs`,
-    /// `wire.rs`, `pump.rs`, nexus `endpoint.rs`, rmf `wire.rs`) that is
-    /// not one of the named long-lived threads (see `wsrules`).
-    DaemonSpawn,
-    /// A `*.rs` under a crate's `src/` that no `mod` declaration reaches
-    /// from `lib.rs`/`main.rs` and that is not under `src/bin/`: nothing
-    /// compiles it (see `wsrules`).
-    OrphanModule,
-    /// A stream's length prefix parsed outside `nexus-proxy/src/frame.rs`:
-    /// a `read_exact` into a 4-byte buffer that then goes through
-    /// `u32::from_be_bytes` is a second frame reader (see `wsrules`).
-    FramePlane,
-    /// A `pub` item of a library crate that nothing but its definition,
-    /// `use` paths and its own crate's tests names (see `wsrules`).
-    UnusedPub,
+macro_rules! rules {
+    ($($rule:ident $name:literal $summary:literal,)*) => {
+        /// One enforced convention.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Rule {
+            $($rule,)*
+        }
+
+        /// Every rule, in `xtask rules` order.
+        pub const ALL: &[Rule] = &[$(Rule::$rule,)*];
+
+        impl Rule {
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Rule::$rule => $name,)*
+                }
+            }
+
+            pub fn summary(self) -> &'static str {
+                match self {
+                    $(Rule::$rule => $summary,)*
+                }
+            }
+        }
+    };
 }
 
-pub const ALL: &[Rule] = &[
-    Rule::UnwrapPanic,
-    Rule::StdSync,
-    Rule::PortLiteral,
-    Rule::Todo,
-    Rule::RequireUnwrapOr,
-    Rule::BareAtomicCounter,
-    Rule::DeadlineIo,
-    Rule::HotPathAlloc,
-    Rule::BareSleep,
-    Rule::AcceptPoll,
-    Rule::LockOrder,
-    Rule::CounterSchema,
-    Rule::FrameCoverage,
-    Rule::CorePurity,
-    Rule::ClientPlane,
-    Rule::SchedPlane,
-    Rule::RetryPlane,
-    Rule::DaemonSpawn,
-    Rule::OrphanModule,
-    Rule::FramePlane,
-    Rule::UnusedPub,
-];
-
-impl Rule {
-    pub fn name(self) -> &'static str {
-        match self {
-            Rule::UnwrapPanic => "unwrap-panic",
-            Rule::StdSync => "std-sync",
-            Rule::PortLiteral => "port-literal",
-            Rule::Todo => "todo",
-            Rule::RequireUnwrapOr => "require-unwrap-or",
-            Rule::BareAtomicCounter => "bare-atomic-counter",
-            Rule::DeadlineIo => "deadline-io",
-            Rule::HotPathAlloc => "hot-path-alloc",
-            Rule::BareSleep => "bare-sleep",
-            Rule::AcceptPoll => "accept-poll",
-            Rule::LockOrder => "lock-order",
-            Rule::CounterSchema => "counter-schema",
-            Rule::FrameCoverage => "frame-coverage",
-            Rule::CorePurity => "core-purity",
-            Rule::ClientPlane => "client-plane",
-            Rule::SchedPlane => "sched-plane",
-            Rule::RetryPlane => "retry-plane",
-            Rule::DaemonSpawn => "daemon-spawn",
-            Rule::OrphanModule => "orphan-module",
-            Rule::FramePlane => "frame-plane",
-            Rule::UnusedPub => "unused-pub",
-        }
-    }
-
-    pub fn summary(self) -> &'static str {
-        match self {
-            Rule::UnwrapPanic => "no .unwrap()/.expect()/panic! outside #[cfg(test)] code",
-            Rule::StdSync => {
-                "use wacs_sync::{Mutex, RwLock} instead of std::sync locks and condvars"
-            }
-            Rule::PortLiteral => {
-                "well-known ports (911/5678/2119) must reference the named constants"
-            }
-            Rule::Todo => "no todo!()/unimplemented!() in library crates",
-            Rule::RequireUnwrapOr => {
-                "required wire fields must error, not .unwrap_or(...) a default"
-            }
-            Rule::BareAtomicCounter => {
-                "metric counters belong in the wacs_obs registry, not bare AtomicU64s"
-            }
-            Rule::DeadlineIo => {
-                "blocking read_exact/accept needs a read timeout \
-                 or an explicit lint:allow(deadline-io)"
-            }
-            Rule::HotPathAlloc => {
-                "no vec![0u8; ...] or .to_vec() in pump/pool/stripe hot paths; \
-                 take a pooled segment or borrow the bytes"
-            }
-            Rule::BareSleep => {
-                "no bare thread::sleep in library code; wait on a deadline \
-                 (or mark a bounded backoff with lint:allow(bare-sleep))"
-            }
-            Rule::AcceptPoll => {
-                "no .set_nonblocking(true) outside tests; block in \
-                 accept_until_stop and end it with the listener's stop handle"
-            }
-            Rule::LockOrder => "the static lock-order graph over Ordered locks must be acyclic",
-            Rule::CounterSchema => {
-                "every registered wacs-obs metric key must appear in EXPERIMENTS.md"
-            }
-            Rule::FrameCoverage => "every protocol::Msg variant must be hit by the fuzz sweep",
-            Rule::CorePurity => {
-                "the sans-IO cores (nexus-proxy core/, knapsack sched.rs) name no socket, \
-                 thread, clock or simulator type"
-            }
-            Rule::ClientPlane => {
-                "client drivers name no ShardRouter/CircuitBreaker/route_from; \
-                 StripeFrame::Open is spelled in stripe.rs only"
-            }
-            Rule::SchedPlane => {
-                "knapsack par.rs/sim.rs name no branch_once/back_send_count/\
-                 effective_back_threshold; the scheduler is sched.rs"
-            }
-            Rule::RetryPlane => {
-                "only nexus-proxy core/retry.rs reads a RetryPolicy's base_backoff/\
-                 max_backoff/max_attempts; callers ask Retry"
-            }
-            Rule::DaemonSpawn => {
-                "no thread::spawn in nexus-proxy outer/inner/wire/pump.rs, nexus endpoint.rs \
-                 or rmf wire.rs but the marked long-lived threads; the rest come from workers.rs"
-            }
-            Rule::OrphanModule => {
-                "every src/ file is reached from lib.rs/main.rs through mod declarations \
-                 or lives in src/bin/"
-            }
-            Rule::FramePlane => {
-                "a stream's u32 length prefix is read in nexus-proxy frame.rs only; \
-                 call frame::read_frame"
-            }
-            Rule::UnusedPub => {
-                "every pub item of a library crate is named outside its definition, use \
-                 paths and its own crate's tests"
-            }
-        }
-    }
+rules! {
+    UnwrapPanic "unwrap-panic" "no .unwrap()/.expect()/panic! outside #[cfg(test)] code",
+    StdSync "std-sync"
+        "use wacs_sync::{Mutex, RwLock} instead of std::sync locks and condvars",
+    PortLiteral "port-literal"
+        "well-known ports (911/5678/2119) must reference the named constants",
+    Todo "todo" "no todo!()/unimplemented!() in library crates",
+    RequireUnwrapOr "require-unwrap-or"
+        "required wire fields must error, not .unwrap_or(...) a default",
+    BareAtomicCounter "bare-atomic-counter"
+        "metric counters belong in the wacs_obs registry, not bare AtomicU64s",
+    DeadlineIo "deadline-io"
+        "blocking read_exact/accept needs a read timeout \
+         or an explicit lint:allow(deadline-io)",
+    HotPathAlloc "hot-path-alloc"
+        "no vec![0u8; ...] or .to_vec() in pump/pool/stripe hot paths; \
+         take a pooled segment or borrow the bytes",
+    BareSleep "bare-sleep"
+        "no bare thread::sleep in library code; wait on a deadline \
+         (or mark a bounded backoff with lint:allow(bare-sleep))",
+    AcceptPoll "accept-poll"
+        "no .set_nonblocking(true) outside tests; block in \
+         accept_until_stop and end it with the listener's stop handle",
+    LockOrder "lock-order" "the static lock-order graph over Ordered locks must be acyclic",
+    CounterSchema "counter-schema"
+        "every registered wacs-obs metric key must appear in EXPERIMENTS.md",
+    FrameCoverage "frame-coverage" "every protocol::Msg variant must be hit by the fuzz sweep",
+    CorePurity "core-purity"
+        "the sans-IO cores (nexus-proxy core/, knapsack sched.rs) name no socket, \
+         thread, clock or simulator type",
+    ClientPlane "client-plane"
+        "client drivers name no ShardRouter/CircuitBreaker/route_from; \
+         StripeFrame::Open is spelled in stripe.rs only",
+    SchedPlane "sched-plane"
+        "knapsack par.rs/sim.rs name no branch_once/back_send_count/\
+         effective_back_threshold; the scheduler is sched.rs",
+    RetryPlane "retry-plane"
+        "only nexus-proxy core/retry.rs reads a RetryPolicy's base_backoff/\
+         max_backoff/max_attempts; callers ask Retry",
+    DaemonSpawn "daemon-spawn"
+        "no thread::spawn in nexus-proxy outer/inner/wire/pump.rs, nexus endpoint.rs \
+         or rmf wire.rs but the marked long-lived threads; the rest come from workers.rs",
+    OrphanModule "orphan-module"
+        "every src/ file is reached from lib.rs/main.rs through mod declarations \
+         or lives in src/bin/",
+    FramePlane "frame-plane"
+        "a stream's u32 length prefix is read in nexus-proxy frame.rs only; \
+         call frame::read_frame",
+    UnusedPub "unused-pub"
+        "every pub item of a library crate is named outside its definition, use \
+         paths and its own crate's tests",
 }
 
 /// A single diagnostic.
@@ -217,705 +107,790 @@ pub struct Violation {
     pub message: String,
 }
 
-/// The well-known service ports of the system (NXPORT, OUTER_PORT,
-/// GATEKEEPER_PORT) — flagged as raw literals anywhere else.
-const KNOWN_PORTS: &[&str] = &["911", "5678", "2119"];
+/// Which `lint:allow(<rule>)` markers excuse a finding.
+#[derive(Clone, Copy, PartialEq)]
+enum Allow {
+    No,
+    Bare,
+    /// Only one with a reason after the parenthesis.
+    Reasoned,
+}
 
-/// Files allowed to spell the well-known ports as literals: their
-/// canonical definition sites.
-const PORT_DEFINITION_SITES: &[&str] = &["crates/firewall/src/lib.rs", "crates/nexus/src/ports.rs"];
+/// Where a row does not apply although a spelling matched.
+#[derive(Clone, Copy)]
+enum Unless {
+    Never,
+    /// A line whose code spells one of these.
+    Line(&'static [&'static str]),
+    /// A file whose code, test code included, spells one of these.
+    File(&'static [&'static str]),
+}
 
-/// The crate allowed to touch `std::sync` locks directly (it wraps
-/// them), plus this analyzer itself (it names them in diagnostics).
-const STD_SYNC_EXEMPT: &[&str] = &["crates/wacs-sync/", "crates/xtask/"];
+/// One clause: a line that spells one of `spellings` is a finding.
+struct Row {
+    rule: Rule,
+    /// The first one a line spells names the finding as `{}` in
+    /// `message`, without its edge spaces and dots.
+    spellings: &'static [&'static str],
+    /// Path prefixes judged; empty judges every file.
+    only: &'static [&'static str],
+    /// Path prefixes not judged.
+    except: &'static [&'static str],
+    /// Test code is judged too.
+    tests: bool,
+    /// The spellings are matched in the line's comments, not its code.
+    comments: bool,
+    unless: Unless,
+    allow: Allow,
+    message: &'static str,
+}
 
-/// Crates allowed to declare raw `AtomicU64`s: the registry itself
-/// (its instruments *are* atomics) and this analyzer.
-const ATOMIC_COUNTER_EXEMPT: &[&str] = &["crates/wacs-obs/", "crates/xtask/"];
+const ROW: Row = Row {
+    rule: Rule::UnwrapPanic,
+    spellings: &[],
+    only: &[],
+    except: &[],
+    tests: false,
+    comments: false,
+    unless: Unless::Never,
+    allow: Allow::Bare,
+    message: "",
+};
 
 /// The data-plane hot files: relay segments come from the shared
-/// `BufferPool` and stripe chunks are borrowed, never a per-call
-/// `vec![0u8; ...]` or `.to_vec()` copy.
-const HOT_PATH_FILES: &[&str] = &[
+/// `BufferPool` and stripe chunks are borrowed.
+const HOT_PATH: &[&str] = &[
     "crates/nexus-proxy/src/pump.rs",
     "crates/nexus-proxy/src/pool.rs",
     "crates/nexus-proxy/src/stripe.rs",
 ];
 
-/// Analyze one file; `path` is workspace-relative with `/` separators.
-pub fn analyze(path: &str, source: &str) -> Vec<Violation> {
-    let masked = mask(source);
-    let test_lines = test_region_lines(&masked.code);
-    let originals: Vec<&str> = source.lines().collect();
-    let mut out = Vec::new();
+/// The sans-IO cores: a real and a sim driver (and, for the proxy, the
+/// model checker) run them.
+const CORES: &[&str] = &[
+    "crates/nexus-proxy/src/core.rs",
+    "crates/nexus-proxy/src/core/",
+    "crates/knapsack/src/sched.rs",
+];
 
-    let port_site = PORT_DEFINITION_SITES.contains(&path);
-    let hot_path = HOT_PATH_FILES.contains(&path);
-    let sync_exempt = STD_SYNC_EXEMPT.iter().any(|p| path.starts_with(p));
-    let atomic_exempt = ATOMIC_COUNTER_EXEMPT.iter().any(|p| path.starts_with(p));
-    // File-level deadline evidence: a file that configures timeouts
-    // anywhere has thought about liveness; one that never does gets its
-    // blocking calls flagged.
-    let has_deadline_evidence = masked.code.contains("set_read_timeout");
+static ROWS: &[Row] = &[
+    // Daemon code must degrade via `Result`, not abort: remote bytes
+    // must never be able to kill a process.
+    Row {
+        spellings: &[".unwrap()"],
+        message: "`.unwrap()` in library code; return a Result or use unwrap_or_*",
+        ..ROW
+    },
+    Row {
+        spellings: &[".expect("],
+        message: "`.expect(...)` in library code; return a Result",
+        ..ROW
+    },
+    Row {
+        spellings: &[" panic!"],
+        message: "`panic!` in library code; return an error",
+        ..ROW
+    },
+    // The deadlock detector sees every acquisition, and the channel
+    // stays the one hand-rolled monitor `wacs-check` models.
+    Row {
+        rule: Rule::StdSync,
+        spellings: &[
+            "std::sync::Mutex",
+            "std::sync::RwLock",
+            "std::sync::Condvar",
+            "std::sync::{…Mutex",
+            "std::sync::{…RwLock",
+            "std::sync::{…Condvar",
+        ],
+        except: &["crates/wacs-sync/", "crates/xtask/"],
+        tests: true,
+        message: "std::sync lock or condvar; use wacs_sync::{Mutex, RwLock} (or Ordered*), \
+                  and wacs_sync::channel to hand work between threads",
+        ..ROW
+    },
+    // NXPORT, OUTER_PORT and GATEKEEPER_PORT, outside their definitions.
+    Row {
+        rule: Rule::PortLiteral,
+        spellings: &[" 911 ", " 5678 ", " 2119 "],
+        except: &["crates/firewall/src/lib.rs", "crates/nexus/src/ports.rs"],
+        message: "raw well-known port {}; name the constant",
+        ..ROW
+    },
+    Row {
+        rule: Rule::Todo,
+        spellings: &[" todo!", " unimplemented!"],
+        tests: true,
+        message: "`{}` left in source",
+        ..ROW
+    },
+    Row {
+        rule: Rule::RequireUnwrapOr,
+        spellings: &["require_u64(….unwrap_or", ".unwrap_or…require_u64("],
+        message: "`.unwrap_or(...)` swallows a missing required field; \
+                  reject the record instead",
+        ..ROW
+    },
+    // The registry's instruments are atomics, and an import is inert.
+    Row {
+        rule: Rule::BareAtomicCounter,
+        spellings: &["AtomicU64"],
+        except: &["crates/wacs-obs/", "crates/xtask/"],
+        unless: Unless::Line(&[" use "]),
+        message: "bare `AtomicU64` counter; use wacs_obs::Counter so the metric \
+                  lands in registry snapshots",
+        ..ROW
+    },
+    // A file that sets a read timeout anywhere has a deadline story.
+    Row {
+        rule: Rule::DeadlineIo,
+        spellings: &[".read_exact(", ".accept()"],
+        unless: Unless::File(&["set_read_timeout"]),
+        message: "blocking I/O with no deadline in this file; set a read timeout \
+                  (or mark the site deliberate)",
+        ..ROW
+    },
+    Row {
+        rule: Rule::HotPathAlloc,
+        spellings: &["vec![0u8;"],
+        only: HOT_PATH,
+        message: "per-call buffer allocation in a relay hot loop; draw a pooled \
+                  segment from the shared BufferPool",
+        ..ROW
+    },
+    Row {
+        rule: Rule::HotPathAlloc,
+        spellings: &[".to_vec()"],
+        only: HOT_PATH,
+        message: "per-call copy in a data-plane hot path; borrow the bytes \
+                  (e.g. a `StripeFrame<&[u8]>`) instead",
+        ..ROW
+    },
+    // Recovery-time measurements must not inherit a sleep quantum.
+    Row {
+        rule: Rule::BareSleep,
+        spellings: &["thread::sleep("],
+        message: "bare `thread::sleep` in library code; wait on a deadline \
+                  (condvar timeout / read timeout) or mark a bounded backoff deliberate",
+        ..ROW
+    },
+    Row {
+        rule: Rule::AcceptPoll,
+        spellings: &[".set_nonblocking(true)"],
+        message: "nonblocking socket in library code; block in `accept_until_stop` \
+                  (or a read with a timeout) and end the wait from outside",
+        ..ROW
+    },
+    Row {
+        rule: Rule::CorePurity,
+        spellings: &[
+            "std::net",
+            "TcpStream",
+            "TcpListener",
+            "std::thread",
+            "thread::",
+            "Instant",
+            "SystemTime",
+            "netsim",
+            "gridmpi",
+            "vnet",
+            "OrderedMutex",
+            "Mutex",
+            "atomic",
+        ],
+        only: CORES,
+        tests: true,
+        allow: Allow::No,
+        message: "the sans-IO core names `{}`: no socket, thread, clock (callers pass \
+                  `now`), simulator or lock belongs there; each driver wraps the core",
+        ..ROW
+    },
+    Row {
+        rule: Rule::CorePurity,
+        spellings: &["lint:allow(bare-sleep)"],
+        only: CORES,
+        tests: true,
+        comments: true,
+        allow: Allow::No,
+        message: "the sans-IO core gets no lint:allow(bare-sleep): it never sleeps",
+        ..ROW
+    },
+    // The fleet ladder lives in `core/client.rs` and the lane sequence
+    // in `stripe.rs`; a second copy starts with one of these.
+    Row {
+        rule: Rule::ClientPlane,
+        spellings: &["ShardRouter", "CircuitBreaker", "route_from"],
+        only: &[
+            "crates/nexus-proxy/src/client.rs",
+            "crates/nexus-proxy/src/sim/client.rs",
+            "crates/nexus-proxy/src/sim/stripe.rs",
+            "crates/gridmpi/src/comm.rs",
+        ],
+        allow: Allow::No,
+        message: "a client driver names `{}`: shard choice and breakers belong to \
+                  core/client.rs",
+        ..ROW
+    },
+    Row {
+        rule: Rule::ClientPlane,
+        spellings: &["StripeFrame::Open{"],
+        except: &["crates/nexus-proxy/src/stripe.rs"],
+        allow: Allow::No,
+        message: "`StripeFrame::Open {` outside stripe.rs: walk \
+                  `StripePlan::lane_frames` instead of a second lane loop",
+        ..ROW
+    },
+    Row {
+        rule: Rule::SchedPlane,
+        spellings: &["branch_once", "back_send_count", "effective_back_threshold"],
+        only: &["crates/knapsack/src/par.rs", "crates/knapsack/src/sim.rs"],
+        allow: Allow::No,
+        message: "a knapsack driver names `{}`: scheduling decisions belong to \
+                  knapsack/src/sched.rs",
+        ..ROW
+    },
+    // netsim, below `nexus-proxy`, has a transport `max_attempts` of
+    // its own.
+    Row {
+        rule: Rule::RetryPlane,
+        spellings: &[".base_backoff", ".max_backoff", ".max_attempts"],
+        except: &["crates/nexus-proxy/src/core/retry.rs", "crates/netsim/"],
+        allow: Allow::No,
+        message: "reads `{}` of a retry policy: backoff and give-up belong to \
+                  core/retry.rs (drive `Retry`)",
+        ..ROW
+    },
+    // Per-connection jobs run on the owner's parked `Workers`.
+    Row {
+        rule: Rule::DaemonSpawn,
+        spellings: &["thread::spawn", "thread::Builder", "thread::scope"],
+        only: &[
+            "crates/nexus-proxy/src/outer.rs",
+            "crates/nexus-proxy/src/inner.rs",
+            "crates/nexus-proxy/src/wire.rs",
+            "crates/nexus-proxy/src/pump.rs",
+            "crates/nexus/src/endpoint.rs",
+            "crates/rmf/src/wire.rs",
+        ],
+        allow: Allow::Reasoned,
+        message: "`{}` in a pooled server: run the job on its parked `Workers` \
+                  (`workers.run`, `Daemon::on_worker`), or mark a long-lived thread \
+                  `lint:allow(daemon-spawn)` with a reason",
+        ..ROW
+    },
+];
 
-    for (idx, line) in masked.code.lines().enumerate() {
-        let lineno = idx + 1;
-        let in_test = test_lines.get(idx).copied().unwrap_or(false);
-        let original = originals.get(idx).copied().unwrap_or("");
-        // rustfmt may float a trailing marker onto its own line, so a
-        // marker directly above or below the flagged line counts too.
-        let above = idx.checked_sub(1).and_then(|i| originals.get(i)).copied();
-        let below = originals.get(idx + 1).copied();
-        let mut push = |rule: Rule, message: String| {
-            let marked = allowed(original, rule)
-                || above.is_some_and(|l| l.trim_start().starts_with("//") && allowed(l, rule))
-                || below.is_some_and(|l| l.trim_start().starts_with("//") && allowed(l, rule));
-            if !marked {
-                out.push(Violation {
-                    path: path.to_string(),
-                    line: lineno,
-                    rule,
-                    message,
-                });
-            }
-        };
-
-        if !in_test {
-            if line.contains(".unwrap()") {
-                push(
-                    Rule::UnwrapPanic,
-                    "`.unwrap()` in library code; return a Result or use unwrap_or_*".into(),
-                );
-            }
-            if line.contains(".expect(") {
-                push(
-                    Rule::UnwrapPanic,
-                    "`.expect(...)` in library code; return a Result".into(),
-                );
-            }
-            if has_macro(line, "panic") {
-                push(
-                    Rule::UnwrapPanic,
-                    "`panic!` in library code; return an error".into(),
-                );
-            }
-            if line.contains("require_u64(") && line.contains(".unwrap_or") {
-                push(
-                    Rule::RequireUnwrapOr,
-                    "`.unwrap_or(...)` swallows a missing required field; \
-                     reject the record instead"
-                        .into(),
-                );
-            }
-            if !port_site {
-                for port in KNOWN_PORTS {
-                    if has_bare_number(line, port) {
-                        push(
-                            Rule::PortLiteral,
-                            format!("raw well-known port {port}; name the constant"),
-                        );
-                    }
+/// Match every row against `src`, one finding per row and line.
+pub fn check(src: &Source, out: &mut Vec<Violation>) {
+    let spells = |line: &Line, s: &str| occurs(&line.code, &line.bounds, s);
+    let rows: Vec<&Row> = ROWS
+        .iter()
+        .filter(|row| {
+            let within = |prefixes: &[&str]| prefixes.iter().any(|p| src.path.starts_with(p));
+            (row.only.is_empty() || within(row.only))
+                && !within(row.except)
+                && !matches!(row.unless, Unless::File(u)
+                    if src.lines.iter().any(|l| u.iter().any(|s| spells(l, s))))
+        })
+        .collect();
+    for (n, line) in src.lines.iter().enumerate() {
+        for row in rows.iter().filter(|row| row.tests || !line.test) {
+            let found = row.spellings.iter().find(|s| {
+                if row.comments {
+                    line.comment.contains(*s)
+                } else {
+                    spells(line, s)
                 }
-            }
-            // Declarations/constructions only — a plain `use` import is
-            // inert until a flagged site actually names the type.
-            if !atomic_exempt
-                && line.contains("AtomicU64")
-                && !line.trim_start().starts_with("use ")
-                && !line.trim_start().starts_with("pub use ")
+            });
+            let Some(spelling) = found else {
+                continue;
+            };
+            if matches!(row.unless, Unless::Line(u) if u.iter().any(|s| spells(line, s)))
+                || (row.allow != Allow::No
+                    && src.marked(n, row.rule.name(), row.allow == Allow::Reasoned))
             {
-                push(
-                    Rule::BareAtomicCounter,
-                    "bare `AtomicU64` counter; use wacs_obs::Counter so the metric \
-                     lands in registry snapshots"
-                        .into(),
-                );
+                continue;
             }
-            if !has_deadline_evidence
-                && (line.contains(".read_exact(") || line.contains(".accept()"))
-            {
-                push(
-                    Rule::DeadlineIo,
-                    "blocking I/O with no deadline in this file; set a read timeout \
-                     (or mark the site deliberate)"
-                        .into(),
-                );
-            }
-            if line.contains("thread::sleep(") {
-                push(
-                    Rule::BareSleep,
-                    "bare `thread::sleep` in library code; wait on a deadline \
-                     (condvar timeout / read timeout) or mark a bounded backoff \
-                     deliberate"
-                        .into(),
-                );
-            }
-            if line.contains(".set_nonblocking(true)") {
-                push(
-                    Rule::AcceptPoll,
-                    "nonblocking socket in library code; block in `accept_until_stop` \
-                     (or a read with a timeout) and end the wait from outside"
-                        .into(),
-                );
-            }
-            if hot_path && line.contains("vec![0u8;") {
-                push(
-                    Rule::HotPathAlloc,
-                    "per-call buffer allocation in a relay hot loop; draw a pooled \
-                     segment from the shared BufferPool"
-                        .into(),
-                );
-            }
-            if hot_path && line.contains(".to_vec()") {
-                push(
-                    Rule::HotPathAlloc,
-                    "per-call copy in a data-plane hot path; borrow the bytes \
-                     (e.g. a `StripeFrame<&[u8]>`) instead"
-                        .into(),
-                );
-            }
-        }
-        if !sync_exempt
-            && (line.contains("std::sync::Mutex")
-                || line.contains("std::sync::RwLock")
-                || line.contains("std::sync::Condvar")
-                || std_sync_use_names_lock(line))
-        {
-            push(
-                Rule::StdSync,
-                "std::sync lock or condvar; use wacs_sync::{Mutex, RwLock} (or Ordered*), \
-                 and wacs_sync::channel to hand work between threads"
-                    .into(),
-            );
-        }
-        if has_macro(line, "todo") {
-            push(Rule::Todo, "`todo!` left in source".into());
-        }
-        if has_macro(line, "unimplemented") {
-            push(Rule::Todo, "`unimplemented!` left in source".into());
+            out.push(Violation {
+                path: src.path.clone(),
+                line: n,
+                rule: row.rule,
+                message: row.message.replace("{}", spelling.trim_matches([' ', '.'])),
+            });
         }
     }
-    out
 }
 
-/// `// lint:allow(rule)` on the line suppresses that rule there.
-fn allowed(original_line: &str, rule: Rule) -> bool {
-    original_line
-        .split("lint:allow(")
-        .nth(1)
-        .and_then(|rest| rest.split(')').next())
-        .is_some_and(|list| list.split(',').any(|r| r.trim() == rule.name()))
-}
-
-/// Match `name!` as a macro invocation: preceding byte must not be
-/// part of an identifier (so `dont_panic!` doesn't match `panic!`),
-/// and the `!` must directly follow the name.
-fn has_macro(line: &str, name: &str) -> bool {
-    let bytes = line.as_bytes();
+/// Whether `code` spells `spelling`: its `…`-separated parts occur in
+/// order, and an edge space of a part falls on one of `bounds`.
+fn occurs(code: &str, bounds: &[usize], spelling: &str) -> bool {
     let mut from = 0;
-    while let Some(pos) = line[from..].find(name) {
-        let start = from + pos;
-        let end = start + name.len();
-        let pre_ok = start == 0 || {
-            let p = bytes[start - 1];
-            !(p.is_ascii_alphanumeric() || p == b'_')
-        };
-        if pre_ok && bytes.get(end) == Some(&b'!') {
-            return true;
-        }
-        from = end;
-    }
-    false
-}
-
-/// Match a number as a standalone token: neither neighbour may be an
-/// identifier or digit byte, nor `.` (so `5678.0`, `x5678`, `0x5678`
-/// and `15678` don't match).
-fn has_bare_number(line: &str, num: &str) -> bool {
-    let bytes = line.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = line[from..].find(num) {
-        let start = from + pos;
-        let end = start + num.len();
-        let pre_ok = start == 0 || {
-            let p = bytes[start - 1];
-            !(p.is_ascii_alphanumeric() || p == b'_' || p == b'.')
-        };
-        let post_ok = end >= bytes.len() || {
-            let n = bytes[end];
-            !(n.is_ascii_alphanumeric() || n == b'_' || n == b'.')
-        };
-        if pre_ok && post_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
-}
-
-/// `use std::sync::{...}` pulling in `Mutex`, `RwLock` or `Condvar` by
-/// name.
-fn std_sync_use_names_lock(line: &str) -> bool {
-    let Some(rest) = line
-        .trim_start()
-        .strip_prefix("use std::sync::")
-        .or_else(|| line.trim_start().strip_prefix("pub use std::sync::"))
-    else {
-        return false;
-    };
-    rest.contains("Mutex") || rest.contains("RwLock") || rest.contains("Condvar")
-}
-
-/// Per-line flags: is this line inside a `#[cfg(test)]` / `#[test]`
-/// region? Determined by brace tracking on the masked source: a test
-/// attribute arms the tracker; the next `{` opens a region that ends
-/// when depth returns to its opening level. A file-level
-/// `#![cfg(test)]` (a test module kept in a file of its own) makes
-/// everything after it test code. Shared with the workspace-level
-/// rules in `wsrules`.
-pub(crate) fn test_region_lines(masked: &str) -> Vec<bool> {
-    let mut flags = Vec::new();
-    let mut depth: i32 = 0;
-    let mut armed = false;
-    let mut whole_file = false;
-    // Depth at which each active test region opened.
-    let mut regions: Vec<i32> = Vec::new();
-    for line in masked.lines() {
-        whole_file |= depth == 0 && line.trim_start().starts_with("#![cfg(test)]");
-        if whole_file {
-            flags.push(true);
-            continue;
-        }
-        let armed_at_line_start = armed;
-        if is_test_attr(line) {
-            armed = true;
-        }
-        let mut line_in_test = !regions.is_empty() || armed || armed_at_line_start;
-        for c in line.chars() {
-            match c {
-                '{' => {
-                    if armed {
-                        regions.push(depth);
-                        armed = false;
-                        line_in_test = true;
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth -= 1;
-                    if regions.last() == Some(&depth) {
-                        regions.pop();
-                    }
-                }
-                _ => {}
-            }
-        }
-        flags.push(line_in_test || !regions.is_empty());
-    }
-    flags
-}
-
-/// Attribute lines that mark the following item as test-only.
-fn is_test_attr(line: &str) -> bool {
-    let t = line.trim_start();
-    t.starts_with("#[test]")
-        || t.starts_with("#[cfg(test)]")
-        || t.starts_with("#[cfg(all(test")
-        || t.starts_with("#[cfg(any(test")
-        || t.starts_with("#[should_panic")
+    spelling.split('…').all(|part| {
+        let needle = part.trim();
+        let at = code[from..]
+            .match_indices(needle)
+            .map(|(at, _)| from + at)
+            .find(|&at| {
+                (!part.starts_with(' ') || bounds.contains(&at))
+                    && (!part.ends_with(' ') || bounds.contains(&(at + needle.len())))
+            });
+        at.map(|at| from = at + needle.len()).is_some()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Rule::*;
 
-    fn rules_hit(path: &str, src: &str) -> Vec<(usize, Rule)> {
-        analyze(path, src)
-            .into_iter()
-            .map(|v| (v.line, v.rule))
-            .collect()
+    fn hits(path: &str, src: &str) -> Vec<(usize, Rule)> {
+        let mut out = Vec::new();
+        check(&Source::new(path, src.to_string()), &mut out);
+        out.into_iter().map(|v| (v.line, v.rule)).collect()
     }
 
-    /// The seeded violation of the acceptance criteria: a bare
-    /// `.unwrap()` in library code is flagged with its line number.
-    #[test]
-    fn seeded_unwrap_violation_is_flagged() {
-        let src = "pub fn f(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\n";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", src),
-            vec![(2, Rule::UnwrapPanic)]
-        );
-    }
+    const DEMO: &str = "crates/demo/src/lib.rs";
+    const PUMP: &str = "crates/nexus-proxy/src/pump.rs";
+    const POOL: &str = "crates/nexus-proxy/src/pool.rs";
+    const STRIPE: &str = "crates/nexus-proxy/src/stripe.rs";
+    const FIGURES: &str = "crates/bench/src/figures.rs";
+    const VEC0: &str = "fn f(chunk: usize) {\n    let _buf = vec![0u8; chunk];\n}\n";
+    const TO_VEC: &str = "fn frame(payload: &[u8]) -> Vec<u8> {\n    payload[..8].to_vec()\n}\n";
+    const SLEEPS: &str = "fn f() {\n    std::thread::sleep(Duration::from_millis(5));\n}\nfn g() {\n    thread::sleep(TICK);\n}\n";
+    const SYNC: &str = "use std::sync::Mutex;\nfn f() { let _ = std::sync::RwLock::new(1); }\n";
+    const CONDVAR: &str =
+        "use std::sync::{Arc, Condvar};\nstruct Gate {\n    cv: std::sync::Condvar,\n}\n";
+    const ATOMICS: &str =
+        "use std::sync::atomic::AtomicU64;\nstruct Stats {\n    hits: AtomicU64,\n}\n\
+         fn fresh() -> AtomicU64 {\n    AtomicU64::new(0)\n}\n";
+    const POLL: &str = "fn serve(l: &TcpListener) {\n    l.set_nonblocking(true).ok();\n    loop {\n        \
+             if l.accept().is_err() {\n            thread::sleep(TICK); // lint:allow(bare-sleep)\n        \
+             }\n    }\n}\n";
 
-    #[test]
-    fn expect_and_panic_flagged() {
-        let src = "fn f() {\n    g().expect(\"boom\");\n    panic!(\"no\");\n}\n";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", src),
-            vec![(2, Rule::UnwrapPanic), (3, Rule::UnwrapPanic)]
-        );
-    }
+    /// `(path, source, every finding)`.
+    type Case = (&'static str, &'static str, &'static [(usize, Rule)]);
 
-    #[test]
-    fn test_code_is_exempt() {
-        let src = "\
-pub fn lib() -> u32 { 1 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        super::lib_result().unwrap();
-        panic!(\"fine in tests\");
-    }
-}
-";
-        assert!(rules_hit("crates/demo/src/lib.rs", src).is_empty());
-    }
-
-    /// A test module kept in a file of its own says so with a
-    /// file-level `#![cfg(test)]`; without it the same file is library
-    /// code.
-    #[test]
-    fn whole_file_test_modules_are_exempt() {
-        let body = "const CTRL: u16 = 5678;\nfn helper() { None::<u8>.unwrap(); }\n";
-        let marked = format!("//! Scenario tests.\n#![cfg(test)]\n{body}");
-        assert!(rules_hit("crates/demo/src/scenario.rs", &marked).is_empty());
-        assert_eq!(rules_hit("crates/demo/src/scenario.rs", body).len(), 2);
-    }
-
-    #[test]
-    fn comments_strings_and_doctests_are_exempt() {
-        let src = "\
-/// Call `.unwrap()` — documented panics are fine:
-/// ```
-/// demo::f().unwrap();
-/// ```
-pub fn f() -> Option<u32> {
-    let msg = \"do not panic!(now)\"; // .unwrap() here neither
-    Some(msg.len() as u32)
-}
-";
-        assert!(rules_hit("crates/demo/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_or_variants_are_fine() {
-        let src =
-            "fn f(v: Option<u32>) -> u32 {\n    v.unwrap_or(0).max(v.unwrap_or_default())\n}\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn std_sync_flagged_outside_wacs_sync() {
-        let src = "use std::sync::Mutex;\nfn f() { let _ = std::sync::RwLock::new(1); }\n";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", src),
-            vec![(1, Rule::StdSync), (2, Rule::StdSync)]
-        );
-        assert!(rules_hit("crates/wacs-sync/src/mutex.rs", src).is_empty());
-    }
-
-    #[test]
-    fn std_sync_condvar_flagged_outside_wacs_sync() {
+    /// What each row flags, and where its scope, test exemption and
+    /// markers stop it.
+    const CASES: &[Case] = &[
+        // The seeded violation: a bare `.unwrap()` with its line.
+        (DEMO, "pub fn f(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\n", &[(2, UnwrapPanic)]),
+        (
+            DEMO,
+            "fn f() {\n    g().expect(\"boom\");\n    panic!(\"no\");\n}\n",
+            &[(2, UnwrapPanic), (3, UnwrapPanic)],
+        ),
+        (
+            DEMO,
+            "pub fn lib() -> u32 { 1 }\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
+             super::lib_result().unwrap();\n        panic!(\"fine in tests\");\n    }\n}\n",
+            &[],
+        ),
+        // After the test mod closes, findings count again.
+        (
+            DEMO,
+            "#[cfg(test)]\nmod tests {\n    fn t() { x().unwrap(); }\n}\n\n\
+             pub fn late(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\n",
+            &[(7, UnwrapPanic)],
+        ),
+        // A test attribute on a braceless item ends at its `;`; one in a
+        // signature's brackets does not.
+        (
+            DEMO,
+            "#[cfg(test)] mod t;\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+            &[(2, UnwrapPanic)],
+        ),
+        (
+            DEMO,
+            "#[cfg(test)]\nuse std::sync::Arc;\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+            &[(3, UnwrapPanic)],
+        ),
+        (
+            DEMO,
+            "#[cfg(test)] fn f() -> [u8; 4] { x.unwrap() }\n#[test]\nfn g(a: [u8; 2]) {\n    a.unwrap()\n}\n",
+            &[],
+        ),
+        // A test module kept in a file of its own says so; without the
+        // attribute the same file is library code.
+        (
+            "crates/demo/src/scenario.rs",
+            "//! Scenario tests.\n#![cfg(test)]\nconst CTRL: u16 = 5678;\nfn helper() { None::<u8>.unwrap(); }\n",
+            &[],
+        ),
+        (
+            "crates/demo/src/scenario.rs",
+            "const CTRL: u16 = 5678;\nfn helper() { None::<u8>.unwrap(); }\n",
+            &[(1, PortLiteral), (2, UnwrapPanic)],
+        ),
+        // Comments, doc tests and literals never spell code.
+        (
+            DEMO,
+            "/// Call `.unwrap()` — documented panics are fine:\n/// ```\n/// demo::f().unwrap();\n/// ```\n\
+             pub fn f() -> Option<u32> {\n    let msg = \"do not panic!(now)\"; // .unwrap() here neither\n    \
+             Some(msg.len() as u32)\n}\n",
+            &[],
+        ),
+        (
+            DEMO,
+            "let s = r#\"panic!(\"x\")\"#; let t = r##\"todo!() \"# inner\"##; let b = br#\"panic!\"#;\n\
+             let e = \"a\\\"b.unwrap()\"; let c = b\"panic!\"; let d = b'x'; writer\"x.unwrap()\";\n\
+             let z = \"dangling .unwrap()",
+            &[],
+        ),
+        // Lines stay true after multi-line literals and nested comments.
+        (
+            DEMO,
+            "a /* x /* y */ z\nmore */ b.unwrap();\nlet q = r#\"line1 .unwrap()\nline2\"#;\n\
+             let s = \"αβγ\"; // é\nnext('ü').unwrap(); /* still open\nnever .unwrap() closed",
+            &[(2, UnwrapPanic), (6, UnwrapPanic)],
+        ),
+        (
+            DEMO,
+            "fn f(v: Option<u32>) -> u32 {\n    v.unwrap_or(0).max(v.unwrap_or_default())\n}\n",
+            &[],
+        ),
+        (DEMO, "fn f() { dont_panic!(); my_todo!(); }\n", &[]),
+        (DEMO, SYNC, &[(1, StdSync), (2, StdSync)]),
+        ("crates/wacs-sync/src/mutex.rs", SYNC, &[]),
         // A hand-rolled monitor outside `wacs-sync` would be one the
         // channel model does not cover.
-        let src = "\
-use std::sync::{Arc, Condvar};
-struct Gate {
-    cv: std::sync::Condvar,
-}
-";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", src),
-            vec![(1, Rule::StdSync), (3, Rule::StdSync)]
-        );
-        assert!(rules_hit("crates/wacs-sync/src/channel.rs", src).is_empty());
-    }
-
-    #[test]
-    fn std_sync_other_items_are_fine() {
-        // Arc is fine everywhere; importing AtomicU64 is inert until a
-        // declaration site names it (that's what the counter rule hits).
-        let src = "use std::sync::Arc;\nuse std::sync::atomic::AtomicU64;\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn bare_atomic_counter_flagged_outside_wacs_obs() {
-        let src = "\
-use std::sync::atomic::AtomicU64;
-struct Stats {
-    hits: AtomicU64,
-}
-fn fresh() -> AtomicU64 {
-    AtomicU64::new(0)
-}
-";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", src),
-            vec![
-                (3, Rule::BareAtomicCounter),
-                (5, Rule::BareAtomicCounter),
-                (6, Rule::BareAtomicCounter)
-            ]
-        );
+        (DEMO, CONDVAR, &[(1, StdSync), (3, StdSync)]),
+        ("crates/wacs-sync/src/channel.rs", CONDVAR, &[]),
+        (DEMO, "use std::sync::Arc;\nuse std::sync::atomic::AtomicU64;\n", &[]),
+        (DEMO, ATOMICS, &[(3, BareAtomicCounter), (5, BareAtomicCounter), (6, BareAtomicCounter)]),
         // The registry crate implements its instruments *on* atomics.
-        assert!(rules_hit("crates/wacs-obs/src/registry.rs", src).is_empty());
-    }
+        ("crates/wacs-obs/src/registry.rs", ATOMICS, &[]),
+        // ID generators and the like stay atomic when marked; tests may
+        // fabricate atomics freely.
+        (DEMO, "struct G {\n    next_id: AtomicU64, // lint:allow(bare-atomic-counter)\n}\n", &[]),
+        (DEMO, "#[cfg(test)]\nmod tests {\n    fn t() { let _ = AtomicU64::new(0); }\n}\n", &[]),
+        (DEMO, "fn f() -> u16 { 5678 }\n", &[(1, PortLiteral)]),
+        ("crates/firewall/src/lib.rs", "fn f() -> u16 { 5678 }\n", &[]),
+        (DEMO, "const X: u32 = 15678;\n", &[]),
+        (DEMO, "const X: f64 = 5678.5;\n", &[]),
+        (
+            DEMO,
+            "#[cfg(test)]\nmod tests {\n    fn t() { todo!() }\n}\nfn g() { unimplemented!() }\n",
+            &[(3, Todo), (5, Todo)],
+        ),
+        // A marker excuses the rule it names, on its line or from a
+        // comment line directly above or below; never from code above.
+        (
+            DEMO,
+            "fn f(v: Option<u32>) -> u32 {\n    v.unwrap() // lint:allow(unwrap-panic)\n}\n",
+            &[],
+        ),
+        (
+            DEMO,
+            "fn f(v: Option<u32>) -> u32 {\n    v.unwrap() // lint:allow(std-sync)\n}\n",
+            &[(2, UnwrapPanic)],
+        ),
+        (
+            DEMO,
+            "fn f(v: Option<u32>) -> u32 {\n    // lint:allow(unwrap-panic)\n    v.unwrap()\n}\n",
+            &[],
+        ),
+        (
+            DEMO,
+            "fn f(v: Option<u32>) -> u32 {\n    v.unwrap()\n    // lint:allow(unwrap-panic)\n}\n",
+            &[],
+        ),
+        (
+            DEMO,
+            "fn f(a: Option<u32>, b: Option<u32>) -> u32 {\n    a.unwrap() // lint:allow(unwrap-panic)\n    \
+             + b.unwrap()\n}\n",
+            &[(3, UnwrapPanic)],
+        ),
+        // A required wire field defaulted away, even by type.
+        (
+            DEMO,
+            "fn f(r: &Record) -> u64 {\n    r.require_u64(\"count\").unwrap_or(0)\n}\n",
+            &[(2, RequireUnwrapOr)],
+        ),
+        (
+            DEMO,
+            "fn f(r: &Record) -> u64 {\n    r.require_u64(\"count\").unwrap_or_default()\n}\n",
+            &[(2, RequireUnwrapOr)],
+        ),
+        (
+            DEMO,
+            "fn f(r: &Record) -> io::Result<u64> {\n    Ok(r.require_u64(\"count\")?)\n}\n",
+            &[],
+        ),
+        (
+            DEMO,
+            "#[cfg(test)]\nmod tests {\n    fn t(r: &Record) -> u64 { r.require_u64(\"count\").unwrap_or(0) }\n}\n",
+            &[],
+        ),
+        (
+            DEMO,
+            "fn f(s: &mut TcpStream) -> io::Result<()> {\n    let mut buf = [0u8; 4];\n    \
+             s.read_exact(&mut buf)?;\n    Ok(())\n}\nfn g(l: &TcpListener) {\n    let _ = l.accept();\n}\n",
+            &[(3, DeadlineIo), (7, DeadlineIo)],
+        ),
+        (
+            DEMO,
+            "fn f(s: &mut TcpStream) -> io::Result<()> {\n    s.set_read_timeout(Some(TIMEOUT))?;\n    \
+             let mut buf = [0u8; 4];\n    s.read_exact(&mut buf)?;\n    Ok(())\n}\n",
+            &[],
+        ),
+        (
+            DEMO,
+            "fn f(s: &mut TcpStream) -> io::Result<()> {\n    let mut buf = [0u8; 4];\n    \
+             s.read_exact(&mut buf)?; // lint:allow(deadline-io)\n    Ok(())\n}\n",
+            &[],
+        ),
+        (
+            DEMO,
+            "#[cfg(test)]\nmod tests {\n    fn t(s: &mut TcpStream) { s.read_exact(&mut [0; 4]).unwrap(); }\n}\n",
+            &[],
+        ),
+        (PUMP, VEC0, &[(2, HotPathAlloc)]),
+        (POOL, VEC0, &[(2, HotPathAlloc)]),
+        (STRIPE, VEC0, &[(2, HotPathAlloc)]),
+        (DEMO, VEC0, &[]),
+        (PUMP, TO_VEC, &[(2, HotPathAlloc)]),
+        (POOL, TO_VEC, &[(2, HotPathAlloc)]),
+        (STRIPE, TO_VEC, &[(2, HotPathAlloc)]),
+        (DEMO, TO_VEC, &[]),
+        (
+            STRIPE,
+            "fn out(p: &[u8]) -> Vec<u8> {\n    // lint:allow(hot-path-alloc) copied out on request\n    p.to_vec()\n}\n",
+            &[],
+        ),
+        (
+            POOL,
+            "fn f(n: usize) {\n    let _b = vec![0u8; n]; // lint:allow(hot-path-alloc)\n}\n",
+            &[],
+        ),
+        (PUMP, "#[cfg(test)]\nmod tests {\n    fn t() { let _ = vec![0u8; 16]; }\n}\n", &[]),
+        // No crate is exempt from `bare-sleep`, the paper bin's included,
+        // and another rule's marker does not excuse a sleep.
+        (DEMO, SLEEPS, &[(2, BareSleep), (5, BareSleep)]),
+        (FIGURES, SLEEPS, &[(2, BareSleep), (5, BareSleep)]),
+        (DEMO, "fn f() {\n    thread::sleep(left.min(CLAMP)); // lint:allow(bare-sleep)\n}\n", &[]),
+        (
+            DEMO,
+            "#[cfg(test)]\nmod tests {\n    fn t() { thread::sleep(Duration::from_millis(1)); }\n}\n",
+            &[],
+        ),
+        (
+            DEMO,
+            "fn f() {\n    thread::sleep(TICK); // lint:allow(deadline-io)\n}\n",
+            &[(2, BareSleep)],
+        ),
+        // The accept-and-sleep poll loop: nonblocking mode is no deadline
+        // story for the `accept`, in any crate.
+        (DEMO, POLL, &[(2, AcceptPoll), (4, DeadlineIo)]),
+        (FIGURES, POLL, &[(2, AcceptPoll), (4, DeadlineIo)]),
+        (DEMO, "fn f(s: &TcpStream) {\n    s.set_nonblocking(false).ok();\n}\n", &[]),
+        (
+            DEMO,
+            "#[cfg(test)]\nmod tests {\n    fn t(l: &TcpListener) { l.set_nonblocking(true).unwrap(); }\n}\n",
+            &[],
+        ),
+        // The sans-IO cores name no I/O, thread, clock or simulator, in
+        // test code too, and get no sleep allowance.
+        (
+            "crates/nexus-proxy/src/core.rs",
+            CORE_DIRTY,
+            &[(2, CorePurity), (3, CorePurity), (6, CorePurity), (7, CorePurity), (7, CorePurity)],
+        ),
+        ("crates/nexus-proxy/src/core/outer.rs", "use firewall::vnet::VNet;\n", &[(1, CorePurity)]),
+        (
+            "crates/nexus-proxy/src/core/inner.rs",
+            "use std::time::Duration;\nfn step(now: u64) -> u64 { now }\n",
+            &[],
+        ),
+        (
+            "crates/nexus-proxy/src/core/retry.rs",
+            "use std::time::{Duration, Instant};\n",
+            &[(1, CorePurity)],
+        ),
+        (
+            "crates/knapsack/src/sched.rs",
+            "use gridmpi::Comm;\nuse crate::instance::Instance;\n",
+            &[(1, CorePurity)],
+        ),
+        // The same names outside the cores are nobody's business.
+        ("crates/nexus-proxy/src/outer.rs", CORE_DIRTY, &[]),
+        ("crates/knapsack/src/par.rs", "use gridmpi::Comm;\n", &[]),
+        // A client driver grows no ladder; nobody but stripe.rs opens a
+        // lane, and the owners may say all of it.
+        ("crates/nexus-proxy/src/sim/client.rs", LADDER, &[(2, ClientPlane), (5, ClientPlane)]),
+        ("crates/gridmpi/src/comm.rs", LANE, &[(1, ClientPlane)]),
+        ("crates/nexus-proxy/src/core/client.rs", LADDER, &[]),
+        (STRIPE, LANE, &[]),
+        ("crates/wacs-check/src/stripe.rs", LADDER, &[]),
+        ("crates/wacs-check/src/shard.rs", LANE, &[(1, ClientPlane)]),
+        // A knapsack driver neither branches nor sheds on its own.
+        ("crates/knapsack/src/sim.rs", SCHED_DRIVER, &[(2, SchedPlane), (5, SchedPlane)]),
+        ("crates/knapsack/src/par.rs", "fn f() { s.work(inst); }\n", &[]),
+        ("crates/knapsack/src/sched.rs", SCHED_DRIVER, &[]),
+        ("crates/knapsack/src/seq.rs", SCHED_DRIVER, &[]),
+        // Backoff arithmetic reads a policy's pacing fields; setting them
+        // is fine, and netsim's retransmit is not a `RetryPolicy`.
+        (
+            "crates/nexus-proxy/src/sim/client.rs",
+            RETRY_CALLER,
+            &[(3, RetryPlane), (5, RetryPlane), (7, RetryPlane)],
+        ),
+        (
+            "crates/rmf/src/qsys.rs",
+            RETRY_CALLER,
+            &[(3, RetryPlane), (5, RetryPlane), (7, RetryPlane)],
+        ),
+        ("crates/nexus-proxy/src/core/retry.rs", RETRY_CALLER, &[]),
+        ("crates/netsim/src/engine.rs", RETRY_CALLER, &[]),
+        // A pooled server starts only named threads: line 5's marker
+        // gives no reason. The pool itself spawns; so may a file without
+        // a pool.
+        (
+            "crates/nexus-proxy/src/outer.rs",
+            SPAWN_FAILING,
+            &[(3, DaemonSpawn), (5, DaemonSpawn), (6, DaemonSpawn)],
+        ),
+        (PUMP, SPAWN_PASSING, &[]),
+        (
+            "crates/nexus/src/endpoint.rs",
+            SPAWN_FAILING,
+            &[(3, DaemonSpawn), (5, DaemonSpawn), (6, DaemonSpawn)],
+        ),
+        ("crates/rmf/src/wire.rs", SPAWN_PASSING, &[]),
+        ("crates/nexus-proxy/src/workers.rs", SPAWN_FAILING, &[]),
+        ("crates/rmf/src/gatekeeper.rs", SPAWN_FAILING, &[]),
+    ];
 
-    #[test]
-    fn bare_atomic_counter_allows_marked_non_metric_uses() {
-        // ID generators and the like may stay atomic when marked.
-        let src = "\
-struct G {
-    next_id: AtomicU64, // lint:allow(bare-atomic-counter)
+    const CORE_DIRTY: &str = "
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
+// Durations are fine; so is the word Instant in a comment.
+fn step(now: u64) {
+    let _ = netsim::SimTime(now);
+    std::thread::sleep(Duration::from_millis(1)); // lint:allow(bare-sleep)
 }
 ";
-        assert!(rules_hit("crates/demo/src/lib.rs", src).is_empty());
-        // Test code may fabricate atomics freely.
-        let test = "#[cfg(test)]\nmod tests {\n    fn t() { let _ = AtomicU64::new(0); }\n}\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", test).is_empty());
-    }
 
-    #[test]
-    fn port_literals_flagged_outside_definition_sites() {
-        let src = "fn f() -> u16 { 5678 }\n";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", src),
-            vec![(1, Rule::PortLiteral)]
-        );
-        assert!(rules_hit("crates/firewall/src/lib.rs", src).is_empty());
-        // Substrings of larger numbers don't count.
-        assert!(rules_hit("crates/demo/src/lib.rs", "const X: u32 = 15678;\n").is_empty());
-        assert!(rules_hit("crates/demo/src/lib.rs", "const X: f64 = 5678.5;\n").is_empty());
-    }
-
-    #[test]
-    fn todo_and_unimplemented_flagged_even_in_tests() {
-        let src =
-            "#[cfg(test)]\nmod tests {\n    fn t() { todo!() }\n}\nfn g() { unimplemented!() }\n";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", src),
-            vec![(3, Rule::Todo), (5, Rule::Todo)]
-        );
-    }
-
-    #[test]
-    fn lint_allow_suppresses_named_rule_only() {
-        let src = "fn f(v: Option<u32>) -> u32 {\n    v.unwrap() // lint:allow(unwrap-panic)\n}\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", src).is_empty());
-        let wrong = "fn f(v: Option<u32>) -> u32 {\n    v.unwrap() // lint:allow(std-sync)\n}\n";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", wrong),
-            vec![(2, Rule::UnwrapPanic)]
-        );
-    }
-
-    #[test]
-    fn lint_allow_works_from_an_adjacent_comment_line() {
-        // rustfmt floats long trailing comments onto their own line;
-        // a comment-only marker directly above or below still counts.
-        let above =
-            "fn f(v: Option<u32>) -> u32 {\n    // lint:allow(unwrap-panic)\n    v.unwrap()\n}\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", above).is_empty());
-        let below =
-            "fn f(v: Option<u32>) -> u32 {\n    v.unwrap()\n    // lint:allow(unwrap-panic)\n}\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", below).is_empty());
-        // A marker on a *code* line above must not bleed downward.
-        let code_above =
-            "fn f(a: Option<u32>, b: Option<u32>) -> u32 {\n    a.unwrap() // lint:allow(unwrap-panic)\n    + b.unwrap()\n}\n";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", code_above),
-            vec![(3, Rule::UnwrapPanic)]
-        );
-    }
-
-    #[test]
-    fn require_unwrap_or_flagged_outside_tests() {
-        // The PR-3 bug class: a required wire field defaulted away.
-        let src = "fn f(r: &Record) -> u64 {\n    r.require_u64(\"count\").unwrap_or(0)\n}\n";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", src),
-            vec![(2, Rule::RequireUnwrapOr)]
-        );
-        // ...including defaulted-by-type.
-        let dflt =
-            "fn f(r: &Record) -> u64 {\n    r.require_u64(\"count\").unwrap_or_default()\n}\n";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", dflt),
-            vec![(2, Rule::RequireUnwrapOr)]
-        );
-        // Handling the error is the fix, and is clean.
-        let ok = "fn f(r: &Record) -> io::Result<u64> {\n    Ok(r.require_u64(\"count\")?)\n}\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", ok).is_empty());
-        // Test code may fabricate defaults freely.
-        let test = "#[cfg(test)]\nmod tests {\n    fn t(r: &Record) -> u64 { r.require_u64(\"count\").unwrap_or(0) }\n}\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", test).is_empty());
-    }
-
-    #[test]
-    fn deadline_io_flags_blocking_calls_without_timeout_evidence() {
-        let src = "\
-fn f(s: &mut TcpStream) -> io::Result<()> {
-    let mut buf = [0u8; 4];
-    s.read_exact(&mut buf)?;
-    Ok(())
+    const LADDER: &str = "
+use crate::shard::ShardRouter;
+// CircuitBreaker in a comment is fine.
+fn pick(r: &mut Router) -> Option<usize> {
+    r.route_from(0, 0, &[])
 }
-fn g(l: &TcpListener) {
-    let _ = l.accept();
-}
-";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", src),
-            vec![(3, Rule::DeadlineIo), (7, Rule::DeadlineIo)]
-        );
-    }
-
-    #[test]
-    fn deadline_io_accepts_timeout_evidence_or_marker() {
-        // A file that sets a read timeout anywhere has a deadline story.
-        let with_timeout = "\
-fn f(s: &mut TcpStream) -> io::Result<()> {
-    s.set_read_timeout(Some(TIMEOUT))?;
-    let mut buf = [0u8; 4];
-    s.read_exact(&mut buf)?;
-    Ok(())
-}
-";
-        assert!(rules_hit("crates/demo/src/lib.rs", with_timeout).is_empty());
-        // Deliberate blocking sites are marked.
-        let marked = "\
-fn f(s: &mut TcpStream) -> io::Result<()> {
-    let mut buf = [0u8; 4];
-    s.read_exact(&mut buf)?; // lint:allow(deadline-io)
-    Ok(())
-}
-";
-        assert!(rules_hit("crates/demo/src/lib.rs", marked).is_empty());
-        // Test code may block freely.
-        let test = "#[cfg(test)]\nmod tests {\n    fn t(s: &mut TcpStream) { s.read_exact(&mut [0; 4]).unwrap(); }\n}\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", test).is_empty());
-    }
-
-    #[test]
-    fn hot_path_alloc_flagged_only_in_data_plane_files() {
-        let src = "fn f(chunk: usize) {\n    let _buf = vec![0u8; chunk];\n}\n";
-        for path in super::HOT_PATH_FILES {
-            assert_eq!(
-                rules_hit(path, src),
-                vec![(2, Rule::HotPathAlloc)],
-                "{path}"
-            );
-        }
-        // Everywhere else a zeroed vec is unremarkable.
-        assert!(rules_hit("crates/demo/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn hot_path_alloc_flags_chunk_copies() {
-        let src = "fn frame(payload: &[u8]) -> Vec<u8> {\n    payload[..8].to_vec()\n}\n";
-        for path in super::HOT_PATH_FILES {
-            assert_eq!(
-                rules_hit(path, src),
-                vec![(2, Rule::HotPathAlloc)],
-                "{path}"
-            );
-        }
-        assert!(rules_hit("crates/demo/src/lib.rs", src).is_empty());
-        let marked = "fn out(p: &[u8]) -> Vec<u8> {\n    // lint:allow(hot-path-alloc) copied out on request\n    p.to_vec()\n}\n";
-        assert!(rules_hit("crates/nexus-proxy/src/stripe.rs", marked).is_empty());
-    }
-
-    #[test]
-    fn hot_path_alloc_escape_hatch_and_test_exemption() {
-        let marked =
-            "fn f(n: usize) {\n    let _b = vec![0u8; n]; // lint:allow(hot-path-alloc)\n}\n";
-        assert!(rules_hit("crates/nexus-proxy/src/pool.rs", marked).is_empty());
-        let test = "#[cfg(test)]\nmod tests {\n    fn t() { let _ = vec![0u8; 16]; }\n}\n";
-        assert!(rules_hit("crates/nexus-proxy/src/pump.rs", test).is_empty());
-    }
-
-    #[test]
-    fn bare_sleep_flagged_in_library_code() {
-        let src = "fn f() {\n    std::thread::sleep(Duration::from_millis(5));\n}\nfn g() {\n    thread::sleep(TICK);\n}\n";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", src),
-            vec![(2, Rule::BareSleep), (5, Rule::BareSleep)]
-        );
-        // No crate is exempt, the paper bin's included.
-        assert_eq!(
-            rules_hit("crates/bench/src/figures.rs", src),
-            vec![(2, Rule::BareSleep), (5, Rule::BareSleep)]
-        );
-    }
-
-    #[test]
-    fn bare_sleep_escape_hatch_and_test_exemption() {
-        let marked = "fn f() {\n    thread::sleep(left.min(CLAMP)); // lint:allow(bare-sleep)\n}\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", marked).is_empty());
-        let test = "#[cfg(test)]\nmod tests {\n    fn t() { thread::sleep(Duration::from_millis(1)); }\n}\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", test).is_empty());
-        // A different rule's marker does not excuse the sleep.
-        let wrong = "fn f() {\n    thread::sleep(TICK); // lint:allow(deadline-io)\n}\n";
-        assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", wrong),
-            vec![(2, Rule::BareSleep)]
-        );
-    }
-
-    /// The loop this rule keeps from coming back: a nonblocking
-    /// listener polled on a sleep. No crate is exempt, the sleep's own
-    /// marker does not excuse it, and nonblocking mode no longer counts
-    /// as the file's deadline story for the `accept` itself.
-    #[test]
-    fn accept_poll_flagged_everywhere_but_tests() {
-        let src = "\
-fn serve(l: &TcpListener) {
-    l.set_nonblocking(true).ok();
-    loop {
-        if l.accept().is_err() {
-            thread::sleep(TICK); // lint:allow(bare-sleep)
-        }
-    }
-}
-";
-        for path in ["crates/demo/src/lib.rs", "crates/bench/src/figures.rs"] {
-            assert_eq!(
-                rules_hit(path, src),
-                vec![(2, Rule::AcceptPoll), (4, Rule::DeadlineIo)],
-                "{path}"
-            );
-        }
-        // Handing a socket back to blocking mode is not a poll.
-        let blocking = "fn f(s: &TcpStream) {\n    s.set_nonblocking(false).ok();\n}\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", blocking).is_empty());
-        let test = "#[cfg(test)]\nmod tests {\n    fn t(l: &TcpListener) { l.set_nonblocking(true).unwrap(); }\n}\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", test).is_empty());
-    }
-
-    #[test]
-    fn macro_name_must_match_exactly() {
-        let src = "fn f() { dont_panic!(); my_todo!(); }\n";
-        assert!(rules_hit("crates/demo/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn nested_test_mod_unwinds_correctly() {
-        // After the test mod closes, violations count again.
-        let src = "\
 #[cfg(test)]
 mod tests {
-    fn t() { x().unwrap(); }
-}
-
-pub fn late(v: Option<u32>) -> u32 {
-    v.unwrap()
+    fn t() { let _ = StripeFrame::Open { transfer: 1 }; }
 }
 ";
+
+    const LANE: &str = "fn blast() { send(StripeFrame::Open { transfer: 1 }); }\n";
+
+    const SCHED_DRIVER: &str = "
+use crate::node::branch_once;
+// back_send_count in a comment is fine.
+fn on_work(s: &mut Slave) {
+    let take = back_send_count(&stack, n, effective_back_threshold(&p), 4);
+}
+#[cfg(test)]
+mod tests {
+    fn t() { branch_once(); }
+}
+";
+
+    const RETRY_CALLER: &str = "
+fn delay(p: &RetryPolicy, n: u32) -> Option<u64> {
+    let base = p.base_backoff.as_nanos() as u64;
+    // p.max_backoff in a comment is fine; so is setting the fields.
+    if n >= p.max_attempts { return None; }
+    let _ = RetryPolicy { max_attempts: 1, ..RetryPolicy::DEFAULT };
+    Some(base.min(p.max_backoff.as_nanos() as u64))
+}
+#[cfg(test)]
+mod tests {
+    fn t(p: RetryPolicy) -> u32 { p.max_attempts }
+}
+";
+
+    const SPAWN_FAILING: &str = "
+fn serve(d: &Daemon) {
+    thread::spawn(move || handle(d));
+    // lint:allow(daemon-spawn)
+    std::thread::spawn(move || reap(d));
+    let t = thread::Builder::new().spawn(move || pump(d));
+}
+#[cfg(test)]
+mod tests {
+    fn t() { std::thread::spawn(|| ()); }
+}
+";
+
+    const SPAWN_PASSING: &str = "
+fn serve(d: &Daemon) {
+    // lint:allow(daemon-spawn) the accept loop, joined on drop
+    threads.push(thread::spawn(move || accept(d)));
+    let r = thread::spawn(move || reap(d)); // lint:allow(daemon-spawn) the reaper
+    d.on_worker(move |d| handle(&d));
+}
+";
+
+    #[test]
+    fn every_row_flags_its_spellings_where_it_judges() {
+        for (i, (path, src, want)) in CASES.iter().enumerate() {
+            assert_eq!(hits(path, src), *want, "case {i}: {path}\n{src}");
+        }
+    }
+
+    #[test]
+    fn findings_name_the_first_spelling_a_line_matches() {
+        let mut out = Vec::new();
+        let src = "fn f() -> u16 { 2119 + 911 }\nfn g(p: &P) { p.max_attempts }\n";
+        check(&Source::new(DEMO, src.to_string()), &mut out);
+        let messages: Vec<&str> = out.iter().map(|v| v.message.as_str()).collect();
         assert_eq!(
-            rules_hit("crates/demo/src/lib.rs", src),
-            vec![(7, Rule::UnwrapPanic)]
+            messages,
+            [
+                "raw well-known port 911; name the constant",
+                "reads `max_attempts` of a retry policy: backoff and give-up belong to \
+                 core/retry.rs (drive `Retry`)",
+            ]
         );
+    }
+
+    #[test]
+    fn spellings_match_across_spaces_but_edges_only_on_tokens() {
+        let line = |code: &str| {
+            let src = Source::new(DEMO, code.to_string());
+            let l = &src.lines[1];
+            (l.code.clone(), l.bounds.clone())
+        };
+        for (code, spelling, want) in [
+            ("x . unwrap ( )", ".unwrap()", true),
+            ("return panic!()", " panic!", true),
+            ("dont_panic!()", " panic!", false),
+            ("[0x5678, 5678u16, 5678.0]", " 5678 ", false),
+            ("(5678)", " 5678 ", true),
+            (
+                "r.require_u64(k).unwrap_or(0)",
+                "require_u64(….unwrap_or",
+                true,
+            ),
+            (
+                "x.unwrap_or(r.require_u64(k)?)",
+                "require_u64(….unwrap_or",
+                false,
+            ),
+            (
+                "x.unwrap_or(r.require_u64(k)?)",
+                ".unwrap_or…require_u64(",
+                true,
+            ),
+        ] {
+            let (code_text, bounds) = line(code);
+            assert_eq!(
+                occurs(&code_text, &bounds, spelling),
+                want,
+                "{code} / {spelling}"
+            );
+        }
     }
 }

@@ -1,8 +1,9 @@
-//! Workspace-level rules: analyses that need the whole file set (or
-//! files outside the library walk) rather than one file at a time.
+//! The rules that relate several sites, and the workspace pass that
+//! runs every rule.
 //!
-//! Eleven rules live here, all built on the token stream from
-//! [`crate::lexer`]:
+//! In [`analyze_workspace`] each library file arrives as a [`Source`],
+//! lexed once, and goes through the spelling table ([`rules::check`])
+//! and then through the six rules below, which no row can express:
 //!
 //! * **`lock-order`** — a static lock-order graph over every
 //!   `wacs_sync::Ordered{Mutex,RwLock}` acquisition site. Each
@@ -25,36 +26,6 @@
 //!   the malformed-frame fuzz sweep in `tests/transparency.rs`
 //!   (`random_msgs` builds one of each; a new variant that skips the
 //!   sweep is a decode path no fuzzing hits).
-//! * **`core-purity`** — the proxy's decision core
-//!   (`nexus-proxy/src/core.rs` or `core/`) and the knapsack scheduler
-//!   (`knapsack/src/sched.rs`) are sans-IO by contract: a real and a
-//!   sim driver (and, for the proxy, the model checker) run them. They
-//!   may not name `std::net`, `std::thread`, `Instant`/`SystemTime`,
-//!   `netsim`, `gridmpi`, `firewall::vnet`, locks or atomics, and get
-//!   no `lint:allow(bare-sleep)`.
-//! * **`client-plane`** — the client control plane and the stripe-lane
-//!   sender each exist once (`core/client.rs`, `stripe.rs`). Their
-//!   drivers (`client.rs`, `sim/client.rs`, `sim/stripe.rs`,
-//!   `gridmpi/src/comm.rs`) may not name `ShardRouter`,
-//!   `CircuitBreaker` or `route_from`, and no non-test code outside
-//!   `stripe.rs` spells `StripeFrame::Open {`.
-//! * **`sched-plane`** — the knapsack scheduler exists once
-//!   (`knapsack/src/sched.rs`). Its drivers (`par.rs`, `sim.rs`) may
-//!   not name `branch_once`, `back_send_count` or
-//!   `effective_back_threshold`.
-//! * **`retry-plane`** — backoff and give-up arithmetic exist once
-//!   (`nexus-proxy/src/core/retry.rs`). No other non-test code reads a
-//!   `RetryPolicy`'s `base_backoff`, `max_backoff` or `max_attempts`;
-//!   a caller asks `Retry` when the next attempt starts.
-//! * **`daemon-spawn`** — per-connection threads come from one place,
-//!   the owner's parked workers (`nexus-proxy/src/workers.rs`): a relay's
-//!   on the proxy daemons, an attachment's reader on a nexus endpoint, a
-//!   request connection's handler on an RMF record server. No non-test
-//!   `thread::spawn` in `nexus-proxy/src/{outer,inner,wire,pump}.rs`,
-//!   `nexus/src/endpoint.rs` or `rmf/src/wire.rs` except the named
-//!   long-lived threads (accept loops, reaper, heartbeat), each marked
-//!   `lint:allow(daemon-spawn)` with a reason on its line or the comment
-//!   line above or below.
 //! * **`orphan-module`** — every `*.rs` under a crate's `src/` (and the
 //!   root `src/`) is reached from that directory's `lib.rs`/`main.rs`
 //!   through `mod` declarations (inline `mod x { mod y; }` nesting
@@ -80,9 +51,9 @@
 //!   A header parsed from a slice already in memory is not a stream
 //!   read and is left alone.
 
-use crate::lexer::{lex, string_content, Token, TokenKind};
-use crate::rules::{test_region_lines, Rule, Violation};
-use crate::{mask, scan};
+use crate::lexer::{string_content, Source, Token, TokenKind};
+use crate::rules::{self, Rule, Violation};
+use crate::scan;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -104,14 +75,15 @@ pub struct WsReport {
     pub frame_variants: usize,
 }
 
-/// Run every workspace rule. `files` are `(workspace-relative path,
-/// source)` pairs for the library walk; `experiments` is the text of
-/// EXPERIMENTS.md, `fuzz_sweep` the text of the transparency fuzz
-/// test (either may be absent in a pruned checkout — rules that need
-/// a missing anchor file report that instead of guessing).
+/// Run every rule. `files` is the library walk; `callers` the test,
+/// example and benchmark sources whose mentions count for
+/// `unused-pub`; `experiments` is the text of EXPERIMENTS.md,
+/// `fuzz_sweep` the text of the transparency fuzz test (either may be
+/// absent in a pruned checkout — rules that need a missing anchor file
+/// report that instead of guessing).
 pub fn analyze_workspace(
-    files: &[(String, String)],
-    callers: &[(String, String)],
+    files: &[Source],
+    callers: &[Source],
     experiments: Option<&str>,
     fuzz_sweep: Option<&str>,
 ) -> WsReport {
@@ -119,21 +91,20 @@ pub fn analyze_workspace(
     let mut graph = LockGraph::default();
     let mut metric_keys = 0usize;
 
-    for (path, source) in files {
-        let toks = code_tokens(source);
-        graph.scan_file(path, source, &toks);
-        if !COUNTER_SCHEMA_EXEMPT.iter().any(|p| path.starts_with(p)) {
-            metric_keys += check_counter_schema(path, source, &toks, experiments, &mut violations);
+    for src in files {
+        rules::check(src, &mut violations);
+        let toks = src.code();
+        graph.scan_file(&src.path, &src.text, &toks);
+        if !COUNTER_SCHEMA_EXEMPT
+            .iter()
+            .any(|p| src.path.starts_with(p))
+        {
+            metric_keys += check_counter_schema(src, &toks, experiments, &mut violations);
         }
     }
     graph.report_cycles(&mut violations);
 
     let frame_variants = check_frame_coverage(files, fuzz_sweep, &mut violations);
-    check_core_purity(files, &mut violations);
-    check_client_plane(files, &mut violations);
-    check_sched_plane(files, &mut violations);
-    check_retry_plane(files, &mut violations);
-    check_daemon_spawn(files, &mut violations);
     check_orphan_modules(files, &mut violations);
     check_unused_pub(files, callers, &mut violations);
     check_frame_plane(files, &mut violations);
@@ -149,7 +120,7 @@ pub fn analyze_workspace(
 
 /// Convenience for `main`: read the two anchor files and the caller
 /// sources relative to the workspace root and run the pass.
-pub fn analyze_root(root: &Path, files: &[(String, String)]) -> std::io::Result<WsReport> {
+pub fn analyze_root(root: &Path, files: &[Source]) -> std::io::Result<WsReport> {
     let experiments = std::fs::read_to_string(root.join("EXPERIMENTS.md")).ok();
     let fuzz = std::fs::read_to_string(root.join("crates/nexus-proxy/tests/transparency.rs")).ok();
     let callers = relative_sources(root, scan::caller_sources(root))?;
@@ -161,17 +132,13 @@ pub fn analyze_root(root: &Path, files: &[(String, String)]) -> std::io::Result<
     ))
 }
 
-/// Load the library file set for `root` in the shape this module
-/// wants.
-pub fn load_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+/// The library file set for `root`, each file lexed once.
+pub fn load_files(root: &Path) -> std::io::Result<Vec<Source>> {
     relative_sources(root, scan::library_sources(root))
 }
 
-/// `(workspace-relative path, source)` for each of `paths`.
-fn relative_sources(
-    root: &Path,
-    paths: Vec<std::path::PathBuf>,
-) -> std::io::Result<Vec<(String, String)>> {
+/// Each of `paths` read and lexed, under its workspace-relative path.
+fn relative_sources(root: &Path, paths: Vec<std::path::PathBuf>) -> std::io::Result<Vec<Source>> {
     let mut out = Vec::new();
     for path in paths {
         let rel = path
@@ -179,20 +146,9 @@ fn relative_sources(
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        out.push((rel, std::fs::read_to_string(&path)?));
+        out.push(Source::new(&rel, std::fs::read_to_string(&path)?));
     }
     Ok(out)
-}
-
-/// Non-trivia tokens outside `#[cfg(test)]` regions, in source order.
-fn code_tokens(source: &str) -> Vec<Token> {
-    let masked = mask::mask(source);
-    let test_lines = test_region_lines(&masked.code);
-    lex(source)
-        .into_iter()
-        .filter(|t| !t.kind.is_trivia())
-        .filter(|t| !test_lines.get(t.line - 1).copied().unwrap_or(false))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -506,12 +462,12 @@ fn is_punct(t: Option<&Token>, source: &str, what: &str) -> bool {
 /// Check every metric registration in one file against the schema
 /// text; returns how many keys were checked.
 fn check_counter_schema(
-    path: &str,
-    source: &str,
+    src: &Source,
     toks: &[Token],
     experiments: Option<&str>,
     out: &mut Vec<Violation>,
 ) -> usize {
+    let (path, source) = (&src.path, src.text.as_str());
     let mut keys: Vec<(String, usize)> = Vec::new();
 
     // Helper closures: `let c = |n…| …registry.counter(…)…;` — calls
@@ -658,7 +614,7 @@ const FRAME_ENUMS: &[(&str, &str, &str)] = &[
 /// Every frame-enum variant must appear as `Enum::Variant` in the
 /// fuzz sweep. Returns the total variant count across frame enums.
 fn check_frame_coverage(
-    files: &[(String, String)],
+    files: &[Source],
     fuzz_sweep: Option<&str>,
     out: &mut Vec<Violation>,
 ) -> usize {
@@ -672,18 +628,17 @@ fn check_frame_coverage(
 /// `enum_name::Variant` by the sweep — against the sweep. Returns the
 /// variant count (0 when the file is absent from the walk).
 fn check_enum_coverage(
-    files: &[(String, String)],
+    files: &[Source],
     fuzz_sweep: Option<&str>,
     path: &str,
     decl: &str,
     enum_name: &str,
     out: &mut Vec<Violation>,
 ) -> usize {
-    let Some((_, source)) = files.iter().find(|(p, _)| p == path) else {
+    let Some(src) = files.iter().find(|s| s.path == path) else {
         return 0;
     };
-    let toks = code_tokens(source);
-    let variants = enum_variants(source, &toks, decl);
+    let variants = enum_variants(&src.text, &src.code(), decl);
     let Some(sweep) = fuzz_sweep else {
         if !variants.is_empty() {
             out.push(Violation {
@@ -796,10 +751,7 @@ fn enum_variants(source: &str, toks: &[Token], name: &str) -> Vec<(String, usize
 
 /// All `<name>::X` paths mentioned in a source text.
 fn enum_paths(source: &str, name: &str) -> BTreeSet<String> {
-    let toks: Vec<Token> = lex(source)
-        .into_iter()
-        .filter(|t| !t.kind.is_trivia())
-        .collect();
+    let toks = Source::new("", source.to_string()).toks;
     let mut out = BTreeSet::new();
     for i in 0..toks.len() {
         if toks[i].kind == TokenKind::Ident
@@ -813,276 +765,6 @@ fn enum_paths(source: &str, name: &str) -> BTreeSet<String> {
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// core-purity
-// ---------------------------------------------------------------------------
-
-/// The sans-IO cores: the proxy's `core.rs` or anything under `core/`,
-/// and the knapsack scheduler.
-fn is_core_file(path: &str) -> bool {
-    path == "crates/nexus-proxy/src/core.rs"
-        || path.starts_with("crates/nexus-proxy/src/core/")
-        || path == SCHED_CORE
-}
-
-/// Code spellings the core may not contain, with what each would let
-/// in. Matched against each line's code tokens joined without spaces.
-const CORE_FORBIDDEN: &[(&str, &str)] = &[
-    ("std::net", "sockets"),
-    ("TcpStream", "sockets"),
-    ("TcpListener", "sockets"),
-    ("std::thread", "threads"),
-    ("thread::", "threads"),
-    ("Instant", "a wall clock (callers pass `now`)"),
-    ("SystemTime", "a wall clock (callers pass `now`)"),
-    ("netsim", "the simulator"),
-    ("gridmpi", "the message-passing layer"),
-    ("vnet", "the firewall-guarded socket layer"),
-    (
-        "OrderedMutex",
-        "a lock (each driver wraps the core in one of its own)",
-    ),
-    (
-        "Mutex",
-        "a lock (each driver wraps the core in one of its own)",
-    ),
-    ("atomic", "atomics (each driver wraps the core in one lock)"),
-];
-
-/// The core module must stay runnable by every driver and by the
-/// model checker: no I/O, thread, clock or simulator names, and no
-/// sleep allowance.
-fn check_core_purity(files: &[(String, String)], out: &mut Vec<Violation>) {
-    for (path, source) in files.iter().filter(|(p, _)| is_core_file(p)) {
-        let toks = lex(source).into_iter().filter(|t| !t.kind.is_trivia());
-        for (line, code) in &code_lines(source, toks) {
-            // One report per line: the first spelling that matches.
-            if let Some((needle, what)) = CORE_FORBIDDEN.iter().find(|(n, _)| code.contains(n)) {
-                out.push(Violation {
-                    path: path.clone(),
-                    line: *line,
-                    rule: Rule::CorePurity,
-                    message: format!("the sans-IO core names `{needle}`: that is {what}"),
-                });
-            }
-        }
-        for (i, text) in source.lines().enumerate() {
-            if text.contains("lint:allow(bare-sleep)") {
-                out.push(Violation {
-                    path: path.clone(),
-                    line: i + 1,
-                    rule: Rule::CorePurity,
-                    message: "the sans-IO core gets no lint:allow(bare-sleep): it never sleeps"
-                        .to_string(),
-                });
-            }
-        }
-    }
-}
-
-/// Each line's identifier and punctuation tokens joined without
-/// spaces: what the spelling rules match against.
-fn code_lines(source: &str, toks: impl Iterator<Item = Token>) -> BTreeMap<usize, String> {
-    let mut lines: BTreeMap<usize, String> = BTreeMap::new();
-    for t in toks {
-        if matches!(t.kind, TokenKind::Ident | TokenKind::Punct) {
-            lines.entry(t.line).or_default().push_str(t.text(source));
-        }
-    }
-    lines
-}
-
-// ---------------------------------------------------------------------------
-// client-plane
-// ---------------------------------------------------------------------------
-
-/// Drivers of the client core and users of the lane sender.
-const CLIENT_DRIVERS: &[&str] = &[
-    "crates/nexus-proxy/src/client.rs",
-    "crates/nexus-proxy/src/sim/client.rs",
-    "crates/nexus-proxy/src/sim/stripe.rs",
-    "crates/gridmpi/src/comm.rs",
-];
-
-/// What a driver would name to grow a ladder of its own.
-const LADDER_SPELLINGS: &[&str] = &["ShardRouter", "CircuitBreaker", "route_from"];
-
-/// The one file that spells out a lane's frame sequence.
-const LANE_SENDER: &str = "crates/nexus-proxy/src/stripe.rs";
-
-/// The fleet ladder lives in `core/client.rs` and the lane sequence in
-/// `stripe.rs`; a second copy starts with one of these spellings.
-fn check_client_plane(files: &[(String, String)], out: &mut Vec<Violation>) {
-    for (path, source) in files {
-        let driver = CLIENT_DRIVERS.contains(&path.as_str());
-        for (line, code) in &code_lines(source, code_tokens(source).into_iter()) {
-            let ladder = LADDER_SPELLINGS.iter().find(|n| code.contains(*n));
-            if let Some(needle) = ladder.filter(|_| driver) {
-                out.push(Violation {
-                    path: path.clone(),
-                    line: *line,
-                    rule: Rule::ClientPlane,
-                    message: format!(
-                        "a client driver names `{needle}`: shard choice and breakers \
-                         belong to core/client.rs"
-                    ),
-                });
-            }
-            if path != LANE_SENDER && code.contains("StripeFrame::Open{") {
-                out.push(Violation {
-                    path: path.clone(),
-                    line: *line,
-                    rule: Rule::ClientPlane,
-                    message: "`StripeFrame::Open {` outside stripe.rs: walk \
-                              `StripePlan::lane_frames` instead of a second lane loop"
-                        .to_string(),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// sched-plane
-// ---------------------------------------------------------------------------
-
-/// The knapsack scheduler's one home.
-const SCHED_CORE: &str = "crates/knapsack/src/sched.rs";
-
-/// Its drivers.
-const SCHED_DRIVERS: &[&str] = &["crates/knapsack/src/par.rs", "crates/knapsack/src/sim.rs"];
-
-/// What a driver would name to branch or return surplus on its own.
-const SCHED_SPELLINGS: &[&str] = &["branch_once", "back_send_count", "effective_back_threshold"];
-
-/// Batching and back-pressure live in `sched.rs`; a driver that names
-/// one of these has started a second scheduler.
-fn check_sched_plane(files: &[(String, String)], out: &mut Vec<Violation>) {
-    for (path, source) in files {
-        if !SCHED_DRIVERS.contains(&path.as_str()) {
-            continue;
-        }
-        for (line, code) in &code_lines(source, code_tokens(source).into_iter()) {
-            if let Some(needle) = SCHED_SPELLINGS.iter().find(|n| code.contains(*n)) {
-                out.push(Violation {
-                    path: path.clone(),
-                    line: *line,
-                    rule: Rule::SchedPlane,
-                    message: format!(
-                        "a knapsack driver names `{needle}`: scheduling decisions \
-                         belong to knapsack/src/sched.rs"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// retry-plane
-// ---------------------------------------------------------------------------
-
-/// The one home of backoff and give-up arithmetic.
-const RETRY_CORE: &str = "crates/nexus-proxy/src/core/retry.rs";
-
-/// Crates below `nexus-proxy` in the dependency graph cannot hold a
-/// `RetryPolicy`; netsim's transport retransmit has a `max_attempts`
-/// of its own.
-const RETRY_EXEMPT: &[&str] = &["crates/netsim/"];
-
-/// Reading one of these is computing a backoff or a give-up.
-const RETRY_FIELDS: &[&str] = &[".base_backoff", ".max_backoff", ".max_attempts"];
-
-/// A file that reads a policy's pacing fields has started a second
-/// retry loop.
-fn check_retry_plane(files: &[(String, String)], out: &mut Vec<Violation>) {
-    for (path, source) in files {
-        if path == RETRY_CORE || RETRY_EXEMPT.iter().any(|p| path.starts_with(p)) {
-            continue;
-        }
-        for (line, code) in &code_lines(source, code_tokens(source).into_iter()) {
-            if let Some(field) = RETRY_FIELDS.iter().find(|n| code.contains(*n)) {
-                out.push(Violation {
-                    path: path.clone(),
-                    line: *line,
-                    rule: Rule::RetryPlane,
-                    message: format!(
-                        "reads `{}` of a retry policy: backoff and give-up belong to \
-                         core/retry.rs (drive `Retry`)",
-                        &field[1..]
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// daemon-spawn
-// ---------------------------------------------------------------------------
-
-/// Files whose per-connection jobs run on `workers.rs`'s parked
-/// threads: the proxy daemons' drivers, the nexus endpoint (one reader
-/// per attachment) and the RMF record server (one handler per request
-/// connection).
-const DAEMON_FILES: &[&str] = &[
-    "crates/nexus-proxy/src/outer.rs",
-    "crates/nexus-proxy/src/inner.rs",
-    "crates/nexus-proxy/src/wire.rs",
-    "crates/nexus-proxy/src/pump.rs",
-    "crates/nexus/src/endpoint.rs",
-    "crates/rmf/src/wire.rs",
-];
-
-/// Ways to start a thread.
-const SPAWN_SPELLINGS: &[&str] = &["thread::spawn", "thread::Builder", "thread::scope"];
-
-/// `lint:allow(<rule>)` followed by a reason.
-fn reasoned(line: &str, rule: Rule) -> bool {
-    line.split_once(&format!("lint:allow({})", rule.name()))
-        .is_some_and(|(_, why)| {
-            !why.trim_matches(|c: char| c.is_whitespace() || c == '—')
-                .is_empty()
-        })
-}
-
-/// A reasoned `rule` marker on 1-based `line` of `lines`, or on a
-/// comment line directly above or below it.
-fn marked(lines: &[&str], line: usize, rule: Rule) -> bool {
-    let text = |i: usize| lines.get(i).copied().unwrap_or("");
-    let comment = |i: usize| text(i).trim_start().starts_with("//") && reasoned(text(i), rule);
-    // `line` counts from 1, `lines` from 0.
-    reasoned(text(line - 1), rule) || (line >= 2 && comment(line - 2)) || comment(line)
-}
-
-/// A thread that is not a worker must be named: a marker with a reason
-/// on its line, or on a comment line directly above or below.
-fn check_daemon_spawn(files: &[(String, String)], out: &mut Vec<Violation>) {
-    for (path, source) in files {
-        if !DAEMON_FILES.contains(&path.as_str()) {
-            continue;
-        }
-        let lines: Vec<&str> = source.lines().collect();
-        for (line, code) in &code_lines(source, code_tokens(source).into_iter()) {
-            let Some(needle) = SPAWN_SPELLINGS.iter().find(|n| code.contains(*n)) else {
-                continue;
-            };
-            if !marked(&lines, *line, Rule::DaemonSpawn) {
-                out.push(Violation {
-                    path: path.clone(),
-                    line: *line,
-                    rule: Rule::DaemonSpawn,
-                    message: format!(
-                        "`{needle}` in a pooled server: run the job on its parked \
-                         `Workers` (`workers.run`, `Daemon::on_worker`), or mark a \
-                         long-lived thread `lint:allow(daemon-spawn)` with a reason"
-                    ),
-                });
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1119,11 +801,8 @@ fn child_dir(path: &str) -> String {
 /// Every out-of-line `mod name;` in `source`, as a path relative to the
 /// file's [`child_dir`]: `mod a { mod b; }` declares `a/b`. Test
 /// regions count (a `#[cfg(test)] mod tests;` is compiled by the tests).
-fn declared_mods(source: &str) -> Vec<String> {
-    let toks: Vec<Token> = lex(source)
-        .into_iter()
-        .filter(|t| !t.kind.is_trivia())
-        .collect();
+fn declared_mods(src: &Source) -> Vec<String> {
+    let (source, toks) = (&src.text, &src.toks);
     let text = |i: usize| toks.get(i).map_or("", |t| t.text(source));
     let is_name = |i: usize| {
         toks.get(i)
@@ -1166,11 +845,8 @@ fn declared_mods(source: &str) -> Vec<String> {
 /// file outside `src/bin/` that the walk never reaches. A `src/` whose
 /// `lib.rs` and `main.rs` are both missing from `files` is a partial
 /// view (a fixture, a pruned checkout) and is not judged.
-fn check_orphan_modules(files: &[(String, String)], out: &mut Vec<Violation>) {
-    let sources: BTreeMap<&str, &str> = files
-        .iter()
-        .map(|(p, s)| (p.as_str(), s.as_str()))
-        .collect();
+fn check_orphan_modules(files: &[Source], out: &mut Vec<Violation>) {
+    let sources: BTreeMap<&str, &Source> = files.iter().map(|s| (s.path.as_str(), s)).collect();
     let mut todo: Vec<&str> = sources
         .keys()
         .copied()
@@ -1191,7 +867,7 @@ fn check_orphan_modules(files: &[(String, String)], out: &mut Vec<Violation>) {
         }
     }
     let rooted: BTreeSet<&str> = reached.iter().filter_map(|p| src_dir(p)).collect();
-    for (path, _) in files {
+    for Source { path, .. } in files {
         let Some(dir) = src_dir(path) else {
             continue;
         };
@@ -1247,18 +923,17 @@ struct Spot {
     in_use: bool,
 }
 
-fn spots(path: &str, source: &str) -> Vec<Spot> {
-    let whole = is_test_file(path);
-    let test_lines = test_region_lines(&mask::mask(source).code);
+fn spots(src: &Source) -> Vec<Spot> {
+    let whole = is_test_file(&src.path);
     let mut in_use = false;
     let mut out = Vec::new();
-    for tok in lex(source).into_iter().filter(|t| !t.kind.is_trivia()) {
-        match tok.text(source) {
+    for &tok in &src.toks {
+        match tok.text(&src.text) {
             "use" if tok.kind == TokenKind::Ident => in_use = true,
             ";" => in_use = false,
             _ => {}
         }
-        let test = whole || test_lines.get(tok.line - 1).copied().unwrap_or(false);
+        let test = whole || src.lines[tok.line].test;
         out.push(Spot { tok, test, in_use });
     }
     out
@@ -1343,19 +1018,15 @@ fn pub_items<'a>(path: &'a str, source: &'a str, spots: &[Spot]) -> Vec<PubItem<
 /// of a crate whose `lib.rs` is in `files`, outside `src/bin/`,
 /// `main.rs` and `xtask`. Mentions are matched by name, so a name
 /// shared with anything else that lives is never flagged.
-fn check_unused_pub(
-    files: &[(String, String)],
-    callers: &[(String, String)],
-    out: &mut Vec<Violation>,
-) {
+fn check_unused_pub(files: &[Source], callers: &[Source], out: &mut Vec<Violation>) {
     let all: Vec<(&str, &str, Vec<Spot>)> = files
         .iter()
         .chain(callers)
-        .map(|(p, s)| (p.as_str(), s.as_str(), spots(p, s)))
+        .map(|s| (s.path.as_str(), s.text.as_str(), spots(s)))
         .collect();
     let library: BTreeSet<&str> = files
         .iter()
-        .filter_map(|(p, _)| p.strip_suffix("src/lib.rs"))
+        .filter_map(|s| s.path.strip_suffix("src/lib.rs"))
         .filter(|dir| dir.starts_with("crates/") && *dir != "crates/xtask/")
         .collect();
     let judged = |path: &str| {
@@ -1406,12 +1077,9 @@ fn check_unused_pub(
             }
         }
     }
-    let sources: BTreeMap<&str, Vec<&str>> = files
-        .iter()
-        .map(|(p, s)| (p.as_str(), s.lines().collect()))
-        .collect();
+    let sources: BTreeMap<&str, &Source> = files.iter().map(|s| (s.path.as_str(), s)).collect();
     for (item, _) in items.iter().zip(&alive).filter(|(_, live)| !**live) {
-        if marked(&sources[item.path], item.line, Rule::UnusedPub) {
+        if sources[item.path].marked(item.line, Rule::UnusedPub.name(), true) {
             continue;
         }
         out.push(Violation {
@@ -1438,13 +1106,10 @@ const FRAME_CODEC: &str = "crates/nexus-proxy/src/frame.rs";
 /// A `read_exact` into a 4-byte buffer that is later handed to
 /// `u32::from_be_bytes` reads a length prefix: outside `frame.rs` that
 /// is a second frame reader.
-fn check_frame_plane(files: &[(String, String)], out: &mut Vec<Violation>) {
-    for (path, source) in files {
-        if path == FRAME_CODEC {
-            continue;
-        }
-        let toks = code_tokens(source);
-        let text: Vec<&str> = toks.iter().map(|t| t.text(source)).collect();
+fn check_frame_plane(files: &[Source], out: &mut Vec<Violation>) {
+    for src in files.iter().filter(|s| s.path != FRAME_CODEC) {
+        let toks = src.code();
+        let text: Vec<&str> = toks.iter().map(|t| t.text(&src.text)).collect();
         let at = |i: usize, want: &[&str]| text.get(i..i + want.len()) == Some(want);
         // `let mut b = [0u8; 4]`, `[0; 4]` or `let mut b: [u8; 4]`.
         let quads: BTreeSet<&str> = (0..text.len())
@@ -1468,7 +1133,7 @@ fn check_frame_plane(files: &[(String, String)], out: &mut Vec<Violation>) {
             };
             if read && quads.contains(buf) && parsed() {
                 out.push(Violation {
-                    path: path.clone(),
+                    path: src.path.clone(),
                     line: tok.line,
                     rule: Rule::FramePlane,
                     message: format!(
@@ -1729,212 +1394,11 @@ pub type Msg = CtrlMsg<String>;
         assert!(r.violations[0].message.contains("Msg::BindSync"));
     }
 
-    #[test]
-    fn core_purity_flags_io_clock_and_sleep_allowances() {
-        let dirty = r#"
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
-// Durations are fine; so is the word Instant in a comment.
-fn step(now: u64) {
-    let _ = netsim::SimTime(now);
-    std::thread::sleep(Duration::from_millis(1)); // lint:allow(bare-sleep)
-}
-"#;
-        let clean = "use std::time::Duration;\nfn step(now: u64) -> u64 { now }\n";
-        let r = ws(
-            &[
-                ("crates/nexus-proxy/src/core.rs", dirty),
-                (
-                    "crates/nexus-proxy/src/core/outer.rs",
-                    "use firewall::vnet::VNet;\n",
-                ),
-                ("crates/nexus-proxy/src/core/inner.rs", clean),
-                (
-                    "crates/nexus-proxy/src/core/retry.rs",
-                    "use std::time::{Duration, Instant};\n",
-                ),
-                (
-                    "crates/knapsack/src/sched.rs",
-                    "use gridmpi::Comm;\nuse crate::instance::Instance;\n",
-                ),
-                // The same names outside the cores are nobody's business.
-                ("crates/nexus-proxy/src/outer.rs", dirty),
-                ("crates/knapsack/src/par.rs", "use gridmpi::Comm;\n"),
-            ],
-            Some(""),
-            Some(""),
-        );
-        let hits: Vec<(&str, usize)> = r
-            .violations
-            .iter()
-            .filter(|v| v.rule == Rule::CorePurity)
-            .map(|v| (v.path.as_str(), v.line))
-            .collect();
-        assert_eq!(
-            hits,
-            vec![
-                ("crates/nexus-proxy/src/core.rs", 2),
-                ("crates/nexus-proxy/src/core.rs", 3),
-                ("crates/nexus-proxy/src/core.rs", 6),
-                ("crates/nexus-proxy/src/core.rs", 7),
-                ("crates/nexus-proxy/src/core.rs", 7),
-                ("crates/nexus-proxy/src/core/outer.rs", 1),
-                ("crates/nexus-proxy/src/core/retry.rs", 1),
-                ("crates/knapsack/src/sched.rs", 1),
-            ],
-            "{:?}",
-            r.violations
-        );
-    }
-
-    #[test]
-    fn sched_plane_flags_a_driver_that_branches_or_sheds_on_its_own() {
-        let driver = r#"
-use crate::node::branch_once;
-// back_send_count in a comment is fine.
-fn on_work(s: &mut Slave) {
-    let take = back_send_count(&stack, n, effective_back_threshold(&p), 4);
-}
-#[cfg(test)]
-mod tests {
-    fn t() { branch_once(); }
-}
-"#;
-        let r = ws(
-            &[
-                ("crates/knapsack/src/sim.rs", driver),
-                ("crates/knapsack/src/par.rs", "fn f() { s.work(inst); }\n"),
-                // The core and everyone else may name them.
-                ("crates/knapsack/src/sched.rs", driver),
-                ("crates/knapsack/src/seq.rs", driver),
-            ],
-            Some(""),
-            Some(""),
-        );
-        let hits: Vec<(&str, usize)> = r
-            .violations
-            .iter()
-            .filter(|v| v.rule == Rule::SchedPlane)
-            .map(|v| (v.path.as_str(), v.line))
-            .collect();
-        assert_eq!(
-            hits,
-            vec![
-                ("crates/knapsack/src/sim.rs", 2),
-                ("crates/knapsack/src/sim.rs", 5),
-            ],
-            "{:?}",
-            r.violations
-        );
-    }
-
-    #[test]
-    fn retry_plane_flags_backoff_arithmetic_outside_the_core() {
-        let caller = r#"
-fn delay(p: &RetryPolicy, n: u32) -> Option<u64> {
-    let base = p.base_backoff.as_nanos() as u64;
-    // p.max_backoff in a comment is fine; so is setting the fields.
-    if n >= p.max_attempts { return None; }
-    let _ = RetryPolicy { max_attempts: 1, ..RetryPolicy::DEFAULT };
-    Some(base.min(p.max_backoff.as_nanos() as u64))
-}
-#[cfg(test)]
-mod tests {
-    fn t(p: RetryPolicy) -> u32 { p.max_attempts }
-}
-"#;
-        let r = ws(
-            &[
-                ("crates/nexus-proxy/src/sim/client.rs", caller),
-                ("crates/rmf/src/qsys.rs", caller),
-                // The core may; netsim's retransmit is not a RetryPolicy.
-                ("crates/nexus-proxy/src/core/retry.rs", caller),
-                ("crates/netsim/src/engine.rs", caller),
-            ],
-            Some(""),
-            Some(""),
-        );
-        let hits: Vec<(&str, usize)> = r
-            .violations
-            .iter()
-            .filter(|v| v.rule == Rule::RetryPlane)
-            .map(|v| (v.path.as_str(), v.line))
-            .collect();
-        let mut want = Vec::new();
-        for path in [
-            "crates/nexus-proxy/src/sim/client.rs",
-            "crates/rmf/src/qsys.rs",
-        ] {
-            want.extend([3, 5, 7].map(|line| (path, line)));
-        }
-        assert_eq!(hits, want, "{:?}", r.violations);
-    }
-
-    #[test]
-    fn daemon_spawn_flags_unnamed_threads_in_the_daemon_drivers() {
-        let failing = r#"
-fn serve(d: &Daemon) {
-    thread::spawn(move || handle(d));
-    // lint:allow(daemon-spawn)
-    std::thread::spawn(move || reap(d));
-    let t = thread::Builder::new().spawn(move || pump(d));
-}
-#[cfg(test)]
-mod tests {
-    fn t() { std::thread::spawn(|| ()); }
-}
-"#;
-        let passing = r#"
-fn serve(d: &Daemon) {
-    // lint:allow(daemon-spawn) the accept loop, joined on drop
-    threads.push(thread::spawn(move || accept(d)));
-    let r = thread::spawn(move || reap(d)); // lint:allow(daemon-spawn) the reaper
-    d.on_worker(move |d| handle(&d));
-}
-"#;
-        let r = ws(
-            &[
-                ("crates/nexus-proxy/src/outer.rs", failing),
-                ("crates/nexus-proxy/src/pump.rs", passing),
-                // The nexus endpoint's readers come from its pool too.
-                ("crates/nexus/src/endpoint.rs", failing),
-                ("crates/rmf/src/wire.rs", passing),
-                // The pool itself spawns; so may files without a pool.
-                ("crates/nexus-proxy/src/workers.rs", failing),
-                ("crates/rmf/src/gatekeeper.rs", failing),
-            ],
-            Some(""),
-            Some(""),
-        );
-        let hits: Vec<(&str, usize)> = r
-            .violations
-            .iter()
-            .filter(|v| v.rule == Rule::DaemonSpawn)
-            .map(|v| (v.path.as_str(), v.line))
-            .collect();
-        // Line 5's marker gives no reason, so it does not count.
-        let outer = "crates/nexus-proxy/src/outer.rs";
-        let endpoint = "crates/nexus/src/endpoint.rs";
-        assert_eq!(
-            hits,
-            [
-                (outer, 3),
-                (outer, 5),
-                (outer, 6),
-                (endpoint, 3),
-                (endpoint, 5),
-                (endpoint, 6)
-            ],
-            "{:?}",
-            r.violations
-        );
-    }
-
-    /// Owned `(path, source)` pairs for a fixture file set.
-    fn owned(files: &[(&str, &str)]) -> Vec<(String, String)> {
+    /// Lexed sources for a fixture file set.
+    fn owned(files: &[(&str, &str)]) -> Vec<Source> {
         files
             .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
+            .map(|(p, s)| Source::new(p, s.to_string()))
             .collect()
     }
 
@@ -2099,53 +1563,6 @@ const S: &str = "mod in_string;";
     }
 
     #[test]
-    fn client_plane_flags_a_second_ladder_and_a_second_lane_loop() {
-        let ladder = r#"
-use crate::shard::ShardRouter;
-// CircuitBreaker in a comment is fine.
-fn pick(r: &mut Router) -> Option<usize> {
-    r.route_from(0, 0, &[])
-}
-#[cfg(test)]
-mod tests {
-    fn t() { let _ = StripeFrame::Open { transfer: 1 }; }
-}
-"#;
-        let lane = "fn blast() { send(StripeFrame::Open { transfer: 1 }); }\n";
-        let r = ws(
-            &[
-                ("crates/nexus-proxy/src/sim/client.rs", ladder),
-                ("crates/gridmpi/src/comm.rs", lane),
-                // The owners may say all of it.
-                ("crates/nexus-proxy/src/core/client.rs", ladder),
-                ("crates/nexus-proxy/src/stripe.rs", lane),
-                // Anyone may name the router; nobody else opens a lane.
-                ("crates/wacs-check/src/stripe.rs", ladder),
-                ("crates/wacs-check/src/shard.rs", lane),
-            ],
-            Some(""),
-            Some(""),
-        );
-        let hits: Vec<(&str, usize)> = r
-            .violations
-            .iter()
-            .filter(|v| v.rule == Rule::ClientPlane)
-            .map(|v| (v.path.as_str(), v.line))
-            .collect();
-        assert_eq!(
-            hits,
-            vec![
-                ("crates/nexus-proxy/src/sim/client.rs", 2),
-                ("crates/nexus-proxy/src/sim/client.rs", 5),
-                ("crates/gridmpi/src/comm.rs", 1),
-                ("crates/wacs-check/src/shard.rs", 1),
-            ],
-            "{:?}",
-            r.violations
-        );
-    }
-
-    #[test]
     fn enum_variant_extraction_skips_fields_and_attrs() {
         let src = r#"
 #[derive(Debug)]
@@ -2157,7 +1574,7 @@ pub enum Msg {
     Close,
 }
 "#;
-        let toks = code_tokens(src);
+        let toks = Source::new("", src.to_string()).code();
         let names: Vec<String> = enum_variants(src, &toks, "Msg")
             .into_iter()
             .map(|(n, _)| n)
@@ -2170,10 +1587,7 @@ pub enum Msg {
     /// acceptance gate run as a unit test.
     #[test]
     fn real_workspace_is_clean() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .and_then(std::path::Path::parent)
-            .expect("workspace root");
+        let root = workspace_root();
         let files = load_files(root).expect("load workspace sources");
         let report = analyze_root(root, &files).expect("load caller sources");
         assert!(
@@ -2189,6 +1603,52 @@ pub enum Msg {
         assert!(report.lock_nodes >= 5, "nodes: {}", report.lock_nodes);
         assert!(report.metric_keys >= 40, "keys: {}", report.metric_keys);
         assert_eq!(report.frame_variants, 16);
+    }
+
+    fn workspace_root() -> &'static Path {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(Path::parent)
+            .expect("workspace root")
+    }
+
+    /// Every marker outside this crate excuses something: with markers
+    /// ignored, each rule a `lint:allow(...)` names has a finding on the
+    /// marker's line, or beside it when the marker's comment is alone on
+    /// its line.
+    #[test]
+    fn every_marker_sits_on_a_finding_of_its_rule() {
+        let root = workspace_root();
+        let files = load_files(root).expect("load workspace sources");
+        let unmarked: Vec<Source> = files
+            .iter()
+            .map(|s| Source::new(&s.path, s.text.replace("lint:allow(", "lint:ignored(")))
+            .collect();
+        let report = analyze_root(root, &unmarked).expect("load caller sources");
+        let mut idle = Vec::new();
+        for src in files
+            .iter()
+            .filter(|s| !s.path.starts_with("crates/xtask/"))
+        {
+            for m in &src.markers {
+                for rule in m.rules.split(',').map(str::trim) {
+                    let covered = report.violations.iter().any(|v| {
+                        v.path == src.path
+                            && v.rule.name() == rule
+                            && (v.line == m.line || (m.alone && v.line.abs_diff(m.line) == 1))
+                    });
+                    if !covered {
+                        idle.push(format!("{}:{}: lint:allow({rule})", src.path, m.line));
+                    }
+                }
+            }
+        }
+        assert!(
+            idle.is_empty(),
+            "markers that excuse nothing:\n{}",
+            idle.join("\n")
+        );
+        assert!(files.iter().map(|s| s.markers.len()).sum::<usize>() >= 40);
     }
 
     #[test]
