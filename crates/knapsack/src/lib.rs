@@ -5,7 +5,7 @@
 //!
 //! * [`instance`] — problem generators, including the paper's
 //!   normalized no-pruning instance;
-//! * [`node`] / [`seq`] — the branch operation and the sequential
+//! * [`node`] / [`seq`] — the one branch loop and the sequential
 //!   solver (the speedup baseline);
 //! * [`dp`] — dynamic-programming ground truth for validation;
 //! * `sched` — the master-slave self-scheduling algorithm itself, as
@@ -32,7 +32,7 @@ pub mod sim;
 pub mod stats;
 
 pub use instance::{Instance, Item};
-pub use node::{branch_once, BranchCounters, Node};
+pub use node::{BranchCounters, Node};
 pub use par::run as par_run;
 pub use sched::ParParams;
 pub use seq::{solve as seq_solve, SolveMode};

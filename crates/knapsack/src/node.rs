@@ -1,4 +1,4 @@
-//! Search-tree nodes and the branch operation.
+//! Search-tree nodes and the branch loop.
 //!
 //! The paper (§4.3): "Each node of a search tree is represented by a
 //! set of *index*, *value*, and *capacity*. Here, index is the index of
@@ -67,18 +67,60 @@ pub struct BranchCounters {
     pub leaves: u64,
 }
 
-/// The branch operation (§4.3): pop a node, check it, push its
-/// children. `best` is updated in place. Returns `false` if the stack
-/// was empty.
+/// The branch loop (§4.3): the branch operation up to `limit` times,
+/// or until the stack drains; returns how many ran. `best` and
+/// `counters` are updated in place. This is the only loop that
+/// branches: the sequential solver runs it unbounded, a parallel rank
+/// one `interval` per batch.
 ///
 /// With `prune == false` the bound test is skipped — the paper's
 /// normalized configuration where the entire space is traced.
-#[inline]
-pub fn branch_once(
+pub(crate) fn branch_batch(
     inst: &Instance,
     stack: &mut Vec<Node>,
     best: &mut u64,
+    counters: &mut BranchCounters,
     prune: bool,
+    sorted: bool,
+    limit: u64,
+) -> u64 {
+    if prune {
+        batch::<true>(inst, stack, best, counters, sorted, limit)
+    } else {
+        batch::<false>(inst, stack, best, counters, sorted, limit)
+    }
+}
+
+/// The batch with `prune` decided once, not per node, and the stack,
+/// incumbent and counters in locals, so none of them goes through
+/// memory per node.
+#[inline(always)]
+fn batch<const PRUNE: bool>(
+    inst: &Instance,
+    stack: &mut Vec<Node>,
+    best: &mut u64,
+    counters: &mut BranchCounters,
+    sorted: bool,
+    limit: u64,
+) -> u64 {
+    let mut local = std::mem::take(stack);
+    let (mut b, mut c) = (*best, *counters);
+    let mut ops = 0;
+    while ops < limit && branch_once::<PRUNE>(inst, &mut local, &mut b, sorted, &mut c) {
+        ops += 1;
+    }
+    (*stack, *best, *counters) = (local, b, c);
+    ops
+}
+
+/// The branch operation: pop a node, check it, push its children.
+/// Returns `false` if the stack was empty. Always inlined: called out
+/// of line it costs the loop about twice its work per node.
+#[inline(always)]
+fn branch_once<const PRUNE: bool>(
+    inst: &Instance,
+    stack: &mut Vec<Node>,
+    best: &mut u64,
     sorted: bool,
     counters: &mut BranchCounters,
 ) -> bool {
@@ -95,7 +137,7 @@ pub fn branch_once(
         }
         return true;
     }
-    if prune {
+    if PRUNE {
         if node.value > *best {
             // A partial assignment is itself a feasible solution
             // (remaining items set to 0).
@@ -143,8 +185,8 @@ mod tests {
         let mut stack = vec![Node::root(&inst)];
         let mut best = 0;
         let mut c = BranchCounters::default();
-        assert!(branch_once(
-            &inst, &mut stack, &mut best, false, false, &mut c
+        assert!(branch_once::<false>(
+            &inst, &mut stack, &mut best, false, &mut c
         ));
         // Everything fits: two children.
         assert_eq!(stack.len(), 2);
@@ -166,7 +208,7 @@ mod tests {
         let mut stack = vec![Node::root(&inst)];
         let mut best = 0;
         let mut c = BranchCounters::default();
-        branch_once(&inst, &mut stack, &mut best, false, false, &mut c);
+        branch_once::<false>(&inst, &mut stack, &mut best, false, &mut c);
         assert_eq!(stack.len(), 1); // only the exclude child
     }
 
@@ -176,10 +218,80 @@ mod tests {
         let mut stack = Vec::new();
         let mut best = 0;
         let mut c = BranchCounters::default();
-        assert!(!branch_once(
-            &inst, &mut stack, &mut best, false, false, &mut c
+        assert!(!branch_once::<false>(
+            &inst, &mut stack, &mut best, false, &mut c
         ));
+        assert_eq!(
+            branch_batch(&inst, &mut stack, &mut best, &mut c, true, false, 8),
+            0
+        );
         assert_eq!(c.traversed, 0);
+    }
+
+    type State = (Vec<Node>, u64, BranchCounters);
+
+    /// The branch operation one node at a time, `prune` decided per call.
+    fn step(inst: &Instance, s: &mut State, prune: bool, sorted: bool) -> bool {
+        let (stack, best, c) = (&mut s.0, &mut s.1, &mut s.2);
+        if prune {
+            branch_once::<true>(inst, stack, best, sorted, c)
+        } else {
+            branch_once::<false>(inst, stack, best, sorted, c)
+        }
+    }
+
+    /// A batch of k operations is k single steps: same stack, incumbent
+    /// and counters after every batch, at every limit, pruned or not, on
+    /// sorted and unsorted items. A batch short of its limit drained the
+    /// stack, and every search ends with one.
+    #[test]
+    fn a_batch_is_its_steps() {
+        let uncorrelated = Instance::uncorrelated(16, 40, 7);
+        let instances = [
+            (Instance::no_pruning(12), false),
+            (Instance::no_pruning(12).sorted_by_ratio(), true),
+            (uncorrelated.clone(), false),
+            (uncorrelated.sorted_by_ratio(), true),
+        ];
+        let mut pruned = 0;
+        for (inst, sorted) in &instances {
+            for prune in [false, true] {
+                for limit in [1, 3, 1024, u64::MAX] {
+                    let case = format!("{} sorted={sorted} prune={prune} limit={limit}", inst.name);
+                    let start: State = (vec![Node::root(inst)], 0, BranchCounters::default());
+                    let (mut batched, mut stepped) = (start.clone(), start);
+                    let mut total = 0;
+                    loop {
+                        let (stack, best, c) = (&mut batched.0, &mut batched.1, &mut batched.2);
+                        let ops = branch_batch(inst, stack, best, c, prune, *sorted, limit);
+                        assert!(ops <= limit, "{case}: {ops} operations");
+                        for _ in 0..ops {
+                            assert!(step(inst, &mut stepped, prune, *sorted), "{case}");
+                        }
+                        assert_eq!(batched, stepped, "{case} after {total} + {ops}");
+                        total += ops;
+                        if ops < limit {
+                            assert!(batched.0.is_empty(), "{case}: short batch left work");
+                            break;
+                        }
+                    }
+                    assert_eq!(total, batched.2.traversed, "{case}");
+                    pruned += batched.2.pruned;
+                    assert!(!step(inst, &mut stepped, prune, *sorted), "{case}");
+                    let mode = if prune {
+                        crate::seq::SolveMode::Prune { sorted: *sorted }
+                    } else {
+                        crate::seq::SolveMode::Exhaustive
+                    };
+                    assert_eq!(
+                        crate::seq::solve(inst, mode),
+                        (batched.1, batched.2),
+                        "{case}"
+                    );
+                }
+            }
+        }
+        assert!(pruned > 0, "no case ran the bound test's discard");
     }
 
     #[test]
@@ -201,7 +313,7 @@ mod tests {
         }];
         let mut best = 0;
         let mut c = BranchCounters::default();
-        branch_once(&inst, &mut stack, &mut best, false, false, &mut c);
+        branch_once::<false>(&inst, &mut stack, &mut best, false, &mut c);
         assert_eq!(best, 42);
         assert_eq!(c.leaves, 1);
     }

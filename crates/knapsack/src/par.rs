@@ -183,12 +183,39 @@ mod tests {
         assert_eq!(rr.best, truth);
     }
 
+    /// One rank runs the sequential search in batches: the same node
+    /// order, so the same optimum and the same traversed count, pruned
+    /// or not.
     #[test]
     fn single_rank_degenerates_to_sequential() {
-        let inst = Instance::no_pruning(10);
-        let rr = run_flat(1, inst.clone(), ParParams::default());
-        assert_eq!(rr.best, inst.total_profit());
-        assert_eq!(rr.total_traversed(), Instance::full_tree_nodes(10));
+        let uncorrelated = Instance::uncorrelated(16, 40, 7);
+        for (inst, sorted) in [
+            (Instance::no_pruning(10), false),
+            (uncorrelated.clone(), false),
+            (uncorrelated.sorted_by_ratio(), true),
+        ] {
+            for (prune, mode) in [
+                (false, SolveMode::Exhaustive),
+                (true, SolveMode::Prune { sorted }),
+            ] {
+                let (best, c) = seq::solve(&inst, mode);
+                let params = ParParams {
+                    interval: 100,
+                    prune,
+                    sorted,
+                    ..ParParams::default()
+                };
+                let rr = run_flat(1, inst.clone(), params);
+                let case = format!("{} {mode:?}", inst.name);
+                assert_eq!(
+                    (rr.best, rr.total_traversed()),
+                    (best, c.traversed),
+                    "{case}"
+                );
+            }
+        }
+        let exhaustive = seq::solve(&Instance::no_pruning(10), SolveMode::Exhaustive);
+        assert_eq!(exhaustive.1.traversed, Instance::full_tree_nodes(10));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! duplicate traversal costs time, a lost subtree would cost the optimum.
 
 use crate::instance::Instance;
-use crate::node::{branch_once, BranchCounters, Node};
+use crate::node::{branch_batch, BranchCounters, Node};
 use crate::stats::{RankStats, RunResult};
 use std::collections::VecDeque;
 use std::io;
@@ -214,17 +214,11 @@ impl Search {
     /// One batch: the branch operation `interval` times, or until the
     /// stack drains. Returns how many ran.
     fn work(&mut self, inst: &Instance) -> u32 {
-        let (p, stack, best, c) = (
-            &self.params,
-            &mut self.stack,
-            &mut self.best,
-            &mut self.counters,
-        );
-        let mut ops = 0;
-        while ops < p.interval && branch_once(inst, stack, best, p.prune, p.sorted, c) {
-            ops += 1;
-        }
-        ops
+        let p = &self.params;
+        let (stack, best, c) = (&mut self.stack, &mut self.best, &mut self.counters);
+        let ops = branch_batch(inst, stack, best, c, p.prune, p.sorted, p.interval.into());
+        // At most `interval`, a `u32`.
+        ops as u32
     }
 
     fn take(&mut self, best: u64, nodes: Vec<Node>) {

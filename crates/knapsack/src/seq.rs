@@ -2,7 +2,7 @@
 //! runs on RWCP-Sun to compute speedups.
 
 use crate::instance::Instance;
-use crate::node::{branch_once, BranchCounters, Node};
+use crate::node::{branch_batch, BranchCounters, Node};
 
 /// Whether and how to prune.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +25,15 @@ pub fn solve(inst: &Instance, mode: SolveMode) -> (u64, BranchCounters) {
     stack.push(Node::root(inst));
     let mut best = 0u64;
     let mut counters = BranchCounters::default();
-    while branch_once(inst, &mut stack, &mut best, prune, sorted, &mut counters) {}
+    branch_batch(
+        inst,
+        &mut stack,
+        &mut best,
+        &mut counters,
+        prune,
+        sorted,
+        u64::MAX,
+    );
     (best, counters)
 }
 

@@ -19,7 +19,8 @@
 //!
 //! [`Source`] is the one pass over a file that every rule reads: its
 //! tokens, each line's code and comment text, which lines are test
-//! code, and its `lint:allow(...)` markers.
+//! code, the paths its `use` items import, and its `lint:allow(...)`
+//! markers.
 
 /// Token classification. Literal/comment kinds carry a `terminated`
 /// flag so callers can detect truncated input instead of silently
@@ -140,6 +141,7 @@ pub struct Source {
     pub toks: Vec<Token>,
     /// Indexed by 1-based line number (index 0 is empty).
     pub lines: Vec<Line>,
+    pub uses: Vec<UsePath>,
     pub markers: Vec<Marker>,
 }
 
@@ -155,6 +157,38 @@ pub struct Line {
     pub comment: String,
     /// In a `#[test]`/`#[cfg(test)]` item or a `#![cfg(test)]` file.
     pub test: bool,
+}
+
+/// One path a `use` item imports, its tree flattened: `use std::{
+/// sync::RwLock, time::Duration};` imports `std::sync::RwLock` and
+/// `std::time::Duration`. An alias (`as x`) is left out.
+#[derive(Clone, Default)]
+pub struct UsePath {
+    /// The line of the path's last segment.
+    pub line: usize,
+    /// The segments joined without space, as in [`Line::code`].
+    pub code: String,
+    /// The offsets in `code` where a token starts or ends.
+    pub bounds: Vec<usize>,
+}
+
+impl UsePath {
+    fn push(&mut self, s: &str, line: usize) {
+        self.bounds
+            .extend([self.code.len(), self.code.len() + s.len()]);
+        self.code.push_str(s);
+        self.line = line;
+    }
+
+    /// `self` followed by `rest`.
+    fn join(&self, rest: &UsePath) -> UsePath {
+        let mut out = self.clone();
+        let at = out.code.len();
+        out.code.push_str(&rest.code);
+        out.bounds.extend(rest.bounds.iter().map(|b| b + at));
+        out.line = rest.line;
+        out
+    }
 }
 
 /// A `lint:allow(rule, …)` in a comment. It covers its own line and,
@@ -210,11 +244,13 @@ impl Source {
             }
         }
         mark_tests(&text, &toks, &mut lines);
+        let uses = use_paths(&text, &toks);
         Source {
             path: path.to_string(),
             text,
             toks,
             lines,
+            uses,
             markers,
         }
     }
@@ -309,6 +345,55 @@ fn mark_tests(text: &str, toks: &[Token], lines: &mut [Line]) {
         }
         i = end + 1;
     }
+}
+
+/// Every path the file's `use` items import, each tree flattened. A
+/// `use` followed by anything but a path tree imports nothing here.
+fn use_paths(text: &str, toks: &[Token]) -> Vec<UsePath> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        i += 1;
+        if toks[i - 1].kind != TokenKind::Ident || toks[i - 1].text(text) != "use" {
+            continue;
+        }
+        // The prefix each open brace stands for, and the path since it.
+        let (mut prefixes, mut cur) = (vec![UsePath::default()], UsePath::default());
+        let (mut found, mut alias) = (Vec::new(), false);
+        while let Some(t) = toks.get(i) {
+            i += 1;
+            let s = t.text(text);
+            let top = prefixes.last().cloned().unwrap_or_default();
+            match s {
+                "{" => prefixes.push(top.join(&std::mem::take(&mut cur))),
+                "," | "}" | ";" => {
+                    if !cur.code.is_empty() {
+                        found.push(top.join(&std::mem::take(&mut cur)));
+                    }
+                    alias = false;
+                    match s {
+                        "," => {}
+                        "}" if prefixes.len() > 1 => drop(prefixes.pop()),
+                        // The item's end, or a brace it never opened.
+                        _ => {
+                            if s == ";" && prefixes.len() == 1 {
+                                out.append(&mut found);
+                            }
+                            break;
+                        }
+                    }
+                }
+                "as" => alias = true,
+                _ if alias => {}
+                ":" | "*" => cur.push(s, t.line),
+                _ if matches!(t.kind, TokenKind::Ident | TokenKind::RawIdent) => {
+                    cur.push(s, t.line);
+                }
+                _ => break,
+            }
+        }
+    }
+    out
 }
 
 fn is_ident_start(c: u8) -> bool {
@@ -727,6 +812,26 @@ mod tests {
         let got = kinds(src);
         assert!(got.contains(&(TokenKind::Ident, "grüße".into())));
         assert!(got.contains(&(TokenKind::Char { terminated: true }, "'é'".into())));
+    }
+
+    #[test]
+    fn use_items_flatten_to_the_paths_they_import() {
+        let src = "use std::{\n    sync::{Arc, RwLock as L},\n    time::Duration,\n};\n\
+                   pub(crate) use ::a::b::*;\nfn f<'a>() -> impl Sized + use<'a> {}\nuse self::c;\n\
+                   use d::{e;\nuse d::e}};\n";
+        let src = Source::new("demo.rs", src.to_string());
+        let got: Vec<(usize, &str)> = src.uses.iter().map(|u| (u.line, u.code.as_str())).collect();
+        let want = [
+            (2, "std::sync::Arc"),
+            (2, "std::sync::RwLock"),
+            (3, "std::time::Duration"),
+            (5, "::a::b::*"),
+            (7, "self::c"),
+        ];
+        assert_eq!(got, want);
+        let arc = &src.uses[0];
+        let at = |s: &str| arc.code.find(s).unwrap();
+        assert!(arc.bounds.contains(&at("sync")) && arc.bounds.contains(&at("Arc")));
     }
 
     #[test]

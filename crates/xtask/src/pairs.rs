@@ -3,10 +3,13 @@
 //!
 //! FILE holds one run per line, `workload seed side op_a_us op_b_us
 //! op_c_us cpu_us_per_op setup_s failed attempted`, side `parent` or
-//! `change` (the `results/pr*_pairs.txt` format). `#` comments and
+//! `change` (the `results/pr*_pairs.txt` format), optionally followed
+//! by `name=value` fields: numbers a claim reads beside the end-to-end
+//! metrics (a cell's unscaled time, its reference). `#` comments and
 //! traced lines (workload `*-traced`) are skipped. A pair is the parent
 //! and the change run of one workload and seed. For every workload and
-//! metric the summary gives each side's median and quartiles (Python's
+//! metric, and every extra name that both runs of a pair carry, the
+//! summary gives each side's median and quartiles (Python's
 //! `statistics.quantiles`, exclusive method, as the benchmark computes
 //! its spreads), the pairs the change won (lower is better for every
 //! metric; ties count for neither side), the ratio of the medians, and
@@ -16,6 +19,8 @@
 //! interquartile distance, `worse` when it lost that many pairs and its
 //! median is higher by that much, `no gain` otherwise. A claim's
 //! "must not move" rows are read off the same table: none says `worse`.
+//! Extra rows print after a workload's end-to-end rows, marked
+//! `(extra, not end-to-end)`.
 
 use std::fmt::Write as _;
 
@@ -23,11 +28,19 @@ use std::fmt::Write as _;
 pub const METRICS: [&str; 5] = ["op_a_us", "op_b_us", "op_c_us", "cpu_us_per_op", "setup_s"];
 
 /// One benchmark run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Run {
     values: [f64; 5],
     failed: u64,
     attempted: u64,
+    /// The `name=value` fields, in line order.
+    extra: Vec<(String, f64)>,
+}
+
+impl Run {
+    fn extra(&self, name: &str) -> Option<f64> {
+        self.extra.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+    }
 }
 
 /// Median and quartiles of one side's runs.
@@ -73,7 +86,9 @@ impl Spread {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     pub workload: String,
-    pub metric: &'static str,
+    pub metric: String,
+    /// One of [`METRICS`], not an extra column.
+    pub end_to_end: bool,
     pub parent: Spread,
     pub change: Spread,
     /// Pairs whose change run is lower than its parent run.
@@ -154,9 +169,9 @@ pub fn summarise(text: &str, exclude: &[u64]) -> Result<Summary, String> {
         if workload.ends_with("-traced") {
             continue;
         }
-        if rest.len() != METRICS.len() + 2 {
+        let Some((rest, extra)) = rest.split_at_checked(METRICS.len() + 2) else {
             return Err(bad("want 10 fields"));
-        }
+        };
         let seed: u64 = seed.parse().map_err(|_| bad("bad seed"))?;
         if exclude.contains(&seed) {
             continue;
@@ -171,11 +186,24 @@ pub fn summarise(text: &str, exclude: &[u64]) -> Result<Summary, String> {
             *v = field.parse().map_err(|_| bad("bad metric value"))?;
         }
         let count = |field: &str| field.parse::<u64>().map_err(|_| bad("bad count"));
-        let run = Run {
+        let mut run = Run {
             values,
             failed: count(rest[5])?,
             attempted: count(rest[6])?,
+            extra: Vec::new(),
         };
+        for field in extra {
+            let parsed = field
+                .split_once('=')
+                .filter(|(name, _)| !name.is_empty() && !METRICS.contains(name))
+                .and_then(|(name, v)| Some((name, v.parse::<f64>().ok()?)));
+            let Some((name, v)) = parsed.filter(|&(name, _)| run.extra(name).is_none()) else {
+                return Err(bad(&format!(
+                    "bad extra field `{field}`, want a new name=number"
+                )));
+            };
+            run.extra.push((name.to_string(), v));
+        }
         let at = match pairs
             .iter()
             .position(|(w, s, _)| w == workload && *s == seed)
@@ -191,10 +219,10 @@ pub fn summarise(text: &str, exclude: &[u64]) -> Result<Summary, String> {
         }
     }
 
-    let mut complete: Vec<(&str, Run, Run)> = Vec::new();
+    let mut complete: Vec<(&str, &Run, &Run)> = Vec::new();
     for (workload, seed, runs) in &pairs {
         match runs {
-            [Some(p), Some(c)] => complete.push((workload, *p, *c)),
+            [Some(p), Some(c)] => complete.push((workload, p, c)),
             _ => return Err(format!("{workload} seed {seed} has no pair")),
         }
     }
@@ -210,33 +238,54 @@ pub fn summarise(text: &str, exclude: &[u64]) -> Result<Summary, String> {
         failures: Vec::new(),
     };
     for workload in workloads {
-        let runs: Vec<(Run, Run)> = complete
+        let runs: Vec<(&Run, &Run)> = complete
             .iter()
             .filter(|(w, _, _)| *w == workload)
             .map(|&(_, p, c)| (p, c))
             .collect();
-        for (m, metric) in METRICS.iter().enumerate() {
-            let parent: Vec<f64> = runs.iter().map(|(p, _)| p.values[m]).collect();
-            let change: Vec<f64> = runs.iter().map(|(_, c)| c.values[m]).collect();
-            summary.rows.push(Row {
+        let row = |metric: &str, value: &dyn Fn(&Run) -> Option<f64>| {
+            let (parent, change): (Vec<f64>, Vec<f64>) = runs
+                .iter()
+                .filter_map(|(p, c)| Some((value(p)?, value(c)?)))
+                .unzip();
+            Row {
                 workload: workload.to_string(),
-                metric,
+                metric: metric.to_string(),
+                end_to_end: METRICS.contains(&metric),
                 parent: Spread::of(&parent),
                 change: Spread::of(&change),
                 won: parent.iter().zip(&change).filter(|(p, c)| c < p).count(),
                 lost: parent.iter().zip(&change).filter(|(p, c)| c > p).count(),
-                pairs: runs.len(),
-            });
+                pairs: parent.len(),
+            }
+        };
+        for (m, metric) in METRICS.iter().enumerate() {
+            summary.rows.push(row(metric, &|r| Some(r.values[m])));
         }
-        let sum = |side: fn(&(Run, Run)) -> Run| {
+        let mut names: Vec<&str> = Vec::new();
+        for (name, _) in runs
+            .iter()
+            .flat_map(|(p, c)| p.extra.iter().chain(&c.extra))
+        {
+            if !names.contains(&name.as_str()) {
+                names.push(name);
+            }
+        }
+        for name in names {
+            let extra = row(name, &|r| r.extra(name));
+            if extra.pairs > 0 {
+                summary.rows.push(extra);
+            }
+        }
+        let sum = |side: usize| {
             runs.iter()
-                .map(side)
+                .map(|&(p, c)| [p, c][side])
                 .fold((0, 0), |(f, a), r| (f + r.failed, a + r.attempted))
         };
         summary.failures.push(Failures {
             workload: workload.to_string(),
-            parent: sum(|(p, _)| *p),
-            change: sum(|(_, c)| *c),
+            parent: sum(0),
+            change: sum(1),
         });
     }
     Ok(summary)
@@ -266,14 +315,19 @@ pub fn render(summary: &Summary) -> String {
             let side = |s: &Spread| format!("{} [{}, {}]", num(s.median), num(s.q1), num(s.q3));
             let _ = writeln!(
                 out,
-                "  {:<14} parent {:<26} change {:<26} won {:>2}/{:<2} ratio {:.3}  {}",
+                "  {:<15} parent {:<26} change {:<26} won {:>2}/{:<2} ratio {:.3}  {}{}",
                 r.metric,
                 side(&r.parent),
                 side(&r.change),
                 r.won,
                 r.pairs,
                 r.ratio(),
-                r.verdict().label()
+                r.verdict().label(),
+                if r.end_to_end {
+                    ""
+                } else {
+                    "  (extra, not end-to-end)"
+                }
             );
         }
     }
@@ -343,6 +397,66 @@ mod tests {
         let skipped =
             format!("# note\nbulk-traced 2 parent out1 7\n{ok}bulk 3 parent 1 2 3 4 0.5 0 10\n");
         assert_eq!(summarise(&skipped, &[3]).unwrap().rows[0].pairs, 1);
+    }
+
+    #[test]
+    fn extra_columns_are_rows_of_their_own() {
+        let mut text = String::from("# workload seed side ...\n");
+        for seed in 0..10 {
+            let p = 100.0 + f64::from(seed);
+            text += &format!(
+                "mpi_app {seed} parent 20 {p} 1 1 0.5 0 10 alone_us={p} unscaled={}\n",
+                2.0 * p
+            );
+            text += &format!(
+                "mpi_app {seed} change 20 {} 1 1 0.5 0 10 unscaled={p} alone_us={p}\n",
+                p - 10.0
+            );
+        }
+        // A name only one side of a pair carries is no pair.
+        text += "echo 1 parent 1 2 3 4 0.5 0 10 x=1\necho 1 change 1 2 3 4 0.5 0 10\n";
+        let summary = summarise(&text, &[]).unwrap();
+        let rows: Vec<(&str, &str, bool, usize, Verdict)> = summary
+            .rows
+            .iter()
+            .map(|r| {
+                (
+                    r.workload.as_str(),
+                    r.metric.as_str(),
+                    r.end_to_end,
+                    r.pairs,
+                    r.verdict(),
+                )
+            })
+            .collect();
+        assert_eq!(rows.len(), 12);
+        assert_eq!(rows[1], ("mpi_app", "op_b_us", true, 10, Verdict::Gain));
+        assert_eq!(rows[5], ("mpi_app", "alone_us", false, 10, Verdict::NoGain));
+        assert_eq!(rows[6], ("mpi_app", "unscaled", false, 10, Verdict::Gain));
+        assert!(rows[7..].iter().all(|r| r.0 == "echo" && r.2));
+        let printed = render(&summary);
+        let line = printed.lines().find(|l| l.contains("alone_us")).unwrap();
+        assert!(line.ends_with("no gain  (extra, not end-to-end)"), "{line}");
+        assert!(printed.lines().nth(2).unwrap().ends_with("gain"));
+    }
+
+    #[test]
+    fn malformed_extra_fields_are_errors() {
+        let line = |extra: &str| {
+            format!("bulk 1 parent 1 2 3 4 0.5 0 10 {extra}\nbulk 1 change 1 2 3 4 0.5 0 10\n")
+        };
+        assert!(summarise(&line("alone_us=3.5"), &[]).is_ok());
+        for bad in [
+            "alone_us",
+            "alone_us=",
+            "=3",
+            "alone_us=fast",
+            "op_b_us=1",
+            "a=1 a=2",
+        ] {
+            let err = summarise(&line(bad), &[]).unwrap_err();
+            assert!(err.starts_with("line 1: bad extra field"), "{bad}: {err}");
+        }
     }
 
     /// Ten pairs of one workload: parent `op_a_us` 100..=109, change

@@ -79,7 +79,7 @@ rules! {
         "client drivers name no ShardRouter/CircuitBreaker/route_from; \
          StripeFrame::Open is spelled in stripe.rs only",
     SchedPlane "sched-plane"
-        "knapsack par.rs/sim.rs name no branch_once/back_send_count/\
+        "knapsack par.rs/sim.rs name no branch_once/branch_batch/back_send_count/\
          effective_back_threshold; the scheduler is sched.rs",
     RetryPlane "retry-plane"
         "only nexus-proxy core/retry.rs reads a RetryPolicy's base_backoff/\
@@ -120,8 +120,8 @@ enum Allow {
 #[derive(Clone, Copy)]
 enum Unless {
     Never,
-    /// A line whose code spells one of these.
-    Line(&'static [&'static str]),
+    /// A line a `use` path ends on: an import is inert.
+    Import,
     /// A file whose code, test code included, spells one of these.
     File(&'static [&'static str]),
 }
@@ -199,9 +199,6 @@ static ROWS: &[Row] = &[
             "std::sync::Mutex",
             "std::sync::RwLock",
             "std::sync::Condvar",
-            "std::sync::{…Mutex",
-            "std::sync::{…RwLock",
-            "std::sync::{…Condvar",
         ],
         except: &["crates/wacs-sync/", "crates/xtask/"],
         tests: true,
@@ -236,7 +233,7 @@ static ROWS: &[Row] = &[
         rule: Rule::BareAtomicCounter,
         spellings: &["AtomicU64"],
         except: &["crates/wacs-obs/", "crates/xtask/"],
-        unless: Unless::Line(&[" use "]),
+        unless: Unless::Import,
         message: "bare `AtomicU64` counter; use wacs_obs::Counter so the metric \
                   lands in registry snapshots",
         ..ROW
@@ -342,7 +339,12 @@ static ROWS: &[Row] = &[
     },
     Row {
         rule: Rule::SchedPlane,
-        spellings: &["branch_once", "back_send_count", "effective_back_threshold"],
+        spellings: &[
+            "branch_once",
+            "branch_batch",
+            "back_send_count",
+            "effective_back_threshold",
+        ],
         only: &["crates/knapsack/src/par.rs", "crates/knapsack/src/sim.rs"],
         allow: Allow::No,
         message: "a knapsack driver names `{}`: scheduling decisions belong to \
@@ -380,9 +382,16 @@ static ROWS: &[Row] = &[
     },
 ];
 
-/// Match every row against `src`, one finding per row and line.
+/// Match every row against `src`, one finding per row and line. A line
+/// spells what its code spells and what the `use` paths ending on it
+/// spell, so a `use` item is judged whole, across its lines and braces.
 pub fn check(src: &Source, out: &mut Vec<Violation>) {
     let spells = |line: &Line, s: &str| occurs(&line.code, &line.bounds, s);
+    let imports = |n: usize, s: &str| {
+        src.uses
+            .iter()
+            .any(|u| u.line == n && occurs(&u.code, &u.bounds, s))
+    };
     let rows: Vec<&Row> = ROWS
         .iter()
         .filter(|row| {
@@ -399,13 +408,13 @@ pub fn check(src: &Source, out: &mut Vec<Violation>) {
                 if row.comments {
                     line.comment.contains(*s)
                 } else {
-                    spells(line, s)
+                    spells(line, s) || imports(n, s)
                 }
             });
             let Some(spelling) = found else {
                 continue;
             };
-            if matches!(row.unless, Unless::Line(u) if u.iter().any(|s| spells(line, s)))
+            if (matches!(row.unless, Unless::Import) && src.uses.iter().any(|u| u.line == n))
                 || (row.allow != Allow::No
                     && src.marked(n, row.rule.name(), row.allow == Allow::Reasoned))
             {
@@ -557,7 +566,22 @@ mod tests {
         (DEMO, CONDVAR, &[(1, StdSync), (3, StdSync)]),
         ("crates/wacs-sync/src/channel.rs", CONDVAR, &[]),
         (DEMO, "use std::sync::Arc;\nuse std::sync::atomic::AtomicU64;\n", &[]),
+        // A `use` item is judged whole: across its lines, and through
+        // braces that split the path; the finding sits on the name.
+        (DEMO, "use std::sync::{\n    Arc,\n    Mutex,\n};\n", &[(3, StdSync)]),
+        (DEMO, "use std::{sync::RwLock, time::Duration};\n", &[(1, StdSync)]),
+        (
+            DEMO,
+            "use std::{\n    sync::{atomic::AtomicBool, Arc as Shared},\n    time::Duration,\n};\n",
+            &[],
+        ),
+        (
+            DEMO,
+            "#[cfg(test)]\nmod tests {\n    use std::{\n        sync::{Arc, Condvar},\n    };\n}\n",
+            &[(4, StdSync)],
+        ),
         (DEMO, ATOMICS, &[(3, BareAtomicCounter), (5, BareAtomicCounter), (6, BareAtomicCounter)]),
+        (DEMO, "use std::sync::atomic::{\n    AtomicU64,\n    Ordering,\n};\n", &[]),
         // The registry crate implements its instruments *on* atomics.
         ("crates/wacs-obs/src/registry.rs", ATOMICS, &[]),
         // ID generators and the like stay atomic when marked; tests may
@@ -698,6 +722,11 @@ mod tests {
         ),
         ("crates/nexus-proxy/src/core/outer.rs", "use firewall::vnet::VNet;\n", &[(1, CorePurity)]),
         (
+            "crates/nexus-proxy/src/core/outer.rs",
+            "use std::{\n    net::TcpStream,\n    time::Duration,\n};\n",
+            &[(2, CorePurity)],
+        ),
+        (
             "crates/nexus-proxy/src/core/inner.rs",
             "use std::time::Duration;\nfn step(now: u64) -> u64 { now }\n",
             &[],
@@ -725,6 +754,11 @@ mod tests {
         ("crates/wacs-check/src/shard.rs", LANE, &[(1, ClientPlane)]),
         // A knapsack driver neither branches nor sheds on its own.
         ("crates/knapsack/src/sim.rs", SCHED_DRIVER, &[(2, SchedPlane), (5, SchedPlane)]),
+        (
+            "crates/knapsack/src/par.rs",
+            "use crate::node::branch_batch;\nfn f() { branch_batch(i, s, b, c, false, false, 8); }\n",
+            &[(1, SchedPlane), (2, SchedPlane)],
+        ),
         ("crates/knapsack/src/par.rs", "fn f() { s.work(inst); }\n", &[]),
         ("crates/knapsack/src/sched.rs", SCHED_DRIVER, &[]),
         ("crates/knapsack/src/seq.rs", SCHED_DRIVER, &[]),
