@@ -4,13 +4,14 @@
 #
 #   1. formatting            (cargo fmt --check)
 #   2. zero-warning clippy   (workspace lints, all targets)
-#   3. project lint rules    (`cargo run -p xtask -- rules` lists them)
-#   4. the test suite, including crates/bench/tests/goldens.rs: every
+#   3. zero-warning rustdoc  (no broken or private intra-doc link)
+#   4. project lint rules    (`cargo run -p xtask -- rules` lists them)
+#   5. the test suite, including crates/bench/tests/goldens.rs: every
 #      `paper <name>` output must equal its golden under results/
-#   5. the gated benchmark's own package (outside the workspace, so
+#   6. the gated benchmark's own package (outside the workspace, so
 #      nothing above notices when a nexus-proxy API change stops it
 #      from compiling)
-#   6. the chaos drill's same-seed determinism
+#   7. the chaos drill's same-seed determinism
 set -eu
 
 cd "$(dirname "$0")"
@@ -20,6 +21,9 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "== xtask lint"
 cargo run -q -p xtask -- lint

@@ -200,7 +200,7 @@ pub fn ablation_relay() {
 /// data as no branches were pruned."
 ///
 /// This quantifies that variance across the Martello & Toth instance
-/// classes (the paper's reference [10]): traversed-node counts with the
+/// classes (the paper's reference \[10\]): traversed-node counts with the
 /// bound test on, over several seeds per class — exactly the
 /// irregularity that would have confounded a scheduling measurement.
 pub fn ablation_pruning() {

@@ -10,7 +10,9 @@
 
 use crate::{fmt_bw, fmt_ms};
 use netsim::prelude::*;
-use nexus_proxy::sim::{NxClient, NxEvent, NxHandled, SimInnerServer, SimOuterServer, SimProxyEnv};
+use nexus_proxy::sim::{
+    NxActor, NxApp, NxClient, NxEvent, NxHandled, SimInnerServer, SimOuterServer, SimProxyEnv,
+};
 use std::sync::Arc;
 use wacs_core::calibration as cal;
 use wacs_core::testbed::{FirewallMode, PaperTestbed, NXPORT, OUTER_CTRL_PORT};
@@ -67,7 +69,7 @@ fn measure(indirect: bool, size: u64, load_fraction: f64) -> (SimDuration, f64) 
         FirewallMode::TemporarilyOpen
     };
     let tb = PaperTestbed::build(mode);
-    let mut sim = Simulator::new(tb.topo.clone(), NetConfig::default(), 3);
+    let mut sim = Simulator::new(tb.topo.clone(), 3);
     if indirect {
         sim.spawn(
             tb.rwcp_outer,
@@ -110,23 +112,27 @@ fn measure(indirect: bool, size: u64, load_fraction: f64) -> (SimDuration, f64) 
     };
     sim.spawn(
         tb.rwcp_sun,
-        Box::new(PpServer {
-            nx: NxClient::new(env_server),
-            shared: shared.clone(),
-            size,
-            pong_flow: None,
-        }),
+        Box::new(NxActor::new(
+            NxClient::new(env_server),
+            PpServer {
+                shared: shared.clone(),
+                size,
+                pong_flow: None,
+            },
+        )),
     );
     sim.spawn(
         tb.etl_sun,
-        Box::new(PpClient {
-            nx: NxClient::new(SimProxyEnv::direct()),
-            shared: shared.clone(),
-            size,
-            rounds_left: 10,
-            flow: None,
-            t0: None,
-        }),
+        Box::new(NxActor::new(
+            NxClient::new(SimProxyEnv::direct()),
+            PpClient {
+                shared: shared.clone(),
+                size,
+                rounds_left: 10,
+                flow: None,
+                t0: None,
+            },
+        )),
     );
     sim.run_until(SimTime(SimDuration::from_secs(300).nanos()));
     let st = shared.lock();
@@ -145,14 +151,19 @@ struct PpState {
 type Shared = Arc<Mutex<PpState>>;
 
 struct PpServer {
-    nx: NxClient,
     shared: Shared,
     size: u64,
     pong_flow: Option<FlowId>,
 }
 
-impl PpServer {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for PpServer {
+    fn start(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        if let Some(adv) = nx.bind(ctx) {
+            self.shared.lock().server_adv = Some(adv);
+        }
+    }
+
+    fn handle(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Bound { advertised }) => {
                 self.shared.lock().server_adv = Some(advertised);
@@ -162,32 +173,14 @@ impl PpServer {
             }
             NxHandled::Data(d) => {
                 let flow = self.pong_flow.unwrap_or(d.flow);
-                let size = self.size;
-                let _ = self.nx.send_data(ctx, flow, size, ());
+                let _ = nx.send_data(ctx, flow, self.size, ());
             }
             _ => {}
         }
     }
 }
 
-impl Actor for PpServer {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(adv) = self.nx.bind(ctx) {
-            self.shared.lock().server_adv = Some(adv);
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, m: Delivery) {
-        let h = self.nx.on_message(ctx, m);
-        self.handle(ctx, h);
-    }
-}
-
 struct PpClient {
-    nx: NxClient,
     shared: Shared,
     size: u64,
     rounds_left: u32,
@@ -195,14 +188,30 @@ struct PpClient {
     t0: Option<SimTime>,
 }
 
-impl PpClient {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+/// App-level poll timer token of the ping-pong client.
+const POLL: u64 = 7;
+
+impl NxApp for PpClient {
+    fn start(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(SimDuration::from_millis(1), POLL);
+    }
+
+    fn timer(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, token: u64) {
+        if token == POLL && self.flow.is_none() {
+            let adv = self.shared.lock().server_adv;
+            match adv {
+                Some(dst) => nx.connect(ctx, dst, 0),
+                None => ctx.set_timer(SimDuration::from_millis(1), POLL),
+            }
+        }
+    }
+
+    fn handle(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Connected { flow, .. }) => {
                 self.flow = Some(flow);
                 self.t0 = Some(ctx.now());
-                let size = self.size;
-                let _ = self.nx.send_data(ctx, flow, size, ());
+                let _ = nx.send_data(ctx, flow, self.size, ());
             }
             NxHandled::Data(d) => {
                 self.rounds_left -= 1;
@@ -215,34 +224,10 @@ impl PpClient {
                     ctx.stop_simulation();
                     return;
                 }
-                let (flow, size) = (d.flow, self.size);
-                let _ = self.nx.send_data(ctx, flow, size, ());
+                let _ = nx.send_data(ctx, d.flow, self.size, ());
             }
             _ => {}
         }
-    }
-}
-
-impl Actor for PpClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(SimDuration::from_millis(1), 7);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-        if self.flow.is_none() {
-            let adv = self.shared.lock().server_adv;
-            match adv {
-                Some(dst) => self.nx.connect(ctx, dst, 0),
-                None => ctx.set_timer(SimDuration::from_millis(1), 7),
-            }
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, m: Delivery) {
-        let h = self.nx.on_message(ctx, m);
-        self.handle(ctx, h);
     }
 }
 

@@ -13,8 +13,8 @@
 
 use netsim::prelude::*;
 use nexus_proxy::sim::{
-    stripe_cell, NxClient, NxEvent, NxHandled, RelayModel, SimOuterServer, SimProxyEnv, StripeCell,
-    StripeSenderActor, StripeSinkActor,
+    stripe_cell, NxActor, NxApp, NxClient, NxEvent, NxHandled, RelayModel, SimOuterServer,
+    SimProxyEnv, StripeCell, StripeSender, StripeSink,
 };
 use nexus_proxy::{ShardStats, StripePlan, StripeStats};
 use std::io;
@@ -129,15 +129,20 @@ type CellRef = Arc<Mutex<CellState>>;
 /// virtual completion time. In echo mode (the kill cell) it echoes
 /// every sequence number back.
 struct CellSink {
-    nx: NxClient,
     cell: CellRef,
     expect: u64,
     echo: bool,
     hist: wacs_obs::Histogram,
 }
 
-impl CellSink {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for CellSink {
+    fn start(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        if let Some(adv) = nx.bind(ctx) {
+            self.cell.lock().advertised = Some(adv);
+        }
+    }
+
+    fn handle(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Bound { advertised }) => {
                 self.cell.lock().advertised = Some(advertised);
@@ -167,28 +172,6 @@ impl CellSink {
     }
 }
 
-impl Actor for CellSink {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(adv) = self.nx.bind(ctx) {
-            self.cell.lock().advertised = Some(adv);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: netsim::prelude::Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
-    }
-}
-
 /// Sender of one fan-in cell: once the sink is bound, connect and send
 /// `(seq, sent_at)` messages. A throughput cell blasts every message
 /// at once (the shard's relay queue serializes them); the kill cell
@@ -197,7 +180,6 @@ impl Actor for CellSink {
 /// advertised address and retransmits the unacknowledged number — the
 /// sink's exactly-once accept absorbs the duplicates.
 struct CellSender {
-    nx: NxClient,
     cell: CellRef,
     start_at: SimDuration,
     msgs: u64,
@@ -216,8 +198,24 @@ impl CellSender {
     fn send(&self, ctx: &mut Ctx<'_>, flow: FlowId, seq: u64) {
         let _ = ctx.send(flow, self.msg_bytes, (seq, ctx.now()));
     }
+}
 
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for CellSender {
+    fn start(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(self.start_at, CELL_POLL);
+    }
+
+    fn timer(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, token: u64) {
+        if token == CELL_POLL && self.flow.is_none() && self.next < self.msgs {
+            let adv = self.cell.lock().advertised;
+            match adv {
+                Some(dst) => nx.connect(ctx, dst, 11),
+                None => self.poll_soon(ctx),
+            }
+        }
+    }
+
+    fn handle(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Connected { flow, .. }) => {
                 self.flow = Some(flow);
@@ -250,34 +248,6 @@ impl CellSender {
             }
             _ => {}
         }
-    }
-}
-
-impl Actor for CellSender {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.start_at, CELL_POLL);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-            return;
-        }
-        if token == CELL_POLL && self.flow.is_none() && self.next < self.msgs {
-            let adv = self.cell.lock().advertised;
-            match adv {
-                Some(dst) => self.nx.connect(ctx, dst, 11),
-                None => self.poll_soon(ctx),
-            }
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: netsim::prelude::Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
     }
 }
 
@@ -356,7 +326,7 @@ fn shard_cell(
 
     let registry = Registry::new();
     let hist = registry.histogram("paper.shard.relay_ns");
-    let mut sim = Simulator::new(topo, NetConfig::default(), seed);
+    let mut sim = Simulator::new(topo, seed);
     let (members, shard_ids) = spawn_fleet(&mut sim, shard_hosts, &registry);
     let sink_map = if kind == CellKind::StaleMap {
         members[..shards / 2].to_vec()
@@ -367,28 +337,32 @@ fn shard_cell(
     for i in 0..cells as usize {
         sim.spawn(
             srv_hosts[i],
-            Box::new(CellSink {
-                nx: NxClient::new(SimProxyEnv::direct())
+            Box::new(NxActor::new(
+                NxClient::new(SimProxyEnv::direct())
                     .with_fleet(sink_map.clone())
                     .with_obs(&registry),
-                cell: cell_refs[i].clone(),
-                expect: msgs,
-                echo: kill,
-                hist: hist.clone(),
-            }),
+                CellSink {
+                    cell: cell_refs[i].clone(),
+                    expect: msgs,
+                    echo: kill,
+                    hist: hist.clone(),
+                },
+            )),
         );
         sim.spawn(
             snd_hosts[i],
-            Box::new(CellSender {
-                nx: NxClient::new(SimProxyEnv::direct()),
-                cell: cell_refs[i].clone(),
-                start_at,
-                msgs,
-                msg_bytes,
-                stop_and_wait: kill,
-                next: 0,
-                flow: None,
-            }),
+            Box::new(NxActor::new(
+                NxClient::new(SimProxyEnv::direct()),
+                CellSender {
+                    cell: cell_refs[i].clone(),
+                    start_at,
+                    msgs,
+                    msg_bytes,
+                    stop_and_wait: kill,
+                    next: 0,
+                    flow: None,
+                },
+            )),
         );
     }
 
@@ -589,7 +563,7 @@ fn stripe_cell_run(
 
     let registry = Registry::new();
     let lane_hist = registry.histogram("wacs.stripe.stripe_ns");
-    let mut sim = Simulator::new(topo, NetConfig::default(), seed);
+    let mut sim = Simulator::new(topo, seed);
     let (members, shard_ids) = spawn_fleet(&mut sim, shard_hosts, &registry);
     let plan = StripePlan::new(total_len, streams, chunk).map_err(io::Error::from)?;
     let data: Arc<Vec<u8>> = Arc::new(
@@ -602,32 +576,21 @@ fn stripe_cell_run(
     for stripe in 0..streams {
         sim.spawn(
             rx_host,
-            Box::new(
-                StripeSinkActor::new(
-                    NxClient::new(SimProxyEnv::direct())
-                        .with_fleet(members.clone())
-                        .with_bind_lane(stripe)
-                        .with_obs(&registry),
-                    stripe,
-                    cell.clone(),
-                )
-                .with_stats(stats.clone()),
-            ),
+            Box::new(NxActor::new(
+                NxClient::new(SimProxyEnv::direct())
+                    .with_fleet(members.clone())
+                    .with_bind_lane(stripe)
+                    .with_obs(&registry),
+                StripeSink::new(stripe, cell.clone()).with_stats(stats.clone()),
+            )),
         );
         sim.spawn(
             tx_host,
-            Box::new(
-                StripeSenderActor::new(
-                    NxClient::new(SimProxyEnv::direct()),
-                    stripe,
-                    cell.clone(),
-                    data.clone(),
-                    plan,
-                    7,
-                    start_at,
-                )
-                .with_stats(stats.clone()),
-            ),
+            Box::new(NxActor::new(
+                NxClient::new(SimProxyEnv::direct()),
+                StripeSender::new(stripe, cell.clone(), data.clone(), plan, 7, start_at)
+                    .with_stats(stats.clone()),
+            )),
         );
     }
 

@@ -26,10 +26,11 @@
 use crate::calibration as cal;
 use crate::experiments::{Mode, Pair};
 use crate::testbed::{FirewallMode, PaperTestbed, NXPORT, OUTER_CTRL_PORT};
-use netsim::engine::{NetConfig, Simulator};
+use netsim::engine::Simulator;
 use netsim::prelude::*;
 use nexus_proxy::sim::{
-    NxClient, NxEvent, NxHandled, RelayModel, SimInnerServer, SimOuterServer, SimProxyEnv,
+    NxActor, NxApp, NxClient, NxEvent, NxHandled, RelayModel, SimInnerServer, SimOuterServer,
+    SimProxyEnv,
 };
 use std::sync::Arc;
 use wacs_obs::Registry;
@@ -112,12 +113,17 @@ const POLL: u64 = 1;
 /// Target of the probe: binds (via the proxy when firewalled), then
 /// measures the one message that arrives.
 struct ProbeServer {
-    nx: NxClient,
     shared: ProbeShared,
 }
 
-impl ProbeServer {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for ProbeServer {
+    fn start(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        if let Some(adv) = nx.bind(ctx) {
+            self.shared.lock().server_adv = Some(adv);
+        }
+    }
+
+    fn handle(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Bound { advertised }) => {
                 self.shared.lock().server_adv = Some(advertised);
@@ -137,72 +143,35 @@ impl ProbeServer {
     }
 }
 
-impl Actor for ProbeServer {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(adv) = self.nx.bind(ctx) {
-            self.shared.lock().server_adv = Some(adv);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
-    }
-}
-
 /// Source of the probe: waits for the target's advertised address,
 /// connects, and fires exactly one stamped message.
 struct ProbeClient {
-    nx: NxClient,
     shared: ProbeShared,
     size: u64,
 }
 
-impl ProbeClient {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for ProbeClient {
+    fn start(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(SimDuration::from_millis(1), POLL);
+    }
+
+    fn timer(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, token: u64) {
+        if token == POLL {
+            let adv = self.shared.lock().server_adv;
+            match adv {
+                Some(dst) => nx.connect(ctx, dst, 0),
+                None => ctx.set_timer(SimDuration::from_millis(1), POLL),
+            }
+        }
+    }
+
+    fn handle(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         if let NxHandled::Event(NxEvent::Connected { flow, .. }) = h {
             // Raw send: one message through every instrument, no
             // segmentation framing.
             let stamp = ProbeStamp(ctx.now());
             let _ = ctx.send(flow, self.size, stamp);
         }
-    }
-}
-
-impl Actor for ProbeClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(SimDuration::from_millis(1), POLL);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-            return;
-        }
-        if token == POLL {
-            let adv = self.shared.lock().server_adv;
-            match adv {
-                Some(dst) => self.nx.connect(ctx, dst, 0),
-                None => ctx.set_timer(SimDuration::from_millis(1), POLL),
-            }
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
     }
 }
 
@@ -231,7 +200,7 @@ pub fn decompose_with_model(pair: Pair, mode: Mode, size: u64, model: RelayModel
         Pair::RwcpSunEtlSun => (tb.rwcp_sun, tb.etl_sun),
     };
     let registry = Registry::new();
-    let mut sim = Simulator::new(tb.topo.clone(), NetConfig::default(), 1);
+    let mut sim = Simulator::new(tb.topo.clone(), 1);
     sim.install_obs(registry.clone());
 
     let env_for = |host: NodeId| -> SimProxyEnv {
@@ -259,18 +228,22 @@ pub fn decompose_with_model(pair: Pair, mode: Mode, size: u64, model: RelayModel
     let shared: ProbeShared = Arc::default();
     sim.spawn(
         server_host,
-        Box::new(ProbeServer {
-            nx: NxClient::new(env_for(server_host)).with_obs(&registry),
-            shared: shared.clone(),
-        }),
+        Box::new(NxActor::new(
+            NxClient::new(env_for(server_host)).with_obs(&registry),
+            ProbeServer {
+                shared: shared.clone(),
+            },
+        )),
     );
     sim.spawn(
         client_host,
-        Box::new(ProbeClient {
-            nx: NxClient::new(env_for(client_host)).with_obs(&registry),
-            shared: shared.clone(),
-            size,
-        }),
+        Box::new(NxActor::new(
+            NxClient::new(env_for(client_host)).with_obs(&registry),
+            ProbeClient {
+                shared: shared.clone(),
+                size,
+            },
+        )),
     );
     sim.run();
 

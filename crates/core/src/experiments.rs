@@ -10,9 +10,11 @@ use crate::testbed::{FirewallMode, PaperTestbed, RankPlace, System, NXPORT, OUTE
 use knapsack::instance::Instance;
 use knapsack::sim::{MasterActor, Shared, SlaveActor};
 use knapsack::{ParParams, RunResult};
-use netsim::engine::{NetConfig, Simulator};
+use netsim::engine::Simulator;
 use netsim::prelude::*;
-use nexus_proxy::sim::{NxClient, NxEvent, NxHandled, SimInnerServer, SimOuterServer, SimProxyEnv};
+use nexus_proxy::sim::{
+    NxActor, NxApp, NxClient, NxEvent, NxHandled, SimInnerServer, SimOuterServer, SimProxyEnv,
+};
 use std::sync::Arc;
 use wacs_sync::Mutex;
 
@@ -93,7 +95,6 @@ type PingShared = Arc<Mutex<PingState>>;
 struct PingStamp(SimTime);
 
 struct PpServer {
-    nx: NxClient,
     shared: PingShared,
     size: u64,
     /// Channel back to the client (C2), once connected.
@@ -104,8 +105,25 @@ struct PpServer {
 
 const POLL: u64 = 1;
 
-impl PpServer {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for PpServer {
+    fn start(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        if let Some(adv) = nx.bind(ctx) {
+            self.shared.lock().server_adv = Some(adv);
+            ctx.set_timer(SimDuration::from_millis(1), POLL);
+        }
+    }
+
+    fn timer(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, token: u64) {
+        if token == POLL && self.pong_flow.is_none() {
+            let adv = self.shared.lock().client_adv;
+            match adv {
+                Some(dst) => nx.connect(ctx, dst, 1),
+                None => ctx.set_timer(SimDuration::from_millis(1), POLL),
+            }
+        }
+    }
+
+    fn handle(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Bound { advertised }) => {
                 self.shared.lock().server_adv = Some(advertised);
@@ -114,8 +132,7 @@ impl PpServer {
             NxHandled::Event(NxEvent::Connected { flow, .. }) => {
                 self.pong_flow = Some(flow);
                 for _ in 0..self.early {
-                    let size = self.size;
-                    let _ = self.nx.send_data(ctx, flow, size, ());
+                    let _ = nx.send_data(ctx, flow, self.size, ());
                 }
                 self.early = 0;
             }
@@ -125,8 +142,7 @@ impl PpServer {
                 }
                 match self.pong_flow {
                     Some(flow) => {
-                        let size = self.size;
-                        let _ = self.nx.send_data(ctx, flow, size, ());
+                        let _ = nx.send_data(ctx, flow, self.size, ());
                     }
                     None => self.early += 1,
                 }
@@ -136,39 +152,7 @@ impl PpServer {
     }
 }
 
-impl Actor for PpServer {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(adv) = self.nx.bind(ctx) {
-            self.shared.lock().server_adv = Some(adv);
-            ctx.set_timer(SimDuration::from_millis(1), POLL);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-            return;
-        }
-        if token == POLL && self.pong_flow.is_none() {
-            let adv = self.shared.lock().client_adv;
-            match adv {
-                Some(dst) => self.nx.connect(ctx, dst, 1),
-                None => ctx.set_timer(SimDuration::from_millis(1), POLL),
-            }
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
-    }
-}
-
 struct PpClient {
-    nx: NxClient,
     shared: PingShared,
     size: u64,
     warmup: u32,
@@ -180,18 +164,36 @@ struct PpClient {
 }
 
 impl PpClient {
-    fn maybe_start(&mut self, ctx: &mut Ctx<'_>) {
+    fn maybe_start(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>) {
         if let Some(flow) = self.ping_flow {
             if self.pong_ready && self.round == 0 {
                 self.round = 1;
-                let size = self.size;
-                let stamp = PingStamp(ctx.now());
-                let _ = self.nx.send_data(ctx, flow, size, stamp);
+                let _ = nx.send_data(ctx, flow, self.size, PingStamp(ctx.now()));
+            }
+        }
+    }
+}
+
+impl NxApp for PpClient {
+    fn start(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        // Bind the pong endpoint first so the server can reach back.
+        if let Some(adv) = nx.bind(ctx) {
+            self.shared.lock().client_adv = Some(adv);
+        }
+        ctx.set_timer(SimDuration::from_millis(1), POLL);
+    }
+
+    fn timer(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, token: u64) {
+        if token == POLL && self.ping_flow.is_none() {
+            let adv = self.shared.lock().server_adv;
+            match adv {
+                Some(dst) => nx.connect(ctx, dst, 2),
+                None => ctx.set_timer(SimDuration::from_millis(1), POLL),
             }
         }
     }
 
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+    fn handle(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Bound { advertised }) => {
                 // Proxied mode: the pong endpoint's rendezvous address
@@ -200,12 +202,12 @@ impl PpClient {
             }
             NxHandled::Event(NxEvent::Connected { flow, .. }) => {
                 self.ping_flow = Some(flow);
-                self.maybe_start(ctx);
+                self.maybe_start(nx, ctx);
             }
             NxHandled::Event(NxEvent::Accepted { .. }) => {
                 // The server's pong channel reached us.
                 self.pong_ready = true;
-                self.maybe_start(ctx);
+                self.maybe_start(nx, ctx);
             }
             NxHandled::Event(NxEvent::Refused { .. }) => {
                 ctx.stop_simulation();
@@ -231,44 +233,10 @@ impl PpClient {
                 // before any pong can arrive (maybe_start gates on it).
                 #[allow(clippy::expect_used)]
                 let flow = self.ping_flow.expect("pong before ping channel"); // lint:allow(unwrap-panic)
-                let size = self.size;
-                let stamp = PingStamp(ctx.now());
-                let _ = self.nx.send_data(ctx, flow, size, stamp);
+                let _ = nx.send_data(ctx, flow, self.size, PingStamp(ctx.now()));
             }
             _ => {}
         }
-    }
-}
-
-impl Actor for PpClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // Bind the pong endpoint first so the server can reach back.
-        if let Some(adv) = self.nx.bind(ctx) {
-            self.shared.lock().client_adv = Some(adv);
-        }
-        ctx.set_timer(SimDuration::from_millis(1), POLL);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-            return;
-        }
-        if token == POLL && self.ping_flow.is_none() {
-            let adv = self.shared.lock().server_adv;
-            match adv {
-                Some(dst) => self.nx.connect(ctx, dst, 2),
-                None => ctx.set_timer(SimDuration::from_millis(1), POLL),
-            }
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
     }
 }
 
@@ -297,7 +265,7 @@ pub fn pingpong_with_model(
         Pair::RwcpSunEtlSun => (tb.rwcp_sun, tb.etl_sun),
     };
     let registry = wacs_obs::Registry::new();
-    let mut sim = Simulator::new(tb.topo.clone(), NetConfig::default(), 1);
+    let mut sim = Simulator::new(tb.topo.clone(), 1);
     sim.install_obs(registry.clone());
 
     // Per-host proxy policy: RWCP hosts are proxied under Indirect;
@@ -332,27 +300,31 @@ pub fn pingpong_with_model(
     }));
     sim.spawn(
         server_host,
-        Box::new(PpServer {
-            nx: NxClient::new(env_for(server_host)).with_obs(&registry),
-            shared: shared.clone(),
-            size,
-            pong_flow: None,
-            early: 0,
-        }),
+        Box::new(NxActor::new(
+            NxClient::new(env_for(server_host)).with_obs(&registry),
+            PpServer {
+                shared: shared.clone(),
+                size,
+                pong_flow: None,
+                early: 0,
+            },
+        )),
     );
     sim.spawn(
         client_host,
-        Box::new(PpClient {
-            nx: NxClient::new(env_for(client_host)).with_obs(&registry),
-            shared: shared.clone(),
-            size,
-            warmup: 2,
-            reps: 8,
-            ping_flow: None,
-            pong_ready: false,
-            round: 0,
-            t0: None,
-        }),
+        Box::new(NxActor::new(
+            NxClient::new(env_for(client_host)).with_obs(&registry),
+            PpClient {
+                shared: shared.clone(),
+                size,
+                warmup: 2,
+                reps: 8,
+                ping_flow: None,
+                pong_ready: false,
+                round: 0,
+                t0: None,
+            },
+        )),
     );
     sim.run();
     let st = shared.lock();
@@ -525,7 +497,7 @@ fn knapsack_world(
     let inst = Arc::new(Instance::no_pruning(cfg.items));
     let shared: Shared = Arc::default();
     let registry = shared.lock().obs.clone();
-    let mut sim = Simulator::new(tb.topo.clone(), NetConfig::default(), cfg.seed);
+    let mut sim = Simulator::new(tb.topo.clone(), cfg.seed);
     sim.install_obs(registry.clone());
 
     let inner = (tb.rwcp_inner, NXPORT);

@@ -128,7 +128,8 @@ pub enum Action {
     Deny,
 }
 
-/// Final verdict returned by [`crate::Firewall::filter`].
+/// Final verdict returned by [`crate::Firewall::filter_open`] and
+/// [`crate::Firewall::filter_data`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Passed by an explicit rule or by the default action.

@@ -22,19 +22,14 @@ use crate::policy::{Firewall, Policy};
 use crate::rule::{Direction, Endpoint, HostRef, Proto};
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use wacs_sync::Mutex;
 
 /// First logical port for listen-on-any requests; 65535 wraps back here.
 const EPHEMERAL_BASE: u16 = 40000;
-
-/// Bound on a stop handle's wake dial: a listener whose backlog is full
-/// has connections to return, so its `accept` is not blocked and the
-/// dial need not land.
-const STOP_DIAL_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Site index within a `VNet`.
 pub type VSiteId = usize;
@@ -157,6 +152,8 @@ impl VNet {
         }
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let real = listener.local_addr()?;
+        // The listening socket's fd as a stream, for `shutdown` alone.
+        let dup = TcpStream::from(OwnedFd::from(listener.try_clone()?));
         let mut services = self.inner.services.lock();
         let free = |p: &u16| !services.contains_key(&(host.to_string(), *p));
         let port = match port {
@@ -176,11 +173,12 @@ impl VNet {
             listener,
             host: host.to_string(),
             port,
-            net: self.clone(),
             stop: StopHandle {
                 inner: Arc::new(StopInner {
                     stopped: AtomicBool::new(false),
-                    real,
+                    listening: Mutex::new(Some(dup)),
+                    net: self.clone(),
+                    service: (host.to_string(), port),
                 }),
             },
         })
@@ -255,25 +253,42 @@ impl VNet {
 
 struct StopInner {
     stopped: AtomicBool,
-    /// The listener's own real loopback address: where the wake dials.
-    real: SocketAddr,
+    /// A dup of the listening socket, until the first stop or the
+    /// listener's drop takes it; whichever does also unregisters.
+    listening: Mutex<Option<TcpStream>>,
+    net: VNet,
+    service: (String, u16),
 }
 
-/// Ends a [`VListener::accept_until_stop`] from another thread. The
-/// flag is set first and then one connection is made to the listener's
-/// real address, so the blocked `accept` returns and sees the flag.
-/// That dial is not traffic: it bypasses [`VNet::dial`] (policy,
-/// conntrack, dial hooks), and the listener drops it unserved.
+impl StopInner {
+    /// Take the dup, set the flag and unregister the logical service;
+    /// `None` if a stop or the drop came first. The dup's lock is held
+    /// throughout, so the logical port is still this listener's: once
+    /// unregistered it may be another's.
+    fn retire(&self) -> Option<TcpStream> {
+        let mut listening = self.listening.lock();
+        let dup = listening.take()?;
+        self.stopped.store(true, Ordering::SeqCst);
+        self.net.inner.services.lock().remove(&self.service);
+        Some(dup)
+    }
+}
+
+/// Ends a [`VListener::accept_until_stop`] from another thread: it sets
+/// the flag, unregisters the logical service, then shuts the listening
+/// socket down, which ends a blocked `accept` at once and frees the
+/// real port. Clones hold the socket only until the listener drops.
 #[derive(Clone)]
 pub struct StopHandle {
     inner: Arc<StopInner>,
 }
 
 impl StopHandle {
-    /// Idempotent: only the first call dials.
+    /// Idempotent: only the first call (before the listener's drop)
+    /// does anything.
     pub fn stop(&self) {
-        if !self.inner.stopped.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect_timeout(&self.inner.real, STOP_DIAL_TIMEOUT);
+        if let Some(dup) = self.inner.retire() {
+            let _ = dup.shutdown(Shutdown::Read);
         }
     }
 
@@ -283,12 +298,11 @@ impl StopHandle {
 }
 
 /// A bound service: real listener + logical address. Unregisters on
-/// drop.
+/// drop, unless a stop already did.
 pub struct VListener {
     listener: TcpListener,
     host: String,
     port: u16,
-    net: VNet,
     stop: StopHandle,
 }
 
@@ -303,9 +317,8 @@ impl VListener {
     }
 
     /// Block for the next connection. `None` once the stop handle has
-    /// fired (or the listener failed): whatever was accepted after the
-    /// flag went up, the wake dial or a real peer racing it, is dropped
-    /// unserved.
+    /// fired (or the listener failed): a peer accepted after the flag
+    /// went up is dropped unserved.
     pub fn accept_until_stop(&self) -> Option<TcpStream> {
         if self.stop.is_stopped() {
             return None;
@@ -332,13 +345,7 @@ impl std::fmt::Debug for VListener {
 
 impl Drop for VListener {
     fn drop(&mut self) {
-        // A later stop must not dial: the real port may be another's by then.
-        self.stop.inner.stopped.store(true, Ordering::SeqCst);
-        self.net
-            .inner
-            .services
-            .lock()
-            .remove(&(self.host.clone(), self.port));
+        self.stop.inner.retire();
     }
 }
 
@@ -517,12 +524,12 @@ mod tests {
         stop.stop();
         assert!(acceptor.join().unwrap());
         assert!(n.resolve("in-a", 7000).is_none());
-        // With the listener gone a late stop dials nobody.
+        // With the listener gone a late stop does nothing.
         stop.stop();
     }
 
-    /// A real peer that lands between the flag and the wake dial is
-    /// accepted by the kernel but never served: it reads EOF.
+    /// A real peer accepted after the flag went up is never served: it
+    /// reads EOF.
     #[test]
     fn a_peer_that_raced_the_stop_is_dropped_unserved() {
         let n = net();
@@ -534,23 +541,30 @@ mod tests {
             l.accept_until_stop().is_none()
         });
         entered.recv().unwrap();
-        // The first half of `stop()` only; the peer below is the wake.
+        // The flag alone; the peer below ends the accept.
         flag.inner.stopped.store(true, Ordering::SeqCst);
         let mut peer = n.dial("in-b", "in-a", 7000).unwrap();
         assert!(acceptor.join().unwrap());
         assert!(matches!(peer.read(&mut [0u8; 1]), Ok(0) | Err(_)));
     }
 
+    /// A stop unregisters the service at once, so a dial after it is
+    /// refused; a second stop is a no-op, and the logical port may be
+    /// bound again while the stopped listener still lives, which its
+    /// drop then leaves alone.
     #[test]
-    fn a_second_stop_makes_no_second_dial() {
+    fn a_dial_after_a_stop_is_refused_and_a_second_stop_is_a_no_op() {
         let n = net();
         let l = n.bind("in-a", 7000).unwrap();
         let stop = l.stop_handle();
         stop.stop();
         stop.clone().stop();
-        l.listener.set_nonblocking(true).unwrap();
-        assert!(l.accept().is_ok(), "the one wake dial");
-        assert_eq!(l.accept().unwrap_err().kind(), io::ErrorKind::WouldBlock);
+        assert!(stop.is_stopped() && l.accept_until_stop().is_none());
+        let refused = n.dial("in-b", "in-a", 7000).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
+        let again = n.bind("in-a", 7000).unwrap();
+        drop(l);
+        assert_eq!(n.resolve("in-a", 7000), again.listener.local_addr().ok());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Dynamic-programming ground truth: O(n·C) table, exact for the
 //! capacities our tests use. Used only to validate the branch-and-bound
-//! solvers (the paper's reference [10] catalogues both families).
+//! solvers (the paper's reference \[10\] catalogues both families).
 
 use crate::instance::Instance;
 

@@ -1,7 +1,7 @@
 //! 0-1 knapsack instances.
 //!
 //! Generators cover the classes of Martello & Toth (the paper's
-//! reference [10]) plus the paper's own *normalized* instance: "we used
+//! reference \[10\]) plus the paper's own *normalized* instance: "we used
 //! such data as no branches were pruned, meaning the entire search
 //! space is traced by processes" (§4.4) — which makes total work
 //! deterministic and lets the experiment isolate scheduling behaviour.

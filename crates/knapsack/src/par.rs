@@ -218,6 +218,25 @@ mod tests {
         assert_eq!(exhaustive.1.traversed, Instance::full_tree_nodes(10));
     }
 
+    /// An `interval` of 0 runs as 1: batches of 0 would run no node
+    /// while the stack held work, and the master would spin forever
+    /// (the run is on its own thread, failed rather than hung).
+    #[test]
+    fn a_zero_interval_runs_as_one() {
+        let inst = Instance::no_pruning(6);
+        let (_, c) = seq::solve(&inst, SolveMode::Exhaustive);
+        let params = ParParams {
+            interval: 0,
+            ..ParParams::default()
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(run_flat(1, inst, params)));
+        let rr = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("no result in 10 s");
+        assert_eq!(rr.total_traversed(), c.traversed);
+    }
+
     #[test]
     fn back_pressure_path_exercised() {
         // Ship enough nodes per steal that a slave's stack exceeds the

@@ -211,6 +211,17 @@ struct Search {
 }
 
 impl Search {
+    /// The one place params enter a search: an `interval` of 0 would
+    /// make every batch empty while the stack holds work, so it runs
+    /// as 1.
+    fn new(params: ParParams) -> Self {
+        let interval = params.interval.max(1);
+        Search {
+            params: ParParams { interval, ..params },
+            ..Search::default()
+        }
+    }
+
     /// One batch: the branch operation `interval` times, or until the
     /// stack drains. Returns how many ran.
     fn work(&mut self, inst: &Instance) -> u32 {
@@ -276,10 +287,7 @@ pub struct Master<P> {
 
 impl<P: Copy + PartialEq> Master<P> {
     pub fn new(inst: &Instance, params: ParParams, nslaves: usize) -> Self {
-        let mut search = Search {
-            params,
-            ..Search::default()
-        };
+        let mut search = Search::new(params);
         search.stack.push(Node::root(inst));
         Master {
             search,
@@ -416,10 +424,7 @@ pub struct Slave {
 impl Slave {
     pub fn new(inst: &Instance, params: ParParams, rank: u32, group: impl Into<String>) -> Self {
         Slave {
-            search: Search {
-                params,
-                ..Search::default()
-            },
+            search: Search::new(params),
             n: inst.n(),
             rank,
             group: group.into(),

@@ -10,7 +10,7 @@ use crate::instance::Instance;
 use crate::sched::{Heard, Master, Msg, ParParams, Slave};
 use crate::stats::RunResult;
 use netsim::prelude::*;
-use nexus_proxy::sim::{NxClient, NxEvent, NxHandled, SimProxyEnv};
+use nexus_proxy::sim::{NxActor, NxApp, NxClient, NxEvent, NxHandled, SimProxyEnv};
 use std::sync::Arc;
 use wacs_sync::Mutex;
 
@@ -54,7 +54,6 @@ fn cost(ctx: &Ctx<'_>, ops: u32) -> SimDuration {
 pub struct MasterActor {
     inst: Arc<Instance>,
     core: Master<FlowId>,
-    nx: NxClient,
     shared: Shared,
     group: String,
     /// A bind has succeeded once (a failed *re*-bind is not a rig bug).
@@ -65,6 +64,7 @@ pub struct MasterActor {
 }
 
 impl MasterActor {
+    /// The master, in the shell of a client on `env`.
     pub fn new(
         inst: Arc<Instance>,
         params: ParParams,
@@ -72,19 +72,19 @@ impl MasterActor {
         shared: Shared,
         group: impl Into<String>,
         nslaves: usize,
-    ) -> Self {
+    ) -> NxActor<Self> {
         let core = Master::new(&inst, params, nslaves);
         let nx = NxClient::new(env).with_obs(&shared.lock().obs);
-        MasterActor {
+        let master = MasterActor {
             inst,
             core,
-            nx,
             shared,
             group: group.into(),
             ever_bound: false,
             working: false,
             started_at: SimTime::ZERO,
-        }
+        };
+        NxActor::new(nx, master)
     }
 
     fn schedule_work(&mut self, ctx: &mut Ctx<'_>, after: SimDuration) {
@@ -103,29 +103,29 @@ impl MasterActor {
     }
 
     /// Ask the finish rule, once the last batch has been charged.
-    fn maybe_finish(&mut self, ctx: &mut Ctx<'_>) {
+    fn maybe_finish(&mut self, nx: &NxClient, ctx: &mut Ctx<'_>) {
         if self.working {
             return;
         }
         for (flow, msg) in self.core.finish().into_iter().flatten() {
             send(ctx, flow, msg);
         }
-        self.maybe_publish(ctx);
+        self.maybe_publish(nx, ctx);
     }
 
-    fn maybe_publish(&mut self, ctx: &mut Ctx<'_>) {
+    fn maybe_publish(&mut self, nx: &NxClient, ctx: &mut Ctx<'_>) {
         let elapsed = ctx.now().since(self.started_at).as_secs_f64();
         let Some(result) = self.core.result(ctx.host_name(), &self.group, elapsed) else {
             return;
         };
         let mut sh = self.shared.lock();
-        sh.nx_retries += self.nx.retries();
+        sh.nx_retries += nx.retries();
         sh.result = Some(result);
         drop(sh);
         ctx.stop_simulation();
     }
 
-    fn handle_data(&mut self, ctx: &mut Ctx<'_>, d: Delivery) {
+    fn handle_data(&mut self, nx: &NxClient, ctx: &mut Ctx<'_>, d: Delivery) {
         let flow = d.flow;
         match self.core.on_msg(flow, d.expect::<Msg>()) {
             Ok(Heard::Reply(msg)) => {
@@ -133,7 +133,7 @@ impl MasterActor {
             }
             Ok(Heard::Waiting) => {
                 self.serve(ctx);
-                self.maybe_finish(ctx);
+                self.maybe_finish(nx, ctx);
             }
             Ok(Heard::Returned) => {
                 self.serve(ctx);
@@ -141,14 +141,41 @@ impl MasterActor {
                     self.schedule_work(ctx, SimDuration::ZERO);
                 }
             }
-            Ok(Heard::Report) => self.maybe_publish(ctx),
+            Ok(Heard::Report) => self.maybe_publish(nx, ctx),
             Err(e) => sim_bug("master got an unexpected message", e),
         }
     }
+}
 
-    /// Proxy-layer events can surface from either raw callback (a
-    /// `Bound`/`ConnectRep` is itself a message), so both funnel here.
-    fn handle_nx(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for MasterActor {
+    fn name(&self) -> &str {
+        "knapsack-master"
+    }
+
+    fn start(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        self.started_at = ctx.now();
+        if let Some(adv) = nx.bind(ctx) {
+            self.ever_bound = true;
+            self.shared.lock().master_addr = Some(adv);
+        }
+        self.schedule_work(ctx, SimDuration::ZERO);
+    }
+
+    fn timer(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, token: u64) {
+        if token == WORK {
+            self.working = false;
+            let ops = self.core.work(&self.inst);
+            self.serve(ctx);
+            if ops > 0 {
+                let after = cost(ctx, ops);
+                self.schedule_work(ctx, after);
+            } else {
+                self.maybe_finish(nx, ctx);
+            }
+        }
+    }
+
+    fn handle(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Bound { advertised }) => {
                 self.ever_bound = true;
@@ -162,7 +189,7 @@ impl MasterActor {
             NxHandled::Event(NxEvent::BindFailed) if !self.ever_bound => {
                 sim_bug("master bind failed", ());
             }
-            NxHandled::Data(d) => self.handle_data(ctx, d),
+            NxHandled::Data(d) => self.handle_data(nx, ctx, d),
             NxHandled::Flow(FlowEvent::Closed { flow, .. }) => {
                 self.core.gone(flow);
                 if self.core.has_work() {
@@ -174,53 +201,10 @@ impl MasterActor {
     }
 }
 
-impl Actor for MasterActor {
-    fn name(&self) -> &str {
-        "knapsack-master"
-    }
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.started_at = ctx.now();
-        if let Some(adv) = self.nx.bind(ctx) {
-            self.ever_bound = true;
-            self.shared.lock().master_addr = Some(adv);
-        }
-        self.schedule_work(ctx, SimDuration::ZERO);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle_nx(ctx, h);
-        } else if token == WORK {
-            self.working = false;
-            let ops = self.core.work(&self.inst);
-            self.serve(ctx);
-            if ops > 0 {
-                let after = cost(ctx, ops);
-                self.schedule_work(ctx, after);
-            } else {
-                self.maybe_finish(ctx);
-            }
-        }
-    }
-
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle_nx(ctx, h);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle_nx(ctx, h);
-    }
-}
-
 /// A slave actor.
 pub struct SlaveActor {
     inst: Arc<Instance>,
     core: Slave,
-    nx: NxClient,
     shared: Shared,
     master: Option<FlowId>,
     /// A dial is in flight (don't start another from a POLL tick).
@@ -233,6 +217,7 @@ pub struct SlaveActor {
 }
 
 impl SlaveActor {
+    /// Slave `rank`, in the shell of a client on `env`.
     pub fn new(
         inst: Arc<Instance>,
         params: ParParams,
@@ -240,22 +225,22 @@ impl SlaveActor {
         shared: Shared,
         rank: u32,
         group: impl Into<String>,
-    ) -> Self {
+    ) -> NxActor<Self> {
         let sh = shared.lock();
         let nx = NxClient::new(env).with_obs(&sh.obs);
         let steal_rtt_ns = sh.obs.histogram("knapsack.steal_rtt_ns");
         drop(sh);
-        SlaveActor {
+        let slave = SlaveActor {
             core: Slave::new(&inst, params, rank, group),
             inst,
-            nx,
             shared,
             master: None,
             connecting: false,
             working: false,
             steal_sent: None,
             steal_rtt_ns,
-        }
+        };
+        NxActor::new(nx, slave)
     }
 
     fn schedule_poll(&mut self, ctx: &mut Ctx<'_>) {
@@ -293,9 +278,33 @@ impl SlaveActor {
             self.schedule_poll(ctx);
         }
     }
+}
 
-    /// See `MasterActor::handle_nx` for why both callbacks funnel here.
-    fn handle_nx(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for SlaveActor {
+    fn name(&self) -> &str {
+        "knapsack-slave"
+    }
+
+    fn start(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        self.schedule_poll(ctx);
+    }
+
+    fn timer(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, token: u64) {
+        if token == WORK {
+            self.on_work(ctx);
+        } else if token == POLL && self.master.is_none() && !self.connecting {
+            let addr = self.shared.lock().master_addr;
+            match addr {
+                Some(dst) => {
+                    self.connecting = true;
+                    nx.connect(ctx, dst, 0);
+                }
+                None => self.schedule_poll(ctx),
+            }
+        }
+    }
+
+    fn handle(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         let d = match h {
             NxHandled::Event(NxEvent::Connected { flow, .. }) => {
                 self.connecting = false;
@@ -341,7 +350,7 @@ impl SlaveActor {
             }
             Ok(Some(report)) => {
                 if !was_done {
-                    self.shared.lock().nx_retries += self.nx.retries();
+                    self.shared.lock().nx_retries += nx.retries();
                 }
                 send(ctx, flow, report);
             }
@@ -350,48 +359,10 @@ impl SlaveActor {
     }
 }
 
-impl Actor for SlaveActor {
-    fn name(&self) -> &str {
-        "knapsack-slave"
-    }
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.schedule_poll(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle_nx(ctx, h);
-        } else if token == WORK {
-            self.on_work(ctx);
-        } else if token == POLL && self.master.is_none() && !self.connecting {
-            let addr = self.shared.lock().master_addr;
-            match addr {
-                Some(dst) => {
-                    self.connecting = true;
-                    self.nx.connect(ctx, dst, 0);
-                }
-                None => self.schedule_poll(ctx),
-            }
-        }
-    }
-
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle_nx(ctx, h);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle_nx(ctx, h);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::engine::{NetConfig, Simulator};
+    use netsim::engine::Simulator;
 
     /// One open site, a master host and `k` slave hosts with the given
     /// relative CPU rates.
@@ -409,7 +380,7 @@ mod tests {
         }
         let inst = Arc::new(Instance::no_pruning(n_items));
         let shared: Shared = Arc::default();
-        let mut sim = Simulator::new(topo, NetConfig::default(), 42);
+        let mut sim = Simulator::new(topo, 42);
         sim.spawn(
             master_host,
             Box::new(MasterActor::new(

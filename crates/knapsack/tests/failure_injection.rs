@@ -15,7 +15,7 @@ use firewall::Policy;
 use knapsack::instance::Instance;
 use knapsack::sim::{MasterActor, Shared, SlaveActor};
 use knapsack::ParParams;
-use netsim::engine::{NetConfig, Simulator};
+use netsim::engine::Simulator;
 use netsim::prelude::*;
 use nexus_proxy::sim::{SimInnerServer, SimOuterServer, SimProxyEnv};
 use std::sync::Arc;
@@ -61,7 +61,7 @@ fn rig(items: usize) -> Rig {
 
     let inst = Arc::new(Instance::no_pruning(items));
     let shared: Shared = Arc::default();
-    let mut sim = Simulator::new(topo, NetConfig::default(), 5);
+    let mut sim = Simulator::new(topo, 5);
     let model = nexus_proxy::sim::RelayModel::default();
     let outer_id = sim.spawn(
         outer_h,

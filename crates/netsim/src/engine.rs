@@ -3,7 +3,7 @@
 //!
 //! ## Transfer model
 //!
-//! A message is split into chunks of `NetConfig::chunk_bytes` (the
+//! A message is split into chunks of `CHUNK_BYTES` (the
 //! relay/socket buffer granularity). Each chunk store-and-forwards
 //! across every link of the static route: it is serialized onto the
 //! link (`wire_bytes / bandwidth`, FIFO per link direction) and arrives
@@ -34,53 +34,30 @@ use crate::trace::Trace;
 use firewall::{Direction, Endpoint as FwEndpoint, Firewall, Proto, Verdict};
 use std::collections::HashMap;
 
-/// Tunables of the transfer model. Defaults are calibrated in
-/// `wacs-core::calibration` against the paper's direct measurements.
-#[derive(Debug, Clone)]
-pub struct NetConfig {
-    /// Store-and-forward granularity (socket/relay buffer size).
-    pub chunk_bytes: u64,
-    /// TCP maximum segment size, for header accounting.
-    pub mss: u64,
-    /// Ethernet+IP+TCP header bytes per segment.
-    pub header_per_segment: u64,
-    /// Per-connection setup cost on top of the handshake RTT.
-    pub connect_overhead: SimDuration,
-    /// Protocol-stack cost charged once per message at the sender.
-    pub per_message_overhead: SimDuration,
-    /// Latency of a host talking to itself.
-    pub loopback_latency: SimDuration,
-    /// Loopback bandwidth (bytes/s).
-    pub loopback_bandwidth: f64,
-    /// How long a silently-dropped SYN takes to surface as `Refused`.
-    pub connect_timeout: SimDuration,
-    /// Re-run firewall data filtering per message (needed for the
-    /// policy-flip failure-injection experiments; tiny cost).
-    pub refilter_data: bool,
-}
+// The transfer model's constants; `wacs-core::calibration` sets the
+// topology around them against the paper's direct measurements.
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            chunk_bytes: 8192,
-            mss: 1460,
-            header_per_segment: 58,
-            connect_overhead: SimDuration::from_micros(300),
-            per_message_overhead: SimDuration::from_micros(150),
-            loopback_latency: SimDuration::from_micros(20),
-            loopback_bandwidth: 200e6,
-            connect_timeout: SimDuration::from_millis(500),
-            refilter_data: true,
-        }
-    }
-}
+/// Store-and-forward granularity (socket/relay buffer size).
+const CHUNK_BYTES: u64 = 8192;
+/// TCP maximum segment size, for header accounting.
+const MSS: u64 = 1460;
+/// Ethernet+IP+TCP header bytes per segment.
+const HEADER_PER_SEGMENT: u64 = 58;
+/// Per-connection setup cost on top of the handshake RTT.
+const CONNECT_OVERHEAD: SimDuration = SimDuration::from_micros(300);
+/// Protocol-stack cost charged once per message at the sender.
+const PER_MESSAGE_OVERHEAD: SimDuration = SimDuration::from_micros(150);
+/// Latency of a host talking to itself.
+const LOOPBACK_LATENCY: SimDuration = SimDuration::from_micros(20);
+/// Loopback bandwidth (bytes/s).
+const LOOPBACK_BANDWIDTH: f64 = 200e6;
+/// How long a silently-dropped SYN takes to surface as `Refused`.
+const CONNECT_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 
-impl NetConfig {
-    /// Bytes on the wire for a chunk of `bytes` payload bytes.
-    pub fn wire_bytes(&self, bytes: u64) -> u64 {
-        let segments = bytes.div_ceil(self.mss).max(1);
-        bytes + segments * self.header_per_segment
-    }
+/// Bytes on the wire for a chunk of `bytes` payload bytes.
+fn wire_bytes(bytes: u64) -> u64 {
+    let segments = bytes.div_ceil(MSS).max(1);
+    bytes + segments * HEADER_PER_SEGMENT
 }
 
 /// In-flight message content.
@@ -126,7 +103,6 @@ enum Event {
 /// can hold `&mut World` while the engine holds the actor).
 pub struct World {
     pub topo: Topology,
-    pub config: NetConfig,
     now: SimTime,
     queue: EventQueue<Event>,
     flows: HashMap<FlowId, Flow>,
@@ -151,7 +127,7 @@ pub struct World {
 }
 
 impl World {
-    fn new(topo: Topology, config: NetConfig, seed: u64) -> Self {
+    fn new(topo: Topology, seed: u64) -> Self {
         let firewalls = topo
             .sites
             .iter()
@@ -162,7 +138,6 @@ impl World {
         let link_free = vec![[SimTime::ZERO; 2]; topo.links.len()];
         World {
             topo,
-            config,
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             flows: HashMap::new(),
@@ -249,10 +224,9 @@ impl World {
     /// wire direction (a→b or b→a). Non-final chunks carry no payload;
     /// the final chunk's arrival delivers the message.
     fn send_message(&mut self, flow_id: FlowId, forward: bool, msg: MsgDesc) {
-        let start = self.now + self.config.per_message_overhead;
+        let start = self.now + PER_MESSAGE_OVERHEAD;
         let size = msg.size;
-        let chunk = self.config.chunk_bytes;
-        let nchunks = size.div_ceil(chunk).max(1);
+        let nchunks = size.div_ceil(CHUNK_BYTES).max(1);
         // All non-final chunks carry no payload.
         for i in 0..nchunks - 1 {
             self.queue.schedule(
@@ -260,14 +234,14 @@ impl World {
                 Event::Chunk(Transit {
                     flow: flow_id,
                     forward,
-                    bytes: chunk.min(size - i * chunk),
+                    bytes: CHUNK_BYTES.min(size - i * CHUNK_BYTES),
                     msg: None,
                     hop: 0,
                     attempt: 0,
                 }),
             );
         }
-        let last_bytes = size - (nchunks - 1) * chunk;
+        let last_bytes = size - (nchunks - 1) * CHUNK_BYTES;
         self.queue.schedule(
             start,
             Event::Chunk(Transit {
@@ -341,10 +315,6 @@ impl<'w> Ctx<'w> {
         &mut self.world.rng
     }
 
-    pub fn config(&self) -> &NetConfig {
-        &self.world.config
-    }
-
     pub fn topo(&self) -> &Topology {
         &self.world.topo
     }
@@ -408,7 +378,7 @@ impl<'w> Ctx<'w> {
         {
             // Deny rules drop silently: the connect only fails at the
             // timeout.
-            let at = now + self.world.config.connect_timeout;
+            let at = now + CONNECT_TIMEOUT;
             self.world.queue.schedule(
                 at,
                 Event::Flow(
@@ -470,7 +440,7 @@ impl<'w> Ctx<'w> {
             draining: None,
         };
         let rtt = SimDuration(self.world.topo.path_latency(&path).nanos() * 2);
-        let done = now + rtt + self.world.config.connect_overhead;
+        let done = now + rtt + CONNECT_OVERHEAD;
         self.world.flows.insert(id, flow);
         self.world.stats.flows_opened += 1;
         self.world.queue.schedule(
@@ -547,8 +517,7 @@ impl<'w> Ctx<'w> {
 
         if path.is_empty() {
             // Loopback delivery.
-            let d = self.world.config.loopback_latency
-                + SimDuration::from_secs_f64(size as f64 / self.world.config.loopback_bandwidth);
+            let d = LOOPBACK_LATENCY + SimDuration::from_secs_f64(size as f64 / LOOPBACK_BANDWIDTH);
             self.world.stats.messages_sent += 1;
             self.world.queue.schedule(
                 now + d,
@@ -562,44 +531,42 @@ impl<'w> Ctx<'w> {
             return Ok(());
         }
 
-        if self.world.config.refilter_data {
-            // The path stored on the flow is a→b; filtering needs the
-            // travel direction's origin node.
-            let origin = src_node;
-            let path_dir: Vec<LinkId> = if forward {
-                path.as_ref().clone()
-            } else {
-                path.iter().rev().copied().collect()
-            };
-            if !self
-                .world
-                .filter_data_path(origin, &path_dir, src_ep, dst_ep)
-                .passed()
-            {
-                // Firewall started eating this flow: sever it.
-                self.world.stats.messages_filtered += 1;
-                let Some(f) = self.world.flows.get_mut(&flow) else {
-                    return Ok(());
-                };
-                f.state = FlowState::Closed;
-                let (a_actor, b_actor) = (f.a.actor, f.b.actor);
-                let fc = f.clone();
-                self.world.teardown_conntrack(&fc);
-                self.world.stats.flows_closed += 1;
-                for act in [a_actor, b_actor] {
-                    self.world.queue.schedule(
-                        now + SimDuration::from_millis(1),
-                        Event::Flow(
-                            act,
-                            FlowEvent::Closed {
-                                flow,
-                                reason: CloseReason::Filtered,
-                            },
-                        ),
-                    );
-                }
+        // The path stored on the flow is a→b; filtering needs the
+        // travel direction's origin node.
+        let origin = src_node;
+        let path_dir: Vec<LinkId> = if forward {
+            path.as_ref().clone()
+        } else {
+            path.iter().rev().copied().collect()
+        };
+        if !self
+            .world
+            .filter_data_path(origin, &path_dir, src_ep, dst_ep)
+            .passed()
+        {
+            // Firewall started eating this flow: sever it.
+            self.world.stats.messages_filtered += 1;
+            let Some(f) = self.world.flows.get_mut(&flow) else {
                 return Ok(());
+            };
+            f.state = FlowState::Closed;
+            let (a_actor, b_actor) = (f.a.actor, f.b.actor);
+            let fc = f.clone();
+            self.world.teardown_conntrack(&fc);
+            self.world.stats.flows_closed += 1;
+            for act in [a_actor, b_actor] {
+                self.world.queue.schedule(
+                    now + SimDuration::from_millis(1),
+                    Event::Flow(
+                        act,
+                        FlowEvent::Closed {
+                            flow,
+                            reason: CloseReason::Filtered,
+                        },
+                    ),
+                );
             }
+            return Ok(());
         }
 
         self.world.send_message(flow, forward, msg);
@@ -679,9 +646,9 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    pub fn new(topo: Topology, config: NetConfig, seed: u64) -> Self {
+    pub fn new(topo: Topology, seed: u64) -> Self {
         Simulator {
-            world: World::new(topo, config, seed),
+            world: World::new(topo, seed),
             actors: Vec::new(),
             restarts: HashMap::new(),
         }
@@ -1113,7 +1080,7 @@ impl Simulator {
             return;
         }
         let dir = if link_a == from { 0 } else { 1 };
-        let wire = self.world.config.wire_bytes(t.bytes);
+        let wire = wire_bytes(t.bytes);
         let ser = SimDuration::from_secs_f64(wire as f64 / bandwidth);
         let free = self.world.link_free[lid.0 as usize][dir];
         let depart = if free > self.world.now {
@@ -1222,7 +1189,7 @@ mod tests {
 
     fn run_pingpong(policy_b: Option<Policy>, size: u64) -> (Vec<String>, Stats) {
         let (t, ha, hb) = two_host_topo(policy_b);
-        let mut sim = Simulator::new(t, NetConfig::default(), 1);
+        let mut sim = Simulator::new(t, 1);
         let log: Log = Arc::new(Mutex::new(Vec::new()));
         sim.spawn(
             hb,
@@ -1301,7 +1268,7 @@ mod tests {
     #[test]
     fn connect_to_missing_listener_is_refused() {
         let (t, ha, hb) = two_host_topo(None);
-        let mut sim = Simulator::new(t, NetConfig::default(), 1);
+        let mut sim = Simulator::new(t, 1);
         let log: Log = Arc::new(Mutex::new(Vec::new()));
         sim.spawn(
             ha,
@@ -1361,7 +1328,7 @@ mod tests {
     #[test]
     fn policy_flip_severs_established_flow() {
         let (t, ha, hb) = two_host_topo(Some(Policy::allow_based("B")));
-        let mut sim = Simulator::new(t, NetConfig::default(), 1);
+        let mut sim = Simulator::new(t, 1);
         let log: Log = Arc::new(Mutex::new(Vec::new()));
         sim.spawn(
             hb,
@@ -1399,7 +1366,7 @@ mod tests {
         // Without a conntrack flush, established traffic keeps passing
         // after a reload — stateful-firewall semantics.
         let (t, ha, hb) = two_host_topo(Some(Policy::allow_based("B")));
-        let mut sim = Simulator::new(t, NetConfig::default(), 1);
+        let mut sim = Simulator::new(t, 1);
         let log: Log = Arc::new(Mutex::new(Vec::new()));
         sim.spawn(
             hb,
@@ -1435,7 +1402,7 @@ mod tests {
         // retransmits, and the run stays deterministic.
         let run = || {
             let (t, ha, hb) = two_host_topo(None);
-            let mut sim = Simulator::new(t, NetConfig::default(), 1);
+            let mut sim = Simulator::new(t, 1);
             let log: Log = Arc::new(Mutex::new(Vec::new()));
             sim.spawn(
                 hb,
@@ -1478,7 +1445,7 @@ mod tests {
         // A link that stays down longer than the whole retransmit
         // budget: the transport gives up and both ends see `Lost`.
         let (t, ha, hb) = two_host_topo(None);
-        let mut sim = Simulator::new(t, NetConfig::default(), 1);
+        let mut sim = Simulator::new(t, 1);
         let log: Log = Arc::new(Mutex::new(Vec::new()));
         sim.spawn(
             hb,
@@ -1564,7 +1531,7 @@ mod tests {
         }
 
         let (t, ha, hb) = two_host_topo(None);
-        let mut sim = Simulator::new(t, NetConfig::default(), 1);
+        let mut sim = Simulator::new(t, 1);
         let log: Log = Arc::new(Mutex::new(Vec::new()));
         let echo_id = sim.spawn(
             hb,
@@ -1663,7 +1630,7 @@ mod tests {
     fn close_is_orderly_for_the_closer_and_crash_still_resets() {
         let run = |close: bool, crash: bool| {
             let (t, ha, hb) = two_host_topo(None);
-            let mut sim = Simulator::new(t, NetConfig::default(), 1);
+            let mut sim = Simulator::new(t, 1);
             let log: Log = Arc::new(Mutex::new(Vec::new()));
             sim.spawn(
                 hb,
@@ -1714,7 +1681,7 @@ mod tests {
         }
         let run = || {
             let (t, ha, hb) = two_host_topo(None);
-            let mut sim = Simulator::new(t, NetConfig::default(), 1);
+            let mut sim = Simulator::new(t, 1);
             let log: Log = Arc::new(Mutex::new(Vec::new()));
             let peers: Vec<(NodeId, u16)> = (0..8).map(|i| (hb, 5000 + i)).collect();
             for (_, port) in &peers {
@@ -1741,7 +1708,7 @@ mod tests {
     #[test]
     fn kill_actor_resets_peer_flows() {
         let (t, ha, hb) = two_host_topo(None);
-        let mut sim = Simulator::new(t, NetConfig::default(), 1);
+        let mut sim = Simulator::new(t, 1);
         let log: Log = Arc::new(Mutex::new(Vec::new()));
         let echo_id = sim.spawn(
             hb,

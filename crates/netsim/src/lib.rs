@@ -34,7 +34,7 @@
 //!     }
 //! }
 //!
-//! let mut sim = Simulator::new(topo, NetConfig::default(), 42);
+//! let mut sim = Simulator::new(topo, 42);
 //! sim.spawn(b, Box::new(Hello));
 //! sim.run();
 //! ```
@@ -55,7 +55,7 @@ pub mod trace;
 /// Convenient glob import for simulation code.
 pub mod prelude {
     pub use crate::actor::{Actor, ActorId, Delivery, FlowEvent, Payload, SendError};
-    pub use crate::engine::{Ctx, NetConfig, Simulator};
+    pub use crate::engine::{Ctx, Simulator};
     pub use crate::fault::{FaultPlan, RestartFactory, RetransmitPolicy};
     pub use crate::flow::{CloseReason, FlowId, PortError, RefuseReason};
     pub use crate::rng::SimRng;

@@ -127,7 +127,7 @@ fn delivery_conservation_and_fifo() {
         let seed = rng.next_u64();
 
         let (topo, hosts) = random_topology(2, n_switches, &extra, &lat_us);
-        let mut sim = Simulator::new(topo, NetConfig::default(), seed);
+        let mut sim = Simulator::new(topo, seed);
         let got: Recorded = Arc::default();
         sim.spawn(
             hosts[1],
@@ -210,7 +210,7 @@ fn runs_are_deterministic() {
 
         let run = || {
             let (topo, hosts) = random_topology(2, n_switches, &[], &lat_us);
-            let mut sim = Simulator::new(topo, NetConfig::default(), seed);
+            let mut sim = Simulator::new(topo, seed);
             let got: Recorded = Arc::default();
             sim.spawn(
                 hosts[1],

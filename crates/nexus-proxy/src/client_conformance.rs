@@ -323,7 +323,7 @@ fn sim_topology() -> (Topology, [NodeId; 6]) {
 /// `(normalised trace, how each call ended)`.
 fn sim_run(dead_owned: u16) -> (Vec<String>, Vec<&'static str>) {
     let (topo, nodes) = sim_topology();
-    let mut sim = Simulator::new(topo, NetConfig::default(), 14);
+    let mut sim = Simulator::new(topo, 14);
     let script: Script<NodeId> = Arc::default();
     for shard in [nodes[1], nodes[2], nodes[3]] {
         let script = script.clone();

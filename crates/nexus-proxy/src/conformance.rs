@@ -588,7 +588,7 @@ fn sim_traces(own: u16, other: u16) -> [Vec<String>; 3] {
         max_per_peer: 1,
     };
     let model = RelayModel::default();
-    let mut sim = Simulator::new(topo, NetConfig::default(), 13);
+    let mut sim = Simulator::new(topo, 13);
     sim.spawn(
         inner,
         Box::new(

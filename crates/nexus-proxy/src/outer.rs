@@ -29,7 +29,7 @@
 //! Every decision above is made by [`OuterCore`] (DESIGN.md §6g). This
 //! file is its blocking-socket driver: it accepts, hands each
 //! connection to one of the daemon's parked workers (`workers.rs`) and
-//! lets [`Io`] turn what happens there into core events and execute
+//! lets `Io` turn what happens there into core events and execute
 //! the core's actions. What stays here is what only a socket owner can
 //! do: serving rendezvous listeners, the relay table's idle reaper, and
 //! drain. The control accept loop, the reaper and the heartbeat session

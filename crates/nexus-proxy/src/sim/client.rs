@@ -2,14 +2,13 @@
 //! `NXProxyConnect` / `NXProxyBind` / `NXProxyAccept`.
 //!
 //! Simulation actors are event-driven state machines, so the client
-//! library is an *embedded* state machine: the owning actor funnels
-//! all its `on_flow` / `on_message` / `on_timer` events through
-//! [`NxClient`], which consumes proxy-internal traffic and hands
-//! everything else back. This mirrors how the paper patched Globus:
-//! the application still sees connect/accept semantics; the proxy
-//! plumbing is hidden below. Which relay an operation dials and how it
-//! ends is decided by [`crate::core::ClientCore`], the same code the
-//! real client runs; this file is its event-driven driver.
+//! library is an *embedded* state machine: its
+//! [`NxActor`](super::NxActor) shell funnels every `on_flow` /
+//! `on_message` / `on_timer` event through [`NxClient`], which
+//! consumes proxy-internal traffic and hands everything else to the
+//! application. Which relay an operation dials and how it ends is
+//! decided by [`crate::core::ClientCore`], the same code the real
+//! client runs; this file is its event-driven driver.
 //!
 //! ## Recovery
 //!
@@ -21,8 +20,7 @@
 //! re-issues its `BindReq` when the bind control flow drops — the
 //! owner sees [`NxEvent::BindLost`] (withdraw the advertised address)
 //! followed by a fresh [`NxEvent::Bound`] once the outer server is
-//! back. Owners must forward unrecognized timer tokens through
-//! [`NxClient::on_timer`] (gate on [`NxClient::owns_timer`]).
+//! back.
 
 use super::{SimMsg, CTRL_MSG_BYTES};
 use crate::core::{ClientCore, ClientOp, Outcome, Retry, RetryPolicy, Step};
@@ -297,9 +295,8 @@ impl NxClient {
         t
     }
 
-    /// Does a timer token belong to this machine? Owners route such
-    /// tokens to [`NxClient::on_timer`].
-    pub fn owns_timer(&self, token: u64) -> bool {
+    /// Does a timer token belong to this machine?
+    pub(crate) fn owns_timer(&self, token: u64) -> bool {
         token >= NX_TOKEN_BASE
     }
 
@@ -478,9 +475,8 @@ impl NxClient {
         )
     }
 
-    /// Feed a timer token through the machine (owners call this for
-    /// every token where [`NxClient::owns_timer`] is true).
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> NxHandled {
+    /// Feed a timer token of this machine through it.
+    pub(crate) fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> NxHandled {
         match self.timers.remove(&token) {
             Some(RetryAction::Start { goal, retry }) => self.start(ctx, goal, Some(retry)),
             Some(RetryAction::Deadline { flow }) => match self.awaiting.remove(&flow) {
@@ -495,7 +491,7 @@ impl NxClient {
     }
 
     /// Feed a raw flow event through the machine.
-    pub fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) -> NxHandled {
+    pub(crate) fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) -> NxHandled {
         match ev {
             FlowEvent::Connected { flow, token, .. } if token >= NX_TOKEN_BASE => {
                 match self.pending.remove(&token) {
@@ -576,7 +572,7 @@ impl NxClient {
     }
 
     /// Feed a delivery through the machine.
-    pub fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) -> NxHandled {
+    pub(crate) fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) -> NxHandled {
         let flow = msg.flow;
         // Segmented data: swallow body segments; the final segment
         // resurfaces as the whole message.

@@ -1,8 +1,8 @@
 //! Striped bulk transfer as simulation actors (DESIGN.md §6e).
 //!
 //! One logical transfer is K stripe lanes. Each lane is a pair of
-//! actors — a [`StripeSinkActor`] that binds a rendezvous through the
-//! outer-shard fleet and a [`StripeSenderActor`] that dials it and
+//! [`NxApp`]s — a [`StripeSink`] that binds a rendezvous through the
+//! outer-shard fleet and a [`StripeSender`] that dials it and
 //! blasts that stripe's chunks — sharing one [`StripeCell`] (the
 //! in-process state of the striped endpoints). Because each sink
 //! binds its own ephemeral port, the K bind keys HRW-spread across
@@ -20,6 +20,7 @@
 //! times a lane died.
 
 use super::client::{NxClient, NxEvent, NxHandled};
+use super::shell::NxApp;
 use crate::stripe::{Accept, StripeError, StripeFrame, StripePlan, StripeReceiver, StripeStats};
 use netsim::prelude::*;
 use std::sync::Arc;
@@ -77,21 +78,19 @@ pub fn stripe_cell(stripes: u16) -> StripeCell {
     }))
 }
 
-/// Receiver-side actor of one stripe lane: binds a rendezvous (via
-/// the fleet or a single outer server — whatever its [`NxClient`] is
+/// Receiver side of one stripe lane: binds a rendezvous (via the
+/// fleet or a single outer server — whatever its [`NxClient`] is
 /// configured for) and feeds arriving frames to the cell's shared
 /// reassembler.
-pub struct StripeSinkActor {
-    nx: NxClient,
+pub struct StripeSink {
     stripe: u16,
     cell: StripeCell,
     stats: Option<StripeStats>,
 }
 
-impl StripeSinkActor {
-    pub fn new(nx: NxClient, stripe: u16, cell: StripeCell) -> Self {
-        StripeSinkActor {
-            nx,
+impl StripeSink {
+    pub fn new(stripe: u16, cell: StripeCell) -> Self {
+        StripeSink {
             stripe,
             cell,
             stats: None,
@@ -132,8 +131,20 @@ impl StripeSinkActor {
             }
         }
     }
+}
 
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for StripeSink {
+    fn name(&self) -> &str {
+        "stripe-sink"
+    }
+
+    fn start(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        if let Some(adv) = nx.bind(ctx) {
+            self.cell.lock().advertised[usize::from(self.stripe)] = Some(adv);
+        }
+    }
+
+    fn handle(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Bound { advertised }) => {
                 self.cell.lock().advertised[usize::from(self.stripe)] = Some(advertised);
@@ -180,42 +191,12 @@ impl StripeSinkActor {
     }
 }
 
-impl Actor for StripeSinkActor {
-    fn name(&self) -> &str {
-        "stripe-sink"
-    }
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(adv) = self.nx.bind(ctx) {
-            self.cell.lock().advertised[usize::from(self.stripe)] = Some(adv);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-        }
-    }
-
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
-    }
-}
-
-/// Sender-side actor of one stripe lane: polls the cell for its
+/// Sender side of one stripe lane: polls the cell for its
 /// stripe's advertised rendezvous, dials it, and blasts `Open`, every
 /// chunk of the stripe in sequence order, then `Fin`. A torn flow
 /// before completion re-polls and re-sends the whole stripe — the
 /// receiver's offset dedup makes the retransmit idempotent.
-pub struct StripeSenderActor {
-    nx: NxClient,
+pub struct StripeSender {
     stripe: u16,
     cell: StripeCell,
     payload: Arc<Vec<u8>>,
@@ -228,9 +209,8 @@ pub struct StripeSenderActor {
     stats: Option<StripeStats>,
 }
 
-impl StripeSenderActor {
+impl StripeSender {
     pub fn new(
-        nx: NxClient,
         stripe: u16,
         cell: StripeCell,
         payload: Arc<Vec<u8>>,
@@ -238,8 +218,7 @@ impl StripeSenderActor {
         transfer: u64,
         start_at: SimDuration,
     ) -> Self {
-        StripeSenderActor {
-            nx,
+        StripeSender {
             stripe,
             cell,
             payload,
@@ -272,16 +251,14 @@ impl StripeSenderActor {
     /// segmented by the client machine so they pipeline through the
     /// relay. Messages outlive the payload borrow, so each frame owns
     /// its chunk.
-    fn blast(&mut self, ctx: &mut Ctx<'_>, flow: FlowId) {
+    fn blast(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, flow: FlowId) {
         let (plan, payload) = (self.plan, self.payload.clone());
         for frame in plan.lane_frames(&payload, self.transfer, self.tag, self.stripe) {
             let body = match &frame {
                 StripeFrame::Data { bytes, .. } => bytes.len() as u64,
                 _ => 0,
             };
-            let _ = self
-                .nx
-                .send_data(ctx, flow, STRIPE_HDR_BYTES + body, frame.into_owned());
+            let _ = nx.send_data(ctx, flow, STRIPE_HDR_BYTES + body, frame.into_owned());
         }
         if let Some(s) = &self.stats {
             let chunks = plan.chunks_on(self.stripe);
@@ -291,8 +268,28 @@ impl StripeSenderActor {
             }
         }
     }
+}
 
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for StripeSender {
+    fn name(&self) -> &str {
+        "stripe-sender"
+    }
+
+    fn start(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(self.start_at, STRIPE_POLL);
+    }
+
+    fn timer(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, token: u64) {
+        if token == STRIPE_POLL && self.flow.is_none() && !self.done() {
+            let adv = self.cell.lock().advertised[usize::from(self.stripe)];
+            match adv {
+                Some(dst) => nx.connect(ctx, dst, 11),
+                None => self.poll_soon(ctx),
+            }
+        }
+    }
+
+    fn handle(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Connected { flow, .. }) => {
                 self.flow = Some(flow);
@@ -303,7 +300,7 @@ impl StripeSenderActor {
                         s.failovers.inc();
                     }
                 }
-                self.blast(ctx, flow);
+                self.blast(nx, ctx, flow);
             }
             NxHandled::Event(NxEvent::Refused { .. }) => {
                 self.poll_soon(ctx);
@@ -319,40 +316,5 @@ impl StripeSenderActor {
             }
             _ => {}
         }
-    }
-}
-
-impl Actor for StripeSenderActor {
-    fn name(&self) -> &str {
-        "stripe-sender"
-    }
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.start_at, STRIPE_POLL);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-            return;
-        }
-        if token == STRIPE_POLL && self.flow.is_none() && !self.done() {
-            let adv = self.cell.lock().advertised[usize::from(self.stripe)];
-            match adv {
-                Some(dst) => self.nx.connect(ctx, dst, 11),
-                None => self.poll_soon(ctx),
-            }
-        }
-    }
-
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
     }
 }

@@ -10,7 +10,8 @@ use firewall::vnet::VNet;
 use firewall::{Policy, NXPORT, OUTER_PORT};
 use netsim::prelude::*;
 use nexus_proxy::sim::{
-    NxClient, NxEvent, NxHandled, RelayModel, SimInnerServer, SimOuterServer, SimProxyEnv,
+    NxActor, NxApp, NxClient, NxEvent, NxHandled, RelayModel, SimInnerServer, SimOuterServer,
+    SimProxyEnv,
 };
 use nexus_proxy::{
     bind_key, interposed_lane_dial, member_tag, nx_proxy_bind, nx_proxy_connect, send_striped,
@@ -84,12 +85,17 @@ struct SharedState {
 
 /// Echo server bound through the proxy.
 struct EchoServer {
-    nx: NxClient,
     shared: Shared,
 }
 
-impl EchoServer {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for EchoServer {
+    fn start(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        if let Some(adv) = nx.bind(ctx) {
+            self.shared.lock().advertised = Some(adv);
+        }
+    }
+
+    fn handle(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Bound { advertised }) => {
                 self.shared.lock().advertised = Some(advertised);
@@ -106,40 +112,31 @@ impl EchoServer {
     }
 }
 
-impl Actor for EchoServer {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(adv) = self.nx.bind(ctx) {
-            self.shared.lock().advertised = Some(adv);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
-    }
-}
-
 /// Connects to the advertised address at a configured virtual time
 /// (after the inner server's crash-and-restart) and ping-pongs once.
 struct LatePing {
-    nx: NxClient,
     shared: Shared,
     start_at: SimDuration,
 }
 
 const POLL: u64 = 1;
 
-impl LatePing {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for LatePing {
+    fn start(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(self.start_at, POLL);
+    }
+
+    fn timer(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, token: u64) {
+        if token == POLL {
+            let adv = self.shared.lock().advertised;
+            match adv {
+                Some(dst) => nx.connect(ctx, dst, 7),
+                None => ctx.set_timer(SimDuration::from_millis(10), POLL),
+            }
+        }
+    }
+
+    fn handle(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Connected { flow, .. }) => {
                 ctx.send(flow, 64, ()).unwrap();
@@ -158,41 +155,13 @@ impl LatePing {
     }
 }
 
-impl Actor for LatePing {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.start_at, POLL);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-            return;
-        }
-        if token == POLL {
-            let adv = self.shared.lock().advertised;
-            match adv {
-                Some(dst) => self.nx.connect(ctx, dst, 7),
-                None => ctx.set_timer(SimDuration::from_millis(10), POLL),
-            }
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
-    }
-}
-
 /// One full kill-the-inner run in virtual time; returns the final
 /// registry snapshot JSON and the shared event log.
 fn sim_crash_recovery_run(seed: u64) -> (String, Vec<String>) {
     let net = build();
     let registry = Registry::new();
     let shared: Shared = Arc::default();
-    let mut sim = Simulator::new(net.topo.clone(), NetConfig::default(), seed);
+    let mut sim = Simulator::new(net.topo.clone(), seed);
     let model = RelayModel::default();
     let hb = HeartbeatConfig {
         interval: Duration::from_millis(250),
@@ -221,18 +190,22 @@ fn sim_crash_recovery_run(seed: u64) -> (String, Vec<String>) {
     );
     sim.spawn(
         net.rwcp_sun,
-        Box::new(EchoServer {
-            nx: NxClient::new(SimProxyEnv::via((net.outer_host, CTRL_PORT))),
-            shared: shared.clone(),
-        }),
+        Box::new(NxActor::new(
+            NxClient::new(SimProxyEnv::via((net.outer_host, CTRL_PORT))),
+            EchoServer {
+                shared: shared.clone(),
+            },
+        )),
     );
     sim.spawn(
         net.etl_sun,
-        Box::new(LatePing {
-            nx: NxClient::new(SimProxyEnv::direct()),
-            shared: shared.clone(),
-            start_at: SimDuration::from_secs(6),
-        }),
+        Box::new(NxActor::new(
+            NxClient::new(SimProxyEnv::direct()),
+            LatePing {
+                shared: shared.clone(),
+                start_at: SimDuration::from_secs(6),
+            },
+        )),
     );
     // Kill the inner server at t=2s; bring a *fresh* one (empty
     // authorized table) back at t=4s.
@@ -298,7 +271,7 @@ fn sim_crash_recovery_snapshots_are_deterministic() {
 fn sim_breaker_opens_and_closes_across_outage() {
     let net = build();
     let registry = Registry::new();
-    let mut sim = Simulator::new(net.topo.clone(), NetConfig::default(), 5);
+    let mut sim = Simulator::new(net.topo.clone(), 5);
     let model = RelayModel::default();
     let hb = HeartbeatConfig {
         interval: Duration::from_millis(250),
@@ -733,17 +706,22 @@ struct FleetShared {
 /// Server bound through the fleet: accepts relayed connections and
 /// echoes each sequence number (idempotently accepting it).
 struct FleetSeqServer {
-    nx: NxClient,
     shared: FleetSharedRef,
 }
 
-impl FleetSeqServer {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for FleetSeqServer {
+    fn start(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        if let Some(adv) = nx.bind(ctx) {
+            self.shared.lock().advertised = Some(adv);
+        }
+    }
+
+    fn handle(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Bound { advertised }) => {
                 let mut sh = self.shared.lock();
                 sh.advertised = Some(advertised);
-                sh.breaker0_at_bound = self.nx.breaker_state(0);
+                sh.breaker0_at_bound = nx.breaker_state(0);
                 sh.log.push("bound".into());
             }
             NxHandled::Event(NxEvent::BindLost) => {
@@ -775,28 +753,6 @@ impl FleetSeqServer {
     }
 }
 
-impl Actor for FleetSeqServer {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(adv) = self.nx.bind(ctx) {
-            self.shared.lock().advertised = Some(adv);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
-    }
-}
-
 const FLEET_POLL: u64 = 2;
 
 /// Sends `total` sequence numbers, one at a time, each acknowledged by
@@ -804,7 +760,6 @@ const FLEET_POLL: u64 = 2;
 /// shard crash tears the relay down) re-dials the *current* advertised
 /// address and retransmits the unacknowledged sequence number.
 struct FleetSeqSender {
-    nx: NxClient,
     shared: FleetSharedRef,
     start_at: SimDuration,
     total: u64,
@@ -816,8 +771,24 @@ impl FleetSeqSender {
     fn poll_soon(&mut self, ctx: &mut Ctx<'_>) {
         ctx.set_timer(SimDuration::from_millis(20), FLEET_POLL);
     }
+}
 
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for FleetSeqSender {
+    fn start(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(self.start_at, FLEET_POLL);
+    }
+
+    fn timer(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, token: u64) {
+        if token == FLEET_POLL && self.flow.is_none() && self.next < self.total {
+            let adv = self.shared.lock().advertised;
+            match adv {
+                Some(dst) => nx.connect(ctx, dst, 9),
+                None => self.poll_soon(ctx),
+            }
+        }
+    }
+
+    fn handle(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Connected { flow, .. }) => {
                 self.flow = Some(flow);
@@ -850,34 +821,6 @@ impl FleetSeqSender {
     }
 }
 
-impl Actor for FleetSeqSender {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.start_at, FLEET_POLL);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-            return;
-        }
-        if token == FLEET_POLL && self.flow.is_none() && self.next < self.total {
-            let adv = self.shared.lock().advertised;
-            match adv {
-                Some(dst) => self.nx.connect(ctx, dst, 9),
-                None => self.poll_soon(ctx),
-            }
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
-    }
-}
-
 const FLEET_TOTAL: u64 = 40;
 
 /// One kill-one-shard chaos run: a 2-shard fleet relays a stop-and-wait
@@ -888,7 +831,7 @@ fn sim_fleet_kill_one_shard_run(seed: u64) -> (String, Vec<u64>, Vec<String>) {
     let net = build_fleet();
     let registry = Registry::new();
     let shared: FleetSharedRef = Arc::default();
-    let mut sim = Simulator::new(net.topo.clone(), NetConfig::default(), seed);
+    let mut sim = Simulator::new(net.topo.clone(), seed);
     let model = RelayModel::default();
     let hb = HeartbeatConfig {
         interval: Duration::from_millis(250),
@@ -929,23 +872,27 @@ fn sim_fleet_kill_one_shard_run(seed: u64) -> (String, Vec<u64>, Vec<String>) {
     );
     sim.spawn(
         net.rwcp_sun,
-        Box::new(FleetSeqServer {
-            nx: NxClient::new(SimProxyEnv::direct())
+        Box::new(NxActor::new(
+            NxClient::new(SimProxyEnv::direct())
                 .with_fleet(members.clone())
                 .with_obs(&registry),
-            shared: shared.clone(),
-        }),
+            FleetSeqServer {
+                shared: shared.clone(),
+            },
+        )),
     );
     sim.spawn(
         net.etl_sun,
-        Box::new(FleetSeqSender {
-            nx: NxClient::new(SimProxyEnv::direct()),
-            shared: shared.clone(),
-            start_at: SimDuration::from_millis(500),
-            total: FLEET_TOTAL,
-            next: 0,
-            flow: None,
-        }),
+        Box::new(NxActor::new(
+            NxClient::new(SimProxyEnv::direct()),
+            FleetSeqSender {
+                shared: shared.clone(),
+                start_at: SimDuration::from_millis(500),
+                total: FLEET_TOTAL,
+                next: 0,
+                flow: None,
+            },
+        )),
     );
     // Let the stream get going, then kill whichever shard owns the
     // bind (deterministic per seed, discovered mid-run).
@@ -1020,7 +967,7 @@ fn sim_stale_map_bind_follows_the_redirect() {
         let net = build_fleet();
         let registry = Registry::new();
         let shared: FleetSharedRef = Arc::default();
-        let mut sim = Simulator::new(net.topo.clone(), NetConfig::default(), 5);
+        let mut sim = Simulator::new(net.topo.clone(), 5);
         let model = RelayModel::default();
         let members = vec![(net.outer0, CTRL_PORT), (net.outer1, CTRL_PORT)];
         for (idx, host) in [net.outer0, net.outer1].into_iter().enumerate() {
@@ -1039,12 +986,14 @@ fn sim_stale_map_bind_follows_the_redirect() {
         );
         sim.spawn(
             net.rwcp_sun,
-            Box::new(FleetSeqServer {
-                nx: NxClient::new(SimProxyEnv::direct())
+            Box::new(NxActor::new(
+                NxClient::new(SimProxyEnv::direct())
                     .with_fleet(vec![members[known]])
                     .with_obs(&registry),
-                shared: shared.clone(),
-            }),
+                FleetSeqServer {
+                    shared: shared.clone(),
+                },
+            )),
         );
         sim.run_until(SimTime(SimDuration::from_secs(2).nanos()));
         let sh = shared.lock();
@@ -1362,7 +1311,7 @@ fn real_control_close_withdraws_the_rendezvous_without_a_peer() {
     assert!(w.net.resolve(&host, port).is_none());
 }
 
-/// A stop handle's wake dial is not traffic: one rendezvous listener
+/// A listener's stop is not traffic: one rendezvous listener
 /// stopped by its watcher, then the control port, the other rendezvous
 /// port and `nxport` stopped by `shutdown()`, and not one counter,
 /// gauge or histogram of either server moves. The one instrument
@@ -1403,8 +1352,7 @@ fn real_stop_wakes_are_invisible_in_stats() {
     });
     outer.shutdown();
     inner.shutdown();
-    // An acceptor that has returned has consumed its wake and dropped
-    // its listener.
+    // An acceptor that has returned has dropped its listener.
     wait_until("every acceptor gone", Duration::from_secs(1), || {
         outer.rendezvous_ports().is_empty()
             && w.net.resolve("rwcp-outer", OUTER_PORT).is_none()

@@ -5,8 +5,10 @@
 
 use firewall::Policy;
 use netsim::prelude::*;
+use nexus_proxy::sim::client::NX_TOKEN_BASE;
 use nexus_proxy::sim::{
-    NxClient, NxEvent, NxHandled, RelayModel, SimInnerServer, SimOuterServer, SimProxyEnv,
+    NxActor, NxApp, NxClient, NxEvent, NxHandled, RelayModel, SimInnerServer, SimOuterServer,
+    SimProxyEnv,
 };
 use std::sync::Arc;
 use wacs_sync::Mutex;
@@ -72,12 +74,17 @@ struct SharedState {
 
 /// An echo server using the NXProxy client machine.
 struct EchoServer {
-    nx: NxClient,
     shared: Shared,
 }
 
-impl EchoServer {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for EchoServer {
+    fn start(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        if let Some(adv) = nx.bind(ctx) {
+            self.shared.lock().advertised = Some(adv);
+        }
+    }
+
+    fn handle(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Bound { advertised }) => {
                 self.shared.lock().advertised = Some(advertised);
@@ -104,43 +111,41 @@ impl EchoServer {
     }
 }
 
-impl Actor for EchoServer {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(adv) = self.nx.bind(ctx) {
-            self.shared.lock().advertised = Some(adv);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
-    }
+fn echo_server(env: SimProxyEnv, shared: &Shared) -> Box<dyn Actor> {
+    let app = EchoServer {
+        shared: shared.clone(),
+    };
+    Box::new(NxActor::new(NxClient::new(env), app))
 }
 
-/// A client that waits until the server's address is advertised, then
-/// connects (via its own proxy env) and ping-pongs once.
+/// A client that waits until the server's address is advertised
+/// (polling from `start` on), then connects (via its own proxy env)
+/// and ping-pongs once.
 struct PingClient {
-    nx: NxClient,
     shared: Shared,
     size: u64,
+    start: SimDuration,
     sent_at: Option<SimTime>,
 }
 
-impl PingClient {
-    const POLL: u64 = 1;
-}
+const POLL: u64 = 1;
 
-impl PingClient {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, h: NxHandled) {
+impl NxApp for PingClient {
+    fn start(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(self.start, POLL);
+    }
+
+    fn timer(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, token: u64) {
+        if token == POLL {
+            let adv = self.shared.lock().advertised;
+            match adv {
+                Some(dst) => nx.connect(ctx, dst, 42),
+                None => ctx.set_timer(SimDuration::from_millis(1), POLL),
+            }
+        }
+    }
+
+    fn handle(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         match h {
             NxHandled::Event(NxEvent::Connected { flow, token }) => {
                 assert_eq!(token, 42);
@@ -164,32 +169,23 @@ impl PingClient {
     }
 }
 
-impl Actor for PingClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(SimDuration::from_millis(1), Self::POLL);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.nx.owns_timer(token) {
-            let h = self.nx.on_timer(ctx, token);
-            self.handle(ctx, h);
-            return;
-        }
-        if token == Self::POLL {
-            let adv = self.shared.lock().advertised;
-            match adv {
-                Some(dst) => self.nx.connect(ctx, dst, 42),
-                None => ctx.set_timer(SimDuration::from_millis(1), Self::POLL),
-            }
-        }
-    }
-    fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-        let h = self.nx.on_flow(ctx, ev);
-        self.handle(ctx, h);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-        let h = self.nx.on_message(ctx, msg);
-        self.handle(ctx, h);
-    }
+fn ping_client(env: SimProxyEnv, shared: &Shared, size: u64) -> Box<dyn Actor> {
+    ping_client_at(env, shared, size, SimDuration::from_millis(1))
+}
+
+fn ping_client_at(
+    env: SimProxyEnv,
+    shared: &Shared,
+    size: u64,
+    start: SimDuration,
+) -> Box<dyn Actor> {
+    let app = PingClient {
+        shared: shared.clone(),
+        size,
+        start,
+        sent_at: None,
+    };
+    Box::new(NxActor::new(NxClient::new(env), app))
 }
 
 fn spawn_proxies(sim: &mut Simulator, net: &Net, model: RelayModel) {
@@ -215,25 +211,14 @@ fn rtt_us(log: &[String]) -> Option<u64> {
 fn sim_trace_records_protocol_steps() {
     let net = build();
     let shared: Shared = Arc::default();
-    let mut sim = Simulator::new(net.topo.clone(), NetConfig::default(), 7);
+    let mut sim = Simulator::new(net.topo.clone(), 7);
     sim.enable_trace();
     spawn_proxies(&mut sim, &net, RelayModel::default());
     sim.spawn(
         net.rwcp_sun,
-        Box::new(EchoServer {
-            nx: NxClient::new(SimProxyEnv::via((net.outer_host, CTRL_PORT))),
-            shared: shared.clone(),
-        }),
+        echo_server(SimProxyEnv::via((net.outer_host, CTRL_PORT)), &shared),
     );
-    sim.spawn(
-        net.etl_sun,
-        Box::new(PingClient {
-            nx: NxClient::new(SimProxyEnv::direct()),
-            shared: shared.clone(),
-            size: 64,
-            sent_at: None,
-        }),
-    );
+    sim.spawn(net.etl_sun, ping_client(SimProxyEnv::direct(), &shared, 64));
     sim.run();
     // Fig. 4 step 1-2: the bind request reached the outer server and a
     // rendezvous port was allocated.
@@ -258,24 +243,16 @@ fn sim_trace_records_protocol_steps() {
 fn wan_client_reaches_firewalled_server_via_proxy() {
     let net = build();
     let shared: Shared = Arc::default();
-    let mut sim = Simulator::new(net.topo.clone(), NetConfig::default(), 7);
+    let mut sim = Simulator::new(net.topo.clone(), 7);
     let model = RelayModel::default();
     spawn_proxies(&mut sim, &net, model);
     sim.spawn(
         net.rwcp_sun,
-        Box::new(EchoServer {
-            nx: NxClient::new(SimProxyEnv::via((net.outer_host, CTRL_PORT))),
-            shared: shared.clone(),
-        }),
+        echo_server(SimProxyEnv::via((net.outer_host, CTRL_PORT)), &shared),
     );
     sim.spawn(
         net.etl_sun,
-        Box::new(PingClient {
-            nx: NxClient::new(SimProxyEnv::direct()), // ETL has no firewall
-            shared: shared.clone(),
-            size: 64,
-            sent_at: None,
-        }),
+        ping_client(SimProxyEnv::direct(), &shared, 64), // ETL has no firewall
     );
     sim.run();
     let log = shared.lock().log.clone();
@@ -293,24 +270,10 @@ fn wan_client_reaches_firewalled_server_via_proxy() {
 fn wan_client_refused_without_proxy() {
     let net = build();
     let shared: Shared = Arc::default();
-    let mut sim = Simulator::new(net.topo.clone(), NetConfig::default(), 7);
+    let mut sim = Simulator::new(net.topo.clone(), 7);
     // Server binds directly (advertises its own, unreachable address).
-    sim.spawn(
-        net.rwcp_sun,
-        Box::new(EchoServer {
-            nx: NxClient::new(SimProxyEnv::direct()),
-            shared: shared.clone(),
-        }),
-    );
-    sim.spawn(
-        net.etl_sun,
-        Box::new(PingClient {
-            nx: NxClient::new(SimProxyEnv::direct()),
-            shared: shared.clone(),
-            size: 64,
-            sent_at: None,
-        }),
-    );
+    sim.spawn(net.rwcp_sun, echo_server(SimProxyEnv::direct(), &shared));
+    sim.spawn(net.etl_sun, ping_client(SimProxyEnv::direct(), &shared, 64));
     sim.run();
     let log = shared.lock().log.clone();
     assert!(log.contains(&"refused".to_string()), "{log:?}");
@@ -322,26 +285,12 @@ fn wan_client_refused_without_proxy() {
 fn lan_indirect_roundtrip() {
     let net = build();
     let shared: Shared = Arc::default();
-    let mut sim = Simulator::new(net.topo.clone(), NetConfig::default(), 7);
+    let mut sim = Simulator::new(net.topo.clone(), 7);
     let model = RelayModel::default();
     spawn_proxies(&mut sim, &net, model);
     let env = SimProxyEnv::via((net.outer_host, CTRL_PORT));
-    sim.spawn(
-        net.rwcp_sun,
-        Box::new(EchoServer {
-            nx: NxClient::new(env.clone()),
-            shared: shared.clone(),
-        }),
-    );
-    sim.spawn(
-        net.compas0,
-        Box::new(PingClient {
-            nx: NxClient::new(env),
-            shared: shared.clone(),
-            size: 4096,
-            sent_at: None,
-        }),
-    );
+    sim.spawn(net.rwcp_sun, echo_server(env.clone(), &shared));
+    sim.spawn(net.compas0, ping_client(env, &shared, 4096));
     sim.run();
     let log = shared.lock().log.clone();
     assert!(log.iter().any(|l| l == "echo 4096"), "{log:?}");
@@ -373,14 +322,11 @@ fn bind_rep_port_zero_is_rejected() {
 
     let net = build();
     let shared: Shared = Arc::default();
-    let mut sim = Simulator::new(net.topo.clone(), NetConfig::default(), 7);
+    let mut sim = Simulator::new(net.topo.clone(), 7);
     sim.spawn(net.outer_host, Box::new(BrokenOuter));
     sim.spawn(
         net.rwcp_sun,
-        Box::new(EchoServer {
-            nx: NxClient::new(SimProxyEnv::via((net.outer_host, CTRL_PORT))),
-            shared: shared.clone(),
-        }),
+        echo_server(SimProxyEnv::via((net.outer_host, CTRL_PORT)), &shared),
     );
     sim.run_until(SimTime(SimDuration::from_secs(5).nanos()));
     let s = shared.lock();
@@ -396,7 +342,7 @@ fn bind_rep_port_zero_is_rejected() {
 fn outer_restart_triggers_rebind_and_recovery() {
     let net = build();
     let shared: Shared = Arc::default();
-    let mut sim = Simulator::new(net.topo.clone(), NetConfig::default(), 7);
+    let mut sim = Simulator::new(net.topo.clone(), 7);
     let model = RelayModel::default();
     let outer_id = sim.spawn(
         net.outer_host,
@@ -409,10 +355,7 @@ fn outer_restart_triggers_rebind_and_recovery() {
     sim.spawn(net.inner_host, Box::new(SimInnerServer::new(NXPORT, model)));
     sim.spawn(
         net.rwcp_sun,
-        Box::new(EchoServer {
-            nx: NxClient::new(SimProxyEnv::via((net.outer_host, CTRL_PORT))),
-            shared: shared.clone(),
-        }),
+        echo_server(SimProxyEnv::via((net.outer_host, CTRL_PORT)), &shared),
     );
     // Crash the outer server at 50ms, restart 100ms later.
     sim.install_faults(FaultPlan::new(3).crash_restart(
@@ -428,29 +371,14 @@ fn outer_restart_triggers_rebind_and_recovery() {
         },
     ));
     // The client shows up well after the crash and must still connect.
-    struct LatePing(PingClient);
-    impl Actor for LatePing {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.set_timer(SimDuration::from_millis(400), PingClient::POLL);
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-            self.0.on_timer(ctx, token);
-        }
-        fn on_flow(&mut self, ctx: &mut Ctx<'_>, ev: FlowEvent) {
-            self.0.on_flow(ctx, ev);
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Delivery) {
-            self.0.on_message(ctx, msg);
-        }
-    }
     sim.spawn(
         net.etl_sun,
-        Box::new(LatePing(PingClient {
-            nx: NxClient::new(SimProxyEnv::direct()),
-            shared: shared.clone(),
-            size: 64,
-            sent_at: None,
-        })),
+        ping_client_at(
+            SimProxyEnv::direct(),
+            &shared,
+            64,
+            SimDuration::from_millis(400),
+        ),
     );
     sim.run_until(SimTime(SimDuration::from_secs(30).nanos()));
     let log = shared.lock().log.clone();
@@ -471,48 +399,20 @@ fn proxy_latency_gap_matches_paper_shape() {
     let shared: Shared = Arc::default();
     let mut topo = net.topo.clone();
     topo.sites[0].policy = None; // RWCP open for the direct baseline
-    let mut sim = Simulator::new(topo, NetConfig::default(), 7);
-    sim.spawn(
-        net.rwcp_sun,
-        Box::new(EchoServer {
-            nx: NxClient::new(SimProxyEnv::direct()),
-            shared: shared.clone(),
-        }),
-    );
-    sim.spawn(
-        net.compas0,
-        Box::new(PingClient {
-            nx: NxClient::new(SimProxyEnv::direct()),
-            shared: shared.clone(),
-            size: 64,
-            sent_at: None,
-        }),
-    );
+    let mut sim = Simulator::new(topo, 7);
+    sim.spawn(net.rwcp_sun, echo_server(SimProxyEnv::direct(), &shared));
+    sim.spawn(net.compas0, ping_client(SimProxyEnv::direct(), &shared, 64));
     sim.run();
     let direct = rtt_us(&shared.lock().log).expect("no direct rtt");
 
     // Indirect: default firewalled topology through the proxies.
     let net = build();
     let shared2: Shared = Arc::default();
-    let mut sim = Simulator::new(net.topo.clone(), NetConfig::default(), 7);
+    let mut sim = Simulator::new(net.topo.clone(), 7);
     spawn_proxies(&mut sim, &net, RelayModel::default());
     let env = SimProxyEnv::via((net.outer_host, CTRL_PORT));
-    sim.spawn(
-        net.rwcp_sun,
-        Box::new(EchoServer {
-            nx: NxClient::new(env.clone()),
-            shared: shared2.clone(),
-        }),
-    );
-    sim.spawn(
-        net.compas0,
-        Box::new(PingClient {
-            nx: NxClient::new(env),
-            shared: shared2.clone(),
-            size: 64,
-            sent_at: None,
-        }),
-    );
+    sim.spawn(net.rwcp_sun, echo_server(env.clone(), &shared2));
+    sim.spawn(net.compas0, ping_client(env, &shared2, 64));
     sim.run();
     let indirect = rtt_us(&shared2.lock().log).expect("no indirect rtt");
 
@@ -522,4 +422,69 @@ fn proxy_latency_gap_matches_paper_shape() {
         factor > 20.0,
         "factor {factor} (direct {direct}us, indirect {indirect}us)"
     );
+}
+
+/// What [`Reactor`] saw.
+#[derive(Default)]
+struct Routed {
+    timers: Vec<u64>,
+    consumed: bool,
+    /// The client's retries when `Bound` arrived.
+    bound_after_retries: Option<u64>,
+}
+
+/// An app that only reacts: it binds, sets one timer of its own and
+/// records what the shell hands it.
+struct Reactor(Arc<Mutex<Routed>>);
+
+impl NxApp for Reactor {
+    fn start(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>) {
+        assert!(nx.bind(ctx).is_none(), "a proxied bind ends later");
+        ctx.set_timer(SimDuration::from_millis(100), NX_TOKEN_BASE - 1);
+    }
+
+    fn timer(&mut self, _nx: &mut NxClient, _ctx: &mut Ctx<'_>, token: u64) {
+        self.0.lock().timers.push(token);
+    }
+
+    fn handle(&mut self, nx: &mut NxClient, _ctx: &mut Ctx<'_>, h: NxHandled) {
+        let mut seen = self.0.lock();
+        match h {
+            NxHandled::Consumed => seen.consumed = true,
+            NxHandled::Event(NxEvent::Bound { .. }) => {
+                seen.bound_after_retries = Some(nx.retries());
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The shell routes every event through the client once. The outer
+/// server is not up when the bind first dials it, so the bind ends
+/// `Bound` only if the client's retry timer reaches the client (and its
+/// stale reply deadline fires later). The app's own token just below
+/// `NX_TOKEN_BASE` reaches `timer` once, and `handle` never sees
+/// `Consumed`.
+#[test]
+fn the_shell_routes_client_timers_to_the_client_and_app_timers_to_the_app() {
+    let net = build();
+    let seen = Arc::new(Mutex::new(Routed::default()));
+    let mut sim = Simulator::new(net.topo.clone(), 7);
+    let model = RelayModel::default();
+    sim.spawn(net.inner_host, Box::new(SimInnerServer::new(NXPORT, model)));
+    let nx = NxClient::new(SimProxyEnv::via((net.outer_host, CTRL_PORT)));
+    let reactor = Reactor(seen.clone());
+    sim.spawn(net.rwcp_sun, Box::new(NxActor::new(nx, reactor)));
+    sim.run_until(SimTime(SimDuration::from_millis(5).nanos()));
+    assert_eq!(sim.stats().flows_opened, 0, "the first dial was refused");
+    let outer = SimOuterServer::new(CTRL_PORT, Some((net.inner_host, NXPORT)), model);
+    sim.spawn(net.outer_host, Box::new(outer));
+    sim.run_until(SimTime(SimDuration::from_secs(10).nanos()));
+    let seen = seen.lock();
+    assert!(
+        seen.bound_after_retries >= Some(1),
+        "never bound after a retry"
+    );
+    assert_eq!(seen.timers, [NX_TOKEN_BASE - 1]);
+    assert!(!seen.consumed);
 }

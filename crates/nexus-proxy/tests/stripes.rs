@@ -14,8 +14,8 @@
 
 use netsim::prelude::*;
 use nexus_proxy::sim::{
-    stripe_cell, NxClient, RelayModel, SimOuterServer, SimProxyEnv, StripeCell, StripeSenderActor,
-    StripeSinkActor,
+    stripe_cell, NxActor, NxClient, RelayModel, SimOuterServer, SimProxyEnv, StripeCell,
+    StripeSender, StripeSink,
 };
 use nexus_proxy::{StripePlan, StripeStats};
 use std::sync::Arc;
@@ -67,7 +67,7 @@ fn run_striped(seed: u64, shards: usize, stripes: u16, total_len: u64, chunk: u3
 
     let registry = Registry::new();
     let stats = StripeStats::in_registry(&registry);
-    let mut sim = Simulator::new(topo, NetConfig::default(), seed);
+    let mut sim = Simulator::new(topo, seed);
     for (i, host) in shard_hosts.iter().enumerate() {
         sim.spawn(
             *host,
@@ -84,32 +84,21 @@ fn run_striped(seed: u64, shards: usize, stripes: u16, total_len: u64, chunk: u3
     for stripe in 0..stripes {
         sim.spawn(
             rx_host,
-            Box::new(
-                StripeSinkActor::new(
-                    NxClient::new(SimProxyEnv::direct())
-                        .with_fleet(members.clone())
-                        .with_bind_lane(stripe)
-                        .with_obs(&registry),
-                    stripe,
-                    cell.clone(),
-                )
-                .with_stats(stats.clone()),
-            ),
+            Box::new(NxActor::new(
+                NxClient::new(SimProxyEnv::direct())
+                    .with_fleet(members.clone())
+                    .with_bind_lane(stripe)
+                    .with_obs(&registry),
+                StripeSink::new(stripe, cell.clone()).with_stats(stats.clone()),
+            )),
         );
         sim.spawn(
             tx_host,
-            Box::new(
-                StripeSenderActor::new(
-                    NxClient::new(SimProxyEnv::direct()),
-                    stripe,
-                    cell.clone(),
-                    data.clone(),
-                    plan,
-                    7,
-                    start_at,
-                )
-                .with_stats(stats.clone()),
-            ),
+            Box::new(NxActor::new(
+                NxClient::new(SimProxyEnv::direct()),
+                StripeSender::new(stripe, cell.clone(), data.clone(), plan, 7, start_at)
+                    .with_stats(stats.clone()),
+            )),
         );
     }
     sim.run_until(SimTime(SimDuration::from_secs(120).nanos()));

@@ -16,7 +16,7 @@
 //! at the time of the notify, and is a no-op when none is.
 //!
 //! A thread counts as parked from its park until it holds the lock
-//! again, so one that a `Wake` released ([`Park::Woken`]) still counts:
+//! again, so one that a `Wake` released (`Park::Woken`) still counts:
 //! a second send in that window decides to wake, and its notify may
 //! find nobody left in the condvar.
 //!

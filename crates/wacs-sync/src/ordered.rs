@@ -334,7 +334,7 @@ impl<T: ?Sized> Drop for OrderedMutexGuard<'_, T> {
     }
 }
 
-/// An [`RwLock`] participating in global lock-order checking.
+/// An [`RwLock`](crate::RwLock) participating in global lock-order checking.
 pub struct OrderedRwLock<T: ?Sized> {
     node: Node,
     inner: crate::mutex::RwLock<T>,

@@ -1,6 +1,6 @@
 //! The rule list and the spelling table.
 //!
-//! Every rule is named and summarised once, in [`rules!`]. Fifteen of
+//! Every rule is named and summarised once, in `rules!`. Fifteen of
 //! them have one shape: "these spellings are forbidden in these files,
 //! optionally in test code too, except where a marker says why". Each
 //! clause of such a rule is one [`Row`] of [`ROWS`], and [`check`]

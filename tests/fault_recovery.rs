@@ -84,8 +84,8 @@ mod killstripe {
     use std::sync::Arc;
     use wacs::netsim::prelude::*;
     use wacs::nexus_proxy::sim::{
-        stripe_cell, NxClient, RelayModel, SimOuterServer, SimProxyEnv, StripeCell,
-        StripeSenderActor, StripeSinkActor,
+        stripe_cell, NxActor, NxClient, RelayModel, SimOuterServer, SimProxyEnv, StripeCell,
+        StripeSender, StripeSink,
     };
     use wacs::nexus_proxy::{StripePlan, StripeStats};
     use wacs::wacs_obs::Registry;
@@ -138,7 +138,7 @@ mod killstripe {
 
         let registry = Registry::new();
         let stats = StripeStats::in_registry(&registry);
-        let mut sim = Simulator::new(topo, NetConfig::default(), seed);
+        let mut sim = Simulator::new(topo, seed);
         let shard_ids: Vec<ActorId> = shard_hosts
             .iter()
             .enumerate()
@@ -159,32 +159,21 @@ mod killstripe {
         for stripe in 0..STRIPES {
             sim.spawn(
                 rx_host,
-                Box::new(
-                    StripeSinkActor::new(
-                        NxClient::new(SimProxyEnv::direct())
-                            .with_fleet(members.clone())
-                            .with_bind_lane(stripe)
-                            .with_obs(&registry),
-                        stripe,
-                        cell.clone(),
-                    )
-                    .with_stats(stats.clone()),
-                ),
+                Box::new(NxActor::new(
+                    NxClient::new(SimProxyEnv::direct())
+                        .with_fleet(members.clone())
+                        .with_bind_lane(stripe)
+                        .with_obs(&registry),
+                    StripeSink::new(stripe, cell.clone()).with_stats(stats.clone()),
+                )),
             );
             sim.spawn(
                 tx_host,
-                Box::new(
-                    StripeSenderActor::new(
-                        NxClient::new(SimProxyEnv::direct()),
-                        stripe,
-                        cell.clone(),
-                        data.clone(),
-                        plan,
-                        7,
-                        start_at,
-                    )
-                    .with_stats(stats.clone()),
-                ),
+                Box::new(NxActor::new(
+                    NxClient::new(SimProxyEnv::direct()),
+                    StripeSender::new(stripe, cell.clone(), data.clone(), plan, 7, start_at)
+                        .with_stats(stats.clone()),
+                )),
             );
         }
 
