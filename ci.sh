@@ -12,6 +12,7 @@
 #      nothing above notices when a nexus-proxy API change stops it
 #      from compiling)
 #   7. the chaos drill's same-seed determinism
+#   8. every example, run once (clippy compiles them; this runs them)
 set -eu
 
 cd "$(dirname "$0")"
@@ -42,5 +43,10 @@ cargo build -q --release -p wacs-chaos --bin chaos_drill
 ./target/release/chaos_drill --seed 42 --out target/chaos-drill-a.json
 ./target/release/chaos_drill --seed 42 --out target/chaos-drill-b.json
 cmp target/chaos-drill-a.json target/chaos-drill-b.json
+
+echo "== examples (each runs once, release)"
+for example in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$example" .rs)" > /dev/null
+done
 
 echo "ci.sh: all gates passed"

@@ -16,7 +16,7 @@ use nexus_proxy::{
 };
 use rmf::{
     rmf_site_policy, submit_job, wait_job, ExecRegistry, FlowTrace, GassStore, Gatekeeper, QServer,
-    ResourceAllocator, ResourceInfo, SelectPolicy,
+    ResourceAllocator, ResourceInfo,
 };
 use std::error::Error;
 use std::io::{self, Read, Write};
@@ -62,12 +62,7 @@ fn fig2() -> Render {
     let gass = GassStore::new();
     let registry = ExecRegistry::new();
     registry.register("job", |_| 0);
-    let alloc = ResourceAllocator::start(
-        net.clone(),
-        "alloc-host",
-        SelectPolicy::LeastLoaded,
-        trace.clone(),
-    )?;
+    let alloc = ResourceAllocator::start(net.clone(), "alloc-host", trace.clone())?;
     alloc.state.register(ResourceInfo {
         name: "cluster A".into(),
         qserver_host: "clusterA-fe".into(),

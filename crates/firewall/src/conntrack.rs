@@ -4,10 +4,12 @@
 //! connections that inside hosts opened toward the outside, making all
 //! outbound TCP useless. Real packet filters solve this with a state
 //! table; so do we. A flow is inserted when its first packet passes the
-//! rule set, and subsequent packets of the same 5-tuple (in either
-//! direction) are passed as `ESTABLISHED` traffic.
+//! rule set, and subsequent packets of the same endpoint pair (in either
+//! direction) are passed as `ESTABLISHED` traffic. Only the
+//! simulator's [`crate::Firewall`] keeps this table: the real-socket
+//! [`crate::VNet`] decides each open from the policy alone.
 
-use crate::rule::{Endpoint, Proto};
+use crate::rule::Endpoint;
 use std::collections::HashSet;
 
 /// Canonical key for a tracked flow.
@@ -18,17 +20,16 @@ use std::collections::HashSet;
 pub struct FlowKey {
     a: Endpoint,
     b: Endpoint,
-    proto: Proto,
 }
 
 impl FlowKey {
-    pub fn new(src: Endpoint, dst: Endpoint, proto: Proto) -> Self {
+    pub fn new(src: Endpoint, dst: Endpoint) -> Self {
         let (a, b) = if (src.host, src.port) <= (dst.host, dst.port) {
             (src, dst)
         } else {
             (dst, src)
         };
-        FlowKey { a, b, proto }
+        FlowKey { a, b }
     }
 }
 
@@ -45,18 +46,18 @@ impl ConnTracker {
 
     /// Record a flow as established (called after its opening packet
     /// passed the rule set).
-    pub fn establish(&mut self, src: Endpoint, dst: Endpoint, proto: Proto) {
-        self.established.insert(FlowKey::new(src, dst, proto));
+    pub fn establish(&mut self, src: Endpoint, dst: Endpoint) {
+        self.established.insert(FlowKey::new(src, dst));
     }
 
     /// Is this packet part of an established flow (either direction)?
-    pub fn is_established(&self, src: Endpoint, dst: Endpoint, proto: Proto) -> bool {
-        self.established.contains(&FlowKey::new(src, dst, proto))
+    pub fn is_established(&self, src: Endpoint, dst: Endpoint) -> bool {
+        self.established.contains(&FlowKey::new(src, dst))
     }
 
     /// Drop state for a closed flow.
-    pub fn teardown(&mut self, src: Endpoint, dst: Endpoint, proto: Proto) -> bool {
-        self.established.remove(&FlowKey::new(src, dst, proto))
+    pub fn teardown(&mut self, src: Endpoint, dst: Endpoint) -> bool {
+        self.established.remove(&FlowKey::new(src, dst))
     }
 
     /// Number of tracked flows.
@@ -84,39 +85,32 @@ mod tests {
 
     #[test]
     fn reply_maps_to_same_flow() {
-        let k1 = FlowKey::new(ep(1, 40000), ep(9, 80), Proto::Tcp);
-        let k2 = FlowKey::new(ep(9, 80), ep(1, 40000), Proto::Tcp);
+        let k1 = FlowKey::new(ep(1, 40000), ep(9, 80));
+        let k2 = FlowKey::new(ep(9, 80), ep(1, 40000));
         assert_eq!(k1, k2);
-    }
-
-    #[test]
-    fn different_proto_is_different_flow() {
-        let k1 = FlowKey::new(ep(1, 40000), ep(9, 80), Proto::Tcp);
-        let k2 = FlowKey::new(ep(1, 40000), ep(9, 80), Proto::Udp);
-        assert_ne!(k1, k2);
     }
 
     #[test]
     fn establish_then_reply_then_teardown() {
         let mut ct = ConnTracker::new();
         assert!(ct.is_empty());
-        ct.establish(ep(1, 40000), ep(9, 80), Proto::Tcp);
+        ct.establish(ep(1, 40000), ep(9, 80));
         assert_eq!(ct.len(), 1);
         // Reply direction is established too.
-        assert!(ct.is_established(ep(9, 80), ep(1, 40000), Proto::Tcp));
+        assert!(ct.is_established(ep(9, 80), ep(1, 40000)));
         // A different flow is not.
-        assert!(!ct.is_established(ep(9, 81), ep(1, 40000), Proto::Tcp));
-        assert!(ct.teardown(ep(1, 40000), ep(9, 80), Proto::Tcp));
-        assert!(!ct.is_established(ep(9, 80), ep(1, 40000), Proto::Tcp));
+        assert!(!ct.is_established(ep(9, 81), ep(1, 40000)));
+        assert!(ct.teardown(ep(1, 40000), ep(9, 80)));
+        assert!(!ct.is_established(ep(9, 80), ep(1, 40000)));
         // Second teardown is a no-op.
-        assert!(!ct.teardown(ep(1, 40000), ep(9, 80), Proto::Tcp));
+        assert!(!ct.teardown(ep(1, 40000), ep(9, 80)));
     }
 
     #[test]
     fn flush_clears_everything() {
         let mut ct = ConnTracker::new();
         for i in 0..10 {
-            ct.establish(ep(1, 40000 + i), ep(9, 80), Proto::Tcp);
+            ct.establish(ep(1, 40000 + i), ep(9, 80));
         }
         assert_eq!(ct.len(), 10);
         ct.flush();

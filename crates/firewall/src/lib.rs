@@ -13,32 +13,31 @@
 //! is what breaks Globus 1.0 (dynamically allocated listener ports are
 //! unreachable from outside) and what the Nexus Proxy works around.
 //!
-//! This crate models that world precisely enough for both consumers:
+//! This crate models that world for both consumers. The one decision
+//! is [`Policy::evaluate`]: may a TCP open travelling in a direction
+//! to a destination `(host, port)` pass?
 //!
-//! * the discrete-event simulator (`netsim`) consults a [`Firewall`] for
-//!   every simulated connection attempt and data packet crossing a
-//!   gateway;
-//! * the real-socket stack (`nexus`, `nexus-proxy`) consults the same
-//!   [`Firewall`] before issuing a `connect(2)`, so a loopback deployment
-//!   faithfully refuses exactly the flows a real border router would
-//!   drop.
-//!
-//! The model is stateful: like any practical packet filter, reply
-//! traffic of an **established** connection is passed by the connection
-//! tracker even under a deny-based inbound policy (otherwise no
-//! outbound-initiated TCP connection could ever complete).
+//! * the real-socket stack (`nexus`, `nexus-proxy`, `rmf`) asks the
+//!   policies of the borders a dial crosses before issuing `connect(2)`
+//!   ([`VNet`]), so a loopback deployment refuses exactly the opens a
+//!   real border router would drop. It keeps no state: the kernel
+//!   carries a connected socket's replies;
+//! * the discrete-event simulator (`netsim`) consults a stateful
+//!   [`Firewall`] for every simulated open and data packet crossing a
+//!   gateway. Like any practical packet filter, it passes reply traffic
+//!   of an **established** connection even under a deny-based inbound
+//!   policy (otherwise no outbound-initiated TCP connection could ever
+//!   complete), and a policy reload severs flows it no longer admits.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
-pub mod audit;
 pub mod conntrack;
 pub mod policy;
 pub mod rule;
 pub mod vnet;
 
-pub use audit::{AuditLog, AuditRecord};
 pub use conntrack::{ConnTracker, FlowKey};
 pub use policy::{Firewall, Policy};
-pub use rule::{Action, Direction, Endpoint, HostRef, HostSet, PortSet, Proto, Rule, Verdict};
+pub use rule::{Action, Direction, Endpoint, HostRef, HostSet, PortSet, Rule, Verdict};
 pub use vnet::{StopHandle, VListener, VNet, VSiteId};
 
 /// The well-known relay port (the paper's `nxport`) that the outer

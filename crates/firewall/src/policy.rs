@@ -1,9 +1,8 @@
 //! Policies (ordered rule lists + defaults) and the stateful
 //! [`Firewall`] that applies them.
 
-use crate::audit::{AuditLog, AuditRecord};
 use crate::conntrack::ConnTracker;
-use crate::rule::{Action, Direction, Endpoint, HostSet, PortSet, Proto, Rule, Verdict};
+use crate::rule::{Action, Direction, Endpoint, HostSet, PortSet, Rule, Verdict};
 
 /// A stateless policy: ordered rules and per-direction default actions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,10 +59,7 @@ impl Policy {
     /// server must be opened in advance".
     pub fn typical_with_nxport(name: impl Into<String>, inner_host: u32, nxport: u16) -> Policy {
         Policy::typical(name).push(
-            Rule::allow(Direction::Inbound)
-                .proto(Proto::Tcp)
-                .dst(HostSet::One(inner_host), PortSet::One(nxport))
-                .label("nxport: outer->inner relay hole"),
+            Rule::allow(Direction::Inbound).dst(HostSet::One(inner_host), PortSet::One(nxport)),
         )
     }
 
@@ -71,12 +67,8 @@ impl Policy {
     /// port *range* (`TCP_MIN_PORT..=TCP_MAX_PORT`) on every inside
     /// host, which "is basically the same as the allow based firewall".
     pub fn typical_with_port_range(name: impl Into<String>, lo: u16, hi: u16) -> Policy {
-        Policy::typical(name).push(
-            Rule::allow(Direction::Inbound)
-                .proto(Proto::Tcp)
-                .dst(HostSet::Any, PortSet::Range(lo, hi))
-                .label("globus1.1: TCP_MIN_PORT..TCP_MAX_PORT opened"),
-        )
+        Policy::typical(name)
+            .push(Rule::allow(Direction::Inbound).dst(HostSet::Any, PortSet::Range(lo, hi)))
     }
 
     /// Append a rule (builder style).
@@ -85,26 +77,17 @@ impl Policy {
         self
     }
 
-    /// Stateless evaluation: first matching rule wins, else the
-    /// per-direction default applies. Returns the action plus the label
-    /// of the deciding rule.
-    pub fn evaluate(
-        &self,
-        direction: Direction,
-        proto: Proto,
-        src: Endpoint,
-        dst: Endpoint,
-    ) -> (Action, &str) {
-        for rule in &self.rules {
-            if rule.matches(direction, proto, src, dst) {
-                return (rule.action, rule.label.as_str());
-            }
+    /// The one decision: may a TCP open travelling `direction` to `dst`
+    /// pass? First matching rule wins, else the per-direction default
+    /// applies.
+    pub fn evaluate(&self, direction: Direction, dst: Endpoint) -> Action {
+        match self.rules.iter().find(|r| r.matches(direction, dst)) {
+            Some(rule) => rule.action,
+            None => match direction {
+                Direction::Inbound => self.default_inbound,
+                Direction::Outbound => self.default_outbound,
+            },
         }
-        let action = match direction {
-            Direction::Inbound => self.default_inbound,
-            Direction::Outbound => self.default_outbound,
-        };
-        (action, "<default>")
     }
 
     /// Total inbound exposure: number of (host-agnostic) inbound ports
@@ -119,12 +102,17 @@ impl Policy {
     }
 }
 
-/// A stateful firewall instance: policy + connection tracker + audit log.
+/// The simulator's stateful filter: policy + connection tracker + a
+/// count of dropped packets. Only netsim filters data packets and
+/// tears flows down, so only it keeps one; the real-socket [`VNet`]
+/// asks the [`Policy`] alone.
+///
+/// [`VNet`]: crate::VNet
 #[derive(Debug)]
 pub struct Firewall {
     policy: Policy,
     tracker: ConnTracker,
-    audit: AuditLog,
+    dropped: u64,
 }
 
 impl Firewall {
@@ -132,12 +120,8 @@ impl Firewall {
         Firewall {
             policy,
             tracker: ConnTracker::new(),
-            audit: AuditLog::default(),
+            dropped: 0,
         }
-    }
-
-    pub fn policy(&self) -> &Policy {
-        &self.policy
     }
 
     /// Replace the policy (the paper "temporarily changed the
@@ -148,83 +132,46 @@ impl Firewall {
         self.policy = policy;
     }
 
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
+    /// Opens and data packets dropped over the firewall's lifetime.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 
-    pub fn tracker(&self) -> &ConnTracker {
-        &self.tracker
+    fn decide(&mut self, direction: Direction, dst: Endpoint) -> Verdict {
+        match self.policy.evaluate(direction, dst) {
+            Action::Allow => Verdict::Pass,
+            Action::Deny => {
+                self.dropped += 1;
+                Verdict::Drop
+            }
+        }
     }
 
     /// Filter a connection-opening packet (TCP SYN analogue). On pass,
     /// the flow is entered into the connection table so replies and
     /// subsequent data pass statefully.
-    pub fn filter_open(
-        &mut self,
-        direction: Direction,
-        proto: Proto,
-        src: Endpoint,
-        dst: Endpoint,
-    ) -> Verdict {
-        let (action, label) = self.policy.evaluate(direction, proto, src, dst);
-        let verdict = match action {
-            Action::Allow => {
-                self.tracker.establish(src, dst, proto);
-                Verdict::Pass
-            }
-            Action::Deny => Verdict::Drop,
-        };
-        self.audit.push(AuditRecord {
-            direction,
-            proto,
-            src,
-            dst,
-            verdict,
-            rule: label.to_string(),
-        });
+    pub fn filter_open(&mut self, direction: Direction, src: Endpoint, dst: Endpoint) -> Verdict {
+        let verdict = self.decide(direction, dst);
+        if verdict.passed() {
+            self.tracker.establish(src, dst);
+        }
         verdict
     }
 
     /// Filter a mid-flow data packet: established flows pass regardless
     /// of direction; otherwise the rule set decides (a pass here does
     /// *not* create state — only opens do).
-    pub fn filter_data(
-        &mut self,
-        direction: Direction,
-        proto: Proto,
-        src: Endpoint,
-        dst: Endpoint,
-    ) -> Verdict {
-        let verdict = if self.tracker.is_established(src, dst, proto) {
+    pub fn filter_data(&mut self, direction: Direction, src: Endpoint, dst: Endpoint) -> Verdict {
+        if self.tracker.is_established(src, dst) {
             Verdict::PassEstablished
         } else {
-            match self.policy.evaluate(direction, proto, src, dst).0 {
-                Action::Allow => Verdict::Pass,
-                Action::Deny => Verdict::Drop,
-            }
-        };
-        let rule = match verdict {
-            Verdict::PassEstablished => "<established>".to_string(),
-            _ => self
-                .policy
-                .evaluate(direction, proto, src, dst)
-                .1
-                .to_string(),
-        };
-        self.audit.push(AuditRecord {
-            direction,
-            proto,
-            src,
-            dst,
-            verdict,
-            rule,
-        });
-        verdict
+            self.decide(direction, dst)
+        }
     }
 
     /// Tear down a tracked flow (FIN/RST analogue).
-    pub fn close(&mut self, src: Endpoint, dst: Endpoint, proto: Proto) {
-        self.tracker.teardown(src, dst, proto);
+    pub fn close(&mut self, src: Endpoint, dst: Endpoint) {
+        self.tracker.teardown(src, dst);
     }
 
     /// Flush the connection table (an operator hard-reset: established
@@ -245,59 +192,29 @@ mod tests {
     #[test]
     fn typical_policy_denies_inbound_allows_outbound() {
         let p = Policy::typical("site");
-        assert_eq!(
-            p.evaluate(Direction::Inbound, Proto::Tcp, ep(9, 1), ep(1, 80))
-                .0,
-            Action::Deny
-        );
-        assert_eq!(
-            p.evaluate(Direction::Outbound, Proto::Tcp, ep(1, 1), ep(9, 80))
-                .0,
-            Action::Allow
-        );
+        assert_eq!(p.evaluate(Direction::Inbound, ep(1, 80)), Action::Deny);
+        assert_eq!(p.evaluate(Direction::Outbound, ep(9, 80)), Action::Allow);
     }
 
     #[test]
     fn first_match_wins() {
-        let p = Policy::typical("site")
-            .push(
-                Rule::allow(Direction::Inbound)
-                    .dst(HostSet::Any, PortSet::One(911))
-                    .label("open"),
-            )
-            .push(
-                Rule {
-                    action: Action::Deny,
-                    ..Rule::allow(Direction::Inbound)
-                }
-                .dst(HostSet::Any, PortSet::One(911))
-                .label("shadowed"),
-            );
-        let (a, label) = p.evaluate(Direction::Inbound, Proto::Tcp, ep(9, 1), ep(1, 911));
-        assert_eq!(a, Action::Allow);
-        assert_eq!(label, "open");
+        let hole = Rule::allow(Direction::Inbound).dst(HostSet::Any, PortSet::One(911));
+        let shadowed = Rule {
+            action: Action::Deny,
+            ..hole.clone()
+        };
+        let p = Policy::typical("site").push(hole).push(shadowed);
+        assert_eq!(p.evaluate(Direction::Inbound, ep(1, 911)), Action::Allow);
     }
 
     #[test]
     fn nxport_hole_only_reaches_inner_host() {
         let p = Policy::typical_with_nxport("rwcp", 3, 911);
-        assert_eq!(
-            p.evaluate(Direction::Inbound, Proto::Tcp, ep(9, 50000), ep(3, 911))
-                .0,
-            Action::Allow
-        );
+        assert_eq!(p.evaluate(Direction::Inbound, ep(3, 911)), Action::Allow);
         // Same port on another host: denied.
-        assert_eq!(
-            p.evaluate(Direction::Inbound, Proto::Tcp, ep(9, 50000), ep(4, 911))
-                .0,
-            Action::Deny
-        );
+        assert_eq!(p.evaluate(Direction::Inbound, ep(4, 911)), Action::Deny);
         // Another port on the inner host: denied.
-        assert_eq!(
-            p.evaluate(Direction::Inbound, Proto::Tcp, ep(9, 50000), ep(3, 912))
-                .0,
-            Action::Deny
-        );
+        assert_eq!(p.evaluate(Direction::Inbound, ep(3, 912)), Action::Deny);
     }
 
     #[test]
@@ -314,53 +231,54 @@ mod tests {
         let mut fw = Firewall::new(Policy::typical("rwcp"));
         // Inside host opens outward: allowed, flow tracked.
         assert!(fw
-            .filter_open(Direction::Outbound, Proto::Tcp, ep(1, 40000), ep(9, 80))
+            .filter_open(Direction::Outbound, ep(1, 40000), ep(9, 80))
             .passed());
         // Reply data comes inbound: passes as established.
         assert_eq!(
-            fw.filter_data(Direction::Inbound, Proto::Tcp, ep(9, 80), ep(1, 40000)),
+            fw.filter_data(Direction::Inbound, ep(9, 80), ep(1, 40000)),
             Verdict::PassEstablished
         );
         // Unrelated inbound data: dropped.
         assert_eq!(
-            fw.filter_data(Direction::Inbound, Proto::Tcp, ep(9, 81), ep(1, 40000)),
+            fw.filter_data(Direction::Inbound, ep(9, 81), ep(1, 40000)),
             Verdict::Drop
         );
         // After close, the reply path shuts.
-        fw.close(ep(1, 40000), ep(9, 80), Proto::Tcp);
+        fw.close(ep(1, 40000), ep(9, 80));
         assert_eq!(
-            fw.filter_data(Direction::Inbound, Proto::Tcp, ep(9, 80), ep(1, 40000)),
+            fw.filter_data(Direction::Inbound, ep(9, 80), ep(1, 40000)),
             Verdict::Drop
         );
+        assert_eq!(fw.dropped(), 2);
     }
 
     #[test]
     fn inbound_open_dropped_under_typical() {
         let mut fw = Firewall::new(Policy::typical("rwcp"));
         assert_eq!(
-            fw.filter_open(Direction::Inbound, Proto::Tcp, ep(9, 40000), ep(1, 5000)),
+            fw.filter_open(Direction::Inbound, ep(9, 40000), ep(1, 5000)),
             Verdict::Drop
         );
         // Drop creates no state: a "reply" in the other direction is a
         // fresh outbound open, which is allowed — but the original
         // inbound flow never passes.
-        assert!(fw.tracker().is_empty());
-        assert_eq!(fw.audit().dropped(), 1);
+        assert!(fw.tracker.is_empty());
+        assert_eq!(fw.dropped(), 1);
     }
 
     #[test]
     fn reload_keeps_connection_table() {
         let mut fw = Firewall::new(Policy::allow_based("rwcp"));
-        fw.filter_open(Direction::Inbound, Proto::Tcp, ep(9, 40000), ep(1, 5000));
-        assert_eq!(fw.tracker().len(), 1);
+        fw.filter_open(Direction::Inbound, ep(9, 40000), ep(1, 5000));
+        assert_eq!(fw.tracker.len(), 1);
         fw.reload(Policy::typical("rwcp"));
         // Existing flow still passes; new ones do not.
         assert_eq!(
-            fw.filter_data(Direction::Inbound, Proto::Tcp, ep(9, 40000), ep(1, 5000)),
+            fw.filter_data(Direction::Inbound, ep(9, 40000), ep(1, 5000)),
             Verdict::PassEstablished
         );
         assert_eq!(
-            fw.filter_open(Direction::Inbound, Proto::Tcp, ep(9, 40001), ep(1, 5001)),
+            fw.filter_open(Direction::Inbound, ep(9, 40001), ep(1, 5001)),
             Verdict::Drop
         );
     }

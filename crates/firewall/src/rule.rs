@@ -1,11 +1,14 @@
-//! Filtering rules: match sets over hosts, ports and protocols, plus the
-//! verdicts a filter can return.
+//! Filtering rules: match sets over destination hosts and ports, plus
+//! the verdicts a filter can return. Every flow in this system is a
+//! TCP connection, and every hole the paper opens names a destination
+//! (`nxport` on the inner host, the RMF ports, Globus 1.1's port
+//! range), so a rule matches on direction and destination alone.
 
 /// Opaque host identifier.
 ///
 /// The simulator maps its `HostId` into this; the real-socket stack maps
 /// logical host names. The firewall itself never interprets the value
-/// beyond equality/range membership.
+/// beyond equality.
 pub type HostRef = u32;
 
 /// One endpoint of a (potential) flow.
@@ -27,21 +30,6 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-/// Transport protocol selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Proto {
-    Tcp,
-    Udp,
-    Any,
-}
-
-impl Proto {
-    /// Does `self` (a rule's selector) cover `packet` (a concrete proto)?
-    pub fn covers(self, packet: Proto) -> bool {
-        matches!(self, Proto::Any) || self == packet
-    }
-}
-
 /// Direction of a packet relative to the protected (inside) network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
@@ -51,22 +39,11 @@ pub enum Direction {
     Outbound,
 }
 
-impl Direction {
-    pub fn flip(self) -> Direction {
-        match self {
-            Direction::Inbound => Direction::Outbound,
-            Direction::Outbound => Direction::Inbound,
-        }
-    }
-}
-
-/// A set of hosts a rule can match.
+/// The hosts a rule matches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HostSet {
     Any,
     One(HostRef),
-    Range(HostRef, HostRef),
-    List(Vec<HostRef>),
 }
 
 impl HostSet {
@@ -74,13 +51,11 @@ impl HostSet {
         match self {
             HostSet::Any => true,
             HostSet::One(x) => *x == h,
-            HostSet::Range(lo, hi) => (*lo..=*hi).contains(&h),
-            HostSet::List(v) => v.contains(&h),
         }
     }
 }
 
-/// A set of ports a rule can match.
+/// The ports a rule matches.
 ///
 /// `Range` is the shape used by the Globus 1.1 `TCP_MIN_PORT` /
 /// `TCP_MAX_PORT` workaround the paper critiques: opening the whole
@@ -91,7 +66,6 @@ pub enum PortSet {
     Any,
     One(u16),
     Range(u16, u16),
-    List(Vec<u16>),
 }
 
 impl PortSet {
@@ -100,23 +74,15 @@ impl PortSet {
             PortSet::Any => true,
             PortSet::One(x) => *x == p,
             PortSet::Range(lo, hi) => (*lo..=*hi).contains(&p),
-            PortSet::List(v) => v.contains(&p),
         }
     }
 
-    /// Number of ports in the set (saturating; `Any` is 65536).
+    /// Number of ports in the set (`Any` is 65536).
     pub fn width(&self) -> u32 {
         match self {
             PortSet::Any => 65536,
             PortSet::One(_) => 1,
-            PortSet::Range(lo, hi) => {
-                if hi >= lo {
-                    u32::from(hi - lo) + 1
-                } else {
-                    0
-                }
-            }
-            PortSet::List(v) => v.len() as u32,
+            PortSet::Range(lo, hi) => (u32::from(*hi) + 1).saturating_sub(u32::from(*lo)),
         }
     }
 }
@@ -151,40 +117,20 @@ impl Verdict {
 pub struct Rule {
     pub action: Action,
     pub direction: Direction,
-    pub proto: Proto,
-    pub src_hosts: HostSet,
-    pub src_ports: PortSet,
     pub dst_hosts: HostSet,
     pub dst_ports: PortSet,
-    /// Human-readable annotation, surfaced by the audit log.
-    pub label: String,
 }
 
 impl Rule {
-    /// Allow-everything-in-`direction` skeleton, to be refined with the
-    /// builder methods below.
+    /// Allow-everything-in-`direction` skeleton, to be narrowed with
+    /// [`dst`](Self::dst).
     pub fn allow(direction: Direction) -> Rule {
         Rule {
             action: Action::Allow,
             direction,
-            proto: Proto::Any,
-            src_hosts: HostSet::Any,
-            src_ports: PortSet::Any,
             dst_hosts: HostSet::Any,
             dst_ports: PortSet::Any,
-            label: String::new(),
         }
-    }
-
-    pub fn proto(mut self, p: Proto) -> Rule {
-        self.proto = p;
-        self
-    }
-
-    pub fn src(mut self, hosts: HostSet, ports: PortSet) -> Rule {
-        self.src_hosts = hosts;
-        self.src_ports = ports;
-        self
     }
 
     pub fn dst(mut self, hosts: HostSet, ports: PortSet) -> Rule {
@@ -193,23 +139,9 @@ impl Rule {
         self
     }
 
-    pub fn label(mut self, l: impl Into<String>) -> Rule {
-        self.label = l.into();
-        self
-    }
-
-    /// Does this rule match a concrete packet?
-    pub fn matches(
-        &self,
-        direction: Direction,
-        proto: Proto,
-        src: Endpoint,
-        dst: Endpoint,
-    ) -> bool {
+    /// Does this rule match a packet travelling `direction` to `dst`?
+    pub fn matches(&self, direction: Direction, dst: Endpoint) -> bool {
         self.direction == direction
-            && self.proto.covers(proto)
-            && self.src_hosts.contains(src.host)
-            && self.src_ports.contains(src.port)
             && self.dst_hosts.contains(dst.host)
             && self.dst_ports.contains(dst.port)
     }
@@ -219,54 +151,24 @@ impl Rule {
 mod tests {
     use super::*;
 
-    fn ep(h: HostRef, p: u16) -> Endpoint {
-        Endpoint::new(h, p)
-    }
-
-    #[test]
-    fn host_set_membership() {
-        assert!(HostSet::Any.contains(7));
-        assert!(HostSet::One(7).contains(7));
-        assert!(!HostSet::One(7).contains(8));
-        assert!(HostSet::Range(3, 9).contains(3));
-        assert!(HostSet::Range(3, 9).contains(9));
-        assert!(!HostSet::Range(3, 9).contains(10));
-        assert!(HostSet::List(vec![1, 5]).contains(5));
-        assert!(!HostSet::List(vec![1, 5]).contains(2));
-    }
-
     #[test]
     fn port_set_membership_and_width() {
-        assert!(PortSet::Any.contains(0));
-        assert_eq!(PortSet::Any.width(), 65536);
-        assert_eq!(PortSet::One(80).width(), 1);
-        assert_eq!(PortSet::Range(1000, 1999).width(), 1000);
+        let globus = PortSet::Range(1000, 1999);
+        assert!(globus.contains(1000) && globus.contains(1999));
+        assert!(!globus.contains(999) && !globus.contains(2000));
+        assert_eq!(globus.width(), 1000);
         assert_eq!(PortSet::Range(5, 4).width(), 0);
-        assert_eq!(PortSet::List(vec![1, 2, 3]).width(), 3);
-    }
-
-    #[test]
-    fn proto_covering() {
-        assert!(Proto::Any.covers(Proto::Tcp));
-        assert!(Proto::Tcp.covers(Proto::Tcp));
-        assert!(!Proto::Tcp.covers(Proto::Udp));
+        assert_eq!(PortSet::One(80).width(), 1);
+        assert_eq!(PortSet::Any.width(), 65536);
     }
 
     #[test]
     fn rule_builder_and_match() {
-        let r = Rule::allow(Direction::Inbound)
-            .proto(Proto::Tcp)
-            .dst(HostSet::One(3), PortSet::One(911))
-            .label("nxport hole");
-        assert!(r.matches(Direction::Inbound, Proto::Tcp, ep(9, 40000), ep(3, 911)));
-        // Wrong direction.
-        assert!(!r.matches(Direction::Outbound, Proto::Tcp, ep(9, 40000), ep(3, 911)));
-        // Wrong destination port.
-        assert!(!r.matches(Direction::Inbound, Proto::Tcp, ep(9, 40000), ep(3, 912)));
-        // Wrong destination host.
-        assert!(!r.matches(Direction::Inbound, Proto::Tcp, ep(9, 40000), ep(4, 911)));
-        // Udp not covered by Tcp selector.
-        assert!(!r.matches(Direction::Inbound, Proto::Udp, ep(9, 40000), ep(3, 911)));
+        let r = Rule::allow(Direction::Inbound).dst(HostSet::One(3), PortSet::One(911));
+        assert!(r.matches(Direction::Inbound, Endpoint::new(3, 911)));
+        assert!(!r.matches(Direction::Outbound, Endpoint::new(3, 911)));
+        assert!(!r.matches(Direction::Inbound, Endpoint::new(3, 912)));
+        assert!(!r.matches(Direction::Inbound, Endpoint::new(4, 911)));
     }
 
     #[test]

@@ -7,19 +7,22 @@
 //! of the paper. `VNet` restores the premise:
 //!
 //! * logical **hosts** belong to **sites**, each site optionally
-//!   protected by a [`Firewall`];
+//!   protected by a border [`Policy`];
 //! * services bind real OS listeners but advertise *logical*
 //!   `(host, port)` addresses;
 //! * every connect goes through [`VNet::dial`], which evaluates the
 //!   border policies exactly as the border routers in Figure 5 would —
 //!   a deny-based inbound policy makes an inside listener unreachable
 //!   from an outside host even though both are threads in one process.
+//!   The check is stateless, a guard in front of `connect(2)`: once a
+//!   real socket is connected, the kernel carries its replies, so
+//!   there is no connection table to keep.
 //!
 //! The mapping is process-wide state shared by `Arc`; all methods are
 //! thread-safe.
 
-use crate::policy::{Firewall, Policy};
-use crate::rule::{Direction, Endpoint, HostRef, Proto};
+use crate::policy::Policy;
+use crate::rule::{Action, Direction, Endpoint, HostRef};
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -36,7 +39,7 @@ pub type VSiteId = usize;
 
 struct SiteEntry {
     name: String,
-    firewall: Mutex<Option<Firewall>>,
+    policy: Mutex<Option<Policy>>,
 }
 
 struct HostEntry {
@@ -83,7 +86,7 @@ impl VNet {
         let mut sites = self.inner.sites.lock();
         sites.push(SiteEntry {
             name: name.into(),
-            firewall: Mutex::new(policy.map(Firewall::new)),
+            policy: Mutex::new(policy),
         });
         sites.len() - 1
     }
@@ -112,17 +115,11 @@ impl VNet {
 
     /// Swap (or install) a site's policy at runtime — the paper's
     /// temporary firewall reconfiguration. A site created without a
-    /// firewall gains one; an existing firewall keeps its connection
-    /// table across the reload. Returns false for an unknown site.
+    /// firewall gains one. Returns false for an unknown site.
     pub fn reload_policy(&self, site: VSiteId, policy: Policy) -> bool {
-        let sites = self.inner.sites.lock();
-        match sites.get(site) {
+        match self.inner.sites.lock().get(site) {
             Some(s) => {
-                let mut fw = s.firewall.lock();
-                match fw.as_mut() {
-                    Some(f) => f.reload(policy),
-                    None => *fw = Some(Firewall::new(policy)),
-                }
+                *s.policy.lock() = Some(policy);
                 true
             }
             None => false,
@@ -132,7 +129,7 @@ impl VNet {
     /// Allocate a logical ephemeral port (for listen-on-any requests).
     /// The range wraps in one atomic step, so concurrent callers never
     /// share a value.
-    pub fn ephemeral_port(&self) -> u16 {
+    fn ephemeral_port(&self) -> u16 {
         let wrapping_next = |p: u16| Some(p.checked_add(1).unwrap_or(EPHEMERAL_BASE));
         self.inner
             .next_ephemeral
@@ -193,8 +190,9 @@ impl VNet {
             .copied()
     }
 
-    /// Firewall check for a connection `from` → `to:port`, without
-    /// dialing. Establishes conntrack state on pass, as a SYN would.
+    /// Border check for a connection `from` → `to:port`, without
+    /// dialing: the open must pass the source site's outbound policy
+    /// and the destination site's inbound one.
     pub fn check_connect(&self, from: &str, to: &str, port: u16) -> io::Result<()> {
         let hosts = self.inner.hosts.lock();
         let src = hosts.get(from).ok_or_else(|| {
@@ -207,7 +205,6 @@ impl VNet {
             io::Error::new(io::ErrorKind::NotFound, format!("unknown dest host {to}"))
         })?;
         let (src_site, dst_site) = (src.site, dst.site);
-        let src_ep = Endpoint::new(src.id, self.ephemeral_port());
         let dst_ep = Endpoint::new(dst.id, port);
         drop(hosts);
         if src_site == dst_site {
@@ -219,17 +216,18 @@ impl VNet {
             (dst_site, Direction::Inbound),
         ] {
             let site = &sites[site];
-            if let Some(fw) = site.firewall.lock().as_mut() {
-                let verdict = fw.filter_open(dir, Proto::Tcp, src_ep, dst_ep);
-                if !verdict.passed() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::PermissionDenied,
-                        format!(
-                            "firewall dropped {from}->{to}:{port} ({dir:?} at site {})",
-                            site.name
-                        ),
-                    ));
-                }
+            let policy = site.policy.lock();
+            if policy
+                .as_ref()
+                .is_some_and(|p| p.evaluate(dir, dst_ep) == Action::Deny)
+            {
+                return Err(io::Error::new(
+                    io::ErrorKind::PermissionDenied,
+                    format!(
+                        "firewall dropped {from}->{to}:{port} ({dir:?} at site {})",
+                        site.name
+                    ),
+                ));
             }
         }
         Ok(())
@@ -409,6 +407,20 @@ mod tests {
             err.to_string(),
             "firewall dropped out-x->in-a:7000 (Inbound at site inside)"
         );
+    }
+
+    /// A dial's check keeps nothing and draws nothing: thousands of
+    /// checked opens across the border leave the next listen-on-any
+    /// port where it was.
+    #[test]
+    fn border_checks_draw_no_ephemeral_port() {
+        let n = net();
+        let first = n.bind("in-a", 0).unwrap().logical_port();
+        for _ in 0..5000 {
+            n.check_connect("in-a", "out-x", 80).unwrap();
+            assert!(n.check_connect("out-x", "in-a", 7000).is_err());
+        }
+        assert_eq!(n.bind("in-a", 0).unwrap().logical_port(), first + 1);
     }
 
     #[test]

@@ -212,12 +212,17 @@ struct Search {
 
 impl Search {
     /// The one place params enter a search: an `interval` of 0 would
-    /// make every batch empty while the stack holds work, so it runs
-    /// as 1.
+    /// make every batch empty while the stack holds work, and a
+    /// `steal_unit` of 0 every served batch, so each runs as 1.
     fn new(params: ParParams) -> Self {
         let interval = params.interval.max(1);
+        let steal_unit = params.steal_unit.max(1);
         Search {
-            params: ParParams { interval, ..params },
+            params: ParParams {
+                interval,
+                steal_unit,
+                ..params
+            },
             ..Search::default()
         }
     }

@@ -480,6 +480,21 @@ mod tests {
         assert!(rr.elapsed_secs < slow_pair.elapsed_secs);
     }
 
+    /// A `steal_unit` of 0 runs as 1: served batches of 0 nodes would
+    /// leave every slave stealing in a loop while the master searches
+    /// alone.
+    #[test]
+    fn a_zero_steal_unit_runs_as_one() {
+        let params = ParParams {
+            steal_unit: 0,
+            ..fast_params()
+        };
+        let rr = run_sim(12, &[ERA_RATE, ERA_RATE], params);
+        let slaves = rr.ranks.iter().filter(|r| r.rank != 0);
+        assert!(slaves.clone().all(|r| r.traversed > 0), "{:?}", rr.ranks);
+        assert_eq!(rr.total_traversed(), Instance::full_tree_nodes(12));
+    }
+
     #[test]
     fn master_with_no_slaves_solves_alone() {
         let rr = run_sim(10, &[], fast_params());

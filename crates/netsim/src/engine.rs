@@ -22,7 +22,7 @@
 
 use crate::actor::{Actor, ActorId, Delivery, FlowEvent, Payload, SendError};
 use crate::event::EventQueue;
-use crate::fault::{FaultPlan, FaultState, RestartFactory};
+use crate::fault::{FaultPlan, FaultState, RestartFactory, MAX_ATTEMPTS, RTO};
 use crate::flow::{
     CloseReason, Draining, Flow, FlowEnd, FlowId, FlowState, PortError, PortTable, RefuseReason,
 };
@@ -31,7 +31,7 @@ use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId, SiteId, Topology};
 use crate::trace::Trace;
-use firewall::{Direction, Endpoint as FwEndpoint, Firewall, Proto, Verdict};
+use firewall::{Direction, Endpoint as FwEndpoint, Firewall, Verdict};
 use std::collections::HashMap;
 
 // The transfer model's constants; `wacs-core::calibration` sets the
@@ -171,52 +171,34 @@ impl World {
         r
     }
 
-    /// Firewall verdict for a connection-opening packet traversing
-    /// `path` from `src_node`. Applies outbound filtering when leaving
-    /// a firewalled site and inbound filtering when entering one.
-    fn filter_open_path(
+    /// Do the firewalls on `path` from `src_node` pass a packet?
+    /// `filter` is asked outbound when the packet leaves a firewalled
+    /// site and inbound when it enters one.
+    fn path_passes(
         &mut self,
         src_node: NodeId,
         path: &[LinkId],
-        src: FwEndpoint,
-        dst: FwEndpoint,
-    ) -> Verdict {
-        for (from, to) in self.topo.site_crossings(src_node, path) {
-            for (site, dir) in [(from, Direction::Outbound), (to, Direction::Inbound)] {
-                if let Some(fw) = self.firewalls[site.0 as usize].as_mut() {
-                    if !fw.filter_open(dir, Proto::Tcp, src, dst).passed() {
-                        return Verdict::Drop;
-                    }
-                }
-            }
-        }
-        Verdict::Pass
-    }
-
-    fn filter_data_path(
-        &mut self,
-        src_node: NodeId,
-        path: &[LinkId],
-        src: FwEndpoint,
-        dst: FwEndpoint,
-    ) -> Verdict {
-        for (from, to) in self.topo.site_crossings(src_node, path) {
-            for (site, dir) in [(from, Direction::Outbound), (to, Direction::Inbound)] {
-                if let Some(fw) = self.firewalls[site.0 as usize].as_mut() {
-                    if !fw.filter_data(dir, Proto::Tcp, src, dst).passed() {
-                        return Verdict::Drop;
-                    }
-                }
-            }
-        }
-        Verdict::Pass
+        mut filter: impl FnMut(&mut Firewall, Direction) -> Verdict,
+    ) -> bool {
+        self.topo
+            .site_crossings(src_node, path)
+            .into_iter()
+            .all(|(from, to)| {
+                [(from, Direction::Outbound), (to, Direction::Inbound)]
+                    .into_iter()
+                    .all(|(site, dir)| {
+                        self.firewalls[site.0 as usize]
+                            .as_mut()
+                            .is_none_or(|fw| filter(fw, dir).passed())
+                    })
+            })
     }
 
     fn teardown_conntrack(&mut self, flow: &Flow) {
         let src = FwEndpoint::new(flow.a.node.0, flow.a.port);
         let dst = FwEndpoint::new(flow.b.node.0, flow.b.port);
         for fw in self.firewalls.iter_mut().flatten() {
-            fw.close(src, dst, Proto::Tcp);
+            fw.close(src, dst);
         }
     }
 
@@ -371,11 +353,9 @@ impl<'w> Ctx<'w> {
 
         let src_ep = FwEndpoint::new(src_node.0, src_port);
         let dst_ep = FwEndpoint::new(dst_node.0, dst_port);
-        if !self
-            .world
-            .filter_open_path(src_node, &path, src_ep, dst_ep)
-            .passed()
-        {
+        if !self.world.path_passes(src_node, &path, |fw, dir| {
+            fw.filter_open(dir, src_ep, dst_ep)
+        }) {
             // Deny rules drop silently: the connect only fails at the
             // timeout.
             let at = now + CONNECT_TIMEOUT;
@@ -539,11 +519,9 @@ impl<'w> Ctx<'w> {
         } else {
             path.iter().rev().copied().collect()
         };
-        if !self
-            .world
-            .filter_data_path(origin, &path_dir, src_ep, dst_ep)
-            .passed()
-        {
+        if !self.world.path_passes(origin, &path_dir, |fw, dir| {
+            fw.filter_data(dir, src_ep, dst_ep)
+        }) {
             // Firewall started eating this flow: sever it.
             self.world.stats.messages_filtered += 1;
             let Some(f) = self.world.flows.get_mut(&flow) else {
@@ -960,11 +938,8 @@ impl Simulator {
         if let Some(o) = &self.world.obs {
             o.chunk_dropped();
         }
-        let Some(policy) = self.world.faults.as_ref().map(|f| f.retransmit) else {
-            return;
-        };
         let now = self.world.now;
-        if t.attempt + 1 < policy.max_attempts {
+        if t.attempt + 1 < MAX_ATTEMPTS {
             self.world.stats.retransmits += 1;
             if let Some(o) = &self.world.obs {
                 o.retransmit();
@@ -977,7 +952,7 @@ impl Simulator {
                 )
             });
             self.world.queue.schedule(
-                now + policy.rto,
+                now + RTO,
                 Event::Chunk(Transit {
                     hop: 0,
                     attempt: t.attempt + 1,
@@ -1421,11 +1396,7 @@ mod tests {
                     flow: None,
                 }),
             );
-            sim.install_faults(
-                FaultPlan::new(0xD0)
-                    .drop_messages(0.1, false)
-                    .retransmit(SimDuration::from_millis(20), 8),
-            );
+            sim.install_faults(FaultPlan::new(0xD0).drop_messages(0.1, false));
             sim.run();
             let out = log.lock().clone();
             (out, sim.stats().clone())
@@ -1463,13 +1434,9 @@ mod tests {
             }),
         );
         // From 5 ms on, the WAN link (swa<->swb) loses every chunk:
-        // down "forever" relative to 3 x 10ms retransmits.
+        // down "forever" relative to 6 transmissions 150 ms apart.
         sim.run_until(SimTime(SimDuration::from_millis(5).nanos()));
-        sim.install_faults(
-            FaultPlan::new(2)
-                .drop_messages(1.0, true)
-                .retransmit(SimDuration::from_millis(10), 3),
-        );
+        sim.install_faults(FaultPlan::new(2).drop_messages(1.0, true));
         sim.run_until(SimTime(SimDuration::from_secs(2).nanos()));
         let final_log = log.lock().clone();
         assert!(

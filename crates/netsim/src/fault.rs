@@ -12,8 +12,7 @@
 //!   in the same slot from a factory closure after a delay.
 //!
 //! Dropped chunks are retransmitted end-to-end by the sim-TCP layer
-//! after [`RetransmitPolicy::rto`]; after
-//! [`RetransmitPolicy::max_attempts`] consecutive losses of the same
+//! after a fixed 150 ms RTO; after 6 consecutive losses of the same
 //! chunk the transport gives up and severs the flow with
 //! [`crate::flow::CloseReason::Lost`], which is the application's cue
 //! to reconnect. Loss therefore manifests as *delay* below the
@@ -33,24 +32,11 @@ use crate::time::{SimDuration, SimTime};
 /// fresh state — a process supervisor respawning a daemon).
 pub type RestartFactory = Box<dyn FnMut() -> Box<dyn Actor>>;
 
-/// Transport-level recovery knobs for dropped chunks.
-#[derive(Debug, Clone, Copy)]
-pub struct RetransmitPolicy {
-    /// Delay before a lost chunk is resent from the source.
-    pub rto: SimDuration,
-    /// Consecutive losses of one chunk tolerated before the transport
-    /// gives up and severs the flow.
-    pub max_attempts: u32,
-}
-
-impl Default for RetransmitPolicy {
-    fn default() -> Self {
-        RetransmitPolicy {
-            rto: SimDuration::from_millis(150),
-            max_attempts: 6,
-        }
-    }
-}
+/// Delay before a lost chunk is resent from the source.
+pub(crate) const RTO: SimDuration = SimDuration::from_millis(150);
+/// Transmissions of one chunk (the first included) before the
+/// transport gives up and severs the flow.
+pub(crate) const MAX_ATTEMPTS: u32 = 6;
 
 /// Per-traversal chunk loss.
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +59,6 @@ pub struct FaultPlan {
     seed: u64,
     drop: Option<DropSpec>,
     crashes: Vec<CrashSpec>,
-    retransmit: RetransmitPolicy,
 }
 
 impl FaultPlan {
@@ -82,7 +67,6 @@ impl FaultPlan {
             seed,
             drop: None,
             crashes: Vec::new(),
-            retransmit: RetransmitPolicy::default(),
         }
     }
 
@@ -127,13 +111,6 @@ impl FaultPlan {
         self
     }
 
-    /// Override the transport retransmit policy.
-    #[must_use]
-    pub fn retransmit(mut self, rto: SimDuration, max_attempts: u32) -> Self {
-        self.retransmit = RetransmitPolicy { rto, max_attempts };
-        self
-    }
-
     /// Split into the engine-resident pieces: scheduled crashes and the
     /// steady-state [`FaultState`]. `now` anchors the plan's offsets.
     pub(crate) fn into_parts(self, now: SimTime) -> (Vec<ScheduledCrash>, FaultState) {
@@ -149,7 +126,6 @@ impl FaultPlan {
         let state = FaultState {
             rng: SimRng::seed_from_u64(self.seed).fork(0xFA17),
             drop: self.drop,
-            retransmit: self.retransmit,
         };
         (crashes, state)
     }
@@ -165,7 +141,6 @@ pub(crate) struct ScheduledCrash {
 pub(crate) struct FaultState {
     rng: SimRng,
     drop: Option<DropSpec>,
-    pub(crate) retransmit: RetransmitPolicy,
 }
 
 impl FaultState {

@@ -56,7 +56,7 @@ pub mod trace;
 pub mod prelude {
     pub use crate::actor::{Actor, ActorId, Delivery, FlowEvent, Payload, SendError};
     pub use crate::engine::{Ctx, Simulator};
-    pub use crate::fault::{FaultPlan, RestartFactory, RetransmitPolicy};
+    pub use crate::fault::{FaultPlan, RestartFactory};
     pub use crate::flow::{CloseReason, FlowId, PortError, RefuseReason};
     pub use crate::rng::SimRng;
     pub use crate::stats::Stats;

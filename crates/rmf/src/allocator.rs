@@ -26,15 +26,6 @@ pub struct ResourceInfo {
     pub cpus: u32,
 }
 
-/// Selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectPolicy {
-    /// Fill resources in least-loaded-fraction order (default).
-    LeastLoaded,
-    /// Fill in registration order.
-    FirstFit,
-}
-
 #[derive(Debug)]
 struct Entry {
     info: ResourceInfo,
@@ -54,14 +45,12 @@ pub struct Allocation {
 #[derive(Clone)]
 pub struct AllocatorState {
     entries: Arc<OrderedMutex<Vec<Entry>>>,
-    policy: SelectPolicy,
 }
 
 impl AllocatorState {
-    pub fn new(policy: SelectPolicy) -> Self {
+    fn new() -> Self {
         AllocatorState {
             entries: Arc::new(OrderedMutex::new("rmf.allocator.entries", Vec::new())),
-            policy,
         }
     }
 
@@ -125,14 +114,13 @@ impl AllocatorState {
         }
         let mut entries = self.entries.lock();
         let order: Vec<usize> = if explicit.is_empty() {
+            // Least-loaded fraction first.
             let mut idx: Vec<usize> = (0..entries.len()).collect();
-            if self.policy == SelectPolicy::LeastLoaded {
-                idx.sort_by(|&a, &b| {
-                    let fa = f64::from(entries[a].load) / f64::from(entries[a].info.cpus.max(1));
-                    let fb = f64::from(entries[b].load) / f64::from(entries[b].info.cpus.max(1));
-                    fa.total_cmp(&fb)
-                });
-            }
+            idx.sort_by(|&a, &b| {
+                let fa = f64::from(entries[a].load) / f64::from(entries[a].info.cpus.max(1));
+                let fb = f64::from(entries[b].load) / f64::from(entries[b].info.cpus.max(1));
+                fa.total_cmp(&fb)
+            });
             idx
         } else {
             let mut idx = Vec::new();
@@ -199,11 +187,10 @@ impl ResourceAllocator {
     pub fn start(
         net: VNet,
         host: impl Into<String>,
-        policy: SelectPolicy,
         trace: FlowTrace,
     ) -> io::Result<ResourceAllocator> {
         let host = host.into();
-        let state = AllocatorState::new(policy);
+        let state = AllocatorState::new();
         let listener = net.bind(&host, ALLOCATOR_PORT)?;
         let t_state = state.clone();
         let server = RecordServer::start(listener, move |req| handle(&t_state, &trace, req));
@@ -319,7 +306,7 @@ mod tests {
     use super::*;
 
     fn state_with(resources: &[(&str, u32)]) -> AllocatorState {
-        let s = AllocatorState::new(SelectPolicy::LeastLoaded);
+        let s = AllocatorState::new();
         for (name, cpus) in resources {
             s.register(ResourceInfo {
                 name: name.to_string(),

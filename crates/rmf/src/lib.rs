@@ -32,9 +32,7 @@ pub mod qsys;
 pub mod rsl;
 pub mod wire;
 
-pub use allocator::{
-    Allocation, AllocatorState, ResourceAllocator, ResourceInfo, SelectPolicy, ALLOCATOR_PORT,
-};
+pub use allocator::{Allocation, AllocatorState, ResourceAllocator, ResourceInfo, ALLOCATOR_PORT};
 pub use error::RmfError;
 pub use exec::{ExecCtx, ExecRegistry};
 pub use gass::{GassStore, GassUrl, StripedTransfer};
@@ -44,20 +42,16 @@ pub use qsys::{QClient, QServer, QSERVER_PORT};
 pub use rsl::{JobRequest, RslError};
 pub use wire::Record;
 
-use firewall::{Direction, HostRef, HostSet, Policy, PortSet, Proto, Rule};
+use firewall::{Direction, HostRef, HostSet, Policy, PortSet, Rule};
 
 /// Build the paper's RMF-compatible site policy: deny-based inbound,
 /// allow-based outbound, with exactly the fixed inbound holes the Q
 /// system needs (allocator port + one Q server port per resource).
+/// Each `(host, port)` in `holes` admits inbound TCP to that port of
+/// that host alone; a deployment that runs the proxy too lists
+/// `(inner host, nxport)` among them.
 pub fn rmf_site_policy(name: &str, holes: &[(HostRef, u16)]) -> Policy {
-    let mut p = Policy::typical(name);
-    for (host, port) in holes {
-        p = p.push(
-            Rule::allow(Direction::Inbound)
-                .proto(Proto::Tcp)
-                .dst(HostSet::One(*host), PortSet::One(*port))
-                .label(format!("rmf hole {host}:{port}")),
-        );
-    }
-    p
+    holes.iter().fold(Policy::typical(name), |p, (host, port)| {
+        p.push(Rule::allow(Direction::Inbound).dst(HostSet::One(*host), PortSet::One(*port)))
+    })
 }

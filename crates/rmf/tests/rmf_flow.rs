@@ -8,8 +8,7 @@ use firewall::vnet::VNet;
 use firewall::Policy;
 use rmf::{
     rmf_site_policy, submit_job, wait_job, ExecCtx, ExecRegistry, FlowTrace, GassStore, Gatekeeper,
-    JobState, QServer, Record, ResourceAllocator, ResourceInfo, SelectPolicy, ALLOCATOR_PORT,
-    QSERVER_PORT,
+    JobState, QServer, Record, ResourceAllocator, ResourceInfo, ALLOCATOR_PORT, QSERVER_PORT,
 };
 use std::time::Duration;
 
@@ -52,13 +51,7 @@ fn deploy() -> Deployment {
     let gass = GassStore::new();
     let registry = ExecRegistry::new();
 
-    let alloc = ResourceAllocator::start(
-        net.clone(),
-        "alloc-host",
-        SelectPolicy::LeastLoaded,
-        trace.clone(),
-    )
-    .unwrap();
+    let alloc = ResourceAllocator::start(net.clone(), "alloc-host", trace.clone()).unwrap();
     alloc.state.register(ResourceInfo {
         name: "COMPaS".into(),
         qserver_host: "compas-fe".into(),
@@ -473,13 +466,7 @@ fn allocator_rpc_retry_recovers_from_late_daemon_and_times_out_typed() {
     let net2 = net.clone();
     let starter = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(40));
-        let alloc = ResourceAllocator::start(
-            net2,
-            "alloc-host",
-            SelectPolicy::LeastLoaded,
-            FlowTrace::new(),
-        )
-        .unwrap();
+        let alloc = ResourceAllocator::start(net2, "alloc-host", FlowTrace::new()).unwrap();
         alloc.state.register(ResourceInfo {
             name: "A".into(),
             qserver_host: "a-fe".into(),

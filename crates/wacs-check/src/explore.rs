@@ -1,24 +1,13 @@
-//! Explicit-state exploration engines.
+//! The explicit-state exploration engine: [`explore_bfs`], breadth-first
+//! over a [`Model`] with a visited set and a parent map. Exhaustive over
+//! the reachable state space; when an invariant fails (or a
+//! non-accepting state has no enabled actions — a wedge: deadlock or
+//! lost wakeup), the reported counterexample trace is *minimal* in
+//! actions by BFS order.
 //!
-//! Two strategies over the same [`Model`] trait:
-//!
-//! * [`explore_bfs`] — breadth-first with a visited set and a parent
-//!   map. Exhaustive over the reachable state space; when an
-//!   invariant fails (or a non-accepting state has no enabled
-//!   actions — a wedge: deadlock or lost wakeup), the reported
-//!   counterexample trace is *minimal* in actions by BFS order.
-//! * [`explore_dfs_sleep`] — depth-first with sleep sets, a
-//!   DPOR-style pruning: after exploring action `a` from a state,
-//!   siblings that are independent of `a` (per
-//!   [`Model::independent`]) inherit `a` in their sleep set and the
-//!   redundant interleaving is skipped. Combined with full state
-//!   caching this is a pruning *accelerator*, not a proof of
-//!   minimality — the test suite pins that both engines agree on
-//!   every model's verdict, and DESIGN.md documents the caveat.
-//!
-//! Both engines are bounded by `max_states`; a run that hits the
-//! bound reports `exhausted: false` and the caller treats that as a
-//! failure (the documented depths must fit).
+//! A run is bounded by `max_states`; one that hits the bound reports
+//! `exhausted: false` and the caller treats that as a failure (the
+//! documented depths must fit).
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -42,12 +31,6 @@ pub trait Model {
     fn accepting(&self, _s: &Self::State) -> bool {
         true
     }
-    /// May `a` and `b` be commuted without changing the result?
-    /// Conservative default: never. Only used by the sleep-set
-    /// engine.
-    fn independent(&self, _a: &Self::Action, _b: &Self::Action) -> bool {
-        false
-    }
 }
 
 /// A violation with its replayable action trace from the initial
@@ -62,7 +45,6 @@ pub struct Counterexample {
 #[derive(Debug, Clone)]
 pub struct Report {
     pub model: &'static str,
-    pub mode: &'static str,
     pub states: usize,
     pub transitions: usize,
     pub max_depth: usize,
@@ -80,9 +62,8 @@ impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:<12} [{}] states={} transitions={} depth={} {}",
+            "{:<12} states={} transitions={} depth={} {}",
             self.model,
-            self.mode,
             self.states,
             self.transitions,
             self.max_depth,
@@ -113,17 +94,7 @@ pub fn explore_bfs<M: Model>(m: &M, max_states: usize) -> Report {
         let depth = meta[i].2;
         max_depth = max_depth.max(depth);
         if let Err(reason) = m.invariant(&s) {
-            return finish(
-                m,
-                "bfs",
-                &arena,
-                &meta,
-                transitions,
-                max_depth,
-                true,
-                i,
-                reason,
-            );
+            return finish(m, arena.len(), &meta, transitions, max_depth, i, reason);
         }
         acts.clear();
         m.actions(&s, &mut acts);
@@ -131,17 +102,7 @@ pub fn explore_bfs<M: Model>(m: &M, max_states: usize) -> Report {
             let reason = "wedge: no enabled actions in a non-accepting state \
                           (deadlock / lost wakeup)"
                 .to_string();
-            return finish(
-                m,
-                "bfs",
-                &arena,
-                &meta,
-                transitions,
-                max_depth,
-                true,
-                i,
-                reason,
-            );
+            return finish(m, arena.len(), &meta, transitions, max_depth, i, reason);
         }
         for a in &acts {
             transitions += 1;
@@ -163,7 +124,6 @@ pub fn explore_bfs<M: Model>(m: &M, max_states: usize) -> Report {
 
     Report {
         model: m.name(),
-        mode: "bfs",
         states: arena.len(),
         transitions,
         max_depth,
@@ -172,15 +132,14 @@ pub fn explore_bfs<M: Model>(m: &M, max_states: usize) -> Report {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The report for a violation at state `at`, its trace read back
+/// through the parent map.
 fn finish<M: Model>(
     m: &M,
-    mode: &'static str,
-    arena: &[M::State],
+    states: usize,
     meta: &[(usize, String, usize)],
     transitions: usize,
     max_depth: usize,
-    exhausted: bool,
     at: usize,
     reason: String,
 ) -> Report {
@@ -194,146 +153,11 @@ fn finish<M: Model>(
     trace.reverse();
     Report {
         model: m.name(),
-        mode,
-        states: arena.len(),
+        states,
         transitions,
         max_depth,
-        exhausted,
+        exhausted: true,
         violation: Some(Counterexample { reason, trace }),
-    }
-}
-
-/// Depth-first exploration with sleep-set pruning and state caching.
-pub fn explore_dfs_sleep<M: Model>(m: &M, max_states: usize) -> Report {
-    struct Frame<A> {
-        state_ix: usize,
-        acts: Vec<A>,
-        next: usize,
-        sleep: Vec<String>,
-    }
-
-    let init = m.initial();
-    let mut seen: HashMap<M::State, usize> = HashMap::new();
-    seen.insert(init.clone(), 0);
-    let mut arena: Vec<M::State> = vec![init];
-    let mut transitions = 0usize;
-    let mut max_depth = 0usize;
-    let mut exhausted = true;
-    // The DFS path itself is the counterexample trace.
-    let mut path: Vec<String> = Vec::new();
-
-    let mut stack: Vec<Frame<M::Action>> = Vec::new();
-    let open = |state_ix: usize,
-                sleep: Vec<String>,
-                stack: &mut Vec<Frame<M::Action>>,
-                arena: &Vec<M::State>|
-     -> Result<(), String> {
-        let s = &arena[state_ix];
-        m.invariant(s)?;
-        let mut acts = Vec::new();
-        m.actions(s, &mut acts);
-        if acts.is_empty() && !m.accepting(s) {
-            return Err("wedge: no enabled actions in a non-accepting state \
-                        (deadlock / lost wakeup)"
-                .to_string());
-        }
-        stack.push(Frame {
-            state_ix,
-            acts,
-            next: 0,
-            sleep,
-        });
-        Ok(())
-    };
-
-    if let Err(reason) = open(0, Vec::new(), &mut stack, &arena) {
-        return Report {
-            model: m.name(),
-            mode: "dfs-sleep",
-            states: 1,
-            transitions: 0,
-            max_depth: 0,
-            exhausted: true,
-            violation: Some(Counterexample {
-                reason,
-                trace: Vec::new(),
-            }),
-        };
-    }
-
-    while let Some(top) = stack.last_mut() {
-        if top.next >= top.acts.len() {
-            stack.pop();
-            path.pop();
-            continue;
-        }
-        let a = top.acts[top.next].clone();
-        top.next += 1;
-        let a_str = format!("{a:?}");
-        if top.sleep.contains(&a_str) {
-            continue;
-        }
-        // Sleep set for the child: inherited + earlier siblings, kept
-        // only when independent of `a`.
-        let mut child_sleep: Vec<String> = Vec::new();
-        for (k, prev) in top.acts.iter().enumerate() {
-            if k >= top.next - 1 {
-                break;
-            }
-            if m.independent(prev, &a) {
-                child_sleep.push(format!("{prev:?}"));
-            }
-        }
-        for slept in &top.sleep {
-            // Inherited sleepers stay asleep only if independent of
-            // `a`; we compare by description against current acts.
-            if top
-                .acts
-                .iter()
-                .any(|x| format!("{x:?}") == *slept && m.independent(x, &a))
-            {
-                child_sleep.push(slept.clone());
-            }
-        }
-        let parent_state = arena[top.state_ix].clone();
-        transitions += 1;
-        let t = m.apply(&parent_state, &a);
-        if seen.contains_key(&t) {
-            continue;
-        }
-        if arena.len() >= max_states {
-            exhausted = false;
-            continue;
-        }
-        let ix = arena.len();
-        arena.push(t.clone());
-        seen.insert(t, ix);
-        path.push(a_str);
-        max_depth = max_depth.max(path.len());
-        if let Err(reason) = open(ix, child_sleep, &mut stack, &arena) {
-            return Report {
-                model: m.name(),
-                mode: "dfs-sleep",
-                states: arena.len(),
-                transitions,
-                max_depth,
-                exhausted,
-                violation: Some(Counterexample {
-                    reason,
-                    trace: path,
-                }),
-            };
-        }
-    }
-
-    Report {
-        model: m.name(),
-        mode: "dfs-sleep",
-        states: arena.len(),
-        transitions,
-        max_depth,
-        exhausted,
-        violation: None,
     }
 }
 
@@ -380,9 +204,6 @@ mod tests {
                 Ok(())
             }
         }
-        fn independent(&self, a: &(&'static str, u8), b: &(&'static str, u8)) -> bool {
-            a.1 != b.1
-        }
     }
 
     #[test]
@@ -412,31 +233,6 @@ mod tests {
             "{:?}",
             cx.trace
         );
-    }
-
-    #[test]
-    fn dfs_sleep_agrees_and_prunes() {
-        let clean = TwoCounters {
-            bound: 4,
-            poison: None,
-        };
-        let r = explore_dfs_sleep(&clean, 10_000);
-        assert!(r.ok(), "{r}");
-        assert_eq!(r.states, 25, "caching still visits every state");
-        // Pruning: fewer transitions than the unpruned BFS.
-        let b = explore_bfs(&clean, 10_000);
-        assert!(
-            r.transitions <= b.transitions,
-            "sleep sets must not explore more: {} vs {}",
-            r.transitions,
-            b.transitions
-        );
-        let dirty = TwoCounters {
-            bound: 4,
-            poison: Some((2, 1)),
-        };
-        let rd = explore_dfs_sleep(&dirty, 10_000);
-        assert!(rd.violation.is_some(), "dfs must agree on the verdict");
     }
 
     #[test]
@@ -484,7 +280,5 @@ mod tests {
         let cx = r.violation.expect("wedge must be reported");
         assert!(cx.reason.contains("wedge"));
         assert_eq!(cx.trace.len(), 2);
-        let r = explore_dfs_sleep(&Wedge, 100);
-        assert!(r.violation.is_some());
     }
 }

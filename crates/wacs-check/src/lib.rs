@@ -36,8 +36,7 @@
 //!   wakes the other side only if a thread is counted as parked there,
 //!   and notifies after unlocking.
 //! * [`lockpair`] — nested `OrderedMutex` acquisition: one global
-//!   nesting order is deadlock-free across all interleavings
-//!   (verified with the sleep-set DFS engine).
+//!   nesting order is deadlock-free across all interleavings.
 //! * [`shard`] — the outer-fleet `ShardMap`: total ownership, the
 //!   failover ladder is a permutation, breaker-driven descent lands
 //!   on the shrunken-map owner, redirects converge in one hop, and
@@ -73,7 +72,7 @@ pub mod servers;
 pub mod shard;
 pub mod stripe;
 
-pub use explore::{explore_bfs, explore_dfs_sleep, Counterexample, Model, Report};
+pub use explore::{explore_bfs, Counterexample, Model, Report};
 
 /// Run every model at the smoke (`deep = false`, < 30 s total, CI
 /// tier) or deep (`deep = true`) bound. Callers treat a report with

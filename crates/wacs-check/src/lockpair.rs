@@ -10,13 +10,8 @@
 //!
 //! Deadlock detection is the explorer's wedge check: all threads
 //! either done or waiting on a held lock, and not every thread done.
-//!
-//! This is the one model verified with the sleep-set DFS engine:
-//! steps of different threads on different locks commute, and the
-//! pruning pays off as thread count grows. The test suite
-//! cross-checks the verdict against plain BFS.
 
-use crate::explore::{explore_dfs_sleep, Model, Report};
+use crate::explore::{explore_bfs, Model, Report};
 
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct LpState {
@@ -158,11 +153,6 @@ impl Model for LockPairModel {
             .zip(&self.programs)
             .all(|(pc, prog)| *pc == 2 * prog.len() as u8)
     }
-
-    /// Steps of different threads on different locks commute.
-    fn independent(&self, a: &LpStep, b: &LpStep) -> bool {
-        a.thread != b.thread && a.lock != b.lock
-    }
 }
 
 pub fn verify(deep: bool) -> Report {
@@ -171,13 +161,12 @@ pub fn verify(deep: bool) -> Report {
     } else {
         LockPairModel::smoke()
     };
-    explore_dfs_sleep(&m, 2_000_000)
+    explore_bfs(&m, 2_000_000)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::explore_bfs;
 
     #[test]
     fn consistent_order_is_deadlock_free_exhaustively() {
@@ -188,13 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn bfs_and_dfs_sleep_agree_on_both_verdicts() {
+    fn bfs_gives_both_verdicts() {
         let clean = LockPairModel::smoke();
         assert!(explore_bfs(&clean, 2_000_000).ok());
-        assert!(explore_dfs_sleep(&clean, 2_000_000).ok());
         let bad = LockPairModel::inverted();
         assert!(explore_bfs(&bad, 2_000_000).violation.is_some());
-        assert!(explore_dfs_sleep(&bad, 2_000_000).violation.is_some());
     }
 
     #[test]

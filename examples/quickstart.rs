@@ -31,21 +31,13 @@ fn main() -> std::io::Result<()> {
     // Deny-based inbound, allow-based outbound — with exactly the
     // holes the paper's architecture needs: nxport for the proxy, plus
     // the fixed RMF control ports.
-    let mut policy = rmf_site_policy(
+    let policy = rmf_site_policy(
         "rwcp",
         &[
             (alloc_ref, rmf::ALLOCATOR_PORT),
             (qsrv_ref, rmf::QSERVER_PORT),
+            (inner_ref, NXPORT),
         ],
-    );
-    policy = policy.push(
-        firewall::Rule::allow(firewall::Direction::Inbound)
-            .proto(firewall::Proto::Tcp)
-            .dst(
-                firewall::HostSet::One(inner_ref),
-                firewall::PortSet::One(NXPORT),
-            )
-            .label("nxport"),
     );
     net.reload_policy(rwcp, policy);
 
@@ -100,12 +92,7 @@ fn main() -> std::io::Result<()> {
         ));
         0
     });
-    let alloc = ResourceAllocator::start(
-        net.clone(),
-        "rwcp-alloc",
-        SelectPolicy::LeastLoaded,
-        trace.clone(),
-    )?;
+    let alloc = ResourceAllocator::start(net.clone(), "rwcp-alloc", trace.clone())?;
     alloc.state.register(ResourceInfo {
         name: "COMPaS".into(),
         qserver_host: "compas-fe".into(),

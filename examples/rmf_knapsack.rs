@@ -70,12 +70,7 @@ fn main() -> std::io::Result<()> {
         0
     });
 
-    let alloc = ResourceAllocator::start(
-        net.clone(),
-        "alloc-host",
-        SelectPolicy::LeastLoaded,
-        trace.clone(),
-    )?;
+    let alloc = ResourceAllocator::start(net.clone(), "alloc-host", trace.clone())?;
     alloc.state.register(ResourceInfo {
         name: "COMPaS".into(),
         qserver_host: "compas-fe".into(),

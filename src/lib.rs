@@ -71,7 +71,7 @@ pub mod prelude {
     };
     pub use rmf::{
         rmf_site_policy, submit_job, wait_job, ExecRegistry, FlowTrace, GassStore, Gatekeeper,
-        JobState, QServer, ResourceAllocator, ResourceInfo, SelectPolicy,
+        JobState, QServer, ResourceAllocator, ResourceInfo,
     };
     pub use wacs_core::{
         decompose, pingpong, run_knapsack, run_knapsack_with_faults, sequential_baseline,
