@@ -10,10 +10,7 @@
 //!   simulations actually run on, with routing/firewall checks).
 
 use firewall::vnet::VNet;
-use firewall::{Policy, NXPORT, OUTER_PORT};
-use nexus_proxy::{
-    nx_proxy_bind, nx_proxy_connect, InnerConfig, InnerServer, OuterConfig, OuterServer, ProxyEnv,
-};
+use nexus_proxy::{nx_proxy_bind, nx_proxy_connect, Deployment};
 use rmf::{
     rmf_site_policy, submit_job, wait_job, ExecRegistry, FlowTrace, GassStore, Gatekeeper, QServer,
     ResourceAllocator, ResourceInfo,
@@ -125,21 +122,9 @@ fn join(t: std::thread::JoinHandle<io::Result<()>>) -> Render {
 }
 
 fn figs34() -> Render {
-    let net = VNet::new();
-    let rwcp = net.add_site("rwcp", None);
-    let dmz = net.add_site("dmz", None);
-    let remote = net.add_site("remote", None);
-    net.add_host("pa-host", rwcp); // PA: inside
-    let inner_ref = net.add_host("inner-host", rwcp);
-    net.add_host("outer-host", dmz);
-    net.add_host("pb-host", remote); // PB: outside
-    net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-    let inner = InnerServer::start(net.clone(), InnerConfig::new("inner-host"))?;
-    let outer = OuterServer::start(
-        net.clone(),
-        OuterConfig::new("outer-host").with_inner("inner-host", NXPORT),
-    )?;
-    let env = ProxyEnv::via("outer-host", OUTER_PORT);
+    // PA inside the firewall, PB outside.
+    let d = Deployment::paper(["pa-host"], ["pb-host"])?;
+    let (net, env, outer, inner) = (&d.net, d.env(), d.outer(), d.inner());
 
     println!("── Figure 3: active connection via the Nexus Proxy ─────────");
     let l = net.bind("pb-host", 7000)?;
@@ -151,7 +136,7 @@ fn figs34() -> Render {
         s.read_exact(&mut b) // lint:allow(deadline-io)
     });
     println!("  (1) PA calls NXProxyConnect() instead of connect()");
-    let mut pa = nx_proxy_connect(&net, &env, "pa-host", ("pb-host", 7000))?;
+    let mut pa = nx_proxy_connect(net, &env, "pa-host", ("pb-host", 7000))?;
     // The counter lands just after the reply PA saw (the server counts a
     // connect once its `ConnectRep` has left): give it a moment.
     let counted = std::time::Instant::now();
@@ -168,7 +153,7 @@ fn figs34() -> Render {
 
     println!("── Figure 4: passive connection via the Nexus Proxy ────────");
     println!("  (1) PA calls NXProxyBind() instead of bind()");
-    let listener = nx_proxy_bind(&net, &env, "pa-host")?;
+    let listener = nx_proxy_bind(net, &env, "pa-host")?;
     let adv = listener.advertised.clone();
     println!(
         "  (2) outer server bound rendezvous port {} and listens    [binds = {}]",

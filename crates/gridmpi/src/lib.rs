@@ -33,50 +33,20 @@ pub use world::{run_world, RankSpec};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use firewall::vnet::VNet;
-    use firewall::{Policy, NXPORT, OUTER_PORT};
+    use firewall::OUTER_PORT;
     use nexus::NexusContext;
-    use nexus_proxy::{InnerConfig, InnerServer, OuterConfig, OuterServer};
-
-    struct World {
-        net: VNet,
-        _outer: OuterServer,
-        _inner: InnerServer,
-    }
+    use nexus_proxy::Deployment;
 
     /// Two sites; RWCP firewalled with proxy, ETL open. COMPaS nodes
     /// compas0..compas3 inside, etl0..etl3 outside.
-    fn world() -> World {
-        let net = VNet::new();
-        let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
-        let dmz = net.add_site("dmz", None);
-        let etl = net.add_site("etl", None);
-        net.add_host("rwcp-sun", rwcp);
-        for i in 0..4 {
-            net.add_host(format!("compas{i}"), rwcp);
-        }
-        let inner_ref = net.add_host("rwcp-inner", rwcp);
-        net.add_host("rwcp-outer", dmz);
-        for i in 0..4 {
-            net.add_host(format!("etl{i}"), etl);
-        }
-        net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-        let inner = InnerServer::start(net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-        let outer = OuterServer::start(
-            net.clone(),
-            OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-        )
-        .unwrap();
-        World {
-            net,
-            _outer: outer,
-            _inner: inner,
-        }
+    fn world() -> Deployment {
+        let hosts = |prefix: &'static str| (0..4).map(move |i| format!("{prefix}{i}"));
+        Deployment::paper(hosts("compas"), hosts("etl")).unwrap()
     }
 
     /// n inside ranks (proxied) + m outside ranks (direct): the
     /// wide-area cluster layout.
-    fn specs(w: &World, inside: usize, outside: usize) -> Vec<RankSpec> {
+    fn specs(w: &Deployment, inside: usize, outside: usize) -> Vec<RankSpec> {
         let mut v = Vec::new();
         for i in 0..inside {
             v.push(RankSpec::new(NexusContext::via_proxy(

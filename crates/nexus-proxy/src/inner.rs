@@ -25,7 +25,9 @@
 //! The decisions are [`InnerCore`]'s (`crate::core`); this file is its
 //! blocking-socket driver (`crate::wire`). The accept loop is its one
 //! thread of its own; each connection runs on one of the daemon's
-//! parked workers (`workers.rs`).
+//! parked workers (`workers.rs`). A dropped handle cuts every relay and
+//! control session the server holds and joins every thread it started
+//! (`wire.rs`), so a restarted server on the same host starts clean.
 
 use crate::core::InnerCore;
 use crate::hook::DialHook;
@@ -34,7 +36,6 @@ use crate::wire::{Daemon, Io};
 use firewall::vnet::VNet;
 use std::io;
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 use wacs_sync::OrderedMutex;
 
@@ -82,10 +83,11 @@ impl InnerConfig {
     }
 }
 
-/// A running inner server. Dropping the handle shuts it down.
+/// A running inner server. Dropping the handle tears it down: live
+/// relays and control sessions are cut and every thread it started is
+/// joined.
 pub struct InnerServer {
-    daemon: Arc<Daemon<InnerCore<String>>>,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    pub(crate) daemon: Arc<Daemon<InnerCore<String>>>,
 }
 
 impl InnerServer {
@@ -119,9 +121,8 @@ impl InnerServer {
         // silent past the control timeout, or the server shuts down — a
         // shut-down server must stop answering pings, or the outer
         // server would believe a dead peer alive forever).
-        let (d, nxport) = (daemon.clone(), cfg.nxport);
-        // lint:allow(daemon-spawn) the nxport accept loop, joined on drop
-        let accept_thread = thread::spawn(move || {
+        let nxport = cfg.nxport;
+        daemon.spawn(move |d| {
             d.accept_loop(&listener, |from_outer| {
                 d.on_worker(move |d| {
                     let mut io = Io::new(&d).until_shutdown().frame_timeout(CONTROL_TIMEOUT);
@@ -129,10 +130,7 @@ impl InnerServer {
                 });
             });
         });
-        Ok(InnerServer {
-            daemon,
-            accept_thread: Some(accept_thread),
-        })
+        Ok(InnerServer { daemon })
     }
 
     pub fn stats(&self) -> ProxySnapshot {
@@ -156,6 +154,7 @@ impl InnerServer {
         self.daemon.core.lock().fleet_view()
     }
 
+    /// Stop accepting on `nxport`; relays already bridged run on.
     pub fn shutdown(&self) {
         self.daemon.shut_down();
     }
@@ -163,9 +162,6 @@ impl InnerServer {
 
 impl Drop for InnerServer {
     fn drop(&mut self) {
-        self.shutdown();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.daemon.tear_down();
     }
 }

@@ -19,7 +19,8 @@
 //! drivers run them:
 //!
 //! * **real sockets** ([`outer`], [`inner`], [`client`]) — daemons as
-//!   threads over the firewall-guarded loopback [`firewall::vnet`];
+//!   threads over the firewall-guarded loopback [`firewall::vnet`],
+//!   deployed as the paper deploys them by [`Deployment`];
 //! * **virtual time** ([`sim`]) — `netsim` actors with an explicit
 //!   relay cost model, used for the wide-area experiments.
 
@@ -30,6 +31,7 @@ mod client_conformance;
 #[cfg(test)]
 mod conformance;
 pub mod core;
+mod deploy;
 pub mod frame;
 pub mod hook;
 pub mod inner;
@@ -49,6 +51,7 @@ pub use client::{
     nx_proxy_bind, nx_proxy_connect, retry_blocking, FleetRouter, NxListener, ProxyEnv,
 };
 pub use core::{RetryPolicy, REPLY_DEADLINE};
+pub use deploy::Deployment;
 pub use frame::write_all_parts;
 pub use hook::{DialHook, DialInterposer, DialLeg};
 pub use inner::{InnerConfig, InnerServer};

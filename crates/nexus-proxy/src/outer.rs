@@ -34,7 +34,9 @@
 //! do: serving rendezvous listeners, the relay table's idle reaper, and
 //! drain. The control accept loop, the reaper and the heartbeat session
 //! are the only threads of their own; a registration's watcher and
-//! rendezvous acceptor run on workers too.
+//! rendezvous acceptor run on workers too. [`OuterServer::shutdown`]
+//! and [`OuterServer::drain`] stop accepting and leave live relays be;
+//! a dropped handle cuts them and joins every thread (`wire.rs`).
 
 use crate::client::retry_blocking;
 use crate::core::{Event, OuterCore, OuterParams, RetryPolicy};
@@ -118,10 +120,10 @@ impl OuterConfig {
 
 type OuterDaemon = Arc<Daemon<OuterCore<String>>>;
 
-/// A running outer server. Dropping the handle shuts it down.
+/// A running outer server. Dropping the handle tears it down: live
+/// relays are cut and every thread it started is joined.
 pub struct OuterServer {
-    daemon: OuterDaemon,
-    threads: Vec<thread::JoinHandle<()>>,
+    pub(crate) daemon: OuterDaemon,
 }
 
 impl OuterServer {
@@ -150,30 +152,21 @@ impl OuterServer {
             OuterCore::step,
             Some(OrderedMutex::new("nexus.outer.relays", HashMap::new())),
         );
-        let mut threads = Vec::new();
-
-        let (d, ctrl_port) = (daemon.clone(), cfg.params.ctrl_port);
-        // lint:allow(daemon-spawn) the control accept loop, joined on drop
-        threads.push(thread::spawn(move || {
+        let ctrl_port = cfg.params.ctrl_port;
+        daemon.spawn(move |d| {
             d.accept_loop(&listener, |stream| {
                 d.on_worker(move |d| handle_control(&d, stream, ctrl_port));
             });
-        }));
-
-        let (d, idle_timeout) = (daemon.clone(), cfg.idle_timeout);
-        // lint:allow(daemon-spawn) the idle reaper, joined on drop
-        threads.push(thread::spawn(move || reaper_loop(&d, idle_timeout)));
-
+        });
+        let idle_timeout = cfg.idle_timeout;
+        daemon.spawn(move |d| reaper_loop(d, idle_timeout));
         if cfg.params.heartbeat.is_some() && cfg.params.inner.is_some() {
-            let d = daemon.clone();
-            // lint:allow(daemon-spawn) the heartbeat session, joined on drop
-            threads.push(thread::spawn(move || {
-                Io::new(&d).until_shutdown().run(Event::Start);
+            daemon.spawn(|d| {
+                Io::new(d).until_shutdown().run(Event::Start);
                 d.stats.inner_alive.set(0);
-            }));
+            });
         }
-
-        Ok(OuterServer { daemon, threads })
+        Ok(OuterServer { daemon })
     }
 
     pub fn stats(&self) -> ProxySnapshot {
@@ -229,6 +222,8 @@ impl OuterServer {
         self.daemon.core.lock().fleet_generation()
     }
 
+    /// Stop accepting: every listener of the server is stopped, and
+    /// relays already bridged run on.
     pub fn shutdown(&self) {
         self.daemon.shut_down();
     }
@@ -251,10 +246,7 @@ impl OuterServer {
 
 impl Drop for OuterServer {
     fn drop(&mut self) {
-        self.shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.daemon.tear_down();
     }
 }
 
@@ -269,7 +261,6 @@ fn handle_control(d: &OuterDaemon, stream: TcpStream, ctrl_port: u16) {
         return;
     };
     let rdv_port = listener.logical_port();
-    let ctrl = Arc::new(ctrl);
     // Watch the control connection: EOF ends the registration (clients
     // don't speak after bind).
     {

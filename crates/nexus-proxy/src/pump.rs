@@ -4,7 +4,9 @@
 //! pooled segment ([`crate::pool::PoolConfig::seg_bytes`] is the one
 //! buffer size of the data plane). Both run on the daemon's parked
 //! workers (`workers.rs`): while one is parked, a relay's pump starts no
-//! thread. Clean EOF propagates as a
+//! thread. Both directions share one `Arc` of each leg (std reads and
+//! writes through `&TcpStream`), so a relay dups no socket. Clean EOF
+//! propagates as a
 //! *half-close* (the reverse direction may still be carrying a reply);
 //! hard errors reset both sockets so the opposite thread unblocks.
 //!
@@ -102,14 +104,14 @@ fn copy_loop<R: Read, W: Write>(
 }
 
 fn copy_dir(
-    mut from: TcpStream,
-    mut to: TcpStream,
-    stats: Arc<ProxyStats>,
-    activity: Option<RelayActivity>,
+    mut from: &TcpStream,
+    mut to: &TcpStream,
+    stats: &ProxyStats,
+    activity: Option<&RelayActivity>,
     pool: &BufferPool,
 ) {
     let mut buf = pool.get_seg();
-    match copy_loop(&mut from, &mut to, &mut buf, &stats, activity.as_ref()) {
+    match copy_loop(&mut from, &mut to, &mut buf, stats, activity) {
         CopyEnd::CleanEof => {
             // Clean EOF: propagate as a half-close so the reverse
             // direction (e.g. a reply still in flight) survives.
@@ -130,38 +132,29 @@ fn copy_dir(
 /// [`BufferPool`]: relays churn, and the pool amortizes allocation
 /// across all of them.
 pub(crate) fn pump_pooled(
-    a: TcpStream,
-    b: TcpStream,
+    a: Arc<TcpStream>,
+    b: Arc<TcpStream>,
     stats: Arc<ProxyStats>,
     activity: Option<RelayActivity>,
     pool: &BufferPool,
     workers: &Workers,
 ) {
-    let (a2, b2) = (a.try_clone(), b.try_clone());
-    match (a2, b2) {
-        (Ok(a2), Ok(b2)) => {
-            let s1 = stats.clone();
-            let act = activity.clone();
-            let p = pool.clone();
-            // Dropped when the job ends, even by a panic: the wait
-            // below cannot hang on it.
-            let (done, finished) = mpsc::sync_channel::<()>(1);
-            workers.run(move || {
-                copy_dir(a2, b2, s1, act, &p);
-                drop(done);
-            });
-            copy_dir(b, a, stats, activity, pool);
-            let _ = finished.recv();
-        }
-        _ => {
-            // Clone failure: the pair cannot be pumped bidirectionally.
-            // Degrading to one-directional copying would silently break
-            // transparency, so reset both ends and account the failure.
-            stats.pump_clone_failures.inc();
-            let _ = a.shutdown(Shutdown::Both);
-            let _ = b.shutdown(Shutdown::Both);
-        }
-    }
+    let (a2, b2, s2, act2, p2) = (
+        a.clone(),
+        b.clone(),
+        stats.clone(),
+        activity.clone(),
+        pool.clone(),
+    );
+    // Dropped when the job ends, even by a panic: the wait below cannot
+    // hang on it.
+    let (done, finished) = mpsc::sync_channel::<()>(1);
+    workers.run(move || {
+        copy_dir(&a2, &b2, &s2, act2.as_ref(), &p2);
+        drop(done);
+    });
+    copy_dir(&b, &a, &stats, activity.as_ref(), pool);
+    let _ = finished.recv();
 }
 
 #[cfg(test)]
@@ -193,7 +186,7 @@ mod tests {
             max_retained: 2,
         });
         let workers = workers(&stats);
-        thread::spawn(move || pump_pooled(a, b, stats, None, &pool, &workers));
+        thread::spawn(move || pump_pooled(Arc::new(a), Arc::new(b), stats, None, &pool, &workers));
     }
 
     #[test]
@@ -364,6 +357,7 @@ mod tests {
             let s = stats.clone();
             let p = pool.clone();
             let w = workers(&s);
+            let (lr, rr) = (Arc::new(lr), Arc::new(rr));
             let t = thread::spawn(move || pump_pooled(lr, rr, s, None, &p, &w));
             l.write_all(b"abc").unwrap();
             drop(l);

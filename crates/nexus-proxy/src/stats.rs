@@ -45,9 +45,6 @@ pub struct ProxyStats {
     /// Relay requests refused because the target endpoint was not in
     /// the synced bind table (inner server, registration required).
     pub relays_unauthorized: Counter,
-    /// `pump_pooled` pairs whose stream clone failed; both sockets are
-    /// reset rather than silently degrading to one-directional copy.
-    pub pump_clone_failures: Counter,
     /// Buffer-pool segment reuses (free-list pops).
     pub pool_hits: Counter,
     /// Buffer-pool allocations (free list empty or over-size request).
@@ -111,7 +108,6 @@ impl ProxyStats {
             inner_reconnects: c("inner_reconnects"),
             bind_syncs: c("bind_syncs"),
             relays_unauthorized: c("relays_unauthorized"),
-            pump_clone_failures: c("pump_clone_failures"),
             pool_hits: c("pool_hits"),
             pool_misses: c("pool_misses"),
             pump_segments: c("pump_segments"),
@@ -152,7 +148,6 @@ impl ProxyStats {
             inner_deaths: self.inner_deaths.get(),
             inner_reconnects: self.inner_reconnects.get(),
             relays_unauthorized: self.relays_unauthorized.get(),
-            pump_clone_failures: self.pump_clone_failures.get(),
             pool_hits: self.pool_hits.get(),
             pool_misses: self.pool_misses.get(),
             pump_segments: self.pump_segments.get(),
@@ -177,7 +172,6 @@ pub struct ProxySnapshot {
     pub inner_deaths: u64,
     pub inner_reconnects: u64,
     pub relays_unauthorized: u64,
-    pub pump_clone_failures: u64,
     pub pool_hits: u64,
     pub pool_misses: u64,
     pub pump_segments: u64,

@@ -6,15 +6,22 @@
 //! through the hook, allocate a listener, pump a bridged pair), and the
 //! parked [`Workers`] every per-connection and per-relay job of the
 //! server runs on. Only the accept loops, the outer server's reaper and
-//! its heartbeat session have threads of their own. Every server thread
-//! owns one [`Io`] over it: the sockets the thread is
-//! handling, at most one connection whose next frame the core asked
-//! for, and at most one pending timer. [`Io::run`] feeds an event to
-//! the core, executes the returned actions in order, feeds back what
-//! they produced, and when nothing is left blocks for the next input —
-//! a frame, an EOF, or the timer. It returns when there is nothing to
-//! wait for: the thread's work is done (its streams went to a pump, or
-//! were closed).
+//! its heartbeat session have threads of their own
+//! ([`Daemon::spawn`]). Every server thread owns one [`Io`] over it:
+//! the sockets the thread is handling, at most one connection whose
+//! next frame the core asked for, and at most one pending timer.
+//! [`Io::run`] feeds an event to the core, executes the returned
+//! actions in order, feeds back what they produced, and when nothing is
+//! left blocks for the next input — a frame, an EOF, or the timer. It
+//! returns when there is nothing to wait for: the thread's work is done
+//! (its streams went to a pump, or were closed).
+//!
+//! Every stream an `Io` accepts or dials is registered with the
+//! daemon's workers, and is one `Arc` from then on: the `Io`, both pump
+//! directions and the outer server's relay table share it. A dropped
+//! server handle runs [`Daemon::tear_down`]: the threads of its own are
+//! joined, then every registered stream is shut down and every worker
+//! joined, so a live relay is cut as a killed process would cut it.
 
 use crate::core::{Action, ConnId, Event, Timer};
 use crate::hook::{interpose, DialHook, DialLeg};
@@ -29,7 +36,7 @@ use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use wacs_sync::{Mutex, OrderedMutex};
 
@@ -41,12 +48,12 @@ const POLL: Duration = Duration::from_millis(25);
 /// within this, or the connection is treated as dead.
 const FRAME_DEADLINE: Duration = Duration::from_secs(1);
 
-/// One tracked relay pair. The streams are clones of the pump's, held
-/// so the idle-reaper and drain can reset a half-open pair from
-/// outside the (possibly blocked) pump threads.
+/// One tracked relay pair. The streams are the pump's, held so the
+/// idle-reaper can reset a half-open pair from outside the (possibly
+/// blocked) pump threads.
 pub(crate) struct RelayEntry {
-    pub a: TcpStream,
-    pub b: TcpStream,
+    pub a: Arc<TcpStream>,
+    pub b: Arc<TcpStream>,
     pub activity: RelayActivity,
     pub reaped: bool,
 }
@@ -78,6 +85,8 @@ pub(crate) struct Daemon<M> {
     pool: BufferPool,
     /// The threads every connection and relay of this server runs on.
     pub workers: Workers,
+    /// The threads of the server's own, joined by `tear_down`.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl<M: Send + 'static> Daemon<M> {
@@ -108,6 +117,7 @@ impl<M: Send + 'static> Daemon<M> {
             ),
             workers: Workers::new(stats.worker_spawns.clone(), stats.workers_parked.clone()),
             stats,
+            threads: Mutex::new(Vec::new()),
         })
     }
 
@@ -144,27 +154,34 @@ impl<M: Send + 'static> Daemon<M> {
         self.workers.run(move || job(d));
     }
 
+    /// Start one of the server's own long-lived threads (an accept
+    /// loop, the reaper, the heartbeat session), handing it the daemon.
+    pub fn spawn(self: &Arc<Self>, body: impl FnOnce(&Arc<Self>) + Send + 'static) {
+        let d = self.clone();
+        // lint:allow(daemon-spawn) the server's own threads, joined by tear_down
+        let t = thread::spawn(move || body(&d));
+        self.threads.lock().push(t);
+    }
+
     /// Pump `a`↔`b` on two workers (registered in the relay table,
     /// when there is one). On pump exit the entry is GC'd and
     /// the core told, which is what releases an admission slot —
     /// half-open pairs the reaper resets exit the same way.
-    fn bridge(self: &Arc<Self>, id: ConnId, a: TcpStream, b: TcpStream) {
+    fn bridge(self: &Arc<Self>, id: ConnId, a: Arc<TcpStream>, b: Arc<TcpStream>) {
         #[cfg(test)]
         {
             tests::record_bridge(&self.host, &a, &b);
         }
         let activity = self.relays.as_ref().map(|table| {
             let activity = RelayActivity::new();
-            if let (Ok(ca), Ok(cb)) = (a.try_clone(), b.try_clone()) {
-                let entry = RelayEntry {
-                    a: ca,
-                    b: cb,
-                    activity: activity.clone(),
-                    reaped: false,
-                };
-                table.lock().insert(id, entry);
-                self.stats.active_relays.add(1);
-            }
+            let entry = RelayEntry {
+                a: a.clone(),
+                b: b.clone(),
+                activity: activity.clone(),
+                reaped: false,
+            };
+            table.lock().insert(id, entry);
+            self.stats.active_relays.add(1);
             activity
         });
         self.on_worker(move |d| {
@@ -194,14 +211,27 @@ impl<M: Send + 'static> Daemon<M> {
     }
 
     /// Stop serving: raise the flag every thread checks around its
-    /// waits, end every blocked accept, and join the parked workers
-    /// (busy ones exit when their job ends).
+    /// waits and end every blocked accept. Relays already bridged run
+    /// on (what `drain` waits for).
     pub fn shut_down(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Dialed outside the lock: a woken acceptor takes it to unregister.
+        // Collected first and stopped outside the lock: a woken
+        // acceptor takes `listeners` to unregister.
         let stops: Vec<StopHandle> = self.listeners.lock().values().cloned().collect();
         for stop in stops {
             stop.stop();
+        }
+    }
+
+    /// Stop serving and leave nothing running: shut down, join the
+    /// server's own threads, then cut every registered stream and join
+    /// every worker ([`Workers::close`]). What dropping a server handle
+    /// does; the server is dead after it.
+    pub fn tear_down(&self) {
+        self.shut_down();
+        let threads = std::mem::take(&mut *self.threads.lock());
+        for t in threads {
+            let _ = t.join();
         }
         self.workers.close();
     }
@@ -210,7 +240,7 @@ impl<M: Send + 'static> Daemon<M> {
 /// One thread's sockets and pending input. See the module doc.
 pub(crate) struct Io<'a, M> {
     daemon: &'a Arc<Daemon<M>>,
-    streams: HashMap<ConnId, TcpStream>,
+    streams: HashMap<ConnId, Arc<TcpStream>>,
     reading: Option<ConnId>,
     timer: Option<(Timer, Instant)>,
     /// Abandon the loop once the server shuts down (checked around
@@ -255,13 +285,20 @@ impl<'a, M: Send + 'static> Io<'a, M> {
         if self.frame_timeout.is_some() {
             let _ = stream.set_read_timeout(self.frame_timeout);
         }
-        self.streams.insert(conn, stream);
+        self.hold(conn, stream);
         self.run(Event::Accepted { conn, port });
         conn
     }
 
+    /// Keep `stream` as `conn`, registered with the daemon's workers.
+    fn hold(&mut self, conn: ConnId, stream: TcpStream) {
+        let stream = Arc::new(stream);
+        self.daemon.workers.register(&stream);
+        self.streams.insert(conn, stream);
+    }
+
     /// Give up a connection this `Io` still holds.
-    pub fn take(&mut self, conn: ConnId) -> Option<TcpStream> {
+    pub fn take(&mut self, conn: ConnId) -> Option<Arc<TcpStream>> {
         self.streams.remove(&conn)
     }
 
@@ -284,15 +321,15 @@ impl<'a, M: Send + 'static> Io<'a, M> {
         match action {
             Action::Recv { conn } => self.reading = Some(conn),
             Action::Send { conn, msg } => {
-                if let Some(s) = self.streams.get_mut(&conn) {
-                    let _ = msg.write_to(s);
+                if let Some(s) = self.streams.get(&conn) {
+                    let _ = msg.write_to(&mut &**s);
                 }
             }
             Action::Reply { conn, msg } => {
                 let ok = self
                     .streams
-                    .get_mut(&conn)
-                    .is_some_and(|s| msg.write_to(s).is_ok());
+                    .get(&conn)
+                    .is_some_and(|s| msg.write_to(&mut &**s).is_ok());
                 queue.push_back(Event::Replied { conn, ok });
             }
             Action::Listen { conn } => {
@@ -305,7 +342,7 @@ impl<'a, M: Send + 'static> Io<'a, M> {
             Action::Dial { dial, leg, to } => queue.push_back(match self.daemon.dial(leg, &to) {
                 Ok(s) => {
                     let conn = self.daemon.conn_seq.fetch_add(1, Ordering::Relaxed);
-                    self.streams.insert(conn, s);
+                    self.hold(conn, s);
                     Event::DialOk { dial, conn }
                 }
                 Err(e) => Event::DialFailed {
@@ -403,7 +440,7 @@ impl<'a, M: Send + 'static> Io<'a, M> {
 
     /// One frame from `conn`, or `Closed` on EOF, timeout or garbage.
     fn read_frame(&mut self, conn: ConnId) -> Event<String> {
-        match self.streams.get_mut(&conn).map(Msg::read_from) {
+        match self.streams.get(&conn).map(|s| Msg::read_from(&mut &**s)) {
             Some(Ok(msg)) => Event::Frame { conn, msg },
             _ => Event::Closed { conn },
         }
@@ -412,12 +449,7 @@ impl<'a, M: Send + 'static> Io<'a, M> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{
-        nx_proxy_bind, nx_proxy_connect, InnerConfig, InnerServer, OuterConfig, OuterServer,
-        ProxyEnv,
-    };
-    use firewall::vnet::VNet;
-    use firewall::{Policy, NXPORT, OUTER_PORT};
+    use crate::{nx_proxy_bind, nx_proxy_connect, Deployment, InnerConfig, OuterConfig};
     use std::io::{Read, Write};
     use std::net::TcpStream;
     use wacs_sync::Mutex;
@@ -458,37 +490,25 @@ mod tests {
     /// test's own, so relays of tests running beside it do not count.
     #[test]
     fn every_relay_leg_of_both_daemons_sets_nodelay() {
-        let net = VNet::new();
-        let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
-        let dmz = net.add_site("dmz", None);
-        let etl = net.add_site("etl", None);
-        net.add_host("rwcp-sun", rwcp);
-        let inner_ref = net.add_host("nodelay-inner", rwcp);
-        net.add_host("rwcp-outer", dmz);
-        net.add_host("etl-sun", etl);
-        net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-        let _inner = InnerServer::start(net.clone(), InnerConfig::new("nodelay-inner")).unwrap();
-        let outer = OuterServer::start(
-            net.clone(),
-            OuterConfig::new("rwcp-outer").with_inner("nodelay-inner", NXPORT),
-        )
-        .unwrap();
-        let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+        let inner = InnerConfig::new("nodelay-inner");
+        let outer = OuterConfig::new("rwcp-outer");
+        let d = Deployment::start(["rwcp-sun"], ["etl-sun"], inner, vec![outer]).unwrap();
+        let (net, env) = (&d.net, d.env());
 
         // Active (Fig. 3): inside client → outer → outside destination.
         let dst = net.bind("etl-sun", 6000).unwrap();
-        let mut active = nx_proxy_connect(&net, &env, "rwcp-sun", ("etl-sun", 6000)).unwrap();
+        let mut active = nx_proxy_connect(net, &env, "rwcp-sun", ("etl-sun", 6000)).unwrap();
         let (mut active_far, _) = dst.accept().unwrap();
         cross(&mut active, &mut active_far);
 
         // Passive (Fig. 4): outside peer → rendezvous → inner → client.
-        let listener = nx_proxy_bind(&net, &env, "rwcp-sun").unwrap();
+        let listener = nx_proxy_bind(net, &env, "rwcp-sun").unwrap();
         let (host, port) = listener.advertised.clone();
         let mut passive = net.dial("etl-sun", &host, port).unwrap();
         let mut passive_far = listener.accept().unwrap();
         cross(&mut passive, &mut passive_far);
 
-        assert_eq!(outer.relay_legs_nodelay(), vec![(true, true); 2]);
+        assert_eq!(d.outer().relay_legs_nodelay(), vec![(true, true); 2]);
         assert_eq!(bridged_on("nodelay-inner"), vec![(true, true)]);
     }
 }

@@ -17,14 +17,22 @@
 //! There is no idle timeout. A parked worker blocks in `recv()` with no
 //! timer, so an idle owner makes no wake-ups, and the [`PARKED`]
 //! threads started by [`Workers::new`] stay in the process's thread
-//! count until [`Workers::close`]. `close` drops every parked worker's
-//! sender and joins it; a busy worker finishes its job and then exits.
-//! A job must not hold the pool that runs it: the last [`Workers`] drop
-//! joins the parked set, which a worker cannot do from inside itself.
+//! count until [`Workers::close`].
+//!
+//! Teardown is one mechanism for every owner. A job registers each
+//! stream it blocks on ([`Workers::register`]); [`Workers::close`],
+//! which the pool's drop runs, shuts every registered stream down
+//! (`Shutdown::Both`), so a busy job's read or write fails and the job
+//! returns, and joins every worker the pool started, parked and busy
+//! alike. A job that must end with its owner blocks only on registered
+//! streams (or on what they feed). `close` never joins the thread that
+//! calls it: a job may drop the last handle to its owner.
 
+use std::mem::take;
+use std::net::{Shutdown, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::{self, JoinHandle};
 use wacs_obs::{Counter, Gauge};
 use wacs_sync::Mutex;
@@ -52,44 +60,39 @@ pub const PARKED: usize = 4;
 
 type Job = Box<dyn FnOnce() + Send>;
 
-/// A worker's way back to itself: its channel and its own join handle.
-/// The pool holds it while the worker is parked, the worker while it
-/// runs a job.
-struct Worker {
-    tx: Sender<(Job, Worker)>,
-    thread: JoinHandle<()>,
-}
+/// A worker's channel. The pool holds it while the worker is parked,
+/// the worker while it runs a job, so a parked worker's `recv()` fails
+/// once the pool drops it.
+struct Worker(Sender<(Job, Worker)>);
 
 struct Shared {
-    parked: Mutex<Parked>,
+    pool: Mutex<Pool>,
     /// Threads this pool has started.
     spawns: Counter,
     /// Workers parked right now.
     parked_gauge: Gauge,
 }
 
-struct Parked {
-    workers: Vec<Worker>,
+struct Pool {
+    parked: Vec<Worker>,
+    /// Every thread this pool started and has not joined yet.
+    threads: Vec<JoinHandle<()>>,
+    /// The streams jobs block on. A stream leaves when its last owner
+    /// drops it; the dead entries are pruned as the list grows.
+    streams: Vec<Weak<TcpStream>>,
     closed: bool,
 }
 
 impl Shared {
     /// Park `me` unless the pool is closed or full; `false` = exit.
     fn park(&self, me: Worker) -> bool {
-        let mut parked = self.parked.lock();
-        if parked.closed || parked.workers.len() >= PARKED {
+        let mut pool = self.pool.lock();
+        if pool.closed || pool.parked.len() >= PARKED {
             return false;
         }
-        parked.workers.push(me);
-        self.parked_gauge.set(parked.workers.len() as i64);
+        pool.parked.push(me);
+        self.parked_gauge.set(pool.parked.len() as i64);
         true
-    }
-
-    fn pop(&self) -> Option<Worker> {
-        let mut parked = self.parked.lock();
-        let w = parked.workers.pop();
-        self.parked_gauge.set(parked.workers.len() as i64);
-        w
     }
 }
 
@@ -104,21 +107,23 @@ impl Workers {
     /// before the thread first runs waits in the channel.
     pub fn new(spawns: Counter, parked_gauge: Gauge) -> Self {
         let shared = Arc::new(Shared {
-            parked: Mutex::new(Parked {
-                workers: Vec::new(),
+            pool: Mutex::new(Pool {
+                parked: Vec::new(),
+                threads: Vec::new(),
+                streams: Vec::new(),
                 closed: false,
             }),
             spawns,
             parked_gauge,
         });
-        let workers = (0..PARKED)
-            .map(|_| {
+        {
+            let mut pool = shared.pool.lock();
+            for _ in 0..PARKED {
                 let (tx, rx) = channel();
-                let thread = start(&shared, rx);
-                Worker { tx, thread }
-            })
-            .collect();
-        shared.parked.lock().workers = workers;
+                pool.threads.push(start(&shared, rx));
+                pool.parked.push(Worker(tx));
+            }
+        }
         shared.parked_gauge.set(PARKED as i64);
         Workers { shared }
     }
@@ -149,35 +154,77 @@ impl Workers {
     /// parked. A job that panics ends itself, not its worker.
     pub fn run(&self, job: impl FnOnce() + Send + 'static) {
         let job: Job = Box::new(job);
-        match self.shared.pop() {
-            Some(w) => {
-                // A parked worker is blocked in `recv()` on the other
-                // end, so the send cannot fail.
-                let tx = w.tx.clone();
-                let _ = tx.send((job, w));
-            }
-            None => {
-                let (tx, rx) = channel();
-                let thread = start(&self.shared, rx);
-                let _ = tx.clone().send((job, Worker { tx, thread }));
-            }
+        let mut pool = self.shared.pool.lock();
+        if let Some(w) = pool.parked.pop() {
+            self.shared.parked_gauge.set(pool.parked.len() as i64);
+            drop(pool);
+            // A parked worker is blocked in `recv()` on the other end, so
+            // the send cannot fail.
+            let tx = w.0.clone();
+            let _ = tx.send((job, w));
+            return;
         }
+        // Started under the lock, so a `close` running beside this sees
+        // the thread and joins it. Threads a burst left behind are
+        // joined here, where a thread start is paid anyway.
+        let (done, live) = take(&mut pool.threads)
+            .into_iter()
+            .partition(JoinHandle::is_finished);
+        pool.threads = live;
+        let (tx, rx) = channel();
+        pool.threads.push(start(&self.shared, rx));
+        drop(pool);
+        let _ = tx.clone().send((job, Worker(tx)));
+        join_all(done);
     }
 
-    /// Stop parking: every parked worker exits and is joined before
-    /// this returns. Busy workers exit when their job ends.
+    /// Let [`close`](Self::close) shut `stream` down. A stream
+    /// registered after the pool closed is shut down at once.
+    pub fn register(&self, stream: &Arc<TcpStream>) {
+        let mut pool = self.shared.pool.lock();
+        if pool.closed {
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
+        if pool.streams.len() == pool.streams.capacity() {
+            // Prune before the list would grow, and leave room for as
+            // many again: each entry is looked at O(1) times.
+            pool.streams.retain(|s| s.strong_count() > 0);
+            let live = pool.streams.len();
+            pool.streams.reserve(live.max(PARKED));
+        }
+        pool.streams.push(Arc::downgrade(stream));
+    }
+
+    /// Stop parking, shut every registered stream down and join every
+    /// worker, busy ones included, but never the calling thread: once
+    /// this returns, no job of this pool runs. A job this pool runs
+    /// later (a closed pool still runs jobs) starts a thread of its own,
+    /// which the next `close` or the drop joins.
     pub fn close(&self) {
-        let parked = {
-            let mut parked = self.shared.parked.lock();
-            parked.closed = true;
-            std::mem::take(&mut parked.workers)
-        };
-        self.shared.parked_gauge.set(0);
-        // Dropping a sender wakes its worker with a closed channel. Wake
-        // them all before joining any, so they exit side by side.
-        let threads: Vec<JoinHandle<()>> = parked.into_iter().map(|w| w.thread).collect();
-        for t in threads {
-            let _ = t.join();
+        let me = thread::current().id();
+        loop {
+            let (parked, streams, threads) = {
+                let mut pool = self.shared.pool.lock();
+                pool.closed = true;
+                (
+                    take(&mut pool.parked),
+                    take(&mut pool.streams),
+                    take(&mut pool.threads),
+                )
+            };
+            self.shared.parked_gauge.set(0);
+            // A dropped channel wakes its parked worker; a shut-down
+            // stream fails its busy worker's read or write.
+            drop(parked);
+            for s in streams.iter().filter_map(Weak::upgrade) {
+                let _ = s.shutdown(Shutdown::Both);
+            }
+            if threads.is_empty() {
+                return;
+            }
+            // Jobs the joined ones ran meanwhile are the next round's.
+            join_all(threads.into_iter().filter(|t| t.thread().id() != me));
         }
     }
 }
@@ -185,6 +232,12 @@ impl Workers {
 impl Drop for Workers {
     fn drop(&mut self) {
         self.close();
+    }
+}
+
+fn join_all(threads: impl IntoIterator<Item = JoinHandle<()>>) {
+    for t in threads {
+        let _ = t.join();
     }
 }
 
@@ -267,7 +320,7 @@ mod tests {
             assert!(Instant::now() < end, "the extra workers never exited");
             thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(w.shared.parked.lock().workers.len(), PARKED);
+        assert_eq!(w.shared.pool.lock().parked.len(), PARKED);
     }
 
     #[test]
@@ -276,6 +329,26 @@ mod tests {
         w.close();
         assert_eq!(parked.get(), 0);
         // Had close() not joined them, some would still be alive.
+        assert_eq!(w.threads(), 0);
+    }
+
+    /// A job blocked in a read of a registered stream whose peer stays
+    /// open: `close` cuts the stream, and the job's worker has exited
+    /// when it returns.
+    #[test]
+    fn close_returns_after_a_worker_busy_on_a_registered_stream_exited() {
+        let (w, _, _) = pool();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let stream = Arc::new(listener.accept().unwrap().0);
+        w.register(&stream);
+        let (reading, read) = sync_channel(1);
+        w.run(move || {
+            reading.send(()).unwrap();
+            let _ = std::io::Read::read(&mut &*stream, &mut [0u8; 1]);
+        });
+        read.recv().unwrap();
+        w.close();
         assert_eq!(w.threads(), 0);
     }
 
@@ -304,5 +377,16 @@ mod tests {
         assert_eq!(spawns.get(), PARKED as u64 + 1);
         thread::sleep(Duration::from_millis(20));
         assert_eq!(parked.get(), 0);
+        // The drop joins a job run after the close.
+        let ran = Arc::new(Mutex::new(false));
+        let (flag, (running, started)) = (ran.clone(), sync_channel(1));
+        w.run(move || {
+            running.send(()).unwrap();
+            thread::sleep(Duration::from_millis(50));
+            *flag.lock() = true;
+        });
+        started.recv().unwrap();
+        drop(w);
+        assert!(*ran.lock());
     }
 }

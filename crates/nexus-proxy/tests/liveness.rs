@@ -6,7 +6,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use firewall::vnet::VNet;
 use firewall::{Policy, NXPORT, OUTER_PORT};
 use netsim::prelude::*;
 use nexus_proxy::sim::{
@@ -15,9 +14,9 @@ use nexus_proxy::sim::{
 };
 use nexus_proxy::{
     bind_key, interposed_lane_dial, member_tag, nx_proxy_bind, nx_proxy_connect, send_striped,
-    AdmissionLimits, BreakerConfig, BreakerState, DialLeg, FleetRouter, HeartbeatConfig,
-    InnerConfig, InnerServer, Msg, OuterConfig, OuterServer, ProxyEnv, ShardMap, StripePlan,
-    StripeReceiver, StripeStats,
+    AdmissionLimits, BreakerConfig, BreakerState, Deployment, DialLeg, FleetRouter,
+    HeartbeatConfig, InnerConfig, Msg, OuterConfig, ProxyEnv, ShardMap, StripePlan, StripeReceiver,
+    StripeStats, PARKED,
 };
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -352,22 +351,24 @@ fn parse_counters(json: &str) -> std::collections::BTreeMap<String, serde_free::
 // Real socket path.
 // ---------------------------------------------------------------------
 
-struct RealWorld {
-    net: VNet,
+fn real_world() -> Deployment {
+    Deployment::paper(["rwcp-sun"], ["etl-sun"]).unwrap()
 }
 
-fn real_world() -> RealWorld {
-    let net = VNet::new();
-    let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
-    let dmz = net.add_site("dmz", None);
-    let etl = net.add_site("etl", None);
-    net.add_host("rwcp-sun", rwcp);
-    let inner_ref = net.add_host("rwcp-inner", rwcp);
-    net.add_host("rwcp-outer", dmz);
-    net.add_host("etl-sun", etl);
-    net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-    RealWorld { net }
+/// [`real_world`] with these two daemon configs.
+fn real_world_with(inner: InnerConfig, outer: OuterConfig) -> Deployment {
+    Deployment::start(["rwcp-sun"], ["etl-sun"], inner, vec![outer]).unwrap()
 }
+
+const FAST_HEARTBEAT: HeartbeatConfig = HeartbeatConfig {
+    interval: Duration::from_millis(20),
+    timeout: Duration::from_millis(120),
+};
+
+const FAST_BREAKER: BreakerConfig = BreakerConfig {
+    threshold: 2,
+    cooldown: Duration::from_millis(40),
+};
 
 fn wait_until(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
     let end = std::time::Instant::now() + deadline;
@@ -383,53 +384,36 @@ fn wait_until(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
 /// live bind re-registered and a relay round-trip then succeeds.
 #[test]
 fn real_outer_detects_dead_inner_and_reregisters_binds() {
-    let w = real_world();
-    let inner = InnerServer::start(
-        w.net.clone(),
+    let mut w = real_world_with(
         InnerConfig::new("rwcp-inner").with_registration_required(),
-    )
-    .unwrap();
-    let outer = OuterServer::start(
-        w.net.clone(),
         OuterConfig::new("rwcp-outer")
-            .with_inner("rwcp-inner", NXPORT)
-            .with_heartbeat(HeartbeatConfig {
-                interval: Duration::from_millis(20),
-                timeout: Duration::from_millis(120),
-            })
-            .with_breaker(BreakerConfig {
-                threshold: 2,
-                cooldown: Duration::from_millis(40),
-            }),
-    )
-    .unwrap();
-    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+            .with_heartbeat(FAST_HEARTBEAT)
+            .with_breaker(FAST_BREAKER),
+    );
+    let env = w.env();
 
     // Bind through the proxy; the heartbeat session syncs the bind to
     // the inner server's authorized table.
     let listener = nx_proxy_bind(&w.net, &env, "rwcp-sun").unwrap();
     let adv = listener.advertised.clone();
     wait_until("initial bind sync", Duration::from_secs(5), || {
-        !inner.authorized_endpoints().is_empty()
+        !w.inner().authorized_endpoints().is_empty()
     });
 
     // Kill the inner server; the outer notices within the hb timeout.
-    drop(inner);
+    w.kill_inner();
     wait_until("dead-peer detection", Duration::from_secs(5), || {
-        outer.stats().inner_deaths >= 1
+        w.outer().stats().inner_deaths >= 1
     });
 
     // Restart it: fresh process, empty authorized table. The outer's
     // reconnect must push the live bind back before relays can flow.
-    let inner2 = InnerServer::start(
-        w.net.clone(),
-        InnerConfig::new("rwcp-inner").with_registration_required(),
-    )
-    .unwrap();
+    w.restart_inner().unwrap();
+    let outer = w.outer();
     wait_until(
         "reconnect + re-registration",
         Duration::from_secs(5),
-        || outer.stats().inner_reconnects >= 1 && !inner2.authorized_endpoints().is_empty(),
+        || outer.stats().inner_reconnects >= 1 && !w.inner().authorized_endpoints().is_empty(),
     );
 
     // A post-recovery relay round-trip succeeds end to end.
@@ -467,15 +451,13 @@ fn real_outer_detects_dead_inner_and_reregisters_binds() {
 /// and the slot frees once the first relay tears down.
 #[test]
 fn real_admission_limit_returns_busy_and_releases() {
-    let w = real_world();
-    let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let mut cfg = OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT);
+    let mut cfg = OuterConfig::new("rwcp-outer");
     cfg.params.limits = AdmissionLimits {
         max_total: 1,
         max_per_peer: 1,
     };
-    let outer = OuterServer::start(w.net.clone(), cfg).unwrap();
-    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let w = real_world_with(InnerConfig::new("rwcp-inner"), cfg);
+    let (outer, env) = (w.outer(), w.env());
     let l = w.net.bind("etl-sun", 7100).unwrap();
     let held = Arc::new(Mutex::new(Vec::new()));
     let held2 = held.clone();
@@ -505,12 +487,10 @@ fn real_admission_limit_returns_busy_and_releases() {
 /// idle-since-epoch and was reaped at birth.
 #[test]
 fn real_idle_relays_are_reaped() {
-    let w = real_world();
-    let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let mut cfg = OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT);
+    let mut cfg = OuterConfig::new("rwcp-outer");
     cfg.idle_timeout = Duration::from_millis(400);
-    let outer = OuterServer::start(w.net.clone(), cfg).unwrap();
-    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let w = real_world_with(InnerConfig::new("rwcp-inner"), cfg);
+    let (outer, env) = (w.outer(), w.env());
     let l = w.net.bind("etl-sun", 7200).unwrap();
     let _acceptor = std::thread::spawn(move || {
         let mut held = Vec::new();
@@ -541,12 +521,10 @@ fn real_idle_relays_are_reaped() {
 /// defers reaping, silence triggers it.
 #[test]
 fn real_relays_are_reaped_only_when_idle() {
-    let w = real_world();
-    let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let mut cfg = OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT);
+    let mut cfg = OuterConfig::new("rwcp-outer");
     cfg.idle_timeout = Duration::from_millis(150);
-    let outer = OuterServer::start(w.net.clone(), cfg).unwrap();
-    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let w = real_world_with(InnerConfig::new("rwcp-inner"), cfg);
+    let (outer, env) = (w.outer(), w.env());
     let l = w.net.bind("etl-sun", 7600).unwrap();
     let srv = std::thread::spawn(move || {
         let (mut s, _) = l.accept().unwrap();
@@ -581,13 +559,7 @@ fn real_relays_are_reaped_only_when_idle() {
 #[test]
 fn real_relay_is_byte_identical_with_half_close() {
     let w = real_world();
-    let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let outer = OuterServer::start(
-        w.net.clone(),
-        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-    )
-    .unwrap();
-    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let (outer, env) = (w.outer(), w.env());
     let l = w.net.bind("etl-sun", 7400).unwrap();
     let payload = seeded_payload(0x4a1f, 150_000);
     let want = payload.clone();
@@ -616,13 +588,7 @@ fn real_relay_is_byte_identical_with_half_close() {
 #[test]
 fn real_drain_finishes_in_flight_relays() {
     let w = real_world();
-    let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let outer = OuterServer::start(
-        w.net.clone(),
-        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-    )
-    .unwrap();
-    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let (outer, env) = (w.outer(), w.env());
     let l = w.net.bind("etl-sun", 7300).unwrap();
     let srv = std::thread::spawn(move || {
         let (mut s, _) = l.accept().unwrap();
@@ -1028,21 +994,6 @@ fn sim_stale_map_bind_follows_the_redirect() {
 
 const FLEET_HOSTS: [&str; 2] = ["rwcp-outer-a", "rwcp-outer-b"];
 
-fn real_fleet_world() -> RealWorld {
-    let net = VNet::new();
-    let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
-    let dmz = net.add_site("dmz", None);
-    let etl = net.add_site("etl", None);
-    net.add_host("rwcp-sun", rwcp);
-    let inner_ref = net.add_host("rwcp-inner", rwcp);
-    for h in FLEET_HOSTS {
-        net.add_host(h, dmz);
-    }
-    net.add_host("etl-sun", etl);
-    net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-    RealWorld { net }
-}
-
 fn fleet_members() -> Vec<(String, u16)> {
     FLEET_HOSTS
         .iter()
@@ -1060,29 +1011,17 @@ fn fleet_map() -> ShardMap {
     ShardMap::new(1, tags)
 }
 
-fn start_fleet(w: &RealWorld) -> Vec<Option<OuterServer>> {
-    let members = fleet_members();
-    (0..members.len())
-        .map(|idx| {
-            Some(
-                OuterServer::start(
-                    w.net.clone(),
-                    OuterConfig::new(FLEET_HOSTS[idx])
-                        .with_inner("rwcp-inner", NXPORT)
-                        .with_fleet(members.clone(), idx)
-                        .with_heartbeat(HeartbeatConfig {
-                            interval: Duration::from_millis(20),
-                            timeout: Duration::from_millis(120),
-                        })
-                        .with_breaker(BreakerConfig {
-                            threshold: 2,
-                            cooldown: Duration::from_millis(40),
-                        }),
-                )
-                .unwrap(),
-            )
-        })
-        .collect()
+/// [`real_world`] with a two-shard outer fleet in place of the one
+/// outer server.
+fn real_fleet_world() -> Deployment {
+    let shards = (0..FLEET_HOSTS.len()).map(|idx| {
+        OuterConfig::new(FLEET_HOSTS[idx])
+            .with_fleet(fleet_members(), idx)
+            .with_heartbeat(FAST_HEARTBEAT)
+            .with_breaker(FAST_BREAKER)
+    });
+    let inner = InnerConfig::new("rwcp-inner");
+    Deployment::start(["rwcp-sun"], ["etl-sun"], inner, shards.collect()).unwrap()
 }
 
 /// Breaker-driven failover on real sockets: kill the shard serving a
@@ -1092,8 +1031,6 @@ fn start_fleet(w: &RealWorld) -> Vec<Option<OuterServer>> {
 #[test]
 fn real_fleet_fails_over_when_a_shard_dies() {
     let w = real_fleet_world();
-    let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let mut fleet = start_fleet(&w);
     let router = FleetRouter::new(
         fleet_members(),
         BreakerConfig {
@@ -1110,7 +1047,7 @@ fn real_fleet_fails_over_when_a_shard_dies() {
     let victim = FLEET_HOSTS.iter().position(|h| *h == serving).unwrap();
     let survivor = FLEET_HOSTS[1 - victim];
     drop(first);
-    fleet[victim].take();
+    w.kill_outer(victim);
 
     // Every bind must keep succeeding; keys owned by the dead shard
     // descend the ladder (charging its breaker) and are fallback-served
@@ -1176,8 +1113,7 @@ fn seeded_payload(seed: u64, len: usize) -> Vec<u8> {
 #[test]
 fn real_stripe_lane_rst_fails_over_without_conflict() {
     let w = real_world();
-    let _outer = OuterServer::start(w.net.clone(), OuterConfig::new("rwcp-outer")).unwrap();
-    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let env = w.env();
 
     // Stripe sink: every accepted flow feeds the shared reassembler.
     // The RST'd lane ends in a mid-frame read error; swallowing it
@@ -1255,8 +1191,7 @@ fn real_stripe_lane_rst_fails_over_without_conflict() {
 #[test]
 fn real_half_written_control_frame_does_not_wedge_accept_loop() {
     let w = real_world();
-    let _outer = OuterServer::start(w.net.clone(), OuterConfig::new("rwcp-outer")).unwrap();
-    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let env = w.env();
 
     // Echo sink for the legitimate clients.
     let sink = w.net.bind("etl-sun", 7412).unwrap();
@@ -1294,13 +1229,7 @@ fn real_half_written_control_frame_does_not_wedge_accept_loop() {
 #[test]
 fn real_control_close_withdraws_the_rendezvous_without_a_peer() {
     let w = real_world();
-    let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let outer = OuterServer::start(
-        w.net.clone(),
-        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-    )
-    .unwrap();
-    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let (outer, env) = (w.outer(), w.env());
     let listener = nx_proxy_bind(&w.net, &env, "rwcp-sun").unwrap();
     let (host, port) = listener.advertised.clone();
     assert_eq!(outer.rendezvous_ports(), vec![port]);
@@ -1314,19 +1243,13 @@ fn real_control_close_withdraws_the_rendezvous_without_a_peer() {
 /// A listener's stop is not traffic: one rendezvous listener
 /// stopped by its watcher, then the control port, the other rendezvous
 /// port and `nxport` stopped by `shutdown()`, and not one counter,
-/// gauge or histogram of either server moves. The one instrument
-/// `shutdown()` itself moves is `proxy.workers_parked`: it closes the
-/// worker pool, so that gauge must read 0 afterwards.
+/// gauge or histogram of either server moves. The one instrument that
+/// moves is `proxy.workers_parked`: `shutdown()` leaves the pool to the
+/// drop, so the workers the ended registrations held park again.
 #[test]
 fn real_stop_wakes_are_invisible_in_stats() {
     let w = real_world();
-    let inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let outer = OuterServer::start(
-        w.net.clone(),
-        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-    )
-    .unwrap();
-    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let (outer, inner, env) = (w.outer(), w.inner(), w.env());
     let _kept = nx_proxy_bind(&w.net, &env, "rwcp-sun").unwrap();
     let dropped = nx_proxy_bind(&w.net, &env, "rwcp-sun").unwrap();
     // A bind's service time is recorded after its reply is on the wire.
@@ -1353,15 +1276,15 @@ fn real_stop_wakes_are_invisible_in_stats() {
     outer.shutdown();
     inner.shutdown();
     // An acceptor that has returned has dropped its listener.
+    let parked = |s: wacs_obs::RegistrySnapshot| s.gauges["proxy.workers_parked"];
     wait_until("every acceptor gone", Duration::from_secs(1), || {
         outer.rendezvous_ports().is_empty()
             && w.net.resolve("rwcp-outer", OUTER_PORT).is_none()
             && w.net.resolve("rwcp-inner", NXPORT).is_none()
+            && parked(outer.obs_snapshot()) == PARKED as i64
+            && parked(inner.obs_snapshot()) == PARKED as i64
     });
     assert_eq!(observe(), before);
-    for snap in [outer.obs_snapshot(), inner.obs_snapshot()] {
-        assert_eq!(snap.gauges["proxy.workers_parked"], 0);
-    }
 }
 
 /// A one-hop redirect raced by strictly-newer `ShardSync` installs:
@@ -1373,8 +1296,6 @@ fn real_stop_wakes_are_invisible_in_stats() {
 #[test]
 fn real_redirect_survives_concurrent_newer_shard_sync() {
     let w = real_fleet_world();
-    let _inner = InnerServer::start(w.net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let fleet = start_fleet(&w);
     let router = FleetRouter::new(
         fleet_members(),
         BreakerConfig {
@@ -1393,12 +1314,11 @@ fn real_redirect_survives_concurrent_newer_shard_sync() {
     std::thread::scope(|scope| {
         let installer = {
             let router = router.clone();
-            let fleet = &fleet;
-            let members = fleet_members();
+            let (fleet, members) = (w.outers(), fleet_members());
             scope.spawn(move || {
                 for generation in 2..=last_gen {
                     router.install(generation, members.clone());
-                    for outer in fleet.iter().flatten() {
+                    for outer in fleet {
                         outer.install_fleet(generation, members.clone());
                     }
                     std::thread::sleep(Duration::from_millis(2));
@@ -1450,7 +1370,7 @@ fn real_redirect_survives_concurrent_newer_shard_sync() {
 
     // Every party converged on the newest generation.
     assert_eq!(router.generation(), last_gen);
-    for outer in fleet.iter().flatten() {
+    for outer in w.outers() {
         assert_eq!(outer.fleet_generation(), last_gen);
     }
 

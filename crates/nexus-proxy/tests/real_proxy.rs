@@ -6,52 +6,22 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use firewall::vnet::VNet;
-use firewall::{Policy, NXPORT, OUTER_PORT};
+use firewall::OUTER_PORT;
 use netsim::SimRng;
 use nexus_proxy::core::{shard_map, HostId};
 use nexus_proxy::{
-    nx_proxy_bind, nx_proxy_connect, BreakerConfig, FleetRouter, InnerConfig, InnerServer,
-    OuterConfig, OuterServer, ProxyEnv, REPLY_DEADLINE,
+    nx_proxy_bind, nx_proxy_connect, BreakerConfig, Deployment, FleetRouter, ProxyEnv,
+    REPLY_DEADLINE,
 };
 use std::io::{Read, Write};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Figure 5 in miniature:
-/// * site `rwcp` — deny-in/allow-out firewall with only the nxport
-///   hole to `rwcp-inner`; hosts `rwcp-sun`, `compas0`, `rwcp-inner`.
-/// * site `dmz` — open; host `rwcp-outer` (the outer server).
-/// * site `etl` — open; host `etl-sun`.
-struct Testbed {
-    net: VNet,
-    _outer: OuterServer,
-    _inner: InnerServer,
-}
-
-fn testbed() -> Testbed {
-    let net = VNet::new();
-    let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
-    let dmz = net.add_site("dmz", None);
-    let etl = net.add_site("etl", None);
-    net.add_host("rwcp-sun", rwcp);
-    net.add_host("compas0", rwcp);
-    let inner_ref = net.add_host("rwcp-inner", rwcp);
-    net.add_host("rwcp-outer", dmz);
-    net.add_host("etl-sun", etl);
-    // Punch the single hole: outer → inner on nxport.
-    net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-
-    let inner = InnerServer::start(net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let outer = OuterServer::start(
-        net.clone(),
-        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-    )
-    .unwrap();
-    Testbed {
-        net,
-        _outer: outer,
-        _inner: inner,
-    }
+/// Figure 5 in miniature (`Deployment`): hosts `rwcp-sun` and
+/// `compas0` inside the `rwcp` firewall, whose only hole is nxport to
+/// `rwcp-inner`; `rwcp-outer` in the open DMZ; `etl-sun` at ETL.
+fn testbed() -> Deployment {
+    Deployment::paper(["rwcp-sun", "compas0"], ["etl-sun"]).unwrap()
 }
 
 fn proxy_env() -> ProxyEnv {
@@ -94,7 +64,7 @@ fn active_open_relays_outbound() {
     s.read_exact(&mut buf).unwrap();
     assert_eq!(&buf, b"ack:ping");
     srv.join().unwrap();
-    assert_eq!(tb._outer.stats().connects_ok, 1);
+    assert_eq!(tb.outer().stats().connects_ok, 1);
 }
 
 #[test]
@@ -102,7 +72,7 @@ fn active_open_failure_reported() {
     let tb = testbed();
     let err = nx_proxy_connect(&tb.net, &proxy_env(), "rwcp-sun", ("etl-sun", 6999)).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
-    assert_eq!(tb._outer.stats().connects_failed, 1);
+    assert_eq!(tb.outer().stats().connects_failed, 1);
 }
 
 #[test]
@@ -130,8 +100,8 @@ fn passive_open_relays_inbound_through_inner() {
     s.read_exact(&mut buf).unwrap();
     assert_eq!(&buf, b"world");
     srv.join().unwrap();
-    assert_eq!(tb._outer.stats().relays_ok, 1);
-    assert_eq!(tb._inner.stats().relays_ok, 1);
+    assert_eq!(tb.outer().stats().relays_ok, 1);
+    assert_eq!(tb.inner().stats().relays_ok, 1);
 }
 
 #[test]
@@ -163,8 +133,8 @@ fn inside_to_inside_through_both_servers() {
     // be bumping the counter when the app-level echo completes — poll.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     loop {
-        let outer = tb._outer.stats().relayed_bytes;
-        let inner = tb._inner.stats().relayed_bytes;
+        let outer = tb.outer().stats().relayed_bytes;
+        let inner = tb.inner().stats().relayed_bytes;
         if outer >= 2 * 65536 && inner >= 2 * 65536 {
             break;
         }
@@ -191,7 +161,7 @@ fn direct_mode_bypasses_proxy() {
     let mut s = nx_proxy_connect(&tb.net, &env, "rwcp-sun", (adv.0.as_str(), adv.1)).unwrap();
     s.write_all(b"ok").unwrap();
     srv.join().unwrap();
-    assert_eq!(tb._outer.stats().connects_ok, 0);
+    assert_eq!(tb.outer().stats().connects_ok, 0);
 }
 
 #[test]
@@ -199,16 +169,16 @@ fn rendezvous_withdrawn_when_listener_drops() {
     let tb = testbed();
     let listener = nx_proxy_bind(&tb.net, &proxy_env(), "rwcp-sun").unwrap();
     let adv = listener.advertised.clone();
-    assert_eq!(tb._outer.rendezvous_ports(), vec![adv.1]);
+    assert_eq!(tb.outer().rendezvous_ports(), vec![adv.1]);
     drop(listener);
     // The control-connection EOF propagates asynchronously.
     for _ in 0..200 {
-        if tb._outer.rendezvous_ports().is_empty() {
+        if tb.outer().rendezvous_ports().is_empty() {
             break;
         }
         thread::sleep(std::time::Duration::from_millis(5));
     }
-    assert!(tb._outer.rendezvous_ports().is_empty());
+    assert!(tb.outer().rendezvous_ports().is_empty());
     // And connecting to the old rendezvous now fails.
     assert!(tb.net.dial("etl-sun", &adv.0, adv.1).is_err());
 }
@@ -249,10 +219,10 @@ fn many_concurrent_relays() {
     for h in handles.into_iter().chain(clients) {
         h.join().unwrap();
     }
-    let snap = tb._outer.stats();
+    let snap = tb.outer().stats();
     assert_eq!((snap.connects_ok, snap.busy_rejected), (64, 0));
     let deadline = Instant::now() + Duration::from_secs(5);
-    while tb._outer.active_relays() != 0 {
+    while tb.outer().active_relays() != 0 {
         assert!(Instant::now() < deadline, "relay table did not drain");
         thread::sleep(Duration::from_millis(2));
     }
@@ -356,5 +326,5 @@ fn connects_owned_by_a_silent_shard_are_served_by_the_live_one() {
         t0.elapsed() >= REPLY_DEADLINE,
         "the silent shard was not asked"
     );
-    assert_eq!(tb._outer.stats().connects_ok, 2);
+    assert_eq!(tb.outer().stats().connects_ok, 2);
 }

@@ -7,59 +7,33 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use firewall::vnet::VNet;
-use firewall::{Policy, NXPORT, OUTER_PORT};
+use firewall::OUTER_PORT;
 use netsim::SimRng;
 use nexus_proxy::protocol::{EncodeError, Msg, MAX_FRAME};
 use nexus_proxy::{
-    nx_proxy_bind, nx_proxy_connect, InnerConfig, InnerServer, OuterConfig, OuterServer, ProxyEnv,
-    StripeFrame, StripeReceiver, MAX_CHUNK_BYTES, MAX_STRIPES, MAX_STRIPE_FRAME,
+    nx_proxy_bind, nx_proxy_connect, Deployment, ProxyEnv, StripeFrame, StripeReceiver,
+    MAX_CHUNK_BYTES, MAX_STRIPES, MAX_STRIPE_FRAME,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
-struct World {
-    net: VNet,
-    outer: OuterServer,
-    _inner: InnerServer,
-}
-
 /// The relay table must drain once both ends of every relayed
 /// connection are gone — a leaked entry is a half-open relay the
 /// reaper would eventually have to collect.
-fn assert_relays_drained(w: &World) {
+fn assert_relays_drained(w: &Deployment) {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while w.outer.active_relays() != 0 {
+    while w.outer().active_relays() != 0 {
         assert!(
             std::time::Instant::now() < deadline,
             "outer relay table still holds {} entries",
-            w.outer.active_relays()
+            w.outer().active_relays()
         );
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
 }
 
-fn world() -> World {
-    let net = VNet::new();
-    let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
-    let dmz = net.add_site("dmz", None);
-    let etl = net.add_site("etl", None);
-    net.add_host("rwcp-sun", rwcp);
-    let inner_ref = net.add_host("rwcp-inner", rwcp);
-    net.add_host("rwcp-outer", dmz);
-    net.add_host("etl-sun", etl);
-    net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-    let inner = InnerServer::start(net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let outer = OuterServer::start(
-        net.clone(),
-        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-    )
-    .unwrap();
-    World {
-        net,
-        outer,
-        _inner: inner,
-    }
+fn world() -> Deployment {
+    Deployment::paper(["rwcp-sun"], ["etl-sun"]).unwrap()
 }
 
 /// One random test case: payload plus a write-chunking schedule.

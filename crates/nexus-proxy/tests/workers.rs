@@ -5,10 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use firewall::vnet::VNet;
-use firewall::{Policy, NXPORT, OUTER_PORT};
-use nexus_proxy::{
-    nx_proxy_bind, nx_proxy_connect, InnerConfig, InnerServer, OuterConfig, OuterServer, ProxyEnv,
-};
+use nexus_proxy::{nx_proxy_bind, nx_proxy_connect, Deployment, ProxyEnv};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::thread;
@@ -17,9 +14,8 @@ use std::time::{Duration, Instant};
 const ECHO_PORT: u16 = 6400;
 
 struct Testbed {
+    d: Deployment,
     net: VNet,
-    outer: OuterServer,
-    inner: InnerServer,
     env: ProxyEnv,
     /// What `proxy.workers_parked` reads on an idle daemon.
     full: i64,
@@ -31,49 +27,31 @@ fn parked(snap: &wacs_obs::RegistrySnapshot) -> i64 {
 
 impl Testbed {
     fn new() -> Testbed {
-        let net = VNet::new();
-        let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
-        let dmz = net.add_site("dmz", None);
-        let etl = net.add_site("etl", None);
-        net.add_host("rwcp-sun", rwcp);
-        let inner_ref = net.add_host("rwcp-inner", rwcp);
-        net.add_host("rwcp-outer", dmz);
-        net.add_host("etl-sun", etl);
-        net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-        let inner = InnerServer::start(net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-        let outer = OuterServer::start(
-            net.clone(),
-            OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-        )
-        .unwrap();
-        let full = parked(&outer.obs_snapshot());
+        let d = Deployment::paper(["rwcp-sun"], ["etl-sun"]).unwrap();
+        let full = parked(&d.outer().obs_snapshot());
         assert!(full > 0, "a daemon starts with its workers parked");
-        assert_eq!(parked(&inner.obs_snapshot()), full);
-        Testbed {
-            net,
-            outer,
-            inner,
-            env: ProxyEnv::via("rwcp-outer", OUTER_PORT),
-            full,
-        }
+        assert_eq!(parked(&d.inner().obs_snapshot()), full);
+        let (net, env) = (d.net.clone(), d.env());
+        Testbed { d, net, env, full }
     }
 
     /// Thread starts so far: (outer, inner).
     fn spawns(&self) -> (u64, u64) {
         (
-            self.outer.stats().worker_spawns,
-            self.inner.stats().worker_spawns,
+            self.d.outer().stats().worker_spawns,
+            self.d.inner().stats().worker_spawns,
         )
     }
 
     /// Wait until the last relay is gone and every worker it used is
     /// parked again on both daemons: the next open starts from rest.
     fn settle(&self) {
+        let (outer, inner) = (self.d.outer(), self.d.inner());
         let end = Instant::now() + Duration::from_secs(5);
-        while !(self.outer.active_relays() == 0
-            && self.outer.rendezvous_ports().is_empty()
-            && parked(&self.outer.obs_snapshot()) == self.full
-            && parked(&self.inner.obs_snapshot()) == self.full)
+        while !(outer.active_relays() == 0
+            && outer.rendezvous_ports().is_empty()
+            && parked(&outer.obs_snapshot()) == self.full
+            && parked(&inner.obs_snapshot()) == self.full)
         {
             assert!(Instant::now() < end, "daemons never came back to rest");
             thread::sleep(Duration::from_millis(1));
@@ -112,7 +90,7 @@ fn sequential_active_opens_start_no_thread() {
         round(i);
     }
     assert_eq!(tb.spawns(), warm, "20 warm connects started threads");
-    assert_eq!(tb.outer.stats().connects_ok, 21);
+    assert_eq!(tb.d.outer().stats().connects_ok, 21);
 }
 
 #[test]
@@ -143,5 +121,5 @@ fn sequential_passive_opens_start_no_thread() {
         warm,
         "5 warm bind/dial/accept rounds started threads"
     );
-    assert_eq!(tb.outer.stats().relays_ok, 6);
+    assert_eq!(tb.d.outer().stats().relays_ok, 6);
 }

@@ -7,6 +7,11 @@
 //! message waits for a channel send, not for a `thread::spawn`. All
 //! arriving messages multiplex into a single queue, preserving
 //! per-startpoint order.
+//!
+//! Dropping the endpoint leaves none of its threads running: it stops
+//! and joins the acceptor, closes the queue (a reader blocked on a full
+//! one returns), and closes the pool, which cuts every attachment's
+//! stream and joins every reader.
 
 use crate::context::NexusContext;
 use crate::msg::recv_frame;
@@ -16,7 +21,7 @@ use nexus_proxy::{nx_proxy_bind, NxListener, Workers};
 use std::io;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 use wacs_sync::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
@@ -31,6 +36,7 @@ pub struct Endpoint {
     /// Ends the acceptor's blocked accept; the readers check it between
     /// frames.
     stop: StopHandle,
+    acceptor: Option<JoinHandle<()>>,
     /// Runs each attachment's frame loop. Shared with the acceptor; no
     /// reader job holds it.
     readers: Arc<Workers>,
@@ -70,20 +76,20 @@ impl Endpoint {
         let readers = Arc::new(Workers::standalone());
 
         // Acceptor thread: accepts attachments, hands each to a reader.
-        {
-            let stop = stop.clone();
-            let tx = tx.clone();
-            let readers = readers.clone();
-            // lint:allow(daemon-spawn) the endpoint's accept loop, ended by its stop handle
+        let acceptor = {
+            let (stop, tx, readers) = (stop.clone(), tx.clone(), readers.clone());
+            // lint:allow(daemon-spawn) the endpoint's accept loop, joined on drop
             thread::spawn(move || {
                 // The listener stays registered as long as this loop runs.
                 while let Some(stream) = listener.accept_until_stop() {
                     stream.set_nodelay(true).ok();
+                    let stream = Arc::new(stream);
+                    readers.register(&stream);
                     let (tx, stop) = (tx.clone(), stop.clone());
-                    readers.run(move || read_frames(stream, &tx, &stop));
+                    readers.run(move || read_frames(&stream, &tx, &stop));
                 }
-            });
-        }
+            })
+        };
 
         // Register for same-process short-circuiting.
         let inproc_key = advertised.clone();
@@ -93,6 +99,7 @@ impl Endpoint {
             advertised,
             rx,
             stop,
+            acceptor: Some(acceptor),
             readers,
             inproc_key,
             exchange: ctx.inproc().clone(),
@@ -140,15 +147,19 @@ impl Endpoint {
 impl Drop for Endpoint {
     fn drop(&mut self) {
         self.stop.stop();
+        if let Some(t) = self.acceptor.take() {
+            let _ = t.join();
+        }
         self.exchange.unregister(&self.inproc_key);
-        // Joins the parked readers; a busy one exits when its attachment
-        // ends.
+        // A reader blocked on a full queue waits on the receiver, not
+        // on its stream: close the queue before joining the readers.
+        self.rx.close();
         self.readers.close();
     }
 }
 
 /// One attachment's frame loop, run on a parked reader.
-fn read_frames(mut stream: TcpStream, tx: &Sender<Vec<u8>>, stop: &StopHandle) {
+fn read_frames(mut stream: &TcpStream, tx: &Sender<Vec<u8>>, stop: &StopHandle) {
     while !stop.is_stopped() {
         match recv_frame(&mut stream) {
             Ok(Some(msg)) => {
@@ -246,15 +257,10 @@ mod tests {
         sp.send(b"live").unwrap();
         assert_eq!(ep.recv().unwrap(), b"live");
         assert_eq!(readers.threads(), nexus_proxy::PARKED);
-        // The parked readers are joined before the drop returns; the
-        // busy one is left to end with its attachment.
+        // The drop cuts the live attachment and joins its reader with
+        // the parked ones.
         drop(ep);
-        assert_eq!((readers.parked(), readers.threads()), (0, 1));
+        assert_eq!((readers.parked(), readers.threads()), (0, 0));
         drop(sp);
-        let end = Instant::now() + Duration::from_secs(5);
-        while readers.threads() != 0 {
-            assert!(Instant::now() < end, "the busy reader never exited");
-            thread::sleep(Duration::from_millis(1));
-        }
     }
 }

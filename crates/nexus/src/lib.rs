@@ -43,38 +43,12 @@ pub(crate) fn range_bind(ctx: &NexusContext, port: u16) -> io::Result<NxListener
 mod tests {
     use super::*;
     use firewall::vnet::VNet;
-    use firewall::{Policy, NXPORT, OUTER_PORT};
-    use nexus_proxy::{InnerConfig, InnerServer, OuterConfig, OuterServer};
+    use firewall::{Policy, OUTER_PORT};
+    use nexus_proxy::Deployment;
     use std::time::{Duration, Instant};
 
-    pub(crate) struct World {
-        pub(crate) net: VNet,
-        _outer: OuterServer,
-        _inner: InnerServer,
-    }
-
-    pub(crate) fn world() -> World {
-        let net = VNet::new();
-        let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
-        let dmz = net.add_site("dmz", None);
-        let etl = net.add_site("etl", None);
-        net.add_host("rwcp-sun", rwcp);
-        net.add_host("compas0", rwcp);
-        let inner_ref = net.add_host("rwcp-inner", rwcp);
-        net.add_host("rwcp-outer", dmz);
-        net.add_host("etl-sun", etl);
-        net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-        let inner = InnerServer::start(net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-        let outer = OuterServer::start(
-            net.clone(),
-            OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-        )
-        .unwrap();
-        World {
-            net,
-            _outer: outer,
-            _inner: inner,
-        }
+    pub(crate) fn world() -> Deployment {
+        Deployment::paper(["rwcp-sun", "compas0"], ["etl-sun"]).unwrap()
     }
 
     pub(crate) fn proxied(net: &VNet, host: &str) -> NexusContext {

@@ -190,7 +190,8 @@ impl Record {
 /// the gatekeeper all run it: one acceptor thread on the listener, and
 /// each connection answered on a parked worker of the server's own
 /// [`Workers`], one request at a time with `handle`. Dropping it stops
-/// the acceptor, joins it, and closes the pool.
+/// the acceptor, joins it, and closes the pool, which cuts every open
+/// request connection and joins every handler.
 pub(crate) struct RecordServer {
     stop: StopHandle,
     acceptor: Option<thread::JoinHandle<()>>,
@@ -210,9 +211,11 @@ impl RecordServer {
         let pool = handlers.clone();
         // lint:allow(daemon-spawn) the server's accept loop, joined on drop
         let acceptor = thread::spawn(move || {
-            while let Some(mut stream) = listener.accept_until_stop() {
-                let handle = handle.clone();
+            while let Some(stream) = listener.accept_until_stop() {
+                let (handle, stream) = (handle.clone(), Arc::new(stream));
+                pool.register(&stream);
                 pool.run(move || {
+                    let mut stream = &*stream;
                     while let Ok(Some(req)) = Record::read_from(&mut stream) {
                         if handle(&req).write_to(&mut stream).is_err() {
                             break;
@@ -239,8 +242,6 @@ impl Drop for RecordServer {
         if let Some(t) = self.acceptor.take() {
             let _ = t.join();
         }
-        // Joins the parked handlers; a busy one exits when its
-        // connection ends.
         self.handlers.close();
     }
 }

@@ -6,9 +6,9 @@
 //!   firewalled world (client inside the policy site, outer server in
 //!   the DMZ, sink outside) with a [`ChaosInterposer`] on the client's
 //!   control leg;
-//! * `rolling_restart` restarts every shard of a 2-member outer fleet
-//!   mid-striped-transfer (lanes throttled through the interposer so
-//!   the transfer straddles the restarts);
+//! * `rolling_restart` drains and restarts every shard of a 2-member
+//!   outer fleet mid-striped-transfer (lanes throttled through the
+//!   interposer so the transfer straddles the restarts);
 //! * `inner_restart` kills and restarts the inner daemon under live
 //!   passive-relay load.
 //!
@@ -33,11 +33,11 @@ use crate::interpose::{pace_until, ChaosInterposer};
 use crate::invariants::{fnv64, InvariantLedger};
 use crate::profile::{ChaosProfile, FaultClass, FaultParams, FaultRule};
 use firewall::vnet::VNet;
-use firewall::{Policy, NXPORT, OUTER_PORT};
+use firewall::OUTER_PORT;
 use netsim::SimRng;
 use nexus_proxy::{
-    interposed_lane_dial, nx_proxy_bind, nx_proxy_connect, send_striped, BreakerConfig, DialLeg,
-    FleetRouter, GenerationWitness, InnerConfig, InnerServer, OuterConfig, OuterServer, ProxyEnv,
+    interposed_lane_dial, nx_proxy_bind, nx_proxy_connect, send_striped, BreakerConfig, Deployment,
+    DialLeg, FleetRouter, GenerationWitness, InnerConfig, OuterConfig, OuterServer, ProxyEnv,
     StripePlan, StripeReceiver,
 };
 use std::io::{self, Read, Write};
@@ -150,36 +150,6 @@ fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
         }
         pace_until(Instant::now() + Duration::from_millis(2));
     }
-}
-
-/// The single-outer firewalled world every interposer cell runs in.
-fn real_world() -> VNet {
-    let net = VNet::new();
-    let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
-    let dmz = net.add_site("dmz", None);
-    let etl = net.add_site("etl", None);
-    net.add_host("rwcp-sun", rwcp);
-    let inner_ref = net.add_host("rwcp-inner", rwcp);
-    net.add_host("rwcp-outer", dmz);
-    net.add_host("etl-sun", etl);
-    net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-    net
-}
-
-/// The 2-shard fleet world for the rolling-restart cell.
-fn fleet_world() -> VNet {
-    let net = VNet::new();
-    let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
-    let dmz = net.add_site("dmz", None);
-    let etl = net.add_site("etl", None);
-    net.add_host("rwcp-sun", rwcp);
-    let inner_ref = net.add_host("rwcp-inner", rwcp);
-    for h in FLEET_HOSTS {
-        net.add_host(h, dmz);
-    }
-    net.add_host("etl-sun", etl);
-    net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-    net
 }
 
 fn fleet_members() -> Vec<(String, u16)> {
@@ -301,7 +271,7 @@ impl ChaosSuite {
         &self,
         class: FaultClass,
         mut cell: CellOutcome,
-        outers: &[&OuterServer],
+        outers: &[OuterServer],
     ) -> CellOutcome {
         for outer in outers {
             self.ledger
@@ -319,10 +289,10 @@ impl ChaosSuite {
     /// One cell for an interposer fault class: every other dial on the
     /// client control leg is faulted (`period` 2), the rest pass clean.
     fn interposed_cell(&self, class: FaultClass) -> io::Result<CellOutcome> {
-        let net = real_world();
-        let outer = OuterServer::start(net.clone(), OuterConfig::new("rwcp-outer"))?;
+        let d = Deployment::paper(["rwcp-sun"], ["etl-sun"])?;
+        let net = &d.net;
         let payload = payload_for(self.cfg.seed, class, self.cfg.payload);
-        start_echo_sink(&net, "etl-sun", SINK_PORT, payload.len())?;
+        start_echo_sink(net, "etl-sun", SINK_PORT, payload.len())?;
 
         let params = FaultParams {
             cut_range: (512, (self.cfg.payload as u64 / 2).max(1024)),
@@ -346,7 +316,7 @@ impl ChaosSuite {
             cell.attempts += 1;
             let faulted = profile.decide(DialLeg::ClientCtrl, seq).is_some();
             let t0 = Instant::now();
-            match echo_op(&net, &env, "rwcp-sun", ("etl-sun", SINK_PORT), &payload) {
+            match echo_op(net, &env, "rwcp-sun", ("etl-sun", SINK_PORT), &payload) {
                 Ok(got) => {
                     cell.ops += 1;
                     cell.bytes += 2 * payload.len() as u64;
@@ -375,25 +345,25 @@ impl ChaosSuite {
         cell.completed = cell.ops == self.cfg.ops;
         self.ledger
             .check(&format!("{class} cell completed all ops"), cell.completed);
-        Ok(self.finish(class, cell, &[&outer]))
+        Ok(self.finish(class, cell, d.outers()))
     }
 
-    /// Rolling restart of the 2-shard outer fleet mid-striped-transfer.
+    /// Rolling restart (drain, then restart) of the 2-shard outer fleet
+    /// mid-striped-transfer.
     fn rolling_restart_cell(&self) -> io::Result<CellOutcome> {
         let class = FaultClass::RollingRestart;
-        let net = fleet_world();
         let members = fleet_members();
-        let mk_cfg = |idx: usize| {
+        let shards = (0..members.len()).map(|idx| {
             OuterConfig::new(FLEET_HOSTS[idx])
                 .with_fleet(members.clone(), idx)
                 .with_breaker(BreakerConfig {
                     threshold: 2,
                     cooldown: Duration::from_millis(40),
                 })
-        };
-        let mut fleet: Vec<Option<OuterServer>> = (0..members.len())
-            .map(|idx| OuterServer::start(net.clone(), mk_cfg(idx)).map(Some))
-            .collect::<io::Result<_>>()?;
+        });
+        let inner = InnerConfig::new("rwcp-inner");
+        let mut d = Deployment::start(["rwcp-sun"], ["etl-sun"], inner, shards.collect())?;
+        let net = d.net.clone();
         let router = FleetRouter::new(
             members.clone(),
             BreakerConfig {
@@ -455,28 +425,31 @@ impl ChaosSuite {
         let mut cell = CellOutcome::failed(class);
         let hist = self.rto_histogram(class);
         let probe_payload = payload_for(self.cfg.seed, class, PROBE_LEN);
-        for idx in 0..members.len() {
+        for (idx, host) in FLEET_HOSTS.into_iter().enumerate() {
             pace_until(Instant::now() + Duration::from_millis(120));
+            // A rolling restart drains the shard first: a killed shard
+            // cuts its relays, and a lane whose bytes all sat in socket
+            // buffers would lose them unseen. What the drain leaves
+            // live, the restart cuts (and the transfer then fails the
+            // cell).
+            d.outers()[idx].drain(Duration::from_secs(5));
             let t_kill = Instant::now();
-            fleet[idx] = None; // drop: the shard dies with relays live
-            let restarted = OuterServer::start(net.clone(), mk_cfg(idx))?;
+            d.restart_outer(idx)?;
             let generation = router.generation() + 1;
             router.install(generation, members.clone());
-            for outer in fleet.iter().flatten() {
+            for outer in d.outers() {
                 outer.install_fleet(generation, members.clone());
             }
-            restarted.install_fleet(generation, members.clone());
-            fleet[idx] = Some(restarted);
             self.restarts_counter.inc();
             cell.faults += 1;
             witness.observe(router.generation());
-            for outer in fleet.iter().flatten() {
+            for outer in d.outers() {
                 witness.observe(outer.fleet_generation());
             }
 
             // RTO: kill -> first successful op through the restarted
             // shard specifically.
-            let probe_env = ProxyEnv::via(FLEET_HOSTS[idx], OUTER_PORT);
+            let probe_env = ProxyEnv::via(host, OUTER_PORT);
             let deadline = Instant::now() + Duration::from_secs(8);
             while Instant::now() < deadline {
                 cell.attempts += 1;
@@ -523,29 +496,24 @@ impl ChaosSuite {
             .check_generations("rolling_restart fleet", &witness);
         self.ledger
             .check("rolling_restart cell completed", cell.completed);
-        let live: Vec<&OuterServer> = fleet.iter().flatten().collect();
-        Ok(self.finish(class, cell, &live))
+        Ok(self.finish(class, cell, d.outers()))
     }
 
     /// Kill and restart the inner daemon under live passive-relay load.
     fn inner_restart_cell(&self) -> io::Result<CellOutcome> {
         let class = FaultClass::InnerRestart;
-        let net = real_world();
-        let inner = InnerServer::start(net.clone(), InnerConfig::new("rwcp-inner"))?;
-        let outer = OuterServer::start(
-            net.clone(),
-            OuterConfig::new("rwcp-outer")
-                .with_inner("rwcp-inner", NXPORT)
-                .with_heartbeat(nexus_proxy::HeartbeatConfig {
-                    interval: Duration::from_millis(20),
-                    timeout: Duration::from_millis(120),
-                })
-                .with_breaker(BreakerConfig {
-                    threshold: 2,
-                    cooldown: Duration::from_millis(40),
-                }),
-        )?;
-        let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+        let outer = OuterConfig::new("rwcp-outer")
+            .with_heartbeat(nexus_proxy::HeartbeatConfig {
+                interval: Duration::from_millis(20),
+                timeout: Duration::from_millis(120),
+            })
+            .with_breaker(BreakerConfig {
+                threshold: 2,
+                cooldown: Duration::from_millis(40),
+            });
+        let inner = InnerConfig::new("rwcp-inner");
+        let mut d = Deployment::start(["rwcp-sun"], ["etl-sun"], inner, vec![outer])?;
+        let (net, env) = (d.net.clone(), d.env());
         let listener = nx_proxy_bind(&net, &env, "rwcp-sun")?;
         let adv = listener.advertised.clone();
         let payload = payload_for(self.cfg.seed, class, PROBE_LEN);
@@ -589,10 +557,12 @@ impl ChaosSuite {
         }
 
         let t_kill = Instant::now();
-        drop(inner);
-        let detected = wait_for(Duration::from_secs(5), || outer.stats().inner_deaths >= 1);
+        d.kill_inner();
+        let detected = wait_for(Duration::from_secs(5), || {
+            d.outer().stats().inner_deaths >= 1
+        });
         self.ledger.check("inner_restart death detected", detected);
-        let _inner2 = InnerServer::start(net.clone(), InnerConfig::new("rwcp-inner"))?;
+        d.restart_inner()?;
         self.restarts_counter.inc();
         cell.faults += 1;
 
@@ -631,7 +601,7 @@ impl ChaosSuite {
         cell.completed = recovered && cell.ops == pre_ops + 1 + post_ops;
         self.ledger
             .check("inner_restart cell completed", cell.completed);
-        Ok(self.finish(class, cell, &[&outer]))
+        Ok(self.finish(class, cell, d.outers()))
     }
 }
 

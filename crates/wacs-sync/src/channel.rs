@@ -232,14 +232,20 @@ impl<T> Receiver<T> {
             st.parked_receivers -= 1;
         }
     }
-}
 
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
+    /// Refuse every later send and drop what is queued, as dropping
+    /// the receiver does: a sender blocked on a full queue returns.
+    pub fn close(&self) {
         let mut st = self.shared.lock();
         st.receiver_alive = false;
         st.queue.clear();
         self.shared.not_full.notify_all();
+    }
+}
+
+impl<T> Drop for Receiver<T> {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 

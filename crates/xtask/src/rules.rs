@@ -1,10 +1,12 @@
 //! The rule list and the spelling table.
 //!
-//! Every rule is named and summarised once, in `rules!`. Fifteen of
+//! Every rule is named and summarised once, in `rules!`. Sixteen of
 //! them have one shape: "these spellings are forbidden in these files,
 //! optionally in test code too, except where a marker says why". Each
 //! clause of such a rule is one [`Row`] of [`ROWS`], and [`check`]
-//! matches every row against one file's [`Source`] lines. The six
+//! matches every row against one file's [`Source`] lines. A row judges
+//! library code (`crates/*/src`, `src/`) unless it says it judges the
+//! callers too (tests, examples, the benchmark). The six
 //! rules that relate several sites (`lock-order`, `counter-schema`,
 //! `frame-coverage`, `orphan-module`, `unused-pub`, `frame-plane`)
 //! live in `wsrules`.
@@ -87,6 +89,9 @@ rules! {
     DaemonSpawn "daemon-spawn"
         "no thread::spawn in nexus-proxy outer/inner/wire/pump.rs, nexus endpoint.rs \
          or rmf wire.rs but the marked long-lived threads; the rest come from workers.rs",
+    OneDeployment "one-deployment"
+        "the proxy deployment is built by nexus_proxy::Deployment: no InnerServer::start \
+         outside deploy.rs, inner.rs and benchmark/",
     OrphanModule "orphan-module"
         "every src/ file is reached from lib.rs/main.rs through mod declarations \
          or lives in src/bin/",
@@ -138,6 +143,8 @@ struct Row {
     except: &'static [&'static str],
     /// Test code is judged too.
     tests: bool,
+    /// Caller sources (tests, examples, the benchmark) are judged too.
+    callers: bool,
     /// The spellings are matched in the line's comments, not its code.
     comments: bool,
     unless: Unless,
@@ -151,6 +158,7 @@ const ROW: Row = Row {
     only: &[],
     except: &[],
     tests: false,
+    callers: false,
     comments: false,
     unless: Unless::Never,
     allow: Allow::Bare,
@@ -380,6 +388,22 @@ static ROWS: &[Row] = &[
                   `lint:allow(daemon-spawn)` with a reason",
         ..ROW
     },
+    // A hand-built deployment drifts from the paper's and leaves its
+    // daemons' teardown to each caller.
+    Row {
+        rule: Rule::OneDeployment,
+        spellings: &["InnerServer::start("],
+        except: &[
+            "crates/nexus-proxy/src/deploy.rs",
+            "crates/nexus-proxy/src/inner.rs",
+            "benchmark/",
+        ],
+        tests: true,
+        callers: true,
+        allow: Allow::No,
+        message: "a hand-built proxy deployment: start it with `nexus_proxy::Deployment`",
+        ..ROW
+    },
 ];
 
 /// Match every row against `src`, one finding per row and line. A line
@@ -392,11 +416,14 @@ pub fn check(src: &Source, out: &mut Vec<Violation>) {
             .iter()
             .any(|u| u.line == n && occurs(&u.code, &u.bounds, s))
     };
+    let library = src.path.starts_with("src/")
+        || (src.path.starts_with("crates/") && src.path.split('/').nth(2) == Some("src"));
     let rows: Vec<&Row> = ROWS
         .iter()
         .filter(|row| {
             let within = |prefixes: &[&str]| prefixes.iter().any(|p| src.path.starts_with(p));
-            (row.only.is_empty() || within(row.only))
+            (library || row.callers)
+                && (row.only.is_empty() || within(row.only))
                 && !within(row.except)
                 && !matches!(row.unless, Unless::File(u)
                     if src.lines.iter().any(|l| u.iter().any(|s| spells(l, s))))
@@ -793,7 +820,21 @@ mod tests {
         ("crates/rmf/src/wire.rs", SPAWN_PASSING, &[]),
         ("crates/nexus-proxy/src/workers.rs", SPAWN_FAILING, &[]),
         ("crates/rmf/src/gatekeeper.rs", SPAWN_FAILING, &[]),
+        // The deployment is built in one place; a caller's test or
+        // example is judged too, and only this row judges it.
+        ("tests/demo.rs", HAND_BUILT, &[(3, OneDeployment)]),
+        ("crates/gridmpi/src/lib.rs", HAND_BUILT, &[(3, OneDeployment)]),
+        ("crates/nexus-proxy/src/deploy.rs", HAND_BUILT, &[]),
+        ("benchmark/src/topo.rs", HAND_BUILT, &[]),
+        ("examples/demo.rs", DEPLOYED, &[]),
     ];
+
+    const HAND_BUILT: &str = "#[cfg(test)]\nfn world(net: VNet) -> InnerServer {\n    \
+         InnerServer::start(net, InnerConfig::new(\"rwcp-inner\")).unwrap()\n}\n";
+
+    const DEPLOYED: &str =
+        "fn main() {\n    let d = Deployment::paper([\"rwcp-sun\"], [\"etl-sun\"]).unwrap();\n    \
+         std::thread::sleep(TICK);\n}\n";
 
     const CORE_DIRTY: &str = "
 use std::net::TcpStream;

@@ -103,6 +103,9 @@ pub fn analyze_workspace(
         }
     }
     graph.report_cycles(&mut violations);
+    for src in callers {
+        rules::check(src, &mut violations);
+    }
 
     let frame_variants = check_frame_coverage(files, fuzz_sweep, &mut violations);
     check_orphan_modules(files, &mut violations);

@@ -12,25 +12,9 @@ use wacs::prelude::*;
 
 fn main() -> std::io::Result<()> {
     // Firewalled site + open site, with the proxy pair deployed.
-    let net = VNet::new();
-    let rwcp = net.add_site("rwcp", None);
-    let dmz = net.add_site("dmz", None);
-    let etl = net.add_site("etl", None);
-    for i in 0..4 {
-        net.add_host(format!("compas{i}"), rwcp);
-    }
-    let inner_ref = net.add_host("rwcp-inner", rwcp);
-    net.add_host("rwcp-outer", dmz);
-    for i in 0..4 {
-        net.add_host(format!("etl{i}"), etl);
-    }
-    net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-
-    let _inner = InnerServer::start(net.clone(), InnerConfig::new("rwcp-inner"))?;
-    let _outer = OuterServer::start(
-        net.clone(),
-        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-    )?;
+    let hosts = |prefix: &'static str| (0..4).map(move |i| format!("{prefix}{i}"));
+    let d = Deployment::paper(hosts("compas"), hosts("etl"))?;
+    let net = d.net.clone();
 
     // Ranks 0-3 inside (proxied), 4-7 outside (direct).
     let mut specs = Vec::new();

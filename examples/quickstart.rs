@@ -16,30 +16,25 @@ use wacs::prelude::*;
 
 fn main() -> std::io::Result<()> {
     // ---- The world: one firewalled site, one open site -------------
-    let net = VNet::new();
-    let rwcp = net.add_site("rwcp", None); // policy set below
-    let dmz = net.add_site("dmz", None);
-    let internet = net.add_site("internet", None);
-
-    net.add_host("rwcp-sun", rwcp);
-    let inner_ref = net.add_host("rwcp-inner", rwcp);
-    let alloc_ref = net.add_host("rwcp-alloc", rwcp);
-    let qsrv_ref = net.add_host("compas-fe", rwcp);
-    net.add_host("rwcp-outer", dmz);
-    net.add_host("user", internet);
+    // The paper's deployment: site rwcp behind its firewall, with the
+    // Nexus Proxy's inner server inside and its outer server in the
+    // DMZ; the user outside.
+    let d = Deployment::paper(["rwcp-sun", "rwcp-alloc", "compas-fe"], ["user"])?;
+    let net = d.net.clone();
 
     // Deny-based inbound, allow-based outbound — with exactly the
     // holes the paper's architecture needs: nxport for the proxy, plus
     // the fixed RMF control ports.
+    let host = |name| net.host_ref(name).unwrap();
     let policy = rmf_site_policy(
         "rwcp",
         &[
-            (alloc_ref, rmf::ALLOCATOR_PORT),
-            (qsrv_ref, rmf::QSERVER_PORT),
-            (inner_ref, NXPORT),
+            (host("rwcp-alloc"), rmf::ALLOCATOR_PORT),
+            (host("compas-fe"), rmf::QSERVER_PORT),
+            (host("rwcp-inner"), NXPORT),
         ],
     );
-    net.reload_policy(rwcp, policy);
+    net.reload_policy(net.host_site("rwcp-sun").unwrap(), policy);
 
     // ---- 1. The firewall problem -----------------------------------
     let listener = net.bind("rwcp-sun", 7777)?;
@@ -50,12 +45,7 @@ fn main() -> std::io::Result<()> {
     drop(listener);
 
     // ---- 2. The Nexus Proxy ----------------------------------------
-    let _inner = InnerServer::start(net.clone(), InnerConfig::new("rwcp-inner"))?;
-    let outer = OuterServer::start(
-        net.clone(),
-        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-    )?;
-    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
+    let env = d.env();
 
     // The inside server binds via NXProxyBind: it advertises a
     // rendezvous address on the outer server.
@@ -77,7 +67,7 @@ fn main() -> std::io::Result<()> {
     println!(
         "[2] relayed round trip: sent \"ping!\", got \"{}\" ({} bytes moved by the outer server)",
         String::from_utf8_lossy(&buf),
-        outer.stats().relayed_bytes
+        d.outer().stats().relayed_bytes
     );
     srv.join().unwrap()?;
 

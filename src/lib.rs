@@ -66,8 +66,8 @@ pub mod prelude {
     pub use knapsack::{Instance, ParParams};
     pub use nexus::{NexusContext, PortPolicy};
     pub use nexus_proxy::{
-        nx_proxy_bind, nx_proxy_connect, InnerConfig, InnerServer, OuterConfig, OuterServer,
-        ProxyEnv,
+        nx_proxy_bind, nx_proxy_connect, Deployment, InnerConfig, InnerServer, OuterConfig,
+        OuterServer, ProxyEnv,
     };
     pub use rmf::{
         rmf_site_policy, submit_job, wait_job, ExecRegistry, FlowTrace, GassStore, Gatekeeper,

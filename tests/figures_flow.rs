@@ -14,29 +14,8 @@
 use std::io::{Read, Write};
 use wacs::prelude::*;
 
-struct World {
-    net: VNet,
-    outer: OuterServer,
-    inner: InnerServer,
-}
-
-fn world() -> World {
-    let net = VNet::new();
-    let rwcp = net.add_site("rwcp", None);
-    let dmz = net.add_site("dmz", None);
-    let etl = net.add_site("etl", None);
-    net.add_host("rwcp-sun", rwcp);
-    let inner_ref = net.add_host("rwcp-inner", rwcp);
-    net.add_host("rwcp-outer", dmz);
-    net.add_host("etl-sun", etl);
-    net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-    let inner = InnerServer::start(net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let outer = OuterServer::start(
-        net.clone(),
-        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-    )
-    .unwrap();
-    World { net, outer, inner }
+fn world() -> Deployment {
+    Deployment::paper(["rwcp-sun"], ["etl-sun"]).unwrap()
 }
 
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
@@ -63,17 +42,17 @@ fn figure3_active_connection_steps() {
         s.write_all(&b).unwrap();
     });
 
-    let before = w.outer.stats();
+    let before = w.outer().stats();
     // Step 1: PA calls NXProxyConnect() instead of connect().
     let mut pa = nx_proxy_connect(&w.net, &env, "rwcp-sun", ("etl-sun", 6100)).unwrap();
     // Step 2 happened inside the outer server: it received the request
     // and dialed PB. The counters land just after the reply the client
     // saw, so poll rather than assert the instantaneous snapshot.
     wait_until("control accept counted", || {
-        w.outer.stats().control_accepts - before.control_accepts == 1
+        w.outer().stats().control_accepts - before.control_accepts == 1
     });
     wait_until("connect counted", || {
-        w.outer.stats().connects_ok - before.connects_ok == 1
+        w.outer().stats().connects_ok - before.connects_ok == 1
     });
     // Step 3 outcome: an end-to-end link through the outer server.
     pa.write_all(b"hi").unwrap();
@@ -84,10 +63,10 @@ fn figure3_active_connection_steps() {
     // Byte accounting lands just *after* each relay write, so the
     // counter can trail the data by an instant — wait, don't assert.
     wait_until("relayed bytes counted", || {
-        w.outer.stats().relayed_bytes >= 4
+        w.outer().stats().relayed_bytes >= 4
     });
     // The inner server was NOT involved in an active open.
-    assert_eq!(w.inner.stats().relays_ok, 0);
+    assert_eq!(w.inner().stats().relays_ok, 0);
 }
 
 #[test]
@@ -101,8 +80,8 @@ fn figure4_passive_connection_steps() {
     let (adv_host, adv_port) = listener.advertised.clone();
     // Step 2: the outer server bound that rendezvous port.
     assert_eq!(adv_host, "rwcp-outer");
-    assert_eq!(w.outer.rendezvous_ports(), vec![adv_port]);
-    assert_eq!(w.outer.stats().binds, 1);
+    assert_eq!(w.outer().rendezvous_ports(), vec![adv_port]);
+    assert_eq!(w.outer().stats().binds, 1);
 
     let t = std::thread::spawn(move || {
         // Step 5: PA calls NXProxyAccept() on the endpoint returned by
@@ -123,14 +102,14 @@ fn figure4_passive_connection_steps() {
 
     // Step 4 happened inside: outer connected to inner (via nxport),
     // inner connected to PA.
-    assert_eq!(w.outer.stats().relays_ok, 1);
-    assert_eq!(w.inner.stats().relays_ok, 1);
+    assert_eq!(w.outer().stats().relays_ok, 1);
+    assert_eq!(w.inner().stats().relays_ok, 1);
     // Both daemons moved the payload.
     wait_until("outer relayed bytes counted", || {
-        w.outer.stats().relayed_bytes >= 8
+        w.outer().stats().relayed_bytes >= 8
     });
     wait_until("inner relayed bytes counted", || {
-        w.inner.stats().relayed_bytes >= 8
+        w.inner().stats().relayed_bytes >= 8
     });
 }
 

@@ -1,8 +1,9 @@
 //! What an idle or a dropped relay stack leaves running, read from
 //! `/proc/self`: accepts block (DESIGN.md §6c "accepts block too"), so
 //! an idle deployment makes almost no voluntary context switches, and
-//! a stop handle wakes every acceptor, so dropped daemons take all of
-//! their threads with them.
+//! a dropped deployment cuts its live relays and joins every thread it
+//! started, so the process is back to its thread and descriptor counts
+//! the moment the drop returns.
 //!
 //! Both counts cover every thread of the process, so this file holds
 //! one test and nothing runs beside it.
@@ -12,11 +13,21 @@
 
 use std::fs;
 use std::io::{Read, Write};
-use std::time::{Duration, Instant};
+use std::net::TcpStream;
+use std::time::Duration;
+use wacs::nexus::{Endpoint, Startpoint};
+use wacs::nexus_proxy::NxListener;
 use wacs::prelude::*;
 
-fn threads() -> usize {
-    fs::read_dir("/proc/self/task").unwrap().count()
+/// Relays and endpoint attachments live at each drop.
+const N: usize = 2;
+/// Deployments built and dropped.
+const ROUNDS: usize = 100;
+
+/// `(threads, open descriptors)` of this process.
+fn census() -> (usize, usize) {
+    let count = |dir| fs::read_dir(dir).unwrap().count();
+    (count("/proc/self/task"), count("/proc/self/fd"))
 }
 
 /// Sum of `voluntary_ctxt_switches` over every live thread: each
@@ -34,82 +45,75 @@ fn voluntary_switches() -> u64 {
         .sum()
 }
 
-fn wait_until(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
-    let end = Instant::now() + deadline;
-    while !cond() {
-        assert!(Instant::now() < end, "timed out waiting: {what}");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+/// A deployment under load. The daemons drop first, with every relay
+/// and attachment below still open.
+struct Stack {
+    d: Deployment,
+    /// Two-hop relays (peer -> outer -> inner -> client), each with the
+    /// inside listener that published it.
+    _relays: Vec<(NxListener, TcpStream, TcpStream)>,
+    /// Proxied endpoints, each with one attached outside startpoint.
+    _attached: Vec<(Endpoint, Startpoint)>,
 }
 
-#[test]
-fn an_idle_stack_does_not_poll_and_a_dropped_one_leaves_no_thread() {
-    let threads_before = threads();
-
-    let net = VNet::new();
-    let rwcp = net.add_site("rwcp", Some(Policy::typical("rwcp")));
-    let dmz = net.add_site("dmz", None);
-    let etl = net.add_site("etl", None);
-    net.add_host("rwcp-sun", rwcp);
-    let inner_ref = net.add_host("rwcp-inner", rwcp);
-    net.add_host("rwcp-outer", dmz);
-    net.add_host("etl-sun", etl);
-    net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-    let inner = InnerServer::start(net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let outer = OuterServer::start(
-        net.clone(),
-        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-    )
-    .unwrap();
-    let env = ProxyEnv::via("rwcp-outer", OUTER_PORT);
-
-    // Two open two-hop relays (peer -> outer -> inner -> client), each
-    // proven end to end by one byte and silent from then on, and one
-    // nexus endpoint with its acceptor.
-    let mut relays: Vec<_> = (0..2)
+fn start() -> Stack {
+    let d = Deployment::paper(["rwcp-sun"], ["etl-sun"]).unwrap();
+    let (net, env) = (&d.net, d.env());
+    // Each relay is proven end to end by one byte, then left carrying
+    // 32 KiB that nobody reads.
+    let relays = (0..N)
         .map(|_| {
-            let listener = nx_proxy_bind(&net, &env, "rwcp-sun").unwrap();
+            let listener = nx_proxy_bind(net, &env, "rwcp-sun").unwrap();
             let (host, port) = listener.advertised.clone();
             let mut peer = net.dial("etl-sun", &host, port).unwrap();
             let mut accepted = listener.accept().unwrap();
             peer.write_all(b"!").unwrap();
             accepted.read_exact(&mut [0u8; 1]).unwrap();
-            (listener, Some((peer, accepted)))
+            peer.write_all(&[7u8; 32 << 10]).unwrap();
+            (listener, peer, accepted)
         })
         .collect();
-    let endpoint = NexusContext::via_proxy(net.clone(), "rwcp-sun", ("rwcp-outer", OUTER_PORT))
-        .endpoint()
-        .unwrap();
-    wait_until(
-        "relays and registrations up",
-        Duration::from_secs(2),
-        || outer.active_relays() == 2 && outer.rendezvous_ports().len() == 3,
-    );
+    let outside = NexusContext::direct(net.clone(), "etl-sun");
+    let attached = (0..N)
+        .map(|_| {
+            let ep = NexusContext::via_proxy(net.clone(), "rwcp-sun", ("rwcp-outer", OUTER_PORT))
+                .endpoint()
+                .unwrap();
+            let (host, port) = ep.advertised();
+            let sp = outside.attach((host, port)).unwrap();
+            sp.send(b"live").unwrap();
+            assert_eq!(ep.recv().unwrap(), b"live");
+            (ep, sp)
+        })
+        .collect();
+    Stack {
+        d,
+        _relays: relays,
+        _attached: attached,
+    }
+}
+
+#[test]
+fn an_idle_stack_does_not_poll_and_a_dropped_one_leaves_no_thread() {
+    let before = census();
 
     // What still wakes: the outer server's 25 ms reaper tick and this
     // thread's one sleep (14-16 switches measured). The 1 ms accept
     // polls made 1593 here: six listeners at ~265 each.
-    let before = voluntary_switches();
+    let stack = start();
+    let switches = voluntary_switches();
     std::thread::sleep(Duration::from_millis(300));
-    let switches = voluntary_switches() - before;
+    let switches = voluntary_switches() - switches;
     assert!(
         switches < 60,
         "{switches} voluntary switches in 300 ms idle"
     );
+    assert_eq!(stack.d.outer().active_relays(), 2 * N);
+    drop(stack);
+    assert_eq!(census(), before, "after the first drop");
 
-    // Close the relays, keep three registrations live (the endpoint's
-    // becomes a plain bind), and drop the daemons under them.
-    drop(endpoint);
-    for (_, streams) in &mut relays {
-        *streams = None;
+    for round in 1..ROUNDS {
+        drop(start());
+        assert_eq!(census(), before, "after drop {round}");
     }
-    let _third = nx_proxy_bind(&net, &env, "rwcp-sun").unwrap();
-    wait_until("relays closed", Duration::from_secs(2), || {
-        outer.active_relays() == 0 && outer.rendezvous_ports().len() == 3
-    });
-    drop(outer);
-    drop(inner);
-    wait_until("threads back at baseline", Duration::from_secs(1), || {
-        threads() == threads_before
-    });
 }

@@ -8,42 +8,16 @@
 use std::sync::Arc;
 use wacs::prelude::*;
 
-struct TwoSites {
-    net: VNet,
-    _outer: OuterServer,
-    _inner: InnerServer,
-}
-
-fn two_sites() -> TwoSites {
-    let net = VNet::new();
-    let rwcp = net.add_site("rwcp", None);
-    let dmz = net.add_site("dmz", None);
-    let etl = net.add_site("etl", None);
-    net.add_host("rwcp-sun", rwcp);
-    for i in 0..4 {
-        net.add_host(format!("compas{i}"), rwcp);
-    }
-    let inner_ref = net.add_host("rwcp-inner", rwcp);
-    net.add_host("rwcp-outer", dmz);
-    for i in 0..4 {
-        net.add_host(format!("etl{i}"), etl);
-    }
-    net.reload_policy(rwcp, Policy::typical_with_nxport("rwcp", inner_ref, NXPORT));
-    let inner = InnerServer::start(net.clone(), InnerConfig::new("rwcp-inner")).unwrap();
-    let outer = OuterServer::start(
-        net.clone(),
-        OuterConfig::new("rwcp-outer").with_inner("rwcp-inner", NXPORT),
-    )
-    .unwrap();
-    TwoSites {
-        net,
-        _outer: outer,
-        _inner: inner,
-    }
+/// RWCP behind its firewall (`rwcp-sun`, `compas0..3`) and ETL
+/// outside (`etl0..3`), the paper's proxy between them.
+fn two_sites() -> Deployment {
+    let hosts = |prefix: &'static str| (0..4).map(move |i| format!("{prefix}{i}"));
+    let inside = std::iter::once("rwcp-sun".to_string()).chain(hosts("compas"));
+    Deployment::paper(inside, hosts("etl")).unwrap()
 }
 
 /// 2 proxied inside ranks + 2 direct outside ranks.
-fn mixed_specs(w: &TwoSites, inside: usize, outside: usize) -> Vec<RankSpec> {
+fn mixed_specs(w: &Deployment, inside: usize, outside: usize) -> Vec<RankSpec> {
     let mut specs = Vec::new();
     specs.push(RankSpec::new(NexusContext::via_proxy(
         w.net.clone(),
@@ -93,8 +67,8 @@ fn knapsack_over_real_sockets_across_the_firewall() {
     assert_eq!(rr.total_traversed(), expected_nodes);
     // The relay actually carried traffic: the master is inside, the
     // ETL slaves outside, so steal/node shipments crossed the proxy.
-    assert!(w._outer.stats().relayed_bytes > 0);
-    assert!(w._inner.stats().relays_ok > 0);
+    assert!(w.outer().stats().relayed_bytes > 0);
+    assert!(w.inner().stats().relays_ok > 0);
 }
 
 #[test]
@@ -179,7 +153,7 @@ fn proxy_death_breaks_channels_cleanly() {
     sp.send(b"before").unwrap();
     assert_eq!(ep.recv().unwrap(), b"before");
 
-    w._outer.shutdown();
+    w.outer().shutdown();
     // Give the relay pumps a moment to observe the shutdown; then the
     // existing relayed connection still works (pumps are independent
     // threads) but new attaches to the rendezvous must fail.
