@@ -5,14 +5,15 @@
 
 use std::error::Error;
 use std::process::ExitCode;
-use wacs_bench::{ablations, congestion, figures, scaling, tables};
+use wacs_bench::{ablations, congestion, figures, scaling, tables, NAMES};
 use wacs_core::calibration::TABLE4_ITEMS;
 
-const USAGE: &str = "usage: paper <name> [--items N]
-names: table2 table3 table4 table5 table6 figures
-       ablation_sweep ablation_portrange ablation_relay ablation_congestion
-       ablation_pruning ablation_faults
-       shard_scaling stripe_scaling table2_decomposition";
+fn usage() -> String {
+    format!(
+        "usage: paper <name> [--items N]\nnames: {}",
+        NAMES.join(" ")
+    )
+}
 
 /// The names whose knapsack size `--items` overrides.
 const SIZED: &[&str] = &[
@@ -33,7 +34,7 @@ fn parse(args: &[String]) -> Result<(&str, Option<usize>), String> {
             }
             Ok((name, Some(n)))
         }
-        _ => Err(USAGE.to_string()),
+        _ => Err(usage()),
     }
 }
 
@@ -54,9 +55,8 @@ fn print(name: &str, items: Option<usize>) -> Result<(), Box<dyn Error>> {
         "ablation_pruning" => ablations::ablation_pruning(),
         "ablation_faults" => ablations::ablation_faults(),
         "shard_scaling" => println!("{}", scaling::shard_scaling()?.to_json()),
-        "stripe_scaling" => println!("{}", scaling::stripe_scaling()?.to_json()),
         "table2_decomposition" => println!("{}", wacs_core::table2_report(1)),
-        other => return Err(format!("unknown name {other:?}\n{USAGE}").into()),
+        other => return Err(format!("unknown name {other:?}\n{}", usage()).into()),
     }
     Ok(())
 }

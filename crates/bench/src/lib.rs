@@ -24,7 +24,6 @@
 //! | `ablation_pruning` | node-count variance with the bound test on | `.txt` |
 //! | `ablation_faults` | WAN fault rate vs knapsack completion | `.txt` |
 //! | `shard_scaling` | fan-in over a 1/2/4-shard relay fleet | `.json` |
-//! | `stripe_scaling` | striped bulk transfer at K = 1/2/4/8 lanes | `.json` |
 //! | `table2_decomposition` | per-hop split of every Table 2 cell | `.json` |
 //!
 //! `--items N` scales the knapsack size of `table4`..`table6`,
@@ -33,6 +32,26 @@
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 use knapsack::RunResult;
+
+/// Every name `paper` prints, in usage order: each has a golden
+/// `results/<name>.txt` or `.json`, and every golden whose name does not
+/// start with `pr` is one of these (`tests/goldens.rs` checks both).
+pub const NAMES: &[&str] = &[
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "figures",
+    "ablation_sweep",
+    "ablation_portrange",
+    "ablation_relay",
+    "ablation_congestion",
+    "ablation_pruning",
+    "ablation_faults",
+    "shard_scaling",
+    "table2_decomposition",
+];
 
 pub mod ablations;
 pub mod congestion;

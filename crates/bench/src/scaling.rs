@@ -1,22 +1,19 @@
-//! Scale-out of the relay fleet in virtual time (`paper shard_scaling`,
-//! `paper stripe_scaling`).
+//! Scale-out of the relay fleet in virtual time (`paper shard_scaling`).
 //!
 //! | scenario | shape |
 //! |---|---|
 //! | `shard_scaling` | fan-in cells over a sharded outer fleet: the same cell workload at 1/2/4 shards (Table 2's fan-in shape, relay service queues per shard), plus a kill-one-shard cell that must finish with zero lost sequence numbers and a stale-map cell whose sinks bind with the map of a smaller fleet |
-//! | `stripe_scaling` | one multi-megabyte staging payload a single relay cannot saturate, moved at 1/2/4/8 parallel stripe lanes (GridFTP-style), plus a 1%-loss WAN cell and a kill-one-stripe cell that must reassemble byte-exactly |
 //!
-//! Both run on the netsim clock with fixed seeds, so each prints one
+//! It runs on the netsim clock with a fixed seed, so it prints one
 //! answer; `crates/bench/tests/goldens.rs` pins the JSON byte for byte
 //! and asserts the floors on the returned stats. Wall-clock numbers
 //! belong to the gated benchmark in `benchmark/`.
 
 use netsim::prelude::*;
 use nexus_proxy::sim::{
-    stripe_cell, NxActor, NxApp, NxClient, NxEvent, NxHandled, RelayModel, SimOuterServer,
-    SimProxyEnv, StripeCell, StripeSender, StripeSink,
+    NxActor, NxApp, NxClient, NxEvent, NxHandled, RelayModel, SimOuterServer, SimProxyEnv,
 };
-use nexus_proxy::{ShardStats, StripePlan, StripeStats};
+use nexus_proxy::ShardStats;
 use std::io;
 use std::sync::Arc;
 use wacs_obs::json::JsonWriter;
@@ -467,228 +464,6 @@ pub fn shard_scaling() -> io::Result<ShardScaling> {
         cells,
         msgs_per_cell: msgs,
         msg_bytes,
-        modes,
-    })
-}
-
-// ---------------------------------------------------------------------
-// stripe_scaling: striped bulk transfer over the sharded relay fleet.
-// ---------------------------------------------------------------------
-
-/// One `stripe_scaling` cell. A cell has at most K lane spans
-/// (`wacs.stripe.stripe_ns`: first chunk arrival → full lane coverage,
-/// receiver side), too few for percentiles, so it reports their exact
-/// count, min and max.
-pub struct StripeCellStats {
-    elapsed_ns: u64,
-    bytes: u64,
-    lanes: u64,
-    lane_span_min_ns: u64,
-    lane_span_max_ns: u64,
-    streams: u64,
-    shards: u64,
-    chunks: u64,
-    chunk_bytes: u64,
-    /// 1 iff the payload reassembled byte-exactly with no typed error.
-    pub completed: u64,
-    pub killed: u64,
-    pub drop_ppm: u64,
-    pub failovers: u64,
-    dup_chunks: u64,
-    resent_chunks: u64,
-    conflicts: u64,
-}
-
-impl StripeCellStats {
-    fn bytes_per_sec(&self) -> u64 {
-        bytes_per_sec(self.bytes, self.elapsed_ns)
-    }
-
-    /// Goodput as a fraction (×1000) of the aggregate relay-copy
-    /// bandwidth the lanes *could* use (`streams` relay queues at
-    /// [`RelayModel::default`]'s copy rate): how close striping gets
-    /// to saturating the parallel service capacity.
-    fn utilization_x1000(&self) -> u64 {
-        let capacity = (RelayModel::default().bandwidth as u64).max(1) * self.streams.max(1);
-        self.bytes_per_sec() * 1000 / capacity
-    }
-
-    fn to_json(&self) -> String {
-        let mut obs = JsonWriter::object();
-        obs.field_u64("failovers", self.failovers)
-            .field_u64("dup_chunks", self.dup_chunks)
-            .field_u64("resent_chunks", self.resent_chunks)
-            .field_u64("conflicts", self.conflicts);
-        let mut w = JsonWriter::object();
-        w.field_u64("elapsed_ns", self.elapsed_ns)
-            .field_u64("bytes", self.bytes)
-            .field_u64("bytes_per_sec", self.bytes_per_sec())
-            .field_u64("utilization_x1000", self.utilization_x1000())
-            .field_u64("lanes", self.lanes)
-            .field_u64("lane_span_min_ns", self.lane_span_min_ns)
-            .field_u64("lane_span_max_ns", self.lane_span_max_ns)
-            .field_u64("streams", self.streams)
-            .field_u64("shards", self.shards)
-            .field_u64("chunks", self.chunks)
-            .field_u64("chunk_bytes", self.chunk_bytes)
-            .field_u64("completed", self.completed)
-            .field_u64("killed", self.killed)
-            .field_u64("drop_ppm", self.drop_ppm)
-            .field_raw("obs", &obs.finish());
-        w.finish()
-    }
-}
-
-/// One striped-transfer cell in virtual time: `streams` lanes over a
-/// fleet of `shards` relay shards, each lane pinned to its own shard
-/// (`with_bind_lane`). `drop_ppm` injects per-traversal chunk loss
-/// (sim-TCP retransmits keep flows reliable, so loss costs time, not
-/// bytes). `kill` crashes the shard serving stripe 0 mid-transfer.
-fn stripe_cell_run(
-    seed: u64,
-    shards: usize,
-    streams: u16,
-    total_len: u64,
-    chunk: u32,
-    drop_ppm: u64,
-    kill: bool,
-) -> io::Result<StripeCellStats> {
-    let start_at = SimDuration::from_millis(300);
-    let names = (0..shards)
-        .map(|i| format!("shard{i}"))
-        .chain(["rx".to_string(), "tx".to_string()]);
-    let (topo, hosts) = star(names);
-    let (shard_hosts, rest) = hosts.split_at(shards);
-    let (rx_host, tx_host) = (rest[0], rest[1]);
-
-    let registry = Registry::new();
-    let lane_hist = registry.histogram("wacs.stripe.stripe_ns");
-    let mut sim = Simulator::new(topo, seed);
-    let (members, shard_ids) = spawn_fleet(&mut sim, shard_hosts, &registry);
-    let plan = StripePlan::new(total_len, streams, chunk).map_err(io::Error::from)?;
-    let data: Arc<Vec<u8>> = Arc::new(
-        (0..total_len as usize)
-            .map(|i| ((i * 131 + 17) % 251) as u8)
-            .collect(),
-    );
-    let stats = StripeStats::in_registry(&registry);
-    let cell: StripeCell = stripe_cell(streams);
-    for stripe in 0..streams {
-        sim.spawn(
-            rx_host,
-            Box::new(NxActor::new(
-                NxClient::new(SimProxyEnv::direct())
-                    .with_fleet(members.clone())
-                    .with_bind_lane(stripe)
-                    .with_obs(&registry),
-                StripeSink::new(stripe, cell.clone()).with_stats(stats.clone()),
-            )),
-        );
-        sim.spawn(
-            tx_host,
-            Box::new(NxActor::new(
-                NxClient::new(SimProxyEnv::direct()),
-                StripeSender::new(stripe, cell.clone(), data.clone(), plan, 7, start_at)
-                    .with_stats(stats.clone()),
-            )),
-        );
-    }
-
-    if drop_ppm > 0 {
-        sim.install_faults(FaultPlan::new(seed).drop_messages(drop_ppm as f64 / 1e6, false));
-    }
-    if kill {
-        // Let the lanes get going, then crash whichever shard is
-        // carrying stripe 0 (discovered mid-run, like the killshard
-        // cell one layer down).
-        let crash_at = start_at + SimDuration::from_millis(300);
-        sim.run_until(SimTime(crash_at.nanos()));
-        let serving = cell.lock().advertised.first().copied().flatten();
-        crash_serving(&mut sim, seed, shard_hosts, &shard_ids, serving)?;
-    }
-    sim.run_until(SimTime(SimDuration::from_secs(600).nanos()));
-
-    let c = cell.lock();
-    let exact = c.receiver.result().is_some_and(|(_, got)| got == **data);
-    let elapsed_ns = c
-        .done_at_ns
-        .unwrap_or(0)
-        .saturating_sub(start_at.nanos())
-        .max(1);
-    let spans = lane_hist.snapshot();
-    Ok(StripeCellStats {
-        elapsed_ns,
-        bytes: total_len,
-        lanes: spans.count,
-        lane_span_min_ns: spans.min,
-        lane_span_max_ns: spans.max,
-        streams: u64::from(streams),
-        shards: shards as u64,
-        chunks: plan.chunk_count(),
-        chunk_bytes: u64::from(chunk),
-        completed: u64::from(exact && c.errors.is_empty()),
-        killed: u64::from(kill),
-        drop_ppm,
-        failovers: c.failovers,
-        dup_chunks: stats.dup_chunks.get(),
-        resent_chunks: stats.resent_chunks.get(),
-        conflicts: stats.conflicts.get(),
-    })
-}
-
-/// The `stripe_scaling` scenario: cells `streams1`, `streams2`,
-/// `streams4`, `streams8`, `lossy4`, `killstripe`.
-pub struct StripeScaling {
-    seed: u64,
-    total_len: u64,
-    chunk_bytes: u64,
-    shards: u64,
-    pub modes: Vec<(String, StripeCellStats)>,
-}
-
-impl StripeScaling {
-    /// 4-lane ÷ 1-lane bulk throughput, ×1000.
-    pub fn speedup_x1000(&self) -> u64 {
-        self.modes[2].1.bytes_per_sec() * 1000 / self.modes[0].1.bytes_per_sec().max(1)
-    }
-
-    pub fn to_json(&self) -> String {
-        let mut config = JsonWriter::object();
-        config
-            .field_u64("total_len", self.total_len)
-            .field_u64("chunk_bytes", self.chunk_bytes)
-            .field_u64("shards", self.shards);
-        let mut modes = JsonWriter::object();
-        for (name, st) in &self.modes {
-            modes.field_raw(name, &st.to_json());
-        }
-        let mut w = JsonWriter::object();
-        w.field_str("scenario", "stripe_scaling")
-            .field_u64("seed", self.seed)
-            .field_raw("config", &config.finish())
-            .field_raw("modes", &modes.finish())
-            .field_u64("speedup_x1000", self.speedup_x1000());
-        w.finish()
-    }
-}
-
-/// Run the six `stripe_scaling` cells (fixed seed, virtual time).
-pub fn stripe_scaling() -> io::Result<StripeScaling> {
-    let (seed, total_len, chunk, shards) = (0x57a1e, 8 << 20, 64 * 1024, 8);
-    let mut modes = Vec::new();
-    for streams in [1u16, 2, 4, 8] {
-        let st = stripe_cell_run(seed, shards, streams, total_len, chunk, 0, false)?;
-        modes.push((format!("streams{streams}"), st));
-    }
-    let lossy = stripe_cell_run(seed, shards, 4, total_len, chunk, 10_000, false)?;
-    modes.push(("lossy4".to_string(), lossy));
-    let kill = stripe_cell_run(seed, shards, 4, total_len, chunk, 0, true)?;
-    modes.push(("killstripe".to_string(), kill));
-    Ok(StripeScaling {
-        seed,
-        total_len,
-        chunk_bytes: u64::from(chunk),
-        shards: shards as u64,
         modes,
     })
 }

@@ -5,15 +5,18 @@
 //! that re-records the file when the change is intended. One `#[test]`
 //! per name, so libtest runs them in parallel.
 //!
-//! The two scaling scenarios also assert their floors on the stats the
+//! The scaling scenario also asserts its floors on the stats the
 //! library returns: zero lost work, the kill confined to the kill cell
-//! with at least one failover, and the scale-out speedups.
+//! with at least one failover, and the scale-out speedup. The golden
+//! set and `paper`'s names are one inventory: neither has a name the
+//! other lacks.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
-use wacs_bench::scaling;
+use wacs_bench::{scaling, NAMES};
 
 fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
@@ -56,6 +59,36 @@ fn golden(name: &str) {
             around(&got),
         );
     }
+}
+
+/// Every golden under `results/` (a `.txt` or `.json` whose name does
+/// not start with `pr`, which marks a PR's own evidence) is a `paper`
+/// name, and every `paper` name has a golden.
+#[test]
+fn goldens_and_paper_names_are_one_inventory() {
+    let mut goldens = BTreeSet::new();
+    for entry in std::fs::read_dir(results_dir()).expect("read results/") {
+        let file = entry.expect("results/ entry").file_name();
+        let file = file.to_string_lossy();
+        let stem = [".txt", ".json"]
+            .iter()
+            .find_map(|ext| file.strip_suffix(ext));
+        if let Some(stem) = stem.filter(|s| !s.starts_with("pr")) {
+            goldens.insert(stem.to_string());
+        }
+    }
+    let names: BTreeSet<String> = NAMES.iter().map(ToString::to_string).collect();
+    assert_eq!(names.len(), NAMES.len(), "a paper name is listed twice");
+    let orphans: Vec<&String> = goldens.difference(&names).collect();
+    assert!(
+        orphans.is_empty(),
+        "goldens no paper name prints: {orphans:?}"
+    );
+    let missing: Vec<&String> = names.difference(&goldens).collect();
+    assert!(
+        missing.is_empty(),
+        "paper names without a golden: {missing:?}"
+    );
 }
 
 macro_rules! goldens {
@@ -122,40 +155,5 @@ fn shard_scaling() {
     assert!(
         speedup >= 1500,
         "4-shard fan-in speedup {speedup} below 1500 (x1000)"
-    );
-}
-
-#[test]
-fn stripe_scaling() {
-    golden("stripe_scaling");
-    let s = scaling::stripe_scaling().unwrap();
-    let names: Vec<&str> = s.modes.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(
-        names,
-        [
-            "streams1",
-            "streams2",
-            "streams4",
-            "streams8",
-            "lossy4",
-            "killstripe"
-        ]
-    );
-    for (name, c) in &s.modes {
-        assert_eq!(c.completed, 1, "{name}: reassembly not byte-exact");
-        assert_eq!(
-            c.killed == 1,
-            name == "killstripe",
-            "{name}: kill misplaced"
-        );
-        assert_eq!(c.drop_ppm > 0, name == "lossy4", "{name}: loss misplaced");
-        if c.killed > 0 {
-            assert!(c.failovers >= 1, "{name}: no lane failover");
-        }
-    }
-    let speedup = s.speedup_x1000();
-    assert!(
-        speedup >= 2000,
-        "4-lane bulk speedup {speedup} below 2000 (x1000)"
     );
 }

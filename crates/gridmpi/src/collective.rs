@@ -13,24 +13,6 @@ const TAG_BARRIER_DOWN: i32 = -2;
 const TAG_BCAST: i32 = -3;
 const TAG_REDUCE: i32 = -4;
 
-/// Element-wise reduction operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceOp {
-    Sum,
-    Min,
-    Max,
-}
-
-impl ReduceOp {
-    fn f64(self, a: f64, b: f64) -> f64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        }
-    }
-}
-
 impl Comm {
     /// Binomial-tree broadcast of raw bytes from `root`. Every rank
     /// returns the payload.
@@ -66,14 +48,9 @@ impl Comm {
         Ok(data)
     }
 
-    /// Binomial-tree reduction of an `f64` vector to `root`.
+    /// Binomial-tree element-wise sum of an `f64` vector to `root`.
     /// Returns `Some(result)` on root, `None` elsewhere.
-    pub fn reduce_f64(
-        &self,
-        root: u32,
-        mut local: Vec<f64>,
-        op: ReduceOp,
-    ) -> io::Result<Option<Vec<f64>>> {
+    pub fn reduce_f64(&self, root: u32, mut local: Vec<f64>) -> io::Result<Option<Vec<f64>>> {
         let size = self.size();
         let vrank = (self.rank() + size - root) % size;
         let mut mask = 1u32;
@@ -83,7 +60,7 @@ impl Comm {
                 if child < size {
                     let (_, _, bytes) = self.recv(Some((child + root) % size), Some(TAG_REDUCE))?;
                     let other = unpack_f64s(&bytes)?;
-                    combine_f64(&mut local, &other, op)?;
+                    add_f64(&mut local, &other)?;
                 }
             } else {
                 let parent = vrank & !mask;
@@ -96,8 +73,8 @@ impl Comm {
     }
 
     /// Reduce + broadcast.
-    pub fn allreduce_f64(&self, local: Vec<f64>, op: ReduceOp) -> io::Result<Vec<f64>> {
-        let reduced = self.reduce_f64(0, local, op)?;
+    pub fn allreduce_f64(&self, local: Vec<f64>) -> io::Result<Vec<f64>> {
+        let reduced = self.reduce_f64(0, local)?;
         let bytes = self.bcast(0, reduced.map(|v| pack_f64s(&v)).unwrap_or_default())?;
         unpack_f64s(&bytes)
     }
@@ -147,7 +124,7 @@ impl Comm {
     }
 }
 
-fn combine_f64(local: &mut [f64], other: &[f64], op: ReduceOp) -> io::Result<()> {
+fn add_f64(local: &mut [f64], other: &[f64]) -> io::Result<()> {
     if other.len() != local.len() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -155,7 +132,7 @@ fn combine_f64(local: &mut [f64], other: &[f64], op: ReduceOp) -> io::Result<()>
         ));
     }
     for (a, b) in local.iter_mut().zip(other) {
-        *a = op.f64(*a, *b);
+        *a += *b;
     }
     Ok(())
 }

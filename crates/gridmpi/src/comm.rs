@@ -2,9 +2,8 @@
 
 use crate::packet::Packet;
 use nexus::{Endpoint, NexusContext, Startpoint};
-use nexus_proxy::stripe::{Accept, LaneSink, Reassembler, StripeFrame, StripePlan, StripeStats};
 use nexus_proxy::RetryPolicy;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -14,38 +13,9 @@ use wacs_sync::OrderedMutex;
 /// non-negative.
 pub const USER_TAG_MIN: i32 = 0;
 
-/// Reserved tag of stripe transport frames ([`Comm::send_striped`]).
-/// Collectives use the small negative tags; this one is far below
-/// them so the spaces can both grow.
-pub const STRIPE_TAG: i32 = -64;
-
-/// Chunk size for striped sends: one relay segment per chunk.
-pub const STRIPE_CHUNK_BYTES: u32 = 64 * 1024;
-
-/// Whole-stripe retransmit attempts after a dead attachment.
-const STRIPE_REDIALS: u32 = 2;
-
 /// Rank start-up: a peer's endpoint may not exist yet, so an attach is
 /// tried 200 times, 5 ms apart.
 const ATTACH_RETRY: RetryPolicy = RetryPolicy::steps(200, Duration::from_millis(5));
-
-/// One stripe lane over an attachment: every frame is a
-/// [`STRIPE_TAG`] packet (packet seq 0 — the stripe layer does its own
-/// dedup). The frame body is encoded straight behind the packet
-/// header, so each chunk is copied once.
-struct PacketLane {
-    sp: Startpoint,
-    rank: u32,
-}
-
-impl LaneSink for PacketLane {
-    fn send_frame(&mut self, frame: StripeFrame<&[u8]>) -> io::Result<()> {
-        // `encode_body_into` reserves the room the body needs.
-        let mut packet = Packet::header(self.rank, STRIPE_TAG, 0, 0);
-        frame.encode_body_into(&mut packet)?;
-        self.sp.send(&packet)
-    }
-}
 
 /// Per-peer send-side state: the lazily attached startpoint plus the
 /// sequence number of the next frame to that peer.
@@ -75,9 +45,6 @@ struct CommObs {
     recv_ns: wacs_obs::Histogram,
     dup_dropped: wacs_obs::Counter,
     resends: wacs_obs::Counter,
-    /// The striped bulk path (`wacs.stripe.*`, shared schema with the
-    /// proxy layers).
-    stripe: StripeStats,
 }
 
 impl CommObs {
@@ -87,7 +54,6 @@ impl CommObs {
             recv_ns: registry.histogram("gridmpi.recv_ns"),
             dup_dropped: registry.counter("gridmpi.dup_dropped"),
             resends: registry.counter("gridmpi.resends"),
-            stripe: StripeStats::in_registry(registry),
         }
     }
 }
@@ -128,18 +94,6 @@ pub struct Comm {
     dup_dropped: OrderedMutex<u64>,
     /// Sends that needed the reconnect-and-retransmit path.
     resends: OrderedMutex<u64>,
-    /// In-flight striped transfers, keyed by `(src, transfer)`. The
-    /// stripe transport bypasses `order` (parallel flows break the
-    /// FIFO-per-pair assumption that dedup relies on); the reassembler
-    /// dedups per chunk offset instead.
-    stripe_rx: OrderedMutex<HashMap<(u32, u64), Reassembler>>,
-    /// Completed transfer ids, so straggler duplicates of a finished
-    /// transfer are dropped instead of re-opening a reassembler that
-    /// can never complete. Grows by 16 bytes per striped transfer —
-    /// negligible next to the transfers themselves.
-    stripe_done: OrderedMutex<std::collections::HashSet<(u32, u64)>>,
-    /// Next striped-transfer id issued by this rank.
-    next_transfer: OrderedMutex<u64>,
     obs: Option<CommObs>,
 }
 
@@ -176,12 +130,6 @@ impl Comm {
             ),
             dup_dropped: OrderedMutex::new("gridmpi.comm.dup_dropped", 0),
             resends: OrderedMutex::new("gridmpi.comm.resends", 0),
-            stripe_rx: OrderedMutex::new("gridmpi.comm.stripe_rx", HashMap::new()),
-            stripe_done: OrderedMutex::new(
-                "gridmpi.comm.stripe_done",
-                std::collections::HashSet::new(),
-            ),
-            next_transfer: OrderedMutex::new("gridmpi.comm.next_transfer", 1),
             obs: None,
         }
     }
@@ -232,62 +180,6 @@ impl Comm {
         self.send_internal(dest, tag, payload)
     }
 
-    /// Send a large `payload` to `dest` as `stripes` parallel flows
-    /// (GridFTP-style striping over the relay; DESIGN.md §6e). The
-    /// receiver's ordinary `recv(Some(src), Some(tag))` delivers the
-    /// reassembled payload once every chunk has arrived.
-    ///
-    /// Each stripe rides its own attachment — crossing the proxy,
-    /// that is its own relay flow — and carries an arithmetically
-    /// determined slice of the chunks, framed as [`StripeFrame`]s
-    /// inside packets tagged [`STRIPE_TAG`]. A stripe whose
-    /// attachment dies mid-send is retransmitted whole on a fresh
-    /// attachment (bounded retries); the receiver dedups chunks by
-    /// offset, so duplicates are absorbed, never re-delivered.
-    ///
-    /// Ordering caveat: a striped message is matched like any other,
-    /// but it completes when its *last* chunk arrives — it is not
-    /// ordered relative to plain sends issued around it.
-    pub fn send_striped(
-        &self,
-        dest: u32,
-        tag: i32,
-        payload: &[u8],
-        stripes: u16,
-    ) -> io::Result<()> {
-        assert!(tag >= USER_TAG_MIN, "negative tags are reserved");
-        assert!(dest < self.size, "rank {dest} out of range");
-        assert_ne!(dest, self.rank, "self-sends are not supported");
-        let start = Instant::now();
-        let plan = StripePlan::new(payload.len() as u64, stripes, STRIPE_CHUNK_BYTES)
-            .map_err(io::Error::from)?;
-        let transfer = {
-            let mut t = self.next_transfer.lock();
-            let id = *t;
-            *t += 1;
-            id
-        };
-        // Every lane (and every redial) is a fresh attachment.
-        let dial = |_stripe: u16, attempt: u32| {
-            if attempt > 0 {
-                *self.resends.lock() += 1;
-                if let Some(o) = &self.obs {
-                    o.resends.inc();
-                }
-            }
-            Ok(PacketLane {
-                sp: self.attach(dest)?,
-                rank: self.rank,
-            })
-        };
-        let stats = self.obs.as_ref().map(|o| &o.stripe);
-        nexus_proxy::send_striped(payload, &plan, transfer, tag, STRIPE_REDIALS, stats, dial)?;
-        if let Some(o) = &self.obs {
-            o.send_ns.record(start.elapsed().as_nanos() as u64);
-        }
-        Ok(())
-    }
-
     pub(crate) fn send_internal(&self, dest: u32, tag: i32, payload: &[u8]) -> io::Result<()> {
         assert!(dest < self.size, "rank {dest} out of range");
         assert_ne!(dest, self.rank, "self-sends are not supported");
@@ -334,13 +226,6 @@ impl Comm {
     /// to the unexpected queue with every held frame now in order.
     fn ingest(&self, frame: Vec<u8>) -> io::Result<Option<Packet>> {
         let p = Packet::decode(frame)?;
-        // Stripe transport frames are routed *before* the sequence
-        // dedup: they arrive over parallel flows, so they carry no
-        // per-pair sequence. The reassembler dedups per chunk offset
-        // instead.
-        if p.tag == STRIPE_TAG {
-            return self.ingest_stripe(p);
-        }
         let mut order = self.order.lock();
         let from = order.get_mut(p.src as usize).ok_or_else(|| {
             io::Error::new(
@@ -391,90 +276,6 @@ impl Comm {
             }
             // A closed gap files its run in the queue.
             None => Ok(self.take_from_stash(src, tag)),
-        }
-    }
-
-    /// Feed one stripe transport frame to the per-transfer
-    /// reassembler. Returns the synthesized application packet when
-    /// the frame completes its transfer, `None` while chunks are
-    /// still outstanding (or for an absorbed duplicate).
-    fn ingest_stripe(&self, p: Packet) -> io::Result<Option<Packet>> {
-        if p.src >= self.size {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("stripe frame from out-of-range rank {}", p.src),
-            ));
-        }
-        let frame = StripeFrame::decode_body(&p.payload)?;
-        let key = (p.src, frame.transfer_id());
-        // Stragglers of a finished transfer (a stripe retransmitted
-        // whole after the last needed chunk arrived) are duplicates,
-        // not a new transfer: drop them. Only a chunk is a duplicate
-        // chunk; the lanes' trailing `Fin`s land here after every
-        // transfer.
-        if self.stripe_done.lock().contains(&key) {
-            *self.dup_dropped.lock() += 1;
-            if let Some(o) = &self.obs {
-                o.dup_dropped.inc();
-                if matches!(frame, StripeFrame::Data { .. }) {
-                    o.stripe.dup_chunks.inc();
-                }
-            }
-            return Ok(None);
-        }
-        let mut map = self.stripe_rx.lock();
-        if let std::collections::hash_map::Entry::Vacant(slot) = map.entry(key) {
-            // First frame of a transfer must carry the geometry; a
-            // non-Open frame ahead of any Open (reordered across
-            // parallel flows) is dropped — its stripe's Open precedes
-            // it on the *same* FIFO flow, so only cross-flow strays
-            // land here, and their stripe will re-deliver.
-            match Reassembler::open(frame) {
-                Ok(rx) => {
-                    slot.insert(rx);
-                }
-                Err(_) => {
-                    drop(map);
-                    *self.dup_dropped.lock() += 1;
-                    if let Some(o) = &self.obs {
-                        o.dup_dropped.inc();
-                    }
-                    return Ok(None);
-                }
-            }
-        }
-        let Some(rx) = map.get_mut(&key) else {
-            return Ok(None);
-        };
-        let outcome = rx.accept(frame);
-        if let Some(o) = &self.obs {
-            o.stripe.count_received(&frame, &outcome);
-        }
-        match outcome.map_err(io::Error::from)? {
-            Accept::Complete => {
-                let Some(rx) = map.remove(&key) else {
-                    return Ok(None);
-                };
-                drop(map);
-                self.stripe_done.lock().insert(key);
-                let tag = rx.tag();
-                let payload = rx.into_payload().map_err(io::Error::from)?;
-                Ok(Some(Packet {
-                    src: p.src,
-                    tag,
-                    seq: 0,
-                    payload,
-                }))
-            }
-            Accept::Duplicate => {
-                drop(map);
-                *self.dup_dropped.lock() += 1;
-                if let Some(o) = &self.obs {
-                    o.dup_dropped.inc();
-                }
-                Ok(None)
-            }
-            Accept::Fresh => Ok(None),
         }
     }
 

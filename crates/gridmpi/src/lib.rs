@@ -9,7 +9,7 @@
 //!   unexpected-message queue ([`comm`]);
 //! * non-blocking probe (`iprobe`) — the primitive the self-scheduling
 //!   master polls between branch operations;
-//! * binomial-tree collectives: broadcast, reduce, allreduce and
+//! * binomial-tree collectives: broadcast, sum-reduce, allreduce and
 //!   barrier ([`collective`]);
 //! * big-endian wire conversion for heterogeneous hosts ([`datatype`]);
 //! * a world launcher that plays DUROC's address-exchange role
@@ -26,8 +26,7 @@ pub mod datatype;
 pub mod packet;
 pub mod world;
 
-pub use collective::ReduceOp;
-pub use comm::{Comm, STRIPE_CHUNK_BYTES, STRIPE_TAG};
+pub use comm::Comm;
 pub use world::{run_world, RankSpec};
 
 #[cfg(test)]
@@ -149,7 +148,7 @@ mod tests {
             assert_eq!(got, b"payload");
             // Allreduce a vector.
             let local = vec![comm.rank() as f64, 1.0];
-            comm.allreduce_f64(local, ReduceOp::Sum).unwrap()
+            comm.allreduce_f64(local).unwrap()
         })
         .unwrap();
         for sum in results {
@@ -304,61 +303,31 @@ mod tests {
         assert_eq!(results[1], vec![1, 2, 3]);
     }
 
-    /// A striped bulk send (K parallel stripe flows, each with its own
-    /// seq space) reassembles byte-identically at the receiver and is
-    /// delivered as one ordinary tagged message.
+    /// A frame from a live peer with sequence 0, here under the
+    /// reserved tag -64, is a duplicate of nothing the peer ever
+    /// numbered: `ingest` drops and counts it like any stale sequence,
+    /// never delivers it, and the peer's next sequenced message still
+    /// arrives.
     #[test]
-    fn striped_send_reassembles_byte_identically() {
+    fn a_sequence_zero_frame_is_dropped_as_a_duplicate() {
         let w = world();
-        // Big enough for several chunks per stripe, with an uneven
-        // tail chunk (not a multiple of STRIPE_CHUNK_BYTES).
-        let payload: Vec<u8> = (0..(5 * STRIPE_CHUNK_BYTES as usize + 12345))
-            .map(|i| (i % 251) as u8)
-            .collect();
-        let want = payload.clone();
-        let results = run_world(specs(&w, 1, 1), move |comm| {
+        let net = w.net.clone();
+        let results = run_world(specs(&w, 0, 2), move |comm| {
             if comm.rank() == 0 {
-                comm.send_striped(1, 7, &payload, 4).unwrap();
-                // Small striped transfers on the same pair must each get
-                // a fresh transfer id and arrive intact too. 4 B over
-                // two lanes leaves lane 1 without a chunk: it must not
-                // dial a receiver that may already have finished.
-                for _ in 0..200 {
-                    comm.send_striped(1, 8, b"tail", 2).unwrap();
-                }
+                let (_, _, addr) = comm.recv(Some(1), Some(9)).unwrap();
+                let addr = String::from_utf8(addr).unwrap();
+                let (host, port) = addr.rsplit_once(':').unwrap();
+                let raw = NexusContext::direct(net.clone(), "etl2");
+                let sp = raw.attach((host, port.parse().unwrap())).unwrap();
+                sp.send(&packet::Packet::encode(0, -64, 0, b"lane"))
+                    .unwrap();
+                let (_, _, ok) = comm.recv(Some(1), Some(6)).unwrap();
+                assert_eq!(ok, b"seen");
+                comm.send(1, 5, b"next").unwrap();
                 Vec::new()
             } else {
-                let (src, tag, data) = comm.recv(Some(0), Some(7)).unwrap();
-                assert_eq!((src, tag), (0, 7));
-                for _ in 0..200 {
-                    let (_, _, tail) = comm.recv(Some(0), Some(8)).unwrap();
-                    assert_eq!(tail, b"tail");
-                }
-                data
-            }
-        })
-        .unwrap();
-        assert_eq!(results[1], want);
-    }
-
-    /// An empty striped send completes on its geometry alone: one
-    /// transfer, no chunk received, and its trailing `Fin` is no
-    /// duplicate chunk.
-    #[test]
-    fn empty_striped_send_counts_no_chunk() {
-        let w = world();
-        let registry = wacs_obs::Registry::new();
-        let ranks = specs(&w, 0, 2)
-            .into_iter()
-            .map(|spec| spec.with_obs(&registry))
-            .collect();
-        run_world(ranks, |comm| {
-            if comm.rank() == 0 {
-                comm.send_striped(1, 4, &[], 2).unwrap();
-            } else {
-                let (_, _, data) = comm.recv(Some(0), Some(4)).unwrap();
-                assert!(data.is_empty());
-                // The `Open` completed it; drain the `Fin` behind it.
+                let (h, p) = comm.advertised();
+                comm.send(0, 9, format!("{h}:{p}").as_bytes()).unwrap();
                 for _ in 0..2000 {
                     comm.iprobe(None, None).unwrap();
                     if comm.duplicates_dropped() >= 1 {
@@ -367,33 +336,17 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
                 assert_eq!(comm.duplicates_dropped(), 1);
-            }
-        })
-        .unwrap();
-        let stats = nexus_proxy::StripeStats::in_registry(&registry);
-        assert_eq!(stats.chunks_received.get(), 0);
-        assert_eq!(stats.transfers.get(), 1);
-        assert_eq!(stats.dup_chunks.get(), 0);
-    }
-
-    /// A striped send across the firewall (proxied sender) still
-    /// reassembles: stripe frames ride the relay like any packet.
-    #[test]
-    fn striped_send_through_the_proxy() {
-        let w = world();
-        let payload: Vec<u8> = (0..200_000).map(|i| (i % 17) as u8).collect();
-        let want = payload.clone();
-        let results = run_world(specs(&w, 1, 1), move |comm| {
-            if comm.rank() == 0 {
-                comm.send_striped(1, 3, &payload, 3).unwrap();
-                Vec::new()
-            } else {
-                let (_, _, data) = comm.recv(Some(0), Some(3)).unwrap();
+                assert!(!comm.iprobe(Some(0), None).unwrap());
+                comm.send(0, 6, b"seen").unwrap();
+                let wait = std::time::Duration::from_secs(10);
+                let (src, tag, data) = comm.recv_timeout(None, None, wait).unwrap().unwrap();
+                assert_eq!((src, tag), (0, 5));
+                assert_eq!(comm.duplicates_dropped(), 1);
                 data
             }
         })
         .unwrap();
-        assert_eq!(results[1], want);
+        assert_eq!(results[1], b"next");
     }
 
     /// The send path itself retransmits when the cached attachment

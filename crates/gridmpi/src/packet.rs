@@ -27,18 +27,11 @@ pub struct Packet {
 
 impl Packet {
     pub fn encode(src: u32, tag: i32, seq: u64, payload: &[u8]) -> Vec<u8> {
-        let mut buf = Packet::header(src, tag, seq, payload.len());
-        buf.extend_from_slice(payload);
-        buf
-    }
-
-    /// The header alone, in a buffer with room for `room` payload
-    /// bytes, for a caller that encodes the payload in place.
-    pub fn header(src: u32, tag: i32, seq: u64, room: usize) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(HEADER_LEN + room);
+        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
         buf.extend_from_slice(&src.to_be_bytes());
         buf.extend_from_slice(&tag.to_be_bytes());
         buf.extend_from_slice(&seq.to_be_bytes());
+        buf.extend_from_slice(payload);
         buf
     }
 

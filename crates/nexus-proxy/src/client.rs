@@ -327,7 +327,7 @@ pub fn nx_proxy_bind(net: &VNet, env: &ProxyEnv, host: &str) -> io::Result<NxLis
         return Ok(NxListener::direct(private));
     };
     let me = (host.to_string(), private.logical_port());
-    let start = fleet.step(|core, now| core.bind(now, me, None));
+    let start = fleet.step(|core, now| core.bind(now, me));
     match run(net, env, fleet, host, start)? {
         (ctrl, Some(advertised)) => Ok(NxListener {
             advertised,

@@ -16,9 +16,9 @@
 //!
 //! * a destination on a member host is a rendezvous address and is
 //!   dialed direct;
-//! * rungs come from the key's HRW ladder (or the lane ring of a
-//!   striped bind), skipping members whose breaker refuses; when every
-//!   breaker refuses, the head of the ladder is dialed anyway (L1);
+//! * rungs come from the key's HRW ladder, skipping members whose
+//!   breaker refuses; when every breaker refuses, the head of the
+//!   ladder is dialed anyway (L1);
 //! * within one operation each member is dialed at most once, plus one
 //!   `Redirect` follow to an address that need not be in the local map
 //!   (L2); an exhausted ladder is [`Refusal::Exhausted`] and the last
@@ -90,7 +90,7 @@ pub type ClientHook = Arc<dyn Fn(String) + Send + Sync>;
 
 enum Goal<H> {
     Connect { dst: (H, u16) },
-    Bind { me: (H, u16), lane: Option<u16> },
+    Bind { me: (H, u16) },
 }
 
 /// One connect or bind in progress.
@@ -213,13 +213,10 @@ impl<H: HostId> ClientCore<H> {
         (op, self.traced(seen, step))
     }
 
-    /// `NXProxyBind` of the private endpoint `me`. `lane` pins a
-    /// striped transfer's lane to shard `lane % len` with ring-order
-    /// failover instead of the HRW ladder, so K lanes land on K
-    /// distinct shards by construction.
-    pub fn bind(&mut self, now: u64, me: (H, u16), lane: Option<u16>) -> (ClientOp<H>, Step<H>) {
-        let seen = self.seen(|| format!("bind {me:?} lane {lane:?}"));
-        let mut op = ClientOp::new(Goal::Bind { me, lane });
+    /// `NXProxyBind` of the private endpoint `me`.
+    pub fn bind(&mut self, now: u64, me: (H, u16)) -> (ClientOp<H>, Step<H>) {
+        let seen = self.seen(|| format!("bind {me:?}"));
+        let mut op = ClientOp::new(Goal::Bind { me });
         let step = self.next_rung(&mut op, now);
         (op, self.traced(seen, step))
     }
@@ -290,21 +287,14 @@ impl<H: HostId> ClientCore<H> {
     /// admits a dial; with nothing dialed yet and every breaker
     /// refusing, the head of the ladder anyway (L1).
     fn next_rung(&mut self, op: &mut ClientOp<H>, now: u64) -> Step<H> {
-        let (key, lane) = match &op.goal {
-            Goal::Connect { dst } => (dst.0.shard_key(dst.1), None),
-            Goal::Bind { me, lane } => (me.0.shard_key(me.1), *lane),
+        let key = match &op.goal {
+            Goal::Connect { dst } => dst.0.shard_key(dst.1),
+            Goal::Bind { me } => me.0.shard_key(me.1),
         };
         let owner = self.router.map().owner(&key);
-        let (picked, head) = match lane {
-            Some(l) => {
-                let start = usize::from(l);
-                let head = start.checked_rem(self.members.len());
-                (self.router.route_from(start, now, &op.tried), head)
-            }
-            None => (self.router.route(&key, now, &op.tried), owner),
-        };
+        let picked = self.router.route(&key, now, &op.tried);
         let fresh = op.tried.is_empty() && !op.redirected;
-        let rung = picked.or(head.filter(|_| fresh));
+        let rung = picked.or(owner.filter(|_| fresh));
         let Some((idx, to)) = rung.and_then(|i| Some((i, self.members.get(i)?.clone()))) else {
             return Step::Done(Outcome::Refused(Refusal::Exhausted));
         };

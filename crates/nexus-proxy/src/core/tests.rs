@@ -657,7 +657,7 @@ fn a_fleet_of_one_behaves_as_the_single_outer_server() {
         detail: String::new(),
     };
     assert_eq!(c.replied(&mut op, ok), Step::Done(Outcome::Connected));
-    let (mut op, step) = c.bind(0, ep("sun", 4000), None);
+    let (mut op, step) = c.bind(0, ep("sun", 4000));
     assert_eq!(step, dial("outer", bind_req("sun", 4000, false)));
     let advertised = ep("outer", 40001);
     assert_eq!(
@@ -683,7 +683,7 @@ fn a_fleet_of_one_behaves_as_the_single_outer_server() {
 fn one_operation_walks_the_ladder_once_with_the_fallback_flag() {
     let (mut c, reg) = client(&["outer0", "outer1", "outer2"]);
     let port = port_with_ladder(&c, &[1, 2, 0]);
-    let (mut op, step) = c.bind(0, ep("sun", port), None);
+    let (mut op, step) = c.bind(0, ep("sun", port));
     assert_eq!(step, dial("outer1", bind_req("sun", port, false)));
     assert_eq!(
         c.dial_failed(&mut op, 1),
@@ -711,8 +711,17 @@ fn one_operation_walks_the_ladder_once_with_the_fallback_flag() {
         assert_eq!(c.replied(&mut op, ok), Step::Done(Outcome::Connected));
     }
     assert_eq!(c.breaker_state(1), Some(BreakerState::Open));
-    let (_, step) = c.bind(20, ep("sun", port), None);
+    let (_, step) = c.bind(20, ep("sun", port));
     assert_eq!(step, dial("outer2", bind_req("sun", port, true)));
+    // Installs are monotone and keep the address book and the map
+    // together: the one member left owns every key.
+    assert!(!c.install(1, vec![]));
+    assert!(c.install(2, vec![ep("outer2", CTRL)]));
+    assert_eq!((c.generation(), c.members().len()), (2, 1));
+    let snap = reg.snapshot();
+    assert_eq!(snap.gauges.get("wacs.shard.map_generation"), Some(&2));
+    let (_, step) = c.bind(30, ep("sun", port));
+    assert_eq!(step, dial("outer2", bind_req("sun", port, false)));
 }
 
 /// L5: a `Redirect` is followed once, with `fallback: false`, to an
@@ -726,7 +735,7 @@ fn a_redirect_is_followed_once_even_off_the_map() {
         host: to.into(),
         port: CTRL,
     };
-    let (mut op, _) = c.bind(0, ep("sun", port), None);
+    let (mut op, _) = c.bind(0, ep("sun", port));
     assert_eq!(
         c.replied(&mut op, redirect("ghost")),
         dial("ghost", bind_req("sun", port, false))
@@ -739,7 +748,7 @@ fn a_redirect_is_followed_once_even_off_the_map() {
         refused(Refusal::Unexpected)
     );
     // The named owner is dead: the rest of the ladder, once each.
-    let (mut op, _) = c.bind(0, ep("sun", port), None);
+    let (mut op, _) = c.bind(0, ep("sun", port));
     c.replied(&mut op, redirect("ghost"));
     assert_eq!(
         c.dial_failed(&mut op, 1),
@@ -774,33 +783,8 @@ fn refusals_end_the_operation_with_a_typed_reason() {
         (CtrlMsg::BindRep { rdv_port: 0 }, Refusal::NoRendezvous),
         (CtrlMsg::Pong { seq: 1 }, Refusal::Unexpected),
     ] {
-        let (mut op, _) = c.bind(0, ep("sun", 4000), None);
+        let (mut op, _) = c.bind(0, ep("sun", 4000));
         assert_eq!(c.replied(&mut op, reply), refused(why));
     }
     assert_eq!(counter(&reg, "wacs.shard.failovers"), 0);
-}
-
-/// A striped bind's lane starts at shard `lane % len` and fails over in
-/// ring order; installs keep the address book and the map together.
-#[test]
-fn lane_binds_walk_the_ring_and_installs_are_monotone() {
-    let (mut c, reg) = client(&["outer0", "outer1", "outer2"]);
-    let port = port_with_ladder(&c, &[1, 2, 0]);
-    let (mut op, step) = c.bind(0, ep("sun", port), Some(5));
-    assert_eq!(step, dial("outer2", bind_req("sun", port, true)));
-    assert_eq!(
-        c.dial_failed(&mut op, 0),
-        dial("outer0", bind_req("sun", port, true))
-    );
-    assert_eq!(
-        c.dial_failed(&mut op, 0),
-        dial("outer1", bind_req("sun", port, false))
-    );
-    assert!(!c.install(1, vec![]));
-    assert!(c.install(2, vec![ep("outer2", CTRL)]));
-    assert_eq!((c.generation(), c.members().len()), (2, 1));
-    let snap = reg.snapshot();
-    assert_eq!(snap.gauges.get("wacs.shard.map_generation"), Some(&2));
-    let (_, step) = c.bind(0, ep("sun", port), Some(5));
-    assert_eq!(step, dial("outer2", bind_req("sun", port, false)));
 }

@@ -206,27 +206,9 @@ impl ShardRouter {
     /// breaker-open.
     pub fn route(&mut self, key: &[u8], now: u64, tried: &[usize]) -> Option<usize> {
         let ladder = self.map.ladder(key);
-        self.first_admitted(ladder.into_iter(), now, tried)
-    }
-
-    /// Like [`ShardRouter::route`], but head the ladder at `start %
-    /// len` and walk the members after it in ring order instead of by
-    /// HRW weight. A striped bulk transfer pins lane *i* to shard `i %
-    /// len` this way, so K lanes spread over K shards by construction
-    /// (GridFTP-style parallel streams) rather than by hash luck,
-    /// while breakers still skip members known dead.
-    pub fn route_from(&mut self, start: usize, now: u64, tried: &[usize]) -> Option<usize> {
-        let n = self.map.len();
-        self.first_admitted((0..n).map(|o| (start + o) % n), now, tried)
-    }
-
-    fn first_admitted(
-        &mut self,
-        mut ladder: impl Iterator<Item = usize>,
-        now: u64,
-        tried: &[usize],
-    ) -> Option<usize> {
-        ladder.find(|i| !tried.contains(i) && self.breakers[*i].allow(now))
+        ladder
+            .into_iter()
+            .find(|i| !tried.contains(i) && self.breakers[*i].allow(now))
     }
 
     pub fn on_success(&mut self, idx: usize) {
@@ -466,30 +448,6 @@ mod tests {
         // After the cooldown the owner is probed again (half-open).
         let later = Duration::from_secs(6).as_nanos() as u64;
         assert_eq!(r.route(&key, later, &[]), Some(ladder[0]));
-    }
-
-    #[test]
-    fn router_route_from_rings_past_open_breakers() {
-        let cfg = BreakerConfig {
-            threshold: 1,
-            cooldown: Duration::from_secs(5),
-        };
-        let mut r = ShardRouter::new(map4(), cfg);
-        // Lane affinity is positional, not hashed: lane i starts at
-        // shard i % len and wraps.
-        assert_eq!(r.route_from(2, 0, &[]), Some(2));
-        assert_eq!(r.route_from(6, 0, &[]), Some(2));
-        // A dead start rung falls over in ring order.
-        r.on_failure(2, 0);
-        assert_eq!(r.route_from(2, 1, &[]), Some(3));
-        r.on_failure(3, 1);
-        assert_eq!(r.route_from(2, 2, &[]), Some(0));
-        // All open → None; after the cooldown the start rung probes.
-        r.on_failure(0, 2);
-        r.on_failure(1, 2);
-        assert_eq!(r.route_from(2, 3, &[]), None);
-        let later = Duration::from_secs(6).as_nanos() as u64;
-        assert_eq!(r.route_from(2, later, &[]), Some(2));
     }
 
     #[test]

@@ -179,9 +179,6 @@ pub struct NxClient {
     connect_started: HashMap<u64, SimTime>,
     /// When the current bind (or re-bind) was started.
     bind_started: Option<SimTime>,
-    /// Binds pinned to shard `lane % members` — see
-    /// [`NxClient::with_bind_lane`].
-    bind_lane: Option<u16>,
 }
 
 impl NxClient {
@@ -203,7 +200,6 @@ impl NxClient {
             obs: None,
             connect_started: HashMap::new(),
             bind_started: None,
-            bind_lane: None,
         };
         if env.members.is_empty() {
             client
@@ -222,18 +218,6 @@ impl NxClient {
             core.observe(&o.registry);
         }
         self.core = Some(core);
-        self
-    }
-
-    /// Pin this client's binds to shard `lane % members`, falling over
-    /// in ring order past breaker-open members instead of walking the
-    /// bind key's HRW ladder. A striped transfer gives each stripe lane
-    /// its own index, so K lanes land on K distinct shards by
-    /// construction — parallel relay queues are the whole point of
-    /// striping, and hash placement can collide lanes onto one shard.
-    #[must_use]
-    pub fn with_bind_lane(mut self, lane: u16) -> Self {
-        self.bind_lane = Some(lane);
         self
     }
 
@@ -341,9 +325,7 @@ impl NxClient {
         let retry = retry.unwrap_or_else(|| Retry::new(self.policy, now));
         let (op, step) = match (&mut self.core, goal) {
             (Some(core), Goal::Connect { dst, .. }) => core.connect(now, dst),
-            (Some(core), Goal::Bind { client_port }) => {
-                core.bind(now, (ctx.host(), client_port), self.bind_lane)
-            }
+            (Some(core), Goal::Bind { client_port }) => core.bind(now, (ctx.host(), client_port)),
             (None, Goal::Connect { dst, .. }) => return self.dial_direct(ctx, goal, retry, dst),
             // A direct bind completes inside `bind()`.
             (None, Goal::Bind { .. }) => return NxHandled::Consumed,

@@ -13,13 +13,11 @@ pub mod client;
 pub mod inner;
 pub mod outer;
 pub mod shell;
-pub mod stripe;
 
 pub use client::{NxClient, NxEvent, NxHandled, SimProxyEnv};
 pub use inner::SimInnerServer;
 pub use outer::SimOuterServer;
 pub use shell::{NxActor, NxApp};
-pub use stripe::{stripe_cell, StripeCell, StripeCellState, StripeSender, StripeSink};
 
 use crate::core::{Action, Event, HostId, Mode, Timer};
 use crate::protocol::CtrlMsg;

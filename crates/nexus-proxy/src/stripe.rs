@@ -285,10 +285,10 @@ impl StripePlan {
     }
 
     /// Everything lane `stripe` puts on its flow, in order: `Open`, the
-    /// lane's chunks of `payload` by `seq`, `Fin`. Every sender (real
-    /// sockets, gridmpi packets, sim actors) and the model checker walk
-    /// this one sequence; a failed-over lane walks it again from the
-    /// top. `Data` frames borrow their chunks from `payload`.
+    /// lane's chunks of `payload` by `seq`, `Fin`. [`send_striped`] and
+    /// the model checker walk this one sequence; a failed-over lane
+    /// walks it again from the top. `Data` frames borrow their chunks
+    /// from `payload`.
     pub fn lane_frames<'a>(
         &'a self,
         payload: &'a [u8],
@@ -344,7 +344,7 @@ pub enum StripeFrame<B = Vec<u8>> {
         chunk: u32,
         total_len: u64,
         /// Application tag delivered with the reassembled payload
-        /// (gridmpi's message tag; 0 where unused).
+        /// (0 where unused).
         tag: i32,
     },
     /// One chunk. `(stripe, seq)` names it in the plan; `offset` is
@@ -402,69 +402,7 @@ impl Head {
     }
 }
 
-impl<B> StripeFrame<B> {
-    /// The same frame with its chunk storage converted by `f`.
-    fn map_chunk<'s, C>(&'s self, f: impl FnOnce(&'s B) -> C) -> StripeFrame<C> {
-        match self {
-            StripeFrame::Open {
-                transfer,
-                stripe,
-                stripes,
-                chunk,
-                total_len,
-                tag,
-            } => StripeFrame::Open {
-                transfer: *transfer,
-                stripe: *stripe,
-                stripes: *stripes,
-                chunk: *chunk,
-                total_len: *total_len,
-                tag: *tag,
-            },
-            StripeFrame::Data {
-                transfer,
-                stripe,
-                seq,
-                offset,
-                bytes,
-            } => StripeFrame::Data {
-                transfer: *transfer,
-                stripe: *stripe,
-                seq: *seq,
-                offset: *offset,
-                bytes: f(bytes),
-            },
-            StripeFrame::Fin {
-                transfer,
-                stripe,
-                chunks,
-            } => StripeFrame::Fin {
-                transfer: *transfer,
-                stripe: *stripe,
-                chunks: *chunks,
-            },
-            StripeFrame::Done {
-                transfer,
-                total_len,
-            } => StripeFrame::Done {
-                transfer: *transfer,
-                total_len: *total_len,
-            },
-        }
-    }
-}
-
 impl<B: AsRef<[u8]>> StripeFrame<B> {
-    /// The transfer id every frame variant carries.
-    pub fn transfer_id(&self) -> u64 {
-        match self {
-            StripeFrame::Open { transfer, .. }
-            | StripeFrame::Data { transfer, .. }
-            | StripeFrame::Fin { transfer, .. }
-            | StripeFrame::Done { transfer, .. } => *transfer,
-        }
-    }
-
     /// The encoder: the frame as its head and its chunk (empty unless
     /// `Data`). Every way of sending a frame writes these two slices.
     fn parts(&self) -> Result<(Head, &[u8]), StripeError> {
@@ -529,16 +467,6 @@ impl<B: AsRef<[u8]>> StripeFrame<B> {
             ),
         };
         Ok((head, chunk))
-    }
-
-    /// Append the frame body (type byte + fields + chunk, no length
-    /// prefix) to `out`: for transports that frame it their own way.
-    pub fn encode_body_into(&self, out: &mut Vec<u8>) -> Result<(), StripeError> {
-        let (head, chunk) = self.parts()?;
-        out.reserve(head.body().len() + chunk.len());
-        out.extend_from_slice(head.body());
-        out.extend_from_slice(chunk);
-        Ok(())
     }
 
     /// Encode with the length prefix for stream transports.
@@ -635,13 +563,6 @@ impl<'a> StripeFrame<&'a [u8]> {
         }
         Ok(frame)
     }
-
-    /// Copy the chunk out, for a frame that must outlive what it
-    /// borrows from (the sim's messages are `'static`).
-    pub fn into_owned(self) -> StripeFrame {
-        // lint:allow(hot-path-alloc) the sim's message boundary, off the socket path
-        self.map_chunk(|bytes| bytes.to_vec())
-    }
 }
 
 /// Lend an owned frame's chunk. Only the owned form converts, so a
@@ -649,7 +570,52 @@ impl<'a> StripeFrame<&'a [u8]> {
 /// type, still infers one where a borrowed frame is expected.
 impl<'a> From<&'a StripeFrame> for StripeFrame<&'a [u8]> {
     fn from(frame: &'a StripeFrame) -> StripeFrame<&'a [u8]> {
-        frame.map_chunk(Vec::as_slice)
+        match frame {
+            StripeFrame::Open {
+                transfer,
+                stripe,
+                stripes,
+                chunk,
+                total_len,
+                tag,
+            } => StripeFrame::Open {
+                transfer: *transfer,
+                stripe: *stripe,
+                stripes: *stripes,
+                chunk: *chunk,
+                total_len: *total_len,
+                tag: *tag,
+            },
+            StripeFrame::Data {
+                transfer,
+                stripe,
+                seq,
+                offset,
+                bytes,
+            } => StripeFrame::Data {
+                transfer: *transfer,
+                stripe: *stripe,
+                seq: *seq,
+                offset: *offset,
+                bytes: bytes.as_slice(),
+            },
+            StripeFrame::Fin {
+                transfer,
+                stripe,
+                chunks,
+            } => StripeFrame::Fin {
+                transfer: *transfer,
+                stripe: *stripe,
+                chunks: *chunks,
+            },
+            StripeFrame::Done {
+                transfer,
+                total_len,
+            } => StripeFrame::Done {
+                transfer: *transfer,
+                total_len: *total_len,
+            },
+        }
     }
 }
 
@@ -716,7 +682,7 @@ impl Reassembler {
 
     /// Build from the geometry carried by an [`StripeFrame::Open`]
     /// (borrowed, or a reference to an owned one).
-    pub fn open<'f>(frame: impl Into<StripeFrame<&'f [u8]>>) -> Result<Reassembler, StripeError> {
+    fn open<'f>(frame: impl Into<StripeFrame<&'f [u8]>>) -> Result<Reassembler, StripeError> {
         let StripeFrame::Open {
             transfer,
             stripes,
@@ -732,16 +698,8 @@ impl Reassembler {
         Ok(Reassembler::new(transfer, tag, plan))
     }
 
-    pub fn transfer(&self) -> u64 {
-        self.transfer
-    }
-
-    pub fn tag(&self) -> i32 {
+    fn tag(&self) -> i32 {
         self.tag
-    }
-
-    pub fn plan(&self) -> StripePlan {
-        self.plan
     }
 
     pub fn is_complete(&self) -> bool {
@@ -960,7 +918,7 @@ fn take_staging(len: usize) -> Vec<u8> {
 }
 
 /// Registry handles for the bulk-data plane, shared by every layer
-/// that stripes (gass staging, gridmpi large messages, sim actors).
+/// that stripes (gass staging, the chaos suite's and the benchmark's lanes).
 #[derive(Clone)]
 pub struct StripeStats {
     pub chunks_sent: Counter,
@@ -973,7 +931,7 @@ pub struct StripeStats {
     pub failovers: Counter,
     /// Chunks re-sent by failover retransmits.
     pub resent_chunks: Counter,
-    /// Wall/virtual time one stripe took, send start → last chunk.
+    /// Wall time one stripe took, send start → last chunk.
     pub stripe_ns: Histogram,
     /// Per-stripe goodput (payload bytes per second).
     pub stripe_bytes_per_sec: Histogram,
@@ -998,7 +956,7 @@ impl StripeStats {
     }
 
     /// Count what feeding `frame` to a reassembler did. Every receive
-    /// path (byte streams, gridmpi packets, sim actors) calls this once
+    /// path ([`StripeReceiver::feed`]) calls this once
     /// per frame it feeds: a `Data` frame that adds coverage is a chunk
     /// received, the one that completes the transfer included; a
     /// completion is a transfer (an empty one completes on a chunkless
@@ -1032,21 +990,9 @@ pub struct SendReport {
     pub redials: u64,
 }
 
-/// Where one lane's frames go: any byte stream (length-prefixed
-/// frames), or a transport that wraps each frame its own way. Frames
-/// borrow their chunks from the payload being sent.
-pub trait LaneSink {
-    fn send_frame(&mut self, frame: StripeFrame<&[u8]>) -> io::Result<()>;
-}
-
-impl<W: Write> LaneSink for W {
-    fn send_frame(&mut self, frame: StripeFrame<&[u8]>) -> io::Result<()> {
-        frame.write_to(self)
-    }
-}
-
 /// Send `payload` as `plan.stripes()` parallel lanes, one thread per
-/// lane. `dial(stripe, attempt)` opens (or re-opens) the lane's sink;
+/// lane. `dial(stripe, attempt)` opens (or re-opens) the lane's byte
+/// stream, which carries the lane's frames length-prefixed;
 /// on a mid-lane failure the lane is re-dialed up to `max_redials`
 /// times and replayed whole ([`StripePlan::lane_frames`]) — the
 /// receiver's offset dedup absorbs whatever got through twice. A lane
@@ -1062,7 +1008,7 @@ pub fn send_striped<S, D>(
     dial: D,
 ) -> io::Result<SendReport>
 where
-    S: LaneSink,
+    S: Write,
     D: Fn(u16, u32) -> io::Result<S> + Sync,
 {
     if payload.len() as u64 != plan.total_len() {
@@ -1080,7 +1026,7 @@ where
         loop {
             let sent = dial(stripe, attempt).and_then(|mut sink| {
                 plan.lane_frames(payload, transfer, tag, stripe)
-                    .try_for_each(|frame| sink.send_frame(frame))
+                    .try_for_each(|frame| frame.write_to(&mut sink))
             });
             match sent {
                 Ok(()) => return Ok(u64::from(attempt)),
@@ -1185,7 +1131,7 @@ impl StripeReceiver {
     }
 
     /// Feed one decoded frame, borrowed or a reference to an owned one:
-    /// what `feed` does per frame, and the sim's whole receive path.
+    /// what `feed` does per frame.
     pub fn ingest<'f>(
         &self,
         frame: impl Into<StripeFrame<&'f [u8]>>,
@@ -1315,16 +1261,13 @@ mod tests {
             let len = u32::from_be_bytes(framed[0..4].try_into().unwrap());
             assert_eq!(len as usize, framed.len() - 4);
             assert_eq!(
-                StripeFrame::decode_body(&framed[4..]).unwrap().into_owned(),
-                f
+                StripeFrame::decode_body(&framed[4..]).unwrap(),
+                StripeFrame::from(&f)
             );
-            // The stream writer and the body-only encoder emit the same bytes.
+            // The stream writer emits the same bytes.
             let mut streamed = Vec::new();
             f.write_to(&mut streamed).unwrap();
             assert_eq!(streamed, framed);
-            let mut body = vec![0xEE];
-            f.encode_body_into(&mut body).unwrap();
-            assert_eq!(body[1..], framed[4..]);
         }
     }
 
@@ -1400,8 +1343,8 @@ mod tests {
         for (frame, wire) in cases {
             assert_eq!(frame.encode().unwrap(), wire, "{frame:?}");
             assert_eq!(
-                StripeFrame::decode_body(&wire[4..]).unwrap().into_owned(),
-                frame
+                StripeFrame::decode_body(&wire[4..]).unwrap(),
+                StripeFrame::from(&frame)
             );
         }
     }
@@ -1489,7 +1432,7 @@ mod tests {
             let mut body = Vec::new();
             for f in &frames {
                 assert!(read_frame(&mut cur, MAX_STRIPE_FRAME, &mut body).unwrap());
-                assert_eq!(&StripeFrame::decode_body(&body).unwrap().into_owned(), f);
+                assert_eq!(StripeFrame::decode_body(&body).unwrap(), f.into());
             }
             assert!(!read_frame(&mut cur, MAX_STRIPE_FRAME, &mut body).unwrap());
         }

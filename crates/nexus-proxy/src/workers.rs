@@ -47,8 +47,7 @@ use wacs_sync::Mutex;
 ///   while the last one's reader ends) and 1 on each rank's endpoint of
 ///   its 2-rank world. A rank that N - 1 peers talk to peaks at N - 1:
 ///   up to 3 in the gridmpi tests, and 5 for the master of the 6-rank
-///   knapsack test in `tests/wide_area_stack.rs`. The striped-send test,
-///   whose lanes re-attach, peaks at 4;
+///   knapsack test in `tests/wide_area_stack.rs`;
 /// - an RMF record server: 2 in the rmf tests. No benchmark runs one.
 ///
 /// So 4 covers all but one measured endpoint, and most endpoints and

@@ -385,8 +385,8 @@ fn every_stripe_frame_roundtrips() {
             let len = u32::from_be_bytes(framed[0..4].try_into().unwrap()) as usize;
             assert_eq!(len, framed.len() - 4, "length prefix disagrees: {frame:?}");
             assert_eq!(
-                StripeFrame::decode_body(&framed[4..]).unwrap().into_owned(),
-                frame
+                StripeFrame::decode_body(&framed[4..]).unwrap(),
+                StripeFrame::from(&frame)
             );
         }
     }
@@ -414,8 +414,8 @@ fn truncated_stripe_frames_never_panic() {
                         body.len()
                     );
                     assert_ne!(
-                        got.into_owned(),
-                        frame,
+                        got,
+                        StripeFrame::from(&frame),
                         "cut body reproduced the full frame"
                     );
                 }

@@ -265,7 +265,7 @@ fn client_bind_converges(s: &ShState, map: &ShardMap, me: (String, u16)) -> Resu
     let key = me.0.shard_key(me.1);
     let who = format!("{}:{}", me.0, me.1);
     let mut core = ClientCore::new(known.clone(), BreakerConfig::default());
-    let (mut op, mut step) = core.bind(0, me, None);
+    let (mut op, mut step) = core.bind(0, me);
     let (mut dials, mut redirects) = (0, 0);
     let served = loop {
         step = match step {

@@ -40,9 +40,15 @@
 //!   `crates/`, `src/`, `examples/` or `benchmark/src/`, or by another
 //!   crate's tests. Methods in `impl Trait for` bodies are not judged.
 //!   Matching is by name, so a name shared with a live item is never
-//!   flagged. A test knob an integration test needs, or an item a
-//!   named ROADMAP item will read, carries `lint:allow(unused-pub)`
-//!   with a reason on its line or the comment line above or below.
+//!   flagged. The variants of a live `pub enum` are judged too: one is
+//!   live only where something builds it, that is, where an
+//!   `Enum::Variant` path (`Self::Variant` in the enum's `impl`, or a
+//!   path through a `use … as` or `type` alias) stands outside the
+//!   enum's body and outside `match`, `let` and `matches!` patterns, or
+//!   where a `use` names it. A test knob an integration test needs, or
+//!   an item a named ROADMAP item will read, carries
+//!   `lint:allow(unused-pub)` with a reason on its line or the comment
+//!   line above or below.
 //! * **`frame-plane`** — the stream frame format is read in one place,
 //!   `nexus-proxy/src/frame.rs`. Outside it, no non-test code
 //!   `read_exact`s a 4-byte buffer (`let mut b = [0u8; 4]`, `[0; 4]` or
@@ -676,36 +682,49 @@ fn check_enum_coverage(
 /// Variant names (with lines) of `enum <name> { … }` or
 /// `enum <name><…> { … }`.
 fn enum_variants(source: &str, toks: &[Token], name: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    let Some(open) = (0..toks.len()).find_map(|i| {
-        let named = toks[i].kind == TokenKind::Ident
+    let named = |i: usize| {
+        toks[i].kind == TokenKind::Ident
             && toks[i].text(source) == "enum"
-            && toks.get(i + 1).is_some_and(|t| t.text(source) == name);
-        if !named {
-            return None;
-        }
-        // Skip a generic parameter list between the name and the body.
-        let mut j = i + 2;
-        if is_punct(toks.get(j), source, "<") {
-            let mut angle = 0usize;
-            while let Some(t) = toks.get(j) {
-                match t.text(source) {
-                    "<" => angle += 1,
-                    ">" => angle -= 1,
-                    _ => {}
-                }
-                j += 1;
-                if angle == 0 {
-                    break;
-                }
+            && toks.get(i + 1).is_some_and(|t| t.text(source) == name)
+    };
+    let Some((variants, _)) = (0..toks.len())
+        .filter(|&i| named(i))
+        .find_map(|i| enum_body(source, toks, i + 1))
+    else {
+        return Vec::new();
+    };
+    variants
+        .into_iter()
+        .map(|v| (toks[v].text(source).to_string(), toks[v].line))
+        .collect()
+}
+
+/// The body of the enum whose name is token `name`: the token indices
+/// of its variant names and of its closing brace. `None` when no body
+/// follows the name (and its generic parameters).
+fn enum_body(source: &str, toks: &[Token], name: usize) -> Option<(Vec<usize>, usize)> {
+    // Skip a generic parameter list between the name and the body.
+    let mut j = name + 1;
+    if is_punct(toks.get(j), source, "<") {
+        let mut angle = 0usize;
+        while let Some(t) = toks.get(j) {
+            match t.text(source) {
+                "<" => angle += 1,
+                ">" => angle -= 1,
+                _ => {}
+            }
+            j += 1;
+            if angle == 0 {
+                break;
             }
         }
-        is_punct(toks.get(j), source, "{").then_some(j)
-    }) else {
-        return out;
-    };
+    }
+    if !is_punct(toks.get(j), source, "{") {
+        return None;
+    }
+    let mut out = Vec::new();
     let mut depth = 1usize;
-    let mut j = open + 1;
+    j += 1;
     let mut at_variant = true;
     while j < toks.len() && depth > 0 {
         let t = &toks[j];
@@ -741,15 +760,15 @@ fn enum_variants(source: &str, toks: &[Token], name: &str) -> Vec<(String, usize
             }
             (TokenKind::Punct, "[") => depth += 1,
             (TokenKind::Punct, "]") => depth = depth.saturating_sub(1),
-            (TokenKind::Ident, v) if depth == 1 && at_variant => {
-                out.push((v.to_string(), t.line));
+            (TokenKind::Ident, _) if depth == 1 && at_variant => {
+                out.push(j);
                 at_variant = false;
             }
             _ => {}
         }
         j += 1;
     }
-    out
+    Some((out, j - 1))
 }
 
 /// All `<name>::X` paths mentioned in a source text.
@@ -1045,16 +1064,25 @@ fn check_unused_pub(files: &[Source], callers: &[Source], out: &mut Vec<Violatio
             items.extend(pub_items(path, source, spots));
         }
     }
-    // `use a::X as Y`: a mention of `Y` is one of `X`.
+    // `use a::X as Y`: a mention of `Y` is one of `X`; so is one of
+    // `type Y = X<…>;`.
     let mut aliases: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for (_, source, spots) in &all {
-        for w in spots.windows(3) {
-            if w[1].in_use && w[1].tok.text(source) == "as" {
-                let alias = w[2].tok.text(source);
-                aliases
-                    .entry(alias)
-                    .or_default()
-                    .push(w[0].tok.text(source));
+        let text = |i: usize| spots.get(i).map_or("", |s| s.tok.text(source));
+        for (i, spot) in spots.iter().enumerate() {
+            let of = if spot.in_use && text(i) == "as" && i > 0 {
+                Some(text(i - 1))
+            } else if text(i) == "type" && text(i + 2) == "=" {
+                (i + 3..spots.len())
+                    .take_while(|&j| !matches!(text(j), "<" | ";"))
+                    .filter(|&j| spots[j].tok.kind == TokenKind::Ident)
+                    .last()
+                    .map(text)
+            } else {
+                None
+            };
+            if let Some(of) = of {
+                aliases.entry(text(i + 1)).or_default().push(of);
             }
         }
     }
@@ -1081,6 +1109,24 @@ fn check_unused_pub(files: &[Source], callers: &[Source], out: &mut Vec<Violatio
         }
     }
     let sources: BTreeMap<&str, &Source> = files.iter().map(|s| (s.path.as_str(), s)).collect();
+    let variants = pub_variants(&all, &items, &alive);
+    let built = built_variants(&all, files.iter().chain(callers), &variants, &aliases);
+    for (v, _) in variants.iter().zip(&built).filter(|(_, live)| !**live) {
+        if sources[v.path].marked(v.line, Rule::UnusedPub.name(), true) {
+            continue;
+        }
+        out.push(Violation {
+            path: v.path.to_string(),
+            line: v.line,
+            rule: Rule::UnusedPub,
+            message: format!(
+                "variant `{}::{}` is built nowhere: only its enum, `match`/`let` \
+                 patterns and its own crate's tests name it; delete it or mark it \
+                 `lint:allow(unused-pub)` with a reason",
+                v.owner, v.name
+            ),
+        });
+    }
     for (item, _) in items.iter().zip(&alive).filter(|(_, live)| !**live) {
         if sources[item.path].marked(item.line, Rule::UnusedPub.name(), true) {
             continue;
@@ -1097,6 +1143,258 @@ fn check_unused_pub(files: &[Source], callers: &[Source], out: &mut Vec<Violatio
             ),
         });
     }
+}
+
+/// A variant of a live, judged `pub enum`.
+struct PubVariant<'a> {
+    path: &'a str,
+    line: usize,
+    owner: &'a str,
+    name: &'a str,
+    /// Byte range of the enum's body: a mention inside it is the
+    /// definition, not a use.
+    body: (usize, usize),
+}
+
+/// The variants of every live `pub enum` among `items`.
+fn pub_variants<'a>(
+    all: &[(&'a str, &'a str, Vec<Spot>)],
+    items: &[PubItem<'a>],
+    alive: &[bool],
+) -> Vec<PubVariant<'a>> {
+    let mut out = Vec::new();
+    for (item, _) in items
+        .iter()
+        .zip(alive)
+        .filter(|(i, live)| **live && i.kind == "enum")
+    {
+        let Some((_, source, spots)) = all.iter().find(|(p, _, _)| *p == item.path) else {
+            continue;
+        };
+        let toks: Vec<Token> = spots.iter().map(|s| s.tok).collect();
+        let Some(at) = toks.iter().position(|t| t.start == item.at) else {
+            continue;
+        };
+        let Some((names, close)) = enum_body(source, &toks, at) else {
+            continue;
+        };
+        for v in names {
+            out.push(PubVariant {
+                path: item.path,
+                line: toks[v].line,
+                owner: item.name,
+                name: toks[v].text(source),
+                body: (toks[at].start, toks[close].end),
+            });
+        }
+    }
+    out
+}
+
+/// Which of `variants` something builds: an `Enum::Variant` path (or
+/// `Self::Variant` in the enum's `impl`, or through an alias) outside
+/// the enum's body and outside `match`, `let` and `matches!` patterns,
+/// or a `use` path that names the variant. Own-crate tests build
+/// nothing, as for items; a glob import names no variant.
+fn built_variants<'a>(
+    all: &[(&str, &str, Vec<Spot>)],
+    sources: impl Iterator<Item = &'a Source>,
+    variants: &[PubVariant],
+    aliases: &BTreeMap<&str, Vec<&str>>,
+) -> Vec<bool> {
+    let mut by_name: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+    for (k, v) in variants.iter().enumerate() {
+        by_name.entry((v.owner, v.name)).or_default().push(k);
+    }
+    let mut built = vec![false; variants.len()];
+    for ((path, source, spots), src) in all.iter().zip(sources) {
+        let krate = crate_of(path);
+        let toks: Vec<Token> = spots.iter().map(|s| s.tok).collect();
+        let text = |i: usize| toks.get(i).map_or("", |t| t.text(source));
+        let mut mark = |owner: &str, name: &str, at: usize, test: bool| {
+            let owners =
+                std::iter::once(owner).chain(aliases.get(owner).into_iter().flatten().copied());
+            for k in owners.flat_map(|o| by_name.get(&(o, name)).into_iter().flatten()) {
+                let v = &variants[*k];
+                let inside = v.path == *path && v.body.0 <= at && at < v.body.1;
+                let own_test = test && crate_of(v.path) == krate;
+                built[*k] |= !(inside || own_test);
+            }
+        };
+        let pattern = pattern_tokens(source, &toks);
+        let selves = impl_self_types(source, &toks);
+        for (i, spot) in spots.iter().enumerate() {
+            let path_here = spot.tok.kind == TokenKind::Ident
+                && !spot.in_use
+                && !pattern[i]
+                && text(i + 1) == ":"
+                && text(i + 2) == ":";
+            if path_here {
+                let owner = match text(i) {
+                    "Self" => selves[i].unwrap_or("Self"),
+                    owner => owner,
+                };
+                mark(owner, text(i + 3), spot.tok.start, spot.test);
+            }
+        }
+        for u in &src.uses {
+            let mut segments = u.code.rsplit("::");
+            if let (Some(name), Some(owner)) = (segments.next(), segments.next()) {
+                let test = is_test_file(path) || src.lines[u.line].test;
+                mark(owner, name, usize::MAX, test);
+            }
+        }
+    }
+    built
+}
+
+/// Whether each token stands in a pattern: a `match` arm's before its
+/// guard or `=>`, a `let`'s (`if let`, `while let` and let-else
+/// included) before its `=`, and `matches!`'s after its first comma.
+/// A bracket opened inside a pattern is pattern throughout.
+fn pattern_tokens(source: &str, toks: &[Token]) -> Vec<bool> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Arm {
+        /// The scrutinee of `matches!`, before its comma.
+        Scrutinee,
+        Pattern,
+        Guard,
+        /// The arm's expression; `block` when it starts with a block,
+        /// so its closing brace may end the arm without a comma.
+        Expr {
+            block: bool,
+        },
+    }
+    struct Frame {
+        arm: Option<Arm>,
+        inherited: bool,
+    }
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text(source));
+    // Two tokens written as one operator (`=>`, `==`, `<=`, `..=`).
+    let glued = |a: usize, b: usize| match (toks.get(a), toks.get(b)) {
+        (Some(x), Some(y)) => x.end == y.start,
+        _ => false,
+    };
+    let mut out = Vec::with_capacity(toks.len());
+    let mut stack = vec![Frame {
+        arm: None,
+        inherited: false,
+    }];
+    // The depth of a `match` whose body is the next brace there, and of
+    // a `let` whose pattern is open.
+    let (mut match_at, mut let_at) = (None, None);
+    for (i, tok) in toks.iter().enumerate() {
+        let depth = stack.len();
+        let top = stack.len() - 1;
+        let in_pattern =
+            stack[top].inherited || stack[top].arm == Some(Arm::Pattern) || let_at == Some(depth);
+        out.push(in_pattern);
+        let ident = tok.kind == TokenKind::Ident;
+        match text(i) {
+            "{" | "(" | "[" => {
+                let arm = if text(i) == "{" && match_at == Some(depth) {
+                    match_at = None;
+                    Some(Arm::Pattern)
+                } else if text(i) == "(" && i >= 2 && text(i - 1) == "!" && text(i - 2) == "matches"
+                {
+                    Some(Arm::Scrutinee)
+                } else {
+                    None
+                };
+                stack.push(Frame {
+                    arm,
+                    inherited: in_pattern && arm.is_none(),
+                });
+            }
+            "}" | ")" | "]" => {
+                if stack.len() > 1 {
+                    stack.pop();
+                }
+                let top = stack.len() - 1;
+                let ends_arm = !matches!(text(i + 1), "else" | "." | "?" | ",");
+                if stack[top].arm == Some(Arm::Expr { block: true }) && ends_arm {
+                    stack[top].arm = Some(Arm::Pattern);
+                }
+            }
+            "match" if ident => match_at = Some(depth),
+            "let" if ident => let_at = Some(depth),
+            "if" if ident && matches!(stack[top].arm, Some(Arm::Pattern)) => {
+                stack[top].arm = Some(Arm::Guard);
+            }
+            "=" if glued(i, i + 1) && text(i + 1) == ">" => {
+                if matches!(stack[top].arm, Some(Arm::Pattern | Arm::Guard)) {
+                    let block = matches!(
+                        text(i + 2),
+                        "{" | "if" | "match" | "loop" | "unsafe" | "while" | "for"
+                    );
+                    stack[top].arm = Some(Arm::Expr { block });
+                }
+            }
+            "=" if let_at == Some(depth) => {
+                let operator = (i > 0
+                    && glued(i - 1, i)
+                    && matches!(text(i - 1), "=" | "!" | "<" | ">" | "."))
+                    || (glued(i, i + 1) && text(i + 1) == "=");
+                if !operator {
+                    let_at = None;
+                }
+            }
+            ";" if let_at == Some(depth) => let_at = None,
+            "," if matches!(stack[top].arm, Some(Arm::Scrutinee | Arm::Expr { .. })) => {
+                stack[top].arm = Some(Arm::Pattern);
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The self type of the innermost item `impl` around each token, by
+/// its last path segment (`impl<T> Trait for a::Type<T>` is `Type`):
+/// what `Self` names there.
+fn impl_self_types<'a>(source: &'a str, toks: &[Token]) -> Vec<Option<&'a str>> {
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text(source));
+    let mut out = Vec::with_capacity(toks.len());
+    // (brace depth of the body, self type)
+    let mut impls: Vec<(usize, &str)> = Vec::new();
+    let mut pending: Option<&str> = None;
+    let mut depth = 0usize;
+    for i in 0..toks.len() {
+        out.push(impls.last().map(|(_, ty)| *ty));
+        match text(i) {
+            "{" => {
+                depth += 1;
+                if let Some(ty) = pending.take() {
+                    impls.push((depth, ty));
+                }
+            }
+            "}" => {
+                if impls.last().is_some_and(|(d, _)| *d == depth) {
+                    impls.pop();
+                }
+                depth = depth.saturating_sub(1);
+            }
+            // An item `impl`, not `impl Trait` in a type.
+            "impl" if i == 0 || matches!(text(i - 1), "}" | ";" | "{" | "]" | "unsafe") => {
+                let mut angle = 0usize;
+                let mut last = None;
+                let mut j = i + 1;
+                while j < toks.len() && !(angle == 0 && matches!(text(j), "{" | ";" | "where")) {
+                    match text(j) {
+                        "<" => angle += 1,
+                        ">" if !(j > 0 && text(j - 1) == "-") => angle = angle.saturating_sub(1),
+                        "for" if angle == 0 => last = None,
+                        _ if angle == 0 && toks[j].kind == TokenKind::Ident => last = Some(text(j)),
+                        _ => {}
+                    }
+                    j += 1;
+                }
+                pending = last;
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1501,6 +1799,93 @@ fn helper() {}
         assert_eq!(
             unused_pub_hits(&files, &callers),
             [(lib_rs.clone(), 4), (lib_rs, 5)]
+        );
+    }
+
+    /// A variant lives only where something builds it: a path outside
+    /// its enum and outside `match`, `let` and `matches!` patterns, a
+    /// `Self::` path in its `impl`, a path through an alias, or a `use`.
+    #[test]
+    fn unused_pub_judges_enum_variants() {
+        let lib = r#"
+pub mod msg;
+pub enum Pick {
+    Built,
+    Matched,
+    Guarded,
+    LetOnly,
+    Checked,
+    ViaSelf,
+    ViaAlias,
+    Imported,
+    OwnTestOnly,
+    OtherTest,
+    // lint:allow(unused-pub) kept for the wire format's next version
+    Reserved,
+}
+pub type Alias = Pick;
+impl Pick {
+    fn fresh() -> Self {
+        Self::ViaSelf
+    }
+}
+fn judge(p: Pick, n: u32) -> u32 {
+    match p {
+        Pick::Matched => 1,
+        Pick::Guarded if n > 0 => {
+            if n > 1 { 2 } else { 3 }
+        }
+        Pick::Built | Pick::Checked => match n {
+            0 => 4,
+            _ => 5,
+        }
+        Pick::LetOnly => 6,
+        _ => 0,
+    }
+}
+fn build(n: u32) -> Pick {
+    if let Pick::LetOnly = Pick::Built {
+        return Alias::ViaAlias;
+    }
+    let Pick::Checked = Pick::Built else { return Pick::Built };
+    let _ = matches!(Pick::Built, Pick::Checked | Pick::Guarded if n > 0);
+    Pick::Built
+}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { let _ = super::Pick::OwnTestOnly; }
+}
+"#;
+        let files = [
+            ("crates/demo/src/lib.rs", lib),
+            (
+                "crates/demo/src/msg.rs",
+                "pub enum Msg { Ping, Pong }\nfn ping() -> Msg { Msg::Ping }\n",
+            ),
+            (
+                "crates/other/src/lib.rs",
+                "use demo::Pick::Imported;
+",
+            ),
+        ];
+        let callers = [(
+            "crates/other/tests/it.rs",
+            "#[test]\nfn t() { let _ = demo::Pick::OtherTest; }\n",
+        )];
+        // Matched, Guarded, LetOnly and Checked stand only in patterns;
+        // OwnTestOnly only in its own crate's tests; Pong nowhere.
+        let at = |line: usize| ("crates/demo/src/lib.rs".to_string(), line);
+        assert_eq!(
+            unused_pub_hits(&files, &callers),
+            [
+                at(5),
+                at(6),
+                at(7),
+                at(8),
+                at(12),
+                ("crates/demo/src/msg.rs".to_string(), 1),
+            ]
         );
     }
 

@@ -62,7 +62,7 @@ pub use wacs_obs;
 pub mod prelude {
     pub use firewall::vnet::VNet;
     pub use firewall::{Policy, NXPORT, OUTER_PORT};
-    pub use gridmpi::{run_world, Comm, RankSpec, ReduceOp};
+    pub use gridmpi::{run_world, Comm, RankSpec};
     pub use knapsack::{Instance, ParParams};
     pub use nexus::{NexusContext, PortPolicy};
     pub use nexus_proxy::{

@@ -120,7 +120,7 @@ fn collectives_span_the_proxy() {
         };
         let got = comm.bcast(0, data).unwrap();
         let sum = comm
-            .allreduce_f64(vec![f64::from(comm.rank() + 1)], ReduceOp::Sum)
+            .allreduce_f64(vec![f64::from(comm.rank() + 1)])
             .unwrap();
         (got.len(), sum[0])
     })
