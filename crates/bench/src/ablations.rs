@@ -20,8 +20,8 @@ use wacs_core::{
 /// with and without the proxy; report speedups and the proxy
 /// overhead. The sweep exposes the grain trade-off: finer scheduling
 /// improves direct-mode balance but multiplies relay traffic. The
-/// default size is n = 24 to keep the sweep affordable; the calibrated
-/// winner at the Table-4 size is `wacs_core::calibration::best_params`.
+/// default size is n = 24 to keep the sweep affordable. Its winner is
+/// not what Table 4 runs: that is `ParParams::default()`.
 pub fn ablation_sweep(items: usize) {
     let seq = sequential_baseline(items).elapsed_secs;
     println!("Ablation: interval × stealunit sweep (wide-area, n = {items})\n");

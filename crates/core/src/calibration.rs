@@ -74,24 +74,6 @@ pub const TABLE4_ITEMS: usize = 26;
 /// Smaller instance for tests and quick demos.
 pub const QUICK_ITEMS: usize = 22;
 
-/// Scheduling parameters for the knapsack runs ("we varied stealunit,
-/// interval and backunit and took the best combination" — these are
-/// the winners of our sweep at [`TABLE4_ITEMS`]; the sweep itself is
-/// regenerated by the `ablation_sweep` binary). The trade the sweep
-/// exposes: larger `interval` ⇒ fewer, coarser steals ⇒ less relay
-/// traffic (proxy overhead 68% → 5.5% from interval 2048 → 8192 at
-/// n = 26) at a small cost in direct-mode load-balance.
-pub fn best_params() -> knapsack::ParParams {
-    knapsack::ParParams {
-        interval: 8192,
-        steal_unit: 32,
-        back_unit: 16,
-        back_threshold_nodes: 0, // auto: 64 × interval
-        prune: false,            // the paper's normalized no-pruning runs
-        sorted: false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

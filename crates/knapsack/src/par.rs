@@ -143,6 +143,19 @@ mod tests {
         }
     }
 
+    /// The default grain ends a small tree inside the master's first
+    /// batch; a tree of 256 batches still reaches the slave.
+    #[test]
+    fn the_default_grain_still_shares_work() {
+        let n = 20;
+        let inst = Instance::no_pruning(n);
+        let rr = run_flat(2, inst.clone(), ParParams::default());
+        assert_eq!(rr.best, inst.total_profit());
+        assert_eq!(rr.total_traversed(), Instance::full_tree_nodes(n));
+        let slave = &rr.ranks[1];
+        assert!(slave.traversed > 0 && slave.steals >= 1, "{slave:?}");
+    }
+
     #[test]
     fn parallel_exhaustive_covers_entire_tree() {
         let n = 14;

@@ -28,11 +28,20 @@ pub struct ParParams {
     pub sorted: bool,
 }
 
+/// Table 4's combination and the one parameter set: Tables 4-6 run it,
+/// and so does every real `par_run` that sets no grain of its own. The
+/// grain is coarse because each steal costs a relay round trip: the
+/// benchmark's proxied two-rank n = 26 solve steals about a tenth as
+/// often as at interval 1024, stealunit 4. It is not the sweep's
+/// winner: `paper ablation_sweep --items 26` names 4096/8 (42.3 s
+/// proxied), against 44.4 s and a 7.6 % proxy overhead here. Table 4
+/// keeps 8192/32 because any other value moves the Table 4-6 goldens;
+/// ROADMAP item 17 owns that decision.
 impl Default for ParParams {
     fn default() -> Self {
         ParParams {
-            interval: 1024,
-            steal_unit: 4,
+            interval: 8192,
+            steal_unit: 32,
             back_unit: 16,
             back_threshold_nodes: 0,
             prune: false,
