@@ -1,11 +1,11 @@
-//! `paper <name> [--items N]` — print one table, figure, ablation or
-//! scaling scenario of the paper to stdout. The names and what they
+//! `paper <name> [--items N]` — print one table, figure or ablation of
+//! the paper to stdout. The names and what they
 //! print are listed in the `wacs-bench` crate docs; each is the stem
 //! of its golden under `results/`.
 
 use std::error::Error;
 use std::process::ExitCode;
-use wacs_bench::{ablations, congestion, figures, scaling, tables, NAMES};
+use wacs_bench::{ablations, congestion, figures, tables, NAMES};
 use wacs_core::calibration::TABLE4_ITEMS;
 
 fn usage() -> String {
@@ -54,7 +54,6 @@ fn print(name: &str, items: Option<usize>) -> Result<(), Box<dyn Error>> {
         "ablation_congestion" => congestion::ablation_congestion(),
         "ablation_pruning" => ablations::ablation_pruning(),
         "ablation_faults" => ablations::ablation_faults(),
-        "shard_scaling" => println!("{}", scaling::shard_scaling()?.to_json()),
         "table2_decomposition" => println!("{}", wacs_core::table2_report(1)),
         other => return Err(format!("unknown name {other:?}\n{}", usage()).into()),
     }

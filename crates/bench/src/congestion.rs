@@ -2,20 +2,27 @@
 //! ablation_congestion`).
 //!
 //! The paper measured a quiet research WAN. This study injects
-//! competing bulk flows on the shared gateway↔ETL segment and re-runs
-//! the Table 2 WAN cells, showing how the direct/indirect comparison
-//! degrades under contention — the per-link FIFO queueing model at
-//! work. (The proxy's verdict is contention-robust: both paths share
-//! the same bottleneck.)
+//! competing bulk flows ETL → RWCP on the shared gateway↔ETL segment
+//! and shows how the direct/indirect comparison degrades under
+//! contention — the per-link FIFO queueing model at work. (The proxy's
+//! verdict is contention-robust: both paths share the same
+//! bottleneck.)
+//!
+//! It does not re-run the Table 2 cells. It times a single-channel
+//! ping-pong (pings and pongs on one connection, latency = RTT/2)
+//! between a bind on rwcp-sun, proxied when the firewall is up, and a
+//! direct client on etl-sun, so its unloaded proxied latency reads
+//! 28.8 ms where Table 2's dual-channel harness reads 22.6 ms. It keeps
+//! this pair because its pings cross the loaded ETL → RWCP direction:
+//! Table 2's forward metric runs RWCP → ETL and never meets the load.
 
 use crate::{fmt_bw, fmt_ms};
 use netsim::prelude::*;
-use nexus_proxy::sim::{
-    NxActor, NxApp, NxClient, NxEvent, NxHandled, SimInnerServer, SimOuterServer, SimProxyEnv,
-};
+use nexus_proxy::sim::{NxActor, NxApp, NxClient, NxEvent, NxHandled};
 use std::sync::Arc;
 use wacs_core::calibration as cal;
-use wacs_core::testbed::{FirewallMode, PaperTestbed, NXPORT, OUTER_CTRL_PORT};
+use wacs_core::testbed::PaperWorld;
+use wacs_core::Mode;
 use wacs_sync::Mutex;
 
 /// Fires a bulk message across the WAN every `period`, forever.
@@ -57,33 +64,11 @@ impl Actor for Sink {
     }
 }
 
-/// A ping-pong measurement with optional WAN cross-traffic, built on
-/// the same actors as the Table 2 harness but assembled here so the
-/// background load can be injected.
-fn measure(indirect: bool, size: u64, load_fraction: f64) -> (SimDuration, f64) {
-    // Reuse wacs-core's harness when unloaded; otherwise rebuild with
-    // cross traffic.
-    let mode = if indirect {
-        FirewallMode::DenyInWithNxport
-    } else {
-        FirewallMode::TemporarilyOpen
-    };
-    let tb = PaperTestbed::build(mode);
-    let mut sim = Simulator::new(tb.topo.clone(), 3);
-    if indirect {
-        sim.spawn(
-            tb.rwcp_outer,
-            Box::new(SimOuterServer::new(
-                OUTER_CTRL_PORT,
-                Some((tb.rwcp_inner, NXPORT)),
-                cal::relay_model(),
-            )),
-        );
-        sim.spawn(
-            tb.rwcp_inner,
-            Box::new(SimInnerServer::new(NXPORT, cal::relay_model())),
-        );
-    }
+/// One single-channel ping-pong between rwcp-sun (the bind) and
+/// etl-sun (the client) on the paper world under `mode`, with WAN
+/// cross traffic at `load_fraction` of capacity: (RTT/2, size / that).
+fn measure(mode: Mode, size: u64, load_fraction: f64) -> (SimDuration, f64) {
+    let mut w = PaperWorld::build(mode.firewall(), 3, cal::relay_model(), Default::default());
     // Cross traffic: bulk messages etl-o2k → rwcp-outer sized so the
     // long-run WAN load is `load_fraction` of capacity. (The outer host
     // sits outside the firewall, so this traffic is firewall-neutral.)
@@ -91,11 +76,11 @@ fn measure(indirect: bool, size: u64, load_fraction: f64) -> (SimDuration, f64) 
         let chunk = 64 * 1024u64;
         let period =
             SimDuration::from_secs_f64(chunk as f64 / (cal::WAN_BANDWIDTH * load_fraction));
-        sim.spawn(tb.rwcp_outer, Box::new(Sink { port: 9100 }));
-        sim.spawn(
-            tb.etl_o2k,
+        w.sim.spawn(w.tb.rwcp_outer, Box::new(Sink { port: 9100 }));
+        w.sim.spawn(
+            w.tb.etl_o2k,
             Box::new(CrossTraffic {
-                dst: (tb.rwcp_outer, 9100),
+                dst: (w.tb.rwcp_outer, 9100),
                 size: chunk,
                 period,
                 flow: None,
@@ -103,17 +88,12 @@ fn measure(indirect: bool, size: u64, load_fraction: f64) -> (SimDuration, f64) 
         );
     }
 
-    // The measured pair (same roles as the Table 2 harness).
+    // The measured pair: a bind on rwcp-sun, a client on etl-sun.
     let shared: Shared = Arc::default();
-    let env_server = if indirect {
-        SimProxyEnv::via((tb.rwcp_outer, OUTER_CTRL_PORT))
-    } else {
-        SimProxyEnv::direct()
-    };
-    sim.spawn(
-        tb.rwcp_sun,
+    w.sim.spawn(
+        w.tb.rwcp_sun,
         Box::new(NxActor::new(
-            NxClient::new(env_server),
+            NxClient::new(w.env(w.tb.rwcp_sun)),
             PpServer {
                 shared: shared.clone(),
                 size,
@@ -121,10 +101,10 @@ fn measure(indirect: bool, size: u64, load_fraction: f64) -> (SimDuration, f64) 
             },
         )),
     );
-    sim.spawn(
-        tb.etl_sun,
+    w.sim.spawn(
+        w.tb.etl_sun,
         Box::new(NxActor::new(
-            NxClient::new(SimProxyEnv::direct()),
+            NxClient::new(w.env(w.tb.etl_sun)),
             PpClient {
                 shared: shared.clone(),
                 size,
@@ -134,7 +114,8 @@ fn measure(indirect: bool, size: u64, load_fraction: f64) -> (SimDuration, f64) 
             },
         )),
     );
-    sim.run_until(SimTime(SimDuration::from_secs(300).nanos()));
+    w.sim
+        .run_until(SimTime(SimDuration::from_secs(300).nanos()));
     let st = shared.lock();
     // The run above either finishes the ping-pong or the harness is
     // broken; abort rather than chart a bogus number.
@@ -239,10 +220,10 @@ pub fn ablation_congestion() {
         "WAN load", "direct lat", "proxied lat", "direct bw(64K)", "proxied bw(64K)"
     );
     for load in [0.0, 0.3, 0.6, 0.9] {
-        let (dl, _) = measure(false, 1, load);
-        let (il, _) = measure(true, 1, load);
-        let (_, dbw) = measure(false, 65536, load);
-        let (_, ibw) = measure(true, 65536, load);
+        let (dl, _) = measure(Mode::Direct, 1, load);
+        let (il, _) = measure(Mode::Indirect, 1, load);
+        let (_, dbw) = measure(Mode::Direct, 65536, load);
+        let (_, ibw) = measure(Mode::Indirect, 65536, load);
         println!(
             "{:>9.0}% | {:>12} {:>12} | {:>14} {:>14}",
             load * 100.0,

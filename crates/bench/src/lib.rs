@@ -23,8 +23,7 @@
 //! | `ablation_congestion` | Table 2 WAN cells under cross-traffic | `.txt` |
 //! | `ablation_pruning` | node-count variance with the bound test on | `.txt` |
 //! | `ablation_faults` | WAN fault rate vs knapsack completion | `.txt` |
-//! | `shard_scaling` | fan-in over a 1/2/4-shard relay fleet | `.json` |
-//! | `table2_decomposition` | per-hop split of every Table 2 cell | `.json` |
+//! //! | `table2_decomposition` | per-hop split of every Table 2 cell | `.json` |
 //!
 //! `--items N` scales the knapsack size of `table4`..`table6`,
 //! `ablation_sweep` and `ablation_portrange`; the goldens are recorded
@@ -49,14 +48,12 @@ pub const NAMES: &[&str] = &[
     "ablation_congestion",
     "ablation_pruning",
     "ablation_faults",
-    "shard_scaling",
     "table2_decomposition",
 ];
 
 pub mod ablations;
 pub mod congestion;
 pub mod figures;
-pub mod scaling;
 pub mod tables;
 
 /// Pretty-print a bytes/second figure the way the paper does

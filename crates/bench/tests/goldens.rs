@@ -3,20 +3,16 @@
 //! the deterministic simulator, so any byte that moves is a behaviour
 //! change; a failure names the first differing line and the command
 //! that re-records the file when the change is intended. One `#[test]`
-//! per name, so libtest runs them in parallel.
-//!
-//! The scaling scenario also asserts its floors on the stats the
-//! library returns: zero lost work, the kill confined to the kill cell
-//! with at least one failover, and the scale-out speedup. The golden
-//! set and `paper`'s names are one inventory: neither has a name the
-//! other lacks.
+//! per name, so libtest runs them in parallel. The golden set and
+//! `paper`'s names are one inventory: neither has a name the other
+//! lacks.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
-use wacs_bench::{scaling, NAMES};
+use wacs_bench::NAMES;
 
 fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
@@ -116,44 +112,3 @@ goldens!(
     ablation_pruning,
     ablation_faults,
 );
-
-#[test]
-fn shard_scaling() {
-    golden("shard_scaling");
-    let s = scaling::shard_scaling().unwrap();
-    let names: Vec<&str> = s.modes.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(
-        names,
-        ["shards1", "shards2", "shards4", "killshard", "stalemap"]
-    );
-    let killed: Vec<u64> = s.modes.iter().map(|(_, c)| c.killed).collect();
-    assert_eq!(
-        killed,
-        [0, 0, 0, 1, 0],
-        "exactly the killshard cell kills a shard"
-    );
-    // A bind with a stale map is redirected once, to the owner.
-    let stale = &s.modes[4].1;
-    assert!(stale.redirects_sent > 0, "stalemap: no redirect");
-    assert_eq!(stale.redirects_followed, stale.redirects_sent);
-    for (name, c) in &s.modes {
-        // Zero lost work, the kill cell included: it counts exactly-once
-        // accepted sequence numbers.
-        assert_eq!(c.completed, c.cells, "{name}: cells lost work");
-        assert!(
-            c.p50_ns <= c.p95_ns && c.p95_ns <= c.p99_ns,
-            "{name}: percentiles out of order"
-        );
-        if c.killed > 0 {
-            assert!(c.failovers >= 1, "{name}: no breaker-driven failover");
-        }
-    }
-    // The latency is a distribution over the relay queue, not one leg.
-    let shards1 = &s.modes[0].1;
-    assert!(shards1.p50_ns < shards1.p99_ns, "shards1: p50 == p99");
-    let speedup = s.speedup_x1000();
-    assert!(
-        speedup >= 1500,
-        "4-shard fan-in speedup {speedup} below 1500 (x1000)"
-    );
-}

@@ -1,8 +1,9 @@
 //! Per-hop latency decomposition of the Table 2 data paths.
 //!
 //! A single one-way probe message is pushed through the exact path a
-//! Table 2 cell measures, and its end-to-end latency is split into the
-//! legs and relay service gaps it actually traversed:
+//! Table 2 cell's pings take, and its end-to-end time (equal to the
+//! cell's `PingPongResult::forward`, which Table 2's bandwidth divides
+//! by) is split into the legs and relay service gaps it traversed:
 //!
 //! * **direct** — one component: the wire transit itself.
 //! * **indirect LAN** (RWCP-Sun ↔ COMPaS, both proxied) — five:
@@ -25,13 +26,9 @@
 
 use crate::calibration as cal;
 use crate::experiments::{Mode, Pair};
-use crate::testbed::{FirewallMode, PaperTestbed, NXPORT, OUTER_CTRL_PORT};
-use netsim::engine::Simulator;
+use crate::testbed::PaperWorld;
 use netsim::prelude::*;
-use nexus_proxy::sim::{
-    NxActor, NxApp, NxClient, NxEvent, NxHandled, RelayModel, SimInnerServer, SimOuterServer,
-    SimProxyEnv,
-};
+use nexus_proxy::sim::{NxActor, NxApp, NxClient, NxEvent, NxHandled, RelayModel};
 use std::sync::Arc;
 use wacs_obs::Registry;
 use wacs_sync::Mutex;
@@ -109,6 +106,15 @@ struct ProbeState {
 type ProbeShared = Arc<Mutex<ProbeState>>;
 
 const POLL: u64 = 1;
+const SETTLE: u64 = 2;
+
+/// How long the probe waits after `Connected` before it is sent.
+/// `Connected` reaches the client before the outer relay has paired the
+/// passive bridge to a proxied target; a probe sent at once waits in
+/// the relay for that bridge, and the set-up would be booked as relay
+/// service. After the settle the chain is bridged, so the probe takes
+/// the path a steady-state Table 2 ping takes.
+const SETTLE_AFTER_CONNECT: SimDuration = SimDuration::from_millis(100);
 
 /// Target of the probe: binds (via the proxy when firewalled), then
 /// measures the one message that arrives.
@@ -144,10 +150,12 @@ impl NxApp for ProbeServer {
 }
 
 /// Source of the probe: waits for the target's advertised address,
-/// connects, and fires exactly one stamped message.
+/// connects, lets the relay chain bridge, and fires exactly one
+/// stamped message.
 struct ProbeClient {
     shared: ProbeShared,
     size: u64,
+    flow: Option<FlowId>,
 }
 
 impl NxApp for ProbeClient {
@@ -156,21 +164,28 @@ impl NxApp for ProbeClient {
     }
 
     fn timer(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>, token: u64) {
-        if token == POLL {
-            let adv = self.shared.lock().server_adv;
-            match adv {
-                Some(dst) => nx.connect(ctx, dst, 0),
-                None => ctx.set_timer(SimDuration::from_millis(1), POLL),
+        match (token, self.flow) {
+            (POLL, _) => {
+                let adv = self.shared.lock().server_adv;
+                match adv {
+                    Some(dst) => nx.connect(ctx, dst, 0),
+                    None => ctx.set_timer(SimDuration::from_millis(1), POLL),
+                }
             }
+            (SETTLE, Some(flow)) => {
+                // Raw send: one message through every instrument, no
+                // segmentation framing.
+                let stamp = ProbeStamp(ctx.now());
+                let _ = ctx.send(flow, self.size, stamp);
+            }
+            _ => {}
         }
     }
 
     fn handle(&mut self, _nx: &mut NxClient, ctx: &mut Ctx<'_>, h: NxHandled) {
         if let NxHandled::Event(NxEvent::Connected { flow, .. }) = h {
-            // Raw send: one message through every instrument, no
-            // segmentation framing.
-            let stamp = ProbeStamp(ctx.now());
-            let _ = ctx.send(flow, self.size, stamp);
+            self.flow = Some(flow);
+            ctx.set_timer(SETTLE_AFTER_CONNECT, SETTLE);
         }
     }
 }
@@ -190,62 +205,31 @@ pub fn decompose(pair: Pair, mode: Mode, size: u64) -> Decomposition {
 /// [`decompose`] with an explicit relay cost model (for the
 /// `ablation_relay` sweep).
 pub fn decompose_with_model(pair: Pair, mode: Mode, size: u64, model: RelayModel) -> Decomposition {
-    let fw_mode = match mode {
-        Mode::Direct => FirewallMode::TemporarilyOpen,
-        Mode::Indirect => FirewallMode::DenyInWithNxport,
-    };
-    let tb = PaperTestbed::build(fw_mode);
-    let (client_host, server_host) = match pair {
-        Pair::RwcpSunCompas => (tb.rwcp_sun, tb.compas[0]),
-        Pair::RwcpSunEtlSun => (tb.rwcp_sun, tb.etl_sun),
-    };
     let registry = Registry::new();
-    let mut sim = Simulator::new(tb.topo.clone(), 1);
-    sim.install_obs(registry.clone());
-
-    let env_for = |host: NodeId| -> SimProxyEnv {
-        if mode == Mode::Indirect && tb.topo.site_of(host) == tb.rwcp_site {
-            SimProxyEnv::via((tb.rwcp_outer, OUTER_CTRL_PORT))
-        } else {
-            SimProxyEnv::direct()
-        }
-    };
-
-    if mode == Mode::Indirect {
-        sim.spawn(
-            tb.rwcp_outer,
-            Box::new(
-                SimOuterServer::new(OUTER_CTRL_PORT, Some((tb.rwcp_inner, NXPORT)), model)
-                    .with_obs(&registry),
-            ),
-        );
-        sim.spawn(
-            tb.rwcp_inner,
-            Box::new(SimInnerServer::new(NXPORT, model).with_obs(&registry)),
-        );
-    }
-
+    let mut w = PaperWorld::build(mode.firewall(), 1, model, registry.clone());
+    let (client_host, server_host) = pair.hosts(&w.tb);
     let shared: ProbeShared = Arc::default();
-    sim.spawn(
+    w.sim.spawn(
         server_host,
         Box::new(NxActor::new(
-            NxClient::new(env_for(server_host)).with_obs(&registry),
+            NxClient::new(w.env(server_host)),
             ProbeServer {
                 shared: shared.clone(),
             },
         )),
     );
-    sim.spawn(
+    w.sim.spawn(
         client_host,
         Box::new(NxActor::new(
-            NxClient::new(env_for(client_host)).with_obs(&registry),
+            NxClient::new(w.env(client_host)),
             ProbeClient {
                 shared: shared.clone(),
                 size,
+                flow: None,
             },
         )),
     );
-    sim.run();
+    w.sim.run();
 
     let st = shared.lock();
     // The probe is one message over the same wiring every Table 2 test

@@ -6,15 +6,12 @@
 //! * [`run_knapsack`] / [`sequential_baseline`] — Tables 4-6.
 
 use crate::calibration as cal;
-use crate::testbed::{FirewallMode, PaperTestbed, RankPlace, System, NXPORT, OUTER_CTRL_PORT};
+use crate::testbed::{FirewallMode, PaperTestbed, PaperWorld, RankPlace, System};
 use knapsack::instance::Instance;
 use knapsack::sim::{MasterActor, Shared, SlaveActor};
 use knapsack::{ParParams, RunResult};
-use netsim::engine::Simulator;
 use netsim::prelude::*;
-use nexus_proxy::sim::{
-    NxActor, NxApp, NxClient, NxEvent, NxHandled, SimInnerServer, SimOuterServer, SimProxyEnv,
-};
+use nexus_proxy::sim::{NxActor, NxApp, NxClient, NxEvent, NxHandled};
 use std::sync::Arc;
 use wacs_sync::Mutex;
 
@@ -34,6 +31,14 @@ impl Pair {
             Pair::RwcpSunEtlSun => "RWCP-Sun <-> ETL-Sun",
         }
     }
+
+    /// The pair's `(client, server)` hosts on `tb`.
+    pub(crate) fn hosts(self, tb: &PaperTestbed) -> (NodeId, NodeId) {
+        match self {
+            Pair::RwcpSunCompas => (tb.rwcp_sun, tb.compas[0]),
+            Pair::RwcpSunEtlSun => (tb.rwcp_sun, tb.etl_sun),
+        }
+    }
 }
 
 /// Communication mode.
@@ -50,6 +55,14 @@ impl Mode {
         match self {
             Mode::Direct => "direct",
             Mode::Indirect => "indirect",
+        }
+    }
+
+    /// The firewall this mode measures under.
+    pub fn firewall(self) -> FirewallMode {
+        match self {
+            Mode::Direct => FirewallMode::TemporarilyOpen,
+            Mode::Indirect => FirewallMode::DenyInWithNxport,
         }
     }
 }
@@ -77,6 +90,7 @@ pub struct PingPongResult {
 /// channels are one-way, so this is how MPICH-G round trips actually
 /// flow — and why the proxied WAN latency in Table 2 reflects 1.5
 /// relay traversals per direction on average).
+#[derive(Default)]
 struct PingState {
     server_adv: Option<(NodeId, u16)>,
     client_adv: Option<(NodeId, u16)>,
@@ -104,6 +118,10 @@ struct PpServer {
 }
 
 const POLL: u64 = 1;
+
+/// Rounds the ping-pong runs before it measures: their pongs start the
+/// clock, and their forward samples are not averaged.
+const WARMUP: u32 = 2;
 
 impl NxApp for PpServer {
     fn start(&mut self, nx: &mut NxClient, ctx: &mut Ctx<'_>) {
@@ -155,7 +173,6 @@ impl NxApp for PpServer {
 struct PpClient {
     shared: PingShared,
     size: u64,
-    warmup: u32,
     reps: u32,
     ping_flow: Option<FlowId>,
     pong_ready: bool,
@@ -214,11 +231,11 @@ impl NxApp for PpClient {
             }
             NxHandled::Data(_) => {
                 // One pong = one completed round.
-                if self.round == self.warmup {
+                if self.round == WARMUP {
                     self.t0 = Some(ctx.now());
                 }
-                if self.round == self.warmup + self.reps {
-                    // t0 was stored when `round` passed `warmup` above; a
+                if self.round == WARMUP + self.reps {
+                    // t0 was stored when `round` passed `WARMUP` above; a
                     // missing stamp is a harness bug worth an abort.
                     #[allow(clippy::expect_used)]
                     let elapsed = ctx.now().since(self.t0.expect("t0 set at warmup end")); // lint:allow(unwrap-panic)
@@ -255,53 +272,13 @@ pub fn pingpong_with_model(
     size: u64,
     model: nexus_proxy::sim::RelayModel,
 ) -> PingPongResult {
-    let fw_mode = match mode {
-        Mode::Direct => FirewallMode::TemporarilyOpen,
-        Mode::Indirect => FirewallMode::DenyInWithNxport,
-    };
-    let tb = PaperTestbed::build(fw_mode);
-    let (client_host, server_host) = match pair {
-        Pair::RwcpSunCompas => (tb.rwcp_sun, tb.compas[0]),
-        Pair::RwcpSunEtlSun => (tb.rwcp_sun, tb.etl_sun),
-    };
-    let registry = wacs_obs::Registry::new();
-    let mut sim = Simulator::new(tb.topo.clone(), 1);
-    sim.install_obs(registry.clone());
-
-    // Per-host proxy policy: RWCP hosts are proxied under Indirect;
-    // ETL hosts never are (no firewall there).
-    let env_for = |host: NodeId| -> SimProxyEnv {
-        if mode == Mode::Indirect && tb.topo.site_of(host) == tb.rwcp_site {
-            SimProxyEnv::via((tb.rwcp_outer, OUTER_CTRL_PORT))
-        } else {
-            SimProxyEnv::direct()
-        }
-    };
-
-    if mode == Mode::Indirect {
-        sim.spawn(
-            tb.rwcp_outer,
-            Box::new(
-                SimOuterServer::new(OUTER_CTRL_PORT, Some((tb.rwcp_inner, NXPORT)), model)
-                    .with_obs(&registry),
-            ),
-        );
-        sim.spawn(
-            tb.rwcp_inner,
-            Box::new(SimInnerServer::new(NXPORT, model).with_obs(&registry)),
-        );
-    }
-
-    let shared: PingShared = Arc::new(Mutex::new(PingState {
-        server_adv: None,
-        client_adv: None,
-        one_way: None,
-        c1_samples: Vec::new(),
-    }));
-    sim.spawn(
+    let mut w = PaperWorld::build(mode.firewall(), 1, model, wacs_obs::Registry::new());
+    let (client_host, server_host) = pair.hosts(&w.tb);
+    let shared: PingShared = Arc::default();
+    w.sim.spawn(
         server_host,
         Box::new(NxActor::new(
-            NxClient::new(env_for(server_host)).with_obs(&registry),
+            NxClient::new(w.env(server_host)),
             PpServer {
                 shared: shared.clone(),
                 size,
@@ -310,14 +287,13 @@ pub fn pingpong_with_model(
             },
         )),
     );
-    sim.spawn(
+    w.sim.spawn(
         client_host,
         Box::new(NxActor::new(
-            NxClient::new(env_for(client_host)).with_obs(&registry),
+            NxClient::new(w.env(client_host)),
             PpClient {
                 shared: shared.clone(),
                 size,
-                warmup: 2,
                 reps: 8,
                 ping_flow: None,
                 pong_ready: false,
@@ -326,7 +302,7 @@ pub fn pingpong_with_model(
             },
         )),
     );
-    sim.run();
+    w.sim.run();
     let st = shared.lock();
     // The sim ran to completion above; a missing sample means the proxy
     // wiring for this scenario is broken, which should fail loudly.
@@ -334,8 +310,9 @@ pub fn pingpong_with_model(
     let one_way = st
         .one_way
         .expect("ping-pong did not complete — check proxy wiring"); // lint:allow(unwrap-panic)
-                                                                    // Average the measured (post-warmup) forward samples.
-    let measured = &st.c1_samples[2.min(st.c1_samples.len())..];
+
+    // Average the measured (post-warmup) forward samples.
+    let measured = &st.c1_samples[(WARMUP as usize).min(st.c1_samples.len())..];
     let forward = if measured.is_empty() {
         one_way
     } else {
@@ -393,7 +370,8 @@ fn paper_mode(cfg: &KnapsackRun) -> FirewallMode {
 
 /// [`run_knapsack`] under an explicit firewall mode — used by the
 /// port-range ablation, where the firewall stays up but opens a
-/// listener range instead of deploying the proxy.
+/// listener range instead of deploying the proxy. The mode alone
+/// decides whether the proxy is deployed.
 pub fn run_knapsack_with_mode(cfg: &KnapsackRun, fw_mode: FirewallMode) -> RunResult {
     knapsack_world(cfg, fw_mode, |tb| cfg.system.ranks(tb), None).result
 }
@@ -481,8 +459,8 @@ pub fn sequential_baseline(items: usize) -> RunResult {
     knapsack_world(&cfg, FirewallMode::TemporarilyOpen, alone, None).result
 }
 
-/// The one knapsack world: the paper testbed under `fw_mode`, the relay
-/// pair when `cfg.use_proxy`, the master on the first of `places` (which
+/// The one knapsack world: the [`PaperWorld`] under `fw_mode` (so the
+/// relay pair exactly when it is deny-in), the master on the first of `places` (which
 /// replaces `cfg.system`'s placement) and a slave on each further one.
 /// With `faults`, their plan is installed and the run is cut at a
 /// one-hour virtual horizon.
@@ -492,35 +470,13 @@ fn knapsack_world(
     places: impl FnOnce(&PaperTestbed) -> Vec<RankPlace>,
     faults: Option<&FaultConfig>,
 ) -> FaultRun {
-    let tb = PaperTestbed::build(fw_mode);
-    let ranks = places(&tb);
-    let inst = Arc::new(Instance::no_pruning(cfg.items));
     let shared: Shared = Arc::default();
     let registry = shared.lock().obs.clone();
-    let mut sim = Simulator::new(tb.topo.clone(), cfg.seed);
-    sim.install_obs(registry.clone());
-
-    let inner = (tb.rwcp_inner, NXPORT);
-    let outer = move |reg: &wacs_obs::Registry| {
-        Box::new(
-            SimOuterServer::new(OUTER_CTRL_PORT, Some(inner), cal::relay_model()).with_obs(reg),
-        )
-    };
-    let mut outer_id = None;
-    if cfg.use_proxy {
-        outer_id = Some(sim.spawn(tb.rwcp_outer, outer(&registry)));
-        sim.spawn(
-            tb.rwcp_inner,
-            Box::new(SimInnerServer::new(NXPORT, cal::relay_model()).with_obs(&registry)),
-        );
-    }
-
+    let mut w = PaperWorld::build(fw_mode, cfg.seed, cal::relay_model(), registry.clone());
+    let ranks = places(&w.tb);
+    let inst = Arc::new(Instance::no_pruning(cfg.items));
     for (i, place) in ranks.iter().enumerate() {
-        let env = if cfg.use_proxy && tb.topo.site_of(place.host) == tb.rwcp_site {
-            SimProxyEnv::via((tb.rwcp_outer, OUTER_CTRL_PORT))
-        } else {
-            SimProxyEnv::direct()
-        };
+        let env = w.env(place.host);
         let (inst, shared, group) = (inst.clone(), shared.clone(), place.group.clone());
         let actor: Box<dyn Actor> = if i == 0 {
             let nslaves = ranks.len() - 1;
@@ -532,7 +488,7 @@ fn knapsack_world(
                 inst, cfg.params, env, shared, i as u32, group,
             ))
         };
-        sim.spawn(place.host, actor);
+        w.sim.spawn(place.host, actor);
     }
 
     if let Some(faults) = faults {
@@ -540,21 +496,19 @@ fn knapsack_world(
         if faults.wan_drop > 0.0 {
             plan = plan.drop_messages(faults.wan_drop, true);
         }
-        if let (Some(at), Some(id)) = (faults.outer_crash_at, outer_id) {
-            let restart_reg = registry.clone();
-            plan = plan.crash_restart(id, at, faults.outer_restart_after, move || {
-                outer(&restart_reg)
-            });
+        if let (Some(at), Some(id)) = (faults.outer_crash_at, w.outer) {
+            plan = plan.crash_restart(id, at, faults.outer_restart_after, w.outer_factory());
         }
-        sim.install_faults(plan);
+        w.sim.install_faults(plan);
         // Virtual-time safety cap: with the retry layer in place a run
         // survives transient faults, but an unsurvivable plan (e.g. a
         // crash with no restart) would otherwise retry forever.
-        sim.run_until(SimTime(SimDuration::from_secs(3600).nanos()));
+        w.sim
+            .run_until(SimTime(SimDuration::from_secs(3600).nanos()));
     } else {
-        sim.run();
+        w.sim.run();
     }
-    let stats = sim.stats();
+    let stats = w.sim.stats();
     let st = shared.lock();
     // A finished run always publishes a result; anything else is a
     // master/slave protocol bug or an unsurvivable fault plan, and

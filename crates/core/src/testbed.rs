@@ -12,7 +12,10 @@
 
 use crate::calibration as cal;
 use firewall::Policy;
+use netsim::engine::Simulator;
 use netsim::prelude::*;
+use nexus_proxy::sim::{RelayModel, SimInnerServer, SimOuterServer, SimProxyEnv};
+use wacs_obs::Registry;
 
 /// Number of COMPaS nodes (8 quad-processor Pentium Pro SMPs).
 pub const COMPAS_NODES: usize = 8;
@@ -154,6 +157,67 @@ impl PaperTestbed {
             ));
         }
         out
+    }
+}
+
+/// The one virtual-time deployment every paper experiment runs on: the
+/// Figure 5 testbed under a firewall mode, a seeded simulator recording
+/// into a registry, and, under [`FirewallMode::DenyInWithNxport`], the
+/// relay pair (outer server on `rwcp-outer`, inner on `rwcp-inner`).
+pub struct PaperWorld {
+    pub tb: PaperTestbed,
+    pub sim: Simulator,
+    /// The outer server's actor, when the relay pair is deployed.
+    pub outer: Option<ActorId>,
+    model: RelayModel,
+    registry: Registry,
+}
+
+impl PaperWorld {
+    /// Build the world. The relay pair is spawned before anything else,
+    /// so its actor ids are the same in every experiment.
+    pub fn build(mode: FirewallMode, seed: u64, model: RelayModel, registry: Registry) -> Self {
+        let tb = PaperTestbed::build(mode);
+        let mut sim = Simulator::new(tb.topo.clone(), seed);
+        sim.install_obs(registry.clone());
+        let mut world = PaperWorld {
+            tb,
+            sim,
+            outer: None,
+            model,
+            registry,
+        };
+        if mode == FirewallMode::DenyInWithNxport {
+            let outer = world.outer_factory()();
+            world.outer = Some(world.sim.spawn(world.tb.rwcp_outer, outer));
+            let inner = SimInnerServer::new(NXPORT, model).with_obs(&world.registry);
+            world.sim.spawn(world.tb.rwcp_inner, Box::new(inner));
+        }
+        world
+    }
+
+    /// Builds a fresh outer server, as `FaultPlan::crash_restart` wants
+    /// for the revived actor.
+    pub fn outer_factory(&self) -> impl FnMut() -> Box<dyn Actor> + 'static {
+        let (inner, model, registry) = (
+            (self.tb.rwcp_inner, NXPORT),
+            self.model,
+            self.registry.clone(),
+        );
+        move || {
+            Box::new(SimOuterServer::new(OUTER_CTRL_PORT, Some(inner), model).with_obs(&registry))
+        }
+    }
+
+    /// How an actor on `host` reaches its peers: an RWCP host goes via
+    /// the outer server when the pair is deployed; every other host
+    /// (and every host without the pair) dials directly.
+    pub fn env(&self, host: NodeId) -> SimProxyEnv {
+        if self.outer.is_some() && self.tb.topo.site_of(host) == self.tb.rwcp_site {
+            SimProxyEnv::via((self.tb.rwcp_outer, OUTER_CTRL_PORT))
+        } else {
+            SimProxyEnv::direct()
+        }
     }
 }
 

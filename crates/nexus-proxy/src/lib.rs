@@ -62,9 +62,7 @@ pub use liveness::{
 pub use outer::{OuterConfig, OuterServer};
 pub use pool::{BufferPool, PoolConfig};
 pub use protocol::{CtrlMsg, Msg};
-pub use shard::{
-    bind_key, member_tag, GenerationWitness, ShardMap, ShardRoute, ShardRouter, ShardStats,
-};
+pub use shard::{bind_key, member_tag, GenerationWitness, ShardMap, ShardRoute, ShardRouter};
 pub use stats::{ProxySnapshot, ProxyStats};
 pub use stripe::{
     interposed_lane_dial, send_striped, Accept, Reassembler, SendReport, StripeError, StripeFrame,

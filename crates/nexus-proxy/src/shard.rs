@@ -254,7 +254,7 @@ impl ShardRouter {
 /// failovers, inner servers count map syncs applied). Cloning aliases
 /// the handles.
 #[derive(Clone)]
-pub struct ShardStats {
+pub(crate) struct ShardStats {
     /// BindReqs answered with a `Redirect` frame (outer, not owner).
     pub redirects_sent: Counter,
     /// `Redirect` frames obeyed by a client (re-dial to the owner).
@@ -274,7 +274,7 @@ pub struct ShardStats {
 
 impl ShardStats {
     /// Register the instrument set under `wacs.shard.*` in `registry`.
-    pub fn in_registry(registry: &Registry) -> Self {
+    pub(crate) fn in_registry(registry: &Registry) -> Self {
         let c = |name: &str| registry.counter(&format!("wacs.shard.{name}"));
         ShardStats {
             redirects_sent: c("redirects_sent"),

@@ -1,12 +1,13 @@
 //! Golden tests for the per-hop latency decomposition (the
 //! observability layer's accounting must *add up*): every Table 2
 //! cell's one-way latency splits into hop components that sum to the
-//! end-to-end figure, and on the WAN pair the WAN leg is the dominant
-//! transit component.
+//! end-to-end figure, the end-to-end figure is the forward time Table 2
+//! reports, and on the WAN pair the WAN leg is the dominant transit
+//! component.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use wacs::wacs_core::{decompose, Decomposition, Mode, Pair};
+use wacs::wacs_core::{decompose, pingpong, Decomposition, Mode, Pair};
 
 /// 1 sim-tick = 1 virtual nanosecond.
 const TICK: u64 = 1;
@@ -39,6 +40,27 @@ fn components_sum_to_end_to_end_for_every_cell() {
         for mode in [Mode::Direct, Mode::Indirect] {
             for size in [1u64, 1024] {
                 assert_sums(&decompose(pair, mode, size));
+            }
+        }
+    }
+}
+
+/// The decomposition splits the number Table 2's bandwidth is computed
+/// from: the ping-pong's mean forward (ping direction) time, exactly.
+#[test]
+fn total_is_the_pingpong_forward_time_for_every_cell() {
+    for pair in [Pair::RwcpSunCompas, Pair::RwcpSunEtlSun] {
+        for mode in [Mode::Direct, Mode::Indirect] {
+            for size in [1u64, 1024] {
+                let total = decompose(pair, mode, size).total_ns;
+                let forward = pingpong(pair, mode, size).forward.nanos();
+                assert_eq!(
+                    total,
+                    forward,
+                    "{} {} size {size}: decomposition total vs ping-pong forward",
+                    pair.name(),
+                    mode.name()
+                );
             }
         }
     }
